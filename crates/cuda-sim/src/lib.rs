@@ -84,7 +84,7 @@ pub use kernel::{Dim3, LaunchConfig, ThreadCtx};
 pub use memory::{DeviceBuffer, DeviceScalar};
 pub use meter::{ChainEstimator, Cost, LaunchRecord, Meters, TRACE_SLOTS};
 pub use props::{DeviceProps, ExecMode, HostProps};
-pub use sim::{Clock, Engine, EventRecord, RealClock, ResourceId, VirtualClock};
+pub use sim::{Clock, Engine, EventRecord, ResourceId, VirtualClock};
 pub use stream::StreamId;
 pub use trace::{OpRecord, TraceMode, DEFAULT_TRACE_CAP};
 

@@ -3,8 +3,7 @@
 //!
 //! Everything time-related in the simulator is built on this module. A
 //! [`Clock`] is an injectable time source — [`VirtualClock`] for modeled
-//! runs (the default everywhere), [`RealClock`] for wall-clock-paced replay
-//! of a schedule. An [`Engine`] owns a set of [`ResourceId`]-addressed
+//! runs. An [`Engine`] owns a set of [`ResourceId`]-addressed
 //! resources of two kinds:
 //!
 //! * **Serial** resources execute one operation at a time behind a cursor —
@@ -29,7 +28,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -62,38 +60,6 @@ impl Clock for VirtualClock {
         debug_assert!(t >= 0.0, "virtual time is non-negative");
         self.bits.fetch_max(t.to_bits(), Ordering::AcqRel);
     }
-}
-
-/// Wall-clock time source, for pacing a replayed schedule against real
-/// time (e.g. a service layer animating a recorded run). Never used by the
-/// modeled devices themselves.
-#[derive(Debug)]
-pub struct RealClock {
-    origin: Instant,
-}
-
-impl RealClock {
-    /// Clock whose zero is "now".
-    pub fn new() -> RealClock {
-        RealClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
-
-    /// Real time cannot be advanced; this is a no-op.
-    fn advance_to(&self, _t: f64) {}
 }
 
 /// Generational handle to an engine resource. Freed handles are detected
@@ -200,8 +166,8 @@ impl Engine {
         &self.clock
     }
 
-    /// Current time: the frontier of everything scheduled so far (virtual
-    /// clock) or wall time (real clock).
+    /// Current time: under the virtual clock, the frontier of everything
+    /// scheduled so far.
     pub fn now(&self) -> f64 {
         self.clock.now()
     }
@@ -510,16 +476,6 @@ mod tests {
         assert_eq!(c.now(), 2.5, "never moves backwards");
         c.advance_to(3.75);
         assert_eq!(c.now(), 3.75);
-    }
-
-    #[test]
-    fn real_clock_marches_on_its_own() {
-        let c = RealClock::new();
-        let t0 = c.now();
-        c.advance_to(1e9); // ignored
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(c.now() > t0);
-        assert!(c.now() < 1e9);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! with a hierarchical, optionally compute-overlapped depth-image
 //! reduction over a metered interconnect.
 //!
+//! [`reconstruct_cluster_checkpointed`] is the one checkpointed executor
+//! behind every GPU engine: a single device is a 1×1 cluster and a
+//! workstation fleet a 1×M one, so one code path runs 1 to N×M GPUs.
+//!
 //! The distributed-ptychography shape (PAPERS.md): the scan's detector
-//! rows are banded across N nodes; each node runs its band on the
-//! existing single/multi-GPU engines (PR 5's privatized deterministic
+//! rows are banded across N nodes; each node runs its band through the
+//! per-node fleet step in [`crate::multi`] (the privatized deterministic
 //! commit *is* the intra-node reduction), and the per-node partial images
 //! are then reduced to the head node over the fabric. Because bands are
 //! disjoint, the inter-node "all-reduce" degenerates to an aggregation of
@@ -204,6 +208,12 @@ pub struct ClusterReconstruction {
     pub host_table_time_s: f64,
     /// Committed slabs (replayed + fresh).
     pub n_slabs: usize,
+    /// Largest slab any device ran, in rows (0 when every row was
+    /// replayed).
+    pub rows_per_slab: usize,
+    /// Shallowest ring any device ran: the requested depth unless memory
+    /// pressure shrank it.
+    pub pipeline_depth: usize,
     /// Per-slab achieved densities in commit order across the cluster.
     pub slab_densities: Vec<f64>,
     /// Per-slab privatized-accumulation flags in commit order.
@@ -322,20 +332,28 @@ fn schedule_reduction(
     sched
 }
 
-/// The cluster scheduler: node-level round-based failover around
-/// [`reconstruct_multi_scoped`], then the inter-node reduction.
+/// The one checkpointed GPU executor: node-level round-based failover
+/// around the per-node fleet step, then the inter-node reduction.
 ///
 /// `nodes[i]` holds node `i`'s devices (attached to that node's
 /// [`cuda_sim::Host`]); `net` is the fabric linking them, which must span
 /// at least `nodes.len()` endpoints. Work proceeds in rounds: uncovered
 /// rows re-band over the nodes currently alive ([`partition_ranges`] at
 /// node granularity — a fresh failure-free run reproduces the static
-/// banding), each node runs its share through the scoped fleet engine
+/// banding), each node runs its share through the scoped fleet step
 /// (inheriting device-level failover *within* the node), and slab commits
 /// release reduction segments. A node is dead when its scoped run fails
 /// with a GPU-class error — i.e. its last device died; zero surviving
 /// nodes surfaces the error for CPU salvage, exactly like the fleet
-/// engine one level down.
+/// step one level down.
+///
+/// The run starts from `progress` (fresh, or replayed from a
+/// [`RunJournal`]) and computes only the rows not yet committed; every
+/// commit reaches `journal` (when given) before the ring moves on. The
+/// depth image lives in `progress` while the run is in flight: on success
+/// it moves out into the result, never copied; on error `progress` keeps
+/// every committed slab, so the caller can resume or salvage.
+/// [`ReconstructionConfig::pipeline_depth`] overrides `depth` when set.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_cluster_checkpointed(
     nodes: &[Vec<&Device>],
@@ -365,6 +383,7 @@ pub fn reconstruct_cluster_checkpointed(
     let n_rows = source.n_rows();
     let n_cols = source.n_cols();
     let n = nodes.len();
+    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
     let segment_bytes =
         |rows: usize| (rows * n_cols * cfg.n_depth_bins * 8) as u64 + SEGMENT_HEADER_BYTES;
 
@@ -372,7 +391,10 @@ pub fn reconstruct_cluster_checkpointed(
         .iter()
         .map(|ds| ds.iter().any(|d| !d.is_lost()))
         .collect();
-    let mut participated = vec![false; n];
+    // Per device: has it worked in this run (its meters reset and count)?
+    let mut participated: Vec<Vec<bool>> = nodes.iter().map(|ds| vec![false; ds.len()]).collect();
+    let mut rows_per_slab = 0;
+    let mut pipeline_depth = depth.0;
     let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); n];
     let mut outcomes: Vec<NodeOutcome> = (0..n)
         .map(|i| NodeOutcome {
@@ -402,8 +424,6 @@ pub fn reconstruct_cluster_checkpointed(
                 continue;
             }
             let ni = alive_idx[k];
-            let fresh = !participated[ni];
-            participated[ni] = true;
             let before = progress.committed_rows();
             let node_segments = &mut segments[ni];
             let mut on_commit = |row0: usize, rows: usize, at_s: f64| {
@@ -416,6 +436,7 @@ pub fn reconstruct_cluster_checkpointed(
             };
             let attempt = reconstruct_multi_scoped(
                 &nodes[ni],
+                &mut participated[ni],
                 source,
                 geom,
                 cfg,
@@ -425,23 +446,22 @@ pub fn reconstruct_cluster_checkpointed(
                 ranges,
                 progress,
                 journal.as_deref_mut(),
-                Some(&mut on_commit),
-                fresh,
+                &mut on_commit,
             );
             let out = &mut outcomes[ni];
             out.rows += progress.committed_rows() - before;
             match attempt {
-                Ok(mr) => {
-                    out.devices = mr.per_device.len();
-                    out.elapsed_s = mr.elapsed_s;
-                    out.bus_wait_s = mr.per_device.iter().map(|m| m.bus_wait_s).sum();
-                    out.devices_lost += mr.devices_lost;
-                    out.integrity.merge(&mr.integrity);
-                    recovery.replans += mr.recovery.replans;
-                    recovery.transfer_retries += mr.recovery.transfer_retries;
-                    table_cache.merge(&mr.table_cache);
-                    slab_densities.extend(mr.slab_densities);
-                    slab_privatized.extend(mr.slab_privatized);
+                Ok(step) => {
+                    out.elapsed_s = step.elapsed_s;
+                    out.devices_lost += step.devices_lost;
+                    out.integrity.merge(&step.integrity);
+                    rows_per_slab = rows_per_slab.max(step.rows_per_slab);
+                    pipeline_depth = pipeline_depth.min(step.depth_used);
+                    recovery.replans += step.recovery.replans;
+                    recovery.transfer_retries += step.recovery.transfer_retries;
+                    table_cache.merge(&step.table_cache);
+                    slab_densities.extend(step.slab_densities);
+                    slab_privatized.extend(step.slab_privatized);
                 }
                 Err(e) if e.is_gpu_failure() => {
                     // The node's last device is gone. The chassis (NIC,
@@ -471,14 +491,18 @@ pub fn reconstruct_cluster_checkpointed(
     let mut devices_lost = 0u32;
     let mut integrity = IntegrityReport::default();
     for (ni, out) in outcomes.iter_mut().enumerate() {
-        if participated[ni] {
-            for d in &nodes[ni] {
-                host_table_time_s += d.host_flops_time_s();
-                per_device.push(d.meters());
-            }
-            out.devices = nodes[ni].len();
-            out.bus_wait_s = nodes[ni].iter().map(|d| d.meters().bus_wait_s).sum();
+        let used: Vec<&Device> = nodes[ni]
+            .iter()
+            .zip(&participated[ni])
+            .filter(|(_, p)| **p)
+            .map(|(d, _)| *d)
+            .collect();
+        for d in &used {
+            host_table_time_s += d.host_flops_time_s();
+            per_device.push(d.meters());
         }
+        out.devices = used.len();
+        out.bus_wait_s = used.iter().map(|d| d.meters().bus_wait_s).sum();
         out.faults = FaultStats::merge_all(nodes[ni].iter().filter_map(|d| d.fault_stats()));
         compute_s = compute_s.max(out.elapsed_s);
         devices_lost += out.devices_lost;
@@ -532,7 +556,7 @@ pub fn reconstruct_cluster_checkpointed(
 
     let elapsed_s = compute_s.max(sched.last_arrival_s);
     Ok(ClusterReconstruction {
-        image: progress.image.clone(),
+        image: std::mem::take(&mut progress.image),
         stats: progress.stats,
         nodes: outcomes,
         elapsed_s,
@@ -547,6 +571,8 @@ pub fn reconstruct_cluster_checkpointed(
         table_cache,
         host_table_time_s,
         n_slabs: progress.committed_slabs(),
+        rows_per_slab,
+        pipeline_depth,
         slab_densities,
         slab_privatized,
         integrity,

@@ -2292,52 +2292,21 @@ pub fn reconstruct_pipelined(
     })
 }
 
-/// As [`reconstruct_pipelined`], but checkpoint-aware: the run starts from
-/// `progress` (fresh, or replayed from a [`RunJournal`]) and processes only
-/// the rows not yet committed. Each slab commit is appended to `journal`
-/// (when given) *before* the ring moves on, so after any interruption —
-/// process kill, injected [`cuda_sim::SimError::DeviceLost`] — the journal
-/// plus `progress` hold every completed slab and the caller can resume or
-/// salvage. On error, `progress` retains all committed state.
+/// As [`reconstruct_pipelined`], but checkpoint-aware and bounded — the
+/// preemption quantum the serve scheduler runs long jobs in. The run
+/// starts from `progress` (fresh, or replayed from a [`RunJournal`]) and
+/// processes at most `max_rows` of the rows not yet committed. Each slab
+/// commit is appended to `journal` (when given) *before* the ring moves
+/// on, so after any interruption the journal plus `progress` hold every
+/// completed slab; on error, `progress` retains all committed state.
 ///
-/// Because slab downloads assign rows exclusively and the engines are
-/// chunking-invariant, a resumed run is bit-identical to an uninterrupted
-/// one regardless of where the cut fell or what slab plan the resume uses.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_checkpointed(
-    device: &Device,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-    progress: &mut SlabProgress,
-    journal: Option<&mut RunJournal>,
-) -> Result<GpuReconstruction> {
-    reconstruct_checkpointed_bounded(
-        device,
-        source,
-        geom,
-        cfg,
-        opts,
-        depth,
-        cache,
-        progress,
-        journal,
-        usize::MAX,
-    )
-    .map(|(out, _)| out)
-}
-
-/// As [`reconstruct_checkpointed`], but processes at most `max_rows`
-/// fresh (uncommitted) rows before returning — the preemption quantum the
-/// serve scheduler runs long jobs in. The second return value is `true`
-/// when the whole detector is now committed; `false` means the job was
-/// paused at a slab boundary and can be resumed — on this device or any
-/// other — by calling again with the same `progress`/`journal` (chunking
-/// invariance makes the eventual output bit-identical no matter where the
-/// quantum cuts fell or which device ran which quantum).
+/// The second return value is `true` when the whole detector is now
+/// committed; `false` means the job was paused at a slab boundary and can
+/// be resumed — on this device or any other — by calling again with the
+/// same `progress`/`journal` (chunking invariance makes the eventual
+/// output bit-identical no matter where the quantum cuts fell or which
+/// device ran which quantum). Pipeline runs use the cluster executor,
+/// [`crate::cluster::reconstruct_cluster_checkpointed`], instead.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_checkpointed_bounded(
     device: &Device,
@@ -3164,7 +3133,7 @@ mod tests {
 
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed(
+        let (out, _) = reconstruct_checkpointed_bounded(
             &device,
             &mut source,
             &geom,
@@ -3174,6 +3143,7 @@ mod tests {
             None,
             &mut progress,
             None,
+            usize::MAX,
         )
         .unwrap();
         assert_eq!(out.image.data, baseline.image.data);
@@ -3212,7 +3182,7 @@ mod tests {
             assert!(replayed.is_empty());
             let mut progress = SlabProgress::new(dims.0, dims.1, dims.2);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let err = reconstruct_checkpointed(
+            let err = reconstruct_checkpointed_bounded(
                 &dying,
                 &mut source,
                 &geom,
@@ -3222,6 +3192,7 @@ mod tests {
                 None,
                 &mut progress,
                 Some(&mut journal),
+                usize::MAX,
             )
             .unwrap_err();
             assert!(err.is_gpu_failure(), "{err}");
@@ -3234,7 +3205,7 @@ mod tests {
             assert_eq!(replayed.len(), lost_after as usize, "replay commits");
             let mut progress = SlabProgress::replay(dims.0, dims.1, dims.2, &replayed).unwrap();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct_checkpointed(
+            let (out, _) = reconstruct_checkpointed_bounded(
                 &clean,
                 &mut source,
                 &geom,
@@ -3244,6 +3215,7 @@ mod tests {
                 None,
                 &mut progress,
                 Some(&mut journal),
+                usize::MAX,
             )
             .unwrap();
             assert_eq!(
@@ -3510,7 +3482,7 @@ mod tests {
         let device = big_device();
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed(
+        let (out, _) = reconstruct_checkpointed_bounded(
             &device,
             &mut source,
             &geom,
@@ -3520,6 +3492,7 @@ mod tests {
             None,
             &mut progress,
             None,
+            usize::MAX,
         )
         .unwrap();
         assert_eq!(dense.image.data, out.image.data);
@@ -3725,7 +3698,7 @@ mod tests {
         let device = big_device();
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed(
+        let (out, _) = reconstruct_checkpointed_bounded(
             &device,
             &mut source,
             &geom,
@@ -3735,6 +3708,7 @@ mod tests {
             None,
             &mut progress,
             None,
+            usize::MAX,
         )
         .unwrap();
         assert_eq!(atomic.image.data, out.image.data);

@@ -1,7 +1,8 @@
-//! Multi-GPU reconstruction — the design space the paper's related work
-//! opens (Schaa & Kaeli, §II) but its implementation never explores.
+//! Multi-GPU banding inside one chassis — the design space the paper's
+//! related work opens (Schaa & Kaeli, §II) but its implementation never
+//! explores.
 //!
-//! The detector is split into contiguous row bands, one per device; each
+//! A node's rows are split into contiguous bands, one per device; each
 //! device runs the k-deep ring pipeline over its band. Bands are disjoint,
 //! so no cross-device synchronisation is needed and the result is
 //! bit-identical to the single-GPU run. In virtual time the devices work
@@ -13,13 +14,20 @@
 //! through that host's shared metered bus, which is what a single
 //! workstation chassis actually provides.
 //!
+//! This module holds the per-node step of the one checkpointed executor,
+//! [`crate::cluster::reconstruct_cluster_checkpointed`]: a fleet is a
+//! one-node cluster, and [`reconstruct_multi`] is exactly that.
+//!
 //! A shared [`DepthTableCache`] pays the host-side triangulation once for
 //! the whole fleet (devices after the first hit the host cache) and keeps
 //! per-device resident tables for warm re-runs.
 
-use cuda_sim::{Device, Meters};
+use std::ops::Range;
+
+use cuda_sim::{Device, Interconnect, InterconnectProps};
 
 use crate::cache::{DepthTableCache, TableCacheStats};
+use crate::cluster::{reconstruct_cluster, ClusterOptions, ClusterReconstruction};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
@@ -27,53 +35,10 @@ use crate::gpu::{run_ring, validate_inputs, GpuOptions, PipelineDepth, RecoveryL
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
-use crate::output::DepthImage;
-use crate::stats::ReconStats;
 use crate::Result;
 
-/// Result of a multi-device reconstruction.
-#[derive(Debug, Clone)]
-pub struct MultiGpuReconstruction {
-    /// The depth-resolved output (all bands merged).
-    pub image: DepthImage,
-    /// Outcome counters over all devices.
-    pub stats: ReconStats,
-    /// Per-device meters, in device order (participating devices only).
-    pub per_device: Vec<Meters>,
-    /// Rows committed by each participating device.
-    pub rows_per_device: Vec<usize>,
-    /// Virtual makespan: the slowest device's elapsed time.
-    pub elapsed_s: f64,
-    /// Host-CPU seconds spent producing depth tables for the fleet,
-    /// summed over participating devices (accounted in parallel with
-    /// device time; zero for in-kernel triangulation).
-    pub host_table_time_s: f64,
-    /// Aggregate recovery actions (re-plans, transfer retries) over all
-    /// devices.
-    pub recovery: RecoveryLog,
-    /// Depth-table cache accounting, merged over all devices (all zeros
-    /// when no cache was attached).
-    pub table_cache: TableCacheStats,
-    /// Devices that died mid-run and had their unfinished rows requeued
-    /// onto the survivors.
-    pub devices_lost: u32,
-    /// Total committed slabs (replayed + fresh, over all devices).
-    pub n_slabs: usize,
-    /// Achieved active-pair density per slab, in commit order across the
-    /// fleet (empty when compaction is off).
-    pub slab_densities: Vec<f64>,
-    /// Per slab in commit order across the fleet, whether its main launch
-    /// ran the shared-memory privatized accumulator (devices may differ in
-    /// shared-memory budget, so a heterogeneous fleet can mix). Empty under
-    /// `--accumulation atomic`.
-    pub slab_privatized: Vec<bool>,
-    /// Integrity checks, detections, and corrections, merged over all
-    /// devices (all zeros when `--integrity off`).
-    pub integrity: IntegrityReport,
-}
-
 /// Split `n_rows` into `n` contiguous bands, remainder spread to the front.
-pub(crate) fn row_bands(n_rows: usize, n: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn row_bands(n_rows: usize, n: usize) -> Vec<Range<usize>> {
     let n = n.min(n_rows).max(1);
     let base = n_rows / n;
     let extra = n_rows % n;
@@ -87,53 +52,27 @@ pub(crate) fn row_bands(n_rows: usize, n: usize) -> Vec<std::ops::Range<usize>> 
     bands
 }
 
-/// Reconstruct across several devices, one row band per device, with the
-/// serial (`k = 1`) pipeline and no table cache.
+/// Reconstruct across several devices of one chassis, one row band per
+/// device, with the serial (`k = 1`) pipeline and no table cache: a
+/// one-node [`reconstruct_cluster`].
 pub fn reconstruct_multi(
     devices: &[&Device],
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     opts: GpuOptions,
-) -> Result<MultiGpuReconstruction> {
-    reconstruct_multi_pipelined(
-        devices,
+) -> Result<ClusterReconstruction> {
+    let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
+    reconstruct_cluster(
+        &[devices.to_vec()],
+        &net,
         source,
         geom,
         cfg,
         opts,
         PipelineDepth::SERIAL,
         None,
-    )
-}
-
-/// As [`reconstruct_multi`], with a configurable ring depth per device and
-/// an optional shared depth-table cache.
-/// [`ReconstructionConfig::pipeline_depth`] overrides `depth` when set.
-pub fn reconstruct_multi_pipelined(
-    devices: &[&Device],
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-) -> Result<MultiGpuReconstruction> {
-    if devices.is_empty() {
-        return Err(CoreError::InvalidConfig("need at least one device".into()));
-    }
-    validate_inputs(source, geom, cfg)?;
-    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
-    reconstruct_multi_checkpointed(
-        devices,
-        source,
-        geom,
-        cfg,
-        opts,
-        depth,
-        cache,
-        &mut progress,
-        None,
+        ClusterOptions::default(),
     )
 }
 
@@ -143,13 +82,10 @@ pub fn reconstruct_multi_pipelined(
 /// single full-detector range this reproduces `row_bands` exactly, so a
 /// fresh failure-free fleet run is scheduled identically to the original
 /// static banding.
-pub(crate) fn partition_ranges(
-    ranges: &[std::ops::Range<usize>],
-    n: usize,
-) -> Vec<Vec<std::ops::Range<usize>>> {
+pub(crate) fn partition_ranges(ranges: &[Range<usize>], n: usize) -> Vec<Vec<Range<usize>>> {
     let total: usize = ranges.iter().map(|r| r.len()).sum();
     let quotas: Vec<usize> = row_bands(total, n).into_iter().map(|b| b.len()).collect();
-    let mut out: Vec<Vec<std::ops::Range<usize>>> = vec![Vec::new(); quotas.len()];
+    let mut out: Vec<Vec<Range<usize>>> = vec![Vec::new(); quotas.len()];
     let mut rest = ranges.iter().cloned();
     let mut cur = rest.next();
     for (k, quota) in quotas.into_iter().enumerate() {
@@ -169,87 +105,80 @@ pub(crate) fn partition_ranges(
     out
 }
 
-/// The failover-aware fleet scheduler behind every multi-GPU entry point.
-///
-/// Work proceeds in rounds: the rows still uncovered by `progress` are
-/// re-banded over the devices currently alive ([`partition_ranges`], which
-/// degenerates to the classic static banding on a fresh run), and each
-/// device runs the k-deep ring over its share, committing slab-by-slab
-/// into `progress` (and `journal`, when given). A device that fails with a
-/// GPU-class error ([`CoreError::is_gpu_failure`]) is marked dead and the
-/// round continues; its unfinished rows are simply still uncovered next
-/// round and flow to the survivors. Only when *zero* devices remain does
-/// the last device error surface — that is the caller's cue for CPU
-/// fallback, with everything the fleet did commit salvageable from
-/// `progress`.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_multi_checkpointed(
-    devices: &[&Device],
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-    progress: &mut SlabProgress,
-    journal: Option<&mut RunJournal>,
-) -> Result<MultiGpuReconstruction> {
-    // One scope range covering the whole detector (not a range of scopes,
-    // which is what clippy's single_range_in_vec_init guards against).
-    let scope = std::array::from_fn::<_, 1, _>(|_| 0..source.n_rows());
-    reconstruct_multi_scoped(
-        devices, source, geom, cfg, opts, depth, cache, &scope, progress, journal, None, true,
-    )
+/// What one node step reports. The image is not part of it: every slab the
+/// step committed already sits in the caller's [`SlabProgress`].
+#[derive(Debug)]
+pub(crate) struct NodeStep {
+    /// The slowest participating device's timeline.
+    pub(crate) elapsed_s: f64,
+    /// Devices that died during this step.
+    pub(crate) devices_lost: u32,
+    /// Largest slab any ring of this step ran (0 when none ran).
+    pub(crate) rows_per_slab: usize,
+    /// Shallowest ring any device of this step ran.
+    pub(crate) depth_used: usize,
+    pub(crate) recovery: RecoveryLog,
+    pub(crate) table_cache: TableCacheStats,
+    pub(crate) slab_densities: Vec<f64>,
+    pub(crate) slab_privatized: Vec<bool>,
+    pub(crate) integrity: IntegrityReport,
 }
 
-/// Scope-restricted fleet run: the workhorse behind both the whole-detector
-/// entry point above and the per-node bands of `cluster`. Only rows inside
-/// `scope` (disjoint, row-ordered ranges) are considered uncovered; the
-/// round-based failover loop is otherwise identical.
+/// One node's step of the cluster executor: the failover-aware fleet
+/// scheduler over the rows inside `scope` (disjoint, row-ordered ranges).
 ///
-/// `on_commit` (when given) observes every fresh slab commit as
-/// `(row0, rows, at_s)`, where `at_s` is the committing device's virtual
-/// elapsed time read *without* synchronizing — the cluster layer uses it to
-/// release reduction segments into the interconnect while the rest of the
-/// band is still computing. `fresh_meters` controls whether a device's
-/// meters reset on its first participation in *this call*: a cluster
-/// failover round re-enters a node whose devices must keep accumulating
-/// virtual time, so it passes `false` after the node's first round.
+/// Work proceeds in rounds: the rows of `scope` still uncovered by
+/// `progress` are re-banded over the devices currently alive
+/// ([`partition_ranges`], which degenerates to the classic static banding
+/// on a fresh run), and each device runs the k-deep ring over its share,
+/// committing slab-by-slab into `progress` (and `journal`, when given). A
+/// device that fails with a GPU-class error ([`CoreError::is_gpu_failure`])
+/// is marked dead and the round continues; its unfinished rows are simply
+/// still uncovered next round and flow to the survivors. Only when *zero*
+/// devices remain does the last device error surface, with everything the
+/// node did commit kept in `progress`.
+///
+/// `participated[i]` records whether device `i` has worked in this run: a
+/// device's meters reset on its first participation only, so a failover
+/// round that re-enters a node keeps accumulating its virtual time.
+/// `on_commit` observes every fresh slab commit as `(row0, rows, at_s)`,
+/// where `at_s` is the committing device's virtual elapsed time read
+/// *without* synchronizing — the cluster layer uses it to release reduction
+/// segments into the interconnect while the rest of the band is still
+/// computing.
 #[allow(clippy::too_many_arguments)]
-pub fn reconstruct_multi_scoped(
+pub(crate) fn reconstruct_multi_scoped(
     devices: &[&Device],
+    participated: &mut [bool],
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     opts: GpuOptions,
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
-    scope: &[std::ops::Range<usize>],
+    scope: &[Range<usize>],
     progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
-    mut on_commit: Option<&mut dyn FnMut(usize, usize, f64)>,
-    fresh_meters: bool,
-) -> Result<MultiGpuReconstruction> {
-    if devices.is_empty() {
-        return Err(CoreError::InvalidConfig("need at least one device".into()));
-    }
+    on_commit: &mut dyn FnMut(usize, usize, f64),
+) -> Result<NodeStep> {
     validate_inputs(source, geom, cfg)?;
     let mapper = geom.mapper()?;
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
-
-    let mut recovery = RecoveryLog::default();
-    let mut table_cache = TableCacheStats::default();
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
-    let mut integrity = IntegrityReport::default();
-    let mut devices_lost = 0u32;
+    let mut step = NodeStep {
+        elapsed_s: 0.0,
+        devices_lost: 0,
+        rows_per_slab: 0,
+        depth_used: depth.0,
+        recovery: RecoveryLog::default(),
+        table_cache: TableCacheStats::default(),
+        slab_densities: Vec::new(),
+        slab_privatized: Vec::new(),
+        integrity: IntegrityReport::default(),
+    };
     let mut alive: Vec<bool> = devices.iter().map(|d| !d.is_lost()).collect();
-    let mut participated: Vec<bool> = vec![false; devices.len()];
-    let mut rows_done: Vec<usize> = vec![0; devices.len()];
     let mut last_gpu_err: Option<CoreError> = None;
 
     loop {
-        let pending: Vec<std::ops::Range<usize>> = scope
+        let pending: Vec<Range<usize>> = scope
             .iter()
             .flat_map(|band| progress.uncovered(band.clone()))
             .collect();
@@ -268,16 +197,12 @@ pub fn reconstruct_multi_scoped(
             let di = alive_idx[k];
             let device = devices[di];
             if !participated[di] {
-                if fresh_meters {
-                    device.reset_meters();
-                }
+                device.reset_meters();
                 participated[di] = true;
             }
             for band in ranges {
-                let before = progress.committed_rows();
                 let (image, mut tracker) = progress.split_mut();
                 let mut journal = journal.as_deref_mut();
-                let mut observer = on_commit.as_deref_mut();
                 let mut sink = |event: SlabEvent<'_>| match event {
                     SlabEvent::Commit {
                         row0,
@@ -289,15 +214,16 @@ pub fn reconstruct_multi_scoped(
                             j.append(row0, rows, stats, data)?;
                         }
                         tracker.record(row0, rows, stats);
-                        if let Some(obs) = observer.as_mut() {
-                            // The device's non-mutating makespan read: when
-                            // this slab's download has been scheduled. A
-                            // synchronize() here would join stream cursors
-                            // and perturb the ring schedule.
-                            obs(row0, rows, device.elapsed_s());
-                        }
+                        // The device's non-mutating makespan read: when this
+                        // slab's download has been scheduled. A synchronize()
+                        // here would join stream cursors and perturb the ring
+                        // schedule.
+                        on_commit(row0, rows, device.elapsed_s());
                         Ok(())
                     }
+                    // Durable quarantine before scrub re-executes: a crash
+                    // between the poison and the re-commit must never
+                    // resurrect condemned rows on replay.
                     SlabEvent::Poison { row0, rows } => {
                         if let Some(j) = journal.as_mut() {
                             j.append_poison(row0, rows)?;
@@ -316,16 +242,17 @@ pub fn reconstruct_multi_scoped(
                     cache,
                     band.clone(),
                     image,
-                    &mut recovery,
+                    &mut step.recovery,
                     Some(&mut sink),
                 );
-                rows_done[di] += progress.committed_rows() - before;
                 match attempt {
-                    Ok(outcome) => {
-                        table_cache.merge(&outcome.cache_stats);
-                        slab_densities.extend(outcome.slab_densities);
-                        slab_privatized.extend(outcome.slab_privatized);
-                        integrity.merge(&outcome.integrity);
+                    Ok(ring) => {
+                        step.rows_per_slab = step.rows_per_slab.max(ring.rows_per_slab);
+                        step.depth_used = step.depth_used.min(ring.depth_used);
+                        step.table_cache.merge(&ring.cache_stats);
+                        step.slab_densities.extend(ring.slab_densities);
+                        step.slab_privatized.extend(ring.slab_privatized);
+                        step.integrity.merge(&ring.integrity);
                     }
                     Err(e) if e.is_gpu_failure() => {
                         // The device is gone (or hopeless): drain it from
@@ -334,7 +261,7 @@ pub fn reconstruct_multi_scoped(
                         // uncovered and re-band onto the survivors next
                         // round.
                         alive[di] = false;
-                        devices_lost += 1;
+                        step.devices_lost += 1;
                         last_gpu_err = Some(e);
                         break;
                     }
@@ -344,34 +271,13 @@ pub fn reconstruct_multi_scoped(
         }
     }
 
-    let mut per_device = Vec::new();
-    let mut rows_per_device = Vec::new();
-    let mut elapsed_s: f64 = 0.0;
-    let mut host_table_time_s = 0.0;
-    for (i, device) in devices.iter().enumerate() {
-        if participated[i] {
-            elapsed_s = elapsed_s.max(device.synchronize());
-            host_table_time_s += device.host_flops_time_s();
-            per_device.push(device.meters());
-            rows_per_device.push(rows_done[i]);
-        }
-    }
-
-    Ok(MultiGpuReconstruction {
-        image: progress.image.clone(),
-        stats: progress.stats,
-        per_device,
-        rows_per_device,
-        elapsed_s,
-        host_table_time_s,
-        recovery,
-        table_cache,
-        devices_lost,
-        n_slabs: progress.committed_slabs(),
-        slab_densities,
-        slab_privatized,
-        integrity,
-    })
+    step.elapsed_s = devices
+        .iter()
+        .zip(participated.iter())
+        .filter(|(_, p)| **p)
+        .map(|(d, _)| d.synchronize())
+        .fold(0.0, f64::max);
+    Ok(step)
 }
 
 #[cfg(test)]
@@ -429,7 +335,7 @@ mod tests {
             assert_eq!(out.image.data, ref_out.image.data, "{n_dev} devices");
             assert_eq!(out.stats, ref_out.stats);
             assert_eq!(out.per_device.len(), n_dev);
-            assert_eq!(out.rows_per_device.iter().sum::<usize>(), 8);
+            assert_eq!(out.nodes[0].rows, 8);
         }
     }
 
@@ -548,14 +454,17 @@ mod tests {
         let refs: Vec<&Device> = devices.iter().collect();
         let cache = DepthTableCache::new(8 * 1024 * 1024);
         let run = |source: &mut dyn crate::input::SlabSource| {
-            reconstruct_multi_pipelined(
-                &refs,
+            let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
+            reconstruct_cluster(
+                std::slice::from_ref(&refs),
+                &net,
                 source,
                 &geom,
                 &cfg,
                 opts,
                 PipelineDepth(2),
                 Some(&cache),
+                ClusterOptions::default(),
             )
             .unwrap()
         };
@@ -623,7 +532,7 @@ mod tests {
                 "survivors finish victim {victim}'s rows bit-identically"
             );
             assert_eq!(out.stats, ref_out.stats);
-            assert_eq!(out.rows_per_device.iter().sum::<usize>(), 8);
+            assert_eq!(out.nodes[0].rows, 8);
         }
     }
 
@@ -711,7 +620,9 @@ mod tests {
         let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
         let out =
             reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
-        // Only 8 rows → at most 8 bands get work.
-        assert_eq!(out.rows_per_device.len(), 8);
+        // Only 8 rows → at most 8 bands get work, and only those devices
+        // are metered.
+        assert_eq!(out.per_device.len(), 8);
+        assert_eq!(out.nodes[0].devices, 8);
     }
 }

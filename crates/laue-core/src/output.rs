@@ -6,7 +6,7 @@ use crate::config::ReconstructionConfig;
 ///
 /// Bin `k` covers depths `[depth_start + k·w, depth_start + (k+1)·w)` of the
 /// configuration the reconstruction ran with.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DepthImage {
     /// Number of depth bins.
     pub n_bins: usize,

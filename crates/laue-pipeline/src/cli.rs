@@ -889,34 +889,13 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                     geom_v.detector.n_cols,
                 )?;
                 let var = laue_core::uncertainty::reconstruct_with_variance(&view, &geom_v, &cfg)?;
-                let var_report = crate::report::RunReport {
-                    engine: "variance(cpu-seq)".into(),
-                    image: var.variance,
-                    stats: var.stats,
-                    total_time_s: 0.0,
-                    comm_time_s: 0.0,
-                    bus_wait_s: 0.0,
-                    host_table_time_s: 0.0,
-                    compute_time_s: 0.0,
-                    input_bytes: report.input_bytes,
-                    dims: report.dims,
-                    rows_per_slab: 0,
-                    n_slabs: 0,
-                    transfers: 0,
-                    gpu_replans: 0,
-                    gpu_transfer_retries: 0,
-                    pipeline_depth: 0,
-                    table_cache: laue_core::cache::TableCacheStats::default(),
-                    slab_densities: Vec::new(),
-                    slab_privatized: Vec::new(),
-                    plan: None,
-                    fallback: None,
-                    recovery: crate::report::RecoveryAccounting::default(),
-                    integrity: laue_core::IntegrityReport::default(),
-                    faults_injected: None,
-                    trace_dropped: 0,
-                    cluster: None,
-                };
+                let var_report = crate::report::RunReport::host(
+                    "variance(cpu-seq)".into(),
+                    var.variance,
+                    var.stats,
+                    0.0,
+                    report.dims,
+                );
                 crate::export::write_mh5(path, &var_report, &cfg)?;
                 writeln!(out, "wrote {path} (per-bin variance; σ = sqrt)")?;
             }

@@ -57,7 +57,23 @@ impl Engine {
 
     /// Does this engine run on the simulated device?
     pub fn is_gpu(&self) -> bool {
-        self.gpu_plan().is_some()
+        self.topology().is_some()
+    }
+
+    /// The `(nodes, devices_per_node)` shape this engine runs the one
+    /// checkpointed executor on: every single-GPU alias is 1×1,
+    /// `gpu-multi:M` is 1×M, `gpu-cluster:NxM` is N×M. `None` for the CPU
+    /// engines.
+    pub fn topology(&self) -> Option<(usize, usize)> {
+        match *self {
+            Engine::CpuSeq | Engine::CpuThreaded { .. } => None,
+            Engine::Gpu { .. } | Engine::GpuTables | Engine::GpuPipelined => Some((1, 1)),
+            Engine::GpuMulti { devices } => Some((1, devices)),
+            Engine::GpuCluster {
+                nodes,
+                devices_per_node,
+            } => Some((nodes, devices_per_node)),
+        }
     }
 
     /// The device schedule this engine stands for: kernel options plus ring
@@ -134,5 +150,18 @@ mod tests {
             devices_per_node: 2
         }
         .is_gpu());
+    }
+
+    #[test]
+    fn every_gpu_alias_names_a_topology() {
+        assert_eq!(Engine::CpuSeq.topology(), None);
+        assert_eq!(Engine::GpuTables.topology(), Some((1, 1)));
+        assert_eq!(Engine::GpuPipelined.topology(), Some((1, 1)));
+        assert_eq!(Engine::GpuMulti { devices: 4 }.topology(), Some((1, 4)));
+        let cluster = Engine::GpuCluster {
+            nodes: 8,
+            devices_per_node: 2,
+        };
+        assert_eq!(cluster.topology(), Some((8, 2)));
     }
 }

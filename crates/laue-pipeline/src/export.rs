@@ -99,34 +99,13 @@ mod tests {
         *image.at_mut(1, 0, 0) = 7.0;
         *image.at_mut(2, 1, 2) = 3.0;
         (
-            RunReport {
-                engine: "cpu-seq".into(),
+            RunReport::host(
+                "cpu-seq".into(),
                 image,
-                stats: ReconStats::default(),
-                total_time_s: 1.0,
-                comm_time_s: 0.0,
-                bus_wait_s: 0.0,
-                host_table_time_s: 0.0,
-                compute_time_s: 1.0,
-                input_bytes: 1024,
-                dims: (4, 2, 3),
-                rows_per_slab: 0,
-                n_slabs: 0,
-                transfers: 0,
-                gpu_replans: 0,
-                gpu_transfer_retries: 0,
-                pipeline_depth: 0,
-                table_cache: laue_core::cache::TableCacheStats::default(),
-                slab_densities: Vec::new(),
-                slab_privatized: Vec::new(),
-                plan: None,
-                fallback: None,
-                recovery: crate::report::RecoveryAccounting::default(),
-                integrity: laue_core::IntegrityReport::default(),
-                faults_injected: None,
-                trace_dropped: 0,
-                cluster: None,
-            },
+                ReconStats::default(),
+                1.0,
+                (4, 2, 3),
+            ),
             cfg,
         )
     }

@@ -262,34 +262,13 @@ mod tests {
         assert!((r.latency_s() - 0.375).abs() < 1e-12);
         // The outcome half can come straight from a RunReport.
         let mut fresh = JobRecord::submitted(9, 1, "batch", 0.0, 1, (8, 6, 6), 40);
-        let report = crate::report::RunReport {
-            engine: "gpu-1d".into(),
-            image: laue_core::DepthImage::zeroed(1, 1, 1),
-            stats: laue_core::ReconStats::default(),
-            total_time_s: 0.25,
-            comm_time_s: 0.0,
-            bus_wait_s: 0.0,
-            host_table_time_s: 0.0,
-            compute_time_s: 0.25,
-            input_bytes: 0,
-            dims: (8, 6, 6),
-            rows_per_slab: 0,
-            n_slabs: 0,
-            transfers: 0,
-            gpu_replans: 0,
-            gpu_transfer_retries: 0,
-            pipeline_depth: 0,
-            table_cache: laue_core::cache::TableCacheStats::default(),
-            slab_densities: Vec::new(),
-            slab_privatized: Vec::new(),
-            plan: None,
-            fallback: None,
-            recovery: crate::report::RecoveryAccounting::default(),
-            integrity: laue_core::IntegrityReport::default(),
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
-        };
+        let report = crate::report::RunReport::host(
+            "gpu-1d".into(),
+            laue_core::DepthImage::zeroed(1, 1, 1),
+            laue_core::ReconStats::default(),
+            0.25,
+            (8, 6, 6),
+        );
         fresh.absorb_report(&report);
         assert_eq!(fresh.engine, "gpu-1d");
         assert_eq!(fresh.total_time_s, 0.25);

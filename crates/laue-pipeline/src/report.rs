@@ -170,6 +170,47 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a run that never touched a device (CPU engines, CPU
+    /// salvage, derived exports): engine, image, stats, and modeled time —
+    /// all of it compute — over a `dims` stack of u16 counts. Every GPU,
+    /// plan, recovery, and integrity field is zero or `None`.
+    pub fn host(
+        engine: String,
+        image: DepthImage,
+        stats: ReconStats,
+        time_s: f64,
+        dims: (usize, usize, usize),
+    ) -> RunReport {
+        RunReport {
+            engine,
+            image,
+            stats,
+            total_time_s: time_s,
+            comm_time_s: 0.0,
+            bus_wait_s: 0.0,
+            host_table_time_s: 0.0,
+            compute_time_s: time_s,
+            input_bytes: (dims.0 * dims.1 * dims.2 * 2) as u64,
+            dims,
+            rows_per_slab: 0,
+            n_slabs: 0,
+            transfers: 0,
+            gpu_replans: 0,
+            gpu_transfer_retries: 0,
+            pipeline_depth: 0,
+            table_cache: TableCacheStats::default(),
+            slab_densities: Vec::new(),
+            slab_privatized: Vec::new(),
+            plan: None,
+            fallback: None,
+            recovery: RecoveryAccounting::default(),
+            integrity: IntegrityReport::default(),
+            faults_injected: None,
+            trace_dropped: 0,
+            cluster: None,
+        }
+    }
+
     /// A one-paragraph human-readable summary.
     pub fn summary(&self) -> String {
         let (p, m, n) = self.dims;
@@ -359,33 +400,38 @@ mod tests {
         stats.record(laue_core::stats::PairOutcome::Deposited { bins: 2 });
         stats.record(laue_core::stats::PairOutcome::BelowCutoff);
         RunReport {
-            engine: "gpu-1d".into(),
-            image: DepthImage::zeroed(2, 2, 2),
-            stats,
-            total_time_s: 2.0,
             comm_time_s: 0.5,
-            bus_wait_s: 0.0,
-            host_table_time_s: 0.0,
             compute_time_s: 1.5,
             input_bytes: 4 * 1024 * 1024,
-            dims: (8, 64, 64),
             rows_per_slab: 16,
             n_slabs: 4,
             transfers: 12,
-            gpu_replans: 0,
-            gpu_transfer_retries: 0,
             pipeline_depth: 1,
-            table_cache: TableCacheStats::default(),
-            slab_densities: Vec::new(),
-            slab_privatized: Vec::new(),
-            plan: None,
-            fallback: None,
-            recovery: RecoveryAccounting::default(),
-            integrity: IntegrityReport::default(),
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
+            ..RunReport::host(
+                "gpu-1d".into(),
+                DepthImage::zeroed(2, 2, 2),
+                stats,
+                2.0,
+                (8, 64, 64),
+            )
         }
+    }
+
+    #[test]
+    fn host_reports_are_all_compute() {
+        let r = RunReport::host(
+            "cpu-seq".into(),
+            DepthImage::zeroed(1, 1, 1),
+            ReconStats::default(),
+            0.75,
+            (3, 4, 5),
+        );
+        assert_eq!((r.total_time_s, r.compute_time_s), (0.75, 0.75));
+        assert_eq!(r.comm_time_s, 0.0);
+        assert_eq!(r.input_bytes, 3 * 4 * 5 * 2, "u16 counts");
+        assert_eq!((r.n_slabs, r.pipeline_depth), (0, 0));
+        assert!(r.cluster.is_none() && r.plan.is_none() && r.fallback.is_none());
+        assert!(!r.recovery.is_noteworthy());
     }
 
     #[test]

@@ -4,16 +4,16 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use cuda_sim::{Device, DeviceProps, ExecMode, HostProps, Interconnect, InterconnectProps};
+use cuda_sim::{
+    Device, DeviceProps, ExecMode, FaultStats, HostProps, Interconnect, InterconnectProps,
+};
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::{reconstruct_cluster_checkpointed, ClusterReconstruction};
-use laue_core::gpu::{self, GpuReconstruction, PipelineDepth};
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
-use laue_core::multi::{reconstruct_multi_checkpointed, MultiGpuReconstruction};
-use laue_core::planner::{plan_cluster, plan_run, RunPlan, TableWarmth};
+use laue_core::planner::{plan_cluster, plan_run, PlannedCandidate, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, ClusterOptions, CompactionMode, IntegrityReport, PlanMode,
-    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, AccumulationMode, ClusterOptions, CompactionMode, PlanMode, ReconstructionConfig,
+    ReductionTopology, ScanGeometry, ScanView, SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -47,22 +47,23 @@ pub enum GpuFailurePolicy {
     FallbackCpu,
 }
 
-/// State a pipeline keeps alive *between* runs: the simulated device (so
+/// State a pipeline keeps alive *between* runs: the simulated devices (so
 /// device-resident depth tables survive from one run to the next) and the
 /// host-side depth-table cache. Shared by `Arc` — cloning a [`Pipeline`]
 /// shares its warm caches.
 #[derive(Debug, Default)]
 pub struct PipelineShared {
-    device: Mutex<Option<Arc<Device>>>,
-    fleet: Mutex<Vec<Arc<Device>>>,
-    /// Cluster nodes (`nodes[i][j]` = device `j` on chassis `i`). The
-    /// devices and their hosts persist across runs like the fleet does;
-    /// the interconnect is rebuilt fresh per run (its link pools have no
-    /// warm state worth keeping, and a clean fabric keeps run timelines
+    /// The provisioned topology (`devices[i][j]` = device `j` on chassis
+    /// `i`). The devices and their hosts persist across runs; the
+    /// interconnect is rebuilt fresh per run (its link pools have no warm
+    /// state worth keeping, and a clean fabric keeps run timelines
     /// starting at t = 0).
-    cluster: Mutex<Vec<Vec<Arc<Device>>>>,
+    devices: Mutex<Vec<Vec<Arc<Device>>>>,
     cache: DepthTableCache,
 }
+
+/// Only a run that panicked while provisioning can poison the device slot.
+const POISONED: &str = "device slot poisoned by a panicked run";
 
 /// A configured pipeline: the machines to model and how to execute
 /// simulated kernels.
@@ -172,6 +173,9 @@ impl Pipeline {
         engine: Engine,
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
+        if engine.is_gpu() {
+            return self.run_gpu(source, geom, cfg, engine, fingerprint);
+        }
         // `cpu-threaded:0` means "one thread per available core".
         let engine = match engine {
             Engine::CpuThreaded { threads: 0 } => Engine::CpuThreaded {
@@ -182,62 +186,41 @@ impl Pipeline {
             e => e,
         };
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
-        let input_bytes = (dims.0 * dims.1 * dims.2 * 2) as u64; // u16 counts
-        match engine {
-            Engine::CpuSeq | Engine::CpuThreaded { .. } => {
-                let stack = source.read_slab(0, dims.1)?;
-                // read_slab returns slab[z][r][c] over all rows = the stack.
-                let view = ScanView::new(&stack, dims.0, dims.1, dims.2)?;
-                let (out, cores) = match engine {
-                    Engine::CpuSeq => (cpu::reconstruct_seq(&view, geom, cfg)?, 1u32),
-                    Engine::CpuThreaded { threads } => (
-                        cpu::reconstruct_threaded(&view, geom, cfg, threads)?,
-                        threads as u32,
-                    ),
-                    _ => unreachable!(),
-                };
-                let t = out.modeled_time_s(&self.host, cores);
-                Ok(RunReport {
-                    engine: engine.label(),
-                    image: out.image,
-                    stats: out.stats,
-                    total_time_s: t,
-                    comm_time_s: 0.0,
-                    bus_wait_s: 0.0,
-                    host_table_time_s: 0.0,
-                    compute_time_s: t,
-                    input_bytes,
-                    dims,
-                    rows_per_slab: 0,
-                    n_slabs: 0,
-                    transfers: 0,
-                    gpu_replans: 0,
-                    gpu_transfer_retries: 0,
-                    pipeline_depth: 0,
-                    table_cache: TableCacheStats::default(),
-                    slab_densities: out.slab_densities,
-                    slab_privatized: Vec::new(),
-                    plan: None,
-                    fallback: None,
-                    recovery: RecoveryAccounting::default(),
-                    integrity: IntegrityReport::default(),
-                    faults_injected: None,
-                    trace_dropped: 0,
-                    cluster: None,
-                })
-            }
-            Engine::Gpu { .. }
-            | Engine::GpuTables
-            | Engine::GpuPipelined
-            | Engine::GpuMulti { .. }
-            | Engine::GpuCluster { .. } => self.run_gpu(source, geom, cfg, engine, fingerprint),
-        }
+        // read_slab returns slab[z][r][c] over all rows = the stack.
+        let stack = source.read_slab(0, dims.1)?;
+        let view = ScanView::new(&stack, dims.0, dims.1, dims.2)?;
+        let (out, t) = self.run_cpu(engine, &view, geom, cfg)?;
+        Ok(RunReport {
+            slab_densities: out.slab_densities,
+            ..RunReport::host(engine.label(), out.image, out.stats, t, dims)
+        })
     }
 
-    /// The unified GPU path: open/replay the journal (when configured),
-    /// run the checkpoint-aware engine — single device or failover fleet —
-    /// and on unrecoverable failure salvage the committed slabs, handing
-    /// only the remainder to the CPU.
+    /// Run a CPU engine over a materialised stack: the output plus its
+    /// modeled time on [`Pipeline::host`].
+    fn run_cpu(
+        &self,
+        engine: Engine,
+        view: &ScanView<'_>,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+    ) -> Result<(cpu::CpuReconstruction, f64)> {
+        let (out, cores) = match engine {
+            Engine::CpuThreaded { threads } => (
+                cpu::reconstruct_threaded(view, geom, cfg, threads)?,
+                threads as u32,
+            ),
+            _ => (cpu::reconstruct_seq(view, geom, cfg)?, 1),
+        };
+        let t = out.modeled_time_s(&self.host, cores);
+        Ok((out, t))
+    }
+
+    /// The one GPU path: resolve the plan, open/replay the journal (when
+    /// configured), provision the engine's `nodes × devices` topology, and
+    /// run the checkpointed cluster executor on it. On unrecoverable
+    /// failure, salvage the committed slabs and hand only the remainder to
+    /// the CPU.
     fn run_gpu(
         &self,
         source: &mut dyn SlabSource,
@@ -246,73 +229,39 @@ impl Pipeline {
         engine: Engine,
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
-        let (opts, depth) = engine.gpu_plan().expect("GPU engine");
+        let (mut opts, mut depth) = engine.gpu_plan().expect("GPU engine");
+        let topology = engine.topology().expect("GPU engine");
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
-        let input_bytes = (dims.0 * dims.1 * dims.2 * 2) as u64;
         self.shared.cache.set_budget(self.table_cache_budget());
 
-        // --plan auto on a single-GPU engine: resolve the run-level plan up
-        // front from the device's cost model. The planner owns every knob
-        // of the planned run, so the per-slab modes are forced to their
-        // auto (cost-driven) settings and the fixed-mode flags are honoured
-        // only under --plan fixed. The fleet engine splits bands
-        // dynamically and keeps only the per-slab autos; CPU engines have
-        // no plan space — neither gets a run-level plan.
-        let plan_auto = cfg.plan == PlanMode::Auto
-            && !matches!(engine, Engine::GpuMulti { .. } | Engine::GpuCluster { .. });
-        let mut cfg_local = cfg.clone();
-        let mut run_plan: Option<RunPlan> = None;
-        let (opts, depth) = if plan_auto {
-            let table_key = TableKey::new(geom, cfg);
-            // Peek (not lookup): warmth must not perturb the cache the
-            // prediction is about. Device warmth only counts on the device
-            // this run will actually reuse.
-            let device_warm = self
-                .shared
-                .device
-                .lock()
-                .unwrap()
-                .as_ref()
-                .is_some_and(|d| {
-                    *d.props() == self.device && self.shared.cache.peek_device(d.id(), &table_key)
-                });
-            let warmth = TableWarmth {
-                host_warm: self.shared.cache.peek_host(&table_key),
-                device_warm,
-                resident_budget: self.table_cache_budget(),
-            };
-            let plan = plan_run(&self.device, &self.host, source, geom, cfg, warmth)?;
-            cfg_local.rows_per_slab = Some(plan.rows_per_slab);
-            cfg_local.pipeline_depth = None;
-            cfg_local.compaction = CompactionMode::Auto;
-            cfg_local.accumulation = AccumulationMode::Auto;
-            let chosen = (plan.options, plan.depth);
-            run_plan = Some(plan);
-            chosen
-        } else {
-            (opts, depth)
+        // --plan auto resolves the run-level plan up front from the cost
+        // model: the single-device planner for the 1×1 aliases, the cluster
+        // planner (node count × topology × overlap, plus the per-node plan)
+        // for gpu-cluster. The planner owns every knob of the planned run,
+        // so the per-slab modes are forced to their auto (cost-driven)
+        // settings and the fixed-mode flags are honoured only under --plan
+        // fixed. gpu-multi splits bands dynamically and keeps only the
+        // per-slab autos. Cluster engines resolve their reduction knobs
+        // before the journal opens, so they participate in its key; under
+        // --plan fixed the pipeline's reduction/overlap fields apply, with
+        // auto resolving to the defaults (tree, overlapped).
+        let auto = cfg.plan == PlanMode::Auto;
+        let table_key = TableKey::new(geom, cfg);
+        let warmth = |device_warm| TableWarmth {
+            host_warm: self.shared.cache.peek_host(&table_key),
+            device_warm,
+            resident_budget: self.table_cache_budget(),
         };
-        // Cluster engines resolve their reduction knobs before the journal
-        // opens, so the topology can participate in its key. Under --plan
-        // auto the cost model prices node count × topology × overlap and
-        // owns the per-node plan too; under --plan fixed the pipeline's
-        // reduction/overlap fields apply, with auto resolving to the
-        // defaults (tree, overlapped).
-        let mut cluster_plan = None;
-        let copts = match engine {
+        let mut planned: Option<(usize, PlanExplain)> = None;
+        let mut copts = None;
+        match engine {
             Engine::GpuCluster {
                 nodes,
                 devices_per_node,
-            } => Some(if cfg.plan == PlanMode::Auto {
-                let table_key = TableKey::new(geom, cfg);
-                let warmth = TableWarmth {
-                    host_warm: self.shared.cache.peek_host(&table_key),
-                    // Cluster devices rebuild with the shape; never credit
-                    // residency the run may not actually have.
-                    device_warm: false,
-                    resident_budget: self.table_cache_budget(),
-                };
-                let plan = plan_cluster(
+            } if auto => {
+                // Cluster devices rebuild with the shape; never credit
+                // residency the run may not actually have.
+                let p = plan_cluster(
                     &self.device,
                     &self.host,
                     &self.interconnect,
@@ -321,32 +270,54 @@ impl Pipeline {
                     source,
                     geom,
                     cfg,
-                    warmth,
+                    warmth(false),
                 )?;
-                cfg_local.rows_per_slab = Some(plan.per_node.rows_per_slab);
-                cfg_local.pipeline_depth = None;
-                cfg_local.compaction = CompactionMode::Auto;
-                cfg_local.accumulation = AccumulationMode::Auto;
-                let chosen = plan.options;
-                cluster_plan = Some(plan);
-                chosen
-            } else {
-                ClusterOptions {
+                (opts, depth) = (p.per_node.options, p.per_node.depth);
+                copts = Some(p.options);
+                let explain = explain(p.label, p.predicted_s, p.per_node.host_s, p.candidates);
+                planned = Some((p.per_node.rows_per_slab, explain));
+            }
+            Engine::GpuCluster { .. } => {
+                copts = Some(ClusterOptions {
                     topology: self.reduction.unwrap_or(ReductionTopology::Tree),
                     overlap: self.overlap.unwrap_or(true),
-                }
-            }),
-            _ => None,
-        };
-        let (opts, depth) = match &cluster_plan {
-            Some(p) => (p.per_node.options, p.per_node.depth),
-            None => (opts, depth),
-        };
+                });
+            }
+            Engine::GpuMulti { .. } => {}
+            _ if auto => {
+                // Peek (not lookup): warmth must not perturb the cache the
+                // prediction is about. Device warmth only counts on the
+                // device this run will actually reuse.
+                let device_warm = {
+                    let slot = self.shared.devices.lock().expect(POISONED);
+                    self.reusable(&slot, topology)
+                        && self.shared.cache.peek_device(slot[0][0].id(), &table_key)
+                };
+                let p = plan_run(
+                    &self.device,
+                    &self.host,
+                    source,
+                    geom,
+                    cfg,
+                    warmth(device_warm),
+                )?;
+                (opts, depth) = (p.options, p.depth);
+                let explain = explain(p.label, p.predicted_s, p.host_s, p.candidates);
+                planned = Some((p.rows_per_slab, explain));
+            }
+            _ => {}
+        }
+        let mut cfg_local = cfg.clone();
+        if let Some((rows_per_slab, _)) = &planned {
+            cfg_local.rows_per_slab = Some(*rows_per_slab);
+            cfg_local.pipeline_depth = None;
+            cfg_local.compaction = CompactionMode::Auto;
+            cfg_local.accumulation = AccumulationMode::Auto;
+        }
         let cfg = &cfg_local;
-        let plan_token = match (&run_plan, &cluster_plan) {
-            (Some(p), _) => format!("auto:{}", p.label),
-            (None, Some(p)) => format!("auto:{}", p.label),
-            (None, None) => cfg.plan.label().to_string(),
+        let plan_token = match &planned {
+            Some((_, p)) => format!("auto:{}", p.chosen),
+            None => cfg.plan.label().to_string(),
         };
 
         // Open (or replay) the run journal.
@@ -369,234 +340,97 @@ impl Pipeline {
             None => SlabProgress::new(cfg.n_depth_bins, dims.1, dims.2),
         };
 
-        let devices_used: Vec<Arc<Device>>;
-        let outcome = match engine {
-            Engine::GpuMulti { devices } => {
-                let fleet = self.gpu_fleet(devices);
-                let refs: Vec<&Device> = fleet.iter().map(|d| d.as_ref()).collect();
-                let r = reconstruct_multi_checkpointed(
-                    &refs,
-                    source,
-                    geom,
-                    cfg,
-                    opts,
-                    depth,
-                    Some(&self.shared.cache),
-                    &mut progress,
-                    journal.as_mut(),
-                )
-                .map(GpuOutcome::Multi);
-                devices_used = fleet;
-                r
-            }
-            Engine::GpuCluster {
-                nodes,
-                devices_per_node,
-            } => {
-                let (fleet, net) = self.gpu_cluster(nodes, devices_per_node);
-                let refs: Vec<Vec<&Device>> = fleet
-                    .iter()
-                    .map(|node| node.iter().map(|d| d.as_ref()).collect())
-                    .collect();
-                let r = reconstruct_cluster_checkpointed(
-                    &refs,
-                    &net,
-                    source,
-                    geom,
-                    cfg,
-                    opts,
-                    depth,
-                    Some(&self.shared.cache),
-                    copts.expect("cluster options resolved for cluster engines"),
-                    &mut progress,
-                    journal.as_mut(),
-                )
-                .map(GpuOutcome::Cluster);
-                devices_used = fleet.into_iter().flatten().collect();
-                r
-            }
-            _ => {
-                let device = self.gpu_device();
-                let r = gpu::reconstruct_checkpointed(
-                    &device,
-                    source,
-                    geom,
-                    cfg,
-                    opts,
-                    depth,
-                    Some(&self.shared.cache),
-                    &mut progress,
-                    journal.as_mut(),
-                )
-                .map(GpuOutcome::Single);
-                devices_used = vec![device];
-                r
-            }
+        let devices = self.provision(topology);
+        let outcome = {
+            let nodes: Vec<Vec<&Device>> = devices
+                .iter()
+                .map(|node| node.iter().map(|d| d.as_ref()).collect())
+                .collect();
+            let net = Interconnect::new(
+                &self.interconnect.name,
+                topology.0,
+                self.interconnect.clone(),
+            );
+            reconstruct_cluster_checkpointed(
+                &nodes,
+                &net,
+                source,
+                geom,
+                cfg,
+                opts,
+                depth,
+                Some(&self.shared.cache),
+                copts.unwrap_or_default(),
+                &mut progress,
+                journal.as_mut(),
+            )
         };
-        // Fault-injection ground truth and trace-drop diagnostics, summed
-        // over every device the run touched.
-        let mut faults_injected: Option<cuda_sim::FaultStats> = None;
-        let mut trace_dropped = 0u64;
-        for d in &devices_used {
-            if let Some(fs) = d.fault_stats() {
-                faults_injected
-                    .get_or_insert_with(Default::default)
-                    .merge(&fs);
-            }
-            trace_dropped += d.trace_dropped();
-        }
-        drop(devices_used);
+        // Fault-injection ground truth, trace-drop diagnostics, and device
+        // losses, tallied over every device the run touched.
+        let faults_injected =
+            FaultStats::merge_all(devices.iter().flatten().filter_map(|d| d.fault_stats()));
+        let trace_dropped = devices.iter().flatten().map(|d| d.trace_dropped()).sum();
+        let devices_lost = devices.iter().flatten().filter(|d| d.is_lost()).count() as u32;
+        drop(devices);
 
-        match outcome {
+        let mut report = match outcome {
             Ok(out) => {
                 // The run is complete; a later --resume must not replay it.
                 if let Some(j) = journal.take() {
                     j.remove()?;
                 }
-                let resolved_depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
-                let mut report = gpu_report(
-                    engine,
-                    out,
-                    dims,
-                    input_bytes,
-                    resolved_depth,
-                    resume_info,
-                    &self.interconnect.name,
-                );
-                report.faults_injected = faults_injected;
-                report.trace_dropped = trace_dropped;
+                let mut report =
+                    gpu_report(engine, out, dims, resume_info, &self.interconnect.name);
                 // The explain block compares the prediction against the
                 // measured virtual makespan of the very run it planned.
-                report.plan = match (run_plan, cluster_plan) {
-                    (Some(p), _) => Some(PlanExplain {
-                        chosen: p.label,
-                        predicted_s: p.predicted_s,
-                        host_s: p.host_s,
-                        measured_s: report.total_time_s,
-                        candidates: p
-                            .candidates
-                            .into_iter()
-                            .map(|c| (c.label, c.predicted_s))
-                            .collect(),
-                    }),
-                    (None, Some(p)) => Some(PlanExplain {
-                        chosen: p.label,
-                        predicted_s: p.predicted_s,
-                        host_s: p.per_node.host_s,
-                        measured_s: report.total_time_s,
-                        candidates: p
-                            .candidates
-                            .into_iter()
-                            .map(|c| (c.label, c.predicted_s))
-                            .collect(),
-                    }),
-                    (None, None) => None,
-                };
-                Ok(report)
+                report.plan = planned.map(|(_, p)| PlanExplain {
+                    measured_s: report.total_time_s,
+                    ..p
+                });
+                report
             }
-            Err(e) => {
-                let mut report = self.degrade_salvage(
-                    source,
-                    geom,
-                    cfg,
-                    engine,
-                    e,
-                    &mut progress,
-                    journal,
-                    resume_info,
-                )?;
-                report.faults_injected = faults_injected;
-                report.trace_dropped = trace_dropped;
-                Ok(report)
-            }
-        }
-    }
-
-    /// The device a GPU engine will run on. The device persists across runs
-    /// (so resident depth tables stay warm) and is rebuilt only when
-    /// [`Pipeline::device`] changes; the fault schedule is (re)installed
-    /// fresh on every run.
-    fn gpu_device(&self) -> Arc<Device> {
-        let mut slot = self.shared.device.lock().unwrap();
-        let device = match slot.take() {
-            Some(d) if *d.props() == self.device => d,
-            stale => {
-                if let Some(old) = stale {
-                    // Resident tables on the discarded device are useless.
-                    let mut run = TableCacheStats::default();
-                    self.shared.cache.evict_device(old.id(), &mut run);
-                }
-                Arc::new(Device::new(self.device.clone()))
-            }
+            Err(e) => self.degrade_salvage(
+                source,
+                geom,
+                cfg,
+                engine,
+                e,
+                progress,
+                journal,
+                resume_info,
+                devices_lost,
+            )?,
         };
-        device.set_exec_mode(self.exec_mode);
-        let install = self.fault_device.is_none_or(|f| f == 0);
-        match (&self.fault_plan, install) {
-            (Some(plan), true) => device.set_fault_plan(plan.clone()),
-            _ => device.clear_fault_plan(),
-        }
-        *slot = Some(Arc::clone(&device));
-        device
+        report.faults_injected = faults_injected;
+        report.trace_dropped = trace_dropped;
+        Ok(report)
     }
 
-    /// The fleet a `gpu-multi` engine runs on. Devices persist across runs
-    /// like the single device does; the fleet is rebuilt when its size or
-    /// the device model changes. All fleet devices share one simulated
-    /// host, so their transfers contend for a single PCIe bus — the model
-    /// of a multi-GPU workstation, not of one machine per device. The
-    /// fault schedule is (re)installed fresh on every run — on every
-    /// device, or on [`Pipeline::fault_device`] only when that is set.
-    fn gpu_fleet(&self, n: usize) -> Vec<Arc<Device>> {
-        let mut slot = self.shared.fleet.lock().unwrap();
-        let reusable = slot.len() == n && slot.iter().all(|d| *d.props() == self.device);
-        if !reusable {
-            let mut run = TableCacheStats::default();
-            for old in slot.drain(..) {
-                self.shared.cache.evict_device(old.id(), &mut run);
-            }
-            let host = cuda_sim::Host::new_default();
-            *slot = (0..n)
-                .map(|_| Arc::new(Device::new_on_host(self.device.clone(), &host)))
-                .collect();
-        }
-        for (i, d) in slot.iter().enumerate() {
-            d.set_exec_mode(self.exec_mode);
-            let install = self.fault_device.is_none_or(|f| f == i);
-            match (&self.fault_plan, install) {
-                (Some(plan), true) => d.set_fault_plan(plan.clone()),
-                _ => d.clear_fault_plan(),
-            }
-        }
-        slot.clone()
-    }
-
-    /// The node fleets a `gpu-cluster` engine runs on, plus a fresh fabric.
-    /// Each node is its own simulated chassis — a private PCIe bus and host
-    /// CPU — so intra-node transfers never contend across nodes. The
-    /// devices persist across runs like the flat fleet's and rebuild when
-    /// the cluster shape or device model changes; the interconnect is
-    /// always fresh (its link pools carry no warm state). The fault
-    /// schedule is (re)installed on every run — on every device, or only
-    /// on the node-major flattened index [`Pipeline::fault_device`] names.
-    fn gpu_cluster(
-        &self,
-        nodes: usize,
-        per_node: usize,
-    ) -> (Vec<Vec<Arc<Device>>>, Arc<Interconnect>) {
-        let mut slot = self.shared.cluster.lock().unwrap();
-        let reusable = slot.len() == nodes
+    /// Does `slot` already hold a `topology`-shaped set of devices of the
+    /// current model (so the next run reuses it)?
+    fn reusable(&self, slot: &[Vec<Arc<Device>>], (nodes, per_node): (usize, usize)) -> bool {
+        slot.len() == nodes
             && slot
                 .iter()
-                .all(|ds| ds.len() == per_node && ds.iter().all(|d| *d.props() == self.device));
-        if !reusable {
-            let mut run = TableCacheStats::default();
-            for old in slot.drain(..).flatten() {
-                self.shared.cache.evict_device(old.id(), &mut run);
-            }
-            *slot = (0..nodes)
+                .all(|ds| ds.len() == per_node && ds.iter().all(|d| *d.props() == self.device))
+    }
+
+    /// The devices a GPU engine runs on, `[node][device]`. Each node is its
+    /// own simulated chassis: one host whose PCIe bus and CPU its devices
+    /// share, so intra-node transfers contend and inter-node ones never
+    /// do. The devices persist across runs (so resident depth tables stay
+    /// warm) and rebuild only when the topology or [`Pipeline::device`]
+    /// changes. The fault schedule is (re)installed fresh on every run — on
+    /// every device, or only on the node-major flattened index
+    /// [`Pipeline::fault_device`] names.
+    fn provision(&self, topology: (usize, usize)) -> Vec<Vec<Arc<Device>>> {
+        let mut slot = self.shared.devices.lock().expect(POISONED);
+        if !self.reusable(&slot, topology) {
+            self.release(&mut slot);
+            *slot = (0..topology.0)
                 .map(|_| {
                     let host = cuda_sim::Host::new_default();
-                    (0..per_node)
+                    (0..topology.1)
                         .map(|_| Arc::new(Device::new_on_host(self.device.clone(), &host)))
                         .collect()
                 })
@@ -610,23 +444,14 @@ impl Pipeline {
                 _ => d.clear_fault_plan(),
             }
         }
-        let net = Interconnect::new(&self.interconnect.name, nodes, self.interconnect.clone());
-        (slot.clone(), net)
+        slot.clone()
     }
 
-    /// Forget every persistent device (single slot and fleet), evicting
-    /// their resident depth tables — called when a GPU run failed so a
-    /// later run never inherits a dead device.
-    fn drop_devices(&self) {
+    /// Empty `slot`, evicting the depth tables resident on its devices.
+    fn release(&self, slot: &mut Vec<Vec<Arc<Device>>>) {
         let mut run = TableCacheStats::default();
-        if let Some(dead) = self.shared.device.lock().unwrap().take() {
-            self.shared.cache.evict_device(dead.id(), &mut run);
-        }
-        for dead in self.shared.fleet.lock().unwrap().drain(..) {
-            self.shared.cache.evict_device(dead.id(), &mut run);
-        }
-        for dead in self.shared.cluster.lock().unwrap().drain(..).flatten() {
-            self.shared.cache.evict_device(dead.id(), &mut run);
+        for old in slot.drain(..).flatten() {
+            self.shared.cache.evict_device(old.id(), &mut run);
         }
     }
 
@@ -640,7 +465,8 @@ impl Pipeline {
     /// Apply [`Pipeline::on_gpu_failure`] to a GPU engine error: either
     /// surface it, or salvage what the GPU committed and recompute only the
     /// uncovered row bands on the matching CPU engine, recording the
-    /// degradation in the report.
+    /// degradation — and the `devices_lost` the run counted — in the
+    /// report.
     #[allow(clippy::too_many_arguments)]
     fn degrade_salvage(
         &self,
@@ -649,15 +475,16 @@ impl Pipeline {
         cfg: &ReconstructionConfig,
         failed: Engine,
         err: laue_core::CoreError,
-        progress: &mut SlabProgress,
+        mut progress: SlabProgress,
         mut journal: Option<RunJournal>,
         resume: Option<ResumeInfo>,
+        devices_lost: u32,
     ) -> Result<RunReport> {
         // Whatever happens next, don't hand the failed device(s) to a later
         // run: drop them (and any depth tables resident on them). The
         // journal stays on disk when we surface the error, so a later
         // --resume picks up from the last committed slab.
-        self.drop_devices();
+        self.release(&mut self.shared.devices.lock().expect(POISONED));
         if self.on_gpu_failure != GpuFailurePolicy::FallbackCpu || !err.is_gpu_failure() {
             return Err(err.into());
         }
@@ -667,10 +494,6 @@ impl Pipeline {
         let cpu = match self.exec_mode {
             ExecMode::Threaded(n) => Engine::CpuThreaded { threads: n },
             _ => Engine::CpuSeq,
-        };
-        let cores = match cpu {
-            Engine::CpuThreaded { threads } => threads as u32,
-            _ => 1,
         };
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         let salvaged = progress.committed_slabs();
@@ -682,14 +505,9 @@ impl Pipeline {
             let slab = source.read_slab(band.start, rows)?;
             let view = ScanView::new(&slab, dims.0, rows, dims.2)?;
             let band_geom = geom.crop(band.start, 0, rows, dims.2)?;
-            let out = match cpu {
-                Engine::CpuThreaded { threads } => {
-                    cpu::reconstruct_threaded(&view, &band_geom, cfg, threads)?
-                }
-                _ => cpu::reconstruct_seq(&view, &band_geom, cfg)?,
-            };
-            cpu_time += out.modeled_time_s(&self.host, cores);
-            slab_densities.extend(out.slab_densities.iter().copied());
+            let (out, t) = self.run_cpu(cpu, &view, &band_geom, cfg)?;
+            cpu_time += t;
+            slab_densities.extend(out.slab_densities);
             let (image, mut tracker) = progress.split_mut();
             image.assign_rows(band.start, rows, &out.image.data)?;
             if let Some(j) = journal.as_mut() {
@@ -702,37 +520,11 @@ impl Pipeline {
         if let Some(j) = journal.take() {
             j.remove()?;
         }
-        // When a fleet errored, every participating device had died (a
-        // partial loss fails over internally and succeeds).
-        let devices_lost = match failed {
-            Engine::GpuMulti { devices } => devices as u32,
-            Engine::GpuCluster {
-                nodes,
-                devices_per_node,
-            } => (nodes * devices_per_node) as u32,
-            _ => 0,
-        };
+        // Whatever the GPU verified before dying is moot: the CPU
+        // recomputed the uncovered bands from the source directly, so the
+        // integrity block stays empty.
         Ok(RunReport {
-            engine: cpu.label(),
-            image: progress.image.clone(),
-            stats: progress.stats,
-            total_time_s: cpu_time,
-            comm_time_s: 0.0,
-            bus_wait_s: 0.0,
-            host_table_time_s: 0.0,
-            compute_time_s: cpu_time,
-            input_bytes: (dims.0 * dims.1 * dims.2 * 2) as u64,
-            dims,
-            rows_per_slab: 0,
-            n_slabs: 0,
-            transfers: 0,
-            gpu_replans: 0,
-            gpu_transfer_retries: 0,
-            pipeline_depth: 0,
-            table_cache: TableCacheStats::default(),
             slab_densities,
-            slab_privatized: Vec::new(),
-            plan: None,
             fallback: Some(format!(
                 "{} failed ({err}); completed on {}",
                 failed.label(),
@@ -744,140 +536,79 @@ impl Pipeline {
                 devices_lost,
                 resume,
             },
-            // Whatever the GPU verified before dying is moot: the CPU
-            // recomputed the uncovered bands from the source directly.
-            integrity: IntegrityReport::default(),
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
+            ..RunReport::host(cpu.label(), progress.image, progress.stats, cpu_time, dims)
         })
     }
 }
 
-/// How one GPU run came back: a single device, a fleet, or a cluster.
-enum GpuOutcome {
-    Single(GpuReconstruction),
-    Multi(MultiGpuReconstruction),
-    Cluster(ClusterReconstruction),
+/// The explain block of a `--plan auto` run, before it is measured.
+fn explain(
+    chosen: String,
+    predicted_s: f64,
+    host_s: f64,
+    candidates: Vec<PlannedCandidate>,
+) -> PlanExplain {
+    PlanExplain {
+        chosen,
+        predicted_s,
+        host_s,
+        measured_s: 0.0,
+        candidates: candidates
+            .into_iter()
+            .map(|c| (c.label, c.predicted_s))
+            .collect(),
+    }
 }
 
-/// Assemble the [`RunReport`] of a successful GPU run. `fabric` names the
-/// interconnect preset (cluster engines only; ignored otherwise).
+/// Assemble the [`RunReport`] of a successful GPU run. The makespan is the
+/// slowest node's, reduction tail included; the comm/compute/transfer
+/// meters aggregate over every device, so on a fleet total ≤ comm +
+/// compute. Only `gpu-cluster` engines report the `cluster` block (at
+/// every node count); `fabric` names their interconnect preset.
 fn gpu_report(
     engine: Engine,
-    out: GpuOutcome,
+    out: ClusterReconstruction,
     dims: (usize, usize, usize),
-    input_bytes: u64,
-    depth: PipelineDepth,
     resume: Option<ResumeInfo>,
     fabric: &str,
 ) -> RunReport {
-    let recovery = |devices_lost| RecoveryAccounting {
-        salvaged_slabs: 0,
-        recomputed_slabs: 0,
-        devices_lost,
-        resume: resume.clone(),
+    let meters = &out.per_device;
+    let cluster = match engine {
+        Engine::GpuCluster { .. } => Some(ClusterReport {
+            options: out.options.label(),
+            interconnect: fabric.to_string(),
+            compute_s: out.compute_s,
+            reduction_exposed_s: out.reduction_exposed_s,
+            net_wait_s: out.net_wait_s,
+            net_bytes: out.net_bytes,
+            net_messages: out.net_messages,
+            nodes_lost: out.nodes_lost,
+            nodes: out.nodes,
+        }),
+        _ => None,
     };
-    match out {
-        GpuOutcome::Single(out) => RunReport {
-            engine: engine.label(),
-            image: out.image,
-            stats: out.stats,
-            total_time_s: out.elapsed_s,
-            comm_time_s: out.meters.comm_time_s,
-            bus_wait_s: out.meters.bus_wait_s,
-            host_table_time_s: out.host_table_time_s,
-            compute_time_s: out.meters.compute_time_s,
-            input_bytes,
-            dims,
-            rows_per_slab: out.rows_per_slab,
-            n_slabs: out.n_slabs,
-            transfers: out.meters.transfers,
-            gpu_replans: out.recovery.replans,
-            gpu_transfer_retries: out.recovery.transfer_retries,
-            pipeline_depth: out.pipeline_depth,
-            table_cache: out.table_cache,
-            slab_densities: out.slab_densities,
-            slab_privatized: out.slab_privatized,
-            plan: None,
-            fallback: None,
-            recovery: recovery(0),
-            integrity: out.integrity,
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
+    RunReport {
+        comm_time_s: meters.iter().map(|m| m.comm_time_s).sum(),
+        bus_wait_s: meters.iter().map(|m| m.bus_wait_s).sum(),
+        host_table_time_s: out.host_table_time_s,
+        compute_time_s: meters.iter().map(|m| m.compute_time_s).sum(),
+        rows_per_slab: out.rows_per_slab,
+        n_slabs: out.n_slabs,
+        transfers: meters.iter().map(|m| m.transfers).sum(),
+        gpu_replans: out.recovery.replans,
+        gpu_transfer_retries: out.recovery.transfer_retries,
+        pipeline_depth: out.pipeline_depth,
+        table_cache: out.table_cache,
+        slab_densities: out.slab_densities,
+        slab_privatized: out.slab_privatized,
+        recovery: RecoveryAccounting {
+            devices_lost: out.devices_lost,
+            resume,
+            ..RecoveryAccounting::default()
         },
-        GpuOutcome::Multi(out) => RunReport {
-            engine: engine.label(),
-            image: out.image,
-            stats: out.stats,
-            // The makespan is the slowest device; comm/compute/transfers
-            // aggregate over the fleet, so total ≤ comm + compute here.
-            total_time_s: out.elapsed_s,
-            comm_time_s: out.per_device.iter().map(|m| m.comm_time_s).sum(),
-            bus_wait_s: out.per_device.iter().map(|m| m.bus_wait_s).sum(),
-            host_table_time_s: out.host_table_time_s,
-            compute_time_s: out.per_device.iter().map(|m| m.compute_time_s).sum(),
-            input_bytes,
-            dims,
-            rows_per_slab: 0,
-            n_slabs: out.n_slabs,
-            transfers: out.per_device.iter().map(|m| m.transfers).sum(),
-            gpu_replans: out.recovery.replans,
-            gpu_transfer_retries: out.recovery.transfer_retries,
-            pipeline_depth: depth.0,
-            table_cache: out.table_cache,
-            slab_densities: out.slab_densities,
-            slab_privatized: out.slab_privatized,
-            plan: None,
-            fallback: None,
-            recovery: recovery(out.devices_lost),
-            integrity: out.integrity,
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
-        },
-        GpuOutcome::Cluster(out) => RunReport {
-            engine: engine.label(),
-            image: out.image,
-            stats: out.stats,
-            // The makespan includes the reduction's exposed tail; the
-            // comm/compute/transfer meters aggregate over every device in
-            // every chassis.
-            total_time_s: out.elapsed_s,
-            comm_time_s: out.per_device.iter().map(|m| m.comm_time_s).sum(),
-            bus_wait_s: out.per_device.iter().map(|m| m.bus_wait_s).sum(),
-            host_table_time_s: out.host_table_time_s,
-            compute_time_s: out.per_device.iter().map(|m| m.compute_time_s).sum(),
-            input_bytes,
-            dims,
-            rows_per_slab: 0,
-            n_slabs: out.n_slabs,
-            transfers: out.per_device.iter().map(|m| m.transfers).sum(),
-            gpu_replans: out.recovery.replans,
-            gpu_transfer_retries: out.recovery.transfer_retries,
-            pipeline_depth: depth.0,
-            table_cache: out.table_cache,
-            slab_densities: out.slab_densities,
-            slab_privatized: out.slab_privatized,
-            plan: None,
-            fallback: None,
-            recovery: recovery(out.devices_lost),
-            integrity: out.integrity,
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: Some(ClusterReport {
-                options: out.options.label(),
-                interconnect: fabric.to_string(),
-                compute_s: out.compute_s,
-                reduction_exposed_s: out.reduction_exposed_s,
-                net_wait_s: out.net_wait_s,
-                net_bytes: out.net_bytes,
-                net_messages: out.net_messages,
-                nodes_lost: out.nodes_lost,
-                nodes: out.nodes,
-            }),
-        },
+        integrity: out.integrity,
+        cluster,
+        ..RunReport::host(engine.label(), out.image, out.stats, out.elapsed_s, dims)
     }
 }
 
@@ -1568,6 +1299,36 @@ mod tests {
         );
         assert!(r.fallback.is_some());
         assert!(r.summary().contains("salvage:"), "{}", r.summary());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fallback_counts_the_devices_that_actually_died() {
+        let (path, _) = scan_file("lost_count");
+        let mut c = cfg();
+        c.rows_per_slab = Some(2);
+        // The only device of a single-GPU engine dies: one device lost.
+        let p = Pipeline {
+            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(1)),
+            on_gpu_failure: GpuFailurePolicy::FallbackCpu,
+            ..Pipeline::default()
+        };
+        let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
+        assert!(r.fallback.is_some());
+        assert_eq!(r.recovery.devices_lost, 1);
+
+        // A fleet too small for one row fails on every device without
+        // losing any of them: no loss is counted.
+        let p = Pipeline {
+            fault_plan: Some(cuda_sim::FaultPlan::new(0).report_mem_bytes(1024)),
+            on_gpu_failure: GpuFailurePolicy::FallbackCpu,
+            ..Pipeline::default()
+        };
+        let r = p
+            .run_scan_file(&path, &cfg(), Engine::GpuMulti { devices: 2 })
+            .unwrap();
+        assert!(r.fallback.is_some());
+        assert_eq!(r.recovery.devices_lost, 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -57,17 +57,16 @@ pub use cuda_sim as sim;
 pub mod prelude {
     pub use cuda_sim::{Device, DeviceProps, ExecMode, FaultPlan, FaultStats, HostProps};
     pub use laue_core::cache::{DepthTableCache, TableCacheStats};
+    pub use laue_core::cluster::{reconstruct_cluster, reconstruct_cluster_checkpointed};
     pub use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
     pub use laue_core::journal::{CommittedSlab, JournalKey, RunJournal, SlabProgress};
-    pub use laue_core::multi::{
-        reconstruct_multi, reconstruct_multi_checkpointed, reconstruct_multi_pipelined,
-    };
+    pub use laue_core::multi::reconstruct_multi;
     pub use laue_core::planning::{pixel_scan_info, plan_scan, PixelScanInfo, ScanPlan};
     pub use laue_core::post::{depth_map, find_peaks, DepthMapOptions, DepthPeak};
     pub use laue_core::{
-        cpu, gpu, AccumulationMode, CompactionMode, DepthImage, InMemorySlabSource, IntegrityMode,
-        IntegrityReport, PlanMode, ReconstructionConfig, ScanGeometry, ScanView, SlabSource,
-        WireEdge,
+        cpu, gpu, AccumulationMode, ClusterOptions, ClusterReconstruction, CompactionMode,
+        DepthImage, InMemorySlabSource, IntegrityMode, IntegrityReport, PlanMode,
+        ReconstructionConfig, ScanGeometry, ScanView, SlabSource, WireEdge,
     };
     pub use laue_geometry::{Beam, DepthMapper, DetectorGeometry, Vec3, WireGeometry};
     pub use laue_pipeline::{
