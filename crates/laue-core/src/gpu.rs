@@ -281,7 +281,8 @@ fn retry_transfer<T>(
 pub struct GpuReconstruction {
     /// The depth-resolved output.
     pub image: DepthImage,
-    /// Outcome counters (from the kernel's trace instrumentation).
+    /// Outcome counters summed over the committed slabs (each from its
+    /// launches' trace instrumentation).
     pub stats: ReconStats,
     /// Transfer/compute meters for the whole run.
     pub meters: Meters,
@@ -1318,85 +1319,45 @@ where
         .map_err(CoreError::from)
 }
 
-/// Download one slab's output and merge it into the full image. Returns
-/// the virtual time when the last D2H copy completes (the ring uses it as
-/// the slot-free edge for the next upload).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn download_slab(
-    device: &Device,
-    stream: StreamId,
+/// Download one slab's output into a host buffer in slab layout,
+/// `[(bin · rows + r) · n_cols + c]` (see [`DepthImage::assign_rows`]).
+/// Also returns the virtual time when the last D2H copy completes (the ring
+/// uses it as the slot-free edge for the next upload).
+fn download_slab(
+    ctx: &RingCtx<'_>,
     upload: &SlabUpload,
-    image: &mut DepthImage,
-    cfg: &ReconstructionConfig,
-    n_cols: usize,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
-) -> Result<f64> {
-    let rows = upload.rows;
-    let checked = cfg.integrity.enabled();
-    let mut done_at = 0.0f64;
-    match &upload.buffers {
-        SlabBuffers::Flat { output, .. } => {
-            let mut host = vec![0.0f64; cfg.n_depth_bins * rows * n_cols];
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_dtoh_checked_on(stream, output, &mut host)
-                } else {
-                    device.memcpy_dtoh_on(stream, output, &mut host)
-                }
-            })?;
-            done_at = span.end_s;
-            // The host buffer is already in slab layout; assign (don't
-            // accumulate) this slab's rows.
-            image.assign_rows(upload.row0, rows, &host)?;
-        }
-        SlabBuffers::Pointer { bins, .. } => {
-            // One D2H per bin: the 3D layout pays latency both ways.
-            let mut host = vec![0.0f64; rows * n_cols];
-            for (bin, buf) in bins.iter().enumerate() {
-                let report = if checked { Some(&mut *integrity) } else { None };
-                let span = retry_transfer(device, stream, recovery, report, || {
-                    if checked {
-                        device.memcpy_dtoh_checked_on(stream, buf, &mut host)
-                    } else {
-                        device.memcpy_dtoh_on(stream, buf, &mut host)
-                    }
-                })?;
-                done_at = done_at.max(span.end_s);
-                for r in 0..rows {
-                    for c in 0..n_cols {
-                        *image.at_mut(bin, upload.row0 + r, c) = host[r * n_cols + c];
-                    }
-                }
+) -> Result<(Vec<f64>, f64)> {
+    let (device, stream) = (ctx.device, ctx.download_stream);
+    let checked = ctx.cfg.integrity.enabled();
+    let plane = upload.rows * ctx.n_cols;
+    let mut host = vec![0.0f64; ctx.cfg.n_depth_bins * plane];
+    let mut download = |buf: &DeviceBuffer<f64>, dst: &mut [f64]| {
+        let report = if checked { Some(&mut *integrity) } else { None };
+        retry_transfer(device, stream, recovery, report, || {
+            if checked {
+                device.memcpy_dtoh_checked_on(stream, buf, dst)
+            } else {
+                device.memcpy_dtoh_on(stream, buf, dst)
             }
+        })
+        .map(|span| span.end_s)
+    };
+    let done_at = match &upload.buffers {
+        SlabBuffers::Flat { output, .. } => download(output, &mut host)?,
+        // One D2H per bin: the 3D layout pays latency both ways. Each bin
+        // buffer is exactly one bin plane of the slab layout.
+        SlabBuffers::Pointer { bins, .. } => {
+            let mut done_at = 0.0f64;
+            for (buf, dst) in bins.iter().zip(host.chunks_exact_mut(plane)) {
+                done_at = done_at.max(download(buf, dst)?);
+            }
+            done_at
         }
-    }
-    Ok(done_at)
+    };
+    Ok((host, done_at))
 }
-
-/// What the ring reports to its slab observer.
-pub(crate) enum SlabEvent<'e> {
-    /// A slab passed its checks (or ran unchecked) and its rows are final:
-    /// `(row0, rows, per-slab stats, slab rows of the image)`.
-    Commit {
-        row0: usize,
-        rows: usize,
-        stats: &'e ReconStats,
-        data: &'e [f64],
-    },
-    /// An integrity check condemned the slab; scrub recovery is about to
-    /// re-execute it. The checkpoint layer journals a poison record so a
-    /// crash mid-scrub can never resurrect condemned data.
-    Poison { row0: usize, rows: usize },
-}
-
-/// A slab observer: called once per slab event, immediately after the
-/// slab's D2H download lands (commits) or its verification fails
-/// (poisons). This is the checkpoint layer's hook into the ring — the
-/// journal appends the record before the ring moves on, so a slab is
-/// either fully durable or not committed at all.
-pub(crate) type SlabSink<'a> = Option<&'a mut dyn FnMut(SlabEvent<'_>) -> Result<()>>;
 
 /// One slab's share of the pair counters, combining its (optional) prescan
 /// and main launches. Culled combos never launch a thread: their pairs are
@@ -1556,10 +1517,41 @@ fn execute_slab(
     })
 }
 
-/// Drain one ring slot: download the slab, verify it when integrity is
-/// on, recover per the integrity mode when verification fails, then —
-/// with a sink attached — commit it (journal append + progress
-/// bookkeeping). Returns the slot-free edge from [`download_slab`].
+/// Where the ring makes verified slabs final: the run's [`SlabProgress`],
+/// its journal when one is attached, and the commit-time observer.
+pub(crate) struct SlabCommit<'a> {
+    pub(crate) progress: &'a mut SlabProgress,
+    pub(crate) journal: Option<&'a mut RunJournal>,
+    /// Sees `(row0, rows, at_s)` for every fresh commit, where `at_s` is
+    /// the committing device's virtual elapsed time read *without*
+    /// synchronizing — the cluster layer releases reduction segments into
+    /// the interconnect at that edge. A `synchronize()` here would join
+    /// stream cursors and perturb the ring schedule.
+    pub(crate) on_commit: &'a mut dyn FnMut(usize, usize, f64),
+}
+
+impl SlabCommit<'_> {
+    /// Commit the slab into progress — journalled before the ring moves on,
+    /// see [`SlabProgress::commit`] — and report it.
+    fn commit(
+        &mut self,
+        device: &Device,
+        row0: usize,
+        rows: usize,
+        stats: &ReconStats,
+        slab: &[f64],
+    ) -> Result<()> {
+        self.progress
+            .commit(self.journal.as_deref_mut(), row0, rows, stats, slab)?;
+        (self.on_commit)(row0, rows, device.elapsed_s());
+        Ok(())
+    }
+}
+
+/// Drain one ring slot: download the slab, verify the downloaded buffer
+/// when integrity is on, recover per the integrity mode when verification
+/// fails, then commit it. A condemned slab never reaches the image.
+/// Returns the slot-free edge from [`download_slab`].
 ///
 /// Verification is the ABFT check: the host redundantly recomputes the
 /// slab with the dense CPU engine (re-reading the intensities from the
@@ -1576,44 +1568,20 @@ fn commit_slab(
     upload: SlabUpload,
     stats: ReconStats,
     suspect: bool,
-    image: &mut DepthImage,
     source: &mut dyn SlabSource,
     table_source: &TableSource,
     wires: &DeviceBuffer<f64>,
     cull: Option<&ShadowCull>,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
-    band_stats: &mut ReconStats,
-    sink: &mut SlabSink<'_>,
+    out: &mut SlabCommit<'_>,
 ) -> Result<f64> {
     let device = ctx.device;
     let cfg = ctx.cfg;
     let (row0, rows) = (upload.row0, upload.rows);
-    let mut freed_at = download_slab(
-        device,
-        ctx.download_stream,
-        &upload,
-        image,
-        cfg,
-        ctx.n_cols,
-        recovery,
-        integrity,
-    )?;
-    let commit = |image: &DepthImage, stats: &ReconStats, sink: &mut SlabSink<'_>| -> Result<()> {
-        if let Some(sink) = sink.as_mut() {
-            let data = image.extract_rows(row0, rows);
-            sink(SlabEvent::Commit {
-                row0,
-                rows,
-                stats,
-                data: &data,
-            })?;
-        }
-        Ok(())
-    };
+    let (slab, mut freed_at) = download_slab(ctx, &upload, recovery, integrity)?;
     if !cfg.integrity.enabled() {
-        band_stats.merge(&stats);
-        commit(image, &stats, sink)?;
+        out.commit(device, row0, rows, &stats, &slab)?;
         return Ok(freed_at);
     }
 
@@ -1625,14 +1593,16 @@ fn commit_slab(
     integrity.verify_host_cpu_s += device.host_flops_time_s() - host_t0;
     integrity.checks_run += 1;
 
-    let observed = integrity::bin_sums(&image.extract_rows(row0, rows), cfg.n_depth_bins);
-    let sums_ok = integrity::sums_match(&observed, &reference.bin_sums, ctx.abft_tol);
+    let verified = |slab: &[f64]| {
+        let observed = integrity::bin_sums(slab, cfg.n_depth_bins);
+        integrity::sums_match(&observed, &reference.bin_sums, ctx.abft_tol)
+    };
+    let sums_ok = verified(&slab);
     if !sums_ok {
         integrity.abft_mismatches += 1;
     }
     if sums_ok && !suspect {
-        band_stats.merge(&stats);
-        commit(image, &stats, sink)?;
+        out.commit(device, row0, rows, &stats, &slab)?;
         return Ok(freed_at);
     }
 
@@ -1656,20 +1626,21 @@ fn commit_slab(
         )));
     }
 
-    // Scrub: quarantine first (durable poison before any re-execution),
-    // then re-execute with bounded exponential backoff. Drop the condemned
-    // upload so its device buffers are free for the re-run.
-    if let Some(sink) = sink.as_mut() {
-        sink(SlabEvent::Poison { row0, rows })?;
+    // Scrub: quarantine first (durable poison before any re-execution: a
+    // crash between the poison and the re-commit must never resurrect
+    // condemned rows on replay), then re-execute with bounded exponential
+    // backoff. Drop the condemned upload so its device buffers are free for
+    // the re-run.
+    if let Some(j) = out.journal.as_deref_mut() {
+        j.append_poison(row0, rows)?;
     }
     drop(upload);
     // Everything past this point is pure makespan extension: the clean
     // slab would have freed its slot at `freed_at`, so whatever later
     // edge the retries push it to is integrity-exposed time.
     let clean_freed_at = freed_at;
-    let mut committed_stats = stats;
+    let mut repaired = None;
     let mut backoff = integrity::SCRUB_BACKOFF_BASE_S;
-    let mut repaired = false;
     for _ in 0..integrity::MAX_SCRUB_RETRIES {
         integrity.scrub_retries += 1;
         device.delay(ctx.compute_stream, backoff);
@@ -1687,59 +1658,29 @@ fn commit_slab(
         )?;
         device.charge_host_flops(retry.upload.host_flops);
         device.wait_until(ctx.download_stream, retry.kernel_end);
-        freed_at = download_slab(
-            device,
-            ctx.download_stream,
-            &retry.upload,
-            image,
-            cfg,
-            ctx.n_cols,
-            recovery,
-            integrity,
-        )?;
+        let (slab, done_at) = download_slab(ctx, &retry.upload, recovery, integrity)?;
+        freed_at = done_at;
         integrity.checks_run += 1;
-        let observed = integrity::bin_sums(&image.extract_rows(row0, rows), cfg.n_depth_bins);
-        if integrity::sums_match(&observed, &reference.bin_sums, ctx.abft_tol) && !retry.suspect {
-            committed_stats = retry.stats;
-            repaired = true;
+        if verified(&slab) && !retry.suspect {
+            repaired = Some((retry.stats, slab));
             break;
         }
     }
-    if !repaired {
-        // Persistently corrupting device: repair the slab from the host
-        // reference (the very data the check trusted) and carry on — the
-        // stats are trace-derived counts a deposit-value flip cannot
-        // touch, so the condemned launch's counters remain valid.
-        image.assign_rows(row0, rows, &reference.data)?;
-        integrity.cpu_fallback_slabs += 1;
-    }
+    // A persistently corrupting device loses the slab to the host
+    // reference (the very data the check trusted) — the stats are
+    // trace-derived counts a deposit-value flip cannot touch, so the
+    // condemned launch's counters remain valid.
+    let (stats, slab) = match repaired {
+        Some(done) => done,
+        None => {
+            integrity.cpu_fallback_slabs += 1;
+            (stats, reference.data)
+        }
+    };
     integrity.exposed_overhead_s += (freed_at - clean_freed_at).max(0.0);
     integrity.corruptions_corrected += 1;
-    band_stats.merge(&committed_stats);
-    commit(image, &committed_stats, sink)?;
+    out.commit(device, row0, rows, &stats, &slab)?;
     Ok(freed_at)
-}
-
-pub(crate) fn stats_from_records(device: &Device, pairs_total: u64) -> ReconStats {
-    let mut stats = ReconStats::default();
-    for rec in device.records() {
-        if rec.name == "prescan" {
-            // Prescan traces only the below-cutoff pairs it dropped; the
-            // compacted/culled attribution comes from the ring outcome.
-            stats.pairs_below_cutoff += rec.traces[TRACE_BELOW_CUTOFF];
-            continue;
-        }
-        if rec.name != "set_two" {
-            continue;
-        }
-        stats.pairs_below_cutoff += rec.traces[TRACE_BELOW_CUTOFF];
-        stats.pairs_invalid_geometry += rec.traces[TRACE_INVALID];
-        stats.pairs_out_of_range += rec.traces[TRACE_OUT_OF_RANGE];
-        stats.pairs_deposited += rec.traces[TRACE_DEPOSITED];
-        stats.deposits += rec.traces[TRACE_DEPOSITS];
-    }
-    stats.pairs_total = pairs_total;
-    stats
 }
 
 pub(crate) fn validate_inputs(
@@ -1806,31 +1747,19 @@ pub fn reconstruct_with_options(
     reconstruct_pipelined(device, source, geom, cfg, opts, PipelineDepth::SERIAL, None)
 }
 
-/// Everything the ring learned while processing one row band.
+/// Everything the ring learned while processing one row band, besides the
+/// slabs themselves (those, with their stats, are in [`SlabProgress`]).
 pub(crate) struct RingOutcome {
     pub(crate) rows_per_slab: usize,
-    pub(crate) n_slabs: usize,
     pub(crate) host_table_flops: u64,
     /// Ring depth actually used (memory pressure may shrink it).
     pub(crate) depth_used: usize,
     pub(crate) cache_stats: TableCacheStats,
-    /// `(row, pair)` combos removed by wire-shadow culling.
-    pub(crate) culled_rows: u64,
-    /// Pairs the prescan dropped before the main launch (compact slabs).
-    pub(crate) compacted_pairs: u64,
     /// Achieved active-pair density per slab (empty when compaction off).
     pub(crate) slab_densities: Vec<f64>,
     /// Per slab, whether its main launch ran privatized (empty when the
     /// run never asked for privatization).
     pub(crate) slab_privatized: Vec<bool>,
-    /// Pairs attributed to slabs that ran the privatized accumulator.
-    pub(crate) privatized_pairs: u64,
-    /// Pairs that fell back to atomics although privatization was asked.
-    pub(crate) accum_fallback_pairs: u64,
-    /// Sum of the per-slab stats the ring actually committed. With
-    /// integrity on this is authoritative: condemned launches that scrub
-    /// re-executed appear in the device's launch records but not here.
-    pub(crate) stats: ReconStats,
     /// What the integrity layer saw and did for this band.
     pub(crate) integrity: IntegrityReport,
 }
@@ -1904,8 +1833,8 @@ fn resolve_table_source(
     Ok((TableSource::HostSlice(tables), host_flops))
 }
 
-/// The k-deep ring: process the detector rows `band` on `device`, merging
-/// results into `image`.
+/// The k-deep ring: process the detector rows `band` on `device`,
+/// committing each verified slab through `out` as its download lands.
 ///
 /// Three streams — upload, compute, download — carry up to `depth.0` slab
 /// slots in flight. Each slab is chained by `wait_until` edges:
@@ -1930,9 +1859,8 @@ pub(crate) fn run_ring(
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
     band: Range<usize>,
-    image: &mut DepthImage,
     recovery: &mut RecoveryLog,
-    mut sink: SlabSink<'_>,
+    mut out: SlabCommit<'_>,
 ) -> Result<RingOutcome> {
     if depth.0 == 0 {
         return Err(CoreError::InvalidConfig(
@@ -2043,27 +1971,16 @@ pub(crate) fn run_ring(
         n_cols,
         abft_tol,
     };
-    let mut band_stats = ReconStats::default();
 
     // The ring proper: executed slabs (upload + kernel-end edge + stats +
     // watchdog verdict), oldest first.
     let mut ring: VecDeque<SlabExec> = VecDeque::with_capacity(slots);
-    let mut n_slabs = 0usize;
-    let mut culled_rows_total = 0u64;
-    let mut compacted_total = 0u64;
     let mut slab_densities = Vec::new();
     let mut slab_privatized = Vec::new();
-    let mut privatized_pairs_total = 0u64;
-    let mut fallback_pairs_total = 0u64;
-    // What one slab attempt reports back: (host table FLOPs, culled combos,
-    // compacted pairs, realised density, privatized?, atomic fallback?).
-    // The accumulation strategy itself is resolved per slab by
-    // `upload_slab` (cost-model-driven under auto, forced otherwise).
-    type SlabAttempt = (u64, u64, u64, Option<f64>, Option<bool>, bool);
     let mut row0 = band.start;
     while row0 < band.end {
         let rows = rows_per_slab.min(band.end - row0);
-        let attempt = (|| -> Result<SlabAttempt> {
+        let attempt = (|| -> Result<()> {
             if ring.len() == slots {
                 // Free the oldest slot: download after its kernel, and gate
                 // the upcoming upload on the download so the reused memory
@@ -2075,15 +1992,13 @@ pub(crate) fn run_ring(
                     oldest.upload,
                     oldest.stats,
                     oldest.suspect,
-                    image,
                     source,
                     &table_source,
                     &wires,
                     cull.as_ref(),
                     recovery,
                     &mut integrity,
-                    &mut band_stats,
-                    &mut sink,
+                    &mut out,
                 )?;
                 device.wait_until(upload_stream, freed_at);
             }
@@ -2098,47 +2013,21 @@ pub(crate) fn run_ring(
                 recovery,
                 &mut integrity,
             )?;
-            let flops = exec.upload.host_flops;
-            let culled = exec
-                .upload
-                .sparsity
-                .as_ref()
-                .map_or(0, |sp| sp.culled_combos);
-            let density = exec.upload.sparsity.as_ref().map(|sp| sp.density);
-            let compacted = exec.stats.compacted_pairs;
-            // Attribute the slab's pairs to the strategy its main launch
-            // actually ran (an empty launch domain ran neither); under a
-            // privatized-leaning mode an atomic slab counts against the
-            // privatized attribution, under forced atomics there is
-            // nothing to attribute.
-            let fallback = matches!(exec.upload.accum, AccumPlan::Atomic { fallback: true });
-            let privatized = match (exec.main_ran, exec.upload.accum) {
+            host_table_flops += exec.upload.host_flops;
+            slab_densities.extend(exec.upload.sparsity.as_ref().map(|sp| sp.density));
+            // Flag the strategy the slab's main launch actually ran (an
+            // empty launch domain ran neither; the accumulation strategy
+            // itself is resolved per slab by `upload_slab`). Under forced
+            // atomics there is nothing to flag.
+            slab_privatized.extend(match (exec.main_ran, exec.upload.accum) {
                 (true, AccumPlan::Privatized { .. }) => Some(true),
                 _ => cfg.accumulation.wants_privatized().then_some(false),
-            };
+            });
             ring.push_back(exec);
-            Ok((flops, culled, compacted, density, privatized, fallback))
+            Ok(())
         })();
         match attempt {
-            Ok((flops, culled, compacted, density, privatized, fallback)) => {
-                host_table_flops += flops;
-                culled_rows_total += culled;
-                compacted_total += compacted;
-                if let Some(d) = density {
-                    slab_densities.push(d);
-                }
-                if let Some(p) = privatized {
-                    slab_privatized.push(p);
-                    let pairs = (rows * n_cols * (n_images - 1)) as u64;
-                    if p {
-                        privatized_pairs_total += pairs;
-                    } else if fallback {
-                        fallback_pairs_total += pairs;
-                    }
-                }
-                n_slabs += 1;
-                row0 += rows;
-            }
+            Ok(()) => row0 += rows,
             Err(e @ CoreError::Device(cuda_sim::SimError::OutOfMemory { .. })) => {
                 // Drain every in-flight slot (their kernels already ran and
                 // their rows precede `row0`), freeing their memory, then
@@ -2152,15 +2041,13 @@ pub(crate) fn run_ring(
                         oldest.upload,
                         oldest.stats,
                         oldest.suspect,
-                        image,
                         source,
                         &table_source,
                         &wires,
                         cull.as_ref(),
                         recovery,
                         &mut integrity,
-                        &mut band_stats,
-                        &mut sink,
+                        &mut out,
                     )?;
                 }
                 if rows_per_slab > 1 {
@@ -2183,15 +2070,13 @@ pub(crate) fn run_ring(
             oldest.upload,
             oldest.stats,
             oldest.suspect,
-            image,
             source,
             &table_source,
             &wires,
             cull.as_ref(),
             recovery,
             &mut integrity,
-            &mut band_stats,
-            &mut sink,
+            &mut out,
         )?;
     }
 
@@ -2204,23 +2089,18 @@ pub(crate) fn run_ring(
     device.charge_host_flops(host_table_flops);
     Ok(RingOutcome {
         rows_per_slab,
-        n_slabs,
         host_table_flops,
         depth_used: slots,
         cache_stats,
-        culled_rows: culled_rows_total,
-        compacted_pairs: compacted_total,
         slab_densities,
         slab_privatized,
-        privatized_pairs: privatized_pairs_total,
-        accum_fallback_pairs: fallback_pairs_total,
-        stats: band_stats,
         integrity,
     })
 }
 
 /// Reconstruct with the k-deep transfer/compute ring and, optionally, a
-/// persistent depth-table cache.
+/// persistent depth-table cache: a fresh, unjournalled, unbounded
+/// [`reconstruct_checkpointed_bounded`].
 ///
 /// `depth` is the default ring depth; [`ReconstructionConfig::pipeline_depth`]
 /// overrides it when set. The cache only participates in
@@ -2234,78 +2114,39 @@ pub fn reconstruct_pipelined(
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
 ) -> Result<GpuReconstruction> {
-    validate_inputs(source, geom, cfg)?;
-    let mapper = geom.mapper()?;
-    let (n_images, n_rows, n_cols) = (source.n_images(), source.n_rows(), source.n_cols());
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
-
-    device.reset_meters();
-    let mut recovery = RecoveryLog::default();
-    let mut image = DepthImage::zeroed(cfg.n_depth_bins, n_rows, n_cols);
-    let outcome = run_ring(
+    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
+    let (out, _) = reconstruct_checkpointed_bounded(
         device,
         source,
         geom,
-        &mapper,
         cfg,
         opts,
         depth,
         cache,
-        0..n_rows,
-        &mut image,
-        &mut recovery,
+        &mut progress,
         None,
+        usize::MAX,
     )?;
-
-    let elapsed_s = device.synchronize();
-    let stats = if cfg.integrity.enabled() {
-        // The committed per-slab sum is authoritative: launch records
-        // include condemned launches that scrub re-executed.
-        outcome.stats
-    } else {
-        let pairs_total = (n_rows * n_cols * (n_images - 1)) as u64;
-        // Culled combos never launched a thread; attribute their pairs here.
-        let mut stats = stats_from_records(device, pairs_total);
-        stats.pairs_out_of_range += outcome.culled_rows * n_cols as u64;
-        stats.culled_rows = outcome.culled_rows;
-        stats.compacted_pairs = outcome.compacted_pairs;
-        stats.privatized_pairs = outcome.privatized_pairs;
-        stats.accum_fallback_pairs = outcome.accum_fallback_pairs;
-        stats
-    };
-    Ok(GpuReconstruction {
-        image,
-        stats,
-        meters: device.meters(),
-        rows_per_slab: outcome.rows_per_slab,
-        n_slabs: outcome.n_slabs,
-        elapsed_s,
-        peak_device_mem: device.mem_peak(),
-        host_table_flops: outcome.host_table_flops,
-        host_table_time_s: device.host_flops_time_s(),
-        recovery,
-        pipeline_depth: outcome.depth_used,
-        table_cache: outcome.cache_stats,
-        slab_densities: outcome.slab_densities,
-        slab_privatized: outcome.slab_privatized,
-        integrity: outcome.integrity,
-    })
+    Ok(out)
 }
 
-/// As [`reconstruct_pipelined`], but checkpoint-aware and bounded — the
-/// preemption quantum the serve scheduler runs long jobs in. The run
-/// starts from `progress` (fresh, or replayed from a [`RunJournal`]) and
-/// processes at most `max_rows` of the rows not yet committed. Each slab
-/// commit is appended to `journal` (when given) *before* the ring moves
-/// on, so after any interruption the journal plus `progress` hold every
-/// completed slab; on error, `progress` retains all committed state.
+/// The single-GPU checkpointed step: checkpoint-aware and bounded — the
+/// preemption quantum the serve scheduler runs long jobs in, and, fresh and
+/// unbounded, every standalone single-GPU entry point. The run starts from
+/// `progress` (fresh, or replayed from a [`RunJournal`]) and processes at
+/// most `max_rows` of the rows not yet committed. Each slab commit is
+/// appended to `journal` (when given) *before* the ring moves on, so after
+/// any interruption the journal plus `progress` hold every completed slab;
+/// on error, `progress` retains all committed state.
 ///
 /// The second return value is `true` when the whole detector is now
-/// committed; `false` means the job was paused at a slab boundary and can
-/// be resumed — on this device or any other — by calling again with the
-/// same `progress`/`journal` (chunking invariance makes the eventual
-/// output bit-identical no matter where the quantum cuts fell or which
-/// device ran which quantum). Pipeline runs use the cluster executor,
+/// committed, and the image then moves out of `progress` into the result.
+/// `false` means the job was paused at a slab boundary: the result's image
+/// is empty, the partial image stays in `progress`, and the job can be
+/// resumed — on this device or any other — by calling again with the same
+/// `progress`/`journal` (chunking invariance makes the eventual output
+/// bit-identical no matter where the quantum cuts fell or which device ran
+/// which quantum). Pipeline runs use the cluster executor,
 /// [`crate::cluster::reconstruct_cluster_checkpointed`], instead.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_checkpointed_bounded(
@@ -2317,99 +2158,62 @@ pub fn reconstruct_checkpointed_bounded(
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
     progress: &mut SlabProgress,
-    mut journal: Option<&mut RunJournal>,
+    journal: Option<&mut RunJournal>,
     max_rows: usize,
 ) -> Result<(GpuReconstruction, bool)> {
-    validate_inputs(source, geom, cfg)?;
-    let mapper = geom.mapper()?;
     let n_rows = source.n_rows();
     let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
-
-    device.reset_meters();
-    let mut recovery = RecoveryLog::default();
-    let mut rows_per_slab = 0usize;
-    let mut host_table_flops = 0u64;
-    let mut depth_used = depth.0;
-    let mut cache_stats = TableCacheStats::default();
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
-    let mut integrity = IntegrityReport::default();
+    // This quantum: the first `max_rows` of the rows still owed.
     let mut quantum = max_rows;
-    for band in progress.uncovered(0..n_rows) {
-        if quantum == 0 {
-            break;
-        }
-        let band = band.start..band.end.min(band.start.saturating_add(quantum));
-        quantum -= band.len();
-        let (image, mut tracker) = progress.split_mut();
-        let mut journal = journal.as_deref_mut();
-        let mut sink = |event: SlabEvent<'_>| match event {
-            SlabEvent::Commit {
-                row0,
-                rows,
-                stats,
-                data,
-            } => {
-                if let Some(j) = journal.as_mut() {
-                    j.append(row0, rows, stats, data)?;
-                }
-                tracker.record(row0, rows, stats);
-                Ok(())
-            }
-            // Durable quarantine before scrub re-executes: a crash between
-            // the poison and the re-commit must never resurrect condemned
-            // rows on replay.
-            SlabEvent::Poison { row0, rows } => {
-                if let Some(j) = journal.as_mut() {
-                    j.append_poison(row0, rows)?;
-                }
-                Ok(())
-            }
-        };
-        let outcome = run_ring(
-            device,
-            source,
-            geom,
-            &mapper,
-            cfg,
-            opts,
-            depth,
-            cache,
-            band,
-            image,
-            &mut recovery,
-            Some(&mut sink),
-        )?;
-        rows_per_slab = outcome.rows_per_slab;
-        host_table_flops += outcome.host_table_flops;
-        depth_used = outcome.depth_used;
-        cache_stats.merge(&outcome.cache_stats);
-        slab_densities.extend(outcome.slab_densities);
-        slab_privatized.extend(outcome.slab_privatized);
-        integrity.merge(&outcome.integrity);
-    }
-    // Counts every committed slab, replayed and fresh alike.
-    let n_slabs = progress.committed_slabs();
-
-    let elapsed_s = device.synchronize();
+    let scope: Vec<Range<usize>> = progress
+        .uncovered(0..n_rows)
+        .into_iter()
+        .map_while(|band| {
+            let band = band.start..band.end.min(band.start.saturating_add(quantum));
+            quantum -= band.len();
+            (!band.is_empty()).then_some(band)
+        })
+        .collect();
+    // A one-device node step; meters reset here so a quantum with nothing
+    // left to do still reports a clean device.
+    device.reset_meters();
+    let step = crate::multi::reconstruct_multi_scoped(
+        &[device],
+        &mut [true],
+        source,
+        geom,
+        cfg,
+        opts,
+        depth,
+        cache,
+        &scope,
+        progress,
+        journal,
+        &mut |_, _, _| {},
+    )?;
     let complete = progress.is_complete(0..n_rows);
     Ok((
         GpuReconstruction {
-            image: progress.image.clone(),
+            image: if complete {
+                std::mem::take(&mut progress.image)
+            } else {
+                DepthImage::default()
+            },
             stats: progress.stats,
             meters: device.meters(),
-            rows_per_slab,
-            n_slabs,
-            elapsed_s,
+            rows_per_slab: step.rows_per_slab,
+            // Counts every committed slab, replayed and fresh alike.
+            n_slabs: progress.committed_slabs(),
+            elapsed_s: step.elapsed_s,
             peak_device_mem: device.mem_peak(),
-            host_table_flops,
+            host_table_flops: step.host_table_flops,
             host_table_time_s: device.host_flops_time_s(),
-            recovery,
-            pipeline_depth: depth_used,
-            table_cache: cache_stats,
-            slab_densities,
-            slab_privatized,
-            integrity,
+            recovery: step.recovery,
+            pipeline_depth: step.depth_used,
+            table_cache: step.table_cache,
+            slab_densities: step.slab_densities,
+            slab_privatized: step.slab_privatized,
+            integrity: step.integrity,
         },
         complete,
     ))

@@ -126,8 +126,9 @@ impl IntegrityReport {
 /// The host-side redundant slab computation the ABFT check compares
 /// against — and the repair donor when scrub exhausts its retries.
 pub(crate) struct SlabReference {
-    /// Slab rows of the image, `[(bin · rows + r) · n_cols + c]` (the
-    /// layout of [`crate::output::DepthImage::extract_rows`]).
+    /// Slab rows of the image, `[(bin · rows + r) · n_cols + c]` — the
+    /// layout the slab download lands in and
+    /// [`crate::output::DepthImage::assign_rows`] takes.
     pub(crate) data: Vec<f64>,
     /// Per-depth-bin sums of `data`, in index order.
     pub(crate) bin_sums: Vec<f64>,

@@ -55,9 +55,12 @@ const MAGIC: [u8; 8] = *b"LAUEJRN1";
 // payload with a record-kind word (commit/poison) and folds the integrity
 // mode into the key; v6 folds the cluster topology (node layout, reduction
 // routing, overlap) into the key, so resuming under a different cluster
-// shape restarts clean. An older journal fails the version check and the
-// run starts fresh — exactly the safe behaviour for a format change.
-const VERSION: u32 = 6;
+// shape restarts clean; v7 keys on the whole resolved configuration and
+// cluster options rather than a hand-picked field list, which brings the
+// watchdog multiplier into the key. An older journal fails the version
+// check and the run starts fresh — exactly the safe behaviour for a format
+// change.
+const VERSION: u32 = 7;
 
 /// Payload kind word: a committed slab.
 const KIND_COMMIT: u64 = 0;
@@ -375,7 +378,9 @@ fn parse(
             break;
         };
         let (row0, rows) = (row0 as usize, rows as usize);
-        if rows == 0 || row0 + rows > n_rows {
+        // A band past the image — or one whose end wraps — is as unusable
+        // as a torn tail.
+        if rows == 0 || row0.checked_add(rows).is_none_or(|end| end > n_rows) {
             break;
         }
         match kind {
@@ -471,25 +476,52 @@ impl SlabProgress {
         n_cols: usize,
         records: &[JournalRecord],
     ) -> Result<SlabProgress> {
+        // Does the band `[row0, row0 + rows)` end after `row`? A band whose
+        // end wraps `usize` reaches past every row.
+        let ends_after = |row0: usize, rows: usize, row: usize| {
+            row0.checked_add(rows).is_none_or(|end| end > row)
+        };
         let mut live: Vec<&CommittedSlab> = Vec::new();
         for rec in records {
             match rec {
                 JournalRecord::Commit(s) => live.push(s),
                 JournalRecord::Poison { row0, rows } => {
-                    live.retain(|s| s.row0 + s.rows <= *row0 || row0 + rows <= s.row0);
+                    live.retain(|s| {
+                        !(ends_after(s.row0, s.rows, *row0) && ends_after(*row0, *rows, s.row0))
+                    });
                 }
             }
         }
         let mut p = SlabProgress::new(n_bins, n_rows, n_cols);
         for s in live {
-            p.image.assign_rows(s.row0, s.rows, &s.data)?;
-            p.stats.merge(&s.stats);
-            p.committed.push((s.row0, s.rows));
-            for r in s.row0..s.row0 + s.rows {
-                p.covered[r] = true;
-            }
+            p.commit(None, s.row0, s.rows, &s.stats, &s.data)?;
         }
         Ok(p)
+    }
+
+    /// Make one slab final: append it to `journal` when one is attached
+    /// (durable first, so a slab is either fully durable or not committed
+    /// at all), then assign its rows (slab layout, see
+    /// [`DepthImage::assign_rows`]) into the image, merge its stats, and
+    /// mark the rows covered. Every path that finishes a slab — the GPU
+    /// ring, journal replay (which passes no journal), CPU salvage — ends
+    /// here.
+    pub fn commit(
+        &mut self,
+        journal: Option<&mut RunJournal>,
+        row0: usize,
+        rows: usize,
+        stats: &ReconStats,
+        slab: &[f64],
+    ) -> Result<()> {
+        if let Some(j) = journal {
+            j.append(row0, rows, stats, slab)?;
+        }
+        self.image.assign_rows(row0, rows, slab)?;
+        self.stats.merge(stats);
+        self.committed.push((row0, rows));
+        self.covered[row0..row0 + rows].fill(true);
+        Ok(())
     }
 
     /// How many slabs have been committed (including replayed ones).
@@ -526,40 +558,6 @@ impl SlabProgress {
             runs.push(s..band.end);
         }
         runs
-    }
-
-    /// Split into the output image and a tracker over the bookkeeping, so a
-    /// slab sink can record commits while the engine holds `&mut` to the
-    /// image it is downloading into.
-    pub fn split_mut(&mut self) -> (&mut DepthImage, ProgressTracker<'_>) {
-        (
-            &mut self.image,
-            ProgressTracker {
-                stats: &mut self.stats,
-                committed: &mut self.committed,
-                covered: &mut self.covered,
-            },
-        )
-    }
-}
-
-/// Mutable handle over [`SlabProgress`] bookkeeping (everything but the
-/// image); see [`SlabProgress::split_mut`].
-#[derive(Debug)]
-pub struct ProgressTracker<'a> {
-    stats: &'a mut ReconStats,
-    committed: &'a mut Vec<(usize, usize)>,
-    covered: &'a mut Vec<bool>,
-}
-
-impl ProgressTracker<'_> {
-    /// Record one committed slab.
-    pub fn record(&mut self, row0: usize, rows: usize, stats: &ReconStats) {
-        self.stats.merge(stats);
-        self.committed.push((row0, rows));
-        for r in row0..row0 + rows {
-            self.covered[r] = true;
-        }
     }
 }
 
@@ -766,24 +764,60 @@ mod tests {
     }
 
     #[test]
-    fn tracker_records_through_split() {
+    fn commit_assigns_merges_and_covers() {
         let mut p = SlabProgress::new(1, 4, 2);
-        {
-            let (image, mut tracker) = p.split_mut();
-            image.assign_rows(0, 2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-            tracker.record(
-                0,
-                2,
-                &ReconStats {
-                    pairs_total: 7,
-                    ..ReconStats::default()
-                },
-            );
-        }
+        let stats = ReconStats {
+            pairs_total: 7,
+            ..ReconStats::default()
+        };
+        p.commit(None, 0, 2, &stats, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(p.committed_slabs(), 1);
         assert_eq!(p.committed_rows(), 2);
         assert_eq!(p.stats.pairs_total, 7);
         assert_eq!(p.uncovered(0..4), vec![2..4]);
         assert_eq!(p.uncovered(1..3), vec![2..3]);
         assert_eq!(p.image.at(0, 0, 1), 2.0);
+        // A bad band is rejected before anything changes.
+        assert!(p.commit(None, 3, 2, &stats, &[0.0; 4]).is_err());
+        assert_eq!(p.committed_rows(), 2);
+        assert_eq!(p.stats.pairs_total, 7);
+    }
+
+    #[test]
+    fn wrapping_row_range_ends_the_parse_like_a_torn_tail() {
+        let dir = tmp_dir("wrap");
+        let key = JournalKey::new("wrap".into());
+        let dims = (1, 4, 2);
+        let (mut j, _) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        let s0 = slab(0, 2, 1, 2, 3.0);
+        j.append(s0.row0, s0.rows, &s0.stats, &s0.data).unwrap();
+        let path = j.path().to_path_buf();
+        let intact = fs::metadata(&path).unwrap().len();
+        // `row0 + rows` wraps to 0, which an unchecked bound would accept.
+        j.append_poison(usize::MAX - 1, 2).unwrap();
+        drop(j);
+
+        let (_j, replayed) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        assert_eq!(replayed, vec![JournalRecord::Commit(s0)]);
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            intact,
+            "the bad record is truncated away"
+        );
+        let p = SlabProgress::replay(1, 4, 2, &replayed).unwrap();
+        assert_eq!(p.uncovered(0..4), vec![2..4]);
+
+        // Replay itself must not wrap either: a poison reaching past every
+        // row quarantines whatever it overlaps.
+        let wrapping = [
+            replayed[0].clone(),
+            JournalRecord::Poison {
+                row0: 1,
+                rows: usize::MAX,
+            },
+        ];
+        let p = SlabProgress::replay(1, 4, 2, &wrapping).unwrap();
+        assert_eq!(p.committed_slabs(), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,9 @@
 //!
 //! This module holds the per-node step of the one checkpointed executor,
 //! [`crate::cluster::reconstruct_cluster_checkpointed`]: a fleet is a
-//! one-node cluster, and [`reconstruct_multi`] is exactly that.
+//! one-node cluster, and [`reconstruct_multi`] is exactly that. On one
+//! device the same step is the single-GPU checkpointed step,
+//! [`crate::gpu::reconstruct_checkpointed_bounded`].
 //!
 //! A shared [`DepthTableCache`] pays the host-side triangulation once for
 //! the whole fleet (devices after the first hit the host cache) and keeps
@@ -31,7 +33,7 @@ use crate::cluster::{reconstruct_cluster, ClusterOptions, ClusterReconstruction}
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{run_ring, validate_inputs, GpuOptions, PipelineDepth, RecoveryLog, SlabEvent};
+use crate::gpu::{run_ring, validate_inputs, GpuOptions, PipelineDepth, RecoveryLog, SlabCommit};
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
@@ -117,6 +119,8 @@ pub(crate) struct NodeStep {
     pub(crate) rows_per_slab: usize,
     /// Shallowest ring any device of this step ran.
     pub(crate) depth_used: usize,
+    /// Host triangulation FLOPs the step's rings spent.
+    pub(crate) host_table_flops: u64,
     pub(crate) recovery: RecoveryLog,
     pub(crate) table_cache: TableCacheStats,
     pub(crate) slab_densities: Vec<f64>,
@@ -141,11 +145,9 @@ pub(crate) struct NodeStep {
 /// `participated[i]` records whether device `i` has worked in this run: a
 /// device's meters reset on its first participation only, so a failover
 /// round that re-enters a node keeps accumulating its virtual time.
-/// `on_commit` observes every fresh slab commit as `(row0, rows, at_s)`,
-/// where `at_s` is the committing device's virtual elapsed time read
-/// *without* synchronizing — the cluster layer uses it to release reduction
-/// segments into the interconnect while the rest of the band is still
-/// computing.
+/// `on_commit` observes every fresh slab commit (see [`SlabCommit`]) — the
+/// cluster layer uses it to release reduction segments into the
+/// interconnect while the rest of the band is still computing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reconstruct_multi_scoped(
     devices: &[&Device],
@@ -168,6 +170,7 @@ pub(crate) fn reconstruct_multi_scoped(
         devices_lost: 0,
         rows_per_slab: 0,
         depth_used: depth.0,
+        host_table_flops: 0,
         recovery: RecoveryLog::default(),
         table_cache: TableCacheStats::default(),
         slab_densities: Vec::new(),
@@ -201,36 +204,6 @@ pub(crate) fn reconstruct_multi_scoped(
                 participated[di] = true;
             }
             for band in ranges {
-                let (image, mut tracker) = progress.split_mut();
-                let mut journal = journal.as_deref_mut();
-                let mut sink = |event: SlabEvent<'_>| match event {
-                    SlabEvent::Commit {
-                        row0,
-                        rows,
-                        stats,
-                        data,
-                    } => {
-                        if let Some(j) = journal.as_mut() {
-                            j.append(row0, rows, stats, data)?;
-                        }
-                        tracker.record(row0, rows, stats);
-                        // The device's non-mutating makespan read: when this
-                        // slab's download has been scheduled. A synchronize()
-                        // here would join stream cursors and perturb the ring
-                        // schedule.
-                        on_commit(row0, rows, device.elapsed_s());
-                        Ok(())
-                    }
-                    // Durable quarantine before scrub re-executes: a crash
-                    // between the poison and the re-commit must never
-                    // resurrect condemned rows on replay.
-                    SlabEvent::Poison { row0, rows } => {
-                        if let Some(j) = journal.as_mut() {
-                            j.append_poison(row0, rows)?;
-                        }
-                        Ok(())
-                    }
-                };
                 let attempt = run_ring(
                     device,
                     source,
@@ -241,14 +214,18 @@ pub(crate) fn reconstruct_multi_scoped(
                     depth,
                     cache,
                     band.clone(),
-                    image,
                     &mut step.recovery,
-                    Some(&mut sink),
+                    SlabCommit {
+                        progress,
+                        journal: journal.as_deref_mut(),
+                        on_commit,
+                    },
                 );
                 match attempt {
                     Ok(ring) => {
                         step.rows_per_slab = step.rows_per_slab.max(ring.rows_per_slab);
                         step.depth_used = step.depth_used.min(ring.depth_used);
+                        step.host_table_flops += ring.host_table_flops;
                         step.table_cache.merge(&ring.cache_stats);
                         step.slab_densities.extend(ring.slab_densities);
                         step.slab_privatized.extend(ring.slab_privatized);
@@ -320,22 +297,36 @@ mod tests {
     #[test]
     fn multi_gpu_matches_single_gpu_bitwise() {
         let (geom, cfg, data) = demo();
-        let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out = gpu::reconstruct(&single, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
-
-        for n_dev in [1usize, 2, 3, 4] {
-            let devices: Vec<Device> = (0..n_dev)
-                .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-                .collect();
-            let refs: Vec<&Device> = devices.iter().collect();
+        // One-row slabs with culling and privatization asked for on a
+        // device whose shared memory cannot hold it: culled slabs never
+        // launch, so they ran no accumulator and count as no fallback.
+        let mut culled = ReconstructionConfig::new(-400.0, 400.0, 40);
+        culled.rows_per_slab = Some(1);
+        culled.compaction = crate::CompactionMode::Auto;
+        culled.accumulation = crate::AccumulationMode::Privatized;
+        let mut cramped = DeviceProps::tiny(16 * 1024 * 1024);
+        cramped.shared_mem_per_block = 64;
+        for (cfg, props) in [
+            (cfg, DeviceProps::tiny(16 * 1024 * 1024)),
+            (culled, cramped),
+        ] {
+            let single = Device::new(props.clone());
             let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            let out =
-                reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
-            assert_eq!(out.image.data, ref_out.image.data, "{n_dev} devices");
-            assert_eq!(out.stats, ref_out.stats);
-            assert_eq!(out.per_device.len(), n_dev);
-            assert_eq!(out.nodes[0].rows, 8);
+            let ref_out =
+                gpu::reconstruct(&single, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            assert!(ref_out.stats.accum_fallback_pairs < ref_out.stats.pairs_total);
+
+            for n_dev in [1usize, 2, 3, 4] {
+                let devices: Vec<Device> = (0..n_dev).map(|_| Device::new(props.clone())).collect();
+                let refs: Vec<&Device> = devices.iter().collect();
+                let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
+                let out = reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default())
+                    .unwrap();
+                assert_eq!(out.image.data, ref_out.image.data, "{n_dev} devices");
+                assert_eq!(out.stats, ref_out.stats, "{n_dev} devices");
+                assert_eq!(out.per_device.len(), n_dev);
+                assert_eq!(out.nodes[0].rows, 8);
+            }
         }
     }
 

@@ -112,10 +112,9 @@ impl DepthImage {
     /// rows exclusively, so replaying committed slabs in append order
     /// reproduces the image bit-for-bit.
     pub fn assign_rows(&mut self, row0: usize, rows: usize, slab: &[f64]) -> crate::Result<()> {
-        if row0 + rows > self.n_rows {
+        if row0.checked_add(rows).is_none_or(|end| end > self.n_rows) {
             return Err(crate::CoreError::ShapeMismatch(format!(
-                "slab rows [{row0}, {}) exceed the {}-row image",
-                row0 + rows,
+                "slab rows {row0} + {rows} exceed the {}-row image",
                 self.n_rows
             )));
         }
@@ -138,22 +137,6 @@ impl DepthImage {
             }
         }
         Ok(())
-    }
-
-    /// Copy rows `[row0, row0 + rows)` of every depth bin into a slab
-    /// buffer (the inverse of [`DepthImage::assign_rows`]); this is what the
-    /// journal appends after each slab commit.
-    pub fn extract_rows(&self, row0: usize, rows: usize) -> Vec<f64> {
-        assert!(row0 + rows <= self.n_rows, "row range out of bounds");
-        let mut slab = vec![0.0; self.n_bins * rows * self.n_cols];
-        for bin in 0..self.n_bins {
-            for r in 0..rows {
-                let dst = (bin * rows + r) * self.n_cols;
-                let src = self.index(bin, row0 + r, 0);
-                slab[dst..dst + self.n_cols].copy_from_slice(&self.data[src..src + self.n_cols]);
-            }
-        }
-        slab
     }
 
     /// Largest absolute difference to another image (for equivalence tests).
@@ -221,35 +204,31 @@ mod tests {
     }
 
     #[test]
-    fn assign_and_extract_rows_round_trip() {
+    fn assign_rows_overwrites_exactly_its_rows() {
         let mut img = DepthImage::zeroed(2, 4, 3);
-        for (i, v) in img.data.iter_mut().enumerate() {
-            *v = i as f64;
-        }
-        let slab = img.extract_rows(1, 2);
-        assert_eq!(slab.len(), 2 * 2 * 3);
         // Bin 0 rows 1..3 then bin 1 rows 1..3, row-major.
-        assert_eq!(&slab[..6], &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let mut other = DepthImage::zeroed(2, 4, 3);
-        other.assign_rows(1, 2, &slab).unwrap();
-        for r in 1..3 {
-            for b in 0..2 {
-                for c in 0..3 {
-                    assert_eq!(other.at(b, r, c), img.at(b, r, c));
-                }
-            }
-        }
-        assert_eq!(other.at(0, 0, 0), 0.0, "untouched rows stay zero");
-        assert_eq!(other.at(1, 3, 2), 0.0);
+        let slab: Vec<f64> = (1..=12).map(f64::from).collect();
+        img.assign_rows(1, 2, &slab).unwrap();
+        assert_eq!(img.at(0, 1, 0), 1.0);
+        assert_eq!(img.at(0, 2, 2), 6.0);
+        assert_eq!(img.at(1, 1, 0), 7.0);
+        assert_eq!(img.at(1, 2, 2), 12.0);
+        assert_eq!(img.at(0, 0, 0), 0.0, "untouched rows stay zero");
+        assert_eq!(img.at(1, 3, 2), 0.0);
         // Re-assignment overwrites rather than accumulates.
-        other.assign_rows(1, 2, &slab).unwrap();
-        assert_eq!(other.at(0, 1, 0), img.at(0, 1, 0));
+        img.assign_rows(1, 2, &slab).unwrap();
+        assert_eq!(img.at(0, 1, 0), 1.0);
+        assert_eq!(img.total_intensity(), 78.0);
     }
 
     #[test]
     fn assign_rows_rejects_bad_shapes() {
         let mut img = DepthImage::zeroed(2, 4, 3);
         assert!(img.assign_rows(3, 2, &[0.0; 12]).is_err(), "past end");
+        assert!(
+            img.assign_rows(usize::MAX - 1, 2, &[]).is_err(),
+            "a wrapping row range is out of bounds, not a panic"
+        );
         assert!(
             img.assign_rows(0, 2, &[0.0; 5]).is_err(),
             "wrong buffer length"

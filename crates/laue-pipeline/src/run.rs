@@ -1,6 +1,5 @@
 //! The pipeline driver.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -508,12 +507,14 @@ impl Pipeline {
             let (out, t) = self.run_cpu(cpu, &view, &band_geom, cfg)?;
             cpu_time += t;
             slab_densities.extend(out.slab_densities);
-            let (image, mut tracker) = progress.split_mut();
-            image.assign_rows(band.start, rows, &out.image.data)?;
-            if let Some(j) = journal.as_mut() {
-                j.append(band.start, rows, &out.stats, &out.image.data)?;
-            }
-            tracker.record(band.start, rows, &out.stats);
+            // A band image is already in slab layout.
+            progress.commit(
+                journal.as_mut(),
+                band.start,
+                rows,
+                &out.stats,
+                &out.image.data,
+            )?;
             recomputed += 1;
         }
         // Complete again — retire the journal with the run.
@@ -613,14 +614,14 @@ fn gpu_report(
 }
 
 /// The identity a journal is keyed on: everything that must match for a
-/// resume to be sound — scan fingerprint, dimensions, the full
-/// reconstruction configuration (floats by exact bit pattern), and the
-/// engine. The slab plan deliberately participates too, so changing it
-/// invalidates old journals even though replay would still be correct.
-/// Under `--plan auto` the token carries the *resolved* plan label, so a
-/// plan flip (flag or outcome) forces a clean restart. Cluster engines
-/// additionally fold their reduction topology and overlap setting in, so
-/// resuming under a different cluster shape restarts clean.
+/// resume to be sound — scan fingerprint, dimensions, engine, the resolved
+/// plan token, and the whole resolved configuration and cluster options in
+/// their `Debug` form (exact for floats, which `validate()` keeps finite).
+/// Keying on the whole structs means a new knob joins the key by itself.
+/// The slab plan deliberately participates too, so changing it invalidates
+/// old journals even though replay would still be correct. Under
+/// `--plan auto` the token carries the *resolved* plan label, so a plan
+/// flip (flag or outcome) forces a clean restart.
 fn journal_key(
     engine: Engine,
     cfg: &ReconstructionConfig,
@@ -629,44 +630,14 @@ fn journal_key(
     plan_token: &str,
     copts: Option<&ClusterOptions>,
 ) -> JournalKey {
-    let mut d = String::new();
-    let _ = write!(
-        d,
-        "scan={:016x};dims={}x{}x{};",
+    JournalKey::new(format!(
+        "scan={:016x};dims={}x{}x{};engine={};plan={plan_token};cluster={copts:?};cfg={cfg:?}",
         fingerprint.unwrap_or(0),
         dims.0,
         dims.1,
-        dims.2
-    );
-    let _ = write!(
-        d,
-        "depth={:016x}..{:016x}/{};cutoff={:016x};edge={:?};",
-        cfg.depth_start.to_bits(),
-        cfg.depth_end.to_bits(),
-        cfg.n_depth_bins,
-        cfg.intensity_cutoff.to_bits(),
-        cfg.wire_edge,
-    );
-    let _ = write!(
-        d,
-        "slab={:?};ring={:?};engine={};compaction={};accumulation={};plan={};integrity={}",
-        cfg.rows_per_slab,
-        cfg.pipeline_depth,
+        dims.2,
         engine.label(),
-        cfg.compaction.label(),
-        cfg.accumulation.label(),
-        plan_token,
-        cfg.integrity.label()
-    );
-    if let Some(c) = copts {
-        let _ = write!(
-            d,
-            ";reduction={};overlap={}",
-            c.topology.label(),
-            if c.overlap { "on" } else { "off" }
-        );
-    }
-    JournalKey::new(d)
+    ))
 }
 
 #[cfg(test)]
@@ -1519,41 +1490,106 @@ mod tests {
     }
 
     #[test]
-    fn integrity_mode_participates_in_the_journal_key() {
-        let mut c = cfg();
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let off = journal_key(gpu, &c, (12, 8, 8), Some(1), "fixed", None);
-        c.integrity = laue_core::IntegrityMode::Scrub;
-        let scrub = journal_key(gpu, &c, (12, 8, 8), Some(1), "fixed", None);
-        assert_ne!(
-            off.hash, scrub.hash,
-            "an integrity flip must force a clean restart"
-        );
-    }
-
-    #[test]
-    fn cluster_topology_participates_in_the_journal_key() {
-        let c = cfg();
+    fn every_resolved_run_input_participates_in_the_journal_key() {
+        use laue_core::IntegrityMode;
         let engine = Engine::GpuCluster {
+            nodes: 2,
+            devices_per_node: 1,
+        };
+        let copts = ClusterOptions::default();
+        let dims = (12, 8, 8);
+        let base = journal_key(engine, &cfg(), dims, Some(1), "fixed", Some(&copts)).hash;
+
+        // Exhaustive: a new config field does not compile here until it
+        // gets a flip below.
+        let ReconstructionConfig {
+            depth_start: _,
+            depth_end: _,
+            n_depth_bins: _,
+            intensity_cutoff: _,
+            wire_edge: _,
+            rows_per_slab: _,
+            pipeline_depth: _,
+            compaction: _,
+            accumulation: _,
+            plan: _,
+            integrity: _,
+            watchdog_multiplier: _,
+        } = cfg();
+        type Flip = fn(&mut ReconstructionConfig);
+        let cfg_flips: [(&str, Flip); 12] = [
+            ("depth_start", |c| c.depth_start -= 0.5),
+            ("depth_end", |c| c.depth_end += 0.5),
+            ("n_depth_bins", |c| c.n_depth_bins += 1),
+            ("intensity_cutoff", |c| c.intensity_cutoff += 0.25),
+            ("wire_edge", |c| c.wire_edge = c.wire_edge.opposite()),
+            ("rows_per_slab", |c| c.rows_per_slab = Some(3)),
+            ("pipeline_depth", |c| c.pipeline_depth = Some(2)),
+            ("compaction", |c| c.compaction = CompactionMode::On),
+            ("accumulation", |c| c.accumulation = AccumulationMode::Auto),
+            ("plan", |c| c.plan = PlanMode::Auto),
+            ("integrity", |c| c.integrity = IntegrityMode::Verify),
+            ("watchdog_multiplier", |c| c.watchdog_multiplier *= 2.0),
+        ];
+        for (field, flip) in cfg_flips {
+            let mut c = cfg();
+            flip(&mut c);
+            assert_ne!(c, cfg(), "the {field} flip must change the config");
+            let key = journal_key(engine, &c, dims, Some(1), "fixed", Some(&copts));
+            assert_ne!(key.hash, base, "a {field} flip must force a clean restart");
+        }
+
+        let ClusterOptions {
+            topology: _,
+            overlap: _,
+        } = copts;
+        let ring = ClusterOptions {
+            topology: ReductionTopology::Ring,
+            ..copts
+        };
+        let barrier = ClusterOptions {
+            overlap: false,
+            ..copts
+        };
+        let wide = Engine::GpuCluster {
             nodes: 4,
             devices_per_node: 1,
         };
-        let key = |copts: ClusterOptions| {
-            journal_key(engine, &c, (12, 8, 8), Some(1), "fixed", Some(&copts))
+        let single = Engine::Gpu {
+            layout: Layout::Flat1d,
         };
-        let tree = key(ClusterOptions::default());
-        let ring = key(ClusterOptions {
-            topology: ReductionTopology::Ring,
-            ..ClusterOptions::default()
-        });
-        let barrier = key(ClusterOptions {
-            overlap: false,
-            ..ClusterOptions::default()
-        });
-        assert_ne!(tree.hash, ring.hash, "topology flip forces a restart");
-        assert_ne!(tree.hash, barrier.hash, "overlap flip forces a restart");
+        let key = |engine, dims, fingerprint, plan: &str, copts: Option<&ClusterOptions>| {
+            journal_key(engine, &cfg(), dims, Some(fingerprint), plan, copts).hash
+        };
+        let flips = [
+            ("engine shape", key(wide, dims, 1, "fixed", Some(&copts))),
+            ("engine kind", key(single, dims, 1, "fixed", None)),
+            (
+                "plan token",
+                key(engine, dims, 1, "auto:gpu-pipe", Some(&copts)),
+            ),
+            ("fingerprint", key(engine, dims, 2, "fixed", Some(&copts))),
+            (
+                "image count",
+                key(engine, (13, 8, 8), 1, "fixed", Some(&copts)),
+            ),
+            (
+                "row count",
+                key(engine, (12, 9, 8), 1, "fixed", Some(&copts)),
+            ),
+            (
+                "column count",
+                key(engine, (12, 8, 9), 1, "fixed", Some(&copts)),
+            ),
+            (
+                "reduction topology",
+                key(engine, dims, 1, "fixed", Some(&ring)),
+            ),
+            ("overlap", key(engine, dims, 1, "fixed", Some(&barrier))),
+        ];
+        for (what, hash) in flips {
+            assert_ne!(hash, base, "a {what} flip must force a clean restart");
+        }
     }
 
     #[test]

@@ -106,6 +106,22 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
         GpuOptions::default(),
     )
     .unwrap();
+    // A paused checkpoint holds exactly the baseline's first `rows` rows,
+    // bit for bit, and zeros below them.
+    let holds_rows = |image: &DepthImage, rows: usize| {
+        (0..cfg.n_depth_bins).all(|b| {
+            (0..12).all(|r| {
+                (0..10).all(|c| {
+                    let want = if r < rows {
+                        baseline.image.at(b, r, c)
+                    } else {
+                        0.0
+                    };
+                    image.at(b, r, c).to_bits() == want.to_bits()
+                })
+            })
+        })
+    };
 
     // Preempt after `boundary` committed slabs (2 rows each), resume the
     // tail on a device that shares nothing with the first.
@@ -113,7 +129,7 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 12, 10);
         let chassis_a = laue::sim::Host::new_default();
         let dev_a = Device::new_on_host(DeviceProps::tesla_m2070(), &chassis_a);
-        let (_, complete) = gpu::reconstruct_checkpointed_bounded(
+        let (paused, complete) = gpu::reconstruct_checkpointed_bounded(
             &dev_a,
             &mut source(),
             &scan.geometry,
@@ -128,6 +144,13 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
         .unwrap();
         assert!(!complete, "boundary {boundary} must leave a tail");
         assert_eq!(progress.committed_rows(), 2 * boundary);
+        // The partial image stays in the checkpoint; the paused quantum
+        // hands back none of it.
+        assert!(paused.image.data.is_empty(), "boundary {boundary}");
+        assert!(
+            holds_rows(&progress.image, 2 * boundary),
+            "boundary {boundary}"
+        );
 
         let chassis_b = laue::sim::Host::new_default();
         let dev_b = Device::new_on_host(DeviceProps::tesla_m2070(), &chassis_b);
@@ -150,6 +173,8 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
             "migrated resume at boundary {boundary} changed the bits"
         );
         assert_eq!(out.stats, baseline.stats, "boundary {boundary} stats");
+        // The completing call moved the image out of the checkpoint.
+        assert!(progress.image.data.is_empty());
     }
 
     // The worst case: a new device on a new chassis for every quantum —
@@ -173,6 +198,10 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
         )
         .unwrap();
         assert_eq!(complete, hop == 5, "six 2-row quanta cover 12 rows");
+        if !complete {
+            assert!(out.image.data.is_empty(), "hop {hop}");
+            assert!(holds_rows(&progress.image, 2 * (hop + 1)), "hop {hop}");
+        }
         last = Some(out);
     }
     let toured = last.unwrap();
