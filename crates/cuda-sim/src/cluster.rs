@@ -1,9 +1,9 @@
 //! A cluster of hosts linked by a metered interconnect — the multi-node
-//! generalization of [`Host`].
+//! generalization of [`Host`](crate::Host).
 //!
-//! One [`Host`] models a chassis: a shared PCIe bus and a host CPU on one
-//! discrete-event engine. A [`Cluster`] is N such chassis plus an
-//! [`Interconnect`]: every inter-node message drains through per-node NIC
+//! One [`Host`](crate::Host) models a chassis: a shared PCIe bus and a
+//! host CPU on one discrete-event engine. A cluster is N such chassis plus
+//! an [`Interconnect`]: every inter-node message drains through per-node NIC
 //! link pools on a dedicated cluster-level engine, charged
 //! `latency + bytes / bandwidth` per message, so reduction traffic has a
 //! cost and a queue exactly like PCIe transfers do inside a chassis.
@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::host::{Duplex, Host, HostConfig};
+use crate::host::Duplex;
 use crate::sim::{Engine, ResourceId};
 
 /// Performance model for an inter-node link: era-named presets live in
@@ -214,65 +214,6 @@ impl Interconnect {
     }
 }
 
-/// Configuration for a [`Cluster`]: homogeneous chassis (one [`HostConfig`]
-/// template stamped per node) on one fabric.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Name prefix for per-node hosts and the fabric.
-    pub name: String,
-    /// Number of chassis.
-    pub nodes: usize,
-    /// Per-chassis template (PCIe duplex, host-CPU model).
-    pub host: HostConfig,
-    /// Inter-node link model.
-    pub interconnect: InterconnectProps,
-}
-
-/// N chassis — each its own [`Host`] with a private PCIe domain and CPU —
-/// linked by one [`Interconnect`]. Devices attach to a node's host via
-/// [`crate::Device::new_on_host`]; inter-node traffic goes through
-/// [`Cluster::interconnect`].
-#[derive(Debug)]
-pub struct Cluster {
-    hosts: Vec<Arc<Host>>,
-    interconnect: Arc<Interconnect>,
-}
-
-impl Cluster {
-    /// Build a cluster from a configuration.
-    pub fn new(cfg: ClusterConfig) -> Cluster {
-        assert!(cfg.nodes > 0, "a cluster needs at least one node");
-        let hosts = (0..cfg.nodes)
-            .map(|i| {
-                Host::new(HostConfig {
-                    name: format!("{}/node{i}", cfg.name),
-                    ..cfg.host.clone()
-                })
-            })
-            .collect();
-        let interconnect = Interconnect::new(&cfg.name, cfg.nodes, cfg.interconnect);
-        Cluster {
-            hosts,
-            interconnect,
-        }
-    }
-
-    /// Number of chassis.
-    pub fn nodes(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// One node's chassis (PCIe bus + host CPU).
-    pub fn host(&self, node: usize) -> &Arc<Host> {
-        &self.hosts[node]
-    }
-
-    /// The inter-node fabric.
-    pub fn interconnect(&self) -> &Arc<Interconnect> {
-        &self.interconnect
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,20 +274,6 @@ mod tests {
         assert_eq!(b.arrival, 3.0);
         assert_eq!(b.wait_s, 1.5);
         assert_eq!(net.link_busy_s(0), 3.0);
-    }
-
-    #[test]
-    fn cluster_stamps_one_host_per_node_on_one_fabric() {
-        let c = Cluster::new(ClusterConfig {
-            name: "c".to_string(),
-            nodes: 3,
-            host: HostConfig::default(),
-            interconnect: InterconnectProps::ib_qdr(),
-        });
-        assert_eq!(c.nodes(), 3);
-        assert_eq!(c.interconnect().n_nodes(), 3);
-        // Distinct engines: chassis schedules are independent.
-        assert!(!Arc::ptr_eq(c.host(0).engine(), c.host(1).engine()));
     }
 
     #[test]

@@ -873,7 +873,7 @@ impl Device {
     /// `chrome://tracing` or Perfetto).
     pub fn export_chrome_trace(&self) -> String {
         let st = self.state.lock();
-        crate::trace::chrome_trace(&self.props.name, &st.trace.ops())
+        crate::trace::chrome_trace(&[(self.props.name.clone(), st.trace.ops())])
     }
 
     /// Copy of the raw operation log behind the trace export (bounded by

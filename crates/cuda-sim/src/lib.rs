@@ -73,7 +73,7 @@ pub mod sim;
 pub mod stream;
 pub mod trace;
 
-pub use cluster::{Cluster, ClusterConfig, Delivery, Interconnect, InterconnectProps};
+pub use cluster::{Delivery, Interconnect, InterconnectProps};
 pub use device::{Device, TimeSpan};
 pub use error::{SimError, TransferDir};
 pub use event::Event;

@@ -106,6 +106,21 @@ impl Meters {
     pub fn serial_total_s(&self) -> f64 {
         self.comm_time_s + self.compute_time_s
     }
+
+    /// Merge another device's meters into this one: every field sums,
+    /// except the kernel cost, which merges as [`Cost::merge`] does.
+    pub fn merge(&mut self, other: &Meters) {
+        self.comm_time_s += other.comm_time_s;
+        self.bus_wait_s += other.bus_wait_s;
+        self.compute_time_s += other.compute_time_s;
+        self.h2d_bytes += other.h2d_bytes;
+        self.d2h_bytes += other.d2h_bytes;
+        self.transfers += other.transfers;
+        self.coalesced_transactions += other.coalesced_transactions;
+        self.coalesced_copies += other.coalesced_copies;
+        self.launches += other.launches;
+        self.kernel_cost.merge(&other.kernel_cost);
+    }
 }
 
 /// Striped per-address collision counter used to estimate the longest
@@ -217,5 +232,30 @@ mod tests {
             ..Meters::default()
         };
         assert_eq!(m.serial_total_s(), 4.0);
+    }
+
+    #[test]
+    fn meters_merge_sums_devices() {
+        let one = Meters {
+            comm_time_s: 1.5,
+            bus_wait_s: 0.25,
+            transfers: 3,
+            launches: 2,
+            kernel_cost: Cost {
+                flops: 10,
+                atomic_max_chain: 5,
+                ..Cost::default()
+            },
+            ..Meters::default()
+        };
+        let mut sum = Meters::default();
+        sum.merge(&one);
+        sum.merge(&one);
+        assert_eq!(sum.comm_time_s, 3.0);
+        assert_eq!(sum.bus_wait_s, 0.5);
+        assert_eq!(sum.transfers, 6);
+        assert_eq!(sum.launches, 4);
+        assert_eq!(sum.kernel_cost.flops, 20);
+        assert_eq!(sum.kernel_cost.atomic_max_chain, 5, "chain merges with max");
     }
 }

@@ -146,24 +146,33 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Render ops as a Trace Event Format JSON document.
-pub fn chrome_trace(device_name: &str, ops: &[OpRecord]) -> String {
+/// Render ops as a Trace Event Format JSON document: one process per
+/// `(name, ops)` entry, in order (pid 1, 2, …), each op on its stream's
+/// thread.
+pub fn chrome_trace(processes: &[(String, Vec<OpRecord>)]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
-    // Process-name metadata record always leads, so every op needs a comma.
-    out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{{\"name\":\"{}\"}}}}",
-        escape(device_name)
-    ));
-    for op in ops {
-        out.push(',');
-        let ts_us = op.start_s * 1e6;
-        let dur_us = (op.end_s - op.start_s) * 1e6;
+    for (i, (name, ops)) in processes.iter().enumerate() {
+        let pid = i + 1;
+        if i > 0 {
+            out.push(',');
+        }
+        // Each process's name record leads its ops, so every op needs a
+        // comma.
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":1,\"tid\":{}}}",
-            escape(&op.name),
-            op.kind,
-            op.stream
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
+            escape(name)
         ));
+        for op in ops {
+            out.push(',');
+            let ts_us = op.start_s * 1e6;
+            let dur_us = (op.end_s - op.start_s) * 1e6;
+            out.push_str(&format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":{pid},\"tid\":{}}}",
+                escape(&op.name),
+                op.kind,
+                op.stream
+            ));
+        }
     }
     out.push_str("]}");
     out
@@ -232,7 +241,7 @@ mod tests {
                 end_s: 3e-5,
             },
         ];
-        let json = chrome_trace("Tesla M2070 (simulated)", &ops);
+        let json = chrome_trace(&[("Tesla M2070 (simulated)".to_string(), ops.clone())]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"name\":\"set_two\""));
@@ -244,5 +253,12 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+
+        // Several devices: one process each, in the order given.
+        let two = chrome_trace(&[("a".to_string(), ops.clone()), ("b".to_string(), ops)]);
+        assert_eq!(two.matches("\"process_name\"").count(), 2);
+        assert!(two.contains("\"pid\":2,\"args\":{\"name\":\"b\"}"));
+        assert_eq!(two.matches("\"pid\":2,\"tid\"").count(), 2);
+        assert_eq!(two.matches('{').count(), two.matches('}').count());
     }
 }

@@ -8,21 +8,19 @@
 //! Run: `cargo run --release -p laue-bench --bin bench_report -- \
 //!       [--quick] [--out BENCH_pipeline.json] [--check ci/perf_smoke_baseline.txt]`
 //!
-//! `--check FILE` turns the report into a perf gate: FILE holds the maximum
-//! allowed compact/dense modeled-kernel-time ratio at the ~25 %-active
-//! operating point, optionally (second float) the maximum allowed
-//! privatized/atomic kernel-time ratio, optionally (third float) the
-//! maximum allowed depth-3/serial ring elapsed ratio under the shared-bus
-//! model, optionally (fourth float) the maximum allowed
-//! plan-auto/best-fixed total-time ratio, and optionally (fifth float) the
-//! maximum allowed `--integrity verify`/off total-time ratio (`#` comments
-//! allowed); the process exits non-zero if a measured ratio regresses past
-//! its budget.
+//! `--check FILE` turns the report into a perf gate over the named budgets
+//! in FILE (see [`laue_bench::budgets`]): the compact/dense modeled
+//! kernel-time ratio at the ~25 %-active operating point, the
+//! privatized/atomic kernel-time ratio, the depth-3/serial ring elapsed
+//! ratio under the shared-bus model, the plan-auto/best-fixed total-time
+//! ratio, and the `--integrity verify`/off total-time ratio; the process
+//! exits non-zero if a measured ratio regresses past its budget.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use cuda_sim::{Device, DeviceProps};
+use laue_bench::budgets::Budgets;
 use laue_bench::{delta_percentile, standard_config, Workload};
 use laue_core::cache::TableCacheStats;
 use laue_core::gpu::{self, GpuOptions, PipelineDepth};
@@ -656,80 +654,11 @@ fn main() {
     );
 
     if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let budgets: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| {
-                l.parse()
-                    .unwrap_or_else(|_| panic!("--check: bad ratio line {l:?} in {path}"))
-            })
-            .collect();
-        let Some(&compact_budget) = budgets.first() else {
-            panic!("--check: {path} holds no ratio");
-        };
-        if compact_ratio > compact_budget {
-            eprintln!(
-                "PERF REGRESSION: compact/dense kernel-time ratio {compact_ratio:.4} \
-                 exceeds the committed budget {compact_budget:.4} ({path})"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: compact/dense ratio {compact_ratio:.4} within budget {compact_budget:.4}"
-        );
-        if let Some(&accum_budget) = budgets.get(1) {
-            if accum_ratio > accum_budget {
-                eprintln!(
-                    "PERF REGRESSION: privatized/atomic kernel-time ratio {accum_ratio:.4} \
-                     exceeds the committed budget {accum_budget:.4} ({path})"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: privatized/atomic ratio {accum_ratio:.4} within budget {accum_budget:.4}"
-            );
-        }
-        if let Some(&ring_budget) = budgets.get(2) {
-            if ring_ratio > ring_budget {
-                eprintln!(
-                    "PERF REGRESSION: depth-3/serial ring elapsed ratio {ring_ratio:.4} \
-                     exceeds the committed budget {ring_budget:.4} ({path}) — \
-                     the ring stopped hiding kernel time behind the bus"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: depth-3/serial ring ratio {ring_ratio:.4} within budget {ring_budget:.4}"
-            );
-        }
-        if let Some(&planner_budget) = budgets.get(3) {
-            if planner_ratio > planner_budget {
-                eprintln!(
-                    "PERF REGRESSION: plan-auto/best-fixed total-time ratio {planner_ratio:.4} \
-                     exceeds the committed budget {planner_budget:.4} ({path}) — \
-                     the planner stopped picking competitive plans"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: plan-auto/best-fixed ratio {planner_ratio:.4} within budget {planner_budget:.4}"
-            );
-        }
-        if let Some(&integrity_budget) = budgets.get(4) {
-            if integrity_ratio > integrity_budget {
-                eprintln!(
-                    "PERF REGRESSION: verify/off total-time ratio {integrity_ratio:.4} \
-                     exceeds the committed budget {integrity_budget:.4} ({path}) — \
-                     integrity verification stopped hiding behind the overlapped host CPU"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: verify/off ratio {integrity_ratio:.4} within budget {integrity_budget:.4}"
-            );
-        }
+        let budgets = Budgets::load(&path);
+        budgets.enforce("compact_dense_kernel_ratio_max", compact_ratio);
+        budgets.enforce("privatized_atomic_kernel_ratio_max", accum_ratio);
+        budgets.enforce("ring_depth3_serial_ratio_max", ring_ratio);
+        budgets.enforce("plan_auto_best_fixed_ratio_max", planner_ratio);
+        budgets.enforce("verify_off_ratio_max", integrity_ratio);
     }
 }

@@ -10,16 +10,17 @@
 //! Run: `cargo run --release -p laue-bench --bin bench_scaling -- \
 //!       [--quick] [--out BENCH_scaling.json] [--check ci/perf_smoke_baseline.txt]`
 //!
-//! `--check FILE` shares `ci/perf_smoke_baseline.txt` with `bench_report`:
-//! the **sixth** ratio line is the minimum allowed 8-node strong-scaling
-//! efficiency, the **seventh** the maximum allowed overlap-on/off
-//! total-time ratio at 8 nodes. The process exits non-zero when either
-//! regresses.
+//! `--check FILE` shares `ci/perf_smoke_baseline.txt` with `bench_report`
+//! (see [`laue_bench::budgets`]): `strong_efficiency_8_nodes_min` floors
+//! the 8-node strong-scaling efficiency, `overlap_on_off_ratio_max` caps
+//! the overlap-on/off total-time ratio at 8 nodes. The process exits
+//! non-zero when either regresses.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use cuda_sim::InterconnectProps;
+use laue_bench::budgets::Budgets;
 use laue_bench::{devices, Workload, N_STEPS};
 use laue_core::{ReconstructionConfig, ReductionTopology};
 use laue_pipeline::{Engine, Pipeline, RunReport};
@@ -320,45 +321,8 @@ fn main() {
     );
 
     if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let budgets: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| {
-                l.parse()
-                    .unwrap_or_else(|_| panic!("--check: bad ratio line {l:?} in {path}"))
-            })
-            .collect();
-        let Some(&efficiency_floor) = budgets.get(5) else {
-            panic!("--check: {path} holds no strong-scaling efficiency floor (sixth ratio)");
-        };
-        if strong_efficiency < efficiency_floor {
-            eprintln!(
-                "PERF REGRESSION: {gate_nodes}-node strong-scaling efficiency \
-                 {strong_efficiency:.4} fell below the committed floor \
-                 {efficiency_floor:.4} ({path}) — the cluster stopped scaling"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: {gate_nodes}-node efficiency {strong_efficiency:.4} \
-             above floor {efficiency_floor:.4}"
-        );
-        let Some(&overlap_budget) = budgets.get(6) else {
-            panic!("--check: {path} holds no overlap-on/off budget (seventh ratio)");
-        };
-        if overlap_ratio > overlap_budget {
-            eprintln!(
-                "PERF REGRESSION: overlap-on/off total-time ratio {overlap_ratio:.4} \
-                 exceeds the committed budget {overlap_budget:.4} ({path}) — \
-                 the reduction stopped hiding behind the compute tail"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: overlap-on/off ratio {overlap_ratio:.4} within budget {overlap_budget:.4}"
-        );
+        let budgets = Budgets::load(&path);
+        budgets.enforce("strong_efficiency_8_nodes_min", strong_efficiency);
+        budgets.enforce("overlap_on_off_ratio_max", overlap_ratio);
     }
 }

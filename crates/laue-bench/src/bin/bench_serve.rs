@@ -10,15 +10,16 @@
 //!       [--quick] [--out BENCH_serve.json] [--check ci/perf_smoke_baseline.txt]`
 //!
 //! `--check FILE` shares `ci/perf_smoke_baseline.txt` with the other
-//! bench bins: the **eighth** ratio line is the minimum allowed
-//! batched/unbatched goodput ratio on the small-job-heavy burst mix, the
-//! **ninth** the maximum allowed p99/p50 latency ratio at the ~70 %-load
-//! operating point (batching on). The process exits non-zero when either
-//! regresses.
+//! bench bins (see [`laue_bench::budgets`]): `batched_goodput_ratio_min`
+//! floors the batched/unbatched goodput ratio on the small-job-heavy burst
+//! mix, `p99_p50_ratio_max` caps the p99/p50 latency ratio at the
+//! ~70 %-load operating point (batching on). The process exits non-zero
+//! when either regresses.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use laue_bench::budgets::Budgets;
 use laue_serve::{
     serve, AdmissionPolicy, Arrival, BatchPolicy, ServeConfig, ServeReport, WorkloadSpec,
 };
@@ -302,43 +303,8 @@ fn main() {
     );
 
     if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let budgets: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| {
-                l.parse()
-                    .unwrap_or_else(|_| panic!("--check: bad ratio line {l:?} in {path}"))
-            })
-            .collect();
-        let Some(&goodput_floor) = budgets.get(7) else {
-            panic!("--check: {path} holds no batching goodput floor (eighth ratio)");
-        };
-        if goodput_ratio < goodput_floor {
-            eprintln!(
-                "PERF REGRESSION: batched/unbatched goodput ratio {goodput_ratio:.4} \
-                 fell below the committed floor {goodput_floor:.4} ({path}) — \
-                 fused-launch batching stopped paying for itself"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: batched/unbatched goodput ratio {goodput_ratio:.4} \
-             above floor {goodput_floor:.4}"
-        );
-        let Some(&tail_budget) = budgets.get(8) else {
-            panic!("--check: {path} holds no tail-latency budget (ninth ratio)");
-        };
-        if tail_ratio > tail_budget {
-            eprintln!(
-                "PERF REGRESSION: p99/p50 latency ratio {tail_ratio:.4} at the \
-                 70% operating point exceeds the committed budget {tail_budget:.4} \
-                 ({path}) — the scheduler stopped protecting the tail"
-            );
-            std::process::exit(1);
-        }
-        println!("perf gate: p99/p50 ratio {tail_ratio:.4} within budget {tail_budget:.4}");
+        let budgets = Budgets::load(&path);
+        budgets.enforce("batched_goodput_ratio_min", goodput_ratio);
+        budgets.enforce("p99_p50_ratio_max", tail_ratio);
     }
 }

@@ -74,12 +74,11 @@ fn main() {
         if n_dev == 1 {
             t1 = out.elapsed_s;
         }
-        let stalled: f64 = out.per_device.iter().map(|m| m.bus_wait_s).sum();
         rows.push(vec![
             n_dev.to_string(),
             ms(ideal.elapsed_s),
             ms(out.elapsed_s),
-            ms(stalled),
+            ms(out.meters.bus_wait_s),
             format!("{:.2}×", t1 / out.elapsed_s),
             format!("{:.1} %", 100.0 * t1 / (out.elapsed_s * n_dev as f64)),
             format!("{:.1} %", 100.0 * out.elapsed_s / cpu_s),

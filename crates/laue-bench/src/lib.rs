@@ -21,6 +21,7 @@
 //! M2070/E5630 models, so the figures are deterministic and
 //! machine-independent.
 
+pub mod budgets;
 pub mod devices;
 
 use laue_core::{ReconstructionConfig, SlabSource};

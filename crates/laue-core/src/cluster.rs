@@ -4,12 +4,15 @@
 //!
 //! [`reconstruct_cluster_checkpointed`] is the one checkpointed executor
 //! behind every GPU engine: a single device is a 1×1 cluster and a
-//! workstation fleet a 1×M one, so one code path runs 1 to N×M GPUs.
+//! workstation fleet a 1×M one, so one code path runs 1 to N×M GPUs and
+//! builds the one result type, [`GpuReconstruction`]. Its row budget makes
+//! serve's preemption quantum a 1×1 call too.
 //!
 //! The distributed-ptychography shape (PAPERS.md): the scan's detector
-//! rows are banded across N nodes; each node runs its band through the
-//! per-node fleet step in [`crate::multi`] (the privatized deterministic
-//! commit *is* the intra-node reduction), and the per-node partial images
+//! rows are banded across N nodes; each node bands its share across its
+//! devices with the same failover loop, [`crate::multi`]'s
+//! `failover_rounds` (the privatized deterministic commit *is* the
+//! intra-node reduction), and the per-node partial images
 //! are then reduced to the head node over the fabric. Because bands are
 //! disjoint, the inter-node "all-reduce" degenerates to an aggregation of
 //! disjoint row segments — every cell of the final image is written by
@@ -34,9 +37,9 @@
 //! for a global barrier at the slowest node's compute end and each node
 //! ships its whole band as one message.
 //!
-//! Node loss generalizes PR 3's round-based failover one level up: a node
-//! whose devices are all dead (the GPUs fail — the chassis, its NIC, and
-//! the shared journal survive, as on a real cluster) drops out of the
+//! Node loss is the device-level round-based failover one level up: a
+//! node whose devices are all dead (the GPUs fail — the chassis, its NIC,
+//! and the shared journal survive, as on a real cluster) drops out of the
 //! round loop and its uncovered rows re-band onto surviving nodes.
 //! Segments a node committed before dying are journal-durable and still
 //! priced as traffic from that node's NIC. Only when zero nodes survive
@@ -51,19 +54,19 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use cuda_sim::{Device, FaultStats, Interconnect, Meters};
+use cuda_sim::{Device, FaultStats, Interconnect};
 
-use crate::cache::{DepthTableCache, TableCacheStats};
+use crate::cache::DepthTableCache;
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{GpuOptions, PipelineDepth, RecoveryLog};
+use crate::gpu::{
+    run_ring, validate_inputs, GpuOptions, GpuReconstruction, PipelineDepth, SlabCommit,
+};
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
-use crate::multi::{partition_ranges, reconstruct_multi_scoped};
-use crate::output::DepthImage;
-use crate::stats::ReconStats;
+use crate::multi::failover_rounds;
 use crate::Result;
 
 /// Fixed per-segment envelope: slab header, CRC frame, RDMA descriptor.
@@ -158,8 +161,9 @@ pub struct NodeOutcome {
     /// All of the node's devices died: its uncovered rows re-banded onto
     /// the surviving nodes.
     pub lost: bool,
-    /// Integrity counters attributed to this chassis (merged over its
-    /// devices; for a lost node, whatever its completed rounds reported).
+    /// Integrity counters attributed to this chassis: every ring its
+    /// devices ran adds into it as it goes, so a lost node keeps the
+    /// checks it ran before its last device died.
     pub integrity: IntegrityReport,
     /// Injected-fault counters attributed to this chassis (merged over
     /// its devices; `None` when no device carried a fault plan).
@@ -171,59 +175,6 @@ pub struct NodeOutcome {
     /// Seconds this node's reduction traffic queued on the fabric beyond
     /// the uncontended transfer time.
     pub net_wait_s: f64,
-}
-
-/// Result of a cluster reconstruction.
-#[derive(Debug, Clone)]
-pub struct ClusterReconstruction {
-    /// The depth-resolved output (bit-identical to the single-node run).
-    pub image: DepthImage,
-    /// Outcome counters over the whole cluster.
-    pub stats: ReconStats,
-    /// Per-node breakdown, in node order (every node, even workless ones).
-    pub nodes: Vec<NodeOutcome>,
-    /// Cluster virtual makespan: compute *and* the reduction tail.
-    pub elapsed_s: f64,
-    /// Slowest node's compute makespan.
-    pub compute_s: f64,
-    /// Reduction time not hidden behind compute
-    /// (`elapsed_s - compute_s`).
-    pub reduction_exposed_s: f64,
-    /// Seconds reduction traffic spent queued on the fabric.
-    pub net_wait_s: f64,
-    /// Total reduction bytes moved inter-node.
-    pub net_bytes: u64,
-    /// Total reduction messages (segment-hops) on the fabric.
-    pub net_messages: u64,
-    /// Nodes whose entire device complement died mid-run.
-    pub nodes_lost: u32,
-    /// Devices lost across all nodes.
-    pub devices_lost: u32,
-    /// Recovery actions (re-plans, transfer retries) over all nodes.
-    pub recovery: RecoveryLog,
-    /// Depth-table cache accounting merged over the cluster.
-    pub table_cache: TableCacheStats,
-    /// Host-CPU table seconds summed over nodes (each node's CPU works in
-    /// parallel with its devices).
-    pub host_table_time_s: f64,
-    /// Committed slabs (replayed + fresh).
-    pub n_slabs: usize,
-    /// Largest slab any device ran, in rows (0 when every row was
-    /// replayed).
-    pub rows_per_slab: usize,
-    /// Shallowest ring any device ran: the requested depth unless memory
-    /// pressure shrank it.
-    pub pipeline_depth: usize,
-    /// Per-slab achieved densities in commit order across the cluster.
-    pub slab_densities: Vec<f64>,
-    /// Per-slab privatized-accumulation flags in commit order.
-    pub slab_privatized: Vec<bool>,
-    /// Integrity counters merged over the whole cluster.
-    pub integrity: IntegrityReport,
-    /// Per-device meters, node-major over participating devices.
-    pub per_device: Vec<Meters>,
-    /// The options the run executed with (echoed for reports).
-    pub options: ClusterOptions,
 }
 
 /// A committed row segment awaiting reduction.
@@ -332,27 +283,32 @@ fn schedule_reduction(
     sched
 }
 
-/// The one checkpointed GPU executor: node-level round-based failover
-/// around the per-node fleet step, then the inter-node reduction.
+/// The one checkpointed GPU executor: round-based failover over nodes,
+/// and inside each node over its devices, then the inter-node reduction.
 ///
 /// `nodes[i]` holds node `i`'s devices (attached to that node's
 /// [`cuda_sim::Host`]); `net` is the fabric linking them, which must span
-/// at least `nodes.len()` endpoints. Work proceeds in rounds: uncovered
-/// rows re-band over the nodes currently alive ([`partition_ranges`] at
-/// node granularity — a fresh failure-free run reproduces the static
-/// banding), each node runs its share through the scoped fleet step
-/// (inheriting device-level failover *within* the node), and slab commits
-/// release reduction segments. A node is dead when its scoped run fails
-/// with a GPU-class error — i.e. its last device died; zero surviving
-/// nodes surfaces the error for CPU salvage, exactly like the fleet
-/// step one level down.
+/// at least `nodes.len()` endpoints. The run covers the first `max_rows`
+/// rows `progress` has not committed yet (`usize::MAX` for a whole run; a
+/// smaller budget is serve's preemption quantum). Both levels run the one
+/// failover loop, `multi::failover_rounds`: the rows still owed re-band
+/// over the nodes alive (a fresh failure-free run reproduces the static
+/// banding), each node re-bands its share over its live devices the same
+/// way, and every device runs the k-deep ring over its bands. A device
+/// that fails with a GPU-class error drops out and its rows flow to the
+/// node's survivors; a node whose last device died drops out and its rows
+/// flow to the surviving nodes; zero surviving nodes surfaces the error
+/// for CPU salvage. Slab commits release reduction segments, and every
+/// ring adds its counters straight into the result, so a lost node keeps
+/// what it counted.
 ///
 /// The run starts from `progress` (fresh, or replayed from a
-/// [`RunJournal`]) and computes only the rows not yet committed; every
-/// commit reaches `journal` (when given) before the ring moves on. The
-/// depth image lives in `progress` while the run is in flight: on success
-/// it moves out into the result, never copied; on error `progress` keeps
-/// every committed slab, so the caller can resume or salvage.
+/// [`RunJournal`]) and every commit reaches `journal` (when given) before
+/// the ring moves on. The depth image lives in `progress` while the run is
+/// in flight: once every row is committed it moves out into the result,
+/// never copied; a budget that leaves rows uncommitted returns an empty
+/// image and leaves the partial one in `progress`, and on error `progress`
+/// keeps every committed slab, so the caller can resume or salvage.
 /// [`ReconstructionConfig::pipeline_depth`] overrides `depth` when set.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_cluster_checkpointed(
@@ -367,7 +323,8 @@ pub fn reconstruct_cluster_checkpointed(
     copts: ClusterOptions,
     progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
-) -> Result<ClusterReconstruction> {
+    max_rows: usize,
+) -> Result<GpuReconstruction> {
     if nodes.is_empty() || nodes.iter().any(|ds| ds.is_empty()) {
         return Err(CoreError::InvalidConfig(
             "every cluster node needs at least one device".into(),
@@ -380,6 +337,8 @@ pub fn reconstruct_cluster_checkpointed(
             nodes.len()
         )));
     }
+    validate_inputs(source, geom, cfg)?;
+    let mapper = geom.mapper()?;
     let n_rows = source.n_rows();
     let n_cols = source.n_cols();
     let n = nodes.len();
@@ -387,109 +346,104 @@ pub fn reconstruct_cluster_checkpointed(
     let segment_bytes =
         |rows: usize| (rows * n_cols * cfg.n_depth_bins * 8) as u64 + SEGMENT_HEADER_BYTES;
 
-    let mut alive: Vec<bool> = nodes
-        .iter()
-        .map(|ds| ds.iter().any(|d| !d.is_lost()))
+    // This run: the first `max_rows` of the rows still owed.
+    let mut budget = max_rows;
+    let scope: Vec<Range<usize>> = progress
+        .uncovered(0..n_rows)
+        .into_iter()
+        .map_while(|band| {
+            let band = band.start..band.end.min(band.start.saturating_add(budget));
+            budget -= band.len();
+            (!band.is_empty()).then_some(band)
+        })
         .collect();
-    // Per device: has it worked in this run (its meters reset and count)?
-    let mut participated: Vec<Vec<bool>> = nodes.iter().map(|ds| vec![false; ds.len()]).collect();
-    let mut rows_per_slab = 0;
-    let mut pipeline_depth = depth.0;
-    let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); n];
+
+    let mut run = GpuReconstruction {
+        pipeline_depth: depth.0,
+        options: copts,
+        ..GpuReconstruction::default()
+    };
     let mut outcomes: Vec<NodeOutcome> = (0..n)
         .map(|i| NodeOutcome {
             node: i,
             ..NodeOutcome::default()
         })
         .collect();
-    let mut recovery = RecoveryLog::default();
-    let mut table_cache = TableCacheStats::default();
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
-    let mut nodes_lost = 0u32;
-    let mut last_gpu_err: Option<CoreError> = None;
+    let live_at_start: Vec<Vec<bool>> = nodes
+        .iter()
+        .map(|ds| ds.iter().map(|d| !d.is_lost()).collect())
+        .collect();
+    let mut device_alive = live_at_start.clone();
+    let mut node_alive: Vec<bool> = live_at_start.iter().map(|a| a.contains(&true)).collect();
+    // Per device: has it worked in this run? Its meters reset on its first
+    // participation only, so a failover round that re-enters a node keeps
+    // accumulating its virtual time.
+    let mut participated: Vec<Vec<bool>> = nodes.iter().map(|ds| vec![false; ds.len()]).collect();
+    let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); n];
 
-    loop {
-        let pending = progress.uncovered(0..n_rows);
-        if pending.is_empty() {
-            break;
-        }
-        let alive_idx: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-        if alive_idx.is_empty() {
-            return Err(last_gpu_err.unwrap_or(CoreError::Device(cuda_sim::SimError::DeviceLost)));
-        }
-        let assignments = partition_ranges(&pending, alive_idx.len());
-        for (k, ranges) in assignments.iter().enumerate() {
-            if ranges.is_empty() {
-                continue;
-            }
-            let ni = alive_idx[k];
-            let before = progress.committed_rows();
-            let node_segments = &mut segments[ni];
-            let mut on_commit = |row0: usize, rows: usize, at_s: f64| {
-                node_segments.push(Segment {
-                    row0,
-                    rows,
-                    bytes: segment_bytes(rows),
-                    ready_s: at_s,
-                });
-            };
-            let attempt = reconstruct_multi_scoped(
-                &nodes[ni],
-                &mut participated[ni],
-                source,
-                geom,
-                cfg,
-                opts,
-                depth,
-                cache,
-                ranges,
-                progress,
-                journal.as_deref_mut(),
-                &mut on_commit,
-            );
-            let out = &mut outcomes[ni];
-            out.rows += progress.committed_rows() - before;
-            match attempt {
-                Ok(step) => {
-                    out.elapsed_s = step.elapsed_s;
-                    out.devices_lost += step.devices_lost;
-                    out.integrity.merge(&step.integrity);
-                    rows_per_slab = rows_per_slab.max(step.rows_per_slab);
-                    pipeline_depth = pipeline_depth.min(step.depth_used);
-                    recovery.replans += step.recovery.replans;
-                    recovery.transfer_retries += step.recovery.transfer_retries;
-                    table_cache.merge(&step.table_cache);
-                    slab_densities.extend(step.slab_densities);
-                    slab_privatized.extend(step.slab_privatized);
+    failover_rounds(&scope, progress, &mut node_alive, |ni, share, progress| {
+        let devices = &nodes[ni];
+        let seen = &mut participated[ni];
+        let out = &mut outcomes[ni];
+        let node_segments = &mut segments[ni];
+        let before = progress.committed_rows();
+        let attempt = failover_rounds(
+            share,
+            progress,
+            &mut device_alive[ni],
+            |di, bands, progress| {
+                let device = devices[di];
+                if !seen[di] {
+                    device.reset_meters();
+                    seen[di] = true;
                 }
-                Err(e) if e.is_gpu_failure() => {
-                    // The node's last device is gone. The chassis (NIC,
-                    // journal reach) survives; its committed segments stay
-                    // scheduled, its uncovered rows re-band next round.
-                    alive[ni] = false;
-                    out.lost = true;
-                    out.devices_lost = nodes[ni].iter().filter(|d| d.is_lost()).count() as u32;
-                    out.elapsed_s = nodes[ni]
-                        .iter()
-                        .map(|d| d.elapsed_s())
-                        .fold(out.elapsed_s, f64::max);
-                    nodes_lost += 1;
-                    last_gpu_err = Some(e);
+                for band in bands {
+                    run_ring(
+                        device,
+                        source,
+                        geom,
+                        &mapper,
+                        cfg,
+                        opts,
+                        depth,
+                        cache,
+                        band.clone(),
+                        &mut run,
+                        &mut out.integrity,
+                        SlabCommit {
+                            progress,
+                            journal: journal.as_deref_mut(),
+                            on_commit: &mut |row0, rows, at_s| {
+                                node_segments.push(Segment {
+                                    row0,
+                                    rows,
+                                    bytes: segment_bytes(rows),
+                                    ready_s: at_s,
+                                })
+                            },
+                        },
+                    )?;
                 }
-                Err(e) => return Err(e),
-            }
-        }
-    }
+                Ok(())
+            },
+        );
+        out.rows += progress.committed_rows() - before;
+        // The node's makespan so far: its slowest participating device. A
+        // node that just lost its last device keeps its committed
+        // segments scheduled (the chassis, its NIC and the journal
+        // survive); its uncovered rows re-band next round.
+        out.elapsed_s = devices
+            .iter()
+            .zip(seen.iter())
+            .filter(|(_, p)| **p)
+            .map(|(d, _)| d.synchronize())
+            .fold(0.0, f64::max);
+        attempt
+    })?;
 
     // Compute-side accounting over participating devices. Host table time
     // and meters are cumulative on the device, so they are read once here
     // rather than summed per round.
-    let mut per_device = Vec::new();
-    let mut host_table_time_s = 0.0;
-    let mut compute_s: f64 = 0.0;
-    let mut devices_lost = 0u32;
-    let mut integrity = IntegrityReport::default();
     for (ni, out) in outcomes.iter_mut().enumerate() {
         let used: Vec<&Device> = nodes[ni]
             .iter()
@@ -498,15 +452,25 @@ pub fn reconstruct_cluster_checkpointed(
             .map(|(d, _)| *d)
             .collect();
         for d in &used {
-            host_table_time_s += d.host_flops_time_s();
-            per_device.push(d.meters());
+            let meters = d.meters();
+            run.meters.merge(&meters);
+            run.per_device.push(meters);
+            run.host_table_time_s += d.host_flops_time_s();
+            run.peak_device_mem = run.peak_device_mem.max(d.mem_peak());
         }
         out.devices = used.len();
         out.bus_wait_s = used.iter().map(|d| d.meters().bus_wait_s).sum();
         out.faults = FaultStats::merge_all(nodes[ni].iter().filter_map(|d| d.fault_stats()));
-        compute_s = compute_s.max(out.elapsed_s);
-        devices_lost += out.devices_lost;
-        integrity.merge(&out.integrity);
+        out.devices_lost = live_at_start[ni]
+            .iter()
+            .zip(&device_alive[ni])
+            .filter(|(was, is)| **was && !**is)
+            .count() as u32;
+        out.lost = live_at_start[ni].contains(&true) && !node_alive[ni];
+        run.compute_s = run.compute_s.max(out.elapsed_s);
+        run.devices_lost += out.devices_lost;
+        run.nodes_lost += u32::from(out.lost);
+        run.integrity.merge(&out.integrity);
     }
 
     // Inter-node reduction: every committed segment rides its origin
@@ -532,53 +496,28 @@ pub fn reconstruct_cluster_checkpointed(
             })
             .collect()
     };
-    let barrier = (!copts.overlap).then_some(compute_s);
-    let net_segments: Vec<usize> = scheduled.iter().map(|s| s.len()).collect();
-    let net_bytes_by_node: Vec<u64> = scheduled
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            if i == 0 {
-                0
-            } else {
-                s.iter().map(|g| g.bytes).sum()
-            }
-        })
-        .collect();
+    let barrier = (!copts.overlap).then_some(run.compute_s);
     let sched = schedule_reduction(net, copts.topology, &scheduled, barrier);
-    for out in outcomes.iter_mut() {
+    for (out, segs) in outcomes.iter_mut().zip(&scheduled) {
         if out.node != 0 {
-            out.net_segments = net_segments[out.node];
-            out.net_bytes = net_bytes_by_node[out.node];
+            out.net_segments = segs.len();
+            out.net_bytes = segs.iter().map(|g| g.bytes).sum();
         }
         out.net_wait_s = sched.wait_by_node[out.node];
+        run.net_bytes += out.net_bytes;
     }
 
-    let elapsed_s = compute_s.max(sched.last_arrival_s);
-    Ok(ClusterReconstruction {
-        image: std::mem::take(&mut progress.image),
-        stats: progress.stats,
-        nodes: outcomes,
-        elapsed_s,
-        compute_s,
-        reduction_exposed_s: elapsed_s - compute_s,
-        net_wait_s: sched.wait_by_node.iter().sum(),
-        net_bytes: net_bytes_by_node.iter().sum(),
-        net_messages: sched.messages,
-        nodes_lost,
-        devices_lost,
-        recovery,
-        table_cache,
-        host_table_time_s,
-        n_slabs: progress.committed_slabs(),
-        rows_per_slab,
-        pipeline_depth,
-        slab_densities,
-        slab_privatized,
-        integrity,
-        per_device,
-        options: copts,
-    })
+    run.elapsed_s = run.compute_s.max(sched.last_arrival_s);
+    run.reduction_exposed_s = run.elapsed_s - run.compute_s;
+    run.net_wait_s = sched.wait_by_node.iter().sum();
+    run.net_messages = sched.messages;
+    run.nodes = outcomes;
+    run.stats = progress.stats;
+    run.n_slabs = progress.committed_slabs();
+    if progress.is_complete(0..n_rows) {
+        run.image = std::mem::take(&mut progress.image);
+    }
+    Ok(run)
 }
 
 /// Convenience entry point: fresh progress, no journal.
@@ -593,7 +532,7 @@ pub fn reconstruct_cluster(
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
     copts: ClusterOptions,
-) -> Result<ClusterReconstruction> {
+) -> Result<GpuReconstruction> {
     let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
     reconstruct_cluster_checkpointed(
         nodes,
@@ -607,6 +546,7 @@ pub fn reconstruct_cluster(
         copts,
         &mut progress,
         None,
+        usize::MAX,
     )
 }
 
@@ -686,7 +626,7 @@ mod tests {
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
         copts: ClusterOptions,
-    ) -> ClusterReconstruction {
+    ) -> GpuReconstruction {
         let mut source = InMemorySlabSource::new(data.to_vec(), 10, 8, 6).unwrap();
         reconstruct_cluster(
             &refs(c),

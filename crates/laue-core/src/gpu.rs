@@ -43,10 +43,13 @@ pub mod batch;
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use cuda_sim::{Device, DeviceBuffer, ExecMode, LaunchConfig, Meters, StreamId};
+use cuda_sim::{
+    Device, DeviceBuffer, ExecMode, Interconnect, InterconnectProps, LaunchConfig, Meters, StreamId,
+};
 use laue_geometry::{DepthMapper, Vec3};
 
 use crate::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
+use crate::cluster::{ClusterOptions, NodeOutcome};
 use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
@@ -276,36 +279,45 @@ fn retry_transfer<T>(
     result
 }
 
-/// Result of a GPU reconstruction.
-#[derive(Debug, Clone)]
+/// Result of a GPU reconstruction: what the one executor,
+/// [`crate::cluster::reconstruct_cluster_checkpointed`], returns for every
+/// shape from one device to N nodes × M devices. Device-side fields cover
+/// the devices that worked in the run; a single GPU is a 1×1 cluster.
+#[derive(Debug, Clone, Default)]
 pub struct GpuReconstruction {
-    /// The depth-resolved output.
+    /// The depth-resolved output (empty when a row-budgeted call left rows
+    /// uncommitted: the partial image stays in its [`SlabProgress`]).
     pub image: DepthImage,
     /// Outcome counters summed over the committed slabs (each from its
     /// launches' trace instrumentation).
     pub stats: ReconStats,
-    /// Transfer/compute meters for the whole run.
+    /// Transfer/compute meters summed over the participating devices.
     pub meters: Meters,
-    /// Rows shipped per slab.
+    /// Largest slab any device ran, in rows (0 when every row was
+    /// replayed).
     pub rows_per_slab: usize,
-    /// Number of slabs processed.
+    /// Committed slabs (replayed + fresh).
     pub n_slabs: usize,
-    /// Virtual makespan (equals `meters.serial_total_s()` for the
-    /// single-stream pipeline; smaller when overlapped).
+    /// Virtual makespan: the slowest node's compute *and* the reduction
+    /// tail (equals `meters.serial_total_s()` for one serial device;
+    /// smaller when overlapped).
     pub elapsed_s: f64,
-    /// Peak modeled device memory, bytes.
+    /// Peak modeled device memory, bytes: the max over the participating
+    /// devices.
     pub peak_device_mem: u64,
-    /// Host-side triangulation FLOPs spent building depth tables
-    /// ([`Triangulation::HostTables`] only; model with `HostProps`).
+    /// Host-side triangulation FLOPs spent building depth tables and cull
+    /// tables, summed over the participating devices (model with
+    /// `HostProps`).
     pub host_table_flops: u64,
-    /// Host-CPU busy seconds those FLOPs occupy on the device's host (the
-    /// engine's host-thread resource; accounted in parallel with device
-    /// time, never stalling a stream).
+    /// Host-CPU busy seconds those FLOPs occupy, summed over the
+    /// participating devices' hosts (each host's CPU works in parallel
+    /// with its devices, never stalling a stream).
     pub host_table_time_s: f64,
-    /// What the engine did to survive device trouble (re-plans, retries).
+    /// What the engine did to survive device trouble (re-plans, retries),
+    /// over every ring of the run, including rings whose device died.
     pub recovery: RecoveryLog,
-    /// Ring depth the run finished with (memory pressure may have shrunk
-    /// it below the requested depth).
+    /// Shallowest ring any device finished: the requested depth unless
+    /// memory pressure shrank it.
     pub pipeline_depth: usize,
     /// Depth-table cache accounting for this run (all zeros when no cache
     /// was attached).
@@ -317,9 +329,30 @@ pub struct GpuReconstruction {
     /// accumulator (`false` = atomic fallback or an empty launch domain).
     /// Empty under `--accumulation atomic`.
     pub slab_privatized: Vec<bool>,
-    /// What the integrity layer detected and repaired (all zeros under
-    /// [`crate::config::IntegrityMode::Off`]).
+    /// What the integrity layer detected and repaired, merged over the
+    /// nodes (all zeros under [`crate::config::IntegrityMode::Off`]).
     pub integrity: IntegrityReport,
+    /// Per-node breakdown, in node order (every node, even workless ones).
+    pub nodes: Vec<NodeOutcome>,
+    /// Slowest node's compute makespan.
+    pub compute_s: f64,
+    /// Reduction time not hidden behind compute
+    /// (`elapsed_s - compute_s`).
+    pub reduction_exposed_s: f64,
+    /// Seconds reduction traffic spent queued on the fabric.
+    pub net_wait_s: f64,
+    /// Total reduction bytes moved inter-node.
+    pub net_bytes: u64,
+    /// Total reduction messages (segment-hops) on the fabric.
+    pub net_messages: u64,
+    /// Nodes whose entire device complement died mid-run.
+    pub nodes_lost: u32,
+    /// Devices lost across all nodes.
+    pub devices_lost: u32,
+    /// Per-device meters, node-major over participating devices.
+    pub per_device: Vec<Meters>,
+    /// The cluster options the run executed with (echoed for reports).
+    pub options: ClusterOptions,
 }
 
 /// Modeled device bytes needed for `slots` concurrently resident slabs of
@@ -1747,23 +1780,6 @@ pub fn reconstruct_with_options(
     reconstruct_pipelined(device, source, geom, cfg, opts, PipelineDepth::SERIAL, None)
 }
 
-/// Everything the ring learned while processing one row band, besides the
-/// slabs themselves (those, with their stats, are in [`SlabProgress`]).
-pub(crate) struct RingOutcome {
-    pub(crate) rows_per_slab: usize,
-    pub(crate) host_table_flops: u64,
-    /// Ring depth actually used (memory pressure may shrink it).
-    pub(crate) depth_used: usize,
-    pub(crate) cache_stats: TableCacheStats,
-    /// Achieved active-pair density per slab (empty when compaction off).
-    pub(crate) slab_densities: Vec<f64>,
-    /// Per slab, whether its main launch ran privatized (empty when the
-    /// run never asked for privatization).
-    pub(crate) slab_privatized: Vec<bool>,
-    /// What the integrity layer saw and did for this band.
-    pub(crate) integrity: IntegrityReport,
-}
-
 /// Resolve where the kernel's depth tables come from. With a cache
 /// attached in [`Triangulation::HostTables`] mode this is where warm runs
 /// win: the host table is fetched (or computed once) from the cache, and —
@@ -1836,6 +1852,12 @@ fn resolve_table_source(
 /// The k-deep ring: process the detector rows `band` on `device`,
 /// committing each verified slab through `out` as its download lands.
 ///
+/// Everything the ring learns besides the slabs goes straight into the
+/// run's result `run` — recovery actions, table-cache counters and per-slab
+/// flags as they happen, and, once the band is done, its host FLOPs, slab
+/// size and ring depth — and its integrity counters into `integrity`, its
+/// node's report. A ring whose device dies keeps what it counted so far.
+///
 /// Three streams — upload, compute, download — carry up to `depth.0` slab
 /// slots in flight. Each slab is chained by `wait_until` edges:
 /// kernel-after-upload, download-after-kernel, and (once the ring is full)
@@ -1859,9 +1881,10 @@ pub(crate) fn run_ring(
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
     band: Range<usize>,
-    recovery: &mut RecoveryLog,
+    run: &mut GpuReconstruction,
+    integrity: &mut IntegrityReport,
     mut out: SlabCommit<'_>,
-) -> Result<RingOutcome> {
+) -> Result<()> {
     if depth.0 == 0 {
         return Err(CoreError::InvalidConfig(
             "pipeline depth must be at least 1".into(),
@@ -1871,7 +1894,6 @@ pub(crate) fn run_ring(
     let upload_stream = device.create_stream();
     let compute_stream = device.create_stream();
     let download_stream = device.create_stream();
-    let mut integrity = IntegrityReport::default();
 
     // Wire centres, shipped once (interleaved x, y, z).
     let mut wire_flat = Vec::with_capacity(geom.wire.n_steps * 3);
@@ -1881,8 +1903,8 @@ pub(crate) fn run_ring(
     let wires = device.alloc::<f64>(wire_flat.len())?;
     {
         let checked = cfg.integrity.enabled();
-        let report = if checked { Some(&mut integrity) } else { None };
-        retry_transfer(device, upload_stream, recovery, report, || {
+        let report = if checked { Some(&mut *integrity) } else { None };
+        retry_transfer(device, upload_stream, &mut run.recovery, report, || {
             if checked {
                 device.memcpy_htod_checked_on(upload_stream, &wires, &wire_flat)
             } else {
@@ -1891,7 +1913,6 @@ pub(crate) fn run_ring(
         })?;
     }
 
-    let mut cache_stats = TableCacheStats::default();
     let (table_source, mut host_table_flops) = resolve_table_source(
         device,
         upload_stream,
@@ -1900,9 +1921,9 @@ pub(crate) fn run_ring(
         cfg,
         opts,
         cache,
-        recovery,
-        &mut integrity,
-        &mut cache_stats,
+        &mut run.recovery,
+        integrity,
+        &mut run.table_cache,
     )?;
     // A resident table is not part of the per-slab working set: size slabs
     // as if triangulating in kernel (the budget below already excludes the
@@ -1975,8 +1996,6 @@ pub(crate) fn run_ring(
     // The ring proper: executed slabs (upload + kernel-end edge + stats +
     // watchdog verdict), oldest first.
     let mut ring: VecDeque<SlabExec> = VecDeque::with_capacity(slots);
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
     let mut row0 = band.start;
     while row0 < band.end {
         let rows = rows_per_slab.min(band.end - row0);
@@ -1996,8 +2015,8 @@ pub(crate) fn run_ring(
                     &table_source,
                     &wires,
                     cull.as_ref(),
-                    recovery,
-                    &mut integrity,
+                    &mut run.recovery,
+                    integrity,
                     &mut out,
                 )?;
                 device.wait_until(upload_stream, freed_at);
@@ -2010,19 +2029,21 @@ pub(crate) fn run_ring(
                 cull.as_ref(),
                 row0,
                 rows,
-                recovery,
-                &mut integrity,
+                &mut run.recovery,
+                integrity,
             )?;
             host_table_flops += exec.upload.host_flops;
-            slab_densities.extend(exec.upload.sparsity.as_ref().map(|sp| sp.density));
+            run.slab_densities
+                .extend(exec.upload.sparsity.as_ref().map(|sp| sp.density));
             // Flag the strategy the slab's main launch actually ran (an
             // empty launch domain ran neither; the accumulation strategy
             // itself is resolved per slab by `upload_slab`). Under forced
             // atomics there is nothing to flag.
-            slab_privatized.extend(match (exec.main_ran, exec.upload.accum) {
-                (true, AccumPlan::Privatized { .. }) => Some(true),
-                _ => cfg.accumulation.wants_privatized().then_some(false),
-            });
+            run.slab_privatized
+                .extend(match (exec.main_ran, exec.upload.accum) {
+                    (true, AccumPlan::Privatized { .. }) => Some(true),
+                    _ => cfg.accumulation.wants_privatized().then_some(false),
+                });
             ring.push_back(exec);
             Ok(())
         })();
@@ -2045,8 +2066,8 @@ pub(crate) fn run_ring(
                         &table_source,
                         &wires,
                         cull.as_ref(),
-                        recovery,
-                        &mut integrity,
+                        &mut run.recovery,
+                        integrity,
                         &mut out,
                     )?;
                 }
@@ -2057,7 +2078,7 @@ pub(crate) fn run_ring(
                 } else {
                     return Err(e);
                 }
-                recovery.replans += 1;
+                run.recovery.replans += 1;
             }
             Err(e) => return Err(e),
         }
@@ -2074,33 +2095,29 @@ pub(crate) fn run_ring(
             &table_source,
             &wires,
             cull.as_ref(),
-            recovery,
-            &mut integrity,
+            &mut run.recovery,
+            integrity,
             &mut out,
         )?;
     }
 
     if let Some(cache) = cache {
-        cache_stats.resident_bytes = cache.resident_bytes(device.id());
+        let resident = &mut run.table_cache.resident_bytes;
+        *resident = (*resident).max(cache.resident_bytes(device.id()));
     }
     // Charge the band's triangulation FLOPs to the host-CPU resource: the
     // work becomes visible (and contended, when several devices share a
     // host) on the host timeline without stalling any device stream.
     device.charge_host_flops(host_table_flops);
-    Ok(RingOutcome {
-        rows_per_slab,
-        host_table_flops,
-        depth_used: slots,
-        cache_stats,
-        slab_densities,
-        slab_privatized,
-        integrity,
-    })
+    run.host_table_flops += host_table_flops;
+    run.rows_per_slab = run.rows_per_slab.max(rows_per_slab);
+    run.pipeline_depth = run.pipeline_depth.min(slots);
+    Ok(())
 }
 
 /// Reconstruct with the k-deep transfer/compute ring and, optionally, a
 /// persistent depth-table cache: a fresh, unjournalled, unbounded
-/// [`reconstruct_checkpointed_bounded`].
+/// [`reconstruct_checkpointed_bounded`], so a 1×1 run of the one executor.
 ///
 /// `depth` is the default ring depth; [`ReconstructionConfig::pipeline_depth`]
 /// overrides it when set. The cache only participates in
@@ -2132,12 +2149,15 @@ pub fn reconstruct_pipelined(
 
 /// The single-GPU checkpointed step: checkpoint-aware and bounded — the
 /// preemption quantum the serve scheduler runs long jobs in, and, fresh and
-/// unbounded, every standalone single-GPU entry point. The run starts from
-/// `progress` (fresh, or replayed from a [`RunJournal`]) and processes at
-/// most `max_rows` of the rows not yet committed. Each slab commit is
-/// appended to `journal` (when given) *before* the ring moves on, so after
-/// any interruption the journal plus `progress` hold every completed slab;
-/// on error, `progress` retains all committed state.
+/// unbounded, every standalone single-GPU entry point. It is a one-node,
+/// one-device call of the one executor,
+/// [`crate::cluster::reconstruct_cluster_checkpointed`], with `max_rows`
+/// as its row budget: the run starts from `progress` (fresh, or replayed
+/// from a [`RunJournal`]) and processes at most `max_rows` of the rows not
+/// yet committed. Each slab commit is appended to `journal` (when given)
+/// *before* the ring moves on, so after any interruption the journal plus
+/// `progress` hold every completed slab; on error, `progress` retains all
+/// committed state.
 ///
 /// The second return value is `true` when the whole detector is now
 /// committed, and the image then moves out of `progress` into the result.
@@ -2146,8 +2166,7 @@ pub fn reconstruct_pipelined(
 /// resumed — on this device or any other — by calling again with the same
 /// `progress`/`journal` (chunking invariance makes the eventual output
 /// bit-identical no matter where the quantum cuts fell or which device ran
-/// which quantum). Pipeline runs use the cluster executor,
-/// [`crate::cluster::reconstruct_cluster_checkpointed`], instead.
+/// which quantum).
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_checkpointed_bounded(
     device: &Device,
@@ -2161,62 +2180,22 @@ pub fn reconstruct_checkpointed_bounded(
     journal: Option<&mut RunJournal>,
     max_rows: usize,
 ) -> Result<(GpuReconstruction, bool)> {
-    let n_rows = source.n_rows();
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
-    // This quantum: the first `max_rows` of the rows still owed.
-    let mut quantum = max_rows;
-    let scope: Vec<Range<usize>> = progress
-        .uncovered(0..n_rows)
-        .into_iter()
-        .map_while(|band| {
-            let band = band.start..band.end.min(band.start.saturating_add(quantum));
-            quantum -= band.len();
-            (!band.is_empty()).then_some(band)
-        })
-        .collect();
-    // A one-device node step; meters reset here so a quantum with nothing
-    // left to do still reports a clean device.
-    device.reset_meters();
-    let step = crate::multi::reconstruct_multi_scoped(
-        &[device],
-        &mut [true],
+    let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
+    let out = crate::cluster::reconstruct_cluster_checkpointed(
+        &[vec![device]],
+        &net,
         source,
         geom,
         cfg,
         opts,
         depth,
         cache,
-        &scope,
+        ClusterOptions::default(),
         progress,
         journal,
-        &mut |_, _, _| {},
+        max_rows,
     )?;
-    let complete = progress.is_complete(0..n_rows);
-    Ok((
-        GpuReconstruction {
-            image: if complete {
-                std::mem::take(&mut progress.image)
-            } else {
-                DepthImage::default()
-            },
-            stats: progress.stats,
-            meters: device.meters(),
-            rows_per_slab: step.rows_per_slab,
-            // Counts every committed slab, replayed and fresh alike.
-            n_slabs: progress.committed_slabs(),
-            elapsed_s: step.elapsed_s,
-            peak_device_mem: device.mem_peak(),
-            host_table_flops: step.host_table_flops,
-            host_table_time_s: device.host_flops_time_s(),
-            recovery: step.recovery,
-            pipeline_depth: step.depth_used,
-            table_cache: step.table_cache,
-            slab_densities: step.slab_densities,
-            slab_privatized: step.slab_privatized,
-            integrity: step.integrity,
-        },
-        complete,
-    ))
+    Ok((out, progress.is_complete(0..source.n_rows())))
 }
 
 #[cfg(test)]

@@ -58,10 +58,11 @@ pub mod post;
 pub mod stats;
 pub mod uncertainty;
 
-pub use cluster::{ClusterOptions, ClusterReconstruction, NodeOutcome, ReductionTopology};
+pub use cluster::{ClusterOptions, NodeOutcome, ReductionTopology};
 pub use config::{AccumulationMode, CompactionMode, IntegrityMode, PlanMode, ReconstructionConfig};
 pub use error::CoreError;
 pub use geometry::ScanGeometry;
+pub use gpu::GpuReconstruction;
 pub use input::{InMemorySlabSource, RoiSlabSource, ScanView, SlabSource};
 pub use integrity::IntegrityReport;
 pub use output::DepthImage;

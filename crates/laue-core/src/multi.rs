@@ -14,29 +14,28 @@
 //! through that host's shared metered bus, which is what a single
 //! workstation chassis actually provides.
 //!
-//! This module holds the per-node step of the one checkpointed executor,
-//! [`crate::cluster::reconstruct_cluster_checkpointed`]: a fleet is a
-//! one-node cluster, and [`reconstruct_multi`] is exactly that. On one
-//! device the same step is the single-GPU checkpointed step,
-//! [`crate::gpu::reconstruct_checkpointed_bounded`].
+//! A fleet is a one-node cluster of the one checkpointed executor,
+//! [`crate::cluster::reconstruct_cluster_checkpointed`], and
+//! [`reconstruct_multi`] is exactly that. This module holds the banding
+//! (`row_bands`, `partition_ranges`) and the one round-based failover
+//! loop, `failover_rounds`, which the executor runs over nodes and, inside
+//! each node, over its devices.
 //!
-//! A shared [`DepthTableCache`] pays the host-side triangulation once for
-//! the whole fleet (devices after the first hit the host cache) and keeps
-//! per-device resident tables for warm re-runs.
+//! A shared [`crate::cache::DepthTableCache`] pays the host-side
+//! triangulation once for the whole fleet (devices after the first hit the
+//! host cache) and keeps per-device resident tables for warm re-runs.
 
 use std::ops::Range;
 
 use cuda_sim::{Device, Interconnect, InterconnectProps};
 
-use crate::cache::{DepthTableCache, TableCacheStats};
-use crate::cluster::{reconstruct_cluster, ClusterOptions, ClusterReconstruction};
+use crate::cluster::{reconstruct_cluster, ClusterOptions};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{run_ring, validate_inputs, GpuOptions, PipelineDepth, RecoveryLog, SlabCommit};
+use crate::gpu::{GpuOptions, GpuReconstruction, PipelineDepth};
 use crate::input::SlabSource;
-use crate::integrity::IntegrityReport;
-use crate::journal::{RunJournal, SlabProgress};
+use crate::journal::SlabProgress;
 use crate::Result;
 
 /// Split `n_rows` into `n` contiguous bands, remainder spread to the front.
@@ -63,7 +62,7 @@ pub fn reconstruct_multi(
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     opts: GpuOptions,
-) -> Result<ClusterReconstruction> {
+) -> Result<GpuReconstruction> {
     let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
     reconstruct_cluster(
         &[devices.to_vec()],
@@ -107,160 +106,65 @@ pub(crate) fn partition_ranges(ranges: &[Range<usize>], n: usize) -> Vec<Vec<Ran
     out
 }
 
-/// What one node step reports. The image is not part of it: every slab the
-/// step committed already sits in the caller's [`SlabProgress`].
-#[derive(Debug)]
-pub(crate) struct NodeStep {
-    /// The slowest participating device's timeline.
-    pub(crate) elapsed_s: f64,
-    /// Devices that died during this step.
-    pub(crate) devices_lost: u32,
-    /// Largest slab any ring of this step ran (0 when none ran).
-    pub(crate) rows_per_slab: usize,
-    /// Shallowest ring any device of this step ran.
-    pub(crate) depth_used: usize,
-    /// Host triangulation FLOPs the step's rings spent.
-    pub(crate) host_table_flops: u64,
-    pub(crate) recovery: RecoveryLog,
-    pub(crate) table_cache: TableCacheStats,
-    pub(crate) slab_densities: Vec<f64>,
-    pub(crate) slab_privatized: Vec<bool>,
-    pub(crate) integrity: IntegrityReport,
-}
-
-/// One node's step of the cluster executor: the failover-aware fleet
-/// scheduler over the rows inside `scope` (disjoint, row-ordered ranges).
+/// Round-based failover, the one loop behind both levels of the executor
+/// ([`crate::cluster::reconstruct_cluster_checkpointed`] runs it over nodes,
+/// and inside each node over that node's devices).
 ///
-/// Work proceeds in rounds: the rows of `scope` still uncovered by
-/// `progress` are re-banded over the devices currently alive
-/// ([`partition_ranges`], which degenerates to the classic static banding
-/// on a fresh run), and each device runs the k-deep ring over its share,
-/// committing slab-by-slab into `progress` (and `journal`, when given). A
-/// device that fails with a GPU-class error ([`CoreError::is_gpu_failure`])
-/// is marked dead and the round continues; its unfinished rows are simply
-/// still uncovered next round and flow to the survivors. Only when *zero*
-/// devices remain does the last device error surface, with everything the
-/// node did commit kept in `progress`.
-///
-/// `participated[i]` records whether device `i` has worked in this run: a
-/// device's meters reset on its first participation only, so a failover
-/// round that re-enters a node keeps accumulating its virtual time.
-/// `on_commit` observes every fresh slab commit (see [`SlabCommit`]) — the
-/// cluster layer uses it to release reduction segments into the
-/// interconnect while the rest of the band is still computing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reconstruct_multi_scoped(
-    devices: &[&Device],
-    participated: &mut [bool],
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
+/// Work proceeds in rounds: the rows of `scope` (disjoint, row-ordered
+/// ranges) still uncovered by `progress` are re-banded over the workers
+/// still `alive` ([`partition_ranges`], which degenerates to the classic
+/// static banding on a fresh run), and `work(worker, ranges, progress)`
+/// runs each share, committing slab-by-slab into `progress`. A worker that
+/// fails with a GPU-class error ([`CoreError::is_gpu_failure`]) is marked
+/// dead and the round continues; its unfinished rows are simply still
+/// uncovered next round and flow to the survivors. Only when *zero*
+/// workers remain does the last such error surface, with everything the
+/// workers did commit kept in `progress`. Any other error surfaces at
+/// once.
+pub(crate) fn failover_rounds(
     scope: &[Range<usize>],
     progress: &mut SlabProgress,
-    mut journal: Option<&mut RunJournal>,
-    on_commit: &mut dyn FnMut(usize, usize, f64),
-) -> Result<NodeStep> {
-    validate_inputs(source, geom, cfg)?;
-    let mapper = geom.mapper()?;
-    let mut step = NodeStep {
-        elapsed_s: 0.0,
-        devices_lost: 0,
-        rows_per_slab: 0,
-        depth_used: depth.0,
-        host_table_flops: 0,
-        recovery: RecoveryLog::default(),
-        table_cache: TableCacheStats::default(),
-        slab_densities: Vec::new(),
-        slab_privatized: Vec::new(),
-        integrity: IntegrityReport::default(),
-    };
-    let mut alive: Vec<bool> = devices.iter().map(|d| !d.is_lost()).collect();
+    alive: &mut [bool],
+    mut work: impl FnMut(usize, &[Range<usize>], &mut SlabProgress) -> Result<()>,
+) -> Result<()> {
     let mut last_gpu_err: Option<CoreError> = None;
-
     loop {
         let pending: Vec<Range<usize>> = scope
             .iter()
             .flat_map(|band| progress.uncovered(band.clone()))
             .collect();
         if pending.is_empty() {
-            break;
+            return Ok(());
         }
-        let alive_idx: Vec<usize> = (0..devices.len()).filter(|&i| alive[i]).collect();
+        let alive_idx: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
         if alive_idx.is_empty() {
             return Err(last_gpu_err.unwrap_or(CoreError::Device(cuda_sim::SimError::DeviceLost)));
         }
         let assignments = partition_ranges(&pending, alive_idx.len());
-        for (k, ranges) in assignments.iter().enumerate() {
+        for (ranges, &worker) in assignments.iter().zip(&alive_idx) {
             if ranges.is_empty() {
                 continue;
             }
-            let di = alive_idx[k];
-            let device = devices[di];
-            if !participated[di] {
-                device.reset_meters();
-                participated[di] = true;
-            }
-            for band in ranges {
-                let attempt = run_ring(
-                    device,
-                    source,
-                    geom,
-                    &mapper,
-                    cfg,
-                    opts,
-                    depth,
-                    cache,
-                    band.clone(),
-                    &mut step.recovery,
-                    SlabCommit {
-                        progress,
-                        journal: journal.as_deref_mut(),
-                        on_commit,
-                    },
-                );
-                match attempt {
-                    Ok(ring) => {
-                        step.rows_per_slab = step.rows_per_slab.max(ring.rows_per_slab);
-                        step.depth_used = step.depth_used.min(ring.depth_used);
-                        step.host_table_flops += ring.host_table_flops;
-                        step.table_cache.merge(&ring.cache_stats);
-                        step.slab_densities.extend(ring.slab_densities);
-                        step.slab_privatized.extend(ring.slab_privatized);
-                        step.integrity.merge(&ring.integrity);
-                    }
-                    Err(e) if e.is_gpu_failure() => {
-                        // The device is gone (or hopeless): drain it from
-                        // the fleet. Whatever it committed before dying is
-                        // already in `progress`; the rest of its rows stay
-                        // uncovered and re-band onto the survivors next
-                        // round.
-                        alive[di] = false;
-                        step.devices_lost += 1;
-                        last_gpu_err = Some(e);
-                        break;
-                    }
-                    Err(e) => return Err(e),
+            match work(worker, ranges, progress) {
+                Ok(()) => {}
+                Err(e) if e.is_gpu_failure() => {
+                    // The worker is gone (or hopeless): drain it. Whatever
+                    // it committed before dying is already in `progress`;
+                    // the rest of its rows re-band next round.
+                    alive[worker] = false;
+                    last_gpu_err = Some(e);
                 }
+                Err(e) => return Err(e),
             }
         }
     }
-
-    step.elapsed_s = devices
-        .iter()
-        .zip(participated.iter())
-        .filter(|(_, p)| **p)
-        .map(|(d, _)| d.synchronize())
-        .fold(0.0, f64::max);
-    Ok(step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{self, Layout};
+    use crate::cache::DepthTableCache;
+    use crate::gpu::{self, Layout, RecoveryLog};
     use crate::input::InMemorySlabSource;
     use cuda_sim::DeviceProps;
 

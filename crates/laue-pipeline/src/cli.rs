@@ -900,19 +900,12 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                 writeln!(out, "wrote {path} (per-bin variance; σ = sqrt)")?;
             }
             if let Some(path) = &a.trace {
-                // Re-run the engine's own schedule (layout, ring depth) on a
-                // dedicated device to capture the op timeline.
-                if let Some((opts, depth)) = a.engine.gpu_plan() {
-                    let device = cuda_sim::Device::new(pipeline.device.clone());
-                    let mut scan = laue_wire::ScanFile::open(&a.input)?;
-                    let geometry = scan.geometry().clone();
-                    laue_core::gpu::reconstruct_pipelined(
-                        &device, &mut scan, &geometry, &cfg, opts, depth, None,
-                    )?;
-                    std::fs::write(path, device.export_chrome_trace())?;
-                    writeln!(out, "wrote {path} (open in chrome://tracing)")?;
-                } else {
-                    writeln!(out, "--trace only applies to GPU engines; skipped")?;
+                match pipeline.chrome_trace() {
+                    Some(trace) => {
+                        std::fs::write(path, trace)?;
+                        writeln!(out, "wrote {path} (open in chrome://tracing)")?;
+                    }
+                    None => writeln!(out, "--trace: the run finished on the CPU; skipped")?,
                 }
             }
             Ok(())
@@ -1635,8 +1628,10 @@ mod tests {
         let dir = std::env::temp_dir();
         let scan = dir.join(format!("cli_roi_{}.mh5", std::process::id()));
         let var = dir.join(format!("cli_var_{}.mh5", std::process::id()));
+        let trace = dir.join(format!("cli_roi_trace_{}.json", std::process::id()));
         let scan_s = scan.to_string_lossy().to_string();
         let var_s = var.to_string_lossy().to_string();
+        let trace_s = trace.to_string_lossy().to_string();
 
         let mut buf = Vec::new();
         let cmd = parse(&sv(&[
@@ -1672,6 +1667,12 @@ mod tests {
             "1500",
             "--bins",
             "150",
+            "--engine",
+            "gpu-multi:2",
+            "--rows-per-slab",
+            "1",
+            "--trace",
+            &trace_s,
         ]))
         .unwrap();
         run(&cmd, &mut buf).unwrap();
@@ -1682,6 +1683,11 @@ mod tests {
         let f = mh5::FileReader::open(&var).unwrap();
         let ds = f.resolve_path("/reconstruction/depth_image").unwrap();
         assert_eq!(f.dataset_info(ds).unwrap().shape, vec![150, 4, 5]);
+        // The trace is the run's own: both fleet devices, one kernel per
+        // one-row slab of the 4-row ROI.
+        let json = std::fs::read_to_string(&trace).unwrap();
+        assert_eq!(json.matches("\"process_name\"").count(), 2, "{json}");
+        assert_eq!(json.matches("\"name\":\"set_two\"").count(), 4, "{json}");
 
         // Bad ROI specs are parse errors.
         assert!(
@@ -1697,6 +1703,7 @@ mod tests {
 
         std::fs::remove_file(&scan).ok();
         std::fs::remove_file(&var).ok();
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]

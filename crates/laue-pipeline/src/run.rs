@@ -4,15 +4,15 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use cuda_sim::{
-    Device, DeviceProps, ExecMode, FaultStats, HostProps, Interconnect, InterconnectProps,
+    Device, DeviceProps, ExecMode, FaultStats, HostProps, Interconnect, InterconnectProps, OpRecord,
 };
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
-use laue_core::cluster::{reconstruct_cluster_checkpointed, ClusterReconstruction};
+use laue_core::cluster::reconstruct_cluster_checkpointed;
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
 use laue_core::planner::{plan_cluster, plan_run, PlannedCandidate, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, ClusterOptions, CompactionMode, PlanMode, ReconstructionConfig,
-    ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, AccumulationMode, ClusterOptions, CompactionMode, GpuReconstruction, PlanMode,
+    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -362,6 +362,7 @@ impl Pipeline {
                 copts.unwrap_or_default(),
                 &mut progress,
                 journal.as_mut(),
+                usize::MAX,
             )
         };
         // Fault-injection ground truth, trace-drop diagnostics, and device
@@ -444,6 +445,28 @@ impl Pipeline {
             }
         }
         slot.clone()
+    }
+
+    /// The op timeline of the devices the last GPU run used, in Chrome
+    /// Trace Event Format: one process per device that recorded ops,
+    /// node-major. `None` when no device recorded any, as after a CPU run
+    /// or a GPU run that finished on the CPU (which releases its devices).
+    pub fn chrome_trace(&self) -> Option<String> {
+        let slot = self.shared.devices.lock().expect(POISONED);
+        let processes: Vec<(String, Vec<OpRecord>)> = slot
+            .iter()
+            .enumerate()
+            .flat_map(|(ni, node)| {
+                node.iter().enumerate().map(move |(di, d)| {
+                    (
+                        format!("node {ni} device {di}: {}", d.props().name),
+                        d.ops(),
+                    )
+                })
+            })
+            .filter(|(_, ops)| !ops.is_empty())
+            .collect();
+        (!processes.is_empty()).then(|| cuda_sim::trace::chrome_trace(&processes))
     }
 
     /// Empty `slot`, evicting the depth tables resident on its devices.
@@ -568,12 +591,11 @@ fn explain(
 /// every node count); `fabric` names their interconnect preset.
 fn gpu_report(
     engine: Engine,
-    out: ClusterReconstruction,
+    out: GpuReconstruction,
     dims: (usize, usize, usize),
     resume: Option<ResumeInfo>,
     fabric: &str,
 ) -> RunReport {
-    let meters = &out.per_device;
     let cluster = match engine {
         Engine::GpuCluster { .. } => Some(ClusterReport {
             options: out.options.label(),
@@ -589,13 +611,13 @@ fn gpu_report(
         _ => None,
     };
     RunReport {
-        comm_time_s: meters.iter().map(|m| m.comm_time_s).sum(),
-        bus_wait_s: meters.iter().map(|m| m.bus_wait_s).sum(),
+        comm_time_s: out.meters.comm_time_s,
+        bus_wait_s: out.meters.bus_wait_s,
         host_table_time_s: out.host_table_time_s,
-        compute_time_s: meters.iter().map(|m| m.compute_time_s).sum(),
+        compute_time_s: out.meters.compute_time_s,
         rows_per_slab: out.rows_per_slab,
         n_slabs: out.n_slabs,
-        transfers: meters.iter().map(|m| m.transfers).sum(),
+        transfers: out.meters.transfers,
         gpu_replans: out.recovery.replans,
         gpu_transfer_retries: out.recovery.transfer_retries,
         pipeline_depth: out.pipeline_depth,
@@ -1702,14 +1724,20 @@ mod tests {
         // One row per slab so the victim has launches left when it dies.
         let mut c = cfg();
         c.rows_per_slab = Some(1);
+        c.integrity = laue_core::IntegrityMode::Verify;
         let clean = Pipeline::default()
             .run_scan_file(&path, &c, engine)
             .unwrap();
 
-        // Kill node 0's device after its first launch; the survivors must
-        // absorb its remaining rows and still match bitwise.
+        // Flake one of node 0's uploads, then kill its device after its
+        // first launch; the survivors must absorb its remaining rows and
+        // still match bitwise.
         let p = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(1).fail_after_launches(1)),
+            fault_plan: Some(
+                cuda_sim::FaultPlan::new(1)
+                    .fail_nth_h2d(2)
+                    .fail_after_launches(1),
+            ),
             fault_device: Some(0),
             ..Pipeline::default()
         };
@@ -1722,6 +1750,10 @@ mod tests {
         let c = r.cluster.as_ref().expect("cluster accounting");
         assert_eq!(c.nodes_lost, 1);
         assert!(c.nodes[0].lost, "node 0 held the scripted fault");
+        // The lost node keeps what it counted before it died: the retried
+        // upload and the checks on its verified slab.
+        assert!(r.gpu_transfer_retries >= 1, "{}", r.gpu_transfer_retries);
+        assert!(c.nodes[0].integrity.checks_run >= 1, "{:?}", c.nodes[0]);
         assert!(
             r.summary().contains("DEGRADED: 1 node(s) lost mid-run"),
             "{}",

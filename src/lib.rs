@@ -64,9 +64,9 @@ pub mod prelude {
     pub use laue_core::planning::{pixel_scan_info, plan_scan, PixelScanInfo, ScanPlan};
     pub use laue_core::post::{depth_map, find_peaks, DepthMapOptions, DepthPeak};
     pub use laue_core::{
-        cpu, gpu, AccumulationMode, ClusterOptions, ClusterReconstruction, CompactionMode,
-        DepthImage, InMemorySlabSource, IntegrityMode, IntegrityReport, PlanMode,
-        ReconstructionConfig, ScanGeometry, ScanView, SlabSource, WireEdge,
+        cpu, gpu, AccumulationMode, ClusterOptions, CompactionMode, DepthImage, GpuReconstruction,
+        InMemorySlabSource, IntegrityMode, IntegrityReport, PlanMode, ReconstructionConfig,
+        ScanGeometry, ScanView, SlabSource, WireEdge,
     };
     pub use laue_geometry::{Beam, DepthMapper, DetectorGeometry, Vec3, WireGeometry};
     pub use laue_pipeline::{
