@@ -18,6 +18,10 @@
 //! poison:  payload = kind 1 u64 | row0 u64 | rows u64
 //! ```
 //!
+//! A record is built in one buffer, frame first, and written as is; its
+//! `u32` length caps a payload at 4 GiB − 1 bytes, and a larger slab is a
+//! [`CoreError::Journal`] rather than a wrapped length.
+//!
 //! A *poison* record quarantines a row band: an integrity check condemned
 //! the slab's data, so replay un-covers (and zeroes) those rows, dropping
 //! any earlier commit of them. The scrub writer appends the poison
@@ -197,10 +201,12 @@ impl RunJournal {
         &self.path
     }
 
-    /// Append one committed slab. The record is written with a single
-    /// `write_all` and flushed with `sync_data`, so after this returns the
-    /// slab survives a process kill; a kill *during* the write leaves a
-    /// torn tail the next open truncates away.
+    /// Append one committed slab. The record is framed in one buffer and
+    /// written with a single `write_all`, then flushed with `sync_data`,
+    /// so after this returns the slab survives a process kill; a kill
+    /// *during* the write leaves a torn tail the next open truncates away.
+    /// A slab whose payload does not fit the frame's `u32` length is a
+    /// [`CoreError::Journal`], checked before anything is allocated.
     pub fn append(
         &mut self,
         row0: usize,
@@ -210,17 +216,12 @@ impl RunJournal {
     ) -> Result<()> {
         let (n_bins, _, n_cols) = self.dims;
         debug_assert_eq!(data.len(), n_bins * rows * n_cols);
-        let mut payload = Vec::with_capacity(8 * (3 + STATS_WORDS) + 8 * data.len());
-        payload.extend_from_slice(&KIND_COMMIT.to_le_bytes());
-        payload.extend_from_slice(&(row0 as u64).to_le_bytes());
-        payload.extend_from_slice(&(rows as u64).to_le_bytes());
+        let mut record = begin_record(KIND_COMMIT, row0, rows, 8 * STATS_WORDS + 8 * data.len())?;
         for v in stats_words(stats) {
-            payload.extend_from_slice(&v.to_le_bytes());
+            record.extend_from_slice(&v.to_le_bytes());
         }
-        for v in data {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_record(&payload)
+        record.extend(data.iter().flat_map(|v| v.to_le_bytes()));
+        self.write_record(record)
     }
 
     /// Append a poison record quarantining `rows` detector rows from
@@ -228,18 +229,17 @@ impl RunJournal {
     /// trust any earlier commit of those rows. Durable before the method
     /// returns, like [`append`](Self::append).
     pub fn append_poison(&mut self, row0: usize, rows: usize) -> Result<()> {
-        let mut payload = Vec::with_capacity(8 * 3);
-        payload.extend_from_slice(&KIND_POISON.to_le_bytes());
-        payload.extend_from_slice(&(row0 as u64).to_le_bytes());
-        payload.extend_from_slice(&(rows as u64).to_le_bytes());
-        self.write_record(&payload)
+        let record = begin_record(KIND_POISON, row0, rows, 0)?;
+        self.write_record(record)
     }
 
-    fn write_record(&mut self, payload: &[u8]) -> Result<()> {
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(payload).to_le_bytes());
-        record.extend_from_slice(payload);
+    /// Fill in the frame of a record built by [`begin_record`] — payload
+    /// length and CRC-32 — and make it durable.
+    fn write_record(&mut self, mut record: Vec<u8>) -> Result<()> {
+        let len = frame_len(record.len() - FRAME_BYTES)?;
+        let crc = crc32(&record[FRAME_BYTES..]);
+        record[..4].copy_from_slice(&len.to_le_bytes());
+        record[4..FRAME_BYTES].copy_from_slice(&crc.to_le_bytes());
         self.file
             .write_all(&record)
             .map_err(|e| io_err("append journal record", e))?;
@@ -259,6 +259,35 @@ impl RunJournal {
 }
 
 const STATS_WORDS: usize = 10;
+
+/// Record frame ahead of each payload: `payload_len u32 | crc32 u32`.
+const FRAME_BYTES: usize = 8;
+
+/// The frame's length field for a payload of `payload_len` bytes. A
+/// payload of 4 GiB or more would wrap the `u32`, and replay would read
+/// the record as a torn tail and drop it with every later one.
+fn frame_len(payload_len: usize) -> Result<u32> {
+    u32::try_from(payload_len).map_err(|_| {
+        CoreError::Journal(format!(
+            "record payload of {payload_len} bytes exceeds the {} byte frame limit",
+            u32::MAX
+        ))
+    })
+}
+
+/// Start a framed record: a placeholder frame, then the kind word and row
+/// band, with room reserved for `rest` more payload bytes, so the payload
+/// is built in place and [`RunJournal::write_record`] writes it as is.
+fn begin_record(kind: u64, row0: usize, rows: usize, rest: usize) -> Result<Vec<u8>> {
+    let payload_len = 8 * 3 + rest;
+    frame_len(payload_len)?;
+    let mut record = Vec::with_capacity(FRAME_BYTES + payload_len);
+    record.extend_from_slice(&[0; FRAME_BYTES]);
+    record.extend_from_slice(&kind.to_le_bytes());
+    record.extend_from_slice(&(row0 as u64).to_le_bytes());
+    record.extend_from_slice(&(rows as u64).to_le_bytes());
+    Ok(record)
+}
 
 fn stats_words(s: &ReconStats) -> [u64; STATS_WORDS] {
     [
@@ -818,6 +847,39 @@ mod tests {
         ];
         let p = SlabProgress::replay(1, 4, 2, &wrapping).unwrap();
         assert_eq!(p.committed_slabs(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_payload_past_the_u32_frame_is_an_error_not_a_wrapped_length() {
+        let limit = u32::MAX as usize;
+        assert_eq!(frame_len(limit).unwrap(), u32::MAX);
+        assert!(matches!(frame_len(limit + 1), Err(CoreError::Journal(_))));
+        // `append` checks before it reserves: a record one byte past the
+        // limit fails without allocating its 4 GiB.
+        assert!(matches!(
+            begin_record(KIND_COMMIT, 0, 1, limit + 1 - 8 * 3),
+            Err(CoreError::Journal(_))
+        ));
+    }
+
+    #[test]
+    fn a_record_is_its_frame_then_its_payload() {
+        let dir = tmp_dir("frame");
+        let key = JournalKey::new("frame".into());
+        let (mut j, _) = RunJournal::open(&dir, &key, (1, 4, 2), true).unwrap();
+        let header_len = fs::metadata(j.path()).unwrap().len() as usize;
+        j.append_poison(1, 2).unwrap();
+        let bytes = fs::read(j.path()).unwrap();
+        let record = &bytes[header_len..];
+        let payload: Vec<u8> = [KIND_POISON, 1, 2]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        assert_eq!(&record[..4], &24u32.to_le_bytes());
+        assert_eq!(&record[4..8], &crc32(&payload).to_le_bytes());
+        assert_eq!(&record[8..], &payload[..]);
+        drop(j);
         let _ = fs::remove_dir_all(&dir);
     }
 }

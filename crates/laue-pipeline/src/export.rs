@@ -8,14 +8,16 @@ use std::io::Write;
 use std::path::Path;
 
 use laue_core::{DepthImage, ReconstructionConfig};
-use mh5::{AttrValue, Dtype, FileWriter};
+use mh5::{AttrValue, Codec, Dtype, FileWriter};
 
 use crate::report::RunReport;
 use crate::Result;
 
 /// Write the depth image to an mh5 file:
-/// `/reconstruction/depth_image` (f64, `(bins, rows, cols)`), with the
-/// depth axis and run metadata as attributes.
+/// `/reconstruction/depth_image` (f64, `(bins, rows, cols)`, one chunk per
+/// depth bin), with the depth axis and run metadata as attributes. The
+/// chunks are RLE-coded: a depth image is mostly zeros, so a chunk shrinks
+/// to a few bytes per run, and one that would not shrink is stored raw.
 pub fn write_mh5<P: AsRef<Path>>(
     path: P,
     report: &RunReport,
@@ -39,12 +41,13 @@ pub fn write_mh5<P: AsRef<Path>>(
         "pairs_deposited",
         AttrValue::Int(report.stats.pairs_deposited as i64),
     )?;
-    let ds = w.create_dataset(
+    let ds = w.create_dataset_with_codec(
         g,
         "depth_image",
         Dtype::F64,
         &[img.n_bins, img.n_rows, img.n_cols],
         &[1, img.n_rows, img.n_cols],
+        Codec::Rle,
     )?;
     w.write_all(ds, &img.data)?;
     w.finish()?;
@@ -128,6 +131,13 @@ mod tests {
         let ds = f.resolve_path("/reconstruction/depth_image").unwrap();
         let data: Vec<f64> = f.read_all(ds).unwrap();
         assert_eq!(data, r.image.data);
+        // Two nonzero cells in 24: the zeros are stored as runs.
+        let raw_bytes = 8 * r.image.data.len() as u64;
+        let stored = f.dataset_info(ds).unwrap().stored_bytes;
+        assert!(
+            stored < raw_bytes,
+            "stored {stored} of {raw_bytes} raw bytes"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -20,12 +20,31 @@ use crate::engine::Engine;
 use crate::report::{ClusterReport, PlanExplain, RecoveryAccounting, ResumeInfo, RunReport};
 use crate::Result;
 
+/// Bytes [`file_fingerprint`] reads at a time.
+const FINGERPRINT_BLOCK: usize = 1 << 20;
+
 /// A cheap content fingerprint of a scan file (CRC-32 of the bytes, plus
 /// the length in the high word), used to key the run journal so `--resume`
-/// never replays slabs recorded for a different scan.
+/// never replays slabs recorded for a different scan. The file streams
+/// through the CRC in fixed-size blocks, so keying a scan of any size
+/// needs one block of memory.
 pub fn file_fingerprint<P: AsRef<Path>>(path: P) -> Result<u64> {
-    let bytes = std::fs::read(path)?;
-    Ok(((bytes.len() as u64) << 32) | mh5::crc::crc32(&bytes) as u64)
+    use std::io::{ErrorKind, Read};
+    let mut file = std::fs::File::open(path)?;
+    let mut block = vec![0u8; FINGERPRINT_BLOCK];
+    let mut crc = mh5::crc::Crc32::new();
+    let mut len = 0u64;
+    loop {
+        let n = match file.read(&mut block) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        crc.update(&block[..n]);
+        len += n as u64;
+    }
+    Ok((len << 32) | crc.finish() as u64)
 }
 
 /// What to do when a GPU engine fails in a way another executor could
@@ -682,6 +701,20 @@ mod tests {
 
     fn cfg() -> ReconstructionConfig {
         ReconstructionConfig::new(-1500.0, 1500.0, 100)
+    }
+
+    #[test]
+    fn fingerprint_streams_blocks_to_the_whole_file_value() {
+        // Three and a half blocks: the last read is a partial block.
+        let bytes: Vec<u8> = (0..FINGERPRINT_BLOCK * 7 / 2)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("pipeline_{}_fingerprint.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let want = ((bytes.len() as u64) << 32) | mh5::crc::crc32(&bytes) as u64;
+        assert_eq!(file_fingerprint(&path).unwrap(), want);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

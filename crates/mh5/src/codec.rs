@@ -37,28 +37,62 @@ impl Codec {
 
 /// RLE-encode `data`. Always succeeds; may be longer than the input.
 pub fn rle_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 2);
+    rle_encode_below(data, usize::MAX).expect("no stream reaches usize::MAX bytes")
+}
+
+/// RLE-encode `data` into a stream shorter than `limit` bytes, or `None`.
+/// Gives up as soon as the pairs so far plus the fewest the rest can take
+/// reach `limit`, so input that does not compress costs at most the
+/// encoding of the prefix that proves it. A returned stream is exactly
+/// what [`rle_encode`] produces.
+fn rle_encode_below(data: &[u8], limit: usize) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
     let mut i = 0;
-    while i < data.len() {
-        let b = data[i];
-        let mut run = 1usize;
-        while run < 255 && i + run < data.len() && data[i + run] == b {
-            run += 1;
+    loop {
+        let rest = data.len() - i;
+        if out.len() + 2 * rest.div_ceil(255) >= limit {
+            return None;
         }
+        if rest == 0 {
+            return Some(out);
+        }
+        let run = run_len(&data[i..]);
         out.push(run as u8);
-        out.push(b);
+        out.push(data[i]);
         i += run;
     }
-    out
+}
+
+/// Length of the run of `data[0]` that opens `data`, capped at 255.
+/// Compares 8 bytes at a time; the first differing byte of a word is its
+/// lowest nonzero byte of the little-endian XOR.
+fn run_len(data: &[u8]) -> usize {
+    let b = data[0];
+    let max = data.len().min(255);
+    let pattern = u64::from_le_bytes([b; 8]);
+    let mut run = 1;
+    while run + 8 <= max {
+        let word = u64::from_le_bytes(data[run..run + 8].try_into().expect("an 8-byte window"));
+        let diff = word ^ pattern;
+        if diff != 0 {
+            return run + (diff.trailing_zeros() / 8) as usize;
+        }
+        run += 8;
+    }
+    while run < max && data[run] == b {
+        run += 1;
+    }
+    run
 }
 
 /// Decode an RLE stream, validating that it expands to exactly
-/// `expected_len` bytes.
+/// `expected_len` bytes. The output is reserved by what the stream can
+/// hold (255 bytes per pair), never by the claimed length alone.
 pub fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
     if !data.len().is_multiple_of(2) {
         return Err(Mh5Error::Corrupt("RLE stream has odd length".into()));
     }
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::with_capacity(expected_len.min(255 * (data.len() / 2)));
     for pair in data.chunks_exact(2) {
         let (run, b) = (pair[0] as usize, pair[1]);
         if run == 0 {
@@ -82,23 +116,20 @@ pub fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 
 /// Encode a chunk with the requested codec preference, falling back to raw
 /// when compression does not pay. Returns the payload and the codec actually
-/// used.
-pub fn encode_chunk(data: &[u8], prefer: Codec) -> (Vec<u8>, Codec) {
+/// used; a raw payload is `data` itself, not a copy.
+pub fn encode_chunk(data: Vec<u8>, prefer: Codec) -> (Vec<u8>, Codec) {
     match prefer {
-        Codec::Raw => (data.to_vec(), Codec::Raw),
-        Codec::Rle => {
-            let enc = rle_encode(data);
-            if enc.len() < data.len() {
-                (enc, Codec::Rle)
-            } else {
-                (data.to_vec(), Codec::Raw)
-            }
-        }
+        Codec::Raw => (data, Codec::Raw),
+        Codec::Rle => match rle_encode_below(&data, data.len()) {
+            Some(enc) => (enc, Codec::Rle),
+            None => (data, Codec::Raw),
+        },
     }
 }
 
-/// Decode a chunk payload stored with `codec` into `raw_len` bytes.
-pub fn decode_chunk(payload: &[u8], codec: Codec, raw_len: usize) -> Result<Vec<u8>> {
+/// Decode a chunk payload stored with `codec` into `raw_len` bytes; a raw
+/// payload is returned as is, not copied.
+pub fn decode_chunk(payload: Vec<u8>, codec: Codec, raw_len: usize) -> Result<Vec<u8>> {
     match codec {
         Codec::Raw => {
             if payload.len() != raw_len {
@@ -107,15 +138,33 @@ pub fn decode_chunk(payload: &[u8], codec: Codec, raw_len: usize) -> Result<Vec<
                     payload.len()
                 )));
             }
-            Ok(payload.to_vec())
+            Ok(payload)
         }
-        Codec::Rle => rle_decode(payload, raw_len),
+        Codec::Rle => rle_decode(&payload, raw_len),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Byte-scanning encoder, one comparison per byte: the oracle.
+    fn reference_rle_encode(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() / 2 + 2);
+        let mut i = 0;
+        while i < data.len() {
+            let b = data[i];
+            let mut run = 1usize;
+            while run < 255 && i + run < data.len() && data[i + run] == b {
+                run += 1;
+            }
+            out.push(run as u8);
+            out.push(b);
+            i += run;
+        }
+        out
+    }
 
     #[test]
     fn codes_round_trip() {
@@ -153,7 +202,7 @@ mod tests {
     #[test]
     fn encode_chunk_falls_back_to_raw() {
         let incompressible: Vec<u8> = (0..=255u8).collect();
-        let (payload, codec) = encode_chunk(&incompressible, Codec::Rle);
+        let (payload, codec) = encode_chunk(incompressible.clone(), Codec::Rle);
         assert_eq!(codec, Codec::Raw);
         assert_eq!(payload, incompressible);
     }
@@ -165,8 +214,60 @@ mod tests {
         assert!(rle_decode(&[200, 1], 10).is_err(), "expands too far");
         assert!(rle_decode(&[5, 1], 10).is_err(), "expands too little");
         assert!(
-            decode_chunk(&[1, 2, 3], Codec::Raw, 4).is_err(),
+            decode_chunk(vec![1, 2, 3], Codec::Raw, 4).is_err(),
             "raw length mismatch"
         );
+    }
+
+    #[test]
+    fn decode_reserves_by_the_stream_not_the_claim() {
+        // One pair cannot expand to a terabyte; reserving the claimed size
+        // up front would abort the process instead of returning an error.
+        assert!(matches!(
+            rle_decode(&[3, 7], 1 << 40),
+            Err(Mh5Error::Corrupt(_))
+        ));
+    }
+
+    /// Runs of random length (often past 255) over a small alphabet, so
+    /// neighbouring runs sometimes share a byte.
+    fn runs() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((0u8..4, 1usize..700), 0..12).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(b, n)| std::iter::repeat_n(b, n))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encoder_matches_byte_scanning_reference_on_runs(data in runs()) {
+            let enc = rle_encode(&data);
+            prop_assert_eq!(&enc, &reference_rle_encode(&data));
+            prop_assert_eq!(rle_decode(&enc, data.len()).unwrap(), data.clone());
+            let (payload, codec) = encode_chunk(data.clone(), Codec::Rle);
+            if enc.len() < data.len() {
+                prop_assert_eq!((payload, codec), (enc, Codec::Rle));
+            } else {
+                prop_assert_eq!((payload, codec), (data, Codec::Raw));
+            }
+        }
+
+        #[test]
+        fn encoder_matches_reference_on_incompressible_input(
+            data in proptest::collection::vec(any::<u8>(), 0..2000)
+        ) {
+            prop_assert_eq!(rle_encode(&data), reference_rle_encode(&data));
+            let (payload, codec) = encode_chunk(data.clone(), Codec::Rle);
+            let want = if reference_rle_encode(&data).len() < data.len() {
+                Codec::Rle
+            } else {
+                Codec::Raw
+            };
+            prop_assert_eq!(codec, want);
+            prop_assert_eq!(decode_chunk(payload, codec, data.len()).unwrap(), data);
+        }
     }
 }

@@ -95,34 +95,11 @@ impl FileWriter {
         let slice_idx = state.n_slices;
         state.n_slices += 1;
         let chunking = state.slice_chunking;
-        let rank = chunking.shape.rank();
+        // The slice's chunks are directory slots `slice_idx * n_chunks..`
+        // (chunk axis 0 is 1); the pending directory grows on demand.
         let n_chunks = chunking.n_chunks();
-        // Write each chunk of this slice through the raw chunk writer; the
-        // pending directory is grown on demand.
         self.reserve_extendable_chunks(ds, (slice_idx + 1) * n_chunks)?;
-        let elem = T::DTYPE.size();
-        let bytes = crate::dtype::encode_slice(data);
-        let mut chunk_buf: Vec<u8> = Vec::new();
-        for ci in 0..n_chunks {
-            let coords = chunking.chunk_coords(ci);
-            let origin = chunking.chunk_origin(&coords[..rank]);
-            let extent = chunking.chunk_extent(&coords[..rank]);
-            let n: usize = extent[..rank].iter().product();
-            chunk_buf.clear();
-            chunk_buf.resize(n * elem, 0);
-            crate::shape::copy_box(
-                &bytes,
-                chunking.shape.dims(),
-                &origin[..rank],
-                &mut chunk_buf,
-                &extent[..rank],
-                &vec![0; rank],
-                &extent[..rank],
-                elem,
-            );
-            let decoded: Vec<T> = crate::dtype::decode_slice(&chunk_buf)?;
-            self.write_chunk(ds, slice_idx * n_chunks + ci, &decoded)?;
-        }
+        self.write_array_chunks(ds, &chunking, data, slice_idx * n_chunks)?;
         Ok(slice_idx)
     }
 }

@@ -215,7 +215,7 @@ impl FileReader {
                 computed,
             });
         }
-        decode_chunk(&payload, entry.codec, entry.raw_len as usize)
+        decode_chunk(payload, entry.codec, entry.raw_len as usize)
     }
 
     /// Read an entire dataset into a row-major vector.

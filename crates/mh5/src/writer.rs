@@ -220,14 +220,24 @@ impl FileWriter {
         Ok(())
     }
 
-    fn dataset_meta(&self, ds: ObjectId) -> Result<&DatasetMeta> {
-        match &self.table.get(ds)?.payload {
-            Payload::Dataset(m) => Ok(m),
-            Payload::Group { .. } => Err(Mh5Error::WrongKind {
-                path: self.table.get(ds)?.name.clone(),
-                expected: "dataset",
-            }),
+    /// The dataset's metadata, checked to hold elements of type `T`.
+    fn typed_dataset_meta<T: Element>(&self, ds: ObjectId) -> Result<&DatasetMeta> {
+        let meta = match &self.table.get(ds)?.payload {
+            Payload::Dataset(m) => m,
+            Payload::Group { .. } => {
+                return Err(Mh5Error::WrongKind {
+                    path: self.table.get(ds)?.name.clone(),
+                    expected: "dataset",
+                })
+            }
+        };
+        if T::DTYPE != meta.dtype {
+            return Err(Mh5Error::TypeMismatch {
+                expected: T::DTYPE.name(),
+                actual: meta.dtype.name(),
+            });
         }
+        Ok(meta)
     }
 
     /// Write one chunk (by linear chunk index) of a dataset. `data` must
@@ -239,13 +249,7 @@ impl FileWriter {
         data: &[T],
     ) -> Result<()> {
         self.check_open()?;
-        let meta = self.dataset_meta(ds)?;
-        if T::DTYPE != meta.dtype {
-            return Err(Mh5Error::TypeMismatch {
-                expected: T::DTYPE.name(),
-                actual: meta.dtype.name(),
-            });
-        }
+        let meta = self.typed_dataset_meta::<T>(ds)?;
         let n_chunks = meta.chunking.n_chunks();
         if chunk_index >= n_chunks {
             return Err(Mh5Error::BadShape(format!(
@@ -259,35 +263,39 @@ impl FileWriter {
                 actual: data.len(),
             });
         }
-        let raw = encode_slice(data);
-        let prefer = self.codecs[ds.index()];
-        let (payload, codec) = encode_chunk(&raw, prefer);
-        let entry = ChunkEntry {
-            offset: self.offset,
-            stored_len: payload.len() as u64,
-            raw_len: raw.len() as u64,
-            codec,
-            checksum: crc32(&payload),
-        };
-        let slot = self.pending[ds.index()]
+        self.put_chunk(ds, chunk_index, encode_slice(data))
+    }
+
+    /// Encode `raw` (one chunk's element bytes) with the dataset's codec,
+    /// checksum it, and stream it to disk as directory slot `chunk_index`.
+    fn put_chunk(&mut self, ds: ObjectId, chunk_index: usize, raw: Vec<u8>) -> Result<()> {
+        let dir = self.pending[ds.index()]
             .as_mut()
             .expect("dataset always has a pending directory");
-        if slot[chunk_index].is_some() {
+        if dir[chunk_index].is_some() {
             return Err(Mh5Error::WriterState(format!(
                 "chunk {chunk_index} written twice"
             )));
         }
+        let raw_len = raw.len() as u64;
+        let (payload, codec) = encode_chunk(raw, self.codecs[ds.index()]);
+        let checksum = crc32(&payload);
         self.out.write_all(&payload)?;
+        dir[chunk_index] = Some(ChunkEntry {
+            offset: self.offset,
+            stored_len: payload.len() as u64,
+            raw_len,
+            codec,
+            checksum,
+        });
         self.offset += payload.len() as u64;
-        slot[chunk_index] = Some(entry);
         Ok(())
     }
 
     /// Write a whole dataset at once; `data` is the full row-major array.
     pub fn write_all<T: Element>(&mut self, ds: ObjectId, data: &[T]) -> Result<()> {
         self.check_open()?;
-        let meta = self.dataset_meta(ds)?;
-        let chunking = meta.chunking;
+        let chunking = self.typed_dataset_meta::<T>(ds)?.chunking;
         let n_elements = chunking.shape.n_elements();
         if data.len() != n_elements {
             return Err(Mh5Error::LengthMismatch {
@@ -295,29 +303,52 @@ impl FileWriter {
                 actual: data.len(),
             });
         }
+        self.write_array_chunks(ds, &chunking, data, 0)
+    }
+
+    /// Write every chunk of the row-major array `data` (shaped and chunked
+    /// by `chunking`) into directory slots `first_chunk..`. A chunk that is
+    /// one contiguous run of `data` — extent 1 on its leading axes, full
+    /// extent on its trailing ones — is encoded straight from its slice;
+    /// any other is gathered with [`copy_box`] from the array's bytes,
+    /// which are encoded once, on the first such chunk.
+    pub(crate) fn write_array_chunks<T: Element>(
+        &mut self,
+        ds: ObjectId,
+        chunking: &Chunking,
+        data: &[T],
+        first_chunk: usize,
+    ) -> Result<()> {
         let rank = chunking.shape.rank();
+        let dims = chunking.shape.dims();
         let elem = T::DTYPE.size();
-        let bytes = encode_slice(data);
-        let mut chunk_buf: Vec<u8> = Vec::new();
+        let mut bytes: Option<Vec<u8>> = None;
         for ci in 0..chunking.n_chunks() {
             let coords = chunking.chunk_coords(ci);
-            let origin = chunking.chunk_origin(&coords[..rank]);
-            let extent = chunking.chunk_extent(&coords[..rank]);
-            let n: usize = extent[..rank].iter().product();
-            chunk_buf.clear();
-            chunk_buf.resize(n * elem, 0);
-            copy_box(
-                &bytes,
-                chunking.shape.dims(),
-                &origin[..rank],
-                &mut chunk_buf,
-                &extent[..rank],
-                &vec![0; rank],
-                &extent[..rank],
-                elem,
-            );
-            let decoded: Vec<T> = crate::dtype::decode_slice(&chunk_buf)?;
-            self.write_chunk(ds, ci, &decoded)?;
+            let origin = &chunking.chunk_origin(&coords[..rank])[..rank];
+            let extent = &chunking.chunk_extent(&coords[..rank])[..rank];
+            let n: usize = extent.iter().product();
+            let contiguous = (0..rank)
+                .any(|k| extent[..k].iter().all(|&e| e == 1) && extent[k + 1..] == dims[k + 1..]);
+            let raw = if contiguous {
+                let start = chunking.shape.linear_index(origin);
+                encode_slice(&data[start..start + n])
+            } else {
+                let bytes = bytes.get_or_insert_with(|| encode_slice(data));
+                let mut buf = vec![0u8; n * elem];
+                copy_box(
+                    bytes,
+                    dims,
+                    origin,
+                    &mut buf,
+                    extent,
+                    &vec![0; rank],
+                    extent,
+                    elem,
+                );
+                buf
+            };
+            self.put_chunk(ds, first_chunk + ci, raw)?;
         }
         Ok(())
     }
@@ -545,6 +576,72 @@ mod tests {
         w.write_chunk(ds, 0, &[1u8, 2]).unwrap();
         assert!(matches!(w.finish(), Err(Mh5Error::WriterState(_))));
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn write_all_matches_chunk_by_chunk_writes() {
+        // The first five chunk shapes are contiguous runs of the array and
+        // take the slice path; the last two are gathered. Either way the
+        // file must equal one written chunk by chunk.
+        let shape = [3usize, 4, 6];
+        let data: Vec<u32> = (0..72u32).map(|i| (i / 5) * 0x0101_0101).collect();
+        let chunks = [
+            [1, 2, 6],
+            [1, 4, 6],
+            [3, 4, 6],
+            [1, 1, 4],
+            [2, 4, 6],
+            [2, 3, 5],
+            [1, 4, 3],
+        ];
+        for chunk in chunks {
+            for codec in [Codec::Raw, Codec::Rle] {
+                let write = |p: &Path, whole: bool| {
+                    let mut w = FileWriter::create(p).unwrap();
+                    let ds = w
+                        .create_dataset_with_codec(
+                            FileWriter::ROOT,
+                            "d",
+                            Dtype::U32,
+                            &shape,
+                            &chunk,
+                            codec,
+                        )
+                        .unwrap();
+                    if whole {
+                        w.write_all(ds, &data).unwrap();
+                    } else {
+                        let chunking =
+                            Chunking::new(Shape::new(&shape).unwrap(), Shape::new(&chunk).unwrap())
+                                .unwrap();
+                        for ci in 0..chunking.n_chunks() {
+                            let coords = chunking.chunk_coords(ci);
+                            let o = chunking.chunk_origin(&coords[..3]);
+                            let e = chunking.chunk_extent(&coords[..3]);
+                            let mut elems = Vec::new();
+                            for i in o[0]..o[0] + e[0] {
+                                for j in o[1]..o[1] + e[1] {
+                                    for k in o[2]..o[2] + e[2] {
+                                        elems.push(data[(i * shape[1] + j) * shape[2] + k]);
+                                    }
+                                }
+                            }
+                            w.write_chunk(ds, ci, &elems).unwrap();
+                        }
+                    }
+                    w.finish().unwrap();
+                    std::fs::read(p).unwrap()
+                };
+                let (a, b) = (tmp("whole"), tmp("by_chunk"));
+                assert_eq!(
+                    write(&a, true),
+                    write(&b, false),
+                    "chunk {chunk:?} {codec:?}"
+                );
+                std::fs::remove_file(&a).ok();
+                std::fs::remove_file(&b).ok();
+            }
+        }
     }
 
     #[test]
