@@ -438,6 +438,54 @@ pub fn fit_rows_per_slab(
     Ok(best)
 }
 
+/// The ring's opening plan for a band of `band_rows` rows:
+/// `(rows_per_slab, slots)`. A configured slab height is used as is;
+/// otherwise the slab is the largest whose `slots` copies fit `budget`.
+/// With a journal attached the slab is capped at what one journal record
+/// holds ([`RunJournal::max_slab_rows`]), so no slab is computed only to
+/// fail its commit.
+#[allow(clippy::too_many_arguments)]
+fn plan_slabs(
+    budget: u64,
+    band_rows: usize,
+    n_images: usize,
+    n_cols: usize,
+    cfg: &ReconstructionConfig,
+    sizing_opts: GpuOptions,
+    depth: PipelineDepth,
+    journal: Option<&RunJournal>,
+) -> Result<(usize, usize)> {
+    let mut slots = depth.0;
+    let rows_per_slab = match cfg.rows_per_slab {
+        Some(r) => r.min(band_rows),
+        None => loop {
+            // Plan-time fit: k slabs must be resident together. When even
+            // one row per slab does not fit at this depth, shallow the ring
+            // before giving up — overlap is an optimisation, capacity is
+            // not.
+            match fit_rows_per_slab(
+                budget,
+                band_rows,
+                n_images,
+                n_cols,
+                cfg.n_depth_bins,
+                sizing_opts,
+                slots,
+                cfg.compaction,
+            ) {
+                Ok(r) => break r,
+                Err(CoreError::DeviceCapacity { .. }) if slots > 1 => slots = (slots / 2).max(1),
+                Err(e) => return Err(e),
+            }
+        },
+    };
+    let rows_per_slab = match journal {
+        Some(j) => rows_per_slab.min(j.max_slab_rows()?),
+        None => rows_per_slab,
+    };
+    Ok((rows_per_slab, slots))
+}
+
 /// Where the kernel's depth table comes from, resolved once per run.
 pub(crate) enum TableSource {
     /// In-kernel triangulation — no table at all.
@@ -1947,32 +1995,16 @@ pub(crate) fn run_ring(
         None
     };
 
-    let band_rows = band.end - band.start;
-    let budget = device.mem_capacity() - device.mem_used();
-    let mut slots = depth.0;
-    let mut rows_per_slab = match cfg.rows_per_slab {
-        Some(r) => r.min(band_rows),
-        None => loop {
-            // Plan-time fit: k slabs must be resident together. When even
-            // one row per slab does not fit at this depth, shallow the ring
-            // before giving up — overlap is an optimisation, capacity is
-            // not.
-            match fit_rows_per_slab(
-                budget,
-                band_rows,
-                n_images,
-                n_cols,
-                cfg.n_depth_bins,
-                sizing_opts,
-                slots,
-                cfg.compaction,
-            ) {
-                Ok(r) => break r,
-                Err(CoreError::DeviceCapacity { .. }) if slots > 1 => slots = (slots / 2).max(1),
-                Err(e) => return Err(e),
-            }
-        },
-    };
+    let (mut rows_per_slab, mut slots) = plan_slabs(
+        device.mem_capacity() - device.mem_used(),
+        band.end - band.start,
+        n_images,
+        n_cols,
+        cfg,
+        sizing_opts,
+        depth,
+        out.journal.as_deref(),
+    )?;
 
     // Shared environment for slab execution and commit/scrub recovery.
     let abft_tol = match device.exec_mode() {
@@ -2933,6 +2965,43 @@ mod tests {
         assert_eq!(out.stats, baseline.stats);
         assert_eq!(out.n_slabs, baseline.n_slabs);
         assert_eq!(out.rows_per_slab, baseline.rows_per_slab);
+    }
+
+    #[test]
+    fn a_journalled_slab_plan_is_capped_at_one_record() {
+        use crate::journal::{JournalKey, RunJournal};
+
+        // 64 images of 2048 × 2048 into 200 bins on the 6 GB M2070 at ring
+        // depth 1: the memory fit alone plans a slab past the journal's
+        // 4 GiB record frame.
+        let mut cfg = ReconstructionConfig::new(-400.0, 400.0, 200);
+        let budget = DeviceProps::tesla_m2070().total_mem;
+        let dir = std::env::temp_dir().join(format!("laue-plan-cap-{}", std::process::id()));
+        let key = JournalKey::new("plan-cap".into());
+        let (journal, _) = RunJournal::open(&dir, &key, (200, 2048, 2048), false).unwrap();
+        let cap = journal.max_slab_rows().unwrap();
+        let plan = |cfg: &ReconstructionConfig, journal| {
+            plan_slabs(
+                budget,
+                2048,
+                64,
+                2048,
+                cfg,
+                GpuOptions::default(),
+                PipelineDepth::SERIAL,
+                journal,
+            )
+            .unwrap()
+        };
+        let (fit, slots) = plan(&cfg, None);
+        assert!(fit > cap, "the fit ({fit} rows) must pass the cap ({cap})");
+        assert_eq!(plan(&cfg, Some(&journal)), (cap, slots));
+        // A configured slab height is capped the same way.
+        cfg.rows_per_slab = Some(2048);
+        assert_eq!(plan(&cfg, None).0, 2048);
+        assert_eq!(plan(&cfg, Some(&journal)).0, cap);
+        journal.remove().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

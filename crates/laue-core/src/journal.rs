@@ -19,7 +19,9 @@
 //! ```
 //!
 //! A record is built in one buffer, frame first, and written as is; its
-//! `u32` length caps a payload at 4 GiB − 1 bytes, and a larger slab is a
+//! `u32` length caps a payload at 4 GiB − 1 bytes. Executors cap their
+//! slabs at [`RunJournal::max_slab_rows`] before the first one launches,
+//! so every slab fits; a payload that still does not is a
 //! [`CoreError::Journal`] rather than a wrapped length.
 //!
 //! A *poison* record quarantines a row band: an integrity check condemned
@@ -224,6 +226,15 @@ impl RunJournal {
         self.write_record(record)
     }
 
+    /// The most rows one committed slab may span and still fit one record.
+    /// Executors cap their slab plan by this before the first slab
+    /// launches, so a journalled run never computes a slab it cannot make
+    /// durable. Even one row past the frame is a [`CoreError::Journal`].
+    pub fn max_slab_rows(&self) -> Result<usize> {
+        let (n_bins, _, n_cols) = self.dims;
+        max_slab_rows(n_bins, n_cols)
+    }
+
     /// Append a poison record quarantining `rows` detector rows from
     /// `row0`: an integrity check condemned the slab, and replay must not
     /// trust any earlier commit of those rows. Durable before the method
@@ -273,6 +284,23 @@ fn frame_len(payload_len: usize) -> Result<u32> {
             u32::MAX
         ))
     })
+}
+
+/// Payload bytes of a commit record ahead of its slab values: the kind
+/// word, the row band and the stats block.
+const COMMIT_HEAD_BYTES: usize = 8 * (3 + STATS_WORDS);
+
+/// The most rows of `n_bins × n_cols` f64 values whose commit payload fits
+/// the frame's `u32` length.
+fn max_slab_rows(n_bins: usize, n_cols: usize) -> Result<usize> {
+    let row_bytes = 8usize.saturating_mul(n_bins).saturating_mul(n_cols);
+    match (u32::MAX as usize - COMMIT_HEAD_BYTES) / row_bytes.max(1) {
+        0 => Err(CoreError::Journal(format!(
+            "one detector row of {row_bytes} bytes exceeds the {} byte record frame limit",
+            u32::MAX
+        ))),
+        rows => Ok(rows),
+    }
 }
 
 /// Start a framed record: a placeholder frame, then the kind word and row
@@ -432,10 +460,10 @@ fn parse(
                     }
                 }
                 let n_values = n_bins * rows * n_cols;
-                if !ok || payload.len() != 8 * (3 + STATS_WORDS) + 8 * n_values {
+                if !ok || payload.len() != COMMIT_HEAD_BYTES + 8 * n_values {
                     break;
                 }
-                let data: Vec<f64> = payload[8 * (3 + STATS_WORDS)..]
+                let data: Vec<f64> = payload[COMMIT_HEAD_BYTES..]
                     .chunks_exact(8)
                     .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
                     .collect();
@@ -861,6 +889,27 @@ mod tests {
             begin_record(KIND_COMMIT, 0, 1, limit + 1 - 8 * 3),
             Err(CoreError::Journal(_))
         ));
+    }
+
+    #[test]
+    fn max_slab_rows_is_the_largest_band_whose_record_fits() {
+        // 200 bins × 2048 cols: a 1,311-row slab passes 4 GiB.
+        let rows = max_slab_rows(200, 2048).unwrap();
+        assert_eq!(rows, 1310);
+        let payload = |rows: usize| COMMIT_HEAD_BYTES + 8 * 200 * rows * 2048;
+        assert!(frame_len(payload(rows)).is_ok());
+        assert!(frame_len(payload(rows + 1)).is_err());
+        // A row that alone overflows the frame cannot be journalled at all.
+        assert!(matches!(
+            max_slab_rows(1, 1 << 29),
+            Err(CoreError::Journal(_))
+        ));
+        let dir = tmp_dir("max-rows");
+        let key = JournalKey::new("max-rows".into());
+        let (j, _) = RunJournal::open(&dir, &key, (200, 4096, 2048), true).unwrap();
+        assert_eq!(j.max_slab_rows().unwrap(), 1310);
+        drop(j);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -541,7 +541,17 @@ impl Pipeline {
         let mut recomputed = 0usize;
         let mut cpu_time = 0.0;
         let mut slab_densities = Vec::new();
-        for band in progress.uncovered(0..dims.1) {
+        // A journalled band must fit one journal record, as a GPU slab does.
+        let max_rows = match &journal {
+            Some(j) => j.max_slab_rows()?,
+            None => usize::MAX,
+        };
+        let bands = progress.uncovered(0..dims.1).into_iter().flat_map(|b| {
+            b.clone()
+                .step_by(max_rows)
+                .map(move |row0| row0..row0 + (b.end - row0).min(max_rows))
+        });
+        for band in bands {
             let rows = band.len();
             let slab = source.read_slab(band.start, rows)?;
             let view = ScanView::new(&slab, dims.0, rows, dims.2)?;

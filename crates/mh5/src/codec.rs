@@ -37,30 +37,15 @@ impl Codec {
 
 /// RLE-encode `data`. Always succeeds; may be longer than the input.
 pub fn rle_encode(data: &[u8]) -> Vec<u8> {
-    rle_encode_below(data, usize::MAX).expect("no stream reaches usize::MAX bytes")
-}
-
-/// RLE-encode `data` into a stream shorter than `limit` bytes, or `None`.
-/// Gives up as soon as the pairs so far plus the fewest the rest can take
-/// reach `limit`, so input that does not compress costs at most the
-/// encoding of the prefix that proves it. A returned stream is exactly
-/// what [`rle_encode`] produces.
-fn rle_encode_below(data: &[u8], limit: usize) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     let mut i = 0;
-    loop {
-        let rest = data.len() - i;
-        if out.len() + 2 * rest.div_ceil(255) >= limit {
-            return None;
-        }
-        if rest == 0 {
-            return Some(out);
-        }
+    while i < data.len() {
         let run = run_len(&data[i..]);
         out.push(run as u8);
         out.push(data[i]);
         i += run;
     }
+    out
 }
 
 /// Length of the run of `data[0]` that opens `data`, capped at 255.
@@ -120,10 +105,14 @@ pub fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 pub fn encode_chunk(data: Vec<u8>, prefer: Codec) -> (Vec<u8>, Codec) {
     match prefer {
         Codec::Raw => (data, Codec::Raw),
-        Codec::Rle => match rle_encode_below(&data, data.len()) {
-            Some(enc) => (enc, Codec::Rle),
-            None => (data, Codec::Raw),
-        },
+        Codec::Rle => {
+            let enc = rle_encode(&data);
+            if enc.len() < data.len() {
+                (enc, Codec::Rle)
+            } else {
+                (data, Codec::Raw)
+            }
+        }
     }
 }
 
