@@ -1,5 +1,6 @@
 //! The pipeline driver.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -546,12 +547,7 @@ impl Pipeline {
             Some(j) => j.max_slab_rows()?,
             None => usize::MAX,
         };
-        let bands = progress.uncovered(0..dims.1).into_iter().flat_map(|b| {
-            b.clone()
-                .step_by(max_rows)
-                .map(move |row0| row0..row0 + (b.end - row0).min(max_rows))
-        });
-        for band in bands {
+        for band in split_bands(progress.uncovered(0..dims.1), max_rows) {
             let rows = band.len();
             let slab = source.read_slab(band.start, rows)?;
             let view = ScanView::new(&slab, dims.0, rows, dims.2)?;
@@ -592,6 +588,15 @@ impl Pipeline {
             ..RunReport::host(cpu.label(), progress.image, progress.stats, cpu_time, dims)
         })
     }
+}
+
+/// `bands` cut into consecutive pieces of at most `max_rows` rows each.
+fn split_bands(bands: Vec<Range<usize>>, max_rows: usize) -> impl Iterator<Item = Range<usize>> {
+    bands.into_iter().flat_map(move |b| {
+        b.clone()
+            .step_by(max_rows)
+            .map(move |row0| row0..row0 + (b.end - row0).min(max_rows))
+    })
 }
 
 /// The explain block of a `--plan auto` run, before it is measured.
@@ -711,6 +716,17 @@ mod tests {
 
     fn cfg() -> ReconstructionConfig {
         ReconstructionConfig::new(-1500.0, 1500.0, 100)
+    }
+
+    #[test]
+    fn salvage_bands_split_at_the_record_limit() {
+        let split = |bands: Vec<Range<usize>>, max| split_bands(bands, max).collect::<Vec<_>>();
+        assert_eq!(split(vec![0..10, 12..14], usize::MAX), vec![0..10, 12..14]);
+        assert_eq!(
+            split(vec![0..10, 12..14], 4),
+            vec![0..4, 4..8, 8..10, 12..14]
+        );
+        assert_eq!(split(vec![3..4, 5..7], 1), vec![3..4, 5..6, 6..7]);
     }
 
     #[test]
