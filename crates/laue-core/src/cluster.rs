@@ -60,13 +60,12 @@ use crate::cache::DepthTableCache;
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{
-    run_ring, validate_inputs, GpuOptions, GpuReconstruction, PipelineDepth, SlabCommit,
-};
+use crate::gpu::{run_ring, validate_inputs, GpuReconstruction, SlabCommit};
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
 use crate::multi::failover_rounds;
+use crate::planner::Plan;
 use crate::Result;
 
 /// Fixed per-segment envelope: slab header, CRC frame, RDMA descriptor.
@@ -111,8 +110,7 @@ impl ReductionTopology {
     }
 }
 
-/// Cluster-level knobs (the intra-node knobs ride in
-/// [`ReconstructionConfig`] as before).
+/// Inter-node reduction knobs: the `reduction` of a run's [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterOptions {
     /// Inter-node reduction routing.
@@ -286,9 +284,12 @@ fn schedule_reduction(
 /// The one checkpointed GPU executor: round-based failover over nodes,
 /// and inside each node over its devices, then the inter-node reduction.
 ///
-/// `nodes[i]` holds node `i`'s devices (attached to that node's
-/// [`cuda_sim::Host`]); `net` is the fabric linking them, which must span
-/// at least `nodes.len()` endpoints. The run covers the first `max_rows`
+/// `plan` is the run's one resolved [`Plan`]: `nodes` must be its
+/// `nodes × devices` shape (`nodes[i]` holds node `i`'s devices, attached
+/// to that node's [`cuda_sim::Host`]), every device runs its options and
+/// ring depth, and the node images reduce under its reduction options.
+/// `net` is the fabric linking the nodes, which must span at least
+/// `nodes.len()` endpoints. The run covers the first `max_rows`
 /// rows `progress` has not committed yet (`usize::MAX` for a whole run; a
 /// smaller budget is serve's preemption quantum). Both levels run the one
 /// failover loop, `multi::failover_rounds`: the rows still owed re-band
@@ -309,7 +310,6 @@ fn schedule_reduction(
 /// never copied; a budget that leaves rows uncommitted returns an empty
 /// image and leaves the partial one in `progress`, and on error `progress`
 /// keeps every committed slab, so the caller can resume or salvage.
-/// [`ReconstructionConfig::pipeline_depth`] overrides `depth` when set.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_cluster_checkpointed(
     nodes: &[Vec<&Device>],
@@ -317,18 +317,21 @@ pub fn reconstruct_cluster_checkpointed(
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
+    plan: Plan,
     cache: Option<&DepthTableCache>,
-    copts: ClusterOptions,
     progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
     max_rows: usize,
 ) -> Result<GpuReconstruction> {
-    if nodes.is_empty() || nodes.iter().any(|ds| ds.is_empty()) {
-        return Err(CoreError::InvalidConfig(
-            "every cluster node needs at least one device".into(),
-        ));
+    if plan.nodes == 0
+        || plan.devices == 0
+        || nodes.len() != plan.nodes
+        || nodes.iter().any(|ds| ds.len() != plan.devices)
+    {
+        return Err(CoreError::InvalidConfig(format!(
+            "the devices given are not the plan's {}x{} (nodes x devices, each at least 1)",
+            plan.nodes, plan.devices
+        )));
     }
     if net.n_nodes() < nodes.len() {
         return Err(CoreError::InvalidConfig(format!(
@@ -342,7 +345,6 @@ pub fn reconstruct_cluster_checkpointed(
     let n_rows = source.n_rows();
     let n_cols = source.n_cols();
     let n = nodes.len();
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
     let segment_bytes =
         |rows: usize| (rows * n_cols * cfg.n_depth_bins * 8) as u64 + SEGMENT_HEADER_BYTES;
 
@@ -359,8 +361,7 @@ pub fn reconstruct_cluster_checkpointed(
         .collect();
 
     let mut run = GpuReconstruction {
-        pipeline_depth: depth.0,
-        options: copts,
+        pipeline_depth: plan.depth.0,
         ..GpuReconstruction::default()
     };
     let mut outcomes: Vec<NodeOutcome> = (0..n)
@@ -404,8 +405,8 @@ pub fn reconstruct_cluster_checkpointed(
                         geom,
                         &mapper,
                         cfg,
-                        opts,
-                        depth,
+                        plan.options,
+                        plan.depth,
                         cache,
                         band.clone(),
                         &mut run,
@@ -477,7 +478,7 @@ pub fn reconstruct_cluster_checkpointed(
     // node's NIC to the head node. Overlap releases a segment at its
     // commit time; the barrier variant merges each node's segments into
     // one whole-band message gated on the slowest node's compute end.
-    let scheduled: Vec<Vec<Segment>> = if copts.overlap {
+    let scheduled: Vec<Vec<Segment>> = if plan.reduction.overlap {
         segments
     } else {
         segments
@@ -496,8 +497,8 @@ pub fn reconstruct_cluster_checkpointed(
             })
             .collect()
     };
-    let barrier = (!copts.overlap).then_some(run.compute_s);
-    let sched = schedule_reduction(net, copts.topology, &scheduled, barrier);
+    let barrier = (!plan.reduction.overlap).then_some(run.compute_s);
+    let sched = schedule_reduction(net, plan.reduction.topology, &scheduled, barrier);
     for (out, segs) in outcomes.iter_mut().zip(&scheduled) {
         if out.node != 0 {
             out.net_segments = segs.len();
@@ -521,17 +522,14 @@ pub fn reconstruct_cluster_checkpointed(
 }
 
 /// Convenience entry point: fresh progress, no journal.
-#[allow(clippy::too_many_arguments)]
 pub fn reconstruct_cluster(
     nodes: &[Vec<&Device>],
     net: &Interconnect,
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
+    plan: Plan,
     cache: Option<&DepthTableCache>,
-    copts: ClusterOptions,
 ) -> Result<GpuReconstruction> {
     let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
     reconstruct_cluster_checkpointed(
@@ -540,10 +538,8 @@ pub fn reconstruct_cluster(
         source,
         geom,
         cfg,
-        opts,
-        depth,
+        plan,
         cache,
-        copts,
         &mut progress,
         None,
         usize::MAX,
@@ -574,7 +570,7 @@ pub fn node_bands(n_rows: usize, nodes: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{self, Layout};
+    use crate::gpu::{self, GpuOptions, Layout, PipelineDepth};
     use crate::input::InMemorySlabSource;
     use cuda_sim::{DeviceProps, Host, InterconnectProps};
 
@@ -620,6 +616,19 @@ mod tests {
         c.devices.iter().map(|ds| ds.iter().collect()).collect()
     }
 
+    /// The serial plan of `c`'s shape, reducing under `copts`.
+    fn plan(c: &TestCluster, cfg: &ReconstructionConfig, copts: ClusterOptions) -> Plan {
+        Plan::fixed(
+            c.devices.len(),
+            c.devices[0].len(),
+            GpuOptions::default(),
+            PipelineDepth::SERIAL,
+            cfg,
+            Some(copts.topology),
+            Some(copts.overlap),
+        )
+    }
+
     fn run(
         c: &TestCluster,
         data: &[f64],
@@ -634,10 +643,8 @@ mod tests {
             &mut source,
             geom,
             cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
+            plan(c, cfg, copts),
             None,
-            copts,
         )
         .unwrap()
     }
@@ -792,14 +799,32 @@ mod tests {
             &mut source,
             &geom,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
+            plan(&c, &cfg, ClusterOptions::default()),
             None,
-            ClusterOptions::default(),
         )
         .unwrap_err();
         assert!(err.is_gpu_failure());
         let _ = &c.hosts;
+    }
+
+    #[test]
+    fn a_cluster_of_another_shape_than_the_plan_is_refused() {
+        let (geom, cfg, data) = demo();
+        let c = build(2, 2, InterconnectProps::ib_qdr());
+        for (nodes, devices) in [(1, 2), (2, 1), (3, 2), (0, 2), (2, 0)] {
+            let plan = Plan {
+                nodes,
+                devices,
+                ..plan(&c, &cfg, ClusterOptions::default())
+            };
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
+            let err = reconstruct_cluster(&refs(&c), &c.net, &mut source, &geom, &cfg, plan, None)
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig(_)),
+                "{nodes}x{devices}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ use cuda_sim::{
 use laue_geometry::{DepthMapper, Vec3};
 
 use crate::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
-use crate::cluster::{ClusterOptions, NodeOutcome};
+use crate::cluster::NodeOutcome;
 use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
@@ -58,6 +58,7 @@ use crate::integrity::{self, IntegrityReport};
 use crate::journal::{RunJournal, SlabProgress};
 use crate::output::DepthImage;
 use crate::pair::{plan_pair, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR};
+use crate::planner::Plan;
 use crate::planning::ShadowCull;
 use crate::stats::ReconStats;
 use crate::Result;
@@ -351,8 +352,6 @@ pub struct GpuReconstruction {
     pub devices_lost: u32,
     /// Per-device meters, node-major over participating devices.
     pub per_device: Vec<Meters>,
-    /// The cluster options the run executed with (echoed for reports).
-    pub options: ClusterOptions,
 }
 
 /// Modeled device bytes needed for `slots` concurrently resident slabs of
@@ -2148,8 +2147,10 @@ pub(crate) fn run_ring(
 }
 
 /// Reconstruct with the k-deep transfer/compute ring and, optionally, a
-/// persistent depth-table cache: a fresh, unjournalled, unbounded
-/// [`reconstruct_checkpointed_bounded`], so a 1×1 run of the one executor.
+/// persistent depth-table cache: the one executor, fresh, unjournalled and
+/// unbounded ([`crate::cluster::reconstruct_cluster`]), on the 1×1
+/// [`Plan::fixed`] of `opts` and `depth`, as
+/// [`crate::multi::reconstruct_multi`] is a 1×M one.
 ///
 /// `depth` is the default ring depth; [`ReconstructionConfig::pipeline_depth`]
 /// overrides it when set. The cache only participates in
@@ -2163,28 +2164,17 @@ pub fn reconstruct_pipelined(
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
 ) -> Result<GpuReconstruction> {
-    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
-    let (out, _) = reconstruct_checkpointed_bounded(
-        device,
-        source,
-        geom,
-        cfg,
-        opts,
-        depth,
-        cache,
-        &mut progress,
-        None,
-        usize::MAX,
-    )?;
-    Ok(out)
+    let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
+    let plan = Plan::fixed(1, 1, opts, depth, cfg, None, None);
+    crate::cluster::reconstruct_cluster(&[vec![device]], &net, source, geom, cfg, plan, cache)
 }
 
 /// The single-GPU checkpointed step: checkpoint-aware and bounded — the
-/// preemption quantum the serve scheduler runs long jobs in, and, fresh and
-/// unbounded, every standalone single-GPU entry point. It is a one-node,
-/// one-device call of the one executor,
-/// [`crate::cluster::reconstruct_cluster_checkpointed`], with `max_rows`
-/// as its row budget: the run starts from `progress` (fresh, or replayed
+/// preemption quantum the serve scheduler runs long jobs in. It is a
+/// one-node, one-device call of the one executor,
+/// [`crate::cluster::reconstruct_cluster_checkpointed`], on the 1×1
+/// [`Plan::fixed`] of `opts` and `depth`, with `max_rows` as its row
+/// budget: the run starts from `progress` (fresh, or replayed
 /// from a [`RunJournal`]) and processes at most `max_rows` of the rows not
 /// yet committed. Each slab commit is appended to `journal` (when given)
 /// *before* the ring moves on, so after any interruption the journal plus
@@ -2219,10 +2209,8 @@ pub fn reconstruct_checkpointed_bounded(
         source,
         geom,
         cfg,
-        opts,
-        depth,
+        Plan::fixed(1, 1, opts, depth, cfg, None, None),
         cache,
-        ClusterOptions::default(),
         progress,
         journal,
         max_rows,

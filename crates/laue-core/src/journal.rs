@@ -63,10 +63,11 @@ const MAGIC: [u8; 8] = *b"LAUEJRN1";
 // routing, overlap) into the key, so resuming under a different cluster
 // shape restarts clean; v7 keys on the whole resolved configuration and
 // cluster options rather than a hand-picked field list, which brings the
-// watchdog multiplier into the key. An older journal fails the version
-// check and the run starts fresh — exactly the safe behaviour for a format
-// change.
-const VERSION: u32 = 7;
+// watchdog multiplier into the key; v8 keys on the resolved plan in place
+// of the engine label, plan token and cluster options, so aliases of one
+// plan share a journal. An older journal fails the version check and the
+// run starts fresh — exactly the safe behaviour for a format change.
+const VERSION: u32 = 8;
 
 /// Payload kind word: a committed slab.
 const KIND_COMMIT: u64 = 0;
@@ -80,7 +81,7 @@ fn io_err(what: &str, e: std::io::Error) -> CoreError {
 /// Identity of one reconstruction run for journal-keying purposes.
 ///
 /// The `description` spells out every input that must match for a resume to
-/// be sound (scan fingerprint, dimensions, config, engine, slab plan); the
+/// be sound (scan fingerprint, dimensions, config, resolved plan); the
 /// `hash` is a 64-bit digest of it used in the journal filename and header.
 /// On open both are compared — a hash collision cannot cross-wire runs.
 #[derive(Debug, Clone, PartialEq, Eq)]

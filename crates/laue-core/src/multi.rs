@@ -29,13 +29,14 @@ use std::ops::Range;
 
 use cuda_sim::{Device, Interconnect, InterconnectProps};
 
-use crate::cluster::{reconstruct_cluster, ClusterOptions};
+use crate::cluster::reconstruct_cluster;
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{GpuOptions, GpuReconstruction, PipelineDepth};
 use crate::input::SlabSource;
 use crate::journal::SlabProgress;
+use crate::planner::Plan;
 use crate::Result;
 
 /// Split `n_rows` into `n` contiguous bands, remainder spread to the front.
@@ -64,17 +65,16 @@ pub fn reconstruct_multi(
     opts: GpuOptions,
 ) -> Result<GpuReconstruction> {
     let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
-    reconstruct_cluster(
-        &[devices.to_vec()],
-        &net,
-        source,
-        geom,
-        cfg,
+    let plan = Plan::fixed(
+        1,
+        devices.len(),
         opts,
         PipelineDepth::SERIAL,
+        cfg,
         None,
-        ClusterOptions::default(),
-    )
+        None,
+    );
+    reconstruct_cluster(&[devices.to_vec()], &net, source, geom, cfg, plan, None)
 }
 
 /// Split a set of disjoint, row-ordered uncovered ranges over `n` workers.
@@ -350,16 +350,15 @@ mod tests {
         let cache = DepthTableCache::new(8 * 1024 * 1024);
         let run = |source: &mut dyn crate::input::SlabSource| {
             let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
+            let plan = Plan::fixed(1, refs.len(), opts, PipelineDepth(2), &cfg, None, None);
             reconstruct_cluster(
                 std::slice::from_ref(&refs),
                 &net,
                 source,
                 &geom,
                 &cfg,
-                opts,
-                PipelineDepth(2),
+                plan,
                 Some(&cache),
-                ClusterOptions::default(),
             )
             .unwrap()
         };

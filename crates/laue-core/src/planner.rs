@@ -26,6 +26,12 @@
 //!   path, the shape PR 6's shared-bus model produces), and return the
 //!   cheapest feasible candidate plus the full scored candidate list for
 //!   the run report's explain block.
+//! * **Per shape** ([`plan_auto`]): the one `--plan auto` entry for every
+//!   `nodes × devices` shape — the per-run enumeration, plus, on more than
+//!   one node, the node count × reduction topology × overlap sweep.
+//!
+//! Every GPU run executes one [`Plan`]: an engine alias names a fixed one
+//! ([`Plan::fixed`]), `--plan auto` picks one.
 //!
 //! The probe ([`SlabProbe`]) samples up to [`PROBE_MAX_PIXELS`] pixels of a
 //! slab host-side — evenly strided, so the result is deterministic and
@@ -584,22 +590,74 @@ pub struct PlannedCandidate {
     pub host_s: f64,
 }
 
-/// The run-level plan [`plan_run`] selected.
+/// The shape of one GPU run, resolved once: the executor runs it, the
+/// journal is keyed on it, and the run report reads it. `nodes` chassis
+/// of `devices` GPUs each; every device runs `options` on a ring `depth`
+/// slots deep, and the node images gather to the head node under
+/// `reduction` (one node sends nothing, so there it changes no time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    /// Chassis in the run.
+    pub nodes: usize,
+    /// GPUs per chassis.
+    pub devices: usize,
+    /// Layout, triangulation and thread mapping of every device.
+    pub options: GpuOptions,
+    /// Ring depth of every device.
+    pub depth: PipelineDepth,
+    /// Inter-node reduction routing and overlap.
+    pub reduction: ClusterOptions,
+}
+
+impl Plan {
+    /// The fixed plan of a `nodes × devices` run of `options`: a ring
+    /// `depth` slots deep unless [`ReconstructionConfig::pipeline_depth`]
+    /// pins it, reducing over `topology` with `overlap` where given (tree,
+    /// overlapped otherwise). One node sends nothing, so there a pinned
+    /// reduction stays out of the plan, as under [`plan_auto`]. Every
+    /// engine alias and every standalone single-GPU entry point resolves
+    /// its fixed plan here.
+    pub fn fixed(
+        nodes: usize,
+        devices: usize,
+        options: GpuOptions,
+        depth: PipelineDepth,
+        cfg: &ReconstructionConfig,
+        topology: Option<ReductionTopology>,
+        overlap: Option<bool>,
+    ) -> Plan {
+        let default = ClusterOptions::default();
+        Plan {
+            nodes,
+            devices,
+            options,
+            depth: cfg.pipeline_depth.map_or(depth, PipelineDepth),
+            reduction: if nodes == 1 {
+                default
+            } else {
+                ClusterOptions {
+                    topology: topology.unwrap_or(default.topology),
+                    overlap: overlap.unwrap_or(default.overlap),
+                }
+            },
+        }
+    }
+}
+
+/// A plan the cost model selected, with what the explain block reports.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
-    /// GPU options of the winning candidate (mapping is always
-    /// [`ThreadMapping::Linear`]; `Grid3d` has identical modeled cost).
-    pub options: GpuOptions,
-    /// Ring depth of the winning candidate.
-    pub depth: PipelineDepth,
+    /// The winning plan (mapping is always [`ThreadMapping::Linear`];
+    /// `Grid3d` has identical modeled cost).
+    pub plan: Plan,
     /// Slab rows of the winning candidate (feasible by construction).
     pub rows_per_slab: usize,
     /// Predicted virtual makespan of the winner, seconds.
     pub predicted_s: f64,
     /// Modeled host-CPU seconds of the winner.
     pub host_s: f64,
-    /// The winner's label (also folded into the journal key under
-    /// `--plan auto`, so a plan flip forces a clean restart).
+    /// The winner's label, e.g. `flat1d/inkernel/k2/r103` on one node or
+    /// `n8x1/tree+overlap` on more.
     pub label: String,
     /// Every scored candidate, enumeration order.
     pub candidates: Vec<PlannedCandidate>,
@@ -678,7 +736,7 @@ pub fn plan_run(
     let cull_host_flops = cull.as_ref().map_or(0, |c| c.host_flops);
 
     let mut candidates = Vec::new();
-    let mut best: Option<(GpuOptions, PipelineDepth, usize, f64, f64, String)> = None;
+    let mut best: Option<RunPlan> = None;
     let mut last_fit_error = None;
     for layout in [Layout::Flat1d, Layout::Pointer3d] {
         for triangulation in [Triangulation::InKernel, Triangulation::HostTables] {
@@ -876,37 +934,31 @@ pub fn plan_run(
                         predicted_s,
                         host_s,
                     });
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, _, b, _, _)) => predicted_s < *b,
-                    };
-                    if better {
-                        best = Some((
-                            opts,
-                            PipelineDepth(depth),
+                    if best.as_ref().is_none_or(|b| predicted_s < b.predicted_s) {
+                        best = Some(RunPlan {
+                            plan: Plan {
+                                nodes: 1,
+                                devices: 1,
+                                options: opts,
+                                depth: PipelineDepth(depth),
+                                reduction: ClusterOptions::default(),
+                            },
                             rows_per_slab,
                             predicted_s,
                             host_s,
                             label,
-                        ));
+                            candidates: Vec::new(),
+                        });
                     }
                 }
             }
         }
     }
-    let Some((options, depth, rows_per_slab, predicted_s, host_s, label)) = best else {
-        return Err(last_fit_error
-            .unwrap_or_else(|| CoreError::InvalidConfig("no feasible execution plan".into())));
-    };
-    Ok(RunPlan {
-        options,
-        depth,
-        rows_per_slab,
-        predicted_s,
-        host_s,
-        label,
-        candidates,
-    })
+    let best = best.ok_or_else(|| {
+        last_fit_error
+            .unwrap_or_else(|| CoreError::InvalidConfig("no feasible execution plan".into()))
+    })?;
+    Ok(RunPlan { candidates, ..best })
 }
 
 /// Marginal speedup per extra device on one shared-bus chassis. PR 6
@@ -914,35 +966,11 @@ pub fn plan_run(
 /// exactly bus-bound), so each extra device past the first buys ~1.4 %.
 const INTRA_NODE_MARGINAL: f64 = 0.10 / 7.0;
 
-/// A cluster execution plan: chosen reduction settings plus the priced
-/// sweep over node count × topology × overlap.
-#[derive(Debug, Clone)]
-pub struct ClusterPlan {
-    /// Reduction settings of the winner at the *requested* node count.
-    pub options: ClusterOptions,
-    /// Node count the choice is priced at (always the requested one — the
-    /// sweep over other counts is advisory, in `candidates`).
-    pub nodes: usize,
-    /// Predicted cluster makespan, seconds.
-    pub predicted_s: f64,
-    /// Predicted slowest-node compute, seconds.
-    pub compute_s: f64,
-    /// Predicted reduction time not hidden behind compute, seconds.
-    pub reduction_exposed_s: f64,
-    /// Stable label, e.g. `n8x1/tree+overlap`, folded into the journal
-    /// key under `--plan auto`.
-    pub label: String,
-    /// The underlying single-device run plan the per-node estimate scales.
-    pub per_node: RunPlan,
-    /// Every scored cluster candidate (node count × topology × overlap).
-    pub candidates: Vec<PlannedCandidate>,
-}
-
-/// Closed-form reduction estimate matching the executor's schedule shape:
-/// every byte funnels through the head node's receive link (the gather
-/// bound), plus the route's store-and-forward latency for the farthest
-/// node, with per-message overhead multiplied out under fine-grained
-/// overlap segments.
+/// Closed-form cluster makespan — `compute_s` plus the exposed reduction —
+/// matching the executor's schedule shape: every byte funnels through the
+/// head node's receive link (the gather bound), plus the route's
+/// store-and-forward latency for the farthest node, with per-message
+/// overhead multiplied out under fine-grained overlap segments.
 #[allow(clippy::too_many_arguments)]
 fn reduction_estimate(
     net: &InterconnectProps,
@@ -954,9 +982,9 @@ fn reduction_estimate(
     n_cols: usize,
     n_bins: usize,
     rows_per_slab: usize,
-) -> (f64, f64) {
+) -> f64 {
     if nodes <= 1 {
-        return (compute_s, 0.0);
+        return compute_s;
     }
     let bands = node_bands(n_rows, nodes);
     let msg = |rows: usize| net.message_time(reduction_segment_bytes(rows, n_cols, n_bins));
@@ -973,8 +1001,7 @@ fn reduction_estimate(
             .enumerate()
             .map(|(i, b)| route_hops(topology, i + 1) as f64 * msg(b.len()))
             .fold(0.0, f64::max);
-        let exposed = drain.max(path);
-        (compute_s + exposed, exposed)
+        compute_s + drain.max(path)
     } else {
         // Slab-sized segments released across the compute window: the
         // drain can start almost immediately, so only the tail past the
@@ -990,43 +1017,50 @@ fn reduction_estimate(
             .sum();
         let last_rows = bands.last().unwrap().len().min(rows_per_slab).max(1);
         let tail = max_hops as f64 * msg(last_rows);
-        let total = (compute_s + tail).max(drain + tail);
-        (total, total - compute_s)
+        (compute_s + tail).max(drain + tail)
     }
 }
 
-/// Price a cluster run: node count × reduction topology × overlap, on the
-/// same calibrated cost model as [`plan_run`]. The per-node compute
-/// estimate scales the single-device run plan by the slowest band's row
-/// share (bands are row-uniform to first order) and applies the PR 6
-/// shared-chassis margin for extra devices per node; the reduction
-/// estimate mirrors the executor's head-link-bound schedule. The chosen
-/// topology/overlap is the argmin at the requested node count — the sweep
-/// over power-of-two node counts is reported in `candidates` so scaling
+/// The one `--plan auto` entry: price a run on `nodes` chassis of
+/// `devices` GPUs each with the per-device enumeration of [`plan_run`],
+/// its makespan scaled by the slowest node's row share (bands are
+/// row-uniform to first order) and by the shared-chassis margin of the
+/// extra devices per node (`INTRA_NODE_MARGINAL`). A one-node plan keeps
+/// the per-device label and candidates. On more than one node the planner
+/// also sweeps node count × reduction topology × overlap, each reduction
+/// estimated like the executor's head-link-bound schedule; the reduction
+/// is the argmin at the requested node count, and the sweep over
+/// power-of-two counts below it is reported in `candidates`, so scaling
 /// studies can read the priced curve.
 #[allow(clippy::too_many_arguments)]
-pub fn plan_cluster(
+pub fn plan_auto(
     props: &DeviceProps,
     host: &HostProps,
     net: &InterconnectProps,
     nodes: usize,
-    devices_per_node: usize,
+    devices: usize,
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
-) -> Result<ClusterPlan> {
-    if nodes == 0 || devices_per_node == 0 {
+) -> Result<RunPlan> {
+    if nodes == 0 || devices == 0 {
         return Err(CoreError::InvalidConfig(
-            "a cluster plan needs at least one node and one device per node".into(),
+            "a plan needs at least one node and one device per node".into(),
         ));
     }
-    let per_node = plan_run(props, host, source, geom, cfg, warmth)?;
+    let mut run = plan_run(props, host, source, geom, cfg, warmth)?;
+    run.plan.nodes = nodes;
+    run.plan.devices = devices;
+    let intra = 1.0 + INTRA_NODE_MARGINAL * (devices - 1) as f64;
+    if nodes == 1 {
+        run.predicted_s /= intra;
+        for c in &mut run.candidates {
+            c.predicted_s /= intra;
+        }
+        return Ok(run);
+    }
     let n_rows = source.n_rows();
-    let n_cols = source.n_cols();
-    let n_bins = cfg.n_depth_bins;
-    let intra = 1.0 + INTRA_NODE_MARGINAL * (devices_per_node.saturating_sub(1)) as f64;
-
     let mut counts: Vec<usize> = Vec::new();
     let mut k = 1;
     while k < nodes {
@@ -1036,53 +1070,49 @@ pub fn plan_cluster(
     counts.push(nodes);
 
     let mut candidates = Vec::new();
-    let mut best: Option<(ClusterOptions, f64, f64, f64)> = None;
+    let mut best: Option<(ClusterOptions, f64)> = None;
     for &k in &counts {
         let max_band = node_bands(n_rows, k)
             .iter()
             .map(|b| b.len())
             .max()
             .unwrap_or(n_rows);
-        let compute_s = per_node.predicted_s * max_band as f64 / n_rows as f64 / intra;
+        let compute_s = run.predicted_s * max_band as f64 / n_rows as f64 / intra;
         for topology in [ReductionTopology::Tree, ReductionTopology::Ring] {
             for overlap in [true, false] {
-                let (predicted_s, exposed) = reduction_estimate(
+                let predicted_s = reduction_estimate(
                     net,
                     k,
                     topology,
                     overlap,
                     compute_s,
                     n_rows,
-                    n_cols,
-                    n_bins,
-                    per_node.rows_per_slab,
+                    source.n_cols(),
+                    cfg.n_depth_bins,
+                    run.rows_per_slab,
                 );
                 let copts = ClusterOptions { topology, overlap };
                 candidates.push(PlannedCandidate {
-                    label: format!("n{k}x{devices_per_node}/{}", copts.label()),
+                    label: format!("n{k}x{devices}/{}", copts.label()),
                     predicted_s,
-                    host_s: per_node.host_s,
+                    host_s: run.host_s,
                 });
-                if k == nodes {
-                    let better = best.is_none_or(|(_, b, _, _)| predicted_s < b);
-                    if better {
-                        best = Some((copts, predicted_s, compute_s, exposed));
-                    }
+                if k == nodes && best.is_none_or(|(_, b)| predicted_s < b) {
+                    best = Some((copts, predicted_s));
                 }
             }
         }
     }
-    let (options, predicted_s, compute_s, reduction_exposed_s) =
-        best.expect("requested node count is always priced");
-    Ok(ClusterPlan {
-        options,
-        nodes,
+    let (reduction, predicted_s) = best.expect("requested node count is always priced");
+    Ok(RunPlan {
+        plan: Plan {
+            reduction,
+            ..run.plan
+        },
         predicted_s,
-        compute_s,
-        reduction_exposed_s,
-        label: format!("n{nodes}x{devices_per_node}/{}", options.label()),
-        per_node,
+        label: format!("n{nodes}x{devices}/{}", reduction.label()),
         candidates,
+        ..run
     })
 }
 
@@ -1144,9 +1174,9 @@ mod tests {
     }
 
     #[test]
-    fn plan_cluster_prices_the_full_sweep_and_scales_compute_down() {
+    fn plan_auto_prices_the_node_sweep_and_scales_compute_down() {
         let (geom, stack) = test_scene();
-        let mut source = InMemorySlabSource::new(
+        let source = InMemorySlabSource::new(
             stack,
             geom.wire.n_steps,
             geom.detector.n_rows,
@@ -1154,35 +1184,100 @@ mod tests {
         )
         .unwrap();
         let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 60);
-        let plan = plan_cluster(
-            &DeviceProps::tesla_m2070(),
-            &HostProps::xeon_e5630(),
-            &InterconnectProps::ib_qdr(),
-            4,
-            1,
-            &mut source,
-            &geom,
-            &cfg,
-            TableWarmth::default(),
-        )
-        .unwrap();
+        let (props, host) = (DeviceProps::tesla_m2070(), HostProps::xeon_e5630());
+        let warmth = TableWarmth::default();
+        let per_device = plan_run(&props, &host, &mut source.clone(), &geom, &cfg, warmth).unwrap();
+        let plan = |nodes, devices| {
+            let net = InterconnectProps::ib_qdr();
+            let mut source = source.clone();
+            plan_auto(
+                &props,
+                &host,
+                &net,
+                nodes,
+                devices,
+                &mut source,
+                &geom,
+                &cfg,
+                warmth,
+            )
+            .unwrap()
+        };
+
+        let cluster = plan(4, 1);
         // counts {1, 2, 4} × 2 topologies × 2 overlap settings.
-        assert_eq!(plan.candidates.len(), 12);
-        assert!(plan.label.starts_with("n4x1/"));
-        assert!(plan.compute_s < plan.per_node.predicted_s);
-        assert!(plan.predicted_s >= plan.compute_s);
-        // On a fast fabric the overlapped variant never loses at the
-        // requested count.
-        assert!(plan.options.overlap);
+        assert_eq!(cluster.candidates.len(), 12);
+        assert!(cluster.label.starts_with("n4x1/"));
+        // The devices run the per-device winner.
+        assert_eq!((cluster.plan.nodes, cluster.plan.devices), (4, 1));
+        assert_eq!(cluster.plan.options, per_device.plan.options);
+        assert_eq!(cluster.plan.depth, per_device.plan.depth);
+        assert_eq!(cluster.rows_per_slab, per_device.rows_per_slab);
+        // Four nodes compute the largest band's share, and each reduction
+        // is priced on top of that scaled compute.
+        let (n_rows, n_cols) = (geom.detector.n_rows, geom.detector.n_cols);
+        let max_band = node_bands(n_rows, 4).iter().map(|b| b.len()).max().unwrap();
+        let compute_s = per_device.predicted_s * max_band as f64 / n_rows as f64;
+        assert!(compute_s < per_device.predicted_s);
+        let mut n4 = Vec::new();
+        for topology in [ReductionTopology::Tree, ReductionTopology::Ring] {
+            for overlap in [true, false] {
+                let label = format!("n4x1/{}", ClusterOptions { topology, overlap }.label());
+                let priced = cluster.candidates.iter().find(|c| c.label == label);
+                let expected = reduction_estimate(
+                    &InterconnectProps::ib_qdr(),
+                    4,
+                    topology,
+                    overlap,
+                    compute_s,
+                    n_rows,
+                    n_cols,
+                    60,
+                    per_device.rows_per_slab,
+                );
+                assert_eq!(priced.map(|c| c.predicted_s), Some(expected), "{label}");
+                n4.push(expected);
+            }
+        }
+        // The reduction is the argmin at the requested count; on a fast
+        // fabric the overlapped variant never loses there.
+        assert_eq!(
+            cluster.predicted_s,
+            n4.iter().copied().fold(f64::MAX, f64::min)
+        );
+        assert!(cluster.plan.reduction.overlap);
         // Single node is priced with zero reduction.
-        let n1: Vec<_> = plan
+        let n1: Vec<_> = cluster
             .candidates
             .iter()
             .filter(|c| c.label.starts_with("n1x1/"))
             .collect();
         assert!(n1
             .iter()
-            .all(|c| (c.predicted_s - plan.per_node.predicted_s).abs() < 1e-12));
+            .all(|c| (c.predicted_s - per_device.predicted_s).abs() < 1e-12));
+
+        // One node keeps the per-device plan, label and candidates; extra
+        // devices on the chassis only scale the prediction down.
+        let single = plan(1, 1);
+        assert_eq!(single.plan, per_device.plan);
+        assert_eq!(single.label, per_device.label);
+        assert_eq!(single.predicted_s, per_device.predicted_s);
+        assert_eq!(single.candidates, per_device.candidates);
+        let fleet = plan(1, 4);
+        assert_eq!(
+            fleet.plan,
+            Plan {
+                devices: 4,
+                ..per_device.plan
+            }
+        );
+        assert_eq!(fleet.label, per_device.label);
+        let intra = 1.0 + INTRA_NODE_MARGINAL * 3.0;
+        assert_eq!(fleet.predicted_s, per_device.predicted_s / intra);
+        assert!(fleet
+            .candidates
+            .iter()
+            .any(|c| c.label == fleet.label && c.predicted_s == fleet.predicted_s));
     }
 
     #[test]
@@ -1197,7 +1292,7 @@ mod tests {
             duplex: cuda_sim::Duplex::Full,
         };
         let compute = 0.01;
-        let (on, on_exposed) = reduction_estimate(
+        let on = reduction_estimate(
             &fabric,
             8,
             ReductionTopology::Tree,
@@ -1208,7 +1303,7 @@ mod tests {
             200,
             8,
         );
-        let (off, off_exposed) = reduction_estimate(
+        let off = reduction_estimate(
             &fabric,
             8,
             ReductionTopology::Tree,
@@ -1219,11 +1314,12 @@ mod tests {
             200,
             8,
         );
+        let (on_exposed, off_exposed) = (on - compute, off - compute);
         assert!(off_exposed > 0.0);
         assert!(on < off, "overlap must hide part of the reduction");
         assert!(on_exposed < off_exposed);
         // Ring routes pay at least as much as tree under a barrier.
-        let (off_ring, _) = reduction_estimate(
+        let off_ring = reduction_estimate(
             &fabric,
             8,
             ReductionTopology::Ring,
@@ -1237,13 +1333,13 @@ mod tests {
         assert!(off_ring >= off);
 
         // When the fabric is so slow the drain dwarfs compute, the extra
-        // tail makes overlap a net loss — the trade-off plan_cluster
+        // tail makes overlap a net loss — the trade-off plan_auto
         // prices instead of assuming overlap always wins.
         let swamp = InterconnectProps {
             bandwidth_bytes_per_s: 1.0e6,
             ..fabric
         };
-        let (on_slow, _) = reduction_estimate(
+        let on_slow = reduction_estimate(
             &swamp,
             8,
             ReductionTopology::Tree,
@@ -1254,7 +1350,7 @@ mod tests {
             200,
             8,
         );
-        let (off_slow, _) = reduction_estimate(
+        let off_slow = reduction_estimate(
             &swamp,
             8,
             ReductionTopology::Tree,

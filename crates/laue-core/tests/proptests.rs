@@ -5,9 +5,10 @@ use cuda_sim::{Device, DeviceProps, ExecMode, Host, Interconnect, InterconnectPr
 use laue_core::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster;
 use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
+use laue_core::planner::Plan;
 use laue_core::{
-    cpu, gpu, AccumulationMode, ClusterOptions, CompactionMode, InMemorySlabSource,
-    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView,
+    cpu, gpu, AccumulationMode, CompactionMode, InMemorySlabSource, ReconstructionConfig,
+    ReductionTopology, ScanGeometry, ScanView,
 };
 use proptest::prelude::*;
 
@@ -310,18 +311,16 @@ proptest! {
         let net = Interconnect::new("prop", shape.nodes, InterconnectProps::ib_qdr());
         let mut src =
             InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let out = reconstruct_cluster(
-            &refs,
-            &net,
-            &mut src,
-            &geom,
-            &cfg,
+        let plan = Plan::fixed(
+            shape.nodes,
+            shape.per_node,
             GpuOptions::default(),
             PipelineDepth::SERIAL,
-            None,
-            ClusterOptions { topology: shape.topology, overlap: shape.overlap },
-        )
-        .unwrap();
+            &cfg,
+            Some(shape.topology),
+            Some(shape.overlap),
+        );
+        let out = reconstruct_cluster(&refs, &net, &mut src, &geom, &cfg, plan, None).unwrap();
 
         prop_assert_eq!(&reference.image.data, &out.image.data);
         // Under per-slab `Auto` compaction/accumulation the dense-vs-compact

@@ -73,8 +73,12 @@ pub struct ReconstructArgs {
     /// paper's CAS-loop `atomicAdd(double)`).
     pub accumulation: AccumulationMode,
     /// Execution planning (`--plan fixed|auto`; default `fixed`). Under
-    /// `auto` the cost-model planner picks layout, table placement, ring
-    /// depth, and slab rows, and resolves compaction/accumulation per slab.
+    /// `auto` the cost-model planner picks, for every GPU engine's
+    /// nodes × devices, the layout, table placement, ring depth and slab
+    /// rows (a pinned `--rows-per-slab` is honoured), plus the reduction
+    /// and overlap on more than one node (a pinned `--pipeline-depth`,
+    /// `--reduction` or `--overlap` is overridden), and resolves
+    /// compaction/accumulation per slab.
     pub plan: PlanMode,
     /// End-to-end data-integrity policy
     /// (`--integrity off|verify|scrub`; default `off`).
@@ -82,8 +86,12 @@ pub struct ReconstructArgs {
     /// Launch-watchdog deadline multiplier (`--watchdog-multiplier`;
     /// `None` keeps the config default).
     pub watchdog_multiplier: Option<f64>,
+    /// Detector rows per slab (`--rows-per-slab`; `None` fits the slab to
+    /// device memory). Honoured under `--plan auto` too.
     pub rows_per_slab: Option<usize>,
-    /// Ring depth of the GPU transfer/compute pipeline (`--pipeline-depth`).
+    /// Ring depth of the GPU transfer/compute pipeline (`--pipeline-depth`;
+    /// `None`: 1 on gpu-1d, gpu-3d and gpu-tables, 3 on gpu-pipe, gpu-multi
+    /// and gpu-cluster). Overridden under `--plan auto`.
     pub pipeline_depth: Option<usize>,
     /// Device-resident depth-table cache budget, MiB (`--table-cache-mb`;
     /// 0 disables residency).
@@ -108,10 +116,13 @@ pub struct ReconstructArgs {
     /// `gpu-cluster` engines).
     pub fault_device: Option<usize>,
     /// Inter-node reduction routing (`--reduction tree|ring|auto`;
-    /// `None` = auto). Cluster engines only.
+    /// `None` = auto: tree under `--plan fixed`, the planner's pick under
+    /// `--plan auto`, which overrides a pinned value too). It moves time
+    /// only on more than one node, so a one-node plan keeps tree.
     pub reduction: Option<ReductionTopology>,
     /// Overlap the inter-node reduction with the compute tail
-    /// (`--overlap on|off|auto`; `None` = auto). Cluster engines only.
+    /// (`--overlap on|off|auto`; `None` = auto: on under `--plan fixed`,
+    /// the planner's pick under `--plan auto`, as for `reduction`).
     pub overlap: Option<bool>,
     /// Inter-node fabric preset (`--interconnect ib-qdr|ib-fdr|nvlink|
     /// gige`; default ib-qdr). Cluster engines only.
@@ -195,9 +206,9 @@ pub fn parse_sim_workers(s: &str) -> std::result::Result<usize, String> {
     })
 }
 
-/// Parse a `--reduction` value: a routing topology, or `auto` to let the
-/// plan mode decide (tree under `--plan fixed`, the cost model's argmin
-/// under `--plan auto`).
+/// Parse a `--reduction` value: a routing topology, or `auto` for the
+/// default (tree under `--plan fixed`; under `--plan auto` the cost
+/// model's argmin replaces any value).
 pub fn parse_reduction(s: &str) -> std::result::Result<Option<ReductionTopology>, String> {
     if s == "auto" {
         return Ok(None);
@@ -207,7 +218,9 @@ pub fn parse_reduction(s: &str) -> std::result::Result<Option<ReductionTopology>
         .ok_or_else(|| format!("bad --reduction {s:?} (try tree, ring, auto)"))
 }
 
-/// Parse an `--overlap` value: `on`, `off`, or `auto` (plan-mode decides).
+/// Parse an `--overlap` value: `on`, `off`, or `auto` (on under
+/// `--plan fixed`; under `--plan auto` the cost model's argmin replaces
+/// any value).
 pub fn parse_overlap(s: &str) -> std::result::Result<Option<bool>, String> {
     match s {
         "auto" => Ok(None),
@@ -692,27 +705,32 @@ ACCUMULATION:
 
 PLANNER:
   --plan fixed  honour the configured engine/flags verbatim (default)
-  --plan auto   single-GPU engines: enumerate layout × table placement ×
-                ring depth × slab rows, predict each candidate's virtual
-                cost with the device's calibrated cost model, and run the
-                argmin; compaction and accumulation resolve per slab by the
-                same model. The chosen plan, its predicted cost, and the
-                prediction error land in the run report's plan block. The
-                resolved plan is part of the journal key: a flip forces a
-                clean restart. CPU and gpu-multi engines ignore --plan auto
-                (per-slab autos still apply on gpu-multi).
+  --plan auto   every GPU engine, for its nodes × devices: enumerate
+                layout × table placement × ring depth × slab rows, predict
+                each candidate's virtual cost with the device's calibrated
+                cost model, and run the argmin; on more than one node also
+                sweep node count × reduction × overlap. A pinned
+                --rows-per-slab is honoured; a pinned --pipeline-depth,
+                --reduction or --overlap is overridden. Compaction and
+                accumulation resolve per slab by the same model. The chosen
+                plan, its predicted cost, and the prediction error land in
+                the run report's plan block. The resolved plan is part of
+                the journal key: a flip forces a clean restart. Aliases of
+                one shape (gpu-pipe, gpu-multi:1, gpu-cluster:1x1) plan
+                alike. CPU engines ignore --plan auto.
 
 CHECKPOINT / RESUME:
   --journal-dir <dir>  journal every committed GPU slab under <dir>; an
                        interrupted run leaves the journal behind
   --resume             replay the journal of an interrupted run with the
-                       same scan/config/engine and recompute only the
+                       same scan/config/plan and recompute only the
                        remaining slabs (bit-identical to an uninterrupted
                        run; needs --journal-dir)
 
 GPU PIPELINE:
   --pipeline-depth K   ring depth: slab slots in flight (1 = serial;
-                       gpu-pipe defaults to 3, other GPU engines to 1)
+                       gpu-1d, gpu-3d and gpu-tables default to 1,
+                       gpu-pipe, gpu-multi and gpu-cluster to 3)
   --table-cache-mb M   device-resident depth-table budget in MiB
                        (default: a quarter of device memory; 0 disables)
   --sim-workers N      simulated-kernel worker threads (0 or auto = all
@@ -739,15 +757,17 @@ CLUSTER (gpu-cluster:N[xM]):
   --reduction T        inter-node depth-image routing: tree (hierarchical
                        gather, default under --plan fixed), ring (neighbour
                        relay — less head-link pressure on big clusters), or
-                       auto (the cost model picks; implies pricing both)
+                       auto (tree under --plan fixed)
   --overlap V          on (default) starts each node's reduction sends as
                        soon as its band is done, overlapping the fabric
                        with the compute tail of slower nodes; off inserts
-                       a barrier first; auto defers to the cost model
-  Under --plan auto the planner sweeps node count × topology × overlap and
-  reports the full candidate table. The resolved topology is part of the
-  journal key; node loss re-bands remaining rows onto survivors and the
-  run completes DEGRADED but bit-identical.
+                       a barrier first; auto is on under --plan fixed
+  Under --plan auto the planner sweeps node count × topology × overlap,
+  runs the argmin at N nodes whatever --reduction/--overlap say, and
+  reports the full candidate table. On more than one node the resolved
+  topology is part of the journal key (one node sends nothing, so there
+  it stays tree); node loss re-bands remaining rows onto survivors and
+  the run completes DEGRADED but bit-identical.
 
 GPU FAULT HANDLING:
   --on-gpu-failure abort         surface GPU errors (default)

@@ -1,6 +1,8 @@
 //! Engine selection.
 
 use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
+use laue_core::planner::Plan;
+use laue_core::{ReconstructionConfig, ReductionTopology};
 
 /// Which implementation reconstructs the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,59 +59,41 @@ impl Engine {
 
     /// Does this engine run on the simulated device?
     pub fn is_gpu(&self) -> bool {
-        self.topology().is_some()
+        !matches!(self, Engine::CpuSeq | Engine::CpuThreaded { .. })
     }
 
-    /// The `(nodes, devices_per_node)` shape this engine runs the one
-    /// checkpointed executor on: every single-GPU alias is 1×1,
-    /// `gpu-multi:M` is 1×M, `gpu-cluster:NxM` is N×M. `None` for the CPU
-    /// engines.
-    pub fn topology(&self) -> Option<(usize, usize)> {
-        match *self {
-            Engine::CpuSeq | Engine::CpuThreaded { .. } => None,
-            Engine::Gpu { .. } | Engine::GpuTables | Engine::GpuPipelined => Some((1, 1)),
-            Engine::GpuMulti { devices } => Some((1, devices)),
+    /// The fixed [`Plan`] this alias names; `None` for the CPU engines.
+    /// Every single-GPU alias is 1×1, `gpu-multi:M` is 1×M and
+    /// `gpu-cluster:NxM` is N×M. The serial engines keep the paper's
+    /// one-slot pipeline (so `elapsed == comm + compute` holds exactly);
+    /// `gpu-pipe`, `gpu-multi` and `gpu-cluster` ring
+    /// [`PipelineDepth::DEFAULT`] slots deep. [`Plan::fixed`] applies
+    /// `cfg.pipeline_depth` and the pinned reduction `topology`/`overlap`.
+    pub fn plan(
+        &self,
+        cfg: &ReconstructionConfig,
+        topology: Option<ReductionTopology>,
+        overlap: Option<bool>,
+    ) -> Option<Plan> {
+        let flat = GpuOptions::default();
+        let tables = GpuOptions {
+            triangulation: Triangulation::HostTables,
+            ..flat
+        };
+        let (nodes, devices, options, depth) = match *self {
+            Engine::CpuSeq | Engine::CpuThreaded { .. } => return None,
+            Engine::Gpu { layout } => (1, 1, GpuOptions { layout, ..flat }, PipelineDepth::SERIAL),
+            Engine::GpuTables => (1, 1, tables, PipelineDepth::SERIAL),
+            Engine::GpuPipelined => (1, 1, flat, PipelineDepth::DEFAULT),
+            Engine::GpuMulti { devices } => (1, devices, flat, PipelineDepth::DEFAULT),
             Engine::GpuCluster {
                 nodes,
                 devices_per_node,
-            } => Some((nodes, devices_per_node)),
-        }
-    }
-
-    /// The device schedule this engine stands for: kernel options plus ring
-    /// depth. `None` for the CPU engines. The serial engines keep the
-    /// paper's one-slot pipeline (so `elapsed == comm + compute` holds
-    /// exactly); `gpu-pipe` rings [`PipelineDepth::DEFAULT`] slots deep.
-    /// `ReconstructionConfig::pipeline_depth` overrides the depth either way.
-    pub fn gpu_plan(&self) -> Option<(GpuOptions, PipelineDepth)> {
-        let (opts, depth) = match self {
-            Engine::CpuSeq | Engine::CpuThreaded { .. } => return None,
-            Engine::Gpu { layout } => (
-                GpuOptions {
-                    layout: *layout,
-                    triangulation: Triangulation::InKernel,
-                    ..GpuOptions::default()
-                },
-                PipelineDepth::SERIAL,
-            ),
-            Engine::GpuTables => (
-                GpuOptions {
-                    layout: Layout::Flat1d,
-                    triangulation: Triangulation::HostTables,
-                    ..GpuOptions::default()
-                },
-                PipelineDepth::SERIAL,
-            ),
-            Engine::GpuPipelined | Engine::GpuMulti { .. } | Engine::GpuCluster { .. } => (
-                GpuOptions {
-                    layout: Layout::Flat1d,
-                    triangulation: Triangulation::InKernel,
-                    ..GpuOptions::default()
-                },
-                PipelineDepth::DEFAULT,
-            ),
+            } => (nodes, devices_per_node, flat, PipelineDepth::DEFAULT),
         };
-        Some((opts, depth))
+        Some(Plan::fixed(
+            nodes, devices, options, depth, cfg, topology, overlap,
+        ))
     }
 }
 
@@ -153,15 +137,55 @@ mod tests {
     }
 
     #[test]
-    fn every_gpu_alias_names_a_topology() {
-        assert_eq!(Engine::CpuSeq.topology(), None);
-        assert_eq!(Engine::GpuTables.topology(), Some((1, 1)));
-        assert_eq!(Engine::GpuPipelined.topology(), Some((1, 1)));
-        assert_eq!(Engine::GpuMulti { devices: 4 }.topology(), Some((1, 4)));
+    fn every_gpu_alias_names_a_plan() {
+        let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 60);
+        let shape = |e: Engine, cfg: &ReconstructionConfig| {
+            e.plan(cfg, None, None)
+                .map(|p| (p.nodes, p.devices, p.options.triangulation, p.depth.0))
+        };
+        assert_eq!(shape(Engine::CpuSeq, &cfg), None);
+        assert_eq!(
+            shape(Engine::GpuTables, &cfg),
+            Some((1, 1, Triangulation::HostTables, 1))
+        );
+        assert_eq!(
+            shape(Engine::GpuPipelined, &cfg),
+            Some((1, 1, Triangulation::InKernel, 3))
+        );
+        assert_eq!(
+            shape(Engine::GpuMulti { devices: 4 }, &cfg),
+            Some((1, 4, Triangulation::InKernel, 3))
+        );
         let cluster = Engine::GpuCluster {
             nodes: 8,
             devices_per_node: 2,
         };
-        assert_eq!(cluster.topology(), Some((8, 2)));
+        assert_eq!(
+            shape(cluster, &cfg),
+            Some((8, 2, Triangulation::InKernel, 3))
+        );
+        // A pinned ring depth applies to every alias…
+        cfg.pipeline_depth = Some(2);
+        assert_eq!(
+            shape(Engine::GpuTables, &cfg),
+            Some((1, 1, Triangulation::HostTables, 2))
+        );
+        assert_eq!(
+            shape(cluster, &cfg),
+            Some((8, 2, Triangulation::InKernel, 2))
+        );
+        // So do a pinned reduction routing and overlap.
+        let pinned = cluster
+            .plan(&cfg, Some(ReductionTopology::Ring), Some(false))
+            .unwrap();
+        assert_eq!(pinned.reduction.label(), "ring+barrier");
+        // Aliases of one shape name one plan.
+        let one = Engine::GpuPipelined.plan(&cfg, None, None);
+        assert_eq!(Engine::GpuMulti { devices: 1 }.plan(&cfg, None, None), one);
+        let c11 = Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 1,
+        };
+        assert_eq!(c11.plan(&cfg, None, None), one);
     }
 }

@@ -10,10 +10,10 @@ use cuda_sim::{
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster_checkpointed;
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
-use laue_core::planner::{plan_cluster, plan_run, PlannedCandidate, TableWarmth};
+use laue_core::planner::{plan_auto, Plan, RunPlan, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, ClusterOptions, CompactionMode, GpuReconstruction, PlanMode,
-    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, AccumulationMode, CompactionMode, GpuReconstruction, PlanMode, ReconstructionConfig,
+    ReductionTopology, ScanGeometry, ScanView, SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -119,13 +119,14 @@ pub struct Pipeline {
     /// Inter-node fabric model for `gpu-cluster` engines (paper-era
     /// default: InfiniBand QDR).
     pub interconnect: InterconnectProps,
-    /// Inter-node reduction routing (`gpu-cluster` engines). `None` =
-    /// auto: tree under `--plan fixed`, the planner's argmin under
-    /// `--plan auto`.
+    /// Inter-node reduction routing of every GPU engine's fixed plan
+    /// (`None`: tree). It moves time only on more than one node, so a
+    /// one-node plan keeps tree. Under `--plan auto` the planner picks the
+    /// routing and a pinned value is overridden.
     pub reduction: Option<ReductionTopology>,
-    /// Overlap the reduction with the compute tail (`gpu-cluster`
-    /// engines). `None` = auto: on under `--plan fixed`, the planner's
-    /// argmin under `--plan auto`.
+    /// Overlap the reduction with the compute tail in every GPU engine's
+    /// fixed plan (`None`: on). Under `--plan auto` the planner picks, as
+    /// for [`Pipeline::reduction`].
     pub overlap: Option<bool>,
     /// Cross-run persistent state (devices + depth-table cache).
     pub shared: Arc<PipelineShared>,
@@ -236,10 +237,9 @@ impl Pipeline {
     }
 
     /// The one GPU path: resolve the plan, open/replay the journal (when
-    /// configured), provision the engine's `nodes × devices` topology, and
-    /// run the checkpointed cluster executor on it. On unrecoverable
-    /// failure, salvage the committed slabs and hand only the remainder to
-    /// the CPU.
+    /// configured), provision the plan's `nodes × devices`, and run the
+    /// checkpointed cluster executor on it. On unrecoverable failure,
+    /// salvage the committed slabs and hand only the remainder to the CPU.
     fn run_gpu(
         &self,
         source: &mut dyn SlabSource,
@@ -248,103 +248,17 @@ impl Pipeline {
         engine: Engine,
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
-        let (mut opts, mut depth) = engine.gpu_plan().expect("GPU engine");
-        let topology = engine.topology().expect("GPU engine");
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         self.shared.cache.set_budget(self.table_cache_budget());
-
-        // --plan auto resolves the run-level plan up front from the cost
-        // model: the single-device planner for the 1×1 aliases, the cluster
-        // planner (node count × topology × overlap, plus the per-node plan)
-        // for gpu-cluster. The planner owns every knob of the planned run,
-        // so the per-slab modes are forced to their auto (cost-driven)
-        // settings and the fixed-mode flags are honoured only under --plan
-        // fixed. gpu-multi splits bands dynamically and keeps only the
-        // per-slab autos. Cluster engines resolve their reduction knobs
-        // before the journal opens, so they participate in its key; under
-        // --plan fixed the pipeline's reduction/overlap fields apply, with
-        // auto resolving to the defaults (tree, overlapped).
-        let auto = cfg.plan == PlanMode::Auto;
-        let table_key = TableKey::new(geom, cfg);
-        let warmth = |device_warm| TableWarmth {
-            host_warm: self.shared.cache.peek_host(&table_key),
-            device_warm,
-            resident_budget: self.table_cache_budget(),
-        };
-        let mut planned: Option<(usize, PlanExplain)> = None;
-        let mut copts = None;
-        match engine {
-            Engine::GpuCluster {
-                nodes,
-                devices_per_node,
-            } if auto => {
-                // Cluster devices rebuild with the shape; never credit
-                // residency the run may not actually have.
-                let p = plan_cluster(
-                    &self.device,
-                    &self.host,
-                    &self.interconnect,
-                    nodes,
-                    devices_per_node,
-                    source,
-                    geom,
-                    cfg,
-                    warmth(false),
-                )?;
-                (opts, depth) = (p.per_node.options, p.per_node.depth);
-                copts = Some(p.options);
-                let explain = explain(p.label, p.predicted_s, p.per_node.host_s, p.candidates);
-                planned = Some((p.per_node.rows_per_slab, explain));
-            }
-            Engine::GpuCluster { .. } => {
-                copts = Some(ClusterOptions {
-                    topology: self.reduction.unwrap_or(ReductionTopology::Tree),
-                    overlap: self.overlap.unwrap_or(true),
-                });
-            }
-            Engine::GpuMulti { .. } => {}
-            _ if auto => {
-                // Peek (not lookup): warmth must not perturb the cache the
-                // prediction is about. Device warmth only counts on the
-                // device this run will actually reuse.
-                let device_warm = {
-                    let slot = self.shared.devices.lock().expect(POISONED);
-                    self.reusable(&slot, topology)
-                        && self.shared.cache.peek_device(slot[0][0].id(), &table_key)
-                };
-                let p = plan_run(
-                    &self.device,
-                    &self.host,
-                    source,
-                    geom,
-                    cfg,
-                    warmth(device_warm),
-                )?;
-                (opts, depth) = (p.options, p.depth);
-                let explain = explain(p.label, p.predicted_s, p.host_s, p.candidates);
-                planned = Some((p.rows_per_slab, explain));
-            }
-            _ => {}
-        }
-        let mut cfg_local = cfg.clone();
-        if let Some((rows_per_slab, _)) = &planned {
-            cfg_local.rows_per_slab = Some(*rows_per_slab);
-            cfg_local.pipeline_depth = None;
-            cfg_local.compaction = CompactionMode::Auto;
-            cfg_local.accumulation = AccumulationMode::Auto;
-        }
-        let cfg = &cfg_local;
-        let plan_token = match &planned {
-            Some((_, p)) => format!("auto:{}", p.chosen),
-            None => cfg.plan.label().to_string(),
-        };
+        let (plan, cfg, planned) = self.resolve_plan(source, geom, cfg, engine)?;
+        let cfg = &cfg;
 
         // Open (or replay) the run journal.
         let mut journal = None;
         let mut resume_info = None;
         let mut progress = match &self.journal_dir {
             Some(dir) => {
-                let key = journal_key(engine, cfg, dims, fingerprint, &plan_token, copts.as_ref());
+                let key = journal_key(&plan, cfg, dims, fingerprint);
                 let jdims = (cfg.n_depth_bins, dims.1, dims.2);
                 let (j, slabs) = RunJournal::open(dir, &key, jdims, self.resume)?;
                 if !slabs.is_empty() {
@@ -359,7 +273,7 @@ impl Pipeline {
             None => SlabProgress::new(cfg.n_depth_bins, dims.1, dims.2),
         };
 
-        let devices = self.provision(topology);
+        let devices = self.provision(&plan);
         let outcome = {
             let nodes: Vec<Vec<&Device>> = devices
                 .iter()
@@ -367,7 +281,7 @@ impl Pipeline {
                 .collect();
             let net = Interconnect::new(
                 &self.interconnect.name,
-                topology.0,
+                plan.nodes,
                 self.interconnect.clone(),
             );
             reconstruct_cluster_checkpointed(
@@ -376,10 +290,8 @@ impl Pipeline {
                 source,
                 geom,
                 cfg,
-                opts,
-                depth,
+                plan,
                 Some(&self.shared.cache),
-                copts.unwrap_or_default(),
                 &mut progress,
                 journal.as_mut(),
                 usize::MAX,
@@ -399,11 +311,17 @@ impl Pipeline {
                 if let Some(j) = journal.take() {
                     j.remove()?;
                 }
-                let mut report =
-                    gpu_report(engine, out, dims, resume_info, &self.interconnect.name);
+                let mut report = gpu_report(
+                    engine,
+                    &plan,
+                    out,
+                    dims,
+                    resume_info,
+                    &self.interconnect.name,
+                );
                 // The explain block compares the prediction against the
                 // measured virtual makespan of the very run it planned.
-                report.plan = planned.map(|(_, p)| PlanExplain {
+                report.plan = planned.map(|p| PlanExplain {
                     measured_s: report.total_time_s,
                     ..p
                 });
@@ -426,31 +344,108 @@ impl Pipeline {
         Ok(report)
     }
 
-    /// Does `slot` already hold a `topology`-shaped set of devices of the
-    /// current model (so the next run reuses it)?
-    fn reusable(&self, slot: &[Vec<Arc<Device>>], (nodes, per_node): (usize, usize)) -> bool {
-        slot.len() == nodes
-            && slot
-                .iter()
-                .all(|ds| ds.len() == per_node && ds.iter().all(|d| *d.props() == self.device))
+    /// The one [`Plan`] a GPU run executes, the config it runs under, and,
+    /// under `--plan auto`, the explain block before measurement. Under
+    /// `--plan fixed` it is the alias's plan ([`Engine::plan`], with the
+    /// pinned ring depth, reduction and overlap). Under `--plan auto` the
+    /// planner prices the alias's `nodes × devices` ([`plan_auto`]) and
+    /// owns every knob of the planned run: a pinned ring depth, reduction
+    /// and overlap are overridden, its slab rows (pinned ones are
+    /// honoured) replace the configured ones, and compaction and
+    /// accumulation resolve per slab by cost.
+    fn resolve_plan(
+        &self,
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        engine: Engine,
+    ) -> Result<(Plan, ReconstructionConfig, Option<PlanExplain>)> {
+        let fixed = engine
+            .plan(cfg, self.reduction, self.overlap)
+            .expect("GPU engine");
+        // The plan holds the ring depth; a pinned one left in the config
+        // would split the journal key of one plan.
+        let mut cfg = cfg.clone();
+        cfg.pipeline_depth = None;
+        if cfg.plan == PlanMode::Fixed {
+            return Ok((fixed, cfg, None));
+        }
+        // Peek (not lookup): warmth must not perturb the cache the
+        // prediction is about. Device warmth only counts when every device
+        // the run will reuse holds the table.
+        let table_key = TableKey::new(geom, &cfg);
+        let device_warm = {
+            let slot = self.shared.devices.lock().expect(POISONED);
+            self.reusable(&slot, &fixed)
+                && slot
+                    .iter()
+                    .flatten()
+                    .all(|d| self.shared.cache.peek_device(d.id(), &table_key))
+        };
+        let warmth = TableWarmth {
+            host_warm: self.shared.cache.peek_host(&table_key),
+            device_warm,
+            resident_budget: self.table_cache_budget(),
+        };
+        let RunPlan {
+            plan,
+            rows_per_slab,
+            predicted_s,
+            host_s,
+            label,
+            candidates,
+        } = plan_auto(
+            &self.device,
+            &self.host,
+            &self.interconnect,
+            fixed.nodes,
+            fixed.devices,
+            source,
+            geom,
+            &cfg,
+            warmth,
+        )?;
+        cfg.rows_per_slab = Some(rows_per_slab);
+        cfg.compaction = CompactionMode::Auto;
+        cfg.accumulation = AccumulationMode::Auto;
+        let explain = PlanExplain {
+            chosen: label,
+            predicted_s,
+            host_s,
+            measured_s: 0.0,
+            candidates: candidates
+                .into_iter()
+                .map(|c| (c.label, c.predicted_s))
+                .collect(),
+        };
+        Ok((plan, cfg, Some(explain)))
     }
 
-    /// The devices a GPU engine runs on, `[node][device]`. Each node is its
+    /// Does `slot` already hold `plan`'s `nodes × devices` of the current
+    /// model (so the next run reuses it)?
+    fn reusable(&self, slot: &[Vec<Arc<Device>>], plan: &Plan) -> bool {
+        slot.len() == plan.nodes
+            && slot
+                .iter()
+                .all(|ds| ds.len() == plan.devices && ds.iter().all(|d| *d.props() == self.device))
+    }
+
+    /// The devices a GPU plan runs on, `[node][device]`. Each node is its
     /// own simulated chassis: one host whose PCIe bus and CPU its devices
     /// share, so intra-node transfers contend and inter-node ones never
     /// do. The devices persist across runs (so resident depth tables stay
-    /// warm) and rebuild only when the topology or [`Pipeline::device`]
+    /// warm) and rebuild only when the shape or [`Pipeline::device`]
     /// changes. The fault schedule is (re)installed fresh on every run — on
     /// every device, or only on the node-major flattened index
     /// [`Pipeline::fault_device`] names.
-    fn provision(&self, topology: (usize, usize)) -> Vec<Vec<Arc<Device>>> {
+    fn provision(&self, plan: &Plan) -> Vec<Vec<Arc<Device>>> {
         let mut slot = self.shared.devices.lock().expect(POISONED);
-        if !self.reusable(&slot, topology) {
+        if !self.reusable(&slot, plan) {
             self.release(&mut slot);
-            *slot = (0..topology.0)
+            *slot = (0..plan.nodes)
                 .map(|_| {
                     let host = cuda_sim::Host::new_default();
-                    (0..topology.1)
+                    (0..plan.devices)
                         .map(|_| Arc::new(Device::new_on_host(self.device.clone(), &host)))
                         .collect()
                 })
@@ -599,32 +594,14 @@ fn split_bands(bands: Vec<Range<usize>>, max_rows: usize) -> impl Iterator<Item 
     })
 }
 
-/// The explain block of a `--plan auto` run, before it is measured.
-fn explain(
-    chosen: String,
-    predicted_s: f64,
-    host_s: f64,
-    candidates: Vec<PlannedCandidate>,
-) -> PlanExplain {
-    PlanExplain {
-        chosen,
-        predicted_s,
-        host_s,
-        measured_s: 0.0,
-        candidates: candidates
-            .into_iter()
-            .map(|c| (c.label, c.predicted_s))
-            .collect(),
-    }
-}
-
-/// Assemble the [`RunReport`] of a successful GPU run. The makespan is the
-/// slowest node's, reduction tail included; the comm/compute/transfer
-/// meters aggregate over every device, so on a fleet total ≤ comm +
-/// compute. Only `gpu-cluster` engines report the `cluster` block (at
-/// every node count); `fabric` names their interconnect preset.
+/// Assemble the [`RunReport`] of a successful GPU run of `plan`. The
+/// makespan is the slowest node's, reduction tail included; the
+/// comm/compute/transfer meters aggregate over every device, so on a fleet
+/// total ≤ comm + compute. Only `gpu-cluster` engines report the `cluster`
+/// block (at every node count); `fabric` names their interconnect preset.
 fn gpu_report(
     engine: Engine,
+    plan: &Plan,
     out: GpuReconstruction,
     dims: (usize, usize, usize),
     resume: Option<ResumeInfo>,
@@ -632,7 +609,7 @@ fn gpu_report(
 ) -> RunReport {
     let cluster = match engine {
         Engine::GpuCluster { .. } => Some(ClusterReport {
-            options: out.options.label(),
+            options: plan.reduction.label(),
             interconnect: fabric.to_string(),
             compute_s: out.compute_s,
             reduction_exposed_s: out.reduction_exposed_s,
@@ -670,29 +647,27 @@ fn gpu_report(
 }
 
 /// The identity a journal is keyed on: everything that must match for a
-/// resume to be sound — scan fingerprint, dimensions, engine, the resolved
-/// plan token, and the whole resolved configuration and cluster options in
-/// their `Debug` form (exact for floats, which `validate()` keeps finite).
-/// Keying on the whole structs means a new knob joins the key by itself.
-/// The slab plan deliberately participates too, so changing it invalidates
-/// old journals even though replay would still be correct. Under
-/// `--plan auto` the token carries the *resolved* plan label, so a plan
-/// flip (flag or outcome) forces a clean restart.
+/// resume to be sound — scan fingerprint, dimensions, the resolved plan,
+/// and the whole resolved configuration, both in their `Debug` form (exact
+/// for floats, which `validate()` keeps finite). Keying on the whole
+/// structs means a new knob joins the key by itself. The slab plan
+/// deliberately participates too, so changing it invalidates old journals
+/// even though replay would still be correct; under `--plan auto` the
+/// chosen plan and slab rows are the resolved ones, so a plan flip (flag
+/// or outcome) forces a clean restart. The engine label does not: aliases
+/// of one plan share their journals.
 fn journal_key(
-    engine: Engine,
+    plan: &Plan,
     cfg: &ReconstructionConfig,
     dims: (usize, usize, usize),
     fingerprint: Option<u64>,
-    plan_token: &str,
-    copts: Option<&ClusterOptions>,
 ) -> JournalKey {
     JournalKey::new(format!(
-        "scan={:016x};dims={}x{}x{};engine={};plan={plan_token};cluster={copts:?};cfg={cfg:?}",
+        "scan={:016x};dims={}x{}x{};plan={plan:?};cfg={cfg:?}",
         fingerprint.unwrap_or(0),
         dims.0,
         dims.1,
         dims.2,
-        engine.label(),
     ))
 }
 
@@ -1572,14 +1547,16 @@ mod tests {
 
     #[test]
     fn every_resolved_run_input_participates_in_the_journal_key() {
-        use laue_core::IntegrityMode;
-        let engine = Engine::GpuCluster {
+        use laue_core::gpu::{GpuOptions, PipelineDepth, ThreadMapping, Triangulation};
+        use laue_core::{ClusterOptions, IntegrityMode};
+        let plan = Engine::GpuCluster {
             nodes: 2,
             devices_per_node: 1,
-        };
-        let copts = ClusterOptions::default();
+        }
+        .plan(&cfg(), None, None)
+        .unwrap();
         let dims = (12, 8, 8);
-        let base = journal_key(engine, &cfg(), dims, Some(1), "fixed", Some(&copts)).hash;
+        let base = journal_key(&plan, &cfg(), dims, Some(1)).hash;
 
         // Exhaustive: a new config field does not compile here until it
         // gets a flip below.
@@ -1616,61 +1593,237 @@ mod tests {
             let mut c = cfg();
             flip(&mut c);
             assert_ne!(c, cfg(), "the {field} flip must change the config");
-            let key = journal_key(engine, &c, dims, Some(1), "fixed", Some(&copts));
+            let key = journal_key(&plan, &c, dims, Some(1));
             assert_ne!(key.hash, base, "a {field} flip must force a clean restart");
         }
 
+        // Exhaustive too: a new plan field does not compile here until it
+        // gets a flip below.
+        let Plan {
+            nodes: _,
+            devices: _,
+            options,
+            depth: _,
+            reduction,
+        } = plan;
+        let GpuOptions {
+            layout: _,
+            triangulation: _,
+            mapping: _,
+        } = options;
         let ClusterOptions {
             topology: _,
             overlap: _,
-        } = copts;
-        let ring = ClusterOptions {
-            topology: ReductionTopology::Ring,
-            ..copts
-        };
-        let barrier = ClusterOptions {
-            overlap: false,
-            ..copts
-        };
-        let wide = Engine::GpuCluster {
-            nodes: 4,
-            devices_per_node: 1,
-        };
-        let single = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let key = |engine, dims, fingerprint, plan: &str, copts: Option<&ClusterOptions>| {
-            journal_key(engine, &cfg(), dims, Some(fingerprint), plan, copts).hash
-        };
-        let flips = [
-            ("engine shape", key(wide, dims, 1, "fixed", Some(&copts))),
-            ("engine kind", key(single, dims, 1, "fixed", None)),
+        } = reduction;
+        let with_options = |options| Plan { options, ..plan };
+        let with_reduction = |reduction| Plan { reduction, ..plan };
+        let plan_flips = [
+            ("nodes", Plan { nodes: 4, ..plan }),
+            ("devices", Plan { devices: 2, ..plan }),
             (
-                "plan token",
-                key(engine, dims, 1, "auto:gpu-pipe", Some(&copts)),
-            ),
-            ("fingerprint", key(engine, dims, 2, "fixed", Some(&copts))),
-            (
-                "image count",
-                key(engine, (13, 8, 8), 1, "fixed", Some(&copts)),
+                "layout",
+                with_options(GpuOptions {
+                    layout: Layout::Pointer3d,
+                    ..options
+                }),
             ),
             (
-                "row count",
-                key(engine, (12, 9, 8), 1, "fixed", Some(&copts)),
+                "triangulation",
+                with_options(GpuOptions {
+                    triangulation: Triangulation::HostTables,
+                    ..options
+                }),
             ),
             (
-                "column count",
-                key(engine, (12, 8, 9), 1, "fixed", Some(&copts)),
+                "mapping",
+                with_options(GpuOptions {
+                    mapping: ThreadMapping::Grid3d,
+                    ..options
+                }),
+            ),
+            (
+                "depth",
+                Plan {
+                    depth: PipelineDepth::SERIAL,
+                    ..plan
+                },
             ),
             (
                 "reduction topology",
-                key(engine, dims, 1, "fixed", Some(&ring)),
+                with_reduction(ClusterOptions {
+                    topology: ReductionTopology::Ring,
+                    ..reduction
+                }),
             ),
-            ("overlap", key(engine, dims, 1, "fixed", Some(&barrier))),
+            (
+                "overlap",
+                with_reduction(ClusterOptions {
+                    overlap: false,
+                    ..reduction
+                }),
+            ),
+        ];
+        for (field, flipped) in plan_flips {
+            assert_ne!(flipped, plan, "the {field} flip must change the plan");
+            let key = journal_key(&flipped, &cfg(), dims, Some(1));
+            assert_ne!(key.hash, base, "a {field} flip must force a clean restart");
+        }
+
+        let key = |dims, fingerprint| journal_key(&plan, &cfg(), dims, Some(fingerprint)).hash;
+        let flips = [
+            ("fingerprint", key(dims, 2)),
+            ("image count", key((13, 8, 8), 1)),
+            ("row count", key((12, 9, 8), 1)),
+            ("column count", key((12, 8, 9), 1)),
         ];
         for (what, hash) in flips {
             assert_ne!(hash, base, "a {what} flip must force a clean restart");
         }
+
+        // Neither the engine label nor what the plan resolves away (a
+        // pinned ring depth, a one-node reduction) is part of the key:
+        // aliases of one plan share their journals.
+        let scan = SyntheticScanBuilder::new(8, 8, 12).build().unwrap();
+        let alias_key = |engine: Engine, depth, reduction| {
+            let p = Pipeline {
+                reduction,
+                ..Pipeline::default()
+            };
+            let mut c = cfg();
+            c.pipeline_depth = depth;
+            let mut source =
+                laue_core::input::InMemorySlabSource::new(scan.images.clone(), 12, 8, 8).unwrap();
+            let (plan, c, _) = p
+                .resolve_plan(&mut source, &scan.geometry, &c, engine)
+                .unwrap();
+            journal_key(&plan, &c, dims, Some(1)).hash
+        };
+        let one = alias_key(Engine::GpuPipelined, None, None);
+        let flat1d = Engine::Gpu {
+            layout: Layout::Flat1d,
+        };
+        let cluster = Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 1,
+        };
+        let ring = Some(ReductionTopology::Ring);
+        for (engine, depth, reduction) in [
+            (Engine::GpuPipelined, Some(3), None),
+            (flat1d, Some(3), None),
+            (Engine::GpuPipelined, None, ring),
+            (Engine::GpuMulti { devices: 1 }, None, None),
+            (cluster, Some(3), ring),
+        ] {
+            let key = alias_key(engine, depth, reduction);
+            assert_eq!(key, one, "{} {depth:?} {reduction:?}", engine.label());
+        }
+    }
+
+    #[test]
+    fn plan_auto_credits_device_warmth_only_when_every_reused_device_holds_the_table() {
+        let scan = SyntheticScanBuilder::new(8, 8, 12)
+            .scatterers(6)
+            .seed(21)
+            .build()
+            .unwrap();
+        let geom = &scan.geometry;
+        let source =
+            || laue_core::input::InMemorySlabSource::new(scan.images.clone(), 12, 8, 8).unwrap();
+        let mut c = cfg();
+        c.plan = PlanMode::Auto;
+        let engine = Engine::GpuMulti { devices: 2 };
+        let p = Pipeline::default();
+        // The first run provisions the 1×2 slot the next plan reuses; start
+        // from no resident table on either device.
+        p.run_source(&mut source(), geom, &c, engine).unwrap();
+        let devices: Vec<Arc<Device>> = p.shared.devices.lock().unwrap().concat();
+        assert_eq!(devices.len(), 2);
+        let mut stats = TableCacheStats::default();
+        for d in &devices {
+            p.shared.cache.evict_device(d.id(), &mut stats);
+        }
+        let planned = || {
+            let (_, _, explain) = p.resolve_plan(&mut source(), geom, &c, engine).unwrap();
+            explain.unwrap().candidates
+        };
+        let key = TableKey::new(geom, &c);
+        let priced = |device_warm| {
+            let warmth = TableWarmth {
+                host_warm: p.shared.cache.peek_host(&key),
+                device_warm,
+                resident_budget: p.table_cache_budget(),
+            };
+            let (net, host) = (&p.interconnect, &p.host);
+            plan_auto(&p.device, host, net, 1, 2, &mut source(), geom, &c, warmth)
+                .unwrap()
+                .candidates
+                .into_iter()
+                .map(|c| (c.label, c.predicted_s))
+                .collect::<Vec<_>>()
+        };
+        let (cold, warm) = (priced(false), priced(true));
+        assert_ne!(cold, warm, "a resident table must change some price");
+        assert_eq!(planned(), cold);
+        // The planner only peeks at residency, so a placeholder buffer
+        // stands in for the table. One device holding it is not enough:
+        // the other would still upload.
+        let resident = |d: &Arc<Device>, stats: &mut TableCacheStats| {
+            let buf = d.alloc::<f64>(1).unwrap();
+            p.shared
+                .cache
+                .insert_device(d.id(), key.clone(), buf, stats);
+        };
+        resident(&devices[0], &mut stats);
+        assert_eq!(planned(), cold);
+        resident(&devices[1], &mut stats);
+        assert_eq!(planned(), warm);
+    }
+
+    #[test]
+    fn a_gpu_pipe_journal_resumes_under_gpu_multi_1_bit_identically() {
+        let (path, _) = scan_file("alias_resume");
+        let jdir =
+            std::env::temp_dir().join(format!("pipeline_{}_alias_resume_jrn", std::process::id()));
+        let _ = std::fs::remove_dir_all(&jdir);
+        // Serial two-row slabs: every launched slab commits before the
+        // next launch.
+        let mut c = cfg();
+        c.rows_per_slab = Some(2);
+        c.pipeline_depth = Some(1);
+        let baseline = Pipeline::default()
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
+            .unwrap();
+
+        // The gpu-pipe device dies at its third launch; the journal keeps
+        // the two committed slabs.
+        let dying = Pipeline {
+            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
+            journal_dir: Some(jdir.clone()),
+            ..Pipeline::default()
+        };
+        assert!(dying
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
+            .is_err());
+        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
+
+        // gpu-multi:1 resolves the same plan, so it replays that journal
+        // and computes only the remainder.
+        let resumed = Pipeline {
+            journal_dir: Some(jdir.clone()),
+            resume: true,
+            ..Pipeline::default()
+        };
+        let r = resumed
+            .run_scan_file(&path, &c, Engine::GpuMulti { devices: 1 })
+            .unwrap();
+        let resume = r.recovery.resume.as_ref().expect("cross-alias resume");
+        assert!(resume.slabs_replayed > 0, "{resume:?}");
+        assert_eq!(r.image.data, baseline.image.data);
+        assert_eq!(r.stats, baseline.stats);
+        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 0);
+
+        std::fs::remove_dir_all(&jdir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub mod prelude {
     pub use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
     pub use laue_core::journal::{CommittedSlab, JournalKey, RunJournal, SlabProgress};
     pub use laue_core::multi::reconstruct_multi;
+    pub use laue_core::planner::Plan;
     pub use laue_core::planning::{pixel_scan_info, plan_scan, PixelScanInfo, ScanPlan};
     pub use laue_core::post::{depth_map, find_peaks, DepthMapOptions, DepthPeak};
     pub use laue_core::{

@@ -83,3 +83,49 @@ fn aliases_of_one_topology_agree_bit_for_bit() {
         }
     }
 }
+
+#[test]
+fn aliases_of_one_topology_plan_alike_under_plan_auto() {
+    let scan = make_scan();
+    let one_by_one = [
+        Engine::GpuPipelined,
+        Engine::GpuMulti { devices: 1 },
+        Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 1,
+        },
+    ];
+    let one_by_four = [
+        Engine::GpuMulti { devices: 4 },
+        Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 4,
+        },
+    ];
+    for rows_per_slab in [None, Some(2)] {
+        let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 80);
+        cfg.plan = PlanMode::Auto;
+        cfg.rows_per_slab = rows_per_slab;
+        for aliases in [&one_by_one[..], &one_by_four[..]] {
+            let reports: Vec<RunReport> = aliases.iter().map(|&e| run(&scan, &cfg, e)).collect();
+            let chosen = |r: &RunReport| {
+                let plan = r
+                    .plan
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{} under --plan auto records no plan", r.engine));
+                plan.chosen.clone()
+            };
+            // One node keeps the per-device label:
+            // layout/triangulation/k<depth>/r<rows>.
+            assert_eq!(chosen(&reports[0]).split('/').count(), 4);
+            for r in &reports[1..] {
+                let tag = format!(
+                    "{} vs {} (plan auto, rows/slab {rows_per_slab:?})",
+                    reports[0].engine, r.engine
+                );
+                assert_bitwise_equal(&reports[0], r, &tag);
+                assert_eq!(chosen(&reports[0]), chosen(r), "{tag}: plan.chosen");
+            }
+        }
+    }
+}
