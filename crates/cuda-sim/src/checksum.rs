@@ -17,6 +17,15 @@
 //! simulator hashes is separate from what the cost model charges:
 //! [`crate::Device::CRC64_FLOPS_PER_BYTE`] prices the paper-era host's
 //! byte-serial CRC, independently of this implementation.
+//!
+//! A [`NonzeroWords`] copy hashes as the dense stream it stands for
+//! ([`crc64_nonzero`]) without visiting its zeros. A zero word leaves
+//! `crc ^ 0 = crc` and then takes one table step, which is a linear map `Z`
+//! of the 64-bit register, so a run of `n` zero words is `Zⁿ`. The tables
+//! hold `Z^(2^k)` for every `k` below 64, so a run advances through one
+//! table per set bit of `n`: O(log n) for a run of any length.
+
+use crate::memory::NonzeroWords;
 
 /// Reflected CRC-64/XZ generator polynomial.
 const POLY: u64 = 0xC96C_5795_D787_0F42;
@@ -45,22 +54,91 @@ fn tables() -> &'static [[u64; 256]; 8] {
     })
 }
 
+/// One slicing-by-8 step: the register after the eight bytes of `x`
+/// (the register XOR the next payload word) pass through it.
+#[inline]
+fn step(t: &[[u64; 256]; 8], x: u64) -> u64 {
+    t[7][(x & 0xFF) as usize]
+        ^ t[6][((x >> 8) & 0xFF) as usize]
+        ^ t[5][((x >> 16) & 0xFF) as usize]
+        ^ t[4][((x >> 24) & 0xFF) as usize]
+        ^ t[3][((x >> 32) & 0xFF) as usize]
+        ^ t[2][((x >> 40) & 0xFF) as usize]
+        ^ t[1][((x >> 48) & 0xFF) as usize]
+        ^ t[0][(x >> 56) as usize]
+}
+
 /// CRC64 over a stream of 64-bit payload words.
 pub fn crc64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
     let t = tables();
     let mut crc = !0u64;
     for w in words {
-        let x = crc ^ w;
-        crc = t[7][(x & 0xFF) as usize]
-            ^ t[6][((x >> 8) & 0xFF) as usize]
-            ^ t[5][((x >> 16) & 0xFF) as usize]
-            ^ t[4][((x >> 24) & 0xFF) as usize]
-            ^ t[3][((x >> 32) & 0xFF) as usize]
-            ^ t[2][((x >> 40) & 0xFF) as usize]
-            ^ t[1][((x >> 48) & 0xFF) as usize]
-            ^ t[0][(x >> 56) as usize];
+        crc = step(t, crc ^ w);
     }
     !crc
+}
+
+/// A linear map of the register, as sixteen nibble tables: entry `[j][v]`
+/// is the image of the nibble value `v` at bit `4j`.
+type Linear = [[u64; 16]; 16];
+
+fn apply(m: &Linear, x: u64) -> u64 {
+    m.iter()
+        .enumerate()
+        .fold(0, |acc, (j, t)| acc ^ t[((x >> (4 * j)) & 0xF) as usize])
+}
+
+/// The nibble tables of the map that sends bit `i` to `columns[i]`.
+fn linear(columns: &[u64; 64]) -> Linear {
+    let mut m = [[0u64; 16]; 16];
+    for (j, t) in m.iter_mut().enumerate() {
+        for v in 1..16usize {
+            let low = v.trailing_zeros() as usize;
+            t[v] = t[v & (v - 1)] ^ columns[4 * j + low];
+        }
+    }
+    m
+}
+
+/// Lazily built zero-run tables: level `k` is `Z^(2^k)`, a run of `2^k`
+/// zero words. Level 0 is one table step of each basis vector; each
+/// further level squares the one before.
+fn zero_runs() -> &'static [Linear; 64] {
+    use std::sync::OnceLock;
+    static LEVELS: OnceLock<Box<[Linear; 64]>> = OnceLock::new();
+    LEVELS.get_or_init(|| {
+        let t = tables();
+        let mut levels = Box::new([[[0u64; 16]; 16]; 64]);
+        let mut columns: [u64; 64] = std::array::from_fn(|i| step(t, 1u64 << i));
+        for level in levels.iter_mut() {
+            *level = linear(&columns);
+            columns = columns.map(|c| apply(level, c));
+        }
+        levels
+    })
+}
+
+/// The register after `n` zero words.
+fn advance_zeros(levels: &[Linear; 64], mut crc: u64, n: u64) -> u64 {
+    let mut rest = n;
+    while rest != 0 {
+        crc = apply(&levels[rest.trailing_zeros() as usize], crc);
+        rest &= rest - 1;
+    }
+    crc
+}
+
+/// [`crc64`] of the dense word stream a nonzero copy stands for, its
+/// zeros included, in O(log run) per zero run.
+pub fn crc64_nonzero(copy: &NonzeroWords) -> u64 {
+    let (t, levels) = (tables(), zero_runs());
+    let mut crc = !0u64;
+    let mut next = 0usize;
+    for (i, w) in copy.cells() {
+        crc = step(t, advance_zeros(levels, crc, (i - next) as u64) ^ w);
+        next = i + 1;
+    }
+    !advance_zeros(levels, crc, (copy.len() - next) as u64)
 }
 
 #[cfg(test)]
@@ -137,6 +215,60 @@ mod tests {
         assert_ne!(crc64([1u64, 2]), crc64([2u64, 1]));
     }
 
+    /// `Z` by its definition: one zero word through the bit-serial loop.
+    fn zero_word(mut crc: u64) -> u64 {
+        for _ in 0..64 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+        }
+        crc
+    }
+
+    #[test]
+    fn every_zero_run_level_is_the_square_of_the_one_below() {
+        // The levels are linear maps, so agreeing on the 64 basis vectors is
+        // agreeing everywhere: level 0 is Z and level k is level k−1 twice,
+        // which makes level k exactly Z^(2^k) at every k.
+        let levels = zero_runs();
+        for i in 0..64 {
+            let e = 1u64 << i;
+            assert_eq!(apply(&levels[0], e), zero_word(e), "level 0, bit {i}");
+            for k in 1..64 {
+                let twice = apply(&levels[k - 1], apply(&levels[k - 1], e));
+                assert_eq!(apply(&levels[k], e), twice, "level {k}, bit {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_runs_at_every_level_up_to_2_20_match_the_dense_crc() {
+        // Runs of 2^k − 1 words take every level below k; runs of 2^k words
+        // take level k alone. Each run is framed by nonzero words.
+        for k in 0..=20u32 {
+            for run in [(1usize << k) - 1, 1 << k] {
+                let mut dense = vec![0u64; run + 2];
+                dense[0] = 0x0123_4567_89AB_CDEF;
+                dense[run + 1] = 1;
+                let copy = NonzeroWords::from_slice(&dense).unwrap();
+                let want = crc64(dense.iter().copied());
+                assert_eq!(crc64_nonzero(&copy), want, "run of {run} words");
+                if k <= 16 {
+                    assert_eq!(want, reference_crc64(dense.iter().copied()));
+                }
+                let trailing = NonzeroWords::from_slice(&dense[..run + 1]).unwrap();
+                assert_eq!(
+                    crc64_nonzero(&trailing),
+                    crc64(dense[..run + 1].iter().copied()),
+                    "trailing run of {run} words"
+                );
+            }
+        }
+        assert_eq!(crc64_nonzero(&NonzeroWords::zeros(0).unwrap()), crc64([]));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -146,6 +278,24 @@ mod tests {
                 crc64(words.iter().copied()),
                 reference_crc64(words.iter().copied())
             );
+        }
+
+        #[test]
+        fn nonzero_crc_matches_the_dense_stream(
+            runs in proptest::collection::vec((0usize..3000, any::<u64>()), 0..40),
+            tail in 0usize..5000,
+        ) {
+            // Zero runs of random length, each ended by one random word
+            // (itself zero at times), then a trailing run.
+            let mut dense = Vec::new();
+            for (run, w) in runs {
+                dense.resize(dense.len() + run, 0);
+                dense.push(w);
+            }
+            dense.resize(dense.len() + tail, 0);
+            let copy = NonzeroWords::from_slice(&dense).unwrap();
+            prop_assert_eq!(crc64_nonzero(&copy), crc64(dense.iter().copied()));
+            prop_assert_eq!(crc64_nonzero(&copy), reference_crc64(dense.iter().copied()));
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::event::Event;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchEffects, TransferOutcome};
 use crate::host::Host;
 use crate::kernel::{Dim3, KernelCorrupt, LaunchConfig, ThreadCtx, WorkerState};
-use crate::memory::{Allocation, DeviceBuffer, DeviceScalar};
+use crate::memory::{Allocation, DeviceBuffer, DeviceScalar, NonzeroWords};
 use crate::meter::{Cost, LaunchRecord, Meters};
 use crate::props::{DeviceProps, ExecMode};
 use crate::stream::{StreamId, Timelines};
@@ -468,12 +468,100 @@ impl Device {
         self.memcpy_dtoh_on(StreamId::DEFAULT, buf, dst)
     }
 
-    /// Copy device → host on a chosen stream.
+    /// Copy device → host on a chosen stream: the
+    /// [nonzero copy](Self::memcpy_dtoh_nonzero_on) scattered into `dst`.
+    /// A transient fault scribbles garbage over `dst` (a partial DMA may
+    /// have written any of it), so the caller cannot use it.
     pub fn memcpy_dtoh_on<T: DeviceScalar>(
         &self,
         stream: StreamId,
         buf: &DeviceBuffer<T>,
         dst: &mut [T],
+    ) -> Result<TimeSpan> {
+        self.dtoh_into(stream, buf, dst, false)
+    }
+
+    /// Copy device → host on a chosen stream, keeping only the buffer's
+    /// nonzero words ([`NonzeroWords`]). The bus model is the dense copy's:
+    /// the transfer moves, times and meters `buf.modeled_bytes()`, rolls
+    /// the same fault dice and leaves the same trace ops; only the host
+    /// side skips the zeros.
+    pub fn memcpy_dtoh_nonzero_on<T: DeviceScalar>(
+        &self,
+        stream: StreamId,
+        buf: &DeviceBuffer<T>,
+    ) -> Result<(NonzeroWords, TimeSpan)> {
+        let (copy, span, _) = self.dtoh_nonzero(stream, buf, false)?;
+        Ok((copy, span))
+    }
+
+    /// The one device → host copy: the buffer's nonzero words as they
+    /// land on the host, with a scripted silent flip applied to the host
+    /// copy only (device memory keeps the true data — that asymmetry is
+    /// what readback CRCs catch). With `checked`, it also reports whether
+    /// a CRC64 of the device words before the copy matches one of the
+    /// received copy, both taken over the dense stream.
+    fn dtoh_nonzero<T: DeviceScalar>(
+        &self,
+        stream: StreamId,
+        buf: &DeviceBuffer<T>,
+        checked: bool,
+    ) -> Result<(NonzeroWords, TimeSpan, bool)> {
+        self.check_buffer(buf)?;
+        // Read (and length-check) before the fault dice roll, like every
+        // other validation; device memory is the same either side of it.
+        let mut copy = buf.nonzero_words()?;
+        let bytes = buf.modeled_bytes();
+        let outcome = self.fault_check_transfer(TransferDir::DeviceToHost, stream, bytes)?;
+        let expect = checked.then(|| checksum::crc64_nonzero(&copy));
+        let mut flipped: Option<usize> = None;
+        if let TransferOutcome::Corrupt { byte } = outcome {
+            let off = byte % bytes;
+            let elem = (off / T::SIZE) as usize;
+            copy.flip(elem, 0x80u64 << (8 * (off % T::SIZE)));
+            flipped = Some(elem);
+        }
+        let dur = self.props.transfer_time(bytes);
+        let span = {
+            let mut st = self.state.lock();
+            let (start_s, end_s) =
+                self.bus_transfer(&mut st, stream, TransferDir::DeviceToHost, "d2h", dur);
+            st.meters.comm_time_s += dur;
+            st.meters.d2h_bytes += bytes;
+            st.meters.transfers += 1;
+            st.trace
+                .push_with("d2h", stream.index(), start_s, end_s, || {
+                    format!("D2H {bytes} B")
+                });
+            if let Some(elem) = flipped {
+                st.trace
+                    .push_with("flip", stream.index(), end_s, end_s, || {
+                        format!("D2H silent flip @ element {elem}")
+                    });
+            }
+            TimeSpan { start_s, end_s }
+        };
+        let crc_ok = match expect {
+            Some(expect) => {
+                let landed = checksum::crc64_nonzero(&copy);
+                self.charge_host_flops(2 * bytes * Self::CRC64_FLOPS_PER_BYTE);
+                landed == expect
+            }
+            None => true,
+        };
+        Ok((copy, span, crc_ok))
+    }
+
+    /// [`dtoh_nonzero`](Self::dtoh_nonzero) scattered into a dense host
+    /// slice, with the dense copy's error semantics: a transient fault
+    /// scribbles `dst`, and a failed CRC leaves the corrupted payload in
+    /// it.
+    fn dtoh_into<T: DeviceScalar>(
+        &self,
+        stream: StreamId,
+        buf: &DeviceBuffer<T>,
+        dst: &mut [T],
+        checked: bool,
     ) -> Result<TimeSpan> {
         self.check_buffer(buf)?;
         if dst.len() != buf.len() {
@@ -482,53 +570,28 @@ impl Device {
                 host_len: dst.len(),
             });
         }
-        let outcome =
-            match self.fault_check_transfer(TransferDir::DeviceToHost, stream, buf.modeled_bytes())
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    if e.is_transient() {
-                        // Partial-DMA analogue on the host side: scribble garbage
-                        // into the destination so the caller cannot use it.
-                        for v in dst.iter_mut() {
-                            *v = T::from_word(0xDEAD_BEEF_DEAD_BEEF);
-                        }
-                    }
-                    return Err(e);
+        let (copy, span, crc_ok) = match self.dtoh_nonzero(stream, buf, checked) {
+            Ok(landed) => landed,
+            Err(e) => {
+                if e.is_transient() {
+                    dst.fill(T::from_word(0xDEAD_BEEF_DEAD_BEEF));
                 }
-            };
-        for (i, v) in dst.iter_mut().enumerate() {
-            *v = buf.load(i);
+                return Err(e);
+            }
+        };
+        copy.scatter_into(dst);
+        if !crc_ok {
+            return Err(self.corrupt_d2h());
         }
-        let bytes = buf.modeled_bytes();
-        // A D2H flip lands in the received host copy; device memory keeps
-        // the true data (that asymmetry is what readback CRCs catch).
-        let mut flipped: Option<usize> = None;
-        if let TransferOutcome::Corrupt { byte } = outcome {
-            let off = byte % bytes;
-            let elem = (off / T::SIZE) as usize;
-            let mask = 0x80u64 << (8 * (off % T::SIZE));
-            dst[elem] = T::from_word(dst[elem].to_word() ^ mask);
-            flipped = Some(elem);
+        Ok(span)
+    }
+
+    /// The detected-corruption error of a failed D2H CRC check.
+    fn corrupt_d2h(&self) -> SimError {
+        SimError::CorruptTransfer {
+            dir: TransferDir::DeviceToHost,
+            index: self.meters().transfers,
         }
-        let dur = self.props.transfer_time(bytes);
-        let mut st = self.state.lock();
-        let (start_s, end_s) =
-            self.bus_transfer(&mut st, stream, TransferDir::DeviceToHost, "d2h", dur);
-        st.meters.comm_time_s += dur;
-        st.meters.d2h_bytes += bytes;
-        st.meters.transfers += 1;
-        st.trace
-            .push_with("d2h", stream.index(), start_s, end_s, || {
-                format!("D2H {bytes} B")
-            });
-        if let Some(elem) = flipped {
-            st.trace
-                .push_with("flip", stream.index(), end_s, end_s, || {
-                    format!("D2H silent flip @ element {elem}")
-                });
-        }
-        Ok(TimeSpan { start_s, end_s })
     }
 
     // ------------------------------------------------------------------
@@ -607,17 +670,24 @@ impl Device {
         buf: &DeviceBuffer<T>,
         dst: &mut [T],
     ) -> Result<TimeSpan> {
-        let expect = checksum::crc64((0..buf.len()).map(|i| buf.word(i).load(Ordering::Relaxed)));
-        let span = self.memcpy_dtoh_on(stream, buf, dst)?;
-        let landed = checksum::crc64(dst.iter().map(|v| v.to_word()));
-        self.charge_host_flops(2 * buf.modeled_bytes() * Self::CRC64_FLOPS_PER_BYTE);
-        if landed != expect {
-            return Err(SimError::CorruptTransfer {
-                dir: TransferDir::DeviceToHost,
-                index: self.meters().transfers,
-            });
+        self.dtoh_into(stream, buf, dst, true)
+    }
+
+    /// [`memcpy_dtoh_nonzero_on`](Self::memcpy_dtoh_nonzero_on) with the
+    /// end-to-end verification of
+    /// [`memcpy_dtoh_checked_on`](Self::memcpy_dtoh_checked_on): both CRCs
+    /// run over the dense stream, each zero run advanced in O(log run)
+    /// ([`checksum::crc64_nonzero`]), and the host FLOPs charged are the
+    /// dense copy's.
+    pub fn memcpy_dtoh_nonzero_checked_on<T: DeviceScalar>(
+        &self,
+        stream: StreamId,
+        buf: &DeviceBuffer<T>,
+    ) -> Result<(NonzeroWords, TimeSpan)> {
+        match self.dtoh_nonzero(stream, buf, true)? {
+            (copy, span, true) => Ok((copy, span)),
+            (_, _, false) => Err(self.corrupt_d2h()),
         }
-        Ok(span)
     }
 
     // ------------------------------------------------------------------
@@ -1019,6 +1089,172 @@ fn merge_states(states: Vec<WorkerState>) -> (Cost, [u64; crate::meter::TRACE_SL
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense device → host copy the nonzero copy replaced, kept as the
+    /// oracle it must match: every word read into `dst`, the flip XORed
+    /// into the host copy, and for `checked` a CRC64 on each side.
+    fn dense_dtoh_oracle<T: DeviceScalar>(
+        d: &Device,
+        stream: StreamId,
+        buf: &DeviceBuffer<T>,
+        dst: &mut [T],
+        checked: bool,
+    ) -> Result<TimeSpan> {
+        let expect = checksum::crc64((0..buf.len()).map(|i| buf.word(i).load(Ordering::Relaxed)));
+        d.check_buffer(buf)?;
+        if dst.len() != buf.len() {
+            return Err(SimError::CopyLengthMismatch {
+                device_len: buf.len(),
+                host_len: dst.len(),
+            });
+        }
+        let outcome =
+            match d.fault_check_transfer(TransferDir::DeviceToHost, stream, buf.modeled_bytes()) {
+                Ok(o) => o,
+                Err(e) => {
+                    if e.is_transient() {
+                        for v in dst.iter_mut() {
+                            *v = T::from_word(0xDEAD_BEEF_DEAD_BEEF);
+                        }
+                    }
+                    return Err(e);
+                }
+            };
+        for (i, v) in dst.iter_mut().enumerate() {
+            *v = buf.load(i);
+        }
+        let bytes = buf.modeled_bytes();
+        let mut flipped: Option<usize> = None;
+        if let TransferOutcome::Corrupt { byte } = outcome {
+            let off = byte % bytes;
+            let elem = (off / T::SIZE) as usize;
+            let mask = 0x80u64 << (8 * (off % T::SIZE));
+            dst[elem] = T::from_word(dst[elem].to_word() ^ mask);
+            flipped = Some(elem);
+        }
+        let dur = d.props.transfer_time(bytes);
+        let span = {
+            let mut st = d.state.lock();
+            let (start_s, end_s) =
+                d.bus_transfer(&mut st, stream, TransferDir::DeviceToHost, "d2h", dur);
+            st.meters.comm_time_s += dur;
+            st.meters.d2h_bytes += bytes;
+            st.meters.transfers += 1;
+            st.trace
+                .push_with("d2h", stream.index(), start_s, end_s, || {
+                    format!("D2H {bytes} B")
+                });
+            if let Some(elem) = flipped {
+                st.trace
+                    .push_with("flip", stream.index(), end_s, end_s, || {
+                        format!("D2H silent flip @ element {elem}")
+                    });
+            }
+            TimeSpan { start_s, end_s }
+        };
+        if checked {
+            let landed = checksum::crc64(dst.iter().map(|v| v.to_word()));
+            d.charge_host_flops(2 * bytes * Device::CRC64_FLOPS_PER_BYTE);
+            if landed != expect {
+                return Err(d.corrupt_d2h());
+            }
+        }
+        Ok(span)
+    }
+
+    /// Words a payload draws from: +0.0, −0.0, NaNs, subnormals and
+    /// arbitrary patterns.
+    fn payload_word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(0u64),
+            Just(0u64),
+            Just((-0.0f64).to_bits()),
+            Just(f64::NAN.to_bits()),
+            Just(0xFFF0_0000_0000_0001u64),
+            1u64..(1 << 52),
+            any::<u64>(),
+        ]
+    }
+
+    /// Run one D2H through the dense oracle, the nonzero copy and the
+    /// dense wrapper, each on its own device under the same fault plan,
+    /// and compare everything they leave behind.
+    fn check_dtoh_equivalence<T: DeviceScalar>(
+        words: &[u64],
+        plan: &FaultPlan,
+        checked: bool,
+    ) -> std::result::Result<(), TestCaseError> {
+        let values: Vec<T> = words.iter().map(|&w| T::from_word(w)).collect();
+        let setup = || {
+            let d = tiny_device();
+            let buf = d.alloc_from_slice(&values).unwrap();
+            d.set_fault_plan(plan.clone());
+            (d, buf)
+        };
+        let s = StreamId::DEFAULT;
+        let garbage = T::from_word(0x5A5A_5A5A_5A5A_5A5A);
+        let (oracle, buf_o) = setup();
+        let mut want = vec![garbage; values.len()];
+        let want_res = dense_dtoh_oracle(&oracle, s, &buf_o, &mut want, checked);
+
+        let (nonzero, buf_n) = setup();
+        let got = if checked {
+            nonzero.memcpy_dtoh_nonzero_checked_on(s, &buf_n)
+        } else {
+            nonzero.memcpy_dtoh_nonzero_on(s, &buf_n)
+        };
+        let (wrapper, buf_w) = setup();
+        let mut scattered = vec![garbage; values.len()];
+        let wrapped_res = if checked {
+            wrapper.memcpy_dtoh_checked_on(s, &buf_w, &mut scattered)
+        } else {
+            wrapper.memcpy_dtoh_on(s, &buf_w, &mut scattered)
+        };
+
+        let bits = |v: &[T]| v.iter().map(|x| x.to_word()).collect::<Vec<_>>();
+        prop_assert_eq!(&wrapped_res, &want_res);
+        prop_assert_eq!(bits(&scattered), bits(&want), "scribbled destination");
+        match (&got, &want_res) {
+            (Ok((copy, span)), Ok(want_span)) => {
+                prop_assert_eq!(span, want_span);
+                let mut dense = vec![T::from_word(0); values.len()];
+                copy.scatter_into(&mut dense);
+                prop_assert_eq!(bits(&dense), bits(&want));
+                prop_assert!(copy.words().iter().all(|&w| w != 0));
+            }
+            (Err(e), Err(want_e)) => prop_assert_eq!(e, want_e),
+            _ => prop_assert!(false, "outcomes differ: {:?} vs {:?}", got, want_res),
+        }
+        for d in [&nonzero, &wrapper] {
+            prop_assert_eq!(d.meters(), oracle.meters());
+            prop_assert_eq!(d.fault_stats(), oracle.fault_stats());
+            prop_assert_eq!(d.ops(), oracle.ops());
+            prop_assert_eq!(d.host_flops_time_s(), oracle.host_flops_time_s());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn nonzero_copy_matches_the_dense_copy_under_every_outcome(
+            words in proptest::collection::vec(payload_word(), 1..120),
+            outcome in 0u8..3,
+            byte in any::<u64>(),
+            checked in any::<bool>(),
+        ) {
+            let plan = match outcome {
+                0 => FaultPlan::new(7),
+                1 => FaultPlan::new(7).flip_nth_d2h(1).flip_byte_offset(byte),
+                _ => FaultPlan::new(7).fail_nth_d2h(1),
+            };
+            check_dtoh_equivalence::<f64>(&words, &plan, checked)?;
+            check_dtoh_equivalence::<u32>(&words, &plan, checked)?;
+        }
+    }
 
     fn tiny_device() -> Device {
         Device::new(DeviceProps::tiny(1 << 16))

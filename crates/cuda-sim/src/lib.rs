@@ -81,7 +81,7 @@ pub use fault::{FaultPlan, FaultStats};
 pub use fleet::{FleetClock, FleetSpan};
 pub use host::{Duplex, Host, HostConfig};
 pub use kernel::{Dim3, LaunchConfig, ThreadCtx};
-pub use memory::{DeviceBuffer, DeviceScalar};
+pub use memory::{DeviceBuffer, DeviceScalar, NonzeroWords};
 pub use meter::{ChainEstimator, Cost, LaunchRecord, Meters, TRACE_SLOTS};
 pub use props::{DeviceProps, ExecMode, HostProps};
 pub use sim::{Clock, Engine, EventRecord, ResourceId, VirtualClock};

@@ -44,7 +44,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use cuda_sim::{
-    Device, DeviceBuffer, ExecMode, Interconnect, InterconnectProps, LaunchConfig, Meters, StreamId,
+    Device, DeviceBuffer, ExecMode, Interconnect, InterconnectProps, LaunchConfig, Meters,
+    NonzeroWords, StreamId,
 };
 use laue_geometry::{DepthMapper, Vec3};
 
@@ -1399,8 +1400,8 @@ where
         .map_err(CoreError::from)
 }
 
-/// Download one slab's output into a host buffer in slab layout,
-/// `[(bin · rows + r) · n_cols + c]` (see [`DepthImage::assign_rows`]).
+/// Download one slab's output as its nonzero cells in slab layout,
+/// `[(bin · rows + r) · n_cols + c]` (see [`crate::journal::CommittedSlab`]).
 /// Also returns the virtual time when the last D2H copy completes (the ring
 /// uses it as the slot-free edge for the next upload).
 fn download_slab(
@@ -1408,35 +1409,37 @@ fn download_slab(
     upload: &SlabUpload,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
-) -> Result<(Vec<f64>, f64)> {
+) -> Result<(NonzeroWords, f64)> {
     let (device, stream) = (ctx.device, ctx.download_stream);
     let checked = ctx.cfg.integrity.enabled();
-    let plane = upload.rows * ctx.n_cols;
-    let mut host = vec![0.0f64; ctx.cfg.n_depth_bins * plane];
-    let mut download = |buf: &DeviceBuffer<f64>, dst: &mut [f64]| {
+    let mut download = |buf: &DeviceBuffer<f64>| {
         let report = if checked { Some(&mut *integrity) } else { None };
         retry_transfer(device, stream, recovery, report, || {
             if checked {
-                device.memcpy_dtoh_checked_on(stream, buf, dst)
+                device.memcpy_dtoh_nonzero_checked_on(stream, buf)
             } else {
-                device.memcpy_dtoh_on(stream, buf, dst)
+                device.memcpy_dtoh_nonzero_on(stream, buf)
             }
         })
-        .map(|span| span.end_s)
     };
-    let done_at = match &upload.buffers {
-        SlabBuffers::Flat { output, .. } => download(output, &mut host)?,
+    match &upload.buffers {
+        SlabBuffers::Flat { output, .. } => {
+            let (slab, span) = download(output)?;
+            Ok((slab, span.end_s))
+        }
         // One D2H per bin: the 3D layout pays latency both ways. Each bin
         // buffer is exactly one bin plane of the slab layout.
         SlabBuffers::Pointer { bins, .. } => {
+            let mut slab = NonzeroWords::zeros(0)?;
             let mut done_at = 0.0f64;
-            for (buf, dst) in bins.iter().zip(host.chunks_exact_mut(plane)) {
-                done_at = done_at.max(download(buf, dst)?);
+            for buf in bins {
+                let (plane, span) = download(buf)?;
+                slab.append(&plane)?;
+                done_at = done_at.max(span.end_s);
             }
-            done_at
+            Ok((slab, done_at))
         }
-    };
-    Ok((host, done_at))
+    }
 }
 
 /// One slab's share of the pair counters, combining its (optional) prescan
@@ -1619,7 +1622,7 @@ impl SlabCommit<'_> {
         row0: usize,
         rows: usize,
         stats: &ReconStats,
-        slab: &[f64],
+        slab: &NonzeroWords,
     ) -> Result<()> {
         self.progress
             .commit(self.journal.as_deref_mut(), row0, rows, stats, slab)?;
@@ -1628,15 +1631,16 @@ impl SlabCommit<'_> {
     }
 }
 
-/// Drain one ring slot: download the slab, verify the downloaded buffer
+/// Drain one ring slot: download the slab's nonzero cells, verify them
 /// when integrity is on, recover per the integrity mode when verification
-/// fails, then commit it. A condemned slab never reaches the image.
+/// fails, then commit them. A condemned slab never reaches the image.
 /// Returns the slot-free edge from [`download_slab`].
 ///
 /// Verification is the ABFT check: the host redundantly recomputes the
 /// slab with the dense CPU engine (re-reading the intensities from the
 /// source — device-resident data is not trusted) and compares per-bin
-/// sums. A slab whose launch tripped the watchdog is condemned even if
+/// sums, both taken by [`integrity::bin_sums`] over the two payloads. A
+/// slab whose launch tripped the watchdog is condemned even if
 /// its sums match. In `verify` mode a condemned slab aborts the run; in
 /// `scrub` mode it is quarantined (poison record), re-executed with
 /// bounded exponential backoff — each retry re-rolls the fault dice, so
@@ -1673,7 +1677,7 @@ fn commit_slab(
     integrity.verify_host_cpu_s += device.host_flops_time_s() - host_t0;
     integrity.checks_run += 1;
 
-    let verified = |slab: &[f64]| {
+    let verified = |slab: &NonzeroWords| {
         let observed = integrity::bin_sums(slab, cfg.n_depth_bins);
         integrity::sums_match(&observed, &reference.bin_sums, ctx.abft_tol)
     };
@@ -2256,6 +2260,32 @@ mod tests {
             "sequential executor must reproduce the CPU bit-for-bit"
         );
         assert_eq!(cpu_out.stats, gpu_out.stats);
+    }
+
+    #[test]
+    fn verify_accepts_a_clean_payload_bitwise_under_both_layouts() {
+        // Observed and reference ABFT sums both come from
+        // `integrity::bin_sums` over a nonzero-cell payload, so a clean
+        // sequential run passes every per-slab check at tolerance 0 and
+        // commits the unverified run's image, whichever layout downloaded.
+        let (geom, cfg, data) = demo();
+        let verify = ReconstructionConfig {
+            integrity: crate::config::IntegrityMode::Verify,
+            rows_per_slab: Some(2),
+            ..cfg.clone()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for layout in [Layout::Flat1d, Layout::Pointer3d] {
+            let device = big_device();
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
+            let off = reconstruct(&device, &mut source, &geom, &cfg, layout).unwrap();
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
+            let on = reconstruct(&device, &mut source, &geom, &verify, layout).unwrap();
+            assert_eq!(bits(&on.image.data), bits(&off.image.data), "{layout:?}");
+            assert_eq!(on.integrity.abft_mismatches, 0, "{layout:?}");
+            assert_eq!(on.integrity.corruptions_detected, 0, "{layout:?}");
+            assert!(on.integrity.checks_run >= 3, "{:?}", on.integrity);
+        }
     }
 
     #[test]

@@ -324,10 +324,10 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
     let mut results = Vec::with_capacity(jobs.len());
     for (j, job) in jobs.iter().enumerate() {
         let plan = &plans[j];
-        let mut host = vec![0.0f64; job.cfg.n_depth_bins * plan.rows * plan.n_cols];
-        device.memcpy_dtoh_on(stream, &output_bufs[j], &mut host)?;
+        // A job's slab is its whole image, so slab layout is image layout.
+        let (cells, _) = device.memcpy_dtoh_nonzero_on(stream, &output_bufs[j])?;
         let mut image = DepthImage::zeroed(job.cfg.n_depth_bins, plan.rows, plan.n_cols);
-        image.assign_rows(0, plan.rows, &host)?;
+        cells.scatter_into(&mut image.data);
         let stats = ReconStats {
             pairs_total: plan.total,
             pairs_below_cutoff: counters[j].get(TRACE_BELOW_CUTOFF),

@@ -35,6 +35,7 @@
 //! bit-identical to a fault-free run and is marked `INTEGRITY-DEGRADED`
 //! in its report.
 
+use cuda_sim::NonzeroWords;
 use laue_geometry::DepthMapper;
 
 use crate::config::ReconstructionConfig;
@@ -126,11 +127,11 @@ impl IntegrityReport {
 /// The host-side redundant slab computation the ABFT check compares
 /// against — and the repair donor when scrub exhausts its retries.
 pub(crate) struct SlabReference {
-    /// Slab rows of the image, `[(bin · rows + r) · n_cols + c]` — the
-    /// layout the slab download lands in and
-    /// [`crate::output::DepthImage::assign_rows`] takes.
-    pub(crate) data: Vec<f64>,
-    /// Per-depth-bin sums of `data`, in index order.
+    /// The slab's nonzero cells in slab layout,
+    /// `[(bin · rows + r) · n_cols + c]` — the payload a slab download
+    /// returns and [`crate::journal::SlabProgress::commit`] takes.
+    pub(crate) data: NonzeroWords,
+    /// Per-depth-bin sums of `data` ([`bin_sums`]).
     pub(crate) bin_sums: Vec<f64>,
     /// Host FLOPs the recompute (and its bin-sum pass) cost.
     pub(crate) host_flops: u64,
@@ -154,23 +155,26 @@ pub(crate) fn slab_reference(
     let slab = source.read_slab(row0, rows)?;
     let view = ScanView::new(&slab, source.n_images(), rows, source.n_cols())?;
     let (image, _stats, cost) = cpu::reconstruct_rows(&view, geom, mapper, cfg, 0..rows, row0);
-    let bin_sums = bin_sums(&image.data, cfg.n_depth_bins);
+    let data = NonzeroWords::from_slice(&image.data)?;
+    let bin_sums = bin_sums(&data, cfg.n_depth_bins);
     let host_flops = cost.flops + image.data.len() as u64;
     Ok(SlabReference {
-        data: image.data,
+        data,
         bin_sums,
         host_flops,
     })
 }
 
-/// Per-depth-bin sums of a slab's data, summed in index order so two
-/// bit-identical slabs always produce bit-identical sums.
-pub(crate) fn bin_sums(data: &[f64], n_bins: usize) -> Vec<f64> {
-    debug_assert_eq!(data.len() % n_bins.max(1), 0);
-    let per_bin = data.len() / n_bins;
-    (0..n_bins)
-        .map(|b| data[b * per_bin..(b + 1) * per_bin].iter().sum())
-        .collect()
+/// Per-depth-bin sums of a slab payload's cells, summed in index order.
+/// The observed slab and the host reference both go through this one
+/// function, so two bit-identical slabs always produce bit-identical sums.
+pub(crate) fn bin_sums(slab: &NonzeroWords, n_bins: usize) -> Vec<f64> {
+    let per_bin = slab.len() / n_bins.max(1);
+    let mut sums = vec![0.0; n_bins];
+    for (i, w) in slab.cells() {
+        sums[i / per_bin] += f64::from_bits(w);
+    }
+    sums
 }
 
 /// Compare ABFT sums. `tol_rel == 0` demands exact bit equality (the
@@ -225,9 +229,12 @@ mod tests {
 
     #[test]
     fn bin_sums_are_per_bin_and_order_stable() {
-        // 2 bins × 3 values each.
-        let data = [1.0, 2.0, 3.0, 10.0, 20.0, 30.0];
-        assert_eq!(bin_sums(&data, 2), vec![6.0, 60.0]);
+        // 2 bins × 3 values each; the zeros stay implicit.
+        let data = [1.0, 0.0, 3.0, 0.0, 20.0, 30.0];
+        let slab = NonzeroWords::from_slice(&data).unwrap();
+        assert_eq!(bin_sums(&slab, 2), vec![4.0, 50.0]);
+        let empty = NonzeroWords::zeros(6).unwrap();
+        assert_eq!(bin_sums(&empty, 2), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! recovery: each slab's depth-band partial sums are complete the moment its
 //! D2H download lands, and no later slab ever touches those rows again. The
 //! journal exploits that by recording every committed slab — row range,
-//! per-slab [`ReconStats`], and the slab's rows of the output image — in an
+//! per-slab [`ReconStats`], and the slab's nonzero cells — in an
 //! append-only file framed with [`mh5::crc`] CRC-32 checksums:
 //!
 //! ```text
@@ -13,16 +13,28 @@
 //!          desc_len u32 | description bytes | crc32 of all of the above
 //! record:  payload_len u32 | crc32(payload) | payload
 //! commit:  payload = kind 0 u64 | row0 u64 | rows u64 |
-//!                    10 × ReconStats u64 |
-//!                    rows·n_bins·n_cols × f64 (slab rows, bin-major)
+//!                    10 × ReconStats u64 | form u64 | body
+//!   form 0 (raw):   rows·n_bins·n_cols × f64 (slab rows, bin-major)
+//!   form 1 (cells): n_cells u64 | n_cells × u32 index | n_cells × f64
 //! poison:  payload = kind 1 u64 | row0 u64 | rows u64
 //! ```
+//!
+//! A slab travels as a [`NonzeroWords`] payload: its nonzero cells in slab
+//! index order, `[(bin · rows + r) · n_cols + c]`, with every +0.0 cell
+//! implicit. A commit record stores those cells (indices strictly
+//! ascending, inside the band, words nonzero) unless they would not be
+//! smaller than the raw slab, which it then stores raw — as `mh5`'s codec
+//! picks RLE or raw per chunk. So a record is never larger than the raw
+//! slab's, and the raw form bounds the slab height below.
 //!
 //! A record is built in one buffer, frame first, and written as is; its
 //! `u32` length caps a payload at 4 GiB − 1 bytes. Executors cap their
 //! slabs at [`RunJournal::max_slab_rows`] before the first one launches,
 //! so every slab fits; a payload that still does not is a
-//! [`CoreError::Journal`] rather than a wrapped length.
+//! [`CoreError::Journal`] rather than a wrapped length. A band that is
+//! empty or leaves the image, or a payload that is not exactly the band's
+//! cells, is refused before anything is written: the writer never appends
+//! a record its parser would read as a torn tail.
 //!
 //! A *poison* record quarantines a row band: an integrity check condemned
 //! the slab's data, so replay un-covers (and zeroes) those rows, dropping
@@ -36,17 +48,20 @@
 //! or plan silently starts fresh instead of merging incompatible partial
 //! sums. A torn tail (the process died mid-append) is detected by the
 //! record CRC or a short read, truncated away, and replay continues from
-//! the last intact record. Because slab downloads *assign* their rows
-//! rather than accumulate, replaying records in append order reproduces the
-//! committed prefix of the image bit-for-bit, and chunking invariance (the
-//! engines produce identical images for any `rows_per_slab`) lets the
-//! resumed run cover the remaining rows with whatever slab plan it likes.
+//! the last intact record; so is a record whose length or cells do not
+//! decode, and no decoder allocates for more cells than its record holds.
+//! Because slab commits *assign* their rows rather than accumulate,
+//! replaying records in append order reproduces the committed prefix of
+//! the image bit-for-bit, and chunking invariance (the engines produce
+//! identical images for any `rows_per_slab`) lets the resumed run cover
+//! the remaining rows with whatever slab plan it likes.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use cuda_sim::NonzeroWords;
 use mh5::crc::{crc32, Crc32};
 
 use crate::output::DepthImage;
@@ -65,14 +80,20 @@ const MAGIC: [u8; 8] = *b"LAUEJRN1";
 // cluster options rather than a hand-picked field list, which brings the
 // watchdog multiplier into the key; v8 keys on the resolved plan in place
 // of the engine label, plan token and cluster options, so aliases of one
-// plan share a journal. An older journal fails the version check and the
+// plan share a journal; v9 stores a commit's slab as its nonzero cells or
+// raw, behind a form word. An older journal fails the version check and the
 // run starts fresh — exactly the safe behaviour for a format change.
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 
 /// Payload kind word: a committed slab.
 const KIND_COMMIT: u64 = 0;
 /// Payload kind word: a poisoned (quarantined) row band.
 const KIND_POISON: u64 = 1;
+
+/// Commit form word: the slab's cells, zeros included.
+const FORM_RAW: u64 = 0;
+/// Commit form word: the slab's nonzero cells as indices and values.
+const FORM_CELLS: u64 = 1;
 
 fn io_err(what: &str, e: std::io::Error) -> CoreError {
     CoreError::Journal(format!("{what}: {e}"))
@@ -116,9 +137,9 @@ pub struct CommittedSlab {
     pub rows: usize,
     /// The slab's share of the pair counters.
     pub stats: ReconStats,
-    /// `rows · n_bins · n_cols` intensities, laid out
-    /// `[(bin * rows + r) * n_cols + c]` (see [`DepthImage::assign_rows`]).
-    pub data: Vec<f64>,
+    /// The nonzero cells of the slab's `rows · n_bins · n_cols`
+    /// intensities, laid out `[(bin * rows + r) * n_cols + c]`.
+    pub data: NonzeroWords,
 }
 
 /// One replayed journal record, in append order.
@@ -208,22 +229,41 @@ impl RunJournal {
     /// written with a single `write_all`, then flushed with `sync_data`,
     /// so after this returns the slab survives a process kill; a kill
     /// *during* the write leaves a torn tail the next open truncates away.
-    /// A slab whose payload does not fit the frame's `u32` length is a
-    /// [`CoreError::Journal`], checked before anything is allocated.
+    /// A band that is empty or leaves the image, or a `slab` that is not
+    /// exactly its `rows · n_bins · n_cols` cells, is a
+    /// [`CoreError::ShapeMismatch`], and a payload that does not fit the
+    /// frame's `u32` length a [`CoreError::Journal`]; both are checked
+    /// before anything is allocated or written.
     pub fn append(
         &mut self,
         row0: usize,
         rows: usize,
         stats: &ReconStats,
-        data: &[f64],
+        slab: &NonzeroWords,
     ) -> Result<()> {
-        let (n_bins, _, n_cols) = self.dims;
-        debug_assert_eq!(data.len(), n_bins * rows * n_cols);
-        let mut record = begin_record(KIND_COMMIT, row0, rows, 8 * STATS_WORDS + 8 * data.len())?;
+        check_slab(self.dims, row0, rows, slab)?;
+        let raw_bytes = 8usize.saturating_mul(slab.len());
+        let cells_bytes = 12usize.saturating_mul(slab.nnz()).saturating_add(8);
+        let raw = cells_bytes >= raw_bytes;
+        let body = if raw { raw_bytes } else { cells_bytes };
+        let mut record = begin_record(KIND_COMMIT, row0, rows, 8 * (STATS_WORDS + 1) + body)?;
         for v in stats_words(stats) {
             record.extend_from_slice(&v.to_le_bytes());
         }
-        record.extend(data.iter().flat_map(|v| v.to_le_bytes()));
+        if raw {
+            record.extend_from_slice(&FORM_RAW.to_le_bytes());
+            let start = record.len();
+            record.resize(start + raw_bytes, 0);
+            for (i, w) in slab.cells() {
+                let at = start + 8 * i;
+                record[at..at + 8].copy_from_slice(&w.to_le_bytes());
+            }
+        } else {
+            record.extend_from_slice(&FORM_CELLS.to_le_bytes());
+            record.extend_from_slice(&(slab.nnz() as u64).to_le_bytes());
+            record.extend(slab.indices().iter().flat_map(|i| i.to_le_bytes()));
+            record.extend(slab.words().iter().flat_map(|w| w.to_le_bytes()));
+        }
         self.write_record(record)
     }
 
@@ -287,12 +327,88 @@ fn frame_len(payload_len: usize) -> Result<u32> {
     })
 }
 
-/// Payload bytes of a commit record ahead of its slab values: the kind
-/// word, the row band and the stats block.
-const COMMIT_HEAD_BYTES: usize = 8 * (3 + STATS_WORDS);
+/// Payload bytes of a commit record ahead of its slab body: the kind
+/// word, the row band, the stats block and the form word.
+const COMMIT_HEAD_BYTES: usize = 8 * (3 + STATS_WORDS + 1);
+
+/// The cells of the `rows`-row band from `row0` of a `dims` image, or
+/// `None` when the band is empty, leaves the image (or wraps), or its
+/// cell count overflows.
+fn band_cells(dims: (usize, usize, usize), row0: usize, rows: usize) -> Option<usize> {
+    let (n_bins, n_rows, n_cols) = dims;
+    if rows == 0 || row0.checked_add(rows)? > n_rows {
+        return None;
+    }
+    n_bins.checked_mul(rows)?.checked_mul(n_cols)
+}
+
+/// Refuse a commit whose band is empty or leaves the image, or whose slab
+/// is not exactly that band's cells (the payload type keeps every cell
+/// index below its length, so a matching length keeps every cell inside
+/// the band).
+fn check_slab(
+    dims: (usize, usize, usize),
+    row0: usize,
+    rows: usize,
+    slab: &NonzeroWords,
+) -> Result<()> {
+    match band_cells(dims, row0, rows) {
+        Some(cells) if cells == slab.len() => Ok(()),
+        Some(cells) => Err(CoreError::ShapeMismatch(format!(
+            "slab payload holds {} cells but rows {row0}..{} of {} bins × {} cols need {cells}",
+            slab.len(),
+            row0 + rows,
+            dims.0,
+            dims.2
+        ))),
+        None => Err(CoreError::ShapeMismatch(format!(
+            "slab band {row0} + {rows} rows is empty or leaves the {}-row image",
+            dims.1
+        ))),
+    }
+}
+
+/// The slab of `cells` cells that a commit record's `form` and `body`
+/// encode, or `None` when they do not decode exactly: a wrong length, an
+/// unknown form, or a cell out of order, past the band or zero. The
+/// cells form is sized from its count only after the body's length
+/// confirms the count, and the raw form allocates for the nonzero cells
+/// it holds, so no record can ask for more memory than it occupies.
+fn decode_slab(form: u64, body: &[u8], cells: usize) -> Option<NonzeroWords> {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+    match form {
+        FORM_RAW => {
+            if body.len() != cells.checked_mul(8)? {
+                return None;
+            }
+            let words = body.chunks_exact(8).map(word);
+            let nnz = words.clone().filter(|&w| w != 0).count();
+            let mut slab = NonzeroWords::with_capacity(cells, nnz).ok()?;
+            for (i, w) in words.enumerate().filter(|&(_, w)| w != 0) {
+                slab.push(i, w).ok()?;
+            }
+            Some(slab)
+        }
+        FORM_CELLS => {
+            let (count, rest) = body.split_first_chunk::<8>()?;
+            let count = usize::try_from(u64::from_le_bytes(*count)).ok()?;
+            if rest.len() != count.checked_mul(12)? {
+                return None;
+            }
+            let (index, words) = rest.split_at(4 * count);
+            let mut slab = NonzeroWords::with_capacity(cells, count).ok()?;
+            for (i, w) in index.chunks_exact(4).zip(words.chunks_exact(8)) {
+                let i = u32::from_le_bytes(i.try_into().expect("4-byte chunk"));
+                slab.push(i as usize, word(w)).ok()?;
+            }
+            Some(slab)
+        }
+        _ => None,
+    }
+}
 
 /// The most rows of `n_bins × n_cols` f64 values whose commit payload fits
-/// the frame's `u32` length.
+/// the frame's `u32` length, stored raw (the larger form).
 fn max_slab_rows(n_bins: usize, n_cols: usize) -> Result<usize> {
     let row_bytes = 8usize.saturating_mul(n_bins).saturating_mul(n_cols);
     match (u32::MAX as usize - COMMIT_HEAD_BYTES) / row_bytes.max(1) {
@@ -417,7 +533,6 @@ fn parse(
     }
 
     // Records, until EOF or a torn/corrupt tail.
-    let (n_bins, n_rows, n_cols) = dims;
     let mut records = Vec::new();
     let mut valid = c.pos;
     while let Some(len) = c.u32() {
@@ -435,12 +550,14 @@ fn parse(
         let (Some(kind), Some(row0), Some(rows)) = (p.u64(), p.u64(), p.u64()) else {
             break;
         };
-        let (row0, rows) = (row0 as usize, rows as usize);
+        let (Ok(row0), Ok(rows)) = (usize::try_from(row0), usize::try_from(rows)) else {
+            break;
+        };
         // A band past the image — or one whose end wraps — is as unusable
         // as a torn tail.
-        if rows == 0 || row0.checked_add(rows).is_none_or(|end| end > n_rows) {
+        let Some(cells) = band_cells(dims, row0, rows) else {
             break;
-        }
+        };
         match kind {
             KIND_POISON => {
                 if payload.len() != 8 * 3 {
@@ -449,25 +566,14 @@ fn parse(
                 records.push(JournalRecord::Poison { row0, rows });
             }
             KIND_COMMIT => {
-                let mut words = [0u64; STATS_WORDS];
-                let mut ok = true;
-                for w in &mut words {
-                    match p.u64() {
-                        Some(v) => *w = v,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                let n_values = n_bins * rows * n_cols;
-                if !ok || payload.len() != COMMIT_HEAD_BYTES + 8 * n_values {
+                let Some(body) = payload.get(COMMIT_HEAD_BYTES..) else {
                     break;
-                }
-                let data: Vec<f64> = payload[COMMIT_HEAD_BYTES..]
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-                    .collect();
+                };
+                let words: [u64; STATS_WORDS + 1] =
+                    std::array::from_fn(|_| p.u64().expect("the commit head is in the payload"));
+                let Some(data) = decode_slab(words[STATS_WORDS], body, cells) else {
+                    break;
+                };
                 records.push(JournalRecord::Commit(CommittedSlab {
                     row0,
                     rows,
@@ -559,23 +665,46 @@ impl SlabProgress {
 
     /// Make one slab final: append it to `journal` when one is attached
     /// (durable first, so a slab is either fully durable or not committed
-    /// at all), then assign its rows (slab layout, see
-    /// [`DepthImage::assign_rows`]) into the image, merge its stats, and
-    /// mark the rows covered. Every path that finishes a slab — the GPU
-    /// ring, journal replay (which passes no journal), CPU salvage — ends
-    /// here.
+    /// at all), then scatter its nonzero cells (slab layout, see
+    /// [`CommittedSlab::data`]) into its rows of the image, merge its
+    /// stats, and mark the rows covered. Every path that finishes a slab —
+    /// the GPU ring, journal replay (which passes no journal), CPU salvage
+    /// — ends here.
+    ///
+    /// The band must be non-empty and inside the image and `slab` exactly
+    /// its cells; otherwise nothing changes, the journal included. Rows no
+    /// commit has covered are zero, so a first commit only writes its
+    /// nonzero cells; a band holding committed rows is zeroed first, so a
+    /// re-commit assigns its rows rather than merging into them.
     pub fn commit(
         &mut self,
         journal: Option<&mut RunJournal>,
         row0: usize,
         rows: usize,
         stats: &ReconStats,
-        slab: &[f64],
+        slab: &NonzeroWords,
     ) -> Result<()> {
+        let DepthImage {
+            n_bins,
+            n_rows,
+            n_cols,
+            ..
+        } = self.image;
+        check_slab((n_bins, n_rows, n_cols), row0, rows, slab)?;
         if let Some(j) = journal {
             j.append(row0, rows, stats, slab)?;
         }
-        self.image.assign_rows(row0, rows, slab)?;
+        let (plane, image_plane) = (rows * n_cols, n_rows * n_cols);
+        let band_start = row0 * n_cols;
+        if self.covered[row0..row0 + rows].contains(&true) {
+            for bin in 0..n_bins {
+                let start = bin * image_plane + band_start;
+                self.image.data[start..start + plane].fill(0.0);
+            }
+        }
+        for (i, w) in slab.cells() {
+            self.image.data[(i / plane) * image_plane + band_start + i % plane] = f64::from_bits(w);
+        }
         self.stats.merge(stats);
         self.committed.push((row0, rows));
         self.covered[row0..row0 + rows].fill(true);
@@ -629,6 +758,10 @@ mod tests {
         dir
     }
 
+    fn payload(values: &[f64]) -> NonzeroWords {
+        NonzeroWords::from_slice(values).unwrap()
+    }
+
     fn slab(row0: usize, rows: usize, n_bins: usize, n_cols: usize, fill: f64) -> CommittedSlab {
         CommittedSlab {
             row0,
@@ -639,7 +772,7 @@ mod tests {
                 deposits: 8,
                 ..ReconStats::default()
             },
-            data: vec![fill; n_bins * rows * n_cols],
+            data: payload(&vec![fill; n_bins * rows * n_cols]),
         }
     }
 
@@ -740,7 +873,8 @@ mod tests {
 
         // Same key, different dimensions → fresh (stale file truncated).
         let (mut j, _) = RunJournal::open(&dir, &key, dims, true).unwrap();
-        j.append(0, 4, &ReconStats::default(), &[0.0; 8]).unwrap();
+        j.append(0, 4, &ReconStats::default(), &payload(&[0.0; 8]))
+            .unwrap();
         drop(j);
         let (_, replayed) = RunJournal::open(&dir, &key, (1, 5, 2), true).unwrap();
         assert!(replayed.is_empty());
@@ -792,15 +926,17 @@ mod tests {
         let path = j.path().to_path_buf();
         let header_len = fs::metadata(&path).unwrap().len() as usize;
         let slabs: Vec<CommittedSlab> = (0..3).map(|r| slab(r, 1, 1, 2, r as f64)).collect();
+        // Where each record ends (the all-zero first slab is the shortest).
+        let mut ends = Vec::new();
         for s in &slabs {
             j.append(s.row0, s.rows, &s.stats, &s.data).unwrap();
+            ends.push(fs::metadata(&path).unwrap().len() as usize);
         }
         drop(j);
 
         // Flip one byte in the middle of the *second* record's CRC frame.
         let mut bytes = fs::read(&path).unwrap();
-        let record_len = (bytes.len() - header_len) / 3;
-        let target = header_len + record_len + record_len / 2;
+        let target = (ends[0] + ends[1]) / 2;
         bytes[target] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
 
@@ -810,9 +946,10 @@ mod tests {
         // replay past a corrupt frame cannot be trusted.
         let (j2, replayed) = RunJournal::open(&dir, &key, dims, true).unwrap();
         assert_eq!(replayed, vec![JournalRecord::Commit(slabs[0].clone())]);
+        assert!(header_len < ends[0]);
         assert_eq!(
             fs::metadata(&path).unwrap().len() as usize,
-            header_len + record_len,
+            ends[0],
             "truncated to the last valid record"
         );
         let p = SlabProgress::replay(1, 4, 2, &replayed).unwrap();
@@ -828,7 +965,8 @@ mod tests {
             pairs_total: 7,
             ..ReconStats::default()
         };
-        p.commit(None, 0, 2, &stats, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        p.commit(None, 0, 2, &stats, &payload(&[1.0, 2.0, 3.0, 4.0]))
+            .unwrap();
         assert_eq!(p.committed_slabs(), 1);
         assert_eq!(p.committed_rows(), 2);
         assert_eq!(p.stats.pairs_total, 7);
@@ -836,9 +974,119 @@ mod tests {
         assert_eq!(p.uncovered(1..3), vec![2..3]);
         assert_eq!(p.image.at(0, 0, 1), 2.0);
         // A bad band is rejected before anything changes.
-        assert!(p.commit(None, 3, 2, &stats, &[0.0; 4]).is_err());
+        assert!(p.commit(None, 3, 2, &stats, &payload(&[0.0; 4])).is_err());
         assert_eq!(p.committed_rows(), 2);
         assert_eq!(p.stats.pairs_total, 7);
+    }
+
+    #[test]
+    fn rejected_commits_never_reach_the_journal() {
+        let dir = tmp_dir("reject");
+        let key = JournalKey::new("reject".into());
+        let dims = (1, 4, 2);
+        let (mut j, _) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        let header_len = fs::metadata(j.path()).unwrap().len();
+        let mut p = SlabProgress::new(1, 4, 2);
+        let stats = ReconStats::default();
+        // Five cells for a 2-row band of 1 bin × 2 cols, a zero-row band,
+        // a band past the image and one whose end wraps: each refused, and
+        // none journalled.
+        for (row0, rows, cells) in [(0, 2, 5), (1, 0, 0), (3, 2, 4), (usize::MAX - 1, 2, 0)] {
+            let slab = payload(&vec![1.0; cells]);
+            assert!(matches!(
+                p.commit(Some(&mut j), row0, rows, &stats, &slab),
+                Err(CoreError::ShapeMismatch(_))
+            ));
+            assert!(j.append(row0, rows, &stats, &slab).is_err());
+        }
+        assert_eq!(fs::metadata(j.path()).unwrap().len(), header_len);
+        let good = slab(2, 2, 1, 2, 4.0);
+        p.commit(Some(&mut j), good.row0, good.rows, &good.stats, &good.data)
+            .unwrap();
+        drop(j);
+        // The valid slab written after the refused ones replays.
+        let (_j, replayed) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        assert_eq!(replayed, vec![JournalRecord::Commit(good)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_recommit_replaces_its_band_and_leaves_other_rows_zero() {
+        let mut p = SlabProgress::new(2, 4, 2);
+        let stats = ReconStats::default();
+        let full: Vec<f64> = (1..=8).map(f64::from).collect();
+        p.commit(None, 1, 2, &stats, &payload(&full)).unwrap();
+        assert_eq!(p.image.at(1, 2, 1), 8.0);
+        // The re-commit holds one nonzero cell: bin 0, row 2, col 0.
+        let mut sparse = vec![0.0; 8];
+        sparse[2] = -3.0;
+        p.commit(None, 1, 2, &stats, &payload(&sparse)).unwrap();
+        let mut want = DepthImage::zeroed(2, 4, 2);
+        *want.at_mut(0, 2, 0) = -3.0;
+        assert_eq!(p.image, want, "old cells zeroed, uncovered rows zero");
+    }
+
+    #[test]
+    fn sparse_slabs_journal_as_cells_and_dense_ones_raw() {
+        let dir = tmp_dir("forms");
+        let key = JournalKey::new("forms".into());
+        let dims = (2, 4, 3);
+        let (mut j, _) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        let path = j.path().to_path_buf();
+        let stats = ReconStats::default();
+        let len = || fs::metadata(&path).unwrap().len() as usize;
+        let mut sparse = vec![0.0; 12];
+        sparse[3] = -0.0;
+        sparse[11] = f64::from_bits(0x7FF8_0000_0000_0042);
+        let dense: Vec<f64> = (0..12).map(|i| f64::from(i) - 5.5).collect();
+        // 8 cells of 12: 8 + 12·8 = 104 bytes would not beat 96 raw.
+        let mut edge = dense.clone();
+        edge[..4].fill(0.0);
+        let mut sizes = Vec::new();
+        for values in [&sparse, &dense, &edge] {
+            let before = len();
+            j.append(0, 2, &stats, &payload(values)).unwrap();
+            sizes.push(len() - before - FRAME_BYTES - COMMIT_HEAD_BYTES);
+        }
+        assert_eq!(sizes, vec![8 + 12 * 2, 8 * 12, 8 * 12]);
+        drop(j);
+        let (_j, replayed) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        let back: Vec<NonzeroWords> = replayed
+            .into_iter()
+            .map(|r| match r {
+                JournalRecord::Commit(s) => s.data,
+                other => panic!("expected a commit, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            back,
+            vec![payload(&sparse), payload(&dense), payload(&edge)],
+            "both forms replay bit for bit, −0.0 and NaN included"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v8_journal_starts_fresh() {
+        let dir = tmp_dir("v8");
+        let key = JournalKey::new("v8".into());
+        let dims = (1, 4, 2);
+        let (mut j, _) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        let s0 = slab(0, 2, 1, 2, 3.0);
+        j.append(s0.row0, s0.rows, &s0.stats, &s0.data).unwrap();
+        let path = j.path().to_path_buf();
+        drop(j);
+        // Re-seal the header as version 8: intact, but the old format.
+        let mut bytes = fs::read(&path).unwrap();
+        let header_len = encode_header(&key, dims).len();
+        bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
+        let crc = crc32(&bytes[..header_len - 4]);
+        bytes[header_len - 4..header_len].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let (_j, replayed) = RunJournal::open(&dir, &key, dims, true).unwrap();
+        assert!(replayed.is_empty());
+        assert_eq!(fs::read(&path).unwrap(), encode_header(&key, dims));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -105,40 +105,6 @@ impl DepthImage {
         Ok(())
     }
 
-    /// Overwrite rows `[row0, row0 + rows)` of every depth bin from a slab
-    /// buffer laid out `[(bin * rows + r) * n_cols + c]` — the layout the
-    /// GPU download path and the journal both use. Assignment (not
-    /// accumulation) matches the download semantics: each slab owns its
-    /// rows exclusively, so replaying committed slabs in append order
-    /// reproduces the image bit-for-bit.
-    pub fn assign_rows(&mut self, row0: usize, rows: usize, slab: &[f64]) -> crate::Result<()> {
-        if row0.checked_add(rows).is_none_or(|end| end > self.n_rows) {
-            return Err(crate::CoreError::ShapeMismatch(format!(
-                "slab rows {row0} + {rows} exceed the {}-row image",
-                self.n_rows
-            )));
-        }
-        if slab.len() != self.n_bins * rows * self.n_cols {
-            return Err(crate::CoreError::ShapeMismatch(format!(
-                "slab buffer holds {} values but {} rows of {} bins × {} cols \
-                 need {}",
-                slab.len(),
-                rows,
-                self.n_bins,
-                self.n_cols,
-                self.n_bins * rows * self.n_cols
-            )));
-        }
-        for bin in 0..self.n_bins {
-            for r in 0..rows {
-                let src = (bin * rows + r) * self.n_cols;
-                let dst = self.index(bin, row0 + r, 0);
-                self.data[dst..dst + self.n_cols].copy_from_slice(&slab[src..src + self.n_cols]);
-            }
-        }
-        Ok(())
-    }
-
     /// Largest absolute difference to another image (for equivalence tests).
     pub fn max_abs_diff(&self, other: &DepthImage) -> f64 {
         self.data
@@ -201,39 +167,6 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 0.0);
         *a.at_mut(0, 1, 0) = 0.25;
         assert_eq!(a.max_abs_diff(&b), 0.25);
-    }
-
-    #[test]
-    fn assign_rows_overwrites_exactly_its_rows() {
-        let mut img = DepthImage::zeroed(2, 4, 3);
-        // Bin 0 rows 1..3 then bin 1 rows 1..3, row-major.
-        let slab: Vec<f64> = (1..=12).map(f64::from).collect();
-        img.assign_rows(1, 2, &slab).unwrap();
-        assert_eq!(img.at(0, 1, 0), 1.0);
-        assert_eq!(img.at(0, 2, 2), 6.0);
-        assert_eq!(img.at(1, 1, 0), 7.0);
-        assert_eq!(img.at(1, 2, 2), 12.0);
-        assert_eq!(img.at(0, 0, 0), 0.0, "untouched rows stay zero");
-        assert_eq!(img.at(1, 3, 2), 0.0);
-        // Re-assignment overwrites rather than accumulates.
-        img.assign_rows(1, 2, &slab).unwrap();
-        assert_eq!(img.at(0, 1, 0), 1.0);
-        assert_eq!(img.total_intensity(), 78.0);
-    }
-
-    #[test]
-    fn assign_rows_rejects_bad_shapes() {
-        let mut img = DepthImage::zeroed(2, 4, 3);
-        assert!(img.assign_rows(3, 2, &[0.0; 12]).is_err(), "past end");
-        assert!(
-            img.assign_rows(usize::MAX - 1, 2, &[]).is_err(),
-            "a wrapping row range is out of bounds, not a panic"
-        );
-        assert!(
-            img.assign_rows(0, 2, &[0.0; 5]).is_err(),
-            "wrong buffer length"
-        );
-        assert!(img.assign_rows(0, 2, &[0.0; 12]).is_ok());
     }
 
     #[test]

@@ -5,15 +5,16 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use cuda_sim::{
-    Device, DeviceProps, ExecMode, FaultStats, HostProps, Interconnect, InterconnectProps, OpRecord,
+    Device, DeviceProps, ExecMode, FaultStats, HostProps, Interconnect, InterconnectProps,
+    NonzeroWords, OpRecord,
 };
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster_checkpointed;
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
 use laue_core::planner::{plan_auto, Plan, RunPlan, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, CompactionMode, GpuReconstruction, PlanMode, ReconstructionConfig,
-    ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, AccumulationMode, CompactionMode, CoreError, GpuReconstruction, PlanMode,
+    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -551,13 +552,8 @@ impl Pipeline {
             cpu_time += t;
             slab_densities.extend(out.slab_densities);
             // A band image is already in slab layout.
-            progress.commit(
-                journal.as_mut(),
-                band.start,
-                rows,
-                &out.stats,
-                &out.image.data,
-            )?;
+            let cells = NonzeroWords::from_slice(&out.image.data).map_err(CoreError::from)?;
+            progress.commit(journal.as_mut(), band.start, rows, &out.stats, &cells)?;
             recomputed += 1;
         }
         // Complete again — retire the journal with the run.
