@@ -327,7 +327,9 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
         // A job's slab is its whole image, so slab layout is image layout.
         let (cells, _) = device.memcpy_dtoh_nonzero_on(stream, &output_bufs[j])?;
         let mut image = DepthImage::zeroed(job.cfg.n_depth_bins, plan.rows, plan.n_cols);
-        cells.scatter_into(&mut image.data);
+        for (i, w) in cells.cells() {
+            image.data[i] = f64::from_bits(w);
+        }
         let stats = ReconStats {
             pairs_total: plan.total,
             pairs_below_cutoff: counters[j].get(TRACE_BELOW_CUTOFF),
