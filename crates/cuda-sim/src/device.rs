@@ -9,12 +9,13 @@ use crate::alloc::{Allocator, ALIGN};
 use crate::checksum;
 use crate::error::{SimError, TransferDir};
 use crate::event::Event;
+use crate::exec;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchEffects, TransferOutcome};
 use crate::host::Host;
-use crate::kernel::{Dim3, KernelCorrupt, LaunchConfig, ThreadCtx, WorkerState};
+use crate::kernel::{Flip, LaunchConfig, ThreadCtx};
 use crate::memory::{Allocation, DeviceBuffer, DeviceScalar, NonzeroWords};
-use crate::meter::{Cost, LaunchRecord, Meters};
-use crate::props::{DeviceProps, ExecMode};
+use crate::meter::{LaunchRecord, Meters};
+use crate::props::DeviceProps;
 use crate::stream::{StreamId, Timelines};
 use crate::trace::{OpRecord, TraceBuf, TraceMode};
 use crate::Result;
@@ -37,14 +38,16 @@ struct DeviceState {
     meters: Meters,
     records: Vec<LaunchRecord>,
     trace: TraceBuf,
-    exec_mode: ExecMode,
+    /// Host threads every launch runs on, whatever its size (tests only;
+    /// `None`: the executor's own choice).
+    forced_workers: Option<usize>,
 }
 
 /// A software CUDA-like device.
 ///
 /// All methods take `&self`; internal state is lock-protected, and kernel
-/// execution itself runs outside the locks so simulated threads can be
-/// spread over host threads.
+/// execution itself runs outside the locks, spread over host threads when
+/// the launch is large (see [`crate::exec`]).
 #[derive(Debug)]
 pub struct Device {
     id: u64,
@@ -63,8 +66,6 @@ pub struct Device {
 impl Device {
     /// Create a device with the given properties on a **private** host (it
     /// alone owns the PCIe bus — single-device schedules are unchanged).
-    /// Execution defaults to [`ExecMode::Sequential`] (bit-deterministic);
-    /// switch with [`set_exec_mode`](Self::set_exec_mode).
     pub fn new(props: DeviceProps) -> Device {
         Device::new_on_host(props, &Host::new_default())
     }
@@ -83,7 +84,7 @@ impl Device {
                 meters: Meters::default(),
                 records: Vec::new(),
                 trace: TraceBuf::new(TraceMode::default()),
-                exec_mode: ExecMode::Sequential,
+                forced_workers: None,
             }),
             fault: Mutex::new(None),
             host: Arc::clone(host),
@@ -109,20 +110,13 @@ impl Device {
         self.id
     }
 
-    /// Choose how simulated threads run on the host.
-    pub fn set_exec_mode(&self, mode: ExecMode) {
-        if let ExecMode::Threaded(n) = mode {
-            assert!(n > 0, "threaded execution needs at least one worker");
-        }
-        self.state.lock().exec_mode = mode;
-    }
-
-    /// How simulated threads currently run. Verification layers use this to
-    /// pick a comparison tolerance: sequential execution is bit-reproducible
-    /// against a host re-computation, threaded execution only agrees within
-    /// floating-point reassociation tolerance.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.state.lock().exec_mode
+    /// For tests: run every later launch on exactly `workers` host threads
+    /// (1: the calling thread alone), whatever its size. Results never
+    /// depend on the worker count; this lets a test show it on launches
+    /// small enough to check.
+    pub fn force_workers(&self, workers: usize) {
+        assert!(workers > 0, "a launch needs at least one worker");
+        self.state.lock().forced_workers = Some(workers);
     }
 
     // ------------------------------------------------------------------
@@ -725,10 +719,10 @@ impl Device {
     /// **once per block** (with a context at thread (0,0,0)) after all the
     /// block's threads finish — the simulator's `__syncthreads()`-then-
     /// reduce idiom. Blocks never share a tile, so the pattern is
-    /// deterministic even under [`ExecMode::Threaded`].
+    /// deterministic at any worker count.
     ///
     /// The reservation is charged to the launch as occupancy pressure
-    /// ([`Cost::shared_request`]); a request exceeding the device's
+    /// ([`crate::Cost::shared_request`]); a request exceeding the device's
     /// `shared_mem_per_block` is an [`SimError::InvalidLaunch`], exactly
     /// like an oversized block.
     pub fn launch_shared_on<F, E>(
@@ -753,65 +747,24 @@ impl Device {
             )));
         }
         let effects = self.fault_check_launch()?;
-        let corrupt = effects.flip_op.map(KernelCorrupt::new);
-        let exec_mode = self.state.lock().exec_mode;
-        let (mut cost, traces) = match exec_mode {
-            ExecMode::Sequential => {
-                let mut state = WorkerState::new();
-                state.corrupt = corrupt.clone();
-                run_block_range(
-                    cfg,
-                    0..cfg.grid.count(),
-                    shared_f64,
-                    &kernel,
-                    &epilogue,
-                    &mut state,
-                );
-                let mut cost = state.cost;
-                cost.atomic_max_chain = state.chain.max_chain();
-                (cost, state.traces)
-            }
-            ExecMode::Threaded(workers) => {
-                let next = AtomicU64::new(0);
-                let total = cfg.grid.count();
-                // Adaptive claim grain: ~8 claims per worker amortizes the
-                // counter on huge grids without serializing small ones on a
-                // single worker (a fixed batch of 8 did exactly that).
-                let grain = (total / (workers as u64 * 8)).max(1);
-                let states = Mutex::new(Vec::new());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers.min(total as usize).max(1) {
-                        scope.spawn(|| {
-                            let mut state = WorkerState::new();
-                            state.corrupt = corrupt.clone();
-                            loop {
-                                let start = next.fetch_add(grain, Ordering::Relaxed);
-                                if start >= total {
-                                    break;
-                                }
-                                let end = (start + grain).min(total);
-                                run_block_range(
-                                    cfg,
-                                    start..end,
-                                    shared_f64,
-                                    &kernel,
-                                    &epilogue,
-                                    &mut state,
-                                );
-                            }
-                            states.lock().push(state);
-                        });
-                    }
-                });
-                merge_states(states.into_inner())
-            }
+        let workers = match self.state.lock().forced_workers {
+            Some(n) => n,
+            None if cfg.total_threads() >= exec::PARALLEL_LAUNCH_THREADS => exec::host_cores(),
+            None => 1,
         };
+        let run = exec::run(
+            cfg,
+            shared_f64,
+            &kernel,
+            &epilogue,
+            workers,
+            effects.flip_op.map(Flip::new),
+        );
+        let mut cost = run.cost;
         cost.shared_request = shared_bytes;
         // Only flips that actually landed on a deposit count — an armed
         // launch with fewer deposits than the target ordinal fires nothing.
-        let flip_landed = corrupt
-            .as_ref()
-            .is_some_and(|c| c.fired.load(Ordering::Relaxed));
+        let flip_landed = run.flipped;
         if flip_landed {
             if let Some(f) = self.fault.lock().as_mut() {
                 f.record_kernel_flip();
@@ -829,7 +782,7 @@ impl Device {
             stream: stream.index(),
             start_s: 0.0,
             end_s: 0.0,
-            traces,
+            traces: run.traces,
         };
         let mut st = self.state.lock();
         let (start_s, end_s) = st.timelines.schedule_labeled(stream, duration, "kernel");
@@ -1017,78 +970,10 @@ fn apply_flip_device<T: DeviceScalar>(
     Some(elem)
 }
 
-/// Decompose a linear block index into grid coordinates (x fastest).
-fn block_coords(grid: Dim3, linear: u64) -> Dim3 {
-    let x = linear % grid.x;
-    let y = (linear / grid.x) % grid.y;
-    let z = linear / (grid.x * grid.y);
-    Dim3 { x, y, z }
-}
-
-fn run_block_range<F, E>(
-    cfg: LaunchConfig,
-    blocks: std::ops::Range<u64>,
-    shared_f64: usize,
-    kernel: &F,
-    epilogue: &E,
-    state: &mut WorkerState,
-) where
-    F: Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync,
-    E: Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync,
-{
-    // One tile per worker, re-zeroed per block (the hardware hands every
-    // block pristine shared memory only logically; reuse is free here).
-    let mut shared = vec![0.0f64; shared_f64];
-    for b in blocks {
-        let block_idx = block_coords(cfg.grid, b);
-        shared.fill(0.0);
-        for tz in 0..cfg.block.z {
-            for ty in 0..cfg.block.y {
-                for tx in 0..cfg.block.x {
-                    let mut ctx = ThreadCtx {
-                        block_idx,
-                        thread_idx: Dim3 {
-                            x: tx,
-                            y: ty,
-                            z: tz,
-                        },
-                        grid_dim: cfg.grid,
-                        block_dim: cfg.block,
-                        state,
-                    };
-                    kernel(&mut ctx, &mut shared);
-                }
-            }
-        }
-        let mut ctx = ThreadCtx {
-            block_idx,
-            thread_idx: Dim3 { x: 0, y: 0, z: 0 },
-            grid_dim: cfg.grid,
-            block_dim: cfg.block,
-            state,
-        };
-        epilogue(&mut ctx, &mut shared);
-    }
-}
-
-fn merge_states(states: Vec<WorkerState>) -> (Cost, [u64; crate::meter::TRACE_SLOTS]) {
-    let mut cost = Cost::default();
-    let mut chain = crate::meter::ChainEstimator::new();
-    let mut traces = [0u64; crate::meter::TRACE_SLOTS];
-    for s in states {
-        cost.merge(&s.cost);
-        chain.merge(&s.chain);
-        for (t, v) in traces.iter_mut().zip(s.traces) {
-            *t += v;
-        }
-    }
-    cost.atomic_max_chain = chain.max_chain();
-    (cost, traces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Dim3;
     use proptest::prelude::*;
 
     /// The dense device → host copy the nonzero copy replaced, kept as the
@@ -1381,11 +1266,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_grain_adapts_to_small_grids() {
-        // A grid smaller than the old fixed batch of 8 must still spread
-        // over workers and, above all, visit every block exactly once.
+    fn small_grids_visit_every_block_once_on_many_workers() {
+        // Fewer blocks than workers × chunks per worker: one-block chunks,
+        // and every block still runs exactly once.
         let d = tiny_device();
-        d.set_exec_mode(ExecMode::Threaded(4));
+        d.force_workers(4);
         let counts = d.alloc_zeroed::<u64>(6).unwrap();
         let cfg = LaunchConfig::new(Dim3::new(6, 1, 1), Dim3::new(1, 1, 1));
         d.launch("tiny", cfg, |ctx| {
@@ -1428,41 +1313,48 @@ mod tests {
         );
     }
 
+    /// Bits of an f64 buffer, for bitwise comparison.
+    fn f64_bits(d: &Device, buf: &DeviceBuffer<f64>) -> Vec<u64> {
+        let mut host = vec![0.0f64; buf.len()];
+        d.memcpy_dtoh(buf, &mut host).unwrap();
+        host.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn sequential_and_threaded_agree() {
-        let run = |mode: ExecMode| -> (Vec<f64>, Cost) {
+        // Order-sensitive sums: any reordering of one cell's deposits
+        // changes low bits, so bit equality means sequential order.
+        let run = |workers: usize| -> (Vec<u64>, Vec<u64>, LaunchRecord) {
             let d = tiny_device();
-            d.set_exec_mode(mode);
-            let xs: Vec<f64> = (0..256).map(|i| i as f64 * 0.5).collect();
+            d.force_workers(workers);
+            let xs: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
             let input = d.alloc_from_slice(&xs).unwrap();
             let out = d.alloc_zeroed::<f64>(16).unwrap();
-            let cfg = LaunchConfig::linear(256, 32);
-            d.launch("hist", cfg, |ctx| {
-                let i = ctx.global_id().x as usize;
-                let v = ctx.read(&input, i);
-                ctx.charge_flops(2);
-                ctx.atomic_add_f64(&out, i % 16, v);
-            })
-            .unwrap();
-            let mut host = vec![0.0f64; 16];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
-            let m = d.meters();
-            (host, m.kernel_cost)
+            let hits = d.alloc_zeroed::<u64>(16).unwrap();
+            let record = d
+                .launch("hist", LaunchConfig::linear(256, 8), |ctx| {
+                    let i = ctx.global_id().x as usize;
+                    let v = ctx.read(&input, i);
+                    ctx.charge_flops(2);
+                    ctx.atomic_add_f64(&out, i % 16, v);
+                    ctx.atomic_add_u64(&hits, i % 16, i as u64);
+                    ctx.trace(i % 3);
+                })
+                .unwrap();
+            let mut counts = vec![0u64; 16];
+            d.memcpy_dtoh(&hits, &mut counts).unwrap();
+            (f64_bits(&d, &out), counts, record)
         };
-        let (seq, cost_seq) = run(ExecMode::Sequential);
-        let (thr, cost_thr) = run(ExecMode::Threaded(4));
-        for (a, b) in seq.iter().zip(&thr) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        let one = run(1);
+        for workers in [2, 3, 8] {
+            assert_eq!(run(workers), one, "{workers} workers");
         }
-        assert_eq!(cost_seq.flops, cost_thr.flops);
-        assert_eq!(cost_seq.atomic_ops, cost_thr.atomic_ops);
-        assert_eq!(cost_seq.mem_bytes, cost_thr.mem_bytes);
     }
 
     #[test]
     fn atomic_f64_is_exact_under_contention() {
         let d = tiny_device();
-        d.set_exec_mode(ExecMode::Threaded(8));
+        d.force_workers(8);
         let out = d.alloc_zeroed::<f64>(1).unwrap();
         let cfg = LaunchConfig::linear(1024, 64);
         // Summing 1024 copies of 1.0 is exact in f64 regardless of order.
@@ -1512,46 +1404,93 @@ mod tests {
 
     #[test]
     fn shared_launch_is_deterministic_under_threading() {
-        // The contract the privatized accumulator relies on: each block's
-        // threads see the block tile in a fixed (tz, ty, tx) order, and
-        // when every global cell receives at most one commit, the result
-        // is bitwise identical however blocks are spread over workers.
-        let run = |mode: ExecMode| -> Vec<f64> {
+        // Each block's threads see the block tile in a fixed (tz, ty, tx)
+        // order, and the epilogues' global adds overlap across blocks (8
+        // blocks commit into 4 rows), so only the sequential commit order
+        // reproduces the one-worker bits.
+        let run = |workers: usize| -> (Vec<u64>, LaunchRecord) {
             let d = tiny_device();
-            d.set_exec_mode(mode);
+            d.force_workers(workers);
             let xs: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin()).collect();
             let input = d.alloc_from_slice(&xs).unwrap();
-            let out = d.alloc_zeroed::<f64>(8 * 8).unwrap();
-            let cfg = LaunchConfig::linear(256, 32);
-            d.launch_shared_on(
-                StreamId::DEFAULT,
-                "tile",
-                cfg,
-                8,
-                |ctx, shared| {
-                    let i = ctx.global_id().x as usize;
-                    let v = ctx.read(&input, i);
-                    ctx.charge_shared_bytes(16);
-                    shared[i % 8] += v;
-                },
-                |ctx, shared| {
-                    let row = ctx.block_idx.x as usize * 8;
-                    for (slot, &v) in shared.iter().enumerate() {
-                        ctx.atomic_add_f64(&out, row + slot, v);
-                    }
-                },
-            )
-            .unwrap();
-            let mut host = vec![0.0f64; 8 * 8];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
-            host
+            let out = d.alloc_zeroed::<f64>(4 * 8).unwrap();
+            let record = d
+                .launch_shared_on(
+                    StreamId::DEFAULT,
+                    "tile",
+                    LaunchConfig::linear(256, 32),
+                    8,
+                    |ctx, shared| {
+                        let i = ctx.global_id().x as usize;
+                        let v = ctx.read(&input, i);
+                        ctx.charge_shared_bytes(16);
+                        shared[i % 8] += v;
+                        ctx.trace(i % 8);
+                    },
+                    |ctx, shared| {
+                        let row = ctx.block_idx.x as usize % 4 * 8;
+                        for (slot, &v) in shared.iter().enumerate() {
+                            ctx.atomic_add_f64(&out, row + slot, v);
+                        }
+                    },
+                )
+                .unwrap();
+            (f64_bits(&d, &out), record)
         };
-        let seq = run(ExecMode::Sequential);
-        let thr = run(ExecMode::Threaded(4));
-        assert_eq!(
-            seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            thr.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
+        let one = run(1);
+        for workers in [2, 4, 8] {
+            assert_eq!(run(workers), one, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn launches_above_the_gate_match_one_worker() {
+        // The real gate, unforced: the same launch at PARALLEL_LAUNCH_THREADS
+        // on the host's cores and forced onto one worker.
+        let run = |force_one: bool| -> (Vec<u64>, LaunchRecord) {
+            let d = tiny_device();
+            if force_one {
+                d.force_workers(1);
+            }
+            let n = exec::PARALLEL_LAUNCH_THREADS;
+            let out = d.alloc_zeroed::<f64>(64).unwrap();
+            let record = d
+                .launch("gate", LaunchConfig::linear(n, 256), |ctx| {
+                    let i = ctx.global_id().x;
+                    ctx.atomic_add_f64(&out, (i % 64) as usize, (i as f64 * 0.61).cos());
+                })
+                .unwrap();
+            (f64_bits(&d, &out), record)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn kernel_flip_lands_on_the_same_deposit_at_any_worker_count() {
+        let run = |workers: usize, flip: bool| -> Vec<u64> {
+            let d = tiny_device();
+            d.force_workers(workers);
+            if flip {
+                d.set_fault_plan(FaultPlan::new(0).flip_nth_kernel(1).flip_op_index(3001));
+            }
+            let out = d.alloc_zeroed::<f64>(64).unwrap();
+            d.launch("spread", LaunchConfig::linear(4096, 64), |ctx| {
+                let i = ctx.global_id().x;
+                ctx.atomic_add_f64(&out, (i % 64) as usize, 1.0 + i as f64 * 1e-3);
+            })
+            .unwrap();
+            if flip {
+                assert_eq!(d.fault_stats().unwrap().kernel_flipped, 1);
+            }
+            f64_bits(&d, &out)
+        };
+        let clean = run(1, false);
+        let flipped = run(1, true);
+        let changed: Vec<usize> = (0..64).filter(|&c| clean[c] != flipped[c]).collect();
+        assert_eq!(changed, vec![3001 % 64], "deposit 3001 is thread 3001's");
+        for workers in [2, 4, 8] {
+            assert_eq!(run(workers, true), flipped, "{workers} workers");
+        }
     }
 
     #[test]

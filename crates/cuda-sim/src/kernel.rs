@@ -1,6 +1,7 @@
 //! Kernel launch geometry and the per-thread execution context.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::SimError;
@@ -113,26 +114,111 @@ impl LaunchConfig {
 const KERNEL_FLIP_MASK: u64 = 1 << 62;
 
 /// Armed silent-corruption state for one launch (see [`crate::fault`]):
-/// flip the `target`-th f64 deposit, counted in execution order across all
-/// workers through the shared `counter`. Under the default sequential
-/// executor the ordinal is fully deterministic; under
-/// [`crate::ExecMode::Threaded`] which deposit it names depends on worker
-/// scheduling, but exactly one deposit is perturbed either way.
-#[derive(Debug, Clone)]
-pub(crate) struct KernelCorrupt {
-    pub(crate) target: u64,
-    pub(crate) counter: Arc<AtomicU64>,
-    pub(crate) fired: Arc<AtomicBool>,
+/// flip the `target`-th f64 deposit, counted in the sequential deposit
+/// order. Deposits land in that order at every worker count (see
+/// [`crate::exec`]), so the flip always hits the same deposit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Flip {
+    target: u64,
+    seen: u64,
+    fired: bool,
 }
 
-impl KernelCorrupt {
-    pub(crate) fn new(target: u64) -> KernelCorrupt {
-        KernelCorrupt {
+impl Flip {
+    pub(crate) fn new(target: u64) -> Flip {
+        Flip {
             target,
-            counter: Arc::new(AtomicU64::new(0)),
-            fired: Arc::new(AtomicBool::new(false)),
+            seen: 0,
+            fired: false,
         }
     }
+
+    /// Whether the targeted deposit has landed.
+    pub(crate) fn fired(&self) -> bool {
+        self.fired
+    }
+}
+
+/// Land one f64 deposit: `slot += v`, with `v` perturbed if it is the
+/// armed flip's target. The executor lands deposits one at a time, in the
+/// sequential order, so a plain load and store is the whole add.
+#[inline]
+pub(crate) fn land_f64(slot: &AtomicU64, v: f64, flip: &mut Option<Flip>) {
+    let mut v = v;
+    if let Some(f) = flip {
+        if f.seen == f.target {
+            v = f64::from_bits(v.to_bits() ^ KERNEL_FLIP_MASK);
+            f.fired = true;
+        }
+        f.seen += 1;
+    }
+    let old = f64::from_bits(slot.load(Ordering::Relaxed));
+    slot.store((old + v).to_bits(), Ordering::Relaxed);
+}
+
+/// The f64 deposits one chunk of blocks made, in execution order, held
+/// back until every earlier chunk's have landed.
+#[derive(Debug, Default)]
+pub(crate) struct AddLog {
+    /// Every buffer the chunk deposited into, by first use.
+    bufs: Vec<Arc<[AtomicU64]>>,
+    /// `bufs` index by the buffer's storage address.
+    slots: HashMap<usize, u32>,
+    /// `bufs` index of the last deposit's buffer (the common next one).
+    last: u32,
+    /// `(bufs index, cell, value)` per deposit.
+    adds: Vec<(u32, usize, f64)>,
+}
+
+impl AddLog {
+    /// Record `buf[i] += v`.
+    #[inline]
+    fn push(&mut self, buf: &DeviceBuffer<f64>, i: usize, v: f64) {
+        assert!(
+            i < buf.len(),
+            "deposit at {i} past the end of a {}-element buffer",
+            buf.len()
+        );
+        let same = self
+            .bufs
+            .get(self.last as usize)
+            .is_some_and(|b| Arc::ptr_eq(b, &buf.words));
+        if !same {
+            self.last = self.slot_of(&buf.words);
+        }
+        self.adds.push((self.last, i, v));
+    }
+
+    fn slot_of(&mut self, words: &Arc<[AtomicU64]>) -> u32 {
+        let n = self.bufs.len() as u32;
+        let slot = *self.slots.entry(words.as_ptr() as usize).or_insert(n);
+        if slot == n {
+            self.bufs.push(Arc::clone(words));
+        }
+        slot
+    }
+
+    /// Land every deposit in order, then empty the log (keeping its
+    /// capacity for the next chunk).
+    pub(crate) fn land(&mut self, flip: &mut Option<Flip>) {
+        for &(b, i, v) in &self.adds {
+            land_f64(&self.bufs[b as usize][i], v, flip);
+        }
+        self.adds.clear();
+        self.bufs.clear();
+        self.slots.clear();
+        self.last = 0;
+    }
+}
+
+/// Where a worker's f64 deposits go.
+#[derive(Debug)]
+pub(crate) enum Deposits {
+    /// Straight into device memory, with the launch's armed flip (the
+    /// one-worker executor runs every block in sequential order).
+    Direct(Option<Flip>),
+    /// Into the current chunk's log (the parallel executor).
+    Logged(AddLog),
 }
 
 /// Per-worker scratch shared by all threads that worker simulates.
@@ -141,17 +227,16 @@ pub(crate) struct WorkerState {
     pub cost: Cost,
     pub chain: ChainEstimator,
     pub traces: [u64; crate::meter::TRACE_SLOTS],
-    /// Armed deposit flip for this launch (shared across workers), if any.
-    pub corrupt: Option<KernelCorrupt>,
+    pub deposits: Deposits,
 }
 
 impl WorkerState {
-    pub fn new() -> WorkerState {
+    pub fn new(deposits: Deposits) -> WorkerState {
         WorkerState {
             cost: Cost::default(),
             chain: ChainEstimator::new(),
             traces: [0; crate::meter::TRACE_SLOTS],
-            corrupt: None,
+            deposits,
         }
     }
 }
@@ -250,42 +335,32 @@ impl ThreadCtx<'_> {
         buf.store(i, v);
     }
 
-    /// `atomicAdd(double)` exactly as the paper implements it: a
-    /// compare-and-swap loop over the 64-bit pattern (Fermi-era CUDA had no
-    /// native f64 atomicAdd). Returns the value before the addition.
+    /// `atomicAdd(double)`: `buf[i] += v`. The paper emulates it with a
+    /// compare-and-swap loop (Fermi-era CUDA had no native f64 atomicAdd);
+    /// the timing model charges it as one serialized atomic. Every cell
+    /// receives its deposits in the sequential execution order at any
+    /// worker count, so the sum is bit-for-bit reproducible. Deposits land
+    /// once the launch's earlier blocks have, so a kernel must not read a
+    /// cell it accumulates into during the same launch.
     #[inline]
-    pub fn atomic_add_f64(&mut self, buf: &DeviceBuffer<f64>, i: usize, v: f64) -> f64 {
-        let mut v = v;
-        if let Some(c) = &self.state.corrupt {
-            if c.counter.fetch_add(1, Ordering::Relaxed) == c.target {
-                v = f64::from_bits(v.to_bits() ^ KERNEL_FLIP_MASK);
-                c.fired.store(true, Ordering::Relaxed);
-            }
-        }
+    pub fn atomic_add_f64(&mut self, buf: &DeviceBuffer<f64>, i: usize, v: f64) {
         self.state.cost.atomic_ops += 1;
         self.state.cost.mem_bytes += 8;
         self.state.chain.record(i);
-        let slot = buf.word(i);
-        let mut old = slot.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(old) + v).to_bits();
-            match slot.compare_exchange_weak(old, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return f64::from_bits(old),
-                Err(actual) => {
-                    self.state.cost.atomic_retries += 1;
-                    old = actual;
-                }
-            }
+        match &mut self.state.deposits {
+            Deposits::Direct(flip) => land_f64(buf.word(i), v, flip),
+            Deposits::Logged(log) => log.push(buf, i, v),
         }
     }
 
-    /// Integer atomic add (native on the device). Returns the prior value.
+    /// Integer atomic add (native on the device). Integer addition is
+    /// exact and order-free, so concurrent workers add in place.
     #[inline]
-    pub fn atomic_add_u64(&mut self, buf: &DeviceBuffer<u64>, i: usize, v: u64) -> u64 {
+    pub fn atomic_add_u64(&mut self, buf: &DeviceBuffer<u64>, i: usize, v: u64) {
         self.state.cost.atomic_ops += 1;
         self.state.cost.mem_bytes += 8;
         self.state.chain.record(i);
-        buf.word(i).fetch_add(v, Ordering::Relaxed)
+        buf.word(i).fetch_add(v, Ordering::Relaxed);
     }
 }
 

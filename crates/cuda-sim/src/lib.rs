@@ -17,11 +17,13 @@
 //!   [`SimError::OutOfMemory`], exactly the constraint that forces the
 //!   paper's row-slab pipeline.
 //! * **Grid/block kernel launches** ([`Device::launch`]): every simulated
-//!   thread runs functionally (real data, real results), sequentially or on
-//!   a host thread pool; kernels meter their work through [`ThreadCtx`].
-//! * **`atomicAdd(double)`** implemented the way the paper does it — a
-//!   compare-and-swap loop over the 64-bit bit pattern — with retry counting
-//!   so contention is observable.
+//!   thread runs functionally (real data, real results); kernels meter
+//!   their work through [`ThreadCtx`]. Large launches run on every host
+//!   core ([`exec`]) with results bit-identical to one core.
+//! * **`atomicAdd(double)`** ([`ThreadCtx::atomic_add_f64`]), which the
+//!   paper emulates with a compare-and-swap loop: every cell receives its
+//!   deposits in the sequential order, and the cost model charges each as
+//!   a serialized atomic.
 //! * **Virtual time.** Each operation advances a stream timeline using a
 //!   roofline-style model over the metered work
 //!   ([`DeviceProps::kernel_time`]); [`HostProps`] provides the matching
@@ -62,6 +64,7 @@ pub mod cluster;
 pub mod device;
 pub mod error;
 pub mod event;
+pub mod exec;
 pub mod fault;
 pub mod fleet;
 pub mod host;
@@ -83,7 +86,7 @@ pub use host::{Duplex, Host, HostConfig};
 pub use kernel::{Dim3, LaunchConfig, ThreadCtx};
 pub use memory::{DeviceBuffer, DeviceScalar, NonzeroWords};
 pub use meter::{ChainEstimator, Cost, LaunchRecord, Meters, TRACE_SLOTS};
-pub use props::{DeviceProps, ExecMode, HostProps};
+pub use props::{DeviceProps, HostProps};
 pub use sim::{Clock, Engine, EventRecord, ResourceId, VirtualClock};
 pub use stream::StreamId;
 pub use trace::{OpRecord, TraceMode, DEFAULT_TRACE_CAP};

@@ -15,8 +15,6 @@ pub struct Cost {
     pub mem_bytes: u64,
     /// Atomic read-modify-write operations.
     pub atomic_ops: u64,
-    /// CAS retries observed while performing those atomics.
-    pub atomic_retries: u64,
     /// Estimated longest same-address atomic chain.
     pub atomic_max_chain: u64,
     /// On-chip shared-memory bytes moved (reads + writes).
@@ -34,7 +32,6 @@ impl Cost {
         self.flops += other.flops;
         self.mem_bytes += other.mem_bytes;
         self.atomic_ops += other.atomic_ops;
-        self.atomic_retries += other.atomic_retries;
         self.atomic_max_chain = self.atomic_max_chain.max(other.atomic_max_chain);
         self.shared_bytes += other.shared_bytes;
         self.shared_atomic_ops += other.shared_atomic_ops;
@@ -177,7 +174,6 @@ mod tests {
             flops: 10,
             mem_bytes: 100,
             atomic_ops: 2,
-            atomic_retries: 1,
             atomic_max_chain: 5,
             shared_bytes: 64,
             shared_atomic_ops: 3,
@@ -187,7 +183,6 @@ mod tests {
             flops: 3,
             mem_bytes: 7,
             atomic_ops: 4,
-            atomic_retries: 0,
             atomic_max_chain: 2,
             shared_bytes: 16,
             shared_atomic_ops: 1,
@@ -197,7 +192,6 @@ mod tests {
         assert_eq!(a.flops, 13);
         assert_eq!(a.mem_bytes, 107);
         assert_eq!(a.atomic_ops, 6);
-        assert_eq!(a.atomic_retries, 1);
         assert_eq!(a.atomic_max_chain, 5);
         assert_eq!(a.shared_bytes, 80);
         assert_eq!(a.shared_atomic_ops, 4);

@@ -13,17 +13,6 @@
 
 use crate::meter::Cost;
 
-/// How simulated kernel threads are executed on the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Run every simulated thread on the calling thread, in a fixed order.
-    /// Fully deterministic, including floating-point accumulation order.
-    Sequential,
-    /// Run blocks across `n` host worker threads (std scoped threads).
-    /// Functionally equivalent; atomic accumulation order may differ.
-    Threaded(usize),
-}
-
 /// Performance-relevant properties of the simulated device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProps {

@@ -1,7 +1,7 @@
-//! Property tests for the device simulator: allocator soundness, functional
-//! equivalence across execution modes, and cost-model monotonicity.
+//! Property tests for the device simulator: allocator soundness, bitwise
+//! equivalence across worker counts, and cost-model monotonicity.
 
-use cuda_sim::{Device, DeviceProps, Dim3, ExecMode, LaunchConfig, StreamId};
+use cuda_sim::{Device, DeviceProps, Dim3, LaunchConfig, StreamId};
 use proptest::prelude::*;
 
 proptest! {
@@ -44,43 +44,71 @@ proptest! {
         }
     }
 
-    /// A scatter-add kernel computes the same sums in sequential and
-    /// threaded mode (within FP reorder tolerance), and the metered flops
-    /// and atomics match exactly.
+    /// A scatter-add kernel, plain or through per-block shared tiles with
+    /// an epilogue commit, produces the same bits on one worker and on
+    /// many: every f64 and u64 cell, the whole `Cost`, and every trace
+    /// counter.
     #[test]
     fn exec_modes_equivalent(
         values in proptest::collection::vec(-100.0..100.0f64, 16..256),
         n_bins in 1usize..16,
+        block in 1u64..40,
+        tiled in any::<bool>(),
         workers in 2usize..6,
     ) {
-        let run = |mode: ExecMode| {
+        let run = |workers: usize| {
             let d = Device::new(DeviceProps::tiny(1 << 16));
-            d.set_exec_mode(mode);
+            d.force_workers(workers);
             let n = values.len();
             let input = d.alloc_from_slice(&values).unwrap();
             let out = d.alloc_zeroed::<f64>(n_bins).unwrap();
-            let cfg = LaunchConfig::linear(n as u64, 32);
-            d.launch("scatter", cfg, |ctx| {
-                let i = ctx.global_id().x as usize;
-                if i < n {
-                    let v = ctx.read(&input, i);
-                    ctx.charge_flops(1);
-                    ctx.atomic_add_f64(&out, i % n_bins, v);
-                }
-            })
+            let hits = d.alloc_zeroed::<u64>(n_bins).unwrap();
+            let cfg = LaunchConfig::linear(n as u64, block);
+            let record = if tiled {
+                d.launch_shared_on(
+                    StreamId::DEFAULT,
+                    "tiled-scatter",
+                    cfg,
+                    n_bins,
+                    |ctx, tile| {
+                        let i = ctx.global_id().x as usize;
+                        if i < n {
+                            let v = ctx.read(&input, i);
+                            ctx.charge_shared_atomic();
+                            tile[i % n_bins] += v;
+                            ctx.trace(i % 8);
+                        }
+                    },
+                    |ctx, tile| {
+                        for (bin, &v) in tile.iter().enumerate() {
+                            if v != 0.0 {
+                                ctx.atomic_add_f64(&out, bin, v);
+                                ctx.atomic_add_u64(&hits, bin, 1);
+                            }
+                        }
+                    },
+                )
+            } else {
+                d.launch("scatter", cfg, |ctx| {
+                    let i = ctx.global_id().x as usize;
+                    if i < n {
+                        let v = ctx.read(&input, i);
+                        ctx.charge_flops(1);
+                        ctx.atomic_add_f64(&out, i % n_bins, v);
+                        ctx.atomic_add_u64(&hits, i % n_bins, i as u64);
+                        ctx.trace(i % 8);
+                    }
+                })
+            }
             .unwrap();
-            let mut host = vec![0.0f64; n_bins];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
-            (host, d.meters().kernel_cost)
+            let mut sums = vec![0.0f64; n_bins];
+            d.memcpy_dtoh(&out, &mut sums).unwrap();
+            let mut counts = vec![0u64; n_bins];
+            d.memcpy_dtoh(&hits, &mut counts).unwrap();
+            let bits: Vec<u64> = sums.iter().map(|v| v.to_bits()).collect();
+            (bits, counts, record.cost, record.traces)
         };
-        let (a, ca) = run(ExecMode::Sequential);
-        let (b, cb) = run(ExecMode::Threaded(workers));
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-        }
-        prop_assert_eq!(ca.flops, cb.flops);
-        prop_assert_eq!(ca.atomic_ops, cb.atomic_ops);
-        prop_assert_eq!(ca.mem_bytes, cb.mem_bytes);
+        prop_assert_eq!(run(1), run(workers));
     }
 
     /// Kernel time is monotone in each cost component.

@@ -3,15 +3,13 @@
 //!
 //! The paper implements double-precision atomic accumulation with an
 //! `atomicCAS` loop because Fermi lacks native f64 atomicAdd. This ablation
-//! (a) re-costs the recorded kernels with the atomic term removed to show
-//! the modeled cost share, runs the real privatized path
-//! (`--accumulation privatized`) next to that bound, and (b) runs the
-//! kernels on the threaded executor to measure *real* CAS retries under
-//! contention for both strategies.
+//! re-costs the recorded kernels with the atomic term removed to show the
+//! modeled cost share, and runs the real privatized path
+//! (`--accumulation privatized`) next to that bound.
 //!
 //! Run: `cargo run --release -p laue-bench --bin ablate_atomics`
 
-use cuda_sim::{Cost, Device, DeviceProps, ExecMode};
+use cuda_sim::{Cost, Device, DeviceProps};
 use laue_bench::{ms, print_table, standard_config, Workload};
 use laue_core::gpu::{self, Layout};
 use laue_core::AccumulationMode;
@@ -23,8 +21,8 @@ fn main() {
     cfg_priv.accumulation = AccumulationMode::Privatized;
     println!("atomicAdd(double) ablation — {} stack\n", w.label);
 
-    // (a) Modeled cost share: the paper's CAS path, the free-accumulation
-    // lower bound, and the real privatized path between them.
+    // Modeled cost share: the paper's CAS path, the free-accumulation lower
+    // bound, and the real privatized path between them.
     let props = DeviceProps::tesla_m2070();
     let device = Device::new(props.clone());
     let mut source = w.source();
@@ -33,7 +31,6 @@ fn main() {
     let cost = out.meters.kernel_cost;
     let no_atomics = Cost {
         atomic_ops: 0,
-        atomic_retries: 0,
         atomic_max_chain: 0,
         ..cost
     };
@@ -94,60 +91,5 @@ fn main() {
         cost.atomic_ops,
         100.0 * t_priv / t_with,
         100.0 * t_without / t_with,
-    );
-
-    // (b) Real contention: run threaded and report observed CAS retries for
-    // both accumulation strategies. The privatized path issues far fewer
-    // global atomics, so it exposes proportionally fewer retry windows.
-    let mut rows = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let mut cells = vec![workers.to_string()];
-        for accum_cfg in [&cfg, &cfg_priv] {
-            let device = Device::new(props.clone());
-            device.set_exec_mode(if workers == 1 {
-                ExecMode::Sequential
-            } else {
-                ExecMode::Threaded(workers)
-            });
-            let mut source = w.source();
-            let out = gpu::reconstruct_with_options(
-                &device,
-                &mut source,
-                &w.scan.geometry,
-                accum_cfg,
-                gpu::GpuOptions {
-                    layout: Layout::Flat1d,
-                    ..gpu::GpuOptions::default()
-                },
-            )
-            .expect("run");
-            let c = out.meters.kernel_cost;
-            cells.push(c.atomic_ops.to_string());
-            cells.push(format!(
-                "{} ({:.4} %)",
-                c.atomic_retries,
-                100.0 * c.atomic_retries as f64 / c.atomic_ops.max(1) as f64
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(
-        &[
-            "host workers",
-            "atomic ops",
-            "CAS retries",
-            "atomic ops (priv)",
-            "CAS retries (priv)",
-        ],
-        &rows,
-    );
-    println!(
-        "\nthe CAS loop is functionally real: retries appear whenever two host\n\
-         workers interleave between the load and the compare-exchange. On a\n\
-         single-core host that interleaving needs a preemption, so a zero\n\
-         retry count here is expected; on a multi-core host the rate becomes\n\
-         non-zero and the results stay exact (the equivalence tests assert\n\
-         this). The privatized path's blocks commit to disjoint pixels, so\n\
-         its (fewer) global adds never contend at all."
     );
 }

@@ -44,8 +44,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use cuda_sim::{
-    Device, DeviceBuffer, ExecMode, Interconnect, InterconnectProps, LaunchConfig, Meters,
-    NonzeroWords, StreamId,
+    Device, DeviceBuffer, Interconnect, InterconnectProps, LaunchConfig, Meters, NonzeroWords,
+    StreamId,
 };
 use laue_geometry::{DepthMapper, Vec3};
 
@@ -1265,9 +1265,7 @@ fn eval_pair_body(
 /// once the block drains, the epilogue commits each nonzero cell with a
 /// single global add. Every output cell receives at most one commit into a
 /// zeroed buffer, so the image is bit-identical to the atomic path
-/// (`0.0 + x == x` bitwise; nonzero summands cannot round to `-0.0`) and
-/// deterministic even under the threaded executor (blocks commit to
-/// disjoint pixels).
+/// (`0.0 + x == x` bitwise; nonzero summands cannot round to `-0.0`).
 #[allow(clippy::too_many_arguments)]
 fn launch_set_two_privatized<F>(
     device: &Device,
@@ -1487,9 +1485,6 @@ pub(crate) struct RingCtx<'a> {
     opts: GpuOptions,
     n_images: usize,
     n_cols: usize,
-    /// ABFT comparison tolerance: 0 (bit equality) under the sequential
-    /// executor, reassociation-scaled under a threaded one.
-    abft_tol: f64,
 }
 
 /// Check the launches of one slab against their watchdog deadline: a
@@ -1679,7 +1674,7 @@ fn commit_slab(
 
     let verified = |slab: &NonzeroWords| {
         let observed = integrity::bin_sums(slab, cfg.n_depth_bins);
-        integrity::sums_match(&observed, &reference.bin_sums, ctx.abft_tol)
+        integrity::sums_match(&observed, &reference.bin_sums)
     };
     let sums_ok = verified(&slab);
     if !sums_ok {
@@ -2010,10 +2005,6 @@ pub(crate) fn run_ring(
     )?;
 
     // Shared environment for slab execution and commit/scrub recovery.
-    let abft_tol = match device.exec_mode() {
-        ExecMode::Sequential => 0.0,
-        ExecMode::Threaded(_) => integrity::THREADED_ABFT_REL_TOL,
-    };
     let ctx = RingCtx {
         device,
         upload_stream,
@@ -2025,7 +2016,6 @@ pub(crate) fn run_ring(
         opts,
         n_images,
         n_cols,
-        abft_tol,
     };
 
     // The ring proper: executed slabs (upload + kernel-end edge + stats +
@@ -2227,7 +2217,7 @@ mod tests {
     use super::*;
     use crate::cpu;
     use crate::input::{InMemorySlabSource, ScanView};
-    use cuda_sim::{DeviceProps, ExecMode};
+    use cuda_sim::DeviceProps;
 
     fn demo() -> (ScanGeometry, ReconstructionConfig, Vec<f64>) {
         let geom = ScanGeometry::demo(6, 6, 10, -60.0, 6.0).unwrap();
@@ -2266,7 +2256,7 @@ mod tests {
     fn verify_accepts_a_clean_payload_bitwise_under_both_layouts() {
         // Observed and reference ABFT sums both come from
         // `integrity::bin_sums` over a nonzero-cell payload, so a clean
-        // sequential run passes every per-slab check at tolerance 0 and
+        // run passes every per-slab check bit for bit and
         // commits the unverified run's image, whichever layout downloaded.
         let (geom, cfg, data) = demo();
         let verify = ReconstructionConfig {
@@ -2529,22 +2519,23 @@ mod tests {
     }
 
     #[test]
-    fn threaded_executor_matches_within_tolerance() {
+    fn threaded_executor_matches_bit_for_bit() {
         let (geom, cfg, data) = demo();
         let view = ScanView::new(&data, 10, 6, 6).unwrap();
         let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
-        let device = big_device();
-        device.set_exec_mode(ExecMode::Threaded(4));
-        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let gpu_out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
-        let diff = cpu_out.image.max_abs_diff(&gpu_out.image);
-        let scale = cpu_out
-            .image
-            .data
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b.abs()));
-        assert!(diff <= 1e-9 * (1.0 + scale), "diff {diff} vs scale {scale}");
-        assert_eq!(cpu_out.stats, gpu_out.stats);
+        let bits = |data: &[f64]| data.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for workers in [1usize, 4] {
+            let device = big_device();
+            device.force_workers(workers);
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
+            let gpu_out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            assert_eq!(
+                bits(&cpu_out.image.data),
+                bits(&gpu_out.image.data),
+                "{workers} workers"
+            );
+            assert_eq!(cpu_out.stats, gpu_out.stats);
+        }
     }
 
     #[test]
@@ -3472,9 +3463,9 @@ mod tests {
 
     #[test]
     fn privatized_is_deterministic_under_threading() {
-        // Blocks commit to disjoint pixels, so the threaded executor must
-        // reproduce the sequential atomic image bit-for-bit — the property
-        // the CAS-loop atomic path cannot offer.
+        // Blocks commit to disjoint pixels, one add per touched cell, so
+        // every worker count reproduces the sequential atomic image
+        // bit-for-bit.
         let (geom, mut cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
@@ -3483,7 +3474,7 @@ mod tests {
         cfg.accumulation = AccumulationMode::Privatized;
         for workers in [2usize, 4, 8] {
             let device = big_device();
-            device.set_exec_mode(ExecMode::Threaded(workers));
+            device.force_workers(workers);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
             let threaded = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
             assert_eq!(

@@ -52,12 +52,6 @@ pub(crate) const MAX_SCRUB_RETRIES: u32 = 3;
 /// the same slab, mirroring the transfer retry loop.
 pub(crate) const SCRUB_BACKOFF_BASE_S: f64 = 100e-6;
 
-/// Relative ABFT tolerance under a threaded (racy-atomic) executor, scaled
-/// by `1 + max |reference|`. Matches the reassociation bound the threaded
-/// equivalence tests use; the sequential executor uses exact bit equality
-/// instead (tolerance 0).
-pub(crate) const THREADED_ABFT_REL_TOL: f64 = 1e-9;
-
 /// What the integrity layer did during one reconstruction. All zeros when
 /// [`IntegrityMode::Off`](crate::config::IntegrityMode::Off) (no checks
 /// run, nothing to report).
@@ -177,25 +171,15 @@ pub(crate) fn bin_sums(slab: &NonzeroWords, n_bins: usize) -> Vec<f64> {
     sums
 }
 
-/// Compare ABFT sums. `tol_rel == 0` demands exact bit equality (the
-/// sequential executor is bit-reproducible; NaNs from corruption can never
-/// match a real-valued reference). A non-zero tolerance bounds
-/// reassociation drift relative to the reference's magnitude.
-pub(crate) fn sums_match(observed: &[f64], reference: &[f64], tol_rel: f64) -> bool {
-    if observed.len() != reference.len() {
-        return false;
-    }
-    if tol_rel == 0.0 {
-        return observed
+/// Compare ABFT sums bit for bit: the kernel executor reproduces the
+/// host's deposit order at any worker count, and a NaN from corruption can
+/// never match a real-valued reference.
+pub(crate) fn sums_match(observed: &[f64], reference: &[f64]) -> bool {
+    observed.len() == reference.len()
+        && observed
             .iter()
             .zip(reference)
-            .all(|(o, r)| o.to_bits() == r.to_bits());
-    }
-    let scale = reference.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    observed
-        .iter()
-        .zip(reference)
-        .all(|(o, r)| (o - r).abs() <= tol_rel * (1.0 + scale))
+            .all(|(o, r)| o.to_bits() == r.to_bits())
 }
 
 #[cfg(test)]
@@ -241,21 +225,15 @@ mod tests {
     fn exact_match_catches_any_bit_difference() {
         let reference = [1.0, -2.5, 0.0];
         let mut observed = reference;
-        assert!(sums_match(&observed, &reference, 0.0));
+        assert!(sums_match(&observed, &reference));
         observed[1] = f64::from_bits(observed[1].to_bits() ^ (1 << 62));
-        assert!(!sums_match(&observed, &reference, 0.0));
+        assert!(!sums_match(&observed, &reference));
         // A corruption-made NaN can never match a real reference.
         let nan = [f64::NAN, -2.5, 0.0];
-        assert!(!sums_match(&nan, &reference, 0.0));
-    }
-
-    #[test]
-    fn relative_tolerance_admits_reassociation_but_not_flips() {
-        let reference = [100.0, 200.0];
-        let close = [100.0 + 1e-10, 200.0];
-        assert!(sums_match(&close, &reference, THREADED_ABFT_REL_TOL));
-        let flipped = [f64::from_bits(100.0f64.to_bits() ^ (1 << 62)), 200.0];
-        assert!(!sums_match(&flipped, &reference, THREADED_ABFT_REL_TOL));
-        assert!(!sums_match(&reference[..1], &reference, 0.0), "length");
+        assert!(!sums_match(&nan, &reference));
+        // Nor can a last-bit reassociation difference, or a short slab.
+        let close = [1.0, f64::from_bits((-2.5f64).to_bits() + 1), 0.0];
+        assert!(!sums_match(&close, &reference));
+        assert!(!sums_match(&reference[..1], &reference), "length");
     }
 }

@@ -1,10 +1,10 @@
 //! Property tests for the reconstruction invariants:
 //! CPU ≡ GPU, chunking invariance, intensity conservation, cutoff monotonicity.
 
-use cuda_sim::{Device, DeviceProps, ExecMode, Host, Interconnect, InterconnectProps};
+use cuda_sim::{Device, DeviceProps, Host, Interconnect, InterconnectProps};
 use laue_core::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster;
-use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
+use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, ThreadMapping, Triangulation};
 use laue_core::planner::Plan;
 use laue_core::{
     cpu, gpu, AccumulationMode, CompactionMode, InMemorySlabSource, ReconstructionConfig,
@@ -104,23 +104,6 @@ proptest! {
                 Some(r) => prop_assert_eq!(r, &out.image.data),
             }
         }
-    }
-
-    /// The threaded device executor matches within FP-reassociation
-    /// tolerance and produces identical statistics.
-    #[test]
-    fn threaded_executor_tolerant_match(s in arb_scenario(), workers in 2usize..5) {
-        let geom = geometry(&s);
-        let cfg = config(&s);
-        let view = ScanView::new(&s.data, s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
-        let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        device.set_exec_mode(ExecMode::Threaded(workers));
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let gpu_out = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
-        let scale = cpu_out.image.data.iter().fold(1.0f64, |a, &b| a.max(b.abs()));
-        prop_assert!(cpu_out.image.max_abs_diff(&gpu_out.image) <= 1e-9 * scale);
-        prop_assert_eq!(cpu_out.stats, gpu_out.stats);
     }
 
     /// Raising the cutoff never increases the number of active pairs, and
@@ -228,6 +211,119 @@ proptest! {
         prop_assert_eq!(warm.host_table_flops, 0);
         prop_assert_eq!(&cold.image.data, &warm.image.data);
         prop_assert_eq!(cold.stats, warm.stats);
+    }
+}
+
+/// A generated GPU plan for the worker-count property: every engine is a
+/// `nodes × devices` plan over some kernel options and ring depth.
+#[derive(Debug, Clone)]
+struct PlanShape {
+    nodes: usize,
+    per_node: usize,
+    options: GpuOptions,
+    depth: usize,
+    compaction: CompactionMode,
+    accumulation: AccumulationMode,
+}
+
+fn arb_plan_shape() -> impl Strategy<Value = PlanShape> {
+    (
+        (1usize..=3, 1usize..=2, 1usize..=3),
+        prop_oneof![Just(Layout::Flat1d), Just(Layout::Pointer3d)],
+        prop_oneof![
+            Just(Triangulation::InKernel),
+            Just(Triangulation::HostTables)
+        ],
+        prop_oneof![Just(ThreadMapping::Linear), Just(ThreadMapping::Grid3d)],
+        prop_oneof![Just(CompactionMode::Off), Just(CompactionMode::On)],
+        prop_oneof![
+            Just(AccumulationMode::Atomic),
+            Just(AccumulationMode::Privatized)
+        ],
+    )
+        .prop_map(
+            |(
+                (nodes, per_node, depth),
+                layout,
+                triangulation,
+                mapping,
+                compaction,
+                accumulation,
+            )| {
+                PlanShape {
+                    nodes,
+                    per_node,
+                    options: GpuOptions {
+                        layout,
+                        triangulation,
+                        mapping,
+                    },
+                    depth,
+                    compaction,
+                    accumulation,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every GPU plan reconstructs the same bits on one host worker per
+    /// launch as on many (forced onto every launch, however small), and
+    /// the report's statistics and kernel cost match too. With the linear
+    /// thread mapping (deposit order = the CPU loop nest) the bits are
+    /// `cpu::reconstruct_seq`'s.
+    #[test]
+    fn threaded_executor_matches_bit_for_bit(
+        s in arb_scenario(),
+        shape in arb_plan_shape(),
+        workers in 2usize..5,
+    ) {
+        let geom = geometry(&s);
+        let mut cfg = config(&s);
+        cfg.compaction = shape.compaction;
+        cfg.accumulation = shape.accumulation;
+        let run = |workers: usize| {
+            let hosts: Vec<_> = (0..shape.nodes).map(|_| Host::new_default()).collect();
+            let devices: Vec<Vec<Device>> = hosts
+                .iter()
+                .map(|h| {
+                    (0..shape.per_node)
+                        .map(|_| {
+                            let d = Device::new_on_host(DeviceProps::tiny(16 * 1024 * 1024), h);
+                            d.force_workers(workers);
+                            d
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<Vec<&Device>> = devices.iter().map(|ds| ds.iter().collect()).collect();
+            let net = Interconnect::new("prop", shape.nodes, InterconnectProps::ib_qdr());
+            let mut src =
+                InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
+            let plan = Plan::fixed(
+                shape.nodes,
+                shape.per_node,
+                shape.options,
+                PipelineDepth(shape.depth),
+                &cfg,
+                None,
+                None,
+            );
+            reconstruct_cluster(&refs, &net, &mut src, &geom, &cfg, plan, None).unwrap()
+        };
+        let bits = |data: &[f64]| data.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let one = run(1);
+        let many = run(workers);
+        prop_assert_eq!(bits(&one.image.data), bits(&many.image.data));
+        prop_assert_eq!(one.stats, many.stats);
+        prop_assert_eq!(one.meters.kernel_cost, many.meters.kernel_cost);
+        if shape.options.mapping == ThreadMapping::Linear {
+            let view = ScanView::new(&s.data, s.n_steps, s.n_rows, s.n_cols).unwrap();
+            let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
+            prop_assert_eq!(bits(&cpu_out.image.data), bits(&many.image.data));
+        }
     }
 }
 

@@ -96,10 +96,6 @@ pub struct ReconstructArgs {
     /// Device-resident depth-table cache budget, MiB (`--table-cache-mb`;
     /// 0 disables residency).
     pub table_cache_mb: Option<u64>,
-    /// Simulated-kernel worker threads (`--sim-workers`, resolved at parse
-    /// time: `0`/`auto` → the host's available parallelism). `None` keeps
-    /// the deterministic sequential executor.
-    pub sim_workers: Option<usize>,
     /// Detector region of interest: `(r0, c0, rows, cols)`.
     pub roi: Option<(usize, usize, usize, usize)>,
     /// What to do when a GPU engine fails unrecoverably.
@@ -186,24 +182,6 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
              gpu-pipe, gpu-multi:N, gpu-cluster:N[xM])"
         )),
     }
-}
-
-/// Parse a `--sim-workers` value: a thread count, or `0`/`auto` for the
-/// host's available parallelism.
-pub fn parse_sim_workers(s: &str) -> std::result::Result<usize, String> {
-    let n: usize = if s == "auto" {
-        0
-    } else {
-        s.parse()
-            .map_err(|_| format!("bad --sim-workers {s:?} (want a count, 0, or auto)"))?
-    };
-    Ok(if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    })
 }
 
 /// Parse a `--reduction` value: a routing topology, or `auto` for the
@@ -467,7 +445,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                 rows_per_slab: None,
                 pipeline_depth: None,
                 table_cache_mb: None,
-                sim_workers: None,
                 roi: None,
                 on_gpu_failure: GpuFailurePolicy::default(),
                 inject_fault: None,
@@ -506,7 +483,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                     "rows-per-slab",
                     "pipeline-depth",
                     "table-cache-mb",
-                    "sim-workers",
                     "roi",
                     "on-gpu-failure",
                     "inject-gpu-fault",
@@ -598,10 +574,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                             .map_err(|_| format!("bad --table-cache-mb: {v:?}"))
                     })
                     .transpose()?,
-                sim_workers: flags
-                    .get("sim-workers")
-                    .map(|v| parse_sim_workers(v))
-                    .transpose()?,
                 roi,
                 on_gpu_failure: match flags.get("on-gpu-failure") {
                     None => GpuFailurePolicy::default(),
@@ -667,7 +639,7 @@ USAGE:
                    [--plan fixed|auto]
                    [--integrity off|verify|scrub] [--watchdog-multiplier X]
                    [--rows-per-slab R] [--pipeline-depth K]
-                   [--table-cache-mb M] [--sim-workers N|0|auto]
+                   [--table-cache-mb M]
                    [--on-gpu-failure abort|fallback-cpu]
                    [--inject-gpu-fault k=v,…] [--fault-device I]
                    [--journal-dir <dir>] [--resume]
@@ -733,8 +705,6 @@ GPU PIPELINE:
                        gpu-pipe, gpu-multi and gpu-cluster to 3)
   --table-cache-mb M   device-resident depth-table budget in MiB
                        (default: a quarter of device memory; 0 disables)
-  --sim-workers N      simulated-kernel worker threads (0 or auto = all
-                       host cores; default: deterministic sequential)
 
 DATA INTEGRITY:
   --integrity off     no checking (default); silent corruption propagates
@@ -803,10 +773,6 @@ fn recon_pipeline(args: &ReconstructArgs) -> Pipeline {
     Pipeline {
         on_gpu_failure: args.on_gpu_failure,
         fault_plan: args.inject_fault.clone(),
-        exec_mode: match args.sim_workers {
-            Some(n) => cuda_sim::ExecMode::Threaded(n),
-            None => cuda_sim::ExecMode::Sequential,
-        },
         table_cache_mb: args.table_cache_mb,
         journal_dir: args.journal_dir.clone().map(std::path::PathBuf::from),
         resume: args.resume,
@@ -1158,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_worker_flags_parse() {
+    fn pipeline_flags_parse() {
         let cmd = parse(&sv(&[
             "reconstruct",
             "--input",
@@ -1169,8 +1135,6 @@ mod tests {
             "4",
             "--table-cache-mb",
             "64",
-            "--sim-workers",
-            "3",
         ]))
         .unwrap();
         let Command::Reconstruct(a) = cmd else {
@@ -1179,15 +1143,6 @@ mod tests {
         assert_eq!(a.engine, Engine::GpuPipelined);
         assert_eq!(a.pipeline_depth, Some(4));
         assert_eq!(a.table_cache_mb, Some(64));
-        assert_eq!(a.sim_workers, Some(3));
-
-        // 0 and auto resolve to the host's parallelism, at least one thread.
-        assert!(parse_sim_workers("auto").unwrap() >= 1);
-        assert_eq!(
-            parse_sim_workers("auto").unwrap(),
-            parse_sim_workers("0").unwrap()
-        );
-        assert!(parse_sim_workers("four").is_err());
 
         // Absent flags keep the deterministic defaults.
         let cmd = parse(&sv(&["reconstruct", "--input", "scan.mh5"])).unwrap();
@@ -1196,7 +1151,6 @@ mod tests {
         };
         assert_eq!(a.pipeline_depth, None);
         assert_eq!(a.table_cache_mb, None);
-        assert_eq!(a.sim_workers, None);
         assert!(parse(&sv(&[
             "reconstruct",
             "--input",

@@ -5,8 +5,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use cuda_sim::{
-    Device, DeviceProps, ExecMode, FaultStats, HostProps, Interconnect, InterconnectProps,
-    NonzeroWords, OpRecord,
+    Device, DeviceProps, FaultStats, HostProps, Interconnect, InterconnectProps, NonzeroWords,
+    OpRecord,
 };
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster_checkpointed;
@@ -61,9 +61,9 @@ pub enum GpuFailurePolicy {
     /// Surface the GPU error to the caller (default).
     #[default]
     Abort,
-    /// Re-run the reconstruction on the CPU engine matching the pipeline's
-    /// executor (threaded when [`Pipeline::exec_mode`] is threaded, serial
-    /// otherwise) and record the degradation in the run report.
+    /// Recompute the rows the GPU did not commit on `cpu-seq` (which shares
+    /// the GPU engines' deposit order, so the image stays bit-identical)
+    /// and record the degradation in the run report.
     FallbackCpu,
 }
 
@@ -85,16 +85,14 @@ pub struct PipelineShared {
 /// Only a run that panicked while provisioning can poison the device slot.
 const POISONED: &str = "device slot poisoned by a panicked run";
 
-/// A configured pipeline: the machines to model and how to execute
-/// simulated kernels.
+/// A configured pipeline: the machines to model, and how runs fail over,
+/// journal and reduce.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     /// Host CPU model for the CPU engines (paper: Xeon E5630).
     pub host: HostProps,
     /// Device model for the GPU engines (paper: Tesla M2070).
     pub device: DeviceProps,
-    /// How simulated kernel threads execute on this machine.
-    pub exec_mode: ExecMode,
     /// What to do when a GPU engine fails unrecoverably.
     pub on_gpu_failure: GpuFailurePolicy,
     /// Scripted fault schedule installed on every device this pipeline
@@ -139,7 +137,6 @@ impl Default for Pipeline {
         Pipeline {
             host: HostProps::xeon_e5630(),
             device: DeviceProps::tesla_m2070(),
-            exec_mode: ExecMode::Sequential,
             on_gpu_failure: GpuFailurePolicy::default(),
             fault_plan: None,
             table_cache_mb: None,
@@ -453,7 +450,6 @@ impl Pipeline {
                 .collect();
         }
         for (i, d) in slot.iter().flatten().enumerate() {
-            d.set_exec_mode(self.exec_mode);
             let install = self.fault_device.is_none_or(|f| f == i);
             match (&self.fault_plan, install) {
                 (Some(plan), true) => d.set_fault_plan(plan.clone()),
@@ -502,7 +498,7 @@ impl Pipeline {
 
     /// Apply [`Pipeline::on_gpu_failure`] to a GPU engine error: either
     /// surface it, or salvage what the GPU committed and recompute only the
-    /// uncovered row bands on the matching CPU engine, recording the
+    /// uncovered row bands on `cpu-seq`, recording the
     /// degradation — and the `devices_lost` the run counted — in the
     /// report.
     #[allow(clippy::too_many_arguments)]
@@ -526,13 +522,10 @@ impl Pipeline {
         if self.on_gpu_failure != GpuFailurePolicy::FallbackCpu || !err.is_gpu_failure() {
             return Err(err.into());
         }
-        // Match the executor so a sequential pipeline degrades bit-for-bit
-        // (cpu-seq and the GPU engines share deposit order, and cropped-band
-        // reconstruction is bit-exact against the full frame).
-        let cpu = match self.exec_mode {
-            ExecMode::Threaded(n) => Engine::CpuThreaded { threads: n },
-            _ => Engine::CpuSeq,
-        };
+        // cpu-seq and the GPU engines share deposit order, and cropped-band
+        // reconstruction is bit-exact against the full frame, so the
+        // salvaged image is bit-identical to a clean GPU run.
+        let cpu = Engine::CpuSeq;
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         let salvaged = progress.committed_slabs();
         let mut recomputed = 0usize;
@@ -842,7 +835,7 @@ mod tests {
         assert!(abort.run_scan_file(&path, &cfg(), gpu).is_err());
 
         // …and fallback-cpu completes on the CPU engine with the degradation
-        // recorded. Sequential executor → bitwise equal to cpu-seq.
+        // recorded, bitwise equal to cpu-seq.
         let degrade = Pipeline {
             fault_plan: Some(dead_plan),
             on_gpu_failure: GpuFailurePolicy::FallbackCpu,

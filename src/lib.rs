@@ -55,9 +55,7 @@ pub use cuda_sim as sim;
 
 /// The types most programs need.
 pub mod prelude {
-    pub use cuda_sim::{
-        Device, DeviceProps, ExecMode, FaultPlan, FaultStats, HostProps, NonzeroWords,
-    };
+    pub use cuda_sim::{Device, DeviceProps, FaultPlan, FaultStats, HostProps, NonzeroWords};
     pub use laue_core::cache::{DepthTableCache, TableCacheStats};
     pub use laue_core::cluster::{reconstruct_cluster, reconstruct_cluster_checkpointed};
     pub use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};

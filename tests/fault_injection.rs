@@ -152,21 +152,41 @@ fn capacity_lie_plans_more_slabs_but_same_answer() {
 }
 
 #[test]
-fn fallback_matches_executor_threading() {
-    // A threaded pipeline degrades to the threaded CPU engine.
-    let path = write_demo_scan("threaded");
+fn fallback_runs_cpu_seq_bit_for_bit() {
+    // Slabs of 5 × 64 pixels × 63 pairs launch above the executor's
+    // parallel gate, so the GPU slabs ran on every host core. The device
+    // dies at the second slab boundary; the salvage recomputes the rest on
+    // cpu-seq, and the stitched image is the clean run's, bit for bit.
+    let scan = SyntheticScanBuilder::new(20, 64, 64)
+        .scatterers(6)
+        .background(15.0)
+        .seed(11)
+        .build()
+        .unwrap();
+    let path = tmp("salvage_seq");
+    write_scan(&path, &scan.geometry, &scan.images, Some(&scan.truth), 3).unwrap();
+    let mut cfg = cfg();
+    cfg.rows_per_slab = Some(5);
+    const { assert!(5 * 64 * 63 >= laue::sim::exec::PARALLEL_LAUNCH_THREADS) };
+    let clean = Pipeline::default().run_scan_file(&path, &cfg, GPU).unwrap();
     let p = Pipeline {
-        exec_mode: ExecMode::Threaded(3),
-        fault_plan: Some(FaultPlan::new(1).fail_after(3)),
+        fault_plan: Some(FaultPlan::new(1).fail_after_launches(2)),
         on_gpu_failure: GpuFailurePolicy::FallbackCpu,
         ..Pipeline::default()
     };
-    let r = p.run_scan_file(&path, &cfg(), GPU).unwrap();
+    let r = p.run_scan_file(&path, &cfg, GPU).unwrap();
     assert!(
-        r.fallback.as_deref().unwrap().contains("cpu-threaded(3)"),
+        r.fallback
+            .as_deref()
+            .unwrap()
+            .ends_with("completed on cpu-seq"),
         "{:?}",
         r.fallback
     );
+    assert_eq!(r.recovery.salvaged_slabs, 2);
+    let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&r.image.data), bits(&clean.image.data));
+    assert_eq!(r.stats, clean.stats);
     std::fs::remove_file(&path).ok();
 }
 

@@ -269,31 +269,27 @@ fn overlap_ablation_shortens_makespan() {
     assert!(overlapped.total_time_s >= overlapped.compute_time_s - 1e-12);
 }
 
-/// The CAS-loop f64 atomicAdd is exact: the GPU engine's totals equal the
-/// CPU's regardless of executor threading.
+/// The f64 atomicAdd is exact: the GPU engine's image equals the CPU's bit
+/// for bit whether each launch runs on one host worker or on many.
 #[test]
 fn atomic_accumulation_is_exact_under_threading() {
     let s = scan(24, 24, 16, 51);
     let c = cfg();
-    let cpu = run(&s, &c, Engine::CpuSeq);
-    let mut source = InMemorySlabSource::new(s.images.clone(), 16, 24, 24).unwrap();
-    let pipeline = Pipeline {
-        exec_mode: laue::sim::ExecMode::Threaded(4),
-        ..Pipeline::default()
-    };
-    let gpu = pipeline
-        .run_source(
-            &mut source,
-            &s.geometry,
-            &c,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
-        .unwrap();
-    let scale = cpu.image.data.iter().fold(1.0f64, |a, &b| a.max(b.abs()));
-    assert!(cpu.image.max_abs_diff(&gpu.image) <= 1e-9 * scale);
-    assert_eq!(cpu.stats, gpu.stats);
+    let view = ScanView::new(&s.images, 16, 24, 24).unwrap();
+    let cpu = cpu::reconstruct_seq(&view, &s.geometry, &c).unwrap();
+    let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    for workers in [1, 4] {
+        let device = Device::new(DeviceProps::tesla_m2070());
+        device.force_workers(workers);
+        let mut source = InMemorySlabSource::new(s.images.clone(), 16, 24, 24).unwrap();
+        let gpu = gpu::reconstruct(&device, &mut source, &s.geometry, &c, Layout::Flat1d).unwrap();
+        assert_eq!(
+            bits(&cpu.image.data),
+            bits(&gpu.image.data),
+            "{workers} workers"
+        );
+        assert_eq!(cpu.stats, gpu.stats);
+    }
 }
 
 /// §III-C follow-on: on the paper's Tesla M2070 a fig9-style fully-active
