@@ -13,7 +13,18 @@
 //!   [`DeviceBuffer`] that survives across slabs and runs, LRU-bounded by a
 //!   configurable byte budget (a slice of `DeviceProps::total_mem`). A warm
 //!   run re-uses the resident buffer at virtual time 0 — the upload
-//!   disappears from the timeline entirely.
+//!   disappears from the timeline entirely;
+//! * **wire-shadow culls** — per geometry, the full-detector
+//!   [`ShadowCull`] that compaction reads, in an LRU of its own with the
+//!   same entry bound ([`DepthTableCache::shadow_cull`]). It costs as many
+//!   triangulations to build as a full depth table, so the planner and
+//!   every ring of every run of one geometry share one build. It is a
+//!   wall-clock saving only: each ring still charges its band's
+//!   triangulation FLOPs ([`ShadowCull::build_flops`]) on a hit or a miss,
+//!   so every modeled time is unchanged, and the culls stay out of the
+//!   depth-table entries, [`DepthTableCache::peek_host`] and
+//!   [`TableCacheStats`] — planner warmth and hit rates read only depth
+//!   tables.
 //!
 //! The key hashes the *bit patterns* of every f64 the table depends on
 //! (beam, detector, wire scan, depth binning, wire edge, triangulation
@@ -28,9 +39,11 @@ use laue_geometry::DepthMapper;
 
 use crate::config::ReconstructionConfig;
 use crate::geometry::ScanGeometry;
+use crate::planning::ShadowCull;
 
-/// Host-side entries kept per cache (distinct geometries per process are
-/// few; this only bounds pathological churn).
+/// Host-side entries kept per cache, depth tables and culls each
+/// (distinct geometries per process are few; this only bounds
+/// pathological churn).
 const HOST_ENTRIES: usize = 8;
 
 /// Content-addressed identity of one depth table.
@@ -193,6 +206,27 @@ impl TableCacheStats {
     }
 }
 
+/// Host-side entries by key, least recently used first.
+type Lru<T> = VecDeque<(TableKey, Arc<T>)>;
+
+/// The entry for `key`, moved to the most recently used end.
+fn touch<T>(lru: &mut Lru<T>, key: &TableKey) -> Option<Arc<T>> {
+    let pos = lru.iter().position(|(k, _)| k == key)?;
+    let entry = lru.remove(pos)?;
+    let value = Arc::clone(&entry.1);
+    lru.push_back(entry);
+    Some(value)
+}
+
+/// Add `value` as the most recently used entry, dropping the least
+/// recently used past [`HOST_ENTRIES`].
+fn insert<T>(lru: &mut Lru<T>, key: &TableKey, value: &Arc<T>) {
+    lru.push_back((key.clone(), Arc::clone(value)));
+    while lru.len() > HOST_ENTRIES {
+        lru.pop_front();
+    }
+}
+
 #[derive(Debug)]
 struct DeviceEntry {
     device_id: u64,
@@ -205,7 +239,9 @@ struct Inner {
     /// Device-resident byte budget per device; 0 disables residency.
     budget: u64,
     /// Host entries, LRU order (front = coldest).
-    host: VecDeque<(TableKey, Arc<DepthTables>)>,
+    host: Lru<DepthTables>,
+    /// Full-detector wire-shadow culls, LRU order; never counted.
+    culls: Lru<ShadowCull>,
     /// Device entries, LRU order (front = coldest), across all devices;
     /// the budget applies per device id.
     device: VecDeque<DeviceEntry>,
@@ -256,10 +292,7 @@ impl DepthTableCache {
     ) -> Arc<DepthTables> {
         {
             let mut inner = self.inner.lock().unwrap();
-            if let Some(pos) = inner.host.iter().position(|(k, _)| k == key) {
-                let entry = inner.host.remove(pos).unwrap();
-                let tables = Arc::clone(&entry.1);
-                inner.host.push_back(entry);
+            if let Some(tables) = touch(&mut inner.host, key) {
                 run.host_hits += 1;
                 inner.totals.host_hits += 1;
                 return tables;
@@ -270,11 +303,30 @@ impl DepthTableCache {
         let mut inner = self.inner.lock().unwrap();
         run.host_misses += 1;
         inner.totals.host_misses += 1;
-        inner.host.push_back((key.clone(), Arc::clone(&tables)));
-        while inner.host.len() > HOST_ENTRIES {
-            inner.host.pop_front();
-        }
+        insert(&mut inner.host, key, &tables);
         tables
+    }
+
+    /// Get (or build with `compute` and insert) the full-detector
+    /// wire-shadow cull for `key`. Neither counts in [`TableCacheStats`]
+    /// nor shows in [`DepthTableCache::peek_host`]. When two callers miss
+    /// the same key at once, both build and the first insert wins.
+    pub fn shadow_cull(
+        &self,
+        key: &TableKey,
+        compute: impl FnOnce() -> ShadowCull,
+    ) -> Arc<ShadowCull> {
+        if let Some(cull) = touch(&mut self.inner.lock().unwrap().culls, key) {
+            return cull;
+        }
+        // Build outside the lock (it is the expensive part).
+        let cull = Arc::new(compute());
+        let mut inner = self.inner.lock().unwrap();
+        if let Some(first) = touch(&mut inner.culls, key) {
+            return first;
+        }
+        insert(&mut inner.culls, key, &cull);
+        cull
     }
 
     /// Look up the resident buffer for `(device_id, key)`, refreshing its
@@ -431,6 +483,38 @@ mod tests {
         let fresh = DepthTables::compute(&geom, &mapper, &cfg);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&second.depths), bits(&fresh.depths));
+    }
+
+    #[test]
+    fn culls_are_cached_per_geometry_apart_from_depth_table_accounting() {
+        let (geom, cfg) = demo();
+        let mapper = geom.mapper().unwrap();
+        let cache = DepthTableCache::new(0);
+        let key = |i: usize| {
+            let mut cfg = cfg.clone();
+            cfg.depth_end += i as f64;
+            TableKey::new(&geom, &cfg)
+        };
+        let full = || ShadowCull::compute(&geom, &mapper, &cfg, 0..geom.detector.n_rows);
+        let first = cache.shadow_cull(&key(0), full);
+        let again = cache.shadow_cull(&key(0), || panic!("must not rebuild"));
+        assert!(Arc::ptr_eq(&first, &again));
+        // A cull is no depth table: no hit, no miss, no warmth.
+        assert_eq!(cache.totals(), TableCacheStats::default());
+        assert!(!cache.peek_host(&key(0)));
+        // One geometry more than the LRU holds evicts the coldest cull.
+        for i in 1..=HOST_ENTRIES {
+            cache.shadow_cull(&key(i), full);
+        }
+        cache.shadow_cull(&key(HOST_ENTRIES), || panic!("newest kept"));
+        let mut rebuilt = false;
+        let back = cache.shadow_cull(&key(0), || {
+            rebuilt = true;
+            full()
+        });
+        assert!(rebuilt, "the oldest cull was evicted");
+        assert!(!Arc::ptr_eq(&first, &back));
+        assert_eq!(cache.totals(), TableCacheStats::default());
     }
 
     #[test]

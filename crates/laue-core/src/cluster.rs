@@ -66,6 +66,7 @@ use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
 use crate::multi::failover_rounds;
 use crate::planner::Plan;
+use crate::planning::ShadowCull;
 use crate::Result;
 
 /// Fixed per-segment envelope: slab header, CRC frame, RDMA descriptor.
@@ -301,7 +302,10 @@ fn schedule_reduction(
 /// flow to the surviving nodes; zero surviving nodes surfaces the error
 /// for CPU salvage. Slab commits release reduction segments, and every
 /// ring adds its counters straight into the result, so a lost node keeps
-/// what it counted.
+/// what it counted. With compaction on, the call resolves one wire-shadow
+/// cull ([`ShadowCull::resolve`]): `cache`'s full-detector table, or, with
+/// no cache, a table over the rows the call processes. Every ring reads
+/// it and charges its own band's triangulations.
 ///
 /// The run starts from `progress` (fresh, or replayed from a
 /// [`RunJournal`]) and every commit reaches `journal` (when given) before
@@ -359,6 +363,10 @@ pub fn reconstruct_cluster_checkpointed(
             (!band.is_empty()).then_some(band)
         })
         .collect();
+    // Level-1 sparsity: one wire-shadow cull for the call, lent to every
+    // ring, scrub's re-executions and failover's re-banded rows included.
+    let cull = (cfg.compaction.enabled() && !scope.is_empty())
+        .then(|| ShadowCull::resolve(cache, geom, &mapper, cfg, &scope));
 
     let mut run = GpuReconstruction {
         pipeline_depth: plan.depth.0,
@@ -408,6 +416,7 @@ pub fn reconstruct_cluster_checkpointed(
                         plan.options,
                         plan.depth,
                         cache,
+                        cull.as_deref(),
                         band.clone(),
                         &mut run,
                         &mut out.integrity,
@@ -825,6 +834,49 @@ mod tests {
                 "{nodes}x{devices}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn every_band_reads_one_cull_and_is_charged_its_own_rows() {
+        use crate::cache::{DepthTableCache, TableKey};
+        use crate::config::CompactionMode;
+        let (geom, mut cfg, data) = demo();
+        cfg.compaction = CompactionMode::On;
+        let cache = DepthTableCache::new(0);
+        let source = || InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
+        // In-kernel triangulation and no integrity: the cull is the only
+        // host work, so the FLOPs are the rows charged.
+        for cache in [None, Some(&cache)] {
+            for nodes in [1, 3] {
+                let c = build(nodes, 1, InterconnectProps::ib_qdr());
+                let plan = plan(&c, &cfg, ClusterOptions::default());
+                let out =
+                    reconstruct_cluster(&refs(&c), &c.net, &mut source(), &geom, &cfg, plan, cache)
+                        .unwrap();
+                assert_eq!(out.host_table_flops, ShadowCull::build_flops(&geom, 8));
+            }
+            // A row budget processes, and is charged, three rows.
+            let c = build(1, 1, InterconnectProps::ib_qdr());
+            let mut progress = SlabProgress::new(cfg.n_depth_bins, 8, 6);
+            let plan = plan(&c, &cfg, ClusterOptions::default());
+            let out = reconstruct_cluster_checkpointed(
+                &refs(&c),
+                &c.net,
+                &mut source(),
+                &geom,
+                &cfg,
+                plan,
+                cache,
+                &mut progress,
+                None,
+                3,
+            )
+            .unwrap();
+            assert_eq!(out.host_table_flops, ShadowCull::build_flops(&geom, 3));
+        }
+        // The cached runs read one full-detector table.
+        let cull = cache.shadow_cull(&TableKey::new(&geom, &cfg), || panic!("cull not cached"));
+        assert_eq!(cull.host_flops, ShadowCull::build_flops(&geom, 8));
     }
 
     #[test]

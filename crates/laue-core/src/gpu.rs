@@ -1897,6 +1897,9 @@ fn resolve_table_source(
 
 /// The k-deep ring: process the detector rows `band` on `device`,
 /// committing each verified slab through `out` as its download lands.
+/// `cull` is the executor's wire-shadow cull, covering `band`, present
+/// exactly when compaction is on; the ring builds none itself but charges
+/// its band's triangulations, as if it had.
 ///
 /// Everything the ring learns besides the slabs goes straight into the
 /// run's result `run` — recovery actions, table-cache counters and per-slab
@@ -1926,6 +1929,7 @@ pub(crate) fn run_ring(
     opts: GpuOptions,
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
+    cull: Option<&ShadowCull>,
     band: Range<usize>,
     run: &mut GpuReconstruction,
     integrity: &mut IntegrityReport,
@@ -1982,16 +1986,11 @@ pub(crate) fn run_ring(
         _ => opts,
     };
 
-    // Level-1 sparsity: the wire-shadow cull table for this band, built
-    // once on the host (the triangulation FLOPs are charged like the
-    // host-table path's).
-    let cull = if cfg.compaction.enabled() {
-        let cull = ShadowCull::compute(geom, mapper, cfg, band.clone());
-        host_table_flops += cull.host_flops;
-        Some(cull)
-    } else {
-        None
-    };
+    // Level-1 sparsity: the band's share of the cull's triangulations is
+    // charged like the host-table path's, whoever built the table.
+    if cull.is_some() {
+        host_table_flops += ShadowCull::build_flops(geom, band.len());
+    }
 
     let (mut rows_per_slab, mut slots) = plan_slabs(
         device.mem_capacity() - device.mem_used(),
@@ -2039,7 +2038,7 @@ pub(crate) fn run_ring(
                     source,
                     &table_source,
                     &wires,
-                    cull.as_ref(),
+                    cull,
                     &mut run.recovery,
                     integrity,
                     &mut out,
@@ -2051,7 +2050,7 @@ pub(crate) fn run_ring(
                 source,
                 &table_source,
                 &wires,
-                cull.as_ref(),
+                cull,
                 row0,
                 rows,
                 &mut run.recovery,
@@ -2090,7 +2089,7 @@ pub(crate) fn run_ring(
                         source,
                         &table_source,
                         &wires,
-                        cull.as_ref(),
+                        cull,
                         &mut run.recovery,
                         integrity,
                         &mut out,
@@ -2119,7 +2118,7 @@ pub(crate) fn run_ring(
             source,
             &table_source,
             &wires,
-            cull.as_ref(),
+            cull,
             &mut run.recovery,
             integrity,
             &mut out,

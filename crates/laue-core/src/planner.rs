@@ -48,6 +48,7 @@
 use cuda_sim::{ChainEstimator, Cost, DeviceProps, HostProps, InterconnectProps};
 use laue_geometry::DepthMapper;
 
+use crate::cache::DepthTableCache;
 use crate::cluster::{
     node_bands, reduction_segment_bytes, route_hops, ClusterOptions, ReductionTopology,
 };
@@ -55,8 +56,8 @@ use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{
-    fit_rows_per_slab, plan_accumulation, AccumPlan, GpuOptions, Layout, PipelineDepth,
-    ThreadMapping, Triangulation, BLOCK_SIZE,
+    fit_rows_per_slab, plan_accumulation, validate_inputs, AccumPlan, GpuOptions, Layout,
+    PipelineDepth, ThreadMapping, Triangulation, BLOCK_SIZE,
 };
 use crate::input::SlabSource;
 use crate::pair::{
@@ -682,7 +683,10 @@ fn triangulation_label(t: Triangulation) -> &'static str {
 /// one. Per-slab knobs (compaction, accumulation) are resolved inside each
 /// candidate via [`plan_slab`] under the modes in `cfg` — under
 /// `--plan auto` the pipeline forces both to `Auto` so the planner owns
-/// every knob.
+/// every knob. A source that disagrees with `geom` or an invalid `cfg`
+/// fails as the executor would, with a typed error. With compaction on,
+/// the planner builds its own full-detector wire-shadow cull; [`plan_auto`]
+/// can read a cached one instead.
 pub fn plan_run(
     props: &DeviceProps,
     host: &HostProps,
@@ -691,17 +695,31 @@ pub fn plan_run(
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
 ) -> Result<RunPlan> {
+    plan_run_cached(props, host, source, geom, cfg, warmth, None)
+}
+
+/// [`plan_run`], reading the wire-shadow cull from `cache` when given.
+fn plan_run_cached(
+    props: &DeviceProps,
+    host: &HostProps,
+    source: &mut dyn SlabSource,
+    geom: &ScanGeometry,
+    cfg: &ReconstructionConfig,
+    warmth: TableWarmth,
+    cache: Option<&DepthTableCache>,
+) -> Result<RunPlan> {
+    validate_inputs(source, geom, cfg)?;
     let mapper = geom.mapper()?;
     let (n_images, n_rows, n_cols) = (source.n_images(), source.n_rows(), source.n_cols());
     let n_pairs = n_images - 1;
     let n_bins = cfg.n_depth_bins;
     let n_steps = geom.wire.n_steps;
 
-    let cull = if cfg.compaction.enabled() {
-        Some(ShadowCull::compute(geom, &mapper, cfg, 0..n_rows))
-    } else {
-        None
-    };
+    let all_rows = 0..n_rows;
+    let cull = cfg
+        .compaction
+        .enabled()
+        .then(|| ShadowCull::resolve(cache, geom, &mapper, cfg, std::slice::from_ref(&all_rows)));
 
     // Probe a few single-row bands spread across the detector; merged sums
     // stand in for the whole stack's intensity statistics.
@@ -1031,7 +1049,10 @@ fn reduction_estimate(
 /// estimated like the executor's head-link-bound schedule; the reduction
 /// is the argmin at the requested node count, and the sweep over
 /// power-of-two counts below it is reported in `candidates`, so scaling
-/// studies can read the priced curve.
+/// studies can read the priced curve. With a `cache`, the wire-shadow cull
+/// comes from it ([`ShadowCull::resolve`]), so the run that follows reads
+/// the same table instead of building a second one; the predictions are
+/// the same either way.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_auto(
     props: &DeviceProps,
@@ -1043,13 +1064,14 @@ pub fn plan_auto(
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
+    cache: Option<&DepthTableCache>,
 ) -> Result<RunPlan> {
     if nodes == 0 || devices == 0 {
         return Err(CoreError::InvalidConfig(
             "a plan needs at least one node and one device per node".into(),
         ));
     }
-    let mut run = plan_run(props, host, source, geom, cfg, warmth)?;
+    let mut run = plan_run_cached(props, host, source, geom, cfg, warmth, cache)?;
     run.plan.nodes = nodes;
     run.plan.devices = devices;
     let intra = 1.0 + INTRA_NODE_MARGINAL * (devices - 1) as f64;
@@ -1200,6 +1222,7 @@ mod tests {
                 &geom,
                 &cfg,
                 warmth,
+                None,
             )
             .unwrap()
         };

@@ -6,8 +6,12 @@
 //! These quantities also drive the synthetic-workload builders and explain
 //! the reconstruction's accuracy limits, so they live next to the engines.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use laue_geometry::{DepthMapper, Vec3, WireEdge, WireGeometry};
 
+use crate::cache::{DepthTableCache, TableKey};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
@@ -27,6 +31,11 @@ use crate::Result;
 /// strip is culled. The bound is conservative by construction — no
 /// monotonicity assumption about the depth map is needed — so culling never
 /// removes a pair the dense path would have deposited.
+///
+/// Building the table triangulates every `(step, row, col)` it covers: a
+/// full-detector cull costs as many triangulations as a full depth table
+/// ([`crate::cache::DepthTables`]). The GPU path therefore builds it once
+/// per scan geometry ([`ShadowCull::resolve`]).
 #[derive(Debug, Clone)]
 pub struct ShadowCull {
     row0: usize,
@@ -38,7 +47,7 @@ pub struct ShadowCull {
     depth_start: f64,
     depth_end: f64,
     /// Host FLOPs spent building the table (one triangulation per
-    /// (step, row, col)). Charged to whichever engine builds the cull.
+    /// (step, row, col) of its bands, [`ShadowCull::build_flops`]).
     pub host_flops: u64,
 }
 
@@ -48,10 +57,24 @@ impl ShadowCull {
         geom: &ScanGeometry,
         mapper: &DepthMapper,
         cfg: &ReconstructionConfig,
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
     ) -> ShadowCull {
+        Self::build(geom, mapper, cfg, std::slice::from_ref(&rows))
+    }
+
+    /// Build the cull table for the detector rows of `bands` (disjoint,
+    /// ascending). The table spans the first band's first row to the last
+    /// band's last row; a row between two bands is never triangulated,
+    /// keeps no finite bound and so reads live for every pair.
+    fn build(
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        bands: &[Range<usize>],
+    ) -> ShadowCull {
+        let span = bands.first().map_or(0, |b| b.start)..bands.last().map_or(0, |b| b.end);
         let n_steps = geom.wire.n_steps;
-        let n_rows = rows.len();
+        let n_rows = span.len();
         let n_cols = geom.detector.n_cols;
         let cells = n_steps * n_rows;
         let mut lo = vec![f64::INFINITY; cells];
@@ -59,8 +82,8 @@ impl ShadowCull {
         let mut unsafe_row = vec![false; cells];
         for z in 0..n_steps {
             let wire = geom.wire.center_unchecked(z as f64);
-            for (i, r) in rows.clone().enumerate() {
-                let cell = z * n_rows + i;
+            for r in bands.iter().flat_map(|b| b.clone()) {
+                let cell = z * n_rows + (r - span.start);
                 for c in 0..n_cols {
                     let pixel = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
                     match mapper.depth(pixel, wire, cfg.wire_edge) {
@@ -78,7 +101,7 @@ impl ShadowCull {
             }
         }
         ShadowCull {
-            row0: rows.start,
+            row0: span.start,
             n_rows,
             n_steps,
             lo,
@@ -86,7 +109,38 @@ impl ShadowCull {
             unsafe_row,
             depth_start: cfg.depth_start,
             depth_end: cfg.depth_end,
-            host_flops: (n_steps * n_rows * n_cols) as u64 * FLOPS_PER_DEPTH,
+            host_flops: Self::build_flops(geom, bands.iter().map(|b| b.len()).sum()),
+        }
+    }
+
+    /// Host FLOPs of triangulating `rows` detector rows of `geom` at every
+    /// wire step: what building their table costs, and what each engine
+    /// charges for the rows it culls, whichever table it reads.
+    pub fn build_flops(geom: &ScanGeometry, rows: usize) -> u64 {
+        (geom.wire.n_steps * rows * geom.detector.n_cols) as u64 * FLOPS_PER_DEPTH
+    }
+
+    /// The cull the GPU path reads, from its one build site. With a
+    /// `cache`, it is the scan geometry's full-detector table: the first
+    /// miss builds it, and the planner and every later ring of that
+    /// geometry share it. With none, it is a table over `bands` (disjoint,
+    /// ascending), the rows the caller processes. The table is never
+    /// charged where it is built: each ring charges
+    /// [`ShadowCull::build_flops`] of its own band, and the planner prices
+    /// the full table's `host_flops`.
+    pub fn resolve(
+        cache: Option<&DepthTableCache>,
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        bands: &[Range<usize>],
+    ) -> Arc<ShadowCull> {
+        let build = |bands: &[Range<usize>]| ShadowCull::build(geom, mapper, cfg, bands);
+        match cache {
+            Some(cache) => cache.shadow_cull(&TableKey::new(geom, cfg), || {
+                build(std::slice::from_ref(&(0..geom.detector.n_rows)))
+            }),
+            None => Arc::new(build(bands)),
         }
     }
 
@@ -456,6 +510,17 @@ mod tests {
                 assert_eq!(band.pair_row_live(z, r), full.pair_row_live(z, r));
             }
             assert_eq!(band.live_pairs(4), full.live_pairs(4));
+        }
+        // Two bands with a gap: their rows match the full table, the gap
+        // rows are never triangulated (nor charged) and cull nothing.
+        let split = ShadowCull::resolve(None, &g, &mapper, &cfg, &[1..3, 5..7]);
+        assert_eq!(split.host_flops, ShadowCull::build_flops(&g, 4));
+        assert!((0..g.wire.n_steps - 1).any(|z| !full.pair_row_live(z, 3)));
+        for z in 0..g.wire.n_steps - 1 {
+            for r in [1, 2, 5, 6] {
+                assert_eq!(split.pair_row_live(z, r), full.pair_row_live(z, r));
+            }
+            assert!(split.pair_row_live(z, 3) && split.pair_row_live(z, 4));
         }
     }
 

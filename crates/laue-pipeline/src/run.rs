@@ -402,6 +402,7 @@ impl Pipeline {
             geom,
             &cfg,
             warmth,
+            Some(&self.shared.cache),
         )?;
         cfg.rows_per_slab = Some(rows_per_slab);
         cfg.compaction = CompactionMode::Auto;
@@ -1743,12 +1744,24 @@ mod tests {
                 resident_budget: p.table_cache_budget(),
             };
             let (net, host) = (&p.interconnect, &p.host);
-            plan_auto(&p.device, host, net, 1, 2, &mut source(), geom, &c, warmth)
-                .unwrap()
-                .candidates
-                .into_iter()
-                .map(|c| (c.label, c.predicted_s))
-                .collect::<Vec<_>>()
+            let cache = Some(&p.shared.cache);
+            plan_auto(
+                &p.device,
+                host,
+                net,
+                1,
+                2,
+                &mut source(),
+                geom,
+                &c,
+                warmth,
+                cache,
+            )
+            .unwrap()
+            .candidates
+            .into_iter()
+            .map(|c| (c.label, c.predicted_s))
+            .collect::<Vec<_>>()
         };
         let (cold, warm) = (priced(false), priced(true));
         assert_ne!(cold, warm, "a resident table must change some price");
@@ -1766,6 +1779,124 @@ mod tests {
         assert_eq!(planned(), cold);
         resident(&devices[1], &mut stats);
         assert_eq!(planned(), warm);
+    }
+
+    #[test]
+    fn a_source_that_disagrees_with_its_geometry_is_refused_under_every_plan() {
+        use laue_core::input::InMemorySlabSource;
+        let scan = SyntheticScanBuilder::new(8, 8, 12)
+            .scatterers(6)
+            .seed(21)
+            .build()
+            .unwrap();
+        let p = Pipeline::default();
+        for plan in [PlanMode::Fixed, PlanMode::Auto] {
+            for compaction in [CompactionMode::Off, CompactionMode::Auto] {
+                for (images, rows) in [(13, 8), (11, 8), (12, 9), (12, 7)] {
+                    let stack = (0..images * rows * 8)
+                        .map(|i| 100.0 - (i % 13) as f64)
+                        .collect();
+                    let mut source = InMemorySlabSource::new(stack, images, rows, 8).unwrap();
+                    let mut c = cfg();
+                    c.plan = plan;
+                    c.compaction = compaction;
+                    let err = p
+                        .run_source(&mut source, &scan.geometry, &c, Engine::GpuPipelined)
+                        .unwrap_err();
+                    assert!(
+                        matches!(err, crate::PipelineError::Core(CoreError::ShapeMismatch(_))),
+                        "{plan:?} {compaction:?} {images} images x {rows} rows: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_run_equals_a_cold_run_bit_for_bit() {
+        use laue_core::IntegrityMode;
+        let (path, scan) = scan_file("warm_cold");
+        let jdir = std::env::temp_dir().join(format!("pipeline_{}_warm_cold", std::process::id()));
+        let _ = std::fs::remove_dir_all(&jdir);
+        // The production path: plan, compaction and accumulation auto,
+        // integrity verify, a journal; the window culls the outer rows.
+        let mut c = ReconstructionConfig::new(-500.0, 500.0, 100);
+        c.plan = PlanMode::Auto;
+        c.compaction = CompactionMode::Auto;
+        c.accumulation = AccumulationMode::Auto;
+        c.integrity = IntegrityMode::Verify;
+        let key = TableKey::new(&scan.geometry, &c);
+        let pipeline = || Pipeline {
+            journal_dir: Some(jdir.clone()),
+            ..Pipeline::default()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let times = |r: &RunReport| {
+            [
+                r.total_time_s,
+                r.comm_time_s,
+                r.compute_time_s,
+                r.bus_wait_s,
+                r.host_table_time_s,
+            ]
+            .map(f64::to_bits)
+        };
+        for engine in [
+            Engine::GpuPipelined,
+            Engine::GpuCluster {
+                nodes: 3,
+                devices_per_node: 1,
+            },
+        ] {
+            let warm = pipeline();
+            let first = warm.run_scan_file(&path, &c, engine).unwrap();
+            let built = warm
+                .shared
+                .cache
+                .shadow_cull(&key, || panic!("cull not cached"));
+            let second = warm.run_scan_file(&path, &c, engine).unwrap();
+            let kept = warm
+                .shared
+                .cache
+                .shadow_cull(&key, || panic!("cull not cached"));
+            assert!(
+                Arc::ptr_eq(&built, &kept),
+                "{engine:?}: the warm run built its cull again"
+            );
+            let cold = pipeline().run_scan_file(&path, &c, engine).unwrap();
+            assert!(first.stats.culled_rows > 0, "{engine:?} must cull");
+            // Every band, the one table or its own: charged its own rows.
+            assert!(first.host_table_time_s > 0.0);
+            for r in [&second, &cold] {
+                assert_eq!(bits(&r.image.data), bits(&first.image.data), "{engine:?}");
+                assert_eq!(r.stats, first.stats, "{engine:?}");
+                assert_eq!(times(r), times(&first), "{engine:?}");
+                let debug = |r: &RunReport| format!("{:?} {:?}", r.integrity, r.plan);
+                assert_eq!(debug(r), debug(&first), "{engine:?}");
+            }
+        }
+        std::fs::remove_dir_all(&jdir).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_cull_cache_leaves_depth_table_accounting_alone() {
+        let (path, scan) = scan_file("cull_accounting");
+        let mut c = cfg();
+        c.compaction = CompactionMode::On;
+        let key = TableKey::new(&scan.geometry, &c);
+        let p = Pipeline::default();
+        for _ in 0..2 {
+            // gpu-pipe triangulates in kernel: no depth table anywhere.
+            let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
+            p.shared
+                .cache
+                .shadow_cull(&key, || panic!("cull not cached"));
+            assert!(!p.shared.cache.peek_host(&key));
+            assert_eq!(p.shared.cache.totals(), TableCacheStats::default());
+            assert_eq!(r.table_cache, TableCacheStats::default());
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
