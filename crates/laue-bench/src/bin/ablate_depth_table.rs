@@ -37,7 +37,6 @@ fn main() {
                 GpuOptions {
                     layout: Layout::Flat1d,
                     triangulation: tri,
-                    ..GpuOptions::default()
                 },
             )
             .expect("run");

@@ -310,15 +310,17 @@ fn main() {
     // track the measured one, and auto must stay within a few percent of
     // the best fixed contender; `--check` gates the ratio when the baseline
     // file holds a fourth float.
-    let run_fixed = |engine: Engine, depth: Option<usize>| {
+    let run_fixed = |engine: Engine, pipeline_depth: Option<usize>| {
         let mut c = standard_config();
         c.compaction = CompactionMode::Auto;
         c.accumulation = AccumulationMode::Auto;
-        c.pipeline_depth = depth;
         let mut source = w.source();
-        Pipeline::default()
-            .run_source(&mut source, &w.scan.geometry, &c, engine)
-            .expect("fixed plan run")
+        Pipeline {
+            pipeline_depth,
+            ..Pipeline::default()
+        }
+        .run_source(&mut source, &w.scan.geometry, &c, engine)
+        .expect("fixed plan run")
     };
     let mut c = standard_config();
     c.plan = PlanMode::Auto;

@@ -48,15 +48,18 @@ fn fixed_field() -> Vec<(&'static str, Engine, Option<usize>)> {
 }
 
 /// Run one engine on one device with a cold cache (fresh `Pipeline`), so
-/// every contender pays the same table-building costs the planner models.
+/// every contender pays the same table-building costs the planner models;
+/// `pipeline_depth` pins the ring depth.
 fn run_cold(
     props: &cuda_sim::DeviceProps,
     w: &Workload,
     cfg: &laue_core::ReconstructionConfig,
     engine: Engine,
+    pipeline_depth: Option<usize>,
 ) -> RunReport {
     let pipeline = Pipeline {
         device: props.clone(),
+        pipeline_depth,
         ..Pipeline::default()
     };
     let mut source = w.source();
@@ -80,7 +83,7 @@ fn main() {
         for w in &workloads {
             let mut auto_cfg = base.clone();
             auto_cfg.plan = PlanMode::Auto;
-            let auto = run_cold(&props, w, &auto_cfg, Engine::GpuPipelined);
+            let auto = run_cold(&props, w, &auto_cfg, Engine::GpuPipelined, None);
             let explain = auto.plan.as_ref().expect("plan auto explain block");
             let err = explain.prediction_error();
             if err >= MAX_PREDICTION_ERROR {
@@ -97,9 +100,7 @@ fn main() {
 
             let mut best: Option<(&'static str, f64)> = None;
             for (label, engine, depth) in fixed_field() {
-                let mut cfg = base.clone();
-                cfg.pipeline_depth = depth;
-                let fixed = run_cold(&props, w, &cfg, engine);
+                let fixed = run_cold(&props, w, &base, engine, depth);
                 assert_eq!(
                     auto.image.data, fixed.image.data,
                     "auto and {label} diverge on {} / {}",

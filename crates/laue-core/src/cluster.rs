@@ -287,8 +287,9 @@ fn schedule_reduction(
 ///
 /// `plan` is the run's one resolved [`Plan`]: `nodes` must be its
 /// `nodes × devices` shape (`nodes[i]` holds node `i`'s devices, attached
-/// to that node's [`cuda_sim::Host`]), every device runs its options and
-/// ring depth, and the node images reduce under its reduction options.
+/// to that node's [`cuda_sim::Host`]), every device runs its options, ring
+/// depth and slab rows, and the node images reduce under its reduction
+/// options; `cfg` is read for the image and the per-slab modes only.
 /// `net` is the fabric linking the nodes, which must span at least
 /// `nodes.len()` endpoints. The run covers the first `max_rows`
 /// rows `progress` has not committed yet (`usize::MAX` for a whole run; a
@@ -345,6 +346,12 @@ pub fn reconstruct_cluster_checkpointed(
         )));
     }
     validate_inputs(source, geom, cfg)?;
+    if plan.depth.0 == 0 || plan.rows_per_slab == Some(0) {
+        return Err(CoreError::InvalidConfig(format!(
+            "the plan's ring depth ({}) and slab rows ({:?}) must each be at least 1",
+            plan.depth.0, plan.rows_per_slab
+        )));
+    }
     let mapper = geom.mapper()?;
     let n_rows = source.n_rows();
     let n_cols = source.n_cols();
@@ -413,8 +420,7 @@ pub fn reconstruct_cluster_checkpointed(
                         geom,
                         &mapper,
                         cfg,
-                        plan.options,
-                        plan.depth,
+                        &plan,
                         cache,
                         cull.as_deref(),
                         band.clone(),
@@ -627,14 +633,18 @@ mod tests {
 
     /// The serial plan of `c`'s shape, reducing under `copts`.
     fn plan(c: &TestCluster, cfg: &ReconstructionConfig, copts: ClusterOptions) -> Plan {
+        let pins = crate::planner::Pins {
+            depth: None,
+            topology: Some(copts.topology),
+            overlap: Some(copts.overlap),
+        };
         Plan::fixed(
             c.devices.len(),
             c.devices[0].len(),
             GpuOptions::default(),
             PipelineDepth::SERIAL,
             cfg,
-            Some(copts.topology),
-            Some(copts.overlap),
+            pins,
         )
     }
 

@@ -116,21 +116,24 @@ impl IntegrityMode {
 
 /// How the execution strategy for a run is chosen.
 ///
-/// Every plan produces bit-identical images — layout, pipeline depth,
-/// compaction, and accumulation are all correctness-free choices — so the
-/// planner only moves modeled cost around.
+/// Every plan produces bit-identical images — layout, ring depth, slab
+/// rows, compaction, and accumulation are all correctness-free choices —
+/// so the planner only moves modeled cost around. Under both modes the
+/// configured compaction and accumulation modes are the ones priced and
+/// run (`auto` ones resolve per slab by the cost model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
-    /// Honour the explicitly configured flags (`--engine`, `--compaction`,
-    /// `--accumulation`, `--pipeline-depth`, …) verbatim. Per-flag `auto`
-    /// modes still resolve per slab via the cost model.
+    /// Run the engine's plan: its layout and triangulation, and each
+    /// pinned slab height, ring depth and reduction, the engine's default
+    /// where unpinned.
     #[default]
     Fixed,
     /// Enumerate candidate execution plans (layout × table placement ×
-    /// pipeline depth, with per-slab compaction/accumulation resolved by
-    /// the same cost model), predict each candidate's virtual cost with
-    /// the calibrated cuda-sim model, and run the argmin. The chosen plan
-    /// and its predicted cost are reported in the run's explain block.
+    /// ring depth × slab rows, and on more than one node reduction
+    /// topology × overlap), searching only what is not pinned, predict
+    /// each candidate's virtual cost with the calibrated cuda-sim model,
+    /// and run the argmin. The chosen plan and its predicted cost are
+    /// reported in the run's explain block.
     Auto,
 }
 
@@ -208,11 +211,6 @@ impl CompactionMode {
     }
 }
 
-/// Default watchdog deadline multiplier: generous enough that cost-model
-/// prediction error (< 15 % per the planner's validation sweep) never trips
-/// it, tight enough that an injected multi-× stall always does.
-pub const DEFAULT_WATCHDOG_MULTIPLIER: f64 = 4.0;
-
 /// Parameters of a depth reconstruction run.
 ///
 /// ```
@@ -239,13 +237,10 @@ pub struct ReconstructionConfig {
     /// Which wire edge the reconstruction follows.
     pub wire_edge: WireEdge,
     /// Detector rows shipped to the device per slab (the paper's Fig 2
-    /// passes 2 of 6 rows at a time). `None` lets the GPU engine pick the
-    /// largest slab that fits device memory.
+    /// passes 2 of 6 rows at a time), pinned for both plan modes. `None`
+    /// fits each band to device memory, or under [`PlanMode::Auto`] lets
+    /// the planner choose.
     pub rows_per_slab: Option<usize>,
-    /// Ring depth of the GPU transfer/compute pipeline: how many slab slots
-    /// may be in flight at once (1 = the paper's serial pipeline, 2 =
-    /// double buffering). `None` lets the engine choose per its defaults.
-    pub pipeline_depth: Option<usize>,
     /// Sparsity strategy: wire-shadow row culling plus active-pair
     /// compaction. Defaults to [`CompactionMode::Off`] (dense traversal).
     pub compaction: CompactionMode,
@@ -261,11 +256,6 @@ pub struct ReconstructionConfig {
     /// depth-sum verification, launch watchdog, scrub/re-execute).
     /// Defaults to [`IntegrityMode::Off`].
     pub integrity: IntegrityMode,
-    /// Watchdog deadline per kernel launch, as a multiple of the cost
-    /// model's predicted kernel time: a launch observed to take longer
-    /// than `watchdog_multiplier ×` the prediction is treated as hung
-    /// (only with [`IntegrityMode`] ≠ `Off`).
-    pub watchdog_multiplier: f64,
 }
 
 impl ReconstructionConfig {
@@ -278,12 +268,10 @@ impl ReconstructionConfig {
             intensity_cutoff: 0.0,
             wire_edge: WireEdge::Leading,
             rows_per_slab: None,
-            pipeline_depth: None,
             compaction: CompactionMode::default(),
             accumulation: AccumulationMode::default(),
             plan: PlanMode::default(),
             integrity: IntegrityMode::default(),
-            watchdog_multiplier: DEFAULT_WATCHDOG_MULTIPLIER,
         }
     }
 
@@ -313,17 +301,6 @@ impl ReconstructionConfig {
         }
         if self.rows_per_slab == Some(0) {
             return Err(CoreError::InvalidConfig("rows_per_slab must be ≥ 1".into()));
-        }
-        if self.pipeline_depth == Some(0) {
-            return Err(CoreError::InvalidConfig(
-                "pipeline_depth must be ≥ 1".into(),
-            ));
-        }
-        if !self.watchdog_multiplier.is_finite() || self.watchdog_multiplier <= 1.0 {
-            return Err(CoreError::InvalidConfig(format!(
-                "watchdog multiplier {} must be finite and > 1",
-                self.watchdog_multiplier
-            )));
         }
         Ok(())
     }
@@ -378,10 +355,7 @@ mod tests {
         let mut c = base.clone();
         c.rows_per_slab = Some(0);
         assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.pipeline_depth = Some(0);
-        assert!(c.validate().is_err());
-        c.pipeline_depth = Some(3);
+        c.rows_per_slab = Some(3);
         assert!(c.validate().is_ok());
         assert!(base.validate().is_ok());
     }
@@ -424,7 +398,6 @@ mod tests {
         let c = ReconstructionConfig::new(-100.0, 100.0, 50);
         assert_eq!(c.integrity, IntegrityMode::Off);
         assert!(!c.integrity.enabled());
-        assert_eq!(c.watchdog_multiplier, DEFAULT_WATCHDOG_MULTIPLIER);
         for m in [
             IntegrityMode::Off,
             IntegrityMode::Verify,
@@ -435,17 +408,6 @@ mod tests {
         assert_eq!(IntegrityMode::parse("abft"), None);
         assert!(IntegrityMode::Verify.enabled() && !IntegrityMode::Verify.repairs());
         assert!(IntegrityMode::Scrub.enabled() && IntegrityMode::Scrub.repairs());
-    }
-
-    #[test]
-    fn watchdog_multiplier_is_validated() {
-        let mut c = ReconstructionConfig::new(-100.0, 100.0, 50);
-        c.watchdog_multiplier = 1.0;
-        assert!(c.validate().is_err());
-        c.watchdog_multiplier = f64::INFINITY;
-        assert!(c.validate().is_err());
-        c.watchdog_multiplier = 2.5;
-        assert!(c.validate().is_ok());
     }
 
     #[test]

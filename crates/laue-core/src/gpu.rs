@@ -59,7 +59,7 @@ use crate::integrity::{self, IntegrityReport};
 use crate::journal::{RunJournal, SlabProgress};
 use crate::output::DepthImage;
 use crate::pair::{plan_pair, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR};
-use crate::planner::Plan;
+use crate::planner::{Pins, Plan};
 use crate::planning::ShadowCull;
 use crate::stats::ReconStats;
 use crate::Result;
@@ -90,26 +90,11 @@ pub enum Triangulation {
     HostTables,
 }
 
-/// How kernel threads are mapped onto the `(row, col, pair)` domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadMapping {
-    /// 1-D launch with in-kernel index arithmetic — the layout-independent
-    /// mapping this reproduction defaults to (deposit order matches the CPU
-    /// loop nest, enabling bitwise equivalence).
-    Linear,
-    /// The paper's Fig 6 mapping: 3-D blocks over `(rows, cols, pairs)`
-    /// (its example launches a `(2, 9, 4)` block). Fermi forbids `grid.z
-    /// > 1`, so pair-blocks beyond `block.z` fold into `grid.x`, exactly as
-    /// > era CUDA code did.
-    Grid3d,
-}
-
 /// Full GPU-engine options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuOptions {
     pub layout: Layout,
     pub triangulation: Triangulation,
-    pub mapping: ThreadMapping,
 }
 
 impl Default for GpuOptions {
@@ -117,7 +102,6 @@ impl Default for GpuOptions {
         GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::InKernel,
-            mapping: ThreadMapping::Linear,
         }
     }
 }
@@ -439,8 +423,8 @@ pub fn fit_rows_per_slab(
 }
 
 /// The ring's opening plan for a band of `band_rows` rows:
-/// `(rows_per_slab, slots)`. A configured slab height is used as is;
-/// otherwise the slab is the largest whose `slots` copies fit `budget`.
+/// `(rows_per_slab, slots)`. The plan's slab height is used as is;
+/// without one the slab is the largest whose `slots` copies fit `budget`.
 /// With a journal attached the slab is capped at what one journal record
 /// holds ([`RunJournal::max_slab_rows`]), so no slab is computed only to
 /// fail its commit.
@@ -452,11 +436,11 @@ fn plan_slabs(
     n_cols: usize,
     cfg: &ReconstructionConfig,
     sizing_opts: GpuOptions,
-    depth: PipelineDepth,
+    plan: &Plan,
     journal: Option<&RunJournal>,
 ) -> Result<(usize, usize)> {
-    let mut slots = depth.0;
-    let rows_per_slab = match cfg.rows_per_slab {
+    let mut slots = plan.depth.0;
+    let rows_per_slab = match plan.rows_per_slab {
         Some(r) => r.min(band_rows),
         None => loop {
             // Plan-time fit: k slabs must be resident together. When even
@@ -662,7 +646,6 @@ fn plan_slab_sparsity(
 
 pub(crate) struct SlabUpload {
     buffers: SlabBuffers,
-    pub(crate) mapping: ThreadMapping,
     pixels: DeviceBuffer<f64>,
     /// Precomputed per-(step, pixel) edge depths (HostTables mode).
     depth_table: DepthTableRef,
@@ -916,7 +899,6 @@ pub(crate) fn upload_slab(
     };
     Ok(SlabUpload {
         buffers,
-        mapping: opts.mapping,
         pixels,
         depth_table,
         host_flops,
@@ -1019,7 +1001,6 @@ pub(crate) fn launch_set_two(
 ) -> Result<Option<cuda_sim::LaunchRecord>> {
     let rows = upload.rows;
     let n_pairs = n_images - 1;
-    let mapping = upload.mapping;
     let shape = match &upload.sparsity {
         None => LaunchShape::Dense,
         Some(sp) if sp.compact => {
@@ -1045,21 +1026,7 @@ pub(crate) fn launch_set_two(
             upload.sparsity.as_ref().map_or(0, |sp| sp.entries.len()) as u64
         }
     };
-    // Fig 6 mapping: 3-D blocks over (rows, cols, pairs); pair-blocks past
-    // block.z fold into grid.x to satisfy Fermi's grid.z = 1.
-    let block = cuda_sim::Dim3::new(4, 8, (n_pairs as u64).clamp(1, 8));
-    let rows_blocks = (rows as u64).div_ceil(block.x);
-    let pair_blocks = (n_pairs as u64).div_ceil(block.z);
-    let grid3d = cuda_sim::Dim3::new(
-        rows_blocks * pair_blocks,
-        (n_cols as u64).div_ceil(block.y),
-        1,
-    );
-    // Sparse shapes always launch 1-D: their domain is a list, not a grid.
-    let launch_cfg = match (&shape, mapping) {
-        (LaunchShape::Dense, ThreadMapping::Grid3d) => LaunchConfig::new(grid3d, block),
-        _ => LaunchConfig::linear(total, BLOCK_SIZE),
-    };
+    let launch_cfg = LaunchConfig::linear(total, BLOCK_SIZE);
     // Everything up to the deposit itself is shared by both accumulation
     // strategies: charge the index arithmetic, fetch the inputs, and build
     // the pair's deposit plan.
@@ -1081,31 +1048,17 @@ pub(crate) fn launch_set_two(
     }
     let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>| {
         let (r, c, z) = match &shape {
-            LaunchShape::Dense => match mapping {
-                ThreadMapping::Linear => {
-                    let id = ctx.global_id().x as usize;
-                    if id as u64 >= total {
-                        return;
-                    }
-                    // Pair index fastest: deposits into one pixel's bins
-                    // happen in step order, matching the CPU loop nest.
-                    let z = id % n_pairs;
-                    let pc = id / n_pairs;
-                    (pc / n_cols, pc % n_cols, z)
+            LaunchShape::Dense => {
+                let id = ctx.global_id().x as usize;
+                if id as u64 >= total {
+                    return;
                 }
-                ThreadMapping::Grid3d => {
-                    // Unfold the pair-block component from grid.x.
-                    let bx = ctx.block_idx.x % rows_blocks;
-                    let pz = ctx.block_idx.x / rows_blocks;
-                    let r = (bx * ctx.block_dim.x + ctx.thread_idx.x) as usize;
-                    let c = ctx.global_id().y as usize;
-                    let z = (pz * ctx.block_dim.z + ctx.thread_idx.z) as usize;
-                    if r >= rows || c >= n_cols || z >= n_pairs {
-                        return;
-                    }
-                    (r, c, z)
-                }
-            },
+                // Pair index fastest: deposits into one pixel's bins
+                // happen in step order, matching the CPU loop nest.
+                let z = id % n_pairs;
+                let pc = id / n_pairs;
+                (pc / n_cols, pc % n_cols, z)
+            }
             LaunchShape::Banded { combos } => {
                 let id = ctx.global_id().x as usize;
                 if id as u64 >= total {
@@ -1488,10 +1441,11 @@ pub(crate) struct RingCtx<'a> {
 }
 
 /// Check the launches of one slab against their watchdog deadline: a
-/// launch whose modeled duration exceeds `watchdog_multiplier ×` the cost
-/// model's prediction for its metered work is presumed hung (the injected
-/// stuck-kernel fault stretches the duration while the metered cost stays
-/// honest). Returns whether any launch tripped.
+/// launch whose modeled duration exceeds
+/// [`integrity::WATCHDOG_MULTIPLIER`] × the cost model's prediction for
+/// its metered work is presumed hung (the injected stuck-kernel fault
+/// stretches the duration while the metered cost stays honest). Returns
+/// whether any launch tripped.
 fn watchdog_check(
     ctx: &RingCtx<'_>,
     integrity: &mut IntegrityReport,
@@ -1504,7 +1458,7 @@ fn watchdog_check(
     for rec in launches.into_iter().flatten() {
         integrity.checks_run += 1;
         let predicted = ctx.device.props().kernel_time(&rec.cost);
-        if rec.duration_s > ctx.cfg.watchdog_multiplier * predicted {
+        if rec.duration_s > integrity::WATCHDOG_MULTIPLIER * predicted {
             integrity.watchdog_timeouts += 1;
             tripped = true;
         }
@@ -1807,15 +1761,13 @@ pub fn reconstruct(
         GpuOptions {
             layout,
             triangulation: Triangulation::InKernel,
-            ..GpuOptions::default()
         },
     )
 }
 
 /// As [`reconstruct`], with the full option set (layout × triangulation).
-/// Runs the ring at `k = 1` (serial pipeline) unless
-/// [`ReconstructionConfig::pipeline_depth`] says otherwise, with no
-/// depth-table cache attached.
+/// Runs the ring at `k = 1` (serial pipeline), with no depth-table cache
+/// attached.
 pub fn reconstruct_with_options(
     device: &Device,
     source: &mut dyn SlabSource,
@@ -1895,8 +1847,9 @@ fn resolve_table_source(
     Ok((TableSource::HostSlice(tables), host_flops))
 }
 
-/// The k-deep ring: process the detector rows `band` on `device`,
-/// committing each verified slab through `out` as its download lands.
+/// The k-deep ring: process the detector rows `band` on `device` under
+/// `plan`'s options, ring depth and slab rows, committing each verified
+/// slab through `out` as its download lands.
 /// `cull` is the executor's wire-shadow cull, covering `band`, present
 /// exactly when compaction is on; the ring builds none itself but charges
 /// its band's triangulations, as if it had.
@@ -1907,11 +1860,11 @@ fn resolve_table_source(
 /// size and ring depth — and its integrity counters into `integrity`, its
 /// node's report. A ring whose device dies keeps what it counted so far.
 ///
-/// Three streams — upload, compute, download — carry up to `depth.0` slab
-/// slots in flight. Each slab is chained by `wait_until` edges:
+/// Three streams — upload, compute, download — carry up to `plan.depth`
+/// slab slots in flight. Each slab is chained by `wait_until` edges:
 /// kernel-after-upload, download-after-kernel, and (once the ring is full)
 /// next-upload-after-oldest-download, which is the slot-reuse edge that
-/// bounds device memory at `depth.0` slabs. `k = 1` degenerates to the
+/// bounds device memory at `plan.depth` slabs. `k = 1` degenerates to the
 /// serial copy-in → kernel → copy-out pipeline, bit-identically.
 ///
 /// Recovery keeps PR 1's contract: transient transfer faults retry with
@@ -1926,8 +1879,7 @@ pub(crate) fn run_ring(
     geom: &ScanGeometry,
     mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
+    plan: &Plan,
     cache: Option<&DepthTableCache>,
     cull: Option<&ShadowCull>,
     band: Range<usize>,
@@ -1935,11 +1887,7 @@ pub(crate) fn run_ring(
     integrity: &mut IntegrityReport,
     mut out: SlabCommit<'_>,
 ) -> Result<()> {
-    if depth.0 == 0 {
-        return Err(CoreError::InvalidConfig(
-            "pipeline depth must be at least 1".into(),
-        ));
-    }
+    let opts = plan.options;
     let (n_images, n_cols) = (source.n_images(), source.n_cols());
     let upload_stream = device.create_stream();
     let compute_stream = device.create_stream();
@@ -1999,7 +1947,7 @@ pub(crate) fn run_ring(
         n_cols,
         cfg,
         sizing_opts,
-        depth,
+        plan,
         out.journal.as_deref(),
     )?;
 
@@ -2145,8 +2093,7 @@ pub(crate) fn run_ring(
 /// [`Plan::fixed`] of `opts` and `depth`, as
 /// [`crate::multi::reconstruct_multi`] is a 1×M one.
 ///
-/// `depth` is the default ring depth; [`ReconstructionConfig::pipeline_depth`]
-/// overrides it when set. The cache only participates in
+/// `depth` is the ring depth. The cache only participates in
 /// [`Triangulation::HostTables`] mode.
 pub fn reconstruct_pipelined(
     device: &Device,
@@ -2158,7 +2105,7 @@ pub fn reconstruct_pipelined(
     cache: Option<&DepthTableCache>,
 ) -> Result<GpuReconstruction> {
     let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
-    let plan = Plan::fixed(1, 1, opts, depth, cfg, None, None);
+    let plan = Plan::fixed(1, 1, opts, depth, cfg, Pins::default());
     crate::cluster::reconstruct_cluster(&[vec![device]], &net, source, geom, cfg, plan, cache)
 }
 
@@ -2202,7 +2149,7 @@ pub fn reconstruct_checkpointed_bounded(
         source,
         geom,
         cfg,
-        Plan::fixed(1, 1, opts, depth, cfg, None, None),
+        Plan::fixed(1, 1, opts, depth, cfg, Pins::default()),
         cache,
         progress,
         journal,
@@ -2494,14 +2441,33 @@ mod tests {
         );
     }
 
+    /// Run `data` on `device` through a ring `depth` slots deep.
+    fn ring(
+        device: &Device,
+        data: &[f64],
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        depth: usize,
+    ) -> GpuReconstruction {
+        let mut source = InMemorySlabSource::new(data.to_vec(), 10, 6, 6).unwrap();
+        let opts = GpuOptions::default();
+        reconstruct_pipelined(
+            device,
+            &mut source,
+            geom,
+            cfg,
+            opts,
+            PipelineDepth(depth),
+            None,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn ring_pipeline_retries_transfers() {
         let (geom, mut cfg, data) = demo();
         cfg.rows_per_slab = Some(2);
-        cfg.pipeline_depth = Some(3);
-        let device = big_device();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = ring(&big_device(), &data, &geom, &cfg, 3);
         assert_eq!(clean.pipeline_depth, 3);
 
         let device = big_device();
@@ -2511,8 +2477,7 @@ mod tests {
                 .fail_nth_h2d(3)
                 .h2d_fault_rate(0.25),
         );
-        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = ring(&device, &data, &geom, &cfg, 3);
         assert!(out.recovery.transfer_retries > 0);
         assert_eq!(out.image.data, clean.image.data);
     }
@@ -2542,12 +2507,7 @@ mod tests {
         let (geom, mut cfg, data) = demo();
         cfg.rows_per_slab = Some(1); // many slabs → pipelining matters
         let device = big_device();
-        let run_depth = |k: usize| {
-            let mut cfg = cfg.clone();
-            cfg.pipeline_depth = Some(k);
-            let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap()
-        };
+        let run_depth = |k: usize| ring(&device, &data, &geom, &cfg, k);
         let serial = run_depth(1);
         let double = run_depth(2);
         let triple = run_depth(3);
@@ -2577,16 +2537,12 @@ mod tests {
     fn ring_survives_injected_oom_mid_flight() {
         // OOM while slots are in flight: the ring must drain, halve the
         // plan, and still converge bit-identically.
-        let (geom, mut cfg, data) = demo();
-        cfg.pipeline_depth = Some(3);
-        let device = big_device();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let (geom, cfg, data) = demo();
+        let clean = ring(&big_device(), &data, &geom, &cfg, 3);
 
         let device = big_device();
         device.set_fault_plan(cuda_sim::FaultPlan::new(1).fail_nth_alloc(3));
-        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = ring(&device, &data, &geom, &cfg, 3);
         assert!(out.recovery.replans >= 1, "OOM must trigger a re-plan");
         assert_eq!(out.image.data, clean.image.data);
         assert_eq!(out.stats, clean.stats);
@@ -2600,10 +2556,7 @@ mod tests {
         let need_1 = slab_bytes(1, 10, 6, 40, GpuOptions::default(), 1, CompactionMode::Off);
         // Headroom: the planner reserves 10 % + the wire table.
         let device = Device::new(DeviceProps::tiny(2 * need_1));
-        let mut cfg = cfg.clone();
-        cfg.pipeline_depth = Some(4);
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = ring(&device, &data, &geom, &cfg, 4);
         assert!(
             out.pipeline_depth < 4,
             "requested depth cannot fit: {}",
@@ -2620,7 +2573,6 @@ mod tests {
         let opts = GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::HostTables,
-            ..GpuOptions::default()
         };
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
@@ -2674,7 +2626,6 @@ mod tests {
         let opts = GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::HostTables,
-            ..GpuOptions::default()
         };
         let cache = crate::cache::DepthTableCache::new(0); // no residency
         let device = big_device();
@@ -2707,82 +2658,6 @@ mod tests {
     }
 
     #[test]
-    fn grid3d_mapping_matches_linear() {
-        // The paper's Fig 6 thread mapping must reach the same answer as
-        // the linear launch. Deposit order per output slot differs, so the
-        // comparison is within FP-reassociation tolerance; the statistics
-        // must be identical.
-        let (geom, cfg, data) = demo();
-        let device = big_device();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let linear = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
-        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let grid = reconstruct_with_options(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions {
-                mapping: ThreadMapping::Grid3d,
-                ..GpuOptions::default()
-            },
-        )
-        .unwrap();
-        let scale = linear
-            .image
-            .data
-            .iter()
-            .fold(1.0f64, |a, &b| a.max(b.abs()));
-        assert!(
-            linear.image.max_abs_diff(&grid.image) <= 1e-9 * scale,
-            "diff {}",
-            linear.image.max_abs_diff(&grid.image)
-        );
-        assert_eq!(linear.stats, grid.stats);
-        // The folded launch is legal on the real M2070 limits (grid.z = 1).
-        let records = device.records();
-        let rec = records.iter().rev().find(|r| r.name == "set_two").unwrap();
-        assert!(
-            rec.threads >= 6 * 6 * 9,
-            "covers the domain: {}",
-            rec.threads
-        );
-    }
-
-    #[test]
-    fn grid3d_is_valid_on_fermi_limits() {
-        // Launch on the faithful M2070 preset: grid.z must be 1, block.z
-        // ≤ 64 — the folding construction must satisfy both even for scans
-        // with many more pairs than block.z.
-        let geom = ScanGeometry::demo(6, 6, 40, -80.0, 3.0).unwrap();
-        let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 40);
-        let (p, m, n) = (40, 6, 6);
-        let data: Vec<f64> = (0..p * m * n).map(|i| (i % 97) as f64).collect();
-        let device = Device::new(cuda_sim::DeviceProps::tesla_m2070());
-        let mut source = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-        let grid = reconstruct_with_options(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions {
-                mapping: ThreadMapping::Grid3d,
-                ..GpuOptions::default()
-            },
-        )
-        .unwrap();
-        let view = crate::ScanView::new(&data, p, m, n).unwrap();
-        let cpu_out = crate::cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
-        let scale = cpu_out
-            .image
-            .data
-            .iter()
-            .fold(1.0f64, |a, &b| a.max(b.abs()));
-        assert!(cpu_out.image.max_abs_diff(&grid.image) <= 1e-9 * scale);
-        assert_eq!(cpu_out.stats, grid.stats);
-    }
-
-    #[test]
     fn host_tables_match_in_kernel_bitwise() {
         let (geom, cfg, data) = demo();
         let device = big_device();
@@ -2797,7 +2672,6 @@ mod tests {
             GpuOptions {
                 layout: Layout::Flat1d,
                 triangulation: Triangulation::HostTables,
-                ..GpuOptions::default()
             },
         )
         .unwrap();
@@ -2830,7 +2704,6 @@ mod tests {
                 GpuOptions {
                     layout: Layout::Flat1d,
                     triangulation: Triangulation::HostTables,
-                    ..GpuOptions::default()
                 },
             )
             .unwrap();
@@ -2921,7 +2794,6 @@ mod tests {
         let opts_tables = GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::HostTables,
-            ..GpuOptions::default()
         };
         let rows_tbl = fit_rows_per_slab(
             budget,
@@ -2989,6 +2861,14 @@ mod tests {
         let (journal, _) = RunJournal::open(&dir, &key, (200, 2048, 2048), false).unwrap();
         let cap = journal.max_slab_rows().unwrap();
         let plan = |cfg: &ReconstructionConfig, journal| {
+            let serial = Plan::fixed(
+                1,
+                1,
+                GpuOptions::default(),
+                PipelineDepth::SERIAL,
+                cfg,
+                Pins::default(),
+            );
             plan_slabs(
                 budget,
                 2048,
@@ -2996,7 +2876,7 @@ mod tests {
                 2048,
                 cfg,
                 GpuOptions::default(),
-                PipelineDepth::SERIAL,
+                &serial,
                 journal,
             )
             .unwrap()
@@ -3398,8 +3278,8 @@ mod tests {
     fn privatized_matches_atomic_bitwise_across_modes() {
         // The tentpole bit-identity contract: privatized accumulation must
         // reproduce the atomic image bit-for-bit across layouts,
-        // triangulation, thread mapping, and every compaction shape
-        // (dense, banded, compact).
+        // triangulation, and every compaction shape (dense, banded,
+        // compact).
         let (geom, wide_cfg, data) = mixed_demo();
         let mut narrow_cfg = ReconstructionConfig::new(-350.0, 150.0, 25);
         narrow_cfg.intensity_cutoff = 18.0;
@@ -3411,10 +3291,6 @@ mod tests {
             },
             GpuOptions {
                 triangulation: Triangulation::HostTables,
-                ..GpuOptions::default()
-            },
-            GpuOptions {
-                mapping: ThreadMapping::Grid3d,
                 ..GpuOptions::default()
             },
         ];

@@ -12,7 +12,7 @@
 //!
 //! Correctness: each job keeps its own device buffers, and the fused
 //! kernel maps its global thread id to a `(job, row, col, pair)` tuple
-//! whose per-job ordering is exactly the standalone Linear dense mapping —
+//! whose per-job ordering is exactly the standalone 1-D dense mapping —
 //! job-major, pair index fastest. Under the sequential executor, deposits
 //! into any one job's output buffer therefore happen in precisely the
 //! order the standalone run produces, so every batched job's image is
@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cuda_sim::{Device, DeviceBuffer, LaunchConfig};
 
 use super::{
-    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, ThreadMapping, BLOCK_SIZE,
+    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, BLOCK_SIZE,
     TRACE_BELOW_CUTOFF, TRACE_DEPOSITED, TRACE_DEPOSITS, TRACE_INVALID, TRACE_OUT_OF_RANGE,
 };
 use crate::config::{CompactionMode, IntegrityMode, ReconstructionConfig};
@@ -234,7 +234,6 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
                 intensity: intensity_bufs[j].clone(),
                 output: output_bufs[j].clone(),
             },
-            mapping: ThreadMapping::Linear,
             pixels: pixel_bufs[j].clone(),
             depth_table: DepthTableRef::None,
             host_flops: 0,
@@ -249,7 +248,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
         .collect();
 
     // Concatenated launch domain: job-major, each job's interior ordering
-    // identical to its standalone Linear dense mapping.
+    // identical to its standalone 1-D dense mapping.
     let mut offsets = Vec::with_capacity(jobs.len() + 1);
     let mut total_all = 0u64;
     for plan in &plans {
@@ -272,7 +271,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
         let j = offsets.partition_point(|&o| o <= id) - 1;
         let lid = (id - offsets[j]) as usize;
         let plan = &plans[j];
-        // Standalone Linear dense mapping: pair index fastest, so each
+        // Standalone 1-D dense mapping: pair index fastest, so each
         // output cell sees its deposits in ascending step order.
         let z = lid % plan.n_pairs;
         let pc = lid / plan.n_pairs;

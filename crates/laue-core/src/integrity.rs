@@ -21,7 +21,7 @@
 //!    overlapped host-CPU resource, so the planner's virtual-time model
 //!    prices the verification without stalling device streams.
 //! 3. **Watchdog deadlines** — each launch's modeled duration is compared
-//!    against `watchdog_multiplier ×` the cost model's prediction for its
+//!    against `WATCHDOG_MULTIPLIER` (4) × the cost model's prediction for its
 //!    metered work; a stuck kernel (injected stall) blows the deadline
 //!    while its cost stays honest.
 //!
@@ -51,6 +51,12 @@ pub(crate) const MAX_SCRUB_RETRIES: u32 = 3;
 /// First scrub backoff (virtual seconds); doubles per further attempt on
 /// the same slab, mirroring the transfer retry loop.
 pub(crate) const SCRUB_BACKOFF_BASE_S: f64 = 100e-6;
+
+/// Watchdog deadline of a launch, as a multiple of the cost model's
+/// prediction for its metered work: generous enough that cost-model
+/// prediction error (< 15 % per the planner's validation sweep) never trips
+/// it, tight enough that an injected multi-× stall always does.
+pub(crate) const WATCHDOG_MULTIPLIER: f64 = 4.0;
 
 /// What the integrity layer did during one reconstruction. All zeros when
 /// [`IntegrityMode::Off`](crate::config::IntegrityMode::Off) (no checks

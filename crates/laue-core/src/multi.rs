@@ -36,7 +36,7 @@ use crate::geometry::ScanGeometry;
 use crate::gpu::{GpuOptions, GpuReconstruction, PipelineDepth};
 use crate::input::SlabSource;
 use crate::journal::SlabProgress;
-use crate::planner::Plan;
+use crate::planner::{Pins, Plan};
 use crate::Result;
 
 /// Split `n_rows` into `n` contiguous bands, remainder spread to the front.
@@ -71,8 +71,7 @@ pub fn reconstruct_multi(
         opts,
         PipelineDepth::SERIAL,
         cfg,
-        None,
-        None,
+        Pins::default(),
     );
     reconstruct_cluster(&[devices.to_vec()], &net, source, geom, cfg, plan, None)
 }
@@ -350,7 +349,7 @@ mod tests {
         let cache = DepthTableCache::new(8 * 1024 * 1024);
         let run = |source: &mut dyn crate::input::SlabSource| {
             let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
-            let plan = Plan::fixed(1, refs.len(), opts, PipelineDepth(2), &cfg, None, None);
+            let plan = Plan::fixed(1, refs.len(), opts, PipelineDepth(2), &cfg, Pins::default());
             reconstruct_cluster(
                 std::slice::from_ref(&refs),
                 &net,

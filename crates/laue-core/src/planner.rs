@@ -19,7 +19,7 @@
 //!   just a special case of a cost comparison with a fixed crossover) and
 //!   the accumulation auto mode.
 //! * **Per run** ([`plan_run`]): enumerate layout × triangulation ×
-//!   pipeline depth × slab rows, model every slab's upload, prescan,
+//!   ring depth × slab rows, model every slab's upload, prescan,
 //!   kernel, and download under the chosen per-slab plans, compose them
 //!   into a predicted makespan (serial chain at ring depth 1; at depth ≥ 2
 //!   the elapsed time is the max of the bus-bound path and the compute
@@ -31,7 +31,9 @@
 //!   one node, the node count × reduction topology × overlap sweep.
 //!
 //! Every GPU run executes one [`Plan`]: an engine alias names a fixed one
-//! ([`Plan::fixed`]), `--plan auto` picks one.
+//! ([`Plan::fixed`]), `--plan auto` picks one. Both honour the caller's
+//! [`Pins`] and slab rows, and neither changes the configuration: the
+//! compaction and accumulation modes it holds are the ones priced and run.
 //!
 //! The probe ([`SlabProbe`]) samples up to [`PROBE_MAX_PIXELS`] pixels of a
 //! slab host-side — evenly strided, so the result is deterministic and
@@ -57,7 +59,7 @@ use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{
     fit_rows_per_slab, plan_accumulation, validate_inputs, AccumPlan, GpuOptions, Layout,
-    PipelineDepth, ThreadMapping, Triangulation, BLOCK_SIZE,
+    PipelineDepth, Triangulation, BLOCK_SIZE,
 };
 use crate::input::SlabSource;
 use crate::pair::{
@@ -594,51 +596,69 @@ pub struct PlannedCandidate {
 /// The shape of one GPU run, resolved once: the executor runs it, the
 /// journal is keyed on it, and the run report reads it. `nodes` chassis
 /// of `devices` GPUs each; every device runs `options` on a ring `depth`
-/// slots deep, and the node images gather to the head node under
-/// `reduction` (one node sends nothing, so there it changes no time).
+/// slots deep over slabs of `rows_per_slab` rows, and the node images
+/// gather to the head node under `reduction` (one node sends nothing, so
+/// there it changes no time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
     /// Chassis in the run.
     pub nodes: usize,
     /// GPUs per chassis.
     pub devices: usize,
-    /// Layout, triangulation and thread mapping of every device.
+    /// Layout and triangulation of every device.
     pub options: GpuOptions,
     /// Ring depth of every device.
     pub depth: PipelineDepth,
+    /// Detector rows per slab; `None` fits each band to device memory.
+    pub rows_per_slab: Option<usize>,
     /// Inter-node reduction routing and overlap.
     pub reduction: ClusterOptions,
 }
 
+/// The execution choices a caller pins, each `None` when left to the plan:
+/// [`Plan::fixed`] takes the engine's default for it, [`plan_auto`]
+/// searches it. Slab rows are pinned by
+/// [`ReconstructionConfig::rows_per_slab`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Pins {
+    /// Ring depth of every device.
+    pub depth: Option<PipelineDepth>,
+    /// Inter-node reduction routing.
+    pub topology: Option<ReductionTopology>,
+    /// Overlap the reduction with the compute tail.
+    pub overlap: Option<bool>,
+}
+
 impl Plan {
     /// The fixed plan of a `nodes × devices` run of `options`: a ring
-    /// `depth` slots deep unless [`ReconstructionConfig::pipeline_depth`]
-    /// pins it, reducing over `topology` with `overlap` where given (tree,
-    /// overlapped otherwise). One node sends nothing, so there a pinned
-    /// reduction stays out of the plan, as under [`plan_auto`]. Every
-    /// engine alias and every standalone single-GPU entry point resolves
-    /// its fixed plan here.
+    /// `depth` slots deep unless `pins` pins another, slabs of
+    /// [`ReconstructionConfig::rows_per_slab`] rows, reducing over the
+    /// pinned topology and overlap where given (tree, overlapped
+    /// otherwise). One node sends nothing, so there a pinned reduction
+    /// stays out of the plan, as under [`plan_auto`]. Every engine alias
+    /// and every standalone single-GPU entry point resolves its fixed plan
+    /// here.
     pub fn fixed(
         nodes: usize,
         devices: usize,
         options: GpuOptions,
         depth: PipelineDepth,
         cfg: &ReconstructionConfig,
-        topology: Option<ReductionTopology>,
-        overlap: Option<bool>,
+        pins: Pins,
     ) -> Plan {
         let default = ClusterOptions::default();
         Plan {
             nodes,
             devices,
             options,
-            depth: cfg.pipeline_depth.map_or(depth, PipelineDepth),
+            depth: pins.depth.unwrap_or(depth),
+            rows_per_slab: cfg.rows_per_slab,
             reduction: if nodes == 1 {
                 default
             } else {
                 ClusterOptions {
-                    topology: topology.unwrap_or(default.topology),
-                    overlap: overlap.unwrap_or(default.overlap),
+                    topology: pins.topology.unwrap_or(default.topology),
+                    overlap: pins.overlap.unwrap_or(default.overlap),
                 }
             },
         }
@@ -648,11 +668,9 @@ impl Plan {
 /// A plan the cost model selected, with what the explain block reports.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
-    /// The winning plan (mapping is always [`ThreadMapping::Linear`];
-    /// `Grid3d` has identical modeled cost).
+    /// The winning plan; its slab rows are always set (feasible by
+    /// construction).
     pub plan: Plan,
-    /// Slab rows of the winning candidate (feasible by construction).
-    pub rows_per_slab: usize,
     /// Predicted virtual makespan of the winner, seconds.
     pub predicted_s: f64,
     /// Modeled host-CPU seconds of the winner.
@@ -681,12 +699,12 @@ fn triangulation_label(t: Triangulation) -> &'static str {
 /// Enumerate and score run-level execution plans for `source` on the
 /// device described by `props`, returning the predicted-cheapest feasible
 /// one. Per-slab knobs (compaction, accumulation) are resolved inside each
-/// candidate via [`plan_slab`] under the modes in `cfg` — under
-/// `--plan auto` the pipeline forces both to `Auto` so the planner owns
-/// every knob. A source that disagrees with `geom` or an invalid `cfg`
-/// fails as the executor would, with a typed error. With compaction on,
-/// the planner builds its own full-detector wire-shadow cull; [`plan_auto`]
-/// can read a cached one instead.
+/// candidate via [`plan_slab`] under the modes in `cfg`, exactly as the
+/// executor resolves them; a pinned [`ReconstructionConfig::rows_per_slab`]
+/// is the only slab height priced. A source that disagrees with `geom` or
+/// an invalid `cfg` fails as the executor would, with a typed error. With
+/// compaction on, the planner builds its own full-detector wire-shadow
+/// cull; [`plan_auto`] can read a cached one instead.
 pub fn plan_run(
     props: &DeviceProps,
     host: &HostProps,
@@ -695,10 +713,12 @@ pub fn plan_run(
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
 ) -> Result<RunPlan> {
-    plan_run_cached(props, host, source, geom, cfg, warmth, None)
+    plan_run_cached(props, host, source, geom, cfg, warmth, None, None)
 }
 
-/// [`plan_run`], reading the wire-shadow cull from `cache` when given.
+/// [`plan_run`] at the pinned ring `depth` when given, reading the
+/// wire-shadow cull from `cache` when given.
+#[allow(clippy::too_many_arguments)]
 fn plan_run_cached(
     props: &DeviceProps,
     host: &HostProps,
@@ -706,6 +726,7 @@ fn plan_run_cached(
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
+    depth_pin: Option<PipelineDepth>,
     cache: Option<&DepthTableCache>,
 ) -> Result<RunPlan> {
     validate_inputs(source, geom, cfg)?;
@@ -753,6 +774,7 @@ fn plan_run_cached(
     let table_mode_host_flops = (n_images * n_rows * n_cols) as u64 * FLOPS_PER_DEPTH;
     let cull_host_flops = cull.as_ref().map_or(0, |c| c.host_flops);
 
+    let depths = depth_pin.map_or(vec![1, 2, 3], |d| vec![d.0]);
     let mut candidates = Vec::new();
     let mut best: Option<RunPlan> = None;
     let mut last_fit_error = None;
@@ -764,7 +786,6 @@ fn plan_run_cached(
             let opts = GpuOptions {
                 layout,
                 triangulation,
-                mapping: ThreadMapping::Linear,
             };
             // Mirror `run_ring`: a resident table leaves the per-slab
             // working set, and the budget excludes what is already
@@ -782,7 +803,7 @@ fn plan_run_cached(
                 used += round_alloc(table_bytes);
             }
             let budget = props.total_mem.saturating_sub(used);
-            for depth in [1usize, 2, 3] {
+            for &depth in &depths {
                 // Slots-halving fit loop, as the ring runs it.
                 let mut slots = depth;
                 let fit = match cfg.rows_per_slab {
@@ -959,9 +980,9 @@ fn plan_run_cached(
                                 devices: 1,
                                 options: opts,
                                 depth: PipelineDepth(depth),
+                                rows_per_slab: Some(rows_per_slab),
                                 reduction: ClusterOptions::default(),
                             },
-                            rows_per_slab,
                             predicted_s,
                             host_s,
                             label,
@@ -1040,19 +1061,20 @@ fn reduction_estimate(
 }
 
 /// The one `--plan auto` entry: price a run on `nodes` chassis of
-/// `devices` GPUs each with the per-device enumeration of [`plan_run`],
-/// its makespan scaled by the slowest node's row share (bands are
-/// row-uniform to first order) and by the shared-chassis margin of the
-/// extra devices per node (`INTRA_NODE_MARGINAL`). A one-node plan keeps
-/// the per-device label and candidates. On more than one node the planner
-/// also sweeps node count × reduction topology × overlap, each reduction
-/// estimated like the executor's head-link-bound schedule; the reduction
-/// is the argmin at the requested node count, and the sweep over
-/// power-of-two counts below it is reported in `candidates`, so scaling
-/// studies can read the priced curve. With a `cache`, the wire-shadow cull
-/// comes from it ([`ShadowCull::resolve`]), so the run that follows reads
-/// the same table instead of building a second one; the predictions are
-/// the same either way.
+/// `devices` GPUs each with the per-device enumeration of [`plan_run`]
+/// (at the pinned ring depth, when `pins` pins one), its makespan scaled
+/// by the slowest node's row share (bands are row-uniform to first order)
+/// and by the shared-chassis margin of the extra devices per node
+/// (`INTRA_NODE_MARGINAL`). A one-node plan keeps the per-device label and
+/// candidates. On more than one node the planner also sweeps node count ×
+/// reduction topology × overlap, each unpinned one over both its values,
+/// each reduction estimated like the executor's head-link-bound schedule;
+/// the reduction is the argmin at the requested node count, and the sweep
+/// over power-of-two counts below it is reported in `candidates`, so
+/// scaling studies can read the priced curve. With a `cache`, the
+/// wire-shadow cull comes from it ([`ShadowCull::resolve`]), so the run
+/// that follows reads the same table instead of building a second one; the
+/// predictions are the same either way.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_auto(
     props: &DeviceProps,
@@ -1060,6 +1082,7 @@ pub fn plan_auto(
     net: &InterconnectProps,
     nodes: usize,
     devices: usize,
+    pins: Pins,
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
@@ -1071,7 +1094,12 @@ pub fn plan_auto(
             "a plan needs at least one node and one device per node".into(),
         ));
     }
-    let mut run = plan_run_cached(props, host, source, geom, cfg, warmth, cache)?;
+    if pins.depth == Some(PipelineDepth(0)) {
+        return Err(CoreError::InvalidConfig(
+            "pipeline depth must be at least 1".into(),
+        ));
+    }
+    let mut run = plan_run_cached(props, host, source, geom, cfg, warmth, pins.depth, cache)?;
     run.plan.nodes = nodes;
     run.plan.devices = devices;
     let intra = 1.0 + INTRA_NODE_MARGINAL * (devices - 1) as f64;
@@ -1083,6 +1111,12 @@ pub fn plan_auto(
         return Ok(run);
     }
     let n_rows = source.n_rows();
+    let rows_per_slab = run.plan.rows_per_slab.expect("the planner picks slab rows");
+    let topologies = pins.topology.map_or(
+        vec![ReductionTopology::Tree, ReductionTopology::Ring],
+        |t| vec![t],
+    );
+    let overlaps = pins.overlap.map_or(vec![true, false], |o| vec![o]);
     let mut counts: Vec<usize> = Vec::new();
     let mut k = 1;
     while k < nodes {
@@ -1100,8 +1134,8 @@ pub fn plan_auto(
             .max()
             .unwrap_or(n_rows);
         let compute_s = run.predicted_s * max_band as f64 / n_rows as f64 / intra;
-        for topology in [ReductionTopology::Tree, ReductionTopology::Ring] {
-            for overlap in [true, false] {
+        for &topology in &topologies {
+            for &overlap in &overlaps {
                 let predicted_s = reduction_estimate(
                     net,
                     k,
@@ -1111,7 +1145,7 @@ pub fn plan_auto(
                     n_rows,
                     source.n_cols(),
                     cfg.n_depth_bins,
-                    run.rows_per_slab,
+                    rows_per_slab,
                 );
                 let copts = ClusterOptions { topology, overlap };
                 candidates.push(PlannedCandidate {
@@ -1218,6 +1252,7 @@ mod tests {
                 &net,
                 nodes,
                 devices,
+                Pins::default(),
                 &mut source,
                 &geom,
                 &cfg,
@@ -1235,7 +1270,7 @@ mod tests {
         assert_eq!((cluster.plan.nodes, cluster.plan.devices), (4, 1));
         assert_eq!(cluster.plan.options, per_device.plan.options);
         assert_eq!(cluster.plan.depth, per_device.plan.depth);
-        assert_eq!(cluster.rows_per_slab, per_device.rows_per_slab);
+        assert_eq!(cluster.plan.rows_per_slab, per_device.plan.rows_per_slab);
         // Four nodes compute the largest band's share, and each reduction
         // is priced on top of that scaled compute.
         let (n_rows, n_cols) = (geom.detector.n_rows, geom.detector.n_cols);
@@ -1256,7 +1291,7 @@ mod tests {
                     n_rows,
                     n_cols,
                     60,
-                    per_device.rows_per_slab,
+                    per_device.plan.rows_per_slab.unwrap(),
                 );
                 assert_eq!(priced.map(|c| c.predicted_s), Some(expected), "{label}");
                 n4.push(expected);
@@ -1527,7 +1562,7 @@ mod tests {
         assert!(plan.predicted_s > 0.0);
         // 2 layouts × 2 triangulations × 3 depths, ≥ 1 row variant each.
         assert!(plan.candidates.len() >= 12, "{}", plan.candidates.len());
-        assert!(plan.rows_per_slab >= 1);
+        assert!(plan.plan.rows_per_slab >= Some(1));
         let min = plan
             .candidates
             .iter()

@@ -4,8 +4,8 @@
 use cuda_sim::{Device, DeviceProps, Host, Interconnect, InterconnectProps};
 use laue_core::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster;
-use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, ThreadMapping, Triangulation};
-use laue_core::planner::Plan;
+use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
+use laue_core::planner::{Pins, Plan};
 use laue_core::{
     cpu, gpu, AccumulationMode, CompactionMode, InMemorySlabSource, ReconstructionConfig,
     ReductionTopology, ScanGeometry, ScanView,
@@ -234,7 +234,6 @@ fn arb_plan_shape() -> impl Strategy<Value = PlanShape> {
             Just(Triangulation::InKernel),
             Just(Triangulation::HostTables)
         ],
-        prop_oneof![Just(ThreadMapping::Linear), Just(ThreadMapping::Grid3d)],
         prop_oneof![Just(CompactionMode::Off), Just(CompactionMode::On)],
         prop_oneof![
             Just(AccumulationMode::Atomic),
@@ -242,21 +241,13 @@ fn arb_plan_shape() -> impl Strategy<Value = PlanShape> {
         ],
     )
         .prop_map(
-            |(
-                (nodes, per_node, depth),
-                layout,
-                triangulation,
-                mapping,
-                compaction,
-                accumulation,
-            )| {
+            |((nodes, per_node, depth), layout, triangulation, compaction, accumulation)| {
                 PlanShape {
                     nodes,
                     per_node,
                     options: GpuOptions {
                         layout,
                         triangulation,
-                        mapping,
                     },
                     depth,
                     compaction,
@@ -271,9 +262,8 @@ proptest! {
 
     /// Every GPU plan reconstructs the same bits on one host worker per
     /// launch as on many (forced onto every launch, however small), and
-    /// the report's statistics and kernel cost match too. With the linear
-    /// thread mapping (deposit order = the CPU loop nest) the bits are
-    /// `cpu::reconstruct_seq`'s.
+    /// the report's statistics and kernel cost match too. The deposit order
+    /// is the CPU loop nest's, so the bits are `cpu::reconstruct_seq`'s.
     #[test]
     fn threaded_executor_matches_bit_for_bit(
         s in arb_scenario(),
@@ -308,8 +298,7 @@ proptest! {
                 shape.options,
                 PipelineDepth(shape.depth),
                 &cfg,
-                None,
-                None,
+                Pins::default(),
             );
             reconstruct_cluster(&refs, &net, &mut src, &geom, &cfg, plan, None).unwrap()
         };
@@ -319,11 +308,9 @@ proptest! {
         prop_assert_eq!(bits(&one.image.data), bits(&many.image.data));
         prop_assert_eq!(one.stats, many.stats);
         prop_assert_eq!(one.meters.kernel_cost, many.meters.kernel_cost);
-        if shape.options.mapping == ThreadMapping::Linear {
-            let view = ScanView::new(&s.data, s.n_steps, s.n_rows, s.n_cols).unwrap();
-            let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
-            prop_assert_eq!(bits(&cpu_out.image.data), bits(&many.image.data));
-        }
+        let view = ScanView::new(&s.data, s.n_steps, s.n_rows, s.n_cols).unwrap();
+        let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
+        prop_assert_eq!(bits(&cpu_out.image.data), bits(&many.image.data));
     }
 }
 
@@ -413,8 +400,11 @@ proptest! {
             GpuOptions::default(),
             PipelineDepth::SERIAL,
             &cfg,
-            Some(shape.topology),
-            Some(shape.overlap),
+            Pins {
+                depth: None,
+                topology: Some(shape.topology),
+                overlap: Some(shape.overlap),
+            },
         );
         let out = reconstruct_cluster(&refs, &net, &mut src, &geom, &cfg, plan, None).unwrap();
 

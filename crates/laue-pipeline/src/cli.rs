@@ -5,6 +5,7 @@
 //! laue generate    --out scan.mh5 [--rows N] [--cols N] [--steps N] …
 //! laue reconstruct --input scan.mh5 [--engine E] [--out recon.mh5] …
 //! laue validate    --input scan.mh5 [--engine E] …
+//! laue batch       --dir scans/ [--engine E] …
 //! laue inspect     <file.mh5>
 //! ```
 
@@ -26,11 +27,10 @@ pub enum Command {
     Generate(GenerateArgs),
     Reconstruct(ReconstructArgs),
     Validate(ReconstructArgs),
-    /// Reconstruct every `.mh5` scan in a directory, printing one summary
-    /// row per file.
+    /// Reconstruct every `.mh5` scan in a directory on one pipeline,
+    /// printing one summary row per file (`args.input` is unused).
     Batch {
         dir: String,
-        engine: Engine,
         args: ReconstructArgs,
     },
     Inspect {
@@ -52,7 +52,10 @@ pub struct GenerateArgs {
     pub seed: u64,
 }
 
-/// Arguments of `laue reconstruct` / `laue validate`.
+/// Arguments of `laue reconstruct`, `laue validate` and `laue batch`, from
+/// one flag parser. `validate` and `batch` take none of the per-file
+/// output flags (`out`, `histogram`, `trace`, `variance`, `roi`), and
+/// `batch` reads a directory instead of `input`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconstructArgs {
     pub input: String,
@@ -74,24 +77,19 @@ pub struct ReconstructArgs {
     pub accumulation: AccumulationMode,
     /// Execution planning (`--plan fixed|auto`; default `fixed`). Under
     /// `auto` the cost-model planner picks, for every GPU engine's
-    /// nodes × devices, the layout, table placement, ring depth and slab
-    /// rows (a pinned `--rows-per-slab` is honoured), plus the reduction
-    /// and overlap on more than one node (a pinned `--pipeline-depth`,
-    /// `--reduction` or `--overlap` is overridden), and resolves
-    /// compaction/accumulation per slab.
+    /// nodes × devices, the layout and table placement, plus whatever is
+    /// not pinned among slab rows, ring depth, reduction and overlap. The
+    /// configured compaction and accumulation modes run under both.
     pub plan: PlanMode,
     /// End-to-end data-integrity policy
     /// (`--integrity off|verify|scrub`; default `off`).
     pub integrity: IntegrityMode,
-    /// Launch-watchdog deadline multiplier (`--watchdog-multiplier`;
-    /// `None` keeps the config default).
-    pub watchdog_multiplier: Option<f64>,
     /// Detector rows per slab (`--rows-per-slab`; `None` fits the slab to
-    /// device memory). Honoured under `--plan auto` too.
+    /// device memory, or lets `--plan auto` pick).
     pub rows_per_slab: Option<usize>,
     /// Ring depth of the GPU transfer/compute pipeline (`--pipeline-depth`;
     /// `None`: 1 on gpu-1d, gpu-3d and gpu-tables, 3 on gpu-pipe, gpu-multi
-    /// and gpu-cluster). Overridden under `--plan auto`.
+    /// and gpu-cluster, or the planner's pick under `--plan auto`).
     pub pipeline_depth: Option<usize>,
     /// Device-resident depth-table cache budget, MiB (`--table-cache-mb`;
     /// 0 disables residency).
@@ -113,8 +111,8 @@ pub struct ReconstructArgs {
     pub fault_device: Option<usize>,
     /// Inter-node reduction routing (`--reduction tree|ring|auto`;
     /// `None` = auto: tree under `--plan fixed`, the planner's pick under
-    /// `--plan auto`, which overrides a pinned value too). It moves time
-    /// only on more than one node, so a one-node plan keeps tree.
+    /// `--plan auto`). It moves time only on more than one node, so a
+    /// one-node plan keeps tree.
     pub reduction: Option<ReductionTopology>,
     /// Overlap the inter-node reduction with the compute tail
     /// (`--overlap on|off|auto`; `None` = auto: on under `--plan fixed`,
@@ -185,8 +183,8 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
 }
 
 /// Parse a `--reduction` value: a routing topology, or `auto` for the
-/// default (tree under `--plan fixed`; under `--plan auto` the cost
-/// model's argmin replaces any value).
+/// default (tree under `--plan fixed`, the cost model's argmin under
+/// `--plan auto`).
 pub fn parse_reduction(s: &str) -> std::result::Result<Option<ReductionTopology>, String> {
     if s == "auto" {
         return Ok(None);
@@ -197,8 +195,7 @@ pub fn parse_reduction(s: &str) -> std::result::Result<Option<ReductionTopology>
 }
 
 /// Parse an `--overlap` value: `on`, `off`, or `auto` (on under
-/// `--plan fixed`; under `--plan auto` the cost model's argmin replaces
-/// any value).
+/// `--plan fixed`, the cost model's argmin under `--plan auto`).
 pub fn parse_overlap(s: &str) -> std::result::Result<Option<bool>, String> {
     match s {
         "auto" => Ok(None),
@@ -348,15 +345,175 @@ fn get_parse<T: std::str::FromStr>(
 }
 
 fn reject_unknown(
+    cmd: &str,
     flags: &BTreeMap<String, String>,
     allowed: &[&str],
 ) -> std::result::Result<(), String> {
     for key in flags.keys() {
         if !allowed.contains(&key.as_str()) {
-            return Err(format!("unknown flag --{key}"));
+            return Err(format!("{cmd} takes no --{key}"));
         }
     }
     Ok(())
+}
+
+/// Flags every reconstructing command (`reconstruct`, `validate`, `batch`)
+/// takes.
+const RUN_FLAGS: &[&str] = &[
+    "engine",
+    "depth-start",
+    "depth-end",
+    "bins",
+    "cutoff",
+    "compaction",
+    "accumulation",
+    "plan",
+    "integrity",
+    "rows-per-slab",
+    "pipeline-depth",
+    "table-cache-mb",
+    "on-gpu-failure",
+    "inject-gpu-fault",
+    "journal-dir",
+    "resume",
+    "fault-device",
+    "reduction",
+    "overlap",
+    "interconnect",
+];
+
+/// Per-file flags only `reconstruct` takes.
+const OUTPUT_FLAGS: &[&str] = &["out", "histogram", "trace", "variance", "roi"];
+
+/// Parse `flag`'s value with `parse`, `None` when the flag is absent; a
+/// bad value names the flag and what it `expects`.
+fn get_opt<T>(
+    flags: &BTreeMap<String, String>,
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    expects: &str,
+) -> std::result::Result<Option<T>, String> {
+    flags
+        .get(flag)
+        .map(|v| parse(v).ok_or_else(|| format!("bad --{flag} {v:?} (try {expects})")))
+        .transpose()
+}
+
+/// [`get_opt`] for a count.
+fn get_count<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    flag: &str,
+) -> std::result::Result<Option<T>, String> {
+    get_opt(flags, flag, |v| v.parse().ok(), "a count")
+}
+
+/// The one flag parser of `reconstruct`, `validate` and `batch`. Each
+/// command rejects the flags it would ignore: only `reconstruct` writes
+/// per-file outputs or crops to a region of interest, and `batch` reads
+/// `--dir` where the others read `--input`.
+fn parse_run(cmd: &str, rest: &[String]) -> std::result::Result<Command, String> {
+    let (flags, positional) = split_flags(rest)?;
+    if !positional.is_empty() {
+        return Err(format!("unexpected argument {:?}", positional[0]));
+    }
+    let scan_flag = if cmd == "batch" { "dir" } else { "input" };
+    let mut allowed = vec![scan_flag];
+    allowed.extend_from_slice(RUN_FLAGS);
+    if cmd == "reconstruct" {
+        allowed.extend_from_slice(OUTPUT_FLAGS);
+    }
+    reject_unknown(cmd, &flags, &allowed)?;
+    let scan = flags
+        .get(scan_flag)
+        .ok_or(format!("{cmd} needs --{scan_flag} <path>"))?
+        .clone();
+    let engine = match flags.get("engine") {
+        None => Engine::Gpu {
+            layout: Layout::Flat1d,
+        },
+        Some(e) => parse_engine(e)?,
+    };
+    let roi = match flags.get("roi") {
+        None => None,
+        Some(spec) => {
+            let parts: Vec<usize> = spec
+                .split(':')
+                .map(|t| t.parse().map_err(|_| format!("bad --roi component {t:?}")))
+                .collect::<std::result::Result<_, String>>()?;
+            let [r0, c0, rows, cols] = parts.as_slice() else {
+                return Err(format!("--roi wants r0:c0:rows:cols, got {spec:?}"));
+            };
+            Some((*r0, *c0, *rows, *cols))
+        }
+    };
+    let args = ReconstructArgs {
+        input: if cmd == "batch" {
+            String::new()
+        } else {
+            scan.clone()
+        },
+        out: flags.get("out").cloned(),
+        histogram: flags.get("histogram").cloned(),
+        trace: flags.get("trace").cloned(),
+        variance: flags.get("variance").cloned(),
+        engine,
+        depth_start: get_parse(&flags, "depth-start", -4000.0)?,
+        depth_end: get_parse(&flags, "depth-end", 4000.0)?,
+        bins: get_parse(&flags, "bins", 400)?,
+        cutoff: get_parse(&flags, "cutoff", 0.0)?,
+        compaction: get_opt(&flags, "compaction", CompactionMode::parse, "off, auto, on")?
+            .unwrap_or_default(),
+        accumulation: get_opt(
+            &flags,
+            "accumulation",
+            AccumulationMode::parse,
+            "atomic, privatized, auto",
+        )?
+        .unwrap_or_default(),
+        plan: get_opt(&flags, "plan", PlanMode::parse, "fixed, auto")?.unwrap_or_default(),
+        integrity: get_opt(
+            &flags,
+            "integrity",
+            IntegrityMode::parse,
+            "off, verify, scrub",
+        )?
+        .unwrap_or_default(),
+        rows_per_slab: get_count(&flags, "rows-per-slab")?,
+        pipeline_depth: get_count(&flags, "pipeline-depth")?,
+        table_cache_mb: get_count(&flags, "table-cache-mb")?,
+        roi,
+        on_gpu_failure: match flags.get("on-gpu-failure") {
+            None => GpuFailurePolicy::default(),
+            Some(s) => parse_gpu_failure_policy(s)?,
+        },
+        inject_fault: flags
+            .get("inject-gpu-fault")
+            .map(|s| parse_fault_plan(s))
+            .transpose()?,
+        journal_dir: flags.get("journal-dir").cloned(),
+        resume: flags.contains_key("resume"),
+        fault_device: get_count(&flags, "fault-device")?,
+        reduction: match flags.get("reduction") {
+            None => None,
+            Some(s) => parse_reduction(s)?,
+        },
+        overlap: match flags.get("overlap") {
+            None => None,
+            Some(s) => parse_overlap(s)?,
+        },
+        interconnect: match flags.get("interconnect") {
+            None => InterconnectProps::ib_qdr(),
+            Some(s) => parse_interconnect(s)?,
+        },
+    };
+    if args.resume && args.journal_dir.is_none() {
+        return Err("--resume needs --journal-dir".into());
+    }
+    Ok(match cmd {
+        "reconstruct" => Command::Reconstruct(args),
+        "validate" => Command::Validate(args),
+        _ => Command::Batch { dir: scan, args },
+    })
 }
 
 /// Parse a full argument vector (without the program name).
@@ -373,6 +530,7 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                 return Err(format!("unexpected argument {:?}", positional[0]));
             }
             reject_unknown(
+                cmd,
                 &flags,
                 &[
                     "out",
@@ -400,220 +558,10 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                 seed: get_parse(&flags, "seed", 0)?,
             }))
         }
-        "batch" => {
-            let (flags, positional) = split_flags(rest)?;
-            if !positional.is_empty() {
-                return Err(format!("unexpected argument {:?}", positional[0]));
-            }
-            reject_unknown(
-                &flags,
-                &[
-                    "dir",
-                    "engine",
-                    "depth-start",
-                    "depth-end",
-                    "bins",
-                    "cutoff",
-                ],
-            )?;
-            let dir = flags
-                .get("dir")
-                .ok_or("batch needs --dir <directory>")?
-                .clone();
-            let engine = match flags.get("engine") {
-                None => Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-                Some(e) => parse_engine(e)?,
-            };
-            let args = ReconstructArgs {
-                input: String::new(),
-                out: None,
-                histogram: None,
-                trace: None,
-                variance: None,
-                engine,
-                depth_start: get_parse(&flags, "depth-start", -4000.0)?,
-                depth_end: get_parse(&flags, "depth-end", 4000.0)?,
-                bins: get_parse(&flags, "bins", 400)?,
-                cutoff: get_parse(&flags, "cutoff", 0.0)?,
-                compaction: CompactionMode::default(),
-                accumulation: AccumulationMode::default(),
-                plan: PlanMode::default(),
-                integrity: IntegrityMode::default(),
-                watchdog_multiplier: None,
-                rows_per_slab: None,
-                pipeline_depth: None,
-                table_cache_mb: None,
-                roi: None,
-                on_gpu_failure: GpuFailurePolicy::default(),
-                inject_fault: None,
-                journal_dir: None,
-                resume: false,
-                fault_device: None,
-                reduction: None,
-                overlap: None,
-                interconnect: InterconnectProps::ib_qdr(),
-            };
-            Ok(Command::Batch { dir, engine, args })
-        }
-        "reconstruct" | "validate" => {
-            let (flags, positional) = split_flags(rest)?;
-            if !positional.is_empty() {
-                return Err(format!("unexpected argument {:?}", positional[0]));
-            }
-            reject_unknown(
-                &flags,
-                &[
-                    "input",
-                    "out",
-                    "histogram",
-                    "trace",
-                    "variance",
-                    "engine",
-                    "depth-start",
-                    "depth-end",
-                    "bins",
-                    "cutoff",
-                    "compaction",
-                    "accumulation",
-                    "plan",
-                    "integrity",
-                    "watchdog-multiplier",
-                    "rows-per-slab",
-                    "pipeline-depth",
-                    "table-cache-mb",
-                    "roi",
-                    "on-gpu-failure",
-                    "inject-gpu-fault",
-                    "journal-dir",
-                    "resume",
-                    "fault-device",
-                    "reduction",
-                    "overlap",
-                    "interconnect",
-                ],
-            )?;
-            let input = flags
-                .get("input")
-                .ok_or(format!("{cmd} needs --input <file>"))?
-                .clone();
-            let engine = match flags.get("engine") {
-                None => Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-                Some(e) => parse_engine(e)?,
-            };
-            let roi = match flags.get("roi") {
-                None => None,
-                Some(spec) => {
-                    let parts: Vec<usize> = spec
-                        .split(':')
-                        .map(|t| t.parse().map_err(|_| format!("bad --roi component {t:?}")))
-                        .collect::<std::result::Result<_, String>>()?;
-                    let [r0, c0, rows, cols] = parts.as_slice() else {
-                        return Err(format!("--roi wants r0:c0:rows:cols, got {spec:?}"));
-                    };
-                    Some((*r0, *c0, *rows, *cols))
-                }
-            };
-            let args = ReconstructArgs {
-                input,
-                out: flags.get("out").cloned(),
-                histogram: flags.get("histogram").cloned(),
-                trace: flags.get("trace").cloned(),
-                variance: flags.get("variance").cloned(),
-                engine,
-                depth_start: get_parse(&flags, "depth-start", -4000.0)?,
-                depth_end: get_parse(&flags, "depth-end", 4000.0)?,
-                bins: get_parse(&flags, "bins", 400)?,
-                cutoff: get_parse(&flags, "cutoff", 0.0)?,
-                compaction: match flags.get("compaction") {
-                    None => CompactionMode::default(),
-                    Some(s) => CompactionMode::parse(s)
-                        .ok_or_else(|| format!("bad --compaction {s:?} (try off, auto, on)"))?,
-                },
-                accumulation: match flags.get("accumulation") {
-                    None => AccumulationMode::default(),
-                    Some(s) => AccumulationMode::parse(s).ok_or_else(|| {
-                        format!("bad --accumulation {s:?} (try atomic, privatized, auto)")
-                    })?,
-                },
-                plan: match flags.get("plan") {
-                    None => PlanMode::default(),
-                    Some(s) => PlanMode::parse(s)
-                        .ok_or_else(|| format!("bad --plan {s:?} (try fixed, auto)"))?,
-                },
-                integrity: match flags.get("integrity") {
-                    None => IntegrityMode::default(),
-                    Some(s) => IntegrityMode::parse(s)
-                        .ok_or_else(|| format!("bad --integrity {s:?} (try off, verify, scrub)"))?,
-                },
-                watchdog_multiplier: flags
-                    .get("watchdog-multiplier")
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| format!("bad --watchdog-multiplier: {v:?}"))
-                    })
-                    .transpose()?,
-                rows_per_slab: flags
-                    .get("rows-per-slab")
-                    .map(|v| v.parse().map_err(|_| format!("bad --rows-per-slab: {v:?}")))
-                    .transpose()?,
-                pipeline_depth: flags
-                    .get("pipeline-depth")
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| format!("bad --pipeline-depth: {v:?}"))
-                    })
-                    .transpose()?,
-                table_cache_mb: flags
-                    .get("table-cache-mb")
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| format!("bad --table-cache-mb: {v:?}"))
-                    })
-                    .transpose()?,
-                roi,
-                on_gpu_failure: match flags.get("on-gpu-failure") {
-                    None => GpuFailurePolicy::default(),
-                    Some(s) => parse_gpu_failure_policy(s)?,
-                },
-                inject_fault: flags
-                    .get("inject-gpu-fault")
-                    .map(|s| parse_fault_plan(s))
-                    .transpose()?,
-                journal_dir: flags.get("journal-dir").cloned(),
-                resume: flags.contains_key("resume"),
-                fault_device: flags
-                    .get("fault-device")
-                    .map(|v| v.parse().map_err(|_| format!("bad --fault-device: {v:?}")))
-                    .transpose()?,
-                reduction: match flags.get("reduction") {
-                    None => None,
-                    Some(s) => parse_reduction(s)?,
-                },
-                overlap: match flags.get("overlap") {
-                    None => None,
-                    Some(s) => parse_overlap(s)?,
-                },
-                interconnect: match flags.get("interconnect") {
-                    None => InterconnectProps::ib_qdr(),
-                    Some(s) => parse_interconnect(s)?,
-                },
-            };
-            if args.resume && args.journal_dir.is_none() {
-                return Err("--resume needs --journal-dir".into());
-            }
-            if cmd == "reconstruct" {
-                Ok(Command::Reconstruct(args))
-            } else {
-                Ok(Command::Validate(args))
-            }
-        }
+        "reconstruct" | "validate" | "batch" => parse_run(cmd, rest),
         "inspect" => {
             let (flags, positional) = split_flags(rest)?;
-            reject_unknown(&flags, &[])?;
+            reject_unknown(cmd, &flags, &[])?;
             match positional.as_slice() {
                 [path] => Ok(Command::Inspect { path: path.clone() }),
                 _ => Err("inspect takes exactly one file".into()),
@@ -636,8 +584,7 @@ USAGE:
                    [--depth-start UM] [--depth-end UM] [--bins N]
                    [--cutoff C] [--compaction off|auto|on]
                    [--accumulation atomic|privatized|auto]
-                   [--plan fixed|auto]
-                   [--integrity off|verify|scrub] [--watchdog-multiplier X]
+                   [--plan fixed|auto] [--integrity off|verify|scrub]
                    [--rows-per-slab R] [--pipeline-depth K]
                    [--table-cache-mb M]
                    [--on-gpu-failure abort|fallback-cpu]
@@ -645,9 +592,10 @@ USAGE:
                    [--journal-dir <dir>] [--resume]
                    [--interconnect ib-qdr|ib-fdr|nvlink|gige]
                    [--reduction tree|ring|auto] [--overlap on|off|auto]
-  laue validate    --input <scan.mh5> [same options as reconstruct]
-  laue batch       --dir <directory> [--engine E] [--depth-start/-end UM]
-                   [--bins N] [--cutoff C]
+  laue validate    --input <scan.mh5> [reconstruct's options except --out,
+                   --histogram, --trace, --variance and --roi]
+  laue batch       --dir <directory> [validate's options]: every .mh5 scan
+                   in the directory, one summary row each, on one pipeline
   laue inspect     <file.mh5>
 
 ENGINES:
@@ -676,15 +624,18 @@ ACCUMULATION:
                              the tiled kernel cheaper than the atomic one
 
 PLANNER:
-  --plan fixed  honour the configured engine/flags verbatim (default)
+  --plan fixed  run the engine's layout and table placement with each
+                pinned --rows-per-slab, --pipeline-depth, --reduction and
+                --overlap, the engine's default where unpinned (default)
   --plan auto   every GPU engine, for its nodes × devices: enumerate
                 layout × table placement × ring depth × slab rows, predict
                 each candidate's virtual cost with the device's calibrated
                 cost model, and run the argmin; on more than one node also
-                sweep node count × reduction × overlap. A pinned
-                --rows-per-slab is honoured; a pinned --pipeline-depth,
-                --reduction or --overlap is overridden. Compaction and
-                accumulation resolve per slab by the same model. The chosen
+                sweep node count × reduction × overlap. Only what is
+                unpinned is searched: a pinned --rows-per-slab,
+                --pipeline-depth, --reduction or --overlap is the one value
+                priced. Under either plan the configured --compaction and
+                --accumulation are the modes priced and run. The chosen
                 plan, its predicted cost, and the prediction error land in
                 the run report's plan block. The resolved plan is part of
                 the journal key: a flip forces a clean restart. Aliases of
@@ -702,7 +653,8 @@ CHECKPOINT / RESUME:
 GPU PIPELINE:
   --pipeline-depth K   ring depth: slab slots in flight (1 = serial;
                        gpu-1d, gpu-3d and gpu-tables default to 1,
-                       gpu-pipe, gpu-multi and gpu-cluster to 3)
+                       gpu-pipe, gpu-multi and gpu-cluster to 3, and
+                       --plan auto picks one unless pinned)
   --table-cache-mb M   device-resident depth-table budget in MiB
                        (default: a quarter of device memory; 0 disables)
 
@@ -710,14 +662,14 @@ DATA INTEGRITY:
   --integrity off     no checking (default); silent corruption propagates
   --integrity verify  CRC64-checksummed transfers, ABFT per-slab depth-sum
                       verification against a host recompute, and a launch
-                      watchdog; a detected corruption aborts the run
+                      watchdog (a launch slower than 4× its cost-model
+                      prediction is hung); a detected corruption aborts
+                      the run
   --integrity scrub   verify, plus recovery: the condemned slab is poisoned
                       in the journal and re-executed with backoff (host
                       repair if the device keeps corrupting); the run
                       completes bit-identical to a fault-free run and is
                       marked INTEGRITY-DEGRADED when anything was corrected
-  --watchdog-multiplier X  treat a launch slower than X times its cost-model
-                      prediction as hung (default 4)
 
 CLUSTER (gpu-cluster:N[xM]):
   --interconnect P     fabric preset joining the nodes: ib-qdr (default),
@@ -732,9 +684,9 @@ CLUSTER (gpu-cluster:N[xM]):
                        soon as its band is done, overlapping the fabric
                        with the compute tail of slower nodes; off inserts
                        a barrier first; auto is on under --plan fixed
-  Under --plan auto the planner sweeps node count × topology × overlap,
-  runs the argmin at N nodes whatever --reduction/--overlap say, and
-  reports the full candidate table. On more than one node the resolved
+  Under --plan auto the planner sweeps node count × whichever of topology
+  and overlap are unpinned, runs the argmin at N nodes, and reports the
+  full candidate table. On more than one node the resolved
   topology is part of the journal key (one node sends nothing, so there
   it stays tree); node loss re-bands remaining rows onto survivors and
   the run completes DEGRADED but bit-identical.
@@ -761,11 +713,7 @@ fn recon_config(args: &ReconstructArgs) -> ReconstructionConfig {
     cfg.accumulation = args.accumulation;
     cfg.plan = args.plan;
     cfg.integrity = args.integrity;
-    if let Some(w) = args.watchdog_multiplier {
-        cfg.watchdog_multiplier = w;
-    }
     cfg.rows_per_slab = args.rows_per_slab;
-    cfg.pipeline_depth = args.pipeline_depth;
     cfg
 }
 
@@ -777,6 +725,7 @@ fn recon_pipeline(args: &ReconstructArgs) -> Pipeline {
         journal_dir: args.journal_dir.clone().map(std::path::PathBuf::from),
         resume: args.resume,
         fault_device: args.fault_device,
+        pipeline_depth: args.pipeline_depth,
         reduction: args.reduction,
         overlap: args.overlap,
         interconnect: args.interconnect.clone(),
@@ -928,9 +877,9 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
             )?;
             Ok(())
         }
-        Command::Batch { dir, engine, args } => {
+        Command::Batch { dir, args } => {
             let cfg = recon_config(args);
-            let pipeline = Pipeline::default();
+            let pipeline = recon_pipeline(args);
             let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
                 .filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| p.extension().is_some_and(|x| x == "mh5"))
@@ -951,7 +900,7 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                     .file_name()
                     .map(|n| n.to_string_lossy().to_string())
                     .unwrap_or_default();
-                match pipeline.run_scan_file(path, &cfg, *engine) {
+                match pipeline.run_scan_file(path, &cfg, args.engine) {
                     Ok(r) => {
                         let (p, m, n) = r.dims;
                         writeln!(
@@ -1143,6 +1092,8 @@ mod tests {
         assert_eq!(a.engine, Engine::GpuPipelined);
         assert_eq!(a.pipeline_depth, Some(4));
         assert_eq!(a.table_cache_mb, Some(64));
+        // The ring depth pins the pipeline's plans, not the config.
+        assert_eq!(recon_pipeline(&a).pipeline_depth, Some(4));
 
         // Absent flags keep the deterministic defaults.
         let cmd = parse(&sv(&["reconstruct", "--input", "scan.mh5"])).unwrap();
@@ -1277,27 +1228,21 @@ mod tests {
                 "scan.mh5",
                 "--integrity",
                 spec,
-                "--watchdog-multiplier",
-                "6.5",
             ]))
             .unwrap();
             let Command::Reconstruct(a) = cmd else {
                 panic!("wrong command")
             };
             assert_eq!(a.integrity, mode);
-            assert_eq!(a.watchdog_multiplier, Some(6.5));
-            let cfg = recon_config(&a);
-            assert_eq!(cfg.integrity, mode);
-            assert_eq!(cfg.watchdog_multiplier, 6.5);
+            assert_eq!(recon_config(&a).integrity, mode);
         }
 
-        // Defaults: off, config-default watchdog.
+        // Default: off.
         let cmd = parse(&sv(&["reconstruct", "--input", "scan.mh5"])).unwrap();
         let Command::Reconstruct(a) = cmd else {
             panic!("wrong command")
         };
         assert_eq!(a.integrity, IntegrityMode::Off);
-        assert_eq!(a.watchdog_multiplier, None);
         assert!(parse(&sv(&[
             "reconstruct",
             "--input",
@@ -1678,6 +1623,123 @@ mod tests {
         std::fs::remove_file(&scan).ok();
         std::fs::remove_file(&var).ok();
         std::fs::remove_file(&trace).ok();
+    }
+
+    #[test]
+    fn each_command_rejects_the_flags_it_would_ignore() {
+        // Only reconstruct writes per-file outputs or crops to an ROI.
+        for flag in ["--out", "--histogram", "--trace", "--variance", "--roi"] {
+            for (cmd, scan) in [("validate", "--input"), ("batch", "--dir")] {
+                let err = parse(&sv(&[cmd, scan, "x", flag, "v"])).unwrap_err();
+                assert_eq!(err, format!("{cmd} takes no {flag}"));
+            }
+            assert!(parse(&sv(&["reconstruct", "--input", "x", flag, "0:0:1:1"])).is_ok());
+        }
+        // A batch reads a directory, never one input.
+        assert!(parse(&sv(&["batch", "--dir", "d", "--input", "x"]))
+            .unwrap_err()
+            .contains("--input"));
+        assert!(parse(&sv(&["batch"])).unwrap_err().contains("--dir"));
+        assert!(parse(&sv(&["validate", "--dir", "d"]))
+            .unwrap_err()
+            .contains("--dir"));
+    }
+
+    #[test]
+    fn batch_runs_the_production_configuration_like_reconstruct() {
+        let dir = std::env::temp_dir().join(format!("laue_batch_prod_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let dir_s = dir.to_string_lossy().to_string();
+        let jdir = dir.join("journal").to_string_lossy().to_string();
+        for seed in [3u64, 4] {
+            let scan = dir.join(format!("scan_{seed}.mh5"));
+            let cmd = parse(&sv(&[
+                "generate",
+                "--out",
+                &scan.to_string_lossy(),
+                "--rows",
+                "8",
+                "--cols",
+                "8",
+                "--steps",
+                "12",
+                "--seed",
+                &seed.to_string(),
+            ]))
+            .unwrap();
+            run(&cmd, &mut Vec::new()).unwrap();
+        }
+        let flags = [
+            "--engine",
+            "gpu-pipe",
+            "--depth-start",
+            "-500",
+            "--depth-end",
+            "500",
+            "--bins",
+            "100",
+            "--plan",
+            "auto",
+            "--compaction",
+            "auto",
+            "--accumulation",
+            "auto",
+            "--integrity",
+            "verify",
+            "--journal-dir",
+            &jdir,
+        ];
+        let mut batch = sv(&["batch", "--dir", &dir_s]);
+        batch.extend(sv(&flags));
+        let cmd = parse(&batch).unwrap();
+        let Command::Batch { dir: parsed, args } = &cmd else {
+            panic!("wrong command")
+        };
+        assert_eq!(parsed, &dir_s);
+        assert_eq!(
+            (
+                args.plan,
+                args.compaction,
+                args.accumulation,
+                args.integrity
+            ),
+            (
+                PlanMode::Auto,
+                CompactionMode::Auto,
+                AccumulationMode::Auto,
+                IntegrityMode::Verify
+            )
+        );
+        let mut buf = Vec::new();
+        run(&cmd, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("2 file(s), 0 failure(s)"), "{text}");
+
+        // Each file's image is the one reconstruct exports under the same
+        // flags.
+        for seed in [3u64, 4] {
+            let scan = dir
+                .join(format!("scan_{seed}.mh5"))
+                .to_string_lossy()
+                .to_string();
+            let out = dir.join(format!("recon_{seed}.mh5"));
+            let mut recon = sv(&["reconstruct", "--input", &scan, "--out"]);
+            recon.push(out.to_string_lossy().to_string());
+            recon.extend(sv(&flags));
+            run(&parse(&recon).unwrap(), &mut Vec::new()).unwrap();
+            let f = mh5::FileReader::open(&out).unwrap();
+            let ds = f.resolve_path("/reconstruction/depth_image").unwrap();
+            let exported: Vec<f64> = f.read_all(ds).unwrap();
+            let batched = recon_pipeline(args)
+                .run_scan_file(&scan, &recon_config(args), args.engine)
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&exported), bits(&batched.image.data), "seed {seed}");
+            assert!(batched.plan.is_some(), "batch planned its run");
+            assert!(batched.integrity.checks_run > 0, "batch verified its run");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

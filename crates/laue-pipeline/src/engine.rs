@@ -1,8 +1,8 @@
 //! Engine selection.
 
 use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
-use laue_core::planner::Plan;
-use laue_core::{ReconstructionConfig, ReductionTopology};
+use laue_core::planner::{Pins, Plan};
+use laue_core::ReconstructionConfig;
 
 /// Which implementation reconstructs the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,8 +17,8 @@ pub enum Engine {
     /// `edge`/`gpuPointArray` design point).
     GpuTables,
     /// k-deep ring-buffered three-stream GPU pipeline (the transfer/compute
-    /// overlap ablation; ring depth defaults to 3 and is overridden by
-    /// `ReconstructionConfig::pipeline_depth`).
+    /// overlap ablation; ring depth 3 unless `Pipeline::pipeline_depth`
+    /// pins another).
     GpuPipelined,
     /// A fleet of `devices` simulated GPUs, one row band each, every device
     /// running the k-deep ring pipeline. A device that dies mid-run has its
@@ -68,13 +68,8 @@ impl Engine {
     /// one-slot pipeline (so `elapsed == comm + compute` holds exactly);
     /// `gpu-pipe`, `gpu-multi` and `gpu-cluster` ring
     /// [`PipelineDepth::DEFAULT`] slots deep. [`Plan::fixed`] applies
-    /// `cfg.pipeline_depth` and the pinned reduction `topology`/`overlap`.
-    pub fn plan(
-        &self,
-        cfg: &ReconstructionConfig,
-        topology: Option<ReductionTopology>,
-        overlap: Option<bool>,
-    ) -> Option<Plan> {
+    /// `pins` and `cfg.rows_per_slab`.
+    pub fn plan(&self, cfg: &ReconstructionConfig, pins: Pins) -> Option<Plan> {
         let flat = GpuOptions::default();
         let tables = GpuOptions {
             triangulation: Triangulation::HostTables,
@@ -91,9 +86,7 @@ impl Engine {
                 devices_per_node,
             } => (nodes, devices_per_node, flat, PipelineDepth::DEFAULT),
         };
-        Some(Plan::fixed(
-            nodes, devices, options, depth, cfg, topology, overlap,
-        ))
+        Some(Plan::fixed(nodes, devices, options, depth, cfg, pins))
     }
 }
 
@@ -139,21 +132,22 @@ mod tests {
     #[test]
     fn every_gpu_alias_names_a_plan() {
         let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 60);
-        let shape = |e: Engine, cfg: &ReconstructionConfig| {
-            e.plan(cfg, None, None)
+        let shape = |e: Engine, pins: Pins| {
+            e.plan(&cfg, pins)
                 .map(|p| (p.nodes, p.devices, p.options.triangulation, p.depth.0))
         };
-        assert_eq!(shape(Engine::CpuSeq, &cfg), None);
+        let none = Pins::default();
+        assert_eq!(shape(Engine::CpuSeq, none), None);
         assert_eq!(
-            shape(Engine::GpuTables, &cfg),
+            shape(Engine::GpuTables, none),
             Some((1, 1, Triangulation::HostTables, 1))
         );
         assert_eq!(
-            shape(Engine::GpuPipelined, &cfg),
+            shape(Engine::GpuPipelined, none),
             Some((1, 1, Triangulation::InKernel, 3))
         );
         assert_eq!(
-            shape(Engine::GpuMulti { devices: 4 }, &cfg),
+            shape(Engine::GpuMulti { devices: 4 }, none),
             Some((1, 4, Triangulation::InKernel, 3))
         );
         let cluster = Engine::GpuCluster {
@@ -161,31 +155,37 @@ mod tests {
             devices_per_node: 2,
         };
         assert_eq!(
-            shape(cluster, &cfg),
+            shape(cluster, none),
             Some((8, 2, Triangulation::InKernel, 3))
         );
         // A pinned ring depth applies to every alias…
-        cfg.pipeline_depth = Some(2);
+        let k2 = Pins {
+            depth: Some(PipelineDepth(2)),
+            ..none
+        };
         assert_eq!(
-            shape(Engine::GpuTables, &cfg),
+            shape(Engine::GpuTables, k2),
             Some((1, 1, Triangulation::HostTables, 2))
         );
-        assert_eq!(
-            shape(cluster, &cfg),
-            Some((8, 2, Triangulation::InKernel, 2))
-        );
-        // So do a pinned reduction routing and overlap.
-        let pinned = cluster
-            .plan(&cfg, Some(ReductionTopology::Ring), Some(false))
-            .unwrap();
+        assert_eq!(shape(cluster, k2), Some((8, 2, Triangulation::InKernel, 2)));
+        // …so do a pinned reduction routing and overlap, and the
+        // configured slab rows.
+        let ring = Pins {
+            topology: Some(laue_core::ReductionTopology::Ring),
+            overlap: Some(false),
+            ..none
+        };
+        cfg.rows_per_slab = Some(5);
+        let pinned = cluster.plan(&cfg, ring).unwrap();
         assert_eq!(pinned.reduction.label(), "ring+barrier");
-        // Aliases of one shape name one plan.
-        let one = Engine::GpuPipelined.plan(&cfg, None, None);
-        assert_eq!(Engine::GpuMulti { devices: 1 }.plan(&cfg, None, None), one);
+        assert_eq!(pinned.rows_per_slab, Some(5));
+        // Aliases of one shape name one plan, and one node keeps tree.
+        let one = Engine::GpuPipelined.plan(&cfg, none);
+        assert_eq!(Engine::GpuMulti { devices: 1 }.plan(&cfg, none), one);
         let c11 = Engine::GpuCluster {
             nodes: 1,
             devices_per_node: 1,
         };
-        assert_eq!(c11.plan(&cfg, None, None), one);
+        assert_eq!(c11.plan(&cfg, ring), one);
     }
 }

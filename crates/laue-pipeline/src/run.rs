@@ -10,11 +10,12 @@ use cuda_sim::{
 };
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster_checkpointed;
+use laue_core::gpu::PipelineDepth;
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
-use laue_core::planner::{plan_auto, Plan, RunPlan, TableWarmth};
+use laue_core::planner::{plan_auto, Pins, Plan, RunPlan, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, CompactionMode, CoreError, GpuReconstruction, PlanMode,
-    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, CoreError, GpuReconstruction, PlanMode, ReconstructionConfig, ReductionTopology,
+    ScanGeometry, ScanView, SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -118,14 +119,17 @@ pub struct Pipeline {
     /// Inter-node fabric model for `gpu-cluster` engines (paper-era
     /// default: InfiniBand QDR).
     pub interconnect: InterconnectProps,
-    /// Inter-node reduction routing of every GPU engine's fixed plan
-    /// (`None`: tree). It moves time only on more than one node, so a
-    /// one-node plan keeps tree. Under `--plan auto` the planner picks the
-    /// routing and a pinned value is overridden.
+    /// Ring depth of every GPU plan (`None`: the engine's default under
+    /// `--plan fixed`, the planner's pick under `--plan auto`; 0 is an
+    /// error).
+    pub pipeline_depth: Option<usize>,
+    /// Inter-node reduction routing of every GPU plan (`None`: tree under
+    /// `--plan fixed`, the planner's pick under `--plan auto`). It moves
+    /// time only on more than one node, so a one-node plan keeps tree.
     pub reduction: Option<ReductionTopology>,
-    /// Overlap the reduction with the compute tail in every GPU engine's
-    /// fixed plan (`None`: on). Under `--plan auto` the planner picks, as
-    /// for [`Pipeline::reduction`].
+    /// Overlap the reduction with the compute tail in every GPU plan
+    /// (`None`: on under `--plan fixed`, the planner's pick under
+    /// `--plan auto`), as for [`Pipeline::reduction`].
     pub overlap: Option<bool>,
     /// Cross-run persistent state (devices + depth-table cache).
     pub shared: Arc<PipelineShared>,
@@ -144,6 +148,7 @@ impl Default for Pipeline {
             resume: false,
             fault_device: None,
             interconnect: InterconnectProps::ib_qdr(),
+            pipeline_depth: None,
             reduction: None,
             overlap: None,
             shared: Arc::new(PipelineShared::default()),
@@ -248,8 +253,7 @@ impl Pipeline {
     ) -> Result<RunReport> {
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         self.shared.cache.set_budget(self.table_cache_budget());
-        let (plan, cfg, planned) = self.resolve_plan(source, geom, cfg, engine)?;
-        let cfg = &cfg;
+        let (plan, planned) = self.resolve_plan(source, geom, cfg, engine)?;
 
         // Open (or replay) the run journal.
         let mut journal = None;
@@ -342,36 +346,44 @@ impl Pipeline {
         Ok(report)
     }
 
-    /// The one [`Plan`] a GPU run executes, the config it runs under, and,
-    /// under `--plan auto`, the explain block before measurement. Under
-    /// `--plan fixed` it is the alias's plan ([`Engine::plan`], with the
-    /// pinned ring depth, reduction and overlap). Under `--plan auto` the
-    /// planner prices the alias's `nodes × devices` ([`plan_auto`]) and
-    /// owns every knob of the planned run: a pinned ring depth, reduction
-    /// and overlap are overridden, its slab rows (pinned ones are
-    /// honoured) replace the configured ones, and compaction and
-    /// accumulation resolve per slab by cost.
+    /// The ring depth, reduction routing and overlap this pipeline pins.
+    fn pins(&self) -> Pins {
+        Pins {
+            depth: self.pipeline_depth.map(PipelineDepth),
+            topology: self.reduction,
+            overlap: self.overlap,
+        }
+    }
+
+    /// The one [`Plan`] a GPU run executes and, under `--plan auto`, the
+    /// explain block before measurement. Under `--plan fixed` it is the
+    /// alias's plan ([`Engine::plan`] under [`Pipeline::pins`]). Under
+    /// `--plan auto` the planner prices the alias's `nodes × devices`
+    /// ([`plan_auto`]), searching only what is unpinned among slab rows,
+    /// ring depth, reduction and overlap. `cfg` is read, never rewritten:
+    /// the compaction and accumulation modes it holds are the ones priced
+    /// and run.
     fn resolve_plan(
         &self,
         source: &mut dyn SlabSource,
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
         engine: Engine,
-    ) -> Result<(Plan, ReconstructionConfig, Option<PlanExplain>)> {
-        let fixed = engine
-            .plan(cfg, self.reduction, self.overlap)
-            .expect("GPU engine");
-        // The plan holds the ring depth; a pinned one left in the config
-        // would split the journal key of one plan.
-        let mut cfg = cfg.clone();
-        cfg.pipeline_depth = None;
+    ) -> Result<(Plan, Option<PlanExplain>)> {
+        if self.pipeline_depth == Some(0) {
+            return Err(
+                CoreError::InvalidConfig("pipeline depth must be at least 1".into()).into(),
+            );
+        }
+        let pins = self.pins();
+        let fixed = engine.plan(cfg, pins).expect("GPU engine");
         if cfg.plan == PlanMode::Fixed {
-            return Ok((fixed, cfg, None));
+            return Ok((fixed, None));
         }
         // Peek (not lookup): warmth must not perturb the cache the
         // prediction is about. Device warmth only counts when every device
         // the run will reuse holds the table.
-        let table_key = TableKey::new(geom, &cfg);
+        let table_key = TableKey::new(geom, cfg);
         let device_warm = {
             let slot = self.shared.devices.lock().expect(POISONED);
             self.reusable(&slot, &fixed)
@@ -387,7 +399,6 @@ impl Pipeline {
         };
         let RunPlan {
             plan,
-            rows_per_slab,
             predicted_s,
             host_s,
             label,
@@ -398,15 +409,13 @@ impl Pipeline {
             &self.interconnect,
             fixed.nodes,
             fixed.devices,
+            pins,
             source,
             geom,
-            &cfg,
+            cfg,
             warmth,
             Some(&self.shared.cache),
         )?;
-        cfg.rows_per_slab = Some(rows_per_slab);
-        cfg.compaction = CompactionMode::Auto;
-        cfg.accumulation = AccumulationMode::Auto;
         let explain = PlanExplain {
             chosen: label,
             predicted_s,
@@ -417,7 +426,7 @@ impl Pipeline {
                 .map(|c| (c.label, c.predicted_s))
                 .collect(),
         };
-        Ok((plan, cfg, Some(explain)))
+        Ok((plan, Some(explain)))
     }
 
     /// Does `slot` already hold `plan`'s `nodes × devices` of the current
@@ -638,14 +647,14 @@ fn gpu_report(
 
 /// The identity a journal is keyed on: everything that must match for a
 /// resume to be sound — scan fingerprint, dimensions, the resolved plan,
-/// and the whole resolved configuration, both in their `Debug` form (exact
-/// for floats, which `validate()` keeps finite). Keying on the whole
-/// structs means a new knob joins the key by itself. The slab plan
-/// deliberately participates too, so changing it invalidates old journals
-/// even though replay would still be correct; under `--plan auto` the
-/// chosen plan and slab rows are the resolved ones, so a plan flip (flag
-/// or outcome) forces a clean restart. The engine label does not: aliases
-/// of one plan share their journals.
+/// and the run's configuration, both in their `Debug` form (exact for
+/// floats, which `validate()` keeps finite). Keying on the whole structs
+/// means a new knob joins the key by itself. The plan's slab rows
+/// deliberately participate too, so changing them invalidates old journals
+/// even though replay would still be correct; under `--plan auto` the plan
+/// is the chosen one, so a plan flip (flag or outcome) forces a clean
+/// restart. The engine label does not: aliases of one plan share their
+/// journals.
 fn journal_key(
     plan: &Plan,
     cfg: &ReconstructionConfig,
@@ -665,6 +674,7 @@ fn journal_key(
 mod tests {
     use super::*;
     use laue_core::gpu::Layout;
+    use laue_core::{AccumulationMode, CompactionMode};
     use laue_wire::{write_scan, SyntheticScanBuilder};
     use std::path::PathBuf;
 
@@ -904,9 +914,13 @@ mod tests {
             piped.total_time_s,
             serial.total_time_s
         );
-        // cfg.pipeline_depth overrides the engine default.
-        c.pipeline_depth = Some(2);
-        let two = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
+        // A pinned ring depth overrides the engine default.
+        let two = Pipeline {
+            pipeline_depth: Some(2),
+            ..Pipeline::default()
+        }
+        .run_scan_file(&path, &c, Engine::GpuPipelined)
+        .unwrap();
         assert_eq!(two.pipeline_depth, 2);
         std::fs::remove_file(&path).ok();
     }
@@ -1050,67 +1064,8 @@ mod tests {
     }
 
     #[test]
-    fn flipping_compaction_mode_forces_a_clean_restart() {
-        use laue_core::CompactionMode;
+    fn flipping_a_run_mode_forces_a_clean_restart() {
         let (path, _) = scan_file("modeflip");
-        let jdir =
-            std::env::temp_dir().join(format!("pipeline_{}_modeflip_jrn", std::process::id()));
-        let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let baseline = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
-
-        // Interrupt a dense run after two committed slabs.
-        let dying = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
-            journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
-        };
-        assert!(dying.run_scan_file(&path, &c, gpu).is_err());
-        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
-
-        // Resuming under a different sparsity mode must NOT replay those
-        // slabs: the compaction mode is part of the journal key, so the run
-        // restarts clean (and still matches the dense baseline bitwise).
-        let mut flipped = c.clone();
-        flipped.compaction = CompactionMode::On;
-        let resumed = Pipeline {
-            journal_dir: Some(jdir.clone()),
-            resume: true,
-            ..Pipeline::default()
-        };
-        let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
-        assert!(
-            r.recovery.resume.is_none(),
-            "a journal from another sparsity mode must not be replayed"
-        );
-        assert_eq!(r.image.data, baseline.image.data);
-        assert!(
-            !r.slab_densities.is_empty(),
-            "compacted run reports density"
-        );
-        assert!(r.summary().contains("sparsity"), "{}", r.summary());
-
-        // Same mode, same key: the stale dense journal is still replayable.
-        let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
-        let resume = r.recovery.resume.as_ref().expect("same-mode resume");
-        assert_eq!(resume.slabs_replayed, 2);
-        assert_eq!(r.image.data, baseline.image.data);
-
-        std::fs::remove_dir_all(&jdir).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn flipping_accumulation_mode_forces_a_clean_restart() {
-        use laue_core::AccumulationMode;
-        let (path, _) = scan_file("accumflip");
-        let jdir =
-            std::env::temp_dir().join(format!("pipeline_{}_accumflip_jrn", std::process::id()));
-        let _ = std::fs::remove_dir_all(&jdir);
         let mut c = cfg();
         c.rows_per_slab = Some(2);
         let gpu = Engine::Gpu {
@@ -1122,108 +1077,89 @@ mod tests {
             "atomic run records no accumulation attribution"
         );
 
-        // Interrupt an atomic run after two committed slabs.
-        let dying = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
-            journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
-        };
-        assert!(dying.run_scan_file(&path, &c, gpu).is_err());
-        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
+        type Flip = fn(&mut ReconstructionConfig);
+        type Check = fn(&RunReport);
+        let flips: [(&str, Flip, Check); 3] = [
+            (
+                "compaction",
+                |c| c.compaction = CompactionMode::On,
+                |r| {
+                    assert!(
+                        !r.slab_densities.is_empty(),
+                        "compacted run reports density"
+                    );
+                    assert!(r.summary().contains("sparsity"), "{}", r.summary());
+                },
+            ),
+            (
+                "accumulation",
+                |c| c.accumulation = AccumulationMode::Privatized,
+                |r| {
+                    assert!(
+                        !r.slab_privatized.is_empty() && r.slab_privatized.iter().all(|&p| p),
+                        "100 bins fit the M2070 tile, so every slab privatizes"
+                    );
+                    assert_eq!(r.stats.privatized_pairs, r.stats.pairs_total);
+                    assert!(
+                        r.summary().contains("accumulation: privatized"),
+                        "{}",
+                        r.summary()
+                    );
+                },
+            ),
+            (
+                "plan",
+                |c| c.plan = PlanMode::Auto,
+                |r| {
+                    let explain = r.plan.as_ref().expect("plan auto records an explain block");
+                    assert!(!explain.candidates.is_empty());
+                },
+            ),
+        ];
+        for (mode, flip, check) in flips {
+            let jdir = std::env::temp_dir()
+                .join(format!("pipeline_{}_{mode}flip_jrn", std::process::id()));
+            let _ = std::fs::remove_dir_all(&jdir);
+            // Interrupt a run after two committed slabs.
+            let dying = Pipeline {
+                fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
+                journal_dir: Some(jdir.clone()),
+                ..Pipeline::default()
+            };
+            assert!(dying.run_scan_file(&path, &c, gpu).is_err());
+            assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
 
-        // Resuming under a different accumulation strategy must NOT replay
-        // those slabs: the strategy is part of the journal key, so the run
-        // restarts clean (and still matches the atomic baseline bitwise).
-        let mut flipped = c.clone();
-        flipped.accumulation = AccumulationMode::Privatized;
-        let resumed = Pipeline {
-            journal_dir: Some(jdir.clone()),
-            resume: true,
-            ..Pipeline::default()
-        };
-        let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
-        assert!(
-            r.recovery.resume.is_none(),
-            "a journal from another accumulation strategy must not be replayed"
-        );
-        assert_eq!(r.image.data, baseline.image.data);
-        assert!(
-            !r.slab_privatized.is_empty() && r.slab_privatized.iter().all(|&p| p),
-            "100 bins fit the M2070 tile, so every slab privatizes"
-        );
-        assert_eq!(r.stats.privatized_pairs, r.stats.pairs_total);
-        assert!(
-            r.summary().contains("accumulation: privatized"),
-            "{}",
-            r.summary()
-        );
+            // Resuming under another mode must NOT replay those slabs: the
+            // mode, or the plan it resolves, is part of the journal key, so
+            // the run restarts clean — and still matches the baseline
+            // bitwise, since every mode only relabels work.
+            let mut flipped = c.clone();
+            flip(&mut flipped);
+            let resumed = Pipeline {
+                journal_dir: Some(jdir.clone()),
+                resume: true,
+                ..Pipeline::default()
+            };
+            let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
+            assert!(
+                r.recovery.resume.is_none(),
+                "a journal from another {mode} mode must not be replayed"
+            );
+            assert_eq!(r.image.data, baseline.image.data, "{mode}");
+            check(&r);
 
-        // Same mode, same key: the stale atomic journal is still replayable.
-        let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
-        let resume = r.recovery.resume.as_ref().expect("same-mode resume");
-        assert_eq!(resume.slabs_replayed, 2);
-        assert_eq!(r.image.data, baseline.image.data);
-
-        std::fs::remove_dir_all(&jdir).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn flipping_plan_mode_forces_a_clean_restart() {
-        use laue_core::PlanMode;
-        let (path, _) = scan_file("planflip");
-        let jdir =
-            std::env::temp_dir().join(format!("pipeline_{}_planflip_jrn", std::process::id()));
-        let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let baseline = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
-
-        // Interrupt a fixed-plan run after two committed slabs.
-        let dying = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
-            journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
-        };
-        assert!(dying.run_scan_file(&path, &c, gpu).is_err());
-        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
-
-        // Resuming under --plan auto must NOT replay those slabs: the
-        // resolved plan is part of the journal key, so the run restarts
-        // clean (and still matches the fixed baseline bitwise — planner
-        // choices only relabel work, never change arithmetic).
-        let mut flipped = c.clone();
-        flipped.plan = PlanMode::Auto;
-        let resumed = Pipeline {
-            journal_dir: Some(jdir.clone()),
-            resume: true,
-            ..Pipeline::default()
-        };
-        let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
-        assert!(
-            r.recovery.resume.is_none(),
-            "a journal from another execution plan must not be replayed"
-        );
-        assert_eq!(r.image.data, baseline.image.data);
-        let explain = r.plan.as_ref().expect("plan auto records an explain block");
-        assert!(!explain.candidates.is_empty());
-
-        // Same mode, same key: the stale fixed-plan journal is replayable.
-        let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
-        let resume = r.recovery.resume.as_ref().expect("same-mode resume");
-        assert_eq!(resume.slabs_replayed, 2);
-        assert_eq!(r.image.data, baseline.image.data);
-
-        std::fs::remove_dir_all(&jdir).ok();
+            // Same mode, same key: the stale journal is still replayable.
+            let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
+            let resume = r.recovery.resume.as_ref().expect("same-mode resume");
+            assert_eq!(resume.slabs_replayed, 2, "{mode}");
+            assert_eq!(r.image.data, baseline.image.data, "{mode}");
+            std::fs::remove_dir_all(&jdir).ok();
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn plan_auto_matches_fixed_bitwise_and_explains_itself() {
-        use laue_core::PlanMode;
         let (path, _) = scan_file("planauto");
         let c = cfg();
         let gpu = Engine::Gpu {
@@ -1263,6 +1199,117 @@ mod tests {
         );
 
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn plan_auto_runs_the_configured_modes_and_searches_only_what_is_unpinned() {
+        use laue_core::input::InMemorySlabSource;
+        // `laue generate --rows 24 --cols 24 --steps 16 --noise 1 --seed 5`
+        // under a -300..300 µm window: auto compaction culls rows there,
+        // and auto accumulation privatizes.
+        let scan = SyntheticScanBuilder::new(24, 24, 16)
+            .scatterers(24)
+            .background(10.0)
+            .noise(1.0)
+            .seed(5)
+            .build()
+            .unwrap();
+        let source = || InMemorySlabSource::new(scan.images.clone(), 16, 24, 24).unwrap();
+        let mut auto = ReconstructionConfig::new(-300.0, 300.0, 100);
+        auto.plan = PlanMode::Auto;
+        auto.compaction = CompactionMode::Auto;
+        auto.accumulation = AccumulationMode::Auto;
+        let cluster = Engine::GpuCluster {
+            nodes: 4,
+            devices_per_node: 1,
+        };
+        let pinned_depth = Pipeline {
+            pipeline_depth: Some(2),
+            ..Pipeline::default()
+        };
+        let pinned_reduction = Pipeline {
+            reduction: Some(ReductionTopology::Ring),
+            overlap: Some(false),
+            ..Pipeline::default()
+        };
+        let off = ReconstructionConfig {
+            compaction: CompactionMode::Off,
+            ..auto.clone()
+        };
+        let atomic = ReconstructionConfig {
+            accumulation: AccumulationMode::Atomic,
+            ..auto.clone()
+        };
+        let runs = [
+            (Pipeline::default(), &auto, Engine::GpuPipelined),
+            (Pipeline::default(), &off, Engine::GpuPipelined),
+            (Pipeline::default(), &atomic, Engine::GpuPipelined),
+            (pinned_depth, &auto, Engine::GpuPipelined),
+            (pinned_reduction, &auto, cluster),
+        ];
+        let mut reports = Vec::new();
+        for (p, c, engine) in &runs {
+            let r = p
+                .run_source(&mut source(), &scan.geometry, c, *engine)
+                .unwrap();
+            // The explain block prices the run that executed: the cold
+            // prediction for this very config and these pins.
+            let fixed = engine.plan(c, p.pins()).unwrap();
+            let warmth = TableWarmth {
+                resident_budget: p.table_cache_budget(),
+                ..TableWarmth::default()
+            };
+            let priced = plan_auto(
+                &p.device,
+                &p.host,
+                &p.interconnect,
+                fixed.nodes,
+                fixed.devices,
+                p.pins(),
+                &mut source(),
+                &scan.geometry,
+                c,
+                warmth,
+                None,
+            )
+            .unwrap();
+            let explain = r.plan.clone().expect("plan auto explain block");
+            assert_eq!(explain.chosen, priced.label, "{engine:?} {c:?}");
+            assert_eq!(explain.predicted_s, priced.predicted_s, "{engine:?} {c:?}");
+            reports.push((r, explain));
+        }
+        let [(both, _), (off, _), (atomic, _), (_, k2), (_, ring)] = &reports[..] else {
+            unreachable!()
+        };
+        assert!(both.stats.culled_rows > 0 && both.stats.privatized_pairs > 0);
+        assert_eq!((off.stats.culled_rows, off.stats.compacted_pairs), (0, 0));
+        assert_eq!(atomic.stats.privatized_pairs, 0);
+        assert!(k2.chosen.contains("/k2/"), "{}", k2.chosen);
+        assert!(k2
+            .candidates
+            .iter()
+            .all(|(label, _)| label.contains("/k2/")));
+        assert_eq!(ring.chosen, "n4x1/ring+barrier");
+        // Node counts 1, 2 and 4, each priced only under the pins.
+        assert_eq!(ring.candidates.len(), 3);
+        for (r, _) in &reports {
+            assert_eq!(r.image.data, both.image.data);
+        }
+
+        // A zero ring depth is refused under either plan, before any work.
+        let zero = Pipeline {
+            pipeline_depth: Some(0),
+            ..Pipeline::default()
+        };
+        for c in [&auto, &cfg()] {
+            let err = zero
+                .run_source(&mut source(), &scan.geometry, c, Engine::GpuPipelined)
+                .unwrap_err();
+            assert!(
+                matches!(err, crate::PipelineError::Core(CoreError::InvalidConfig(_))),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1507,9 +1554,9 @@ mod tests {
         let run_at_depth = |depth: usize| {
             let mut c = cfg();
             c.integrity = laue_core::IntegrityMode::Scrub;
-            c.pipeline_depth = Some(depth);
             let p = Pipeline {
                 fault_plan: Some(spec.clone()),
+                pipeline_depth: Some(depth),
                 ..Pipeline::default()
             };
             p.run_scan_file(&path, &c, gpu).unwrap()
@@ -1537,13 +1584,13 @@ mod tests {
 
     #[test]
     fn every_resolved_run_input_participates_in_the_journal_key() {
-        use laue_core::gpu::{GpuOptions, PipelineDepth, ThreadMapping, Triangulation};
+        use laue_core::gpu::{GpuOptions, Triangulation};
         use laue_core::{ClusterOptions, IntegrityMode};
         let plan = Engine::GpuCluster {
             nodes: 2,
             devices_per_node: 1,
         }
-        .plan(&cfg(), None, None)
+        .plan(&cfg(), Pins::default())
         .unwrap();
         let dims = (12, 8, 8);
         let base = journal_key(&plan, &cfg(), dims, Some(1)).hash;
@@ -1557,27 +1604,23 @@ mod tests {
             intensity_cutoff: _,
             wire_edge: _,
             rows_per_slab: _,
-            pipeline_depth: _,
             compaction: _,
             accumulation: _,
             plan: _,
             integrity: _,
-            watchdog_multiplier: _,
         } = cfg();
         type Flip = fn(&mut ReconstructionConfig);
-        let cfg_flips: [(&str, Flip); 12] = [
+        let cfg_flips: [(&str, Flip); 10] = [
             ("depth_start", |c| c.depth_start -= 0.5),
             ("depth_end", |c| c.depth_end += 0.5),
             ("n_depth_bins", |c| c.n_depth_bins += 1),
             ("intensity_cutoff", |c| c.intensity_cutoff += 0.25),
             ("wire_edge", |c| c.wire_edge = c.wire_edge.opposite()),
             ("rows_per_slab", |c| c.rows_per_slab = Some(3)),
-            ("pipeline_depth", |c| c.pipeline_depth = Some(2)),
             ("compaction", |c| c.compaction = CompactionMode::On),
             ("accumulation", |c| c.accumulation = AccumulationMode::Auto),
             ("plan", |c| c.plan = PlanMode::Auto),
             ("integrity", |c| c.integrity = IntegrityMode::Verify),
-            ("watchdog_multiplier", |c| c.watchdog_multiplier *= 2.0),
         ];
         for (field, flip) in cfg_flips {
             let mut c = cfg();
@@ -1594,12 +1637,12 @@ mod tests {
             devices: _,
             options,
             depth: _,
+            rows_per_slab: _,
             reduction,
         } = plan;
         let GpuOptions {
             layout: _,
             triangulation: _,
-            mapping: _,
         } = options;
         let ClusterOptions {
             topology: _,
@@ -1625,16 +1668,16 @@ mod tests {
                 }),
             ),
             (
-                "mapping",
-                with_options(GpuOptions {
-                    mapping: ThreadMapping::Grid3d,
-                    ..options
-                }),
-            ),
-            (
                 "depth",
                 Plan {
                     depth: PipelineDepth::SERIAL,
+                    ..plan
+                },
+            ),
+            (
+                "rows_per_slab",
+                Plan {
+                    rows_per_slab: Some(3),
                     ..plan
                 },
             ),
@@ -1674,19 +1717,18 @@ mod tests {
         // pinned ring depth, a one-node reduction) is part of the key:
         // aliases of one plan share their journals.
         let scan = SyntheticScanBuilder::new(8, 8, 12).build().unwrap();
-        let alias_key = |engine: Engine, depth, reduction| {
+        let alias_key = |engine: Engine, pipeline_depth, reduction| {
             let p = Pipeline {
+                pipeline_depth,
                 reduction,
                 ..Pipeline::default()
             };
-            let mut c = cfg();
-            c.pipeline_depth = depth;
             let mut source =
                 laue_core::input::InMemorySlabSource::new(scan.images.clone(), 12, 8, 8).unwrap();
-            let (plan, c, _) = p
-                .resolve_plan(&mut source, &scan.geometry, &c, engine)
+            let (plan, _) = p
+                .resolve_plan(&mut source, &scan.geometry, &cfg(), engine)
                 .unwrap();
-            journal_key(&plan, &c, dims, Some(1)).hash
+            journal_key(&plan, &cfg(), dims, Some(1)).hash
         };
         let one = alias_key(Engine::GpuPipelined, None, None);
         let flat1d = Engine::Gpu {
@@ -1733,7 +1775,7 @@ mod tests {
             p.shared.cache.evict_device(d.id(), &mut stats);
         }
         let planned = || {
-            let (_, _, explain) = p.resolve_plan(&mut source(), geom, &c, engine).unwrap();
+            let (_, explain) = p.resolve_plan(&mut source(), geom, &c, engine).unwrap();
             explain.unwrap().candidates
         };
         let key = TableKey::new(geom, &c);
@@ -1751,6 +1793,7 @@ mod tests {
                 net,
                 1,
                 2,
+                Pins::default(),
                 &mut source(),
                 geom,
                 &c,
@@ -1909,8 +1952,11 @@ mod tests {
         // next launch.
         let mut c = cfg();
         c.rows_per_slab = Some(2);
-        c.pipeline_depth = Some(1);
-        let baseline = Pipeline::default()
+        let serial = Pipeline {
+            pipeline_depth: Some(1),
+            ..Pipeline::default()
+        };
+        let baseline = serial
             .run_scan_file(&path, &c, Engine::GpuPipelined)
             .unwrap();
 
@@ -1919,7 +1965,7 @@ mod tests {
         let dying = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
             journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
+            ..serial.clone()
         };
         assert!(dying
             .run_scan_file(&path, &c, Engine::GpuPipelined)
@@ -1931,7 +1977,7 @@ mod tests {
         let resumed = Pipeline {
             journal_dir: Some(jdir.clone()),
             resume: true,
-            ..Pipeline::default()
+            ..serial
         };
         let r = resumed
             .run_scan_file(&path, &c, Engine::GpuMulti { devices: 1 })
@@ -2033,11 +2079,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.image.data, baseline.image.data);
-        // The planned run resolves compaction/accumulation per slab, so the
-        // attribution counters differ from the dense baseline — the physics
-        // counters must not.
-        assert_eq!(r.stats.pairs_deposited, baseline.stats.pairs_deposited);
-        assert_eq!(r.stats.deposits, baseline.stats.deposits);
+        // The planned run keeps the configured dense, atomic modes.
+        assert_eq!(r.stats, baseline.stats);
         let plan = r.plan.as_ref().expect("cluster plan explain");
         assert!(plan.chosen.starts_with("n4x1/"), "{}", plan.chosen);
         // Node-count ladder {1,2,4} × topology × overlap.
@@ -2104,14 +2147,17 @@ mod tests {
         // Serial single-row slabs: each node commits its first slab to the
         // journal before the scripted fault kills its second launch.
         c.rows_per_slab = Some(1);
-        c.pipeline_depth = Some(1);
+        let serial = Pipeline {
+            pipeline_depth: Some(1),
+            ..Pipeline::default()
+        };
         let engine = Engine::GpuCluster {
             nodes: 2,
             devices_per_node: 1,
         };
         let baseline = Pipeline {
             reduction: Some(ReductionTopology::Tree),
-            ..Pipeline::default()
+            ..serial.clone()
         }
         .run_scan_file(&path, &c, engine)
         .unwrap();
@@ -2122,7 +2168,7 @@ mod tests {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(1)),
             reduction: Some(ReductionTopology::Tree),
             journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
+            ..serial.clone()
         };
         assert!(dying.run_scan_file(&path, &c, engine).is_err());
         assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
@@ -2133,7 +2179,7 @@ mod tests {
             reduction: Some(ReductionTopology::Ring),
             journal_dir: Some(jdir.clone()),
             resume: true,
-            ..Pipeline::default()
+            ..serial.clone()
         };
         let r = ring.run_scan_file(&path, &c, engine).unwrap();
         assert!(
@@ -2147,7 +2193,7 @@ mod tests {
             reduction: Some(ReductionTopology::Tree),
             journal_dir: Some(jdir.clone()),
             resume: true,
-            ..Pipeline::default()
+            ..serial
         };
         let r = tree.run_scan_file(&path, &c, engine).unwrap();
         let resume = r.recovery.resume.as_ref().expect("same-topology resume");

@@ -216,7 +216,7 @@ proptest! {
             &mut source,
             &scan.geometry,
             &cfg,
-            GpuOptions { layout: Layout::Flat1d, triangulation: Triangulation::HostTables, ..GpuOptions::default() },
+            GpuOptions { layout: Layout::Flat1d, triangulation: Triangulation::HostTables },
         )
         .unwrap();
         prop_assert_eq!(&tables.image.data, &cpu_out.image.data);
@@ -274,7 +274,7 @@ proptest! {
                     &mut source,
                     &scan.geometry,
                     &cfg,
-                    GpuOptions { layout: Layout::Flat1d, triangulation, ..GpuOptions::default() },
+                    GpuOptions { layout: Layout::Flat1d, triangulation },
                 )
                 .unwrap();
                 prop_assert_eq!(&out.image.data, &reference.image.data);
@@ -343,7 +343,7 @@ proptest! {
                         &mut source,
                         &scan.geometry,
                         &cfg,
-                        GpuOptions { layout, triangulation, ..GpuOptions::default() },
+                        GpuOptions { layout, triangulation },
                     )
                     .unwrap()
                 };
@@ -440,9 +440,6 @@ proptest! {
         let rows: usize = parts[3][1..].parse().unwrap();
         let mut fixed = cfg.clone();
         fixed.plan = PlanMode::Fixed;
-        fixed.compaction = CompactionMode::Auto;
-        fixed.accumulation = AccumulationMode::Auto;
-        fixed.pipeline_depth = Some(depth);
         fixed.rows_per_slab = Some(rows);
         let engine = match (parts[0], parts[1]) {
             ("flat1d", "inkernel") => Some(Engine::Gpu { layout: Layout::Flat1d }),
@@ -453,7 +450,7 @@ proptest! {
         let mut source = InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
         let fixed_image = match engine {
             Some(e) => {
-                Pipeline::default()
+                Pipeline { pipeline_depth: Some(depth), ..Pipeline::default() }
                     .run_source(&mut source, &scan.geometry, &fixed, e)
                     .unwrap()
                     .image
@@ -463,7 +460,7 @@ proptest! {
                 // ptr3d + host tables has no Engine shorthand; run the core
                 // engine with the same options on the same device model.
                 let device = Device::new(DeviceProps::tesla_m2070());
-                gpu::reconstruct_with_options(
+                gpu::reconstruct_pipelined(
                     &device,
                     &mut source,
                     &scan.geometry,
@@ -471,8 +468,9 @@ proptest! {
                     GpuOptions {
                         layout: Layout::Pointer3d,
                         triangulation: Triangulation::HostTables,
-                        ..GpuOptions::default()
                     },
+                    PipelineDepth(depth),
+                    None,
                 )
                 .unwrap()
                 .image

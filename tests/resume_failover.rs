@@ -247,8 +247,7 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
     // Force the serial ring so each device commits its first slab before
     // the fatal second launch (the default 3-deep ring would lose the
     // in-flight slab with the device).
-    let mut cfg = cfg();
-    cfg.pipeline_depth = Some(1);
+    let cfg = cfg();
     let cpu = Pipeline::default()
         .run_scan_file(&path, &cfg, Engine::CpuSeq)
         .unwrap();
@@ -256,6 +255,7 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
     let p = Pipeline {
         fault_plan: Some(FaultPlan::new(0).fail_after_launches(1)),
         on_gpu_failure: GpuFailurePolicy::FallbackCpu,
+        pipeline_depth: Some(1),
         ..Pipeline::default()
     };
     let r = p
@@ -280,26 +280,27 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
 #[test]
 fn interrupted_fleet_run_resumes_on_a_healthy_fleet() {
     let path = write_demo_scan("fleet_resume");
-    let mut cfg = cfg();
-    cfg.pipeline_depth = Some(1);
+    let cfg = cfg();
+    let serial = Pipeline {
+        pipeline_depth: Some(1),
+        ..Pipeline::default()
+    };
     let fleet = Engine::GpuMulti { devices: 4 };
-    let baseline = Pipeline::default()
-        .run_scan_file(&path, &cfg, fleet)
-        .unwrap();
+    let baseline = serial.run_scan_file(&path, &cfg, fleet).unwrap();
 
     let jdir = tmp("fleet_jrn");
     let _ = std::fs::remove_dir_all(&jdir);
     let dying = Pipeline {
         fault_plan: Some(FaultPlan::new(0).fail_after_launches(1)),
         journal_dir: Some(jdir.clone()),
-        ..Pipeline::default()
+        ..serial.clone()
     };
     assert!(dying.run_scan_file(&path, &cfg, fleet).is_err());
 
     let resumed = Pipeline {
         journal_dir: Some(jdir.clone()),
         resume: true,
-        ..Pipeline::default()
+        ..serial
     };
     let r = resumed.run_scan_file(&path, &cfg, fleet).unwrap();
     assert_eq!(r.image.data, baseline.image.data);
