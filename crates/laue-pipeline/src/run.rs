@@ -120,8 +120,8 @@ pub struct Pipeline {
     /// default: InfiniBand QDR).
     pub interconnect: InterconnectProps,
     /// Ring depth of every GPU plan (`None`: the engine's default under
-    /// `--plan fixed`, the planner's pick under `--plan auto`; 0 is an
-    /// error).
+    /// `--plan fixed`, the planner's pick under `--plan auto`). 0 is an
+    /// error on every engine.
     pub pipeline_depth: Option<usize>,
     /// Inter-node reduction routing of every GPU plan (`None`: tree under
     /// `--plan fixed`, the planner's pick under `--plan auto`). It moves
@@ -196,6 +196,11 @@ impl Pipeline {
         engine: Engine,
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
+        if self.pipeline_depth == Some(0) {
+            return Err(
+                CoreError::InvalidConfig("pipeline depth must be at least 1".into()).into(),
+            );
+        }
         if engine.is_gpu() {
             return self.run_gpu(source, geom, cfg, engine, fingerprint);
         }
@@ -370,11 +375,6 @@ impl Pipeline {
         cfg: &ReconstructionConfig,
         engine: Engine,
     ) -> Result<(Plan, Option<PlanExplain>)> {
-        if self.pipeline_depth == Some(0) {
-            return Err(
-                CoreError::InvalidConfig("pipeline depth must be at least 1".into()).into(),
-            );
-        }
         let pins = self.pins();
         let fixed = engine.plan(cfg, pins).expect("GPU engine");
         if cfg.plan == PlanMode::Fixed {
@@ -1168,12 +1168,18 @@ mod tests {
         let fixed = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
         assert!(fixed.plan.is_none(), "fixed plan records no explain block");
 
+        // The planned run resolves compaction and accumulation per slab,
+        // and still matches the dense, atomic fixed run bitwise.
         let mut auto_cfg = c.clone();
         auto_cfg.plan = PlanMode::Auto;
+        auto_cfg.compaction = CompactionMode::Auto;
+        auto_cfg.accumulation = AccumulationMode::Auto;
         let auto = Pipeline::default()
             .run_scan_file(&path, &auto_cfg, gpu)
             .unwrap();
         assert_eq!(auto.image.data, fixed.image.data);
+        // The scan is sparse under this cutoff, so the planned run compacts.
+        assert!(auto.stats.compacted_pairs > 0, "{:?}", auto.stats);
         let explain = auto.plan.as_ref().expect("plan auto explain block");
         assert!(explain.predicted_s > 0.0);
         assert!(explain.measured_s > 0.0);
@@ -1296,14 +1302,19 @@ mod tests {
             assert_eq!(r.image.data, both.image.data);
         }
 
-        // A zero ring depth is refused under either plan, before any work.
+        // A zero ring depth is refused under either plan and on every
+        // engine, before any work.
         let zero = Pipeline {
             pipeline_depth: Some(0),
             ..Pipeline::default()
         };
-        for c in [&auto, &cfg()] {
+        for (c, engine) in [
+            (&auto, Engine::GpuPipelined),
+            (&cfg(), Engine::GpuPipelined),
+            (&cfg(), Engine::CpuSeq),
+        ] {
             let err = zero
-                .run_source(&mut source(), &scan.geometry, c, Engine::GpuPipelined)
+                .run_source(&mut source(), &scan.geometry, c, engine)
                 .unwrap_err();
             assert!(
                 matches!(err, crate::PipelineError::Core(CoreError::InvalidConfig(_))),
@@ -2066,17 +2077,14 @@ mod tests {
         let baseline = Pipeline::default()
             .run_scan_file(&path, &cfg(), Engine::GpuPipelined)
             .unwrap();
+        let cluster = Engine::GpuCluster {
+            nodes: 4,
+            devices_per_node: 1,
+        };
         let mut c = cfg();
         c.plan = PlanMode::Auto;
         let r = Pipeline::default()
-            .run_scan_file(
-                &path,
-                &c,
-                Engine::GpuCluster {
-                    nodes: 4,
-                    devices_per_node: 1,
-                },
-            )
+            .run_scan_file(&path, &c, cluster)
             .unwrap();
         assert_eq!(r.image.data, baseline.image.data);
         // The planned run keeps the configured dense, atomic modes.
@@ -2086,6 +2094,22 @@ mod tests {
         // Node-count ladder {1,2,4} × topology × overlap.
         assert_eq!(plan.candidates.len(), 12);
         assert!(plan.predicted_s > 0.0);
+
+        // With both modes on auto each band resolves them per slab: the
+        // attribution counters may differ from the dense baseline, the
+        // image and the physics counters must not.
+        c.compaction = CompactionMode::Auto;
+        c.accumulation = AccumulationMode::Auto;
+        let r = Pipeline::default()
+            .run_scan_file(&path, &c, cluster)
+            .unwrap();
+        assert_eq!(r.image.data, baseline.image.data);
+        assert_eq!(r.stats.pairs_deposited, baseline.stats.pairs_deposited);
+        assert_eq!(r.stats.deposits, baseline.stats.deposits);
+        assert!(r.stats.privatized_pairs > 0, "{:?}", r.stats);
+        let plan = r.plan.as_ref().expect("cluster plan explain");
+        assert!(plan.chosen.starts_with("n4x1/"), "{}", plan.chosen);
+        assert_eq!(plan.candidates.len(), 12);
         std::fs::remove_file(&path).ok();
     }
 

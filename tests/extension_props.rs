@@ -426,6 +426,11 @@ proptest! {
         let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 50);
         cfg.intensity_cutoff = deltas[(deltas.len() as f64 * cutoff_fraction) as usize];
         cfg.plan = PlanMode::Auto;
+        // Both modes resolve per slab by cost, so the density sweep reaches
+        // the culled, compacted and privatized paths; the fixed rerun below
+        // inherits them.
+        cfg.compaction = CompactionMode::Auto;
+        cfg.accumulation = AccumulationMode::Auto;
         let mut source = InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
         let auto = Pipeline::default()
             .run_source(&mut source, &scan.geometry, &cfg, Engine::GpuPipelined)
