@@ -24,6 +24,13 @@
 //! of the 64-bit register, so a run of `n` zero words is `Zⁿ`. The tables
 //! hold `Z^(2^k)` for every `k` below 64, so a run advances through one
 //! table per set bit of `n`: O(log n) for a run of any length.
+//!
+//! The same tables join lanes. The register after `n` words from `r` is
+//! `Zⁿ(r) ⊕ raw`, where `raw` is what those words leave in a zero register.
+//! So a dense stream ([`crc64`], what the checked host → device copies
+//! hash) splits into four contiguous quarters stepped side by side,
+//! four independent table-lookup chains instead of one, and the quarters'
+//! registers combine into exactly the one-lane CRC.
 
 use crate::memory::NonzeroWords;
 
@@ -68,14 +75,57 @@ fn step(t: &[[u64; 256]; 8], x: u64) -> u64 {
         ^ t[0][(x >> 56) as usize]
 }
 
-/// CRC64 over a stream of 64-bit payload words.
-pub fn crc64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    let t = tables();
-    let mut crc = !0u64;
-    for w in words {
-        crc = step(t, crc ^ w);
+/// Registers [`crc64`] advances side by side.
+const LANES: usize = 4;
+
+/// CRC64 over the dense word streams `segments` hold one after another,
+/// each a length `n` and a reader of its words `0..n`, hashed in
+/// [`LANES`] lanes.
+pub fn crc64<W: Fn(usize) -> u64>(segments: impl IntoIterator<Item = (usize, W)>) -> u64 {
+    let (t, levels) = (tables(), zero_runs());
+    !segments.into_iter().fold(!0u64, |crc, (n, word)| {
+        advance_words(t, levels, crc, n, word)
+    })
+}
+
+/// The register after the words `word(0..n)` pass through it from `crc`.
+///
+/// One register's table steps form a chain, each waiting for the one
+/// before. So each lane takes a contiguous quarter of the words (the last
+/// one also the remainder) and the lanes step side by side, the first from
+/// `crc` and the others from zero. The register after `n` words from `r`
+/// is `Zⁿ(r) ⊕ raw`, where `raw` is what the same words leave in a zero
+/// register, so the lanes join exactly: each joined prefix is carried past
+/// the next lane's words by [`advance_zeros`] and XOR-ed with that lane.
+fn advance_words(
+    t: &[[u64; 256]; 8],
+    levels: &[Linear; 64],
+    crc: u64,
+    n: usize,
+    word: impl Fn(usize) -> u64,
+) -> u64 {
+    let quarter = n / LANES;
+    let mut lanes = [0u64; LANES];
+    lanes[0] = crc;
+    for i in 0..quarter {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(t, *lane ^ word(k * quarter + i));
+        }
     }
-    !crc
+    let last = LANES - 1;
+    for i in LANES * quarter..n {
+        lanes[last] = step(t, lanes[last] ^ word(i));
+    }
+    let mut joined = lanes[0];
+    for (k, &lane) in lanes.iter().enumerate().skip(1) {
+        let words = if k == last {
+            n - last * quarter
+        } else {
+            quarter
+        };
+        joined = advance_zeros(levels, joined, words as u64) ^ lane;
+    }
+    joined
 }
 
 /// A linear map of the register, as sixteen nibble tables: entry `[j][v]`
@@ -146,6 +196,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// [`crc64`] of one slice.
+    fn crc_of(words: &[u64]) -> u64 {
+        crc64([(words.len(), |i: usize| words[i])])
+    }
+
     /// Bit-serial CRC64, one shift/xor step per bit: the oracle.
     fn reference_crc64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
         let mut crc = !0u64;
@@ -175,44 +230,47 @@ mod tests {
         // "12345678ABCDEFGH" read the CRC-64/XZ of those 16 bytes.
         let word = |s: &[u8; 8]| u64::from_le_bytes(*s);
         assert_eq!(
-            crc64([word(b"12345678"), word(b"ABCDEFGH")]),
+            crc_of(&[word(b"12345678"), word(b"ABCDEFGH")]),
             0xDF75_8BD2_D376_28A6
         );
-        assert_eq!(crc64([]), 0);
+        assert_eq!(crc_of(&[]), 0);
     }
 
     #[test]
     fn empty_and_zero_payloads_differ() {
-        assert_ne!(crc64([]), crc64([0u64]));
-        assert_ne!(crc64([0u64]), crc64([0u64, 0]));
+        assert_ne!(crc_of(&[]), crc_of(&[0]));
+        assert_ne!(crc_of(&[0]), crc_of(&[0, 0]));
     }
 
     #[test]
     fn deterministic() {
         let payload = [1u64, 2, 3, u64::MAX];
-        assert_eq!(crc64(payload), crc64(payload));
+        assert_eq!(crc_of(&payload), crc_of(&payload));
     }
 
     #[test]
     fn every_single_bit_flip_changes_the_crc() {
-        let payload: Vec<u64> = (0..4u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let clean = crc64(payload.iter().copied());
-        for elem in 0..payload.len() {
-            for bit in 0..64 {
-                let mut flipped = payload.clone();
-                flipped[elem] ^= 1u64 << bit;
-                assert_ne!(
-                    crc64(flipped),
-                    clean,
-                    "flip at word {elem} bit {bit} must be detected"
-                );
+        // 1–9 words put the flip in every lane and every remainder slot.
+        for len in 1..=9u64 {
+            let payload: Vec<u64> = (0..len).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let clean = crc_of(&payload);
+            for elem in 0..payload.len() {
+                for bit in 0..64 {
+                    let mut flipped = payload.clone();
+                    flipped[elem] ^= 1u64 << bit;
+                    assert_ne!(
+                        crc_of(&flipped),
+                        clean,
+                        "flip at word {elem} of {len}, bit {bit} must be detected"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn order_matters() {
-        assert_ne!(crc64([1u64, 2]), crc64([2u64, 1]));
+        assert_ne!(crc_of(&[1, 2]), crc_of(&[2, 1]));
     }
 
     /// `Z` by its definition: one zero word through the bit-serial loop.
@@ -253,7 +311,7 @@ mod tests {
                 dense[0] = 0x0123_4567_89AB_CDEF;
                 dense[run + 1] = 1;
                 let copy = NonzeroWords::from_slice(&dense).unwrap();
-                let want = crc64(dense.iter().copied());
+                let want = crc_of(&dense);
                 assert_eq!(crc64_nonzero(&copy), want, "run of {run} words");
                 if k <= 16 {
                     assert_eq!(want, reference_crc64(dense.iter().copied()));
@@ -261,23 +319,44 @@ mod tests {
                 let trailing = NonzeroWords::from_slice(&dense[..run + 1]).unwrap();
                 assert_eq!(
                     crc64_nonzero(&trailing),
-                    crc64(dense[..run + 1].iter().copied()),
+                    crc_of(&dense[..run + 1]),
                     "trailing run of {run} words"
                 );
             }
         }
-        assert_eq!(crc64_nonzero(&NonzeroWords::zeros(0).unwrap()), crc64([]));
+        assert_eq!(crc64_nonzero(&NonzeroWords::zeros(0).unwrap()), crc_of(&[]));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn sliced_matches_bit_serial(words in proptest::collection::vec(any::<u64>(), 0..300)) {
-            prop_assert_eq!(
-                crc64(words.iter().copied()),
-                reference_crc64(words.iter().copied())
-            );
+        fn lanes_match_bit_serial_at_every_length_to_64(
+            words in proptest::collection::vec(any::<u64>(), 64),
+        ) {
+            // Every length 0–64: each lane remainder at every quarter size
+            // up to 16.
+            for len in 0..=64 {
+                let want = reference_crc64(words[..len].iter().copied());
+                prop_assert_eq!(crc_of(&words[..len]), want, "{} words", len);
+            }
+        }
+
+        #[test]
+        fn lanes_hash_a_batch_as_its_concatenation(
+            slices in proptest::collection::vec(
+                proptest::collection::vec(any::<u64>(), 0..200),
+                0..6,
+            ),
+        ) {
+            let batched = crc64(slices.iter().map(|s| (s.len(), move |i: usize| s[i])));
+            let whole: Vec<u64> = slices.concat();
+            prop_assert_eq!(batched, reference_crc64(whole.iter().copied()));
+        }
+
+        #[test]
+        fn sliced_matches_bit_serial(words in proptest::collection::vec(any::<u64>(), 0..3000)) {
+            prop_assert_eq!(crc_of(&words), reference_crc64(words.iter().copied()));
         }
 
         #[test]
@@ -294,7 +373,7 @@ mod tests {
             }
             dense.resize(dense.len() + tail, 0);
             let copy = NonzeroWords::from_slice(&dense).unwrap();
-            prop_assert_eq!(crc64_nonzero(&copy), crc64(dense.iter().copied()));
+            prop_assert_eq!(crc64_nonzero(&copy), crc_of(&dense));
             prop_assert_eq!(crc64_nonzero(&copy), reference_crc64(dense.iter().copied()));
         }
     }

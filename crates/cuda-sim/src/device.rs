@@ -610,9 +610,9 @@ impl Device {
         buf: &DeviceBuffer<T>,
         src: &[T],
     ) -> Result<TimeSpan> {
-        let expect = checksum::crc64(src.iter().map(|v| v.to_word()));
+        let expect = checksum::crc64([(src.len(), |i: usize| src[i].to_word())]);
         let span = self.memcpy_htod_on(stream, buf, src)?;
-        let landed = checksum::crc64((0..buf.len()).map(|i| buf.word(i).load(Ordering::Relaxed)));
+        let landed = checksum::crc64([(buf.len(), |i: usize| buf.word(i).load(Ordering::Relaxed))]);
         self.charge_host_flops(2 * buf.modeled_bytes() * Self::CRC64_FLOPS_PER_BYTE);
         if landed != expect {
             return Err(SimError::CorruptTransfer {
@@ -635,13 +635,14 @@ impl Device {
         let expect = checksum::crc64(
             copies
                 .iter()
-                .flat_map(|(_, src)| src.iter().map(|v| v.to_word())),
+                .map(|(_, src)| (src.len(), move |i: usize| src[i].to_word())),
         );
         let span = self.memcpy_htod_batched(stream, copies)?;
-        let landed =
-            checksum::crc64(copies.iter().flat_map(|(buf, _)| {
-                (0..buf.len()).map(move |i| buf.word(i).load(Ordering::Relaxed))
-            }));
+        let landed = checksum::crc64(copies.iter().map(|(buf, _)| {
+            (buf.len(), move |i: usize| {
+                buf.word(i).load(Ordering::Relaxed)
+            })
+        }));
         let bytes: u64 = copies.iter().map(|(buf, _)| buf.modeled_bytes()).sum();
         self.charge_host_flops(2 * bytes * Self::CRC64_FLOPS_PER_BYTE);
         if landed != expect {
@@ -986,7 +987,7 @@ mod tests {
         dst: &mut [T],
         checked: bool,
     ) -> Result<TimeSpan> {
-        let expect = checksum::crc64((0..buf.len()).map(|i| buf.word(i).load(Ordering::Relaxed)));
+        let expect = checksum::crc64([(buf.len(), |i: usize| buf.word(i).load(Ordering::Relaxed))]);
         d.check_buffer(buf)?;
         if dst.len() != buf.len() {
             return Err(SimError::CopyLengthMismatch {
@@ -1039,7 +1040,7 @@ mod tests {
             TimeSpan { start_s, end_s }
         };
         if checked {
-            let landed = checksum::crc64(dst.iter().map(|v| v.to_word()));
+            let landed = checksum::crc64([(dst.len(), |i: usize| dst[i].to_word())]);
             d.charge_host_flops(2 * bytes * Device::CRC64_FLOPS_PER_BYTE);
             if landed != expect {
                 return Err(d.corrupt_d2h());
@@ -1820,6 +1821,45 @@ mod tests {
         ));
         d.memcpy_htod_batched_checked(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
             .unwrap();
+    }
+
+    #[test]
+    fn checked_h2d_catches_a_flip_at_every_byte_of_short_payloads() {
+        // Payloads of 1–9 words leave every lane remainder, and the first
+        // and last lanes hold the payload's ends; the injector flips the top
+        // bit of the chosen byte, so every byte of every word is hit once.
+        for len in 1..=9usize {
+            let data: Vec<f64> = (0..len).map(|i| 1.5 + i as f64).collect();
+            for byte in 0..8 * len as u64 {
+                let d = tiny_device();
+                d.set_fault_plan(FaultPlan::new(0).flip_nth_h2d(1).flip_byte_offset(byte));
+                let buf = d.alloc::<f64>(len).unwrap();
+                assert!(
+                    matches!(
+                        d.memcpy_htod_checked_on(StreamId::DEFAULT, &buf, &data),
+                        Err(SimError::CorruptTransfer { .. })
+                    ),
+                    "{len} words, byte {byte}"
+                );
+                let d = tiny_device();
+                d.set_fault_plan(FaultPlan::new(0).flip_nth_h2d(1).flip_byte_offset(byte));
+                let (head, tail) = data.split_at(len / 2);
+                let a = d.alloc::<f64>(head.len().max(1)).unwrap();
+                let b = d.alloc::<f64>(tail.len()).unwrap();
+                let copies: Vec<(&DeviceBuffer<f64>, &[f64])> = if head.is_empty() {
+                    vec![(&b, tail)]
+                } else {
+                    vec![(&a, head), (&b, tail)]
+                };
+                assert!(
+                    matches!(
+                        d.memcpy_htod_batched_checked(StreamId::DEFAULT, &copies),
+                        Err(SimError::CorruptTransfer { .. })
+                    ),
+                    "batched {len} words, byte {byte}"
+                );
+            }
+        }
     }
 
     #[test]

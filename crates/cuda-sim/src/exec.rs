@@ -38,9 +38,9 @@ const CHUNK_THREADS: u64 = 4_096;
 /// Fewest chunks per worker, so a slow chunk cannot leave the others idle.
 const CHUNKS_PER_WORKER: u64 = 4;
 
-/// Host cores, read once per process and only by a launch at or above the
-/// gate.
-pub(crate) fn host_cores() -> usize {
+/// Host cores, read once per process: the workers of a launch at or above
+/// the gate.
+pub fn host_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }

@@ -34,7 +34,9 @@
 //! * **transfer bit flips** — the Nth H2D/D2H copy's payload has one bit
 //!   flipped in flight (the copy *succeeds*; only checksums can tell);
 //! * **kernel bit flips** — during the Nth kernel launch one f64 deposit is
-//!   perturbed by a single bit (a flipped mantissa in device memory);
+//!   perturbed by a single bit (a flipped mantissa in device memory), or,
+//!   persistently, during every launch from the Nth on — a device no retry
+//!   heals;
 //! * **stuck kernels** — the Nth launch takes `stall_s` extra virtual
 //!   seconds with no error, the "hung SM" a watchdog must convert into a
 //!   detected timeout.
@@ -87,6 +89,9 @@ pub struct FaultPlan {
     /// During the Nth kernel launch (1-based), flip one mantissa bit of the
     /// `flip_op`th f64 deposit ([`crate::ThreadCtx::atomic_add_f64`]).
     pub flip_kernel_nth: Option<u64>,
+    /// Every kernel launch from the Nth (1-based) on flips its `flip_op`th
+    /// f64 deposit, retries included: a persistently corrupting device.
+    pub flip_kernel_from: Option<u64>,
     /// Which f64 deposit of the targeted launch is perturbed (0-based).
     pub flip_op: u64,
     /// The Nth kernel launch (1-based) stalls for `stall_s` extra seconds.
@@ -111,6 +116,7 @@ impl Default for FaultPlan {
             flip_d2h_nth: None,
             flip_byte: 0,
             flip_kernel_nth: None,
+            flip_kernel_from: None,
             flip_op: 0,
             stuck_kernel_nth: None,
             stall_s: 0.0,
@@ -199,6 +205,13 @@ impl FaultPlan {
     /// Flip one mantissa bit of a deposit during the `n`th launch (1-based).
     pub fn flip_nth_kernel(mut self, n: u64) -> FaultPlan {
         self.flip_kernel_nth = Some(n);
+        self
+    }
+
+    /// Flip one mantissa bit of a deposit during every launch from the
+    /// `n`th (1-based) on.
+    pub fn flip_kernel_from(mut self, n: u64) -> FaultPlan {
+        self.flip_kernel_from = Some(n);
         self
     }
 
@@ -464,7 +477,11 @@ impl FaultState {
         self.ops_completed += 1;
         self.launches += 1;
         let mut effects = LaunchEffects::CLEAN;
-        if self.plan.flip_kernel_nth == Some(self.launches) {
+        let persistent = self
+            .plan
+            .flip_kernel_from
+            .is_some_and(|n| self.launches >= n);
+        if persistent || self.plan.flip_kernel_nth == Some(self.launches) {
             effects.flip_op = Some(self.plan.flip_op);
         }
         if self.plan.stuck_kernel_nth == Some(self.launches) {
@@ -633,6 +650,20 @@ mod tests {
         assert_eq!(st.stats.kernel_flipped, 0, "flip counts only when it lands");
         st.record_kernel_flip();
         assert_eq!(st.stats.kernel_flipped, 1);
+    }
+
+    #[test]
+    fn persistent_kernel_flip_arms_every_launch_from_the_nth() {
+        let mut st = FaultState::new(FaultPlan::new(0).flip_kernel_from(3).flip_op_index(2));
+        assert_eq!(st.on_launch().unwrap(), LaunchEffects::CLEAN);
+        assert_eq!(st.on_launch().unwrap(), LaunchEffects::CLEAN);
+        for _ in 0..5 {
+            assert_eq!(
+                st.on_launch().unwrap().flip_op,
+                Some(2),
+                "and every one after"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! thread-per-pair mapping races on output bins and needs `atomicAdd`).
 
 use cuda_sim::{Cost, HostProps};
-use laue_geometry::DepthMapper;
+use laue_geometry::{DepthMapper, Vec3};
 
 use crate::config::{CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
@@ -17,11 +17,11 @@ use crate::geometry::ScanGeometry;
 use crate::input::ScanView;
 use crate::output::DepthImage;
 use crate::pair::{
-    differential, process_pair, COMPACT_ENTRY_BYTES, MEM_BYTES_PER_DEPOSIT, MEM_BYTES_PER_PAIR,
-    PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR,
+    deposit_plan, differential, plan_with_edges, process_pair, COMPACT_ENTRY_BYTES,
+    MEM_BYTES_PER_DEPOSIT, MEM_BYTES_PER_PAIR, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR,
 };
 use crate::planning::ShadowCull;
-use crate::stats::ReconStats;
+use crate::stats::{PairOutcome, ReconStats};
 use crate::Result;
 
 /// Result of a CPU reconstruction.
@@ -64,12 +64,96 @@ pub(crate) fn check_shapes(view: &ScanView<'_>, geom: &ScanGeometry) -> Result<(
     Ok(())
 }
 
+/// The host's one dense pair loop, shared by [`reconstruct_rows`] and the
+/// integrity layer's ABFT reference. Each pixel walks its pairs in
+/// ascending `z`, planned exactly as [`plan_pair`](crate::pair::plan_pair)
+/// plans them. Pair `z`'s trailing edge is pair `z + 1`'s leading edge, so
+/// each edge depth is triangulated once and handed on; the cost still
+/// charges both edges of every above-cutoff pair, the work the modeled host
+/// does.
+pub(crate) struct DenseWalk<'a> {
+    view: ScanView<'a>,
+    geom: &'a ScanGeometry,
+    mapper: &'a DepthMapper,
+    cfg: &'a ReconstructionConfig,
+    wire_centers: Vec<Vec3>,
+    detector_row_offset: usize,
+}
+
+impl<'a> DenseWalk<'a> {
+    /// A walk over `view`, whose row `r` is detector row
+    /// `detector_row_offset + r` (non-zero when `view` is a streamed slab).
+    pub(crate) fn new(
+        view: ScanView<'a>,
+        geom: &'a ScanGeometry,
+        mapper: &'a DepthMapper,
+        cfg: &'a ReconstructionConfig,
+        detector_row_offset: usize,
+    ) -> DenseWalk<'a> {
+        DenseWalk {
+            view,
+            geom,
+            mapper,
+            cfg,
+            wire_centers: geom.wire.centers(),
+            detector_row_offset,
+        }
+    }
+
+    /// The view being walked.
+    pub(crate) fn view(&self) -> &ScanView<'a> {
+        &self.view
+    }
+
+    /// Walk every pair of view pixel `(r, c)`, depositing through
+    /// `deposit(bin, amount)` in pair order.
+    pub(crate) fn pixel(
+        &self,
+        r: usize,
+        c: usize,
+        stats: &mut ReconStats,
+        cost: &mut Cost,
+        mut deposit: impl FnMut(usize, f64),
+    ) {
+        let (view, cfg) = (&self.view, self.cfg);
+        let pixel = self
+            .geom
+            .detector
+            .pixel_to_xyz_unchecked((self.detector_row_offset + r) as f64, c as f64);
+        let depth = |z: usize| {
+            self.mapper
+                .depth(pixel, self.wire_centers[z], cfg.wire_edge)
+                .ok()
+        };
+        // The last triangulated trailing edge: (step, depth).
+        let mut trailing: (usize, Option<f64>) = (usize::MAX, None);
+        for z in 0..view.n_images - 1 {
+            cost.mem_bytes += MEM_BYTES_PER_PAIR;
+            let (i0, i1) = (view.at(z, r, c), view.at(z + 1, r, c));
+            let plan = plan_with_edges(cfg, i0, i1, &mut cost.flops, || {
+                let d0 = if trailing.0 == z {
+                    trailing.1
+                } else {
+                    depth(z)
+                };
+                trailing = (z + 1, depth(z + 1));
+                (d0, trailing.1)
+            });
+            let outcome = deposit_plan(plan, cfg, &mut deposit);
+            if let PairOutcome::Deposited { bins } = outcome {
+                cost.mem_bytes += MEM_BYTES_PER_DEPOSIT * bins as u64;
+            }
+            stats.record(outcome);
+        }
+    }
+}
+
 /// Reconstruct a row range into a slab-local image (rows are relative to
 /// `rows.start`). `detector_row_offset` maps the view's row indices onto
 /// detector rows (non-zero when `view` is a streamed slab). Shared by the
 /// sequential, threaded and streaming engines, and by the integrity layer
-/// as the redundant host reference against which GPU slab output is
-/// checked (the dense order here matches the sequential device exactly).
+/// as the repair donor a persistently corrupting device's slab is replaced
+/// with.
 pub(crate) fn reconstruct_rows(
     view: &ScanView<'_>,
     geom: &ScanGeometry,
@@ -78,36 +162,16 @@ pub(crate) fn reconstruct_rows(
     rows: std::ops::Range<usize>,
     detector_row_offset: usize,
 ) -> (DepthImage, ReconStats, Cost) {
-    let n_rows_out = rows.len();
-    let mut image = DepthImage::zeroed(cfg.n_depth_bins, n_rows_out, view.n_cols);
+    let mut image = DepthImage::zeroed(cfg.n_depth_bins, rows.len(), view.n_cols);
     let mut stats = ReconStats::default();
     let mut cost = Cost::default();
-    let wire_centers = geom.wire.centers();
-    let n_pairs = view.n_images - 1;
+    let walk = DenseWalk::new(*view, geom, mapper, cfg, detector_row_offset);
     let row0 = rows.start;
     for r in rows {
         for c in 0..view.n_cols {
-            let pixel = geom
-                .detector
-                .pixel_to_xyz_unchecked((detector_row_offset + r) as f64, c as f64);
-            for z in 0..n_pairs {
-                cost.mem_bytes += MEM_BYTES_PER_PAIR;
-                let outcome = process_pair(
-                    mapper,
-                    cfg,
-                    pixel,
-                    wire_centers[z],
-                    wire_centers[z + 1],
-                    view.at(z, r, c),
-                    view.at(z + 1, r, c),
-                    |bin, amount| {
-                        cost.mem_bytes += MEM_BYTES_PER_DEPOSIT;
-                        *image.at_mut(bin, r - row0, c) += amount;
-                    },
-                    &mut cost.flops,
-                );
-                stats.record(outcome);
-            }
+            walk.pixel(r, c, &mut stats, &mut cost, |bin, amount| {
+                *image.at_mut(bin, r - row0, c) += amount;
+            });
         }
     }
     (image, stats, cost)
@@ -431,9 +495,87 @@ pub fn reconstruct_threaded(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::input::InMemorySlabSource;
+    use laue_geometry::WireEdge;
+    use proptest::prelude::*;
+
+    /// The dense pair loop as it was before [`DenseWalk`], kept as the
+    /// oracle the walk must match: every pair through `process_pair`, which
+    /// triangulates both edges of each above-cutoff pair.
+    pub(crate) fn reconstruct_rows_oracle(
+        view: &ScanView<'_>,
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        rows: std::ops::Range<usize>,
+        detector_row_offset: usize,
+    ) -> (DepthImage, ReconStats, Cost) {
+        let mut image = DepthImage::zeroed(cfg.n_depth_bins, rows.len(), view.n_cols);
+        let mut stats = ReconStats::default();
+        let mut cost = Cost::default();
+        let wire_centers = geom.wire.centers();
+        let row0 = rows.start;
+        for r in rows {
+            for c in 0..view.n_cols {
+                let pixel = geom
+                    .detector
+                    .pixel_to_xyz_unchecked((detector_row_offset + r) as f64, c as f64);
+                for z in 0..view.n_images - 1 {
+                    cost.mem_bytes += MEM_BYTES_PER_PAIR;
+                    let outcome = process_pair(
+                        mapper,
+                        cfg,
+                        pixel,
+                        wire_centers[z],
+                        wire_centers[z + 1],
+                        view.at(z, r, c),
+                        view.at(z + 1, r, c),
+                        |bin, amount| {
+                            cost.mem_bytes += MEM_BYTES_PER_DEPOSIT;
+                            *image.at_mut(bin, r - row0, c) += amount;
+                        },
+                        &mut cost.flops,
+                    );
+                    stats.record(outcome);
+                }
+            }
+        }
+        (image, stats, cost)
+    }
+
+    /// Intensities a random stack draws from: repeats (pairs at the
+    /// cutoff or with ΔI = 0), small and large steps of either sign.
+    pub(crate) fn intensity() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(100.0),
+            Just(100.0),
+            Just(0.0),
+            0.0f64..200.0,
+            -50.0f64..5000.0,
+        ]
+    }
+
+    /// A `(steps, rows, cols, intensities)` stack below the given bounds.
+    pub(crate) fn random_stack(
+        max_steps: usize,
+        max_rows: usize,
+        max_cols: usize,
+    ) -> impl Strategy<Value = (usize, usize, usize, Vec<f64>)> {
+        (2..max_steps, 1..max_rows, 1..max_cols).prop_flat_map(|(p, m, n)| {
+            (
+                Just(p),
+                Just(m),
+                Just(n),
+                proptest::collection::vec(intensity(), p * m * n),
+            )
+        })
+    }
+
+    pub(crate) fn wire_edge() -> impl Strategy<Value = WireEdge> {
+        prop_oneof![Just(WireEdge::Leading), Just(WireEdge::Trailing)]
+    }
 
     /// A stack where image z+1 loses a constant amount at one pixel —
     /// everything else is static, so exactly one pair deposits.
@@ -752,6 +894,42 @@ mod tests {
         let on = reconstruct_seq(&view, &geom, &on_cfg).unwrap();
         assert_eq!(dense.image.data, on.image.data);
         assert_eq!(on.stats.compacted_pairs, 0); // nothing below cutoff
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The walk keeps the engines' images, stats and `Cost` what the
+        /// pre-walk loop gave: it skips repeated triangulations, never a
+        /// charge.
+        #[test]
+        fn shared_walk_keeps_images_stats_and_cost(
+            stack in random_stack(10, 6, 6),
+            cutoff in prop_oneof![Just(0.0f64), 0.0f64..60.0],
+            edge in wire_edge(),
+            start in -1500.0f64..200.0,
+            width in 50.0f64..3000.0,
+            bins in 1usize..90,
+            threads in 1usize..5,
+        ) {
+            let (p, m, n, data) = stack;
+            let geom = ScanGeometry::demo(m, n, p, -60.0, 6.0).unwrap();
+            let mapper = geom.mapper().unwrap();
+            let mut cfg = ReconstructionConfig::new(start, start + width, bins);
+            cfg.intensity_cutoff = cutoff;
+            cfg.wire_edge = edge;
+            let view = ScanView::new(&data, p, m, n).unwrap();
+            let (image, stats, cost) =
+                reconstruct_rows_oracle(&view, &geom, &mapper, &cfg, 0..m, 0);
+            let seq = reconstruct_seq(&view, &geom, &cfg).unwrap();
+            prop_assert_eq!(&seq.image.data, &image.data);
+            prop_assert_eq!(seq.stats, stats);
+            prop_assert_eq!(seq.cost, cost);
+            let par = reconstruct_threaded(&view, &geom, &cfg, threads).unwrap();
+            prop_assert_eq!(&par.image.data, &image.data);
+            prop_assert_eq!(par.stats, stats);
+            prop_assert_eq!(par.cost, cost);
+        }
     }
 
     #[test]

@@ -1586,15 +1586,17 @@ impl SlabCommit<'_> {
 /// Returns the slot-free edge from [`download_slab`].
 ///
 /// Verification is the ABFT check: the host redundantly recomputes the
-/// slab with the dense CPU engine (re-reading the intensities from the
-/// source — device-resident data is not trusted) and compares per-bin
-/// sums, both taken by [`integrity::bin_sums`] over the two payloads. A
-/// slab whose launch tripped the watchdog is condemned even if
-/// its sums match. In `verify` mode a condemned slab aborts the run; in
-/// `scrub` mode it is quarantined (poison record), re-executed with
-/// bounded exponential backoff — each retry re-rolls the fault dice, so
-/// one-shot corruption heals — and, when the device corrupts
-/// persistently, repaired from the host reference.
+/// slab's per-bin sums with the dense CPU pair loop, on every host core
+/// and without building its image ([`integrity::slab_reference`],
+/// re-reading the intensities from the source — device-resident data is
+/// not trusted), and compares them bit for bit with
+/// [`integrity::bin_sums`] of the downloaded payload. A slab whose launch
+/// tripped the watchdog is condemned even if its sums match. In `verify`
+/// mode a condemned slab aborts the run; in `scrub` mode it is quarantined
+/// (poison record), re-executed with bounded exponential backoff — each
+/// retry re-rolls the fault dice, so one-shot corruption heals — and, when
+/// the device corrupts persistently, repaired from the host reference,
+/// whose dense payload ([`integrity::slab_donor`]) is computed only then.
 #[allow(clippy::too_many_arguments)]
 fn commit_slab(
     ctx: &RingCtx<'_>,
@@ -1700,14 +1702,15 @@ fn commit_slab(
         }
     }
     // A persistently corrupting device loses the slab to the host
-    // reference (the very data the check trusted) — the stats are
-    // trace-derived counts a deposit-value flip cannot touch, so the
-    // condemned launch's counters remain valid.
+    // reference's dense recompute (the very data the check trusted) — the
+    // stats are trace-derived counts a deposit-value flip cannot touch, so
+    // the condemned launch's counters remain valid.
     let (stats, slab) = match repaired {
         Some(done) => done,
         None => {
             integrity.cpu_fallback_slabs += 1;
-            (stats, reference.data)
+            let donor = integrity::slab_donor(source, ctx.geom, ctx.mapper, cfg, row0, rows)?;
+            (stats, donor)
         }
     };
     integrity.exposed_overhead_s += (freed_at - clean_freed_at).max(0.0);
@@ -2200,10 +2203,10 @@ mod tests {
 
     #[test]
     fn verify_accepts_a_clean_payload_bitwise_under_both_layouts() {
-        // Observed and reference ABFT sums both come from
-        // `integrity::bin_sums` over a nonzero-cell payload, so a clean
-        // run passes every per-slab check bit for bit and
-        // commits the unverified run's image, whichever layout downloaded.
+        // The observed ABFT sums (`integrity::bin_sums` over the downloaded
+        // cells) equal the image-free host reference's bit for bit, so a
+        // clean run passes every per-slab check and commits the unverified
+        // run's image, whichever layout downloaded.
         let (geom, cfg, data) = demo();
         let verify = ReconstructionConfig {
             integrity: crate::config::IntegrityMode::Verify,

@@ -13,9 +13,10 @@
 //! Correctness: each job keeps its own device buffers, and the fused
 //! kernel maps its global thread id to a `(job, row, col, pair)` tuple
 //! whose per-job ordering is exactly the standalone 1-D dense mapping —
-//! job-major, pair index fastest. Under the sequential executor, deposits
-//! into any one job's output buffer therefore happen in precisely the
-//! order the standalone run produces, so every batched job's image is
+//! job-major, pair index fastest. The executor lands deposits in that
+//! order at any worker count, so deposits into any one job's output buffer
+//! happen in precisely the order the standalone run produces, and every
+//! batched job's image is
 //! bit-identical to running it alone ([`reconstruct_batch_fused`] is
 //! proptested against [`super::reconstruct_pipelined`] in `laue-serve`).
 //!
@@ -141,8 +142,8 @@ impl JobCounters {
 /// single `set_two_fused` kernel covers the concatenation of their launch
 /// domains. Each job's output buffer, deposit order, and stats are
 /// exactly those of a standalone [`super::reconstruct_with_options`] run
-/// of the same job (sequential executor), so batching is invisible in the
-/// results — only in the clock.
+/// of the same job, so batching is invisible in the results — only in the
+/// clock.
 ///
 /// Errors with [`CoreError::InvalidConfig`] when a job's modes are not
 /// fused-compatible, and with the device's capacity error when the batch

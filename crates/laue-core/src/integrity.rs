@@ -15,10 +15,12 @@
 //!    dice, so one-shot flips are *corrected* by the existing transfer
 //!    retry loop.
 //! 2. **ABFT depth-sum verification** — after each slab's download, the
-//!    host redundantly recomputes the slab with the dense CPU engine
-//!    (bit-identical to the device under the sequential executor) and
-//!    compares per-depth-bin sums. The recompute FLOPs are charged to the
-//!    overlapped host-CPU resource, so the planner's virtual-time model
+//!    host re-reads the slab from the source and redundantly recomputes its
+//!    per-depth-bin sums with the dense CPU pair loop, on every host core
+//!    and without building the slab's image ([`slab_reference`]). The
+//!    device executor deposits in that loop's order at any worker count, so
+//!    the sums are compared bit for bit. The recompute FLOPs are charged to
+//!    the overlapped host-CPU resource, so the planner's virtual-time model
 //!    prices the verification without stalling device streams.
 //! 3. **Watchdog deadlines** — each launch's modeled duration is compared
 //!    against `WATCHDOG_MULTIPLIER` (4) × the cost model's prediction for its
@@ -31,17 +33,21 @@
 //! condemned data); `scrub` quarantines the slab (a poison record in the
 //! run journal), re-executes it with bounded exponential backoff, and — if
 //! the device corrupts persistently — repairs the slab from the host
-//! reference. A run that detected *and corrected* corruption completes
-//! bit-identical to a fault-free run and is marked `INTEGRITY-DEGRADED`
-//! in its report.
+//! reference's dense payload ([`slab_donor`], computed only then). A run
+//! that detected *and corrected* corruption completes bit-identical to a
+//! fault-free run and is marked `INTEGRITY-DEGRADED` in its report.
 
-use cuda_sim::NonzeroWords;
+use std::ops::Range;
+
+use cuda_sim::exec::host_cores;
+use cuda_sim::{Cost, NonzeroWords};
 use laue_geometry::DepthMapper;
 
 use crate::config::ReconstructionConfig;
 use crate::cpu;
 use crate::geometry::ScanGeometry;
 use crate::input::{ScanView, SlabSource};
+use crate::stats::ReconStats;
 use crate::Result;
 
 /// How many times a scrub re-executes a failed slab before repairing it
@@ -125,25 +131,25 @@ impl IntegrityReport {
 }
 
 /// The host-side redundant slab computation the ABFT check compares
-/// against — and the repair donor when scrub exhausts its retries.
+/// against.
 pub(crate) struct SlabReference {
-    /// The slab's nonzero cells in slab layout,
-    /// `[(bin · rows + r) · n_cols + c]` — the payload a slab download
-    /// returns and [`crate::journal::SlabProgress::commit`] takes.
-    pub(crate) data: NonzeroWords,
-    /// Per-depth-bin sums of `data` ([`bin_sums`]).
+    /// Per-depth-bin sums of the slab's cells, bit-identical to what
+    /// [`bin_sums`] takes over the slab's dense payload.
     pub(crate) bin_sums: Vec<f64>,
-    /// Host FLOPs the recompute (and its bin-sum pass) cost.
+    /// Host FLOPs the recompute and a bin-sum pass over the dense slab
+    /// cost.
     pub(crate) host_flops: u64,
 }
 
-/// Redundantly recompute one slab on the host with the dense CPU engine.
+/// Redundantly recompute one slab's per-bin sums on the host, without
+/// building its image.
 ///
-/// The dense path deposits in exactly the order the sequential device
-/// executor does (and all compaction/accumulation variants are bit-equal
-/// to it), so the reference is bit-identical to an uncorrupted slab no
-/// matter which plan the GPU ran. The slab's intensities are re-read from
-/// the source — verification must not trust the device-resident copy.
+/// The slab's intensities are re-read from the source — verification must
+/// not trust the device-resident copy — and walked by the host's one dense
+/// pair loop ([`cpu::DenseWalk`]), which deposits every cell in the order
+/// the device executor does (every compaction/accumulation variant is
+/// bit-equal to it), so the sums are bit-identical to an uncorrupted
+/// slab's whichever plan the GPU ran. Row bands run on every host core.
 pub(crate) fn slab_reference(
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
@@ -154,20 +160,97 @@ pub(crate) fn slab_reference(
 ) -> Result<SlabReference> {
     let slab = source.read_slab(row0, rows)?;
     let view = ScanView::new(&slab, source.n_images(), rows, source.n_cols())?;
-    let (image, _stats, cost) = cpu::reconstruct_rows(&view, geom, mapper, cfg, 0..rows, row0);
-    let data = NonzeroWords::from_slice(&image.data)?;
-    let bin_sums = bin_sums(&data, cfg.n_depth_bins);
-    let host_flops = cost.flops + image.data.len() as u64;
-    Ok(SlabReference {
-        data,
-        bin_sums,
-        host_flops,
-    })
+    let walk = cpu::DenseWalk::new(view, geom, mapper, cfg, row0);
+    Ok(reference_sums(&walk, cfg.n_depth_bins, host_cores()))
 }
 
-/// Per-depth-bin sums of a slab payload's cells, summed in index order.
-/// The observed slab and the host reference both go through this one
-/// function, so two bit-identical slabs always produce bit-identical sums.
+/// [`slab_reference`]'s sums over `walk`, on `workers` row bands.
+///
+/// Each pixel deposits into an `n_bins` scratch row; its nonzero cells go
+/// to the band's list in pixel order. The bands' lists are then added to
+/// the sums in row order: every bin's cells arrive in row-major pixel
+/// order, its index order in the slab payload, so each sum adds the same
+/// values in the same order as [`bin_sums`] over the dense image.
+fn reference_sums(walk: &cpu::DenseWalk<'_>, n_bins: usize, workers: usize) -> SlabReference {
+    let (rows, cols) = (walk.view().n_rows, walk.view().n_cols);
+    let workers = workers.clamp(1, rows);
+    let bands: Vec<Range<usize>> = (0..workers)
+        .map(|w| w * rows / workers..(w + 1) * rows / workers)
+        .collect();
+    let band = |rows: Range<usize>| {
+        let mut scratch = vec![0.0f64; n_bins];
+        let mut cells: Vec<(usize, f64)> = Vec::new();
+        let (mut stats, mut cost) = (ReconStats::default(), Cost::default());
+        for r in rows {
+            for c in 0..cols {
+                let (mut lo, mut hi) = (n_bins, 0);
+                walk.pixel(r, c, &mut stats, &mut cost, |bin, amount| {
+                    scratch[bin] += amount;
+                    lo = lo.min(bin);
+                    hi = hi.max(bin + 1);
+                });
+                for (bin, cell) in scratch.iter_mut().enumerate().take(hi).skip(lo) {
+                    let v = std::mem::take(cell);
+                    if v.to_bits() != 0 {
+                        cells.push((bin, v));
+                    }
+                }
+            }
+        }
+        (cells, cost.flops)
+    };
+    let parts: Vec<(Vec<(usize, f64)>, u64)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = bands[1..]
+            .iter()
+            .map(|rows| scope.spawn(|| band(rows.clone())))
+            .collect();
+        let mut parts = vec![band(bands[0].clone())];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("an ABFT reference band panicked")),
+        );
+        parts
+    });
+    let mut bin_sums = vec![0.0; n_bins];
+    let mut host_flops = (n_bins * rows * cols) as u64;
+    for (cells, flops) in parts {
+        for (bin, v) in cells {
+            bin_sums[bin] += v;
+        }
+        host_flops += flops;
+    }
+    SlabReference {
+        bin_sums,
+        host_flops,
+    }
+}
+
+/// The repair donor scrub commits once its retries are spent: the slab's
+/// nonzero cells in slab layout, `[(bin · rows + r) · n_cols + c]` — the
+/// payload a slab download returns and
+/// [`crate::journal::SlabProgress::commit`] takes — recomputed from a fresh
+/// re-read of the source. Only a persistently corrupting device needs it,
+/// so the ABFT check never builds it; its FLOPs were charged with that
+/// check's.
+pub(crate) fn slab_donor(
+    source: &mut dyn SlabSource,
+    geom: &ScanGeometry,
+    mapper: &DepthMapper,
+    cfg: &ReconstructionConfig,
+    row0: usize,
+    rows: usize,
+) -> Result<NonzeroWords> {
+    let slab = source.read_slab(row0, rows)?;
+    let view = ScanView::new(&slab, source.n_images(), rows, source.n_cols())?;
+    let (image, _stats, _cost) = cpu::reconstruct_rows(&view, geom, mapper, cfg, 0..rows, row0);
+    Ok(NonzeroWords::from_slice(&image.data)?)
+}
+
+/// Per-depth-bin sums of a slab payload's cells, summed in index order:
+/// the observed side of the ABFT check. [`reference_sums`] adds the
+/// reference's cells in the same order, so a slab bit-identical to the
+/// reference's payload always produces bit-identical sums.
 pub(crate) fn bin_sums(slab: &NonzeroWords, n_bins: usize) -> Vec<f64> {
     let per_bin = slab.len() / n_bins.max(1);
     let mut sums = vec![0.0; n_bins];
@@ -191,6 +274,84 @@ pub(crate) fn sums_match(observed: &[f64], reference: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::tests::{random_stack, reconstruct_rows_oracle, wire_edge};
+    use proptest::prelude::*;
+
+    /// The dense reference as it was before [`reference_sums`], kept as the
+    /// oracle: the slab's whole image from the pre-walk loop, its nonzero
+    /// cells, and their [`bin_sums`].
+    fn dense_reference(
+        view: &ScanView<'_>,
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        row0: usize,
+    ) -> (NonzeroWords, Vec<f64>, u64) {
+        let (image, _stats, cost) =
+            reconstruct_rows_oracle(view, geom, mapper, cfg, 0..view.n_rows, row0);
+        let data = NonzeroWords::from_slice(&image.data).unwrap();
+        let host_flops = cost.flops + image.data.len() as u64;
+        let sums = bin_sums(&data, cfg.n_depth_bins);
+        (data, sums, host_flops)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The image-free sums are the dense payload's `bin_sums` bit for
+        /// bit, and charge the same host FLOPs, at any band count.
+        #[test]
+        fn image_free_sums_match_the_dense_reference(
+            stack in random_stack(10, 7, 6),
+            row0 in 0usize..5,
+            cutoff in prop_oneof![Just(0.0f64), 0.0f64..60.0],
+            edge in wire_edge(),
+            start in -1500.0f64..200.0,
+            width in 50.0f64..3000.0,
+            bins in 1usize..90,
+            workers in 1usize..=4,
+        ) {
+            let (p, rows, n, data) = stack;
+            let geom = ScanGeometry::demo(row0 + rows + 1, n, p, -60.0, 6.0).unwrap();
+            let mapper = geom.mapper().unwrap();
+            let mut cfg = ReconstructionConfig::new(start, start + width, bins);
+            cfg.intensity_cutoff = cutoff;
+            cfg.wire_edge = edge;
+            let view = ScanView::new(&data, p, rows, n).unwrap();
+            let (_, want_sums, want_flops) = dense_reference(&view, &geom, &mapper, &cfg, row0);
+            let walk = cpu::DenseWalk::new(view, &geom, &mapper, &cfg, row0);
+            let got = reference_sums(&walk, bins, workers);
+            prop_assert!(
+                sums_match(&got.bin_sums, &want_sums),
+                "{:?} vs {:?}",
+                got.bin_sums,
+                want_sums
+            );
+            prop_assert_eq!(got.host_flops, want_flops);
+        }
+    }
+
+    #[test]
+    fn slab_reference_and_donor_match_the_dense_payload() {
+        let geom = ScanGeometry::demo(6, 5, 9, -60.0, 6.0).unwrap();
+        let mapper = geom.mapper().unwrap();
+        let cfg = ReconstructionConfig::new(-1200.0, 1200.0, 60);
+        let (p, m, n) = (9, 6, 5);
+        let data: Vec<f64> = (0..p * m * n)
+            .map(|i| 900.0 - 31.0 * (i / (m * n)) as f64 - (i % 7) as f64 * 3.0)
+            .collect();
+        let mut source = crate::input::InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
+        let (row0, rows) = (2, 3);
+        let reference = slab_reference(&mut source, &geom, &mapper, &cfg, row0, rows).unwrap();
+        let donor = slab_donor(&mut source, &geom, &mapper, &cfg, row0, rows).unwrap();
+        let slab = source.read_slab(row0, rows).unwrap();
+        let view = ScanView::new(&slab, p, rows, n).unwrap();
+        let (want, want_sums, want_flops) = dense_reference(&view, &geom, &mapper, &cfg, row0);
+        assert!(donor.nnz() > 0);
+        assert_eq!(donor, want);
+        assert!(sums_match(&reference.bin_sums, &want_sums));
+        assert_eq!(reference.host_flops, want_flops);
+    }
 
     #[test]
     fn report_merges_and_flags_degradation() {

@@ -180,6 +180,33 @@ pub fn plan_pair(
     plan_from_band(cfg, delta, d0, d1, flops)
 }
 
+/// [`plan_pair`] with the pair's two edge depths supplied by `edges`
+/// (`None` where the triangulation failed), which runs only for a pair
+/// above the cutoff. Both edges are charged whatever `edges` computes, so
+/// a caller that reuses a neighbouring pair's shared edge keeps the cost.
+/// The device kernel keeps calling [`plan_pair`] itself: routing it
+/// through this closure slowed the simulated `set_two` launch enough to
+/// cost `paper-dense` a fifth of its benchmark wall time.
+#[inline]
+pub fn plan_with_edges(
+    cfg: &ReconstructionConfig,
+    intensity_z: f64,
+    intensity_z1: f64,
+    flops: &mut u64,
+    edges: impl FnOnce() -> (Option<f64>, Option<f64>),
+) -> PairPlan {
+    let delta = differential(cfg, intensity_z, intensity_z1);
+    *flops += FLOPS_PER_PAIR;
+    if delta.abs() <= cfg.intensity_cutoff {
+        return PairPlan::BelowCutoff;
+    }
+    *flops += 2 * FLOPS_PER_DEPTH;
+    match edges() {
+        (Some(d0), Some(d1)) => plan_from_band(cfg, delta, d0, d1, flops),
+        _ => PairPlan::InvalidGeometry,
+    }
+}
+
 /// Convenience wrapper: plan and immediately execute the deposits through a
 /// callback. Used by the CPU engines and the tests.
 #[allow(clippy::too_many_arguments)]
@@ -192,10 +219,10 @@ pub fn process_pair<F: FnMut(usize, f64)>(
     wire_center_z1: Vec3,
     intensity_z: f64,
     intensity_z1: f64,
-    mut deposit: F,
+    deposit: F,
     flops: &mut u64,
 ) -> PairOutcome {
-    match plan_pair(
+    let plan = plan_pair(
         mapper,
         cfg,
         pixel,
@@ -204,7 +231,19 @@ pub fn process_pair<F: FnMut(usize, f64)>(
         intensity_z,
         intensity_z1,
         flops,
-    ) {
+    );
+    deposit_plan(plan, cfg, deposit)
+}
+
+/// Execute a pair's plan through a callback: every bin of a deposit whose
+/// amount is nonzero, in ascending bin order.
+#[inline]
+pub fn deposit_plan<F: FnMut(usize, f64)>(
+    plan: PairPlan,
+    cfg: &ReconstructionConfig,
+    mut deposit: F,
+) -> PairOutcome {
+    match plan {
         PairPlan::BelowCutoff => PairOutcome::BelowCutoff,
         PairPlan::InvalidGeometry => PairOutcome::InvalidGeometry,
         PairPlan::OutOfRange => PairOutcome::OutOfRange,

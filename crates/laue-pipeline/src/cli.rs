@@ -265,6 +265,7 @@ pub fn parse_fault_plan(spec: &str) -> std::result::Result<FaultPlan, String> {
             "flip-d2h-nth" => plan.flip_nth_d2h(num()?),
             "flip-byte" => plan.flip_byte_offset(num()?),
             "flip-kernel-nth" => plan.flip_nth_kernel(num()?),
+            "flip-kernel-from" => plan.flip_kernel_from(num()?),
             "flip-op" => plan.flip_op_index(num()?),
             "stall-nth" => FaultPlan {
                 stuck_kernel_nth: Some(num()?),
@@ -286,7 +287,7 @@ pub fn parse_fault_plan(spec: &str) -> std::result::Result<FaultPlan, String> {
                     "unknown --inject-gpu-fault key {other:?} (try seed, alloc-nth, \
                      h2d-nth, d2h-nth, h2d-prob, d2h-prob, free-mem, dead-after, \
                      dead-after-launches, flip-h2d-nth, flip-d2h-nth, flip-byte, \
-                     flip-kernel-nth, flip-op, stall-nth, stall-s)"
+                     flip-kernel-nth, flip-kernel-from, flip-op, stall-nth, stall-s)"
                 ))
             }
         };
@@ -701,7 +702,9 @@ GPU FAULT HANDLING:
                                  h2d-prob, d2h-prob, free-mem, dead-after,
                                  dead-after-launches, and silent-corruption
                                  keys flip-h2d-nth, flip-d2h-nth, flip-byte,
-                                 flip-kernel-nth, flip-op, stall-nth, stall-s
+                                 flip-kernel-nth, flip-kernel-from (every
+                                 launch from the nth), flip-op, stall-nth,
+                                 stall-s
   --fault-device I               install the schedule on fleet device I
                                  only (gpu-multi failover testing)
 ";
@@ -919,6 +922,12 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                 }
             }
             writeln!(out, "{} file(s), {failures} failure(s)", paths.len())?;
+            if failures > 0 {
+                return Err(PipelineError::BatchFailed {
+                    failed: failures,
+                    files: paths.len(),
+                });
+            }
             Ok(())
         }
         Command::Inspect { path } => {
@@ -1267,6 +1276,10 @@ mod tests {
         assert_eq!(plan.stuck_kernel_nth, Some(2));
         assert_eq!(plan.stall_s, 0.5);
         assert!(plan.is_active());
+        let plan = parse_fault_plan("flip-kernel-from=2,flip-op=3").unwrap();
+        assert_eq!(plan.flip_kernel_from, Some(2));
+        assert_eq!(plan.flip_kernel_nth, None);
+        assert_eq!(plan.flip_op, 3);
         assert!(parse_fault_plan("stall-nth=2")
             .unwrap_err()
             .contains("stall-s"));
@@ -1531,13 +1544,16 @@ mod tests {
             "100",
         ]))
         .unwrap();
-        run(&cmd, &mut buf).unwrap();
+        // A failed file fails the command (`laue` exits 1), after every
+        // row and the summary line are printed.
+        let err = run(&cmd, &mut buf).unwrap_err();
+        assert_eq!(err.to_string(), "1 of 3 file(s) failed");
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("scan_0.mh5"), "{text}");
         assert!(text.contains("scan_1.mh5"), "{text}");
         assert!(text.contains("broken.mh5"), "{text}");
         assert!(text.contains("ERROR"), "{text}");
-        assert!(text.contains("3 file(s), 1 failure(s)"), "{text}");
+        assert!(text.ends_with("3 file(s), 1 failure(s)\n"), "{text}");
         assert!(!text.contains("notes.txt"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }

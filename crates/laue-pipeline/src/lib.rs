@@ -41,6 +41,9 @@ pub enum PipelineError {
     Mh5(mh5::Mh5Error),
     /// Plain I/O failure (text export).
     Io(std::io::Error),
+    /// `laue batch` finished with `failed` of its `files` failing; each
+    /// failure is reported on its own row.
+    BatchFailed { failed: usize, files: usize },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -50,6 +53,9 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Wire(e) => write!(f, "scan file error: {e}"),
             PipelineError::Mh5(e) => write!(f, "container error: {e}"),
             PipelineError::Io(e) => write!(f, "I/O error: {e}"),
+            PipelineError::BatchFailed { failed, files } => {
+                write!(f, "{failed} of {files} file(s) failed")
+            }
         }
     }
 }
@@ -61,6 +67,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Wire(e) => Some(e),
             PipelineError::Mh5(e) => Some(e),
             PipelineError::Io(e) => Some(e),
+            PipelineError::BatchFailed { .. } => None,
         }
     }
 }

@@ -1517,6 +1517,68 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A device that flips a deposit in every launch, retries included,
+    /// spends scrub's whole retry budget on every slab: each slab is
+    /// repaired from the host reference, and the run still ends
+    /// bit-identical to the clean one. `verify` aborts on the first slab.
+    #[test]
+    fn scrub_repairs_every_slab_of_a_persistently_corrupting_device() {
+        // Noise keeps every slab deposit-dense, so every launch has the
+        // targeted deposit.
+        let scan = SyntheticScanBuilder::new(8, 8, 12)
+            .scatterers(4)
+            .background(12.0)
+            .noise(2.0)
+            .seed(21)
+            .build()
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pipeline_{}_persistent.mh5", std::process::id()));
+        write_scan(&path, &scan.geometry, &scan.images, Some(&scan.truth), 2).unwrap();
+        let gpu = Engine::Gpu {
+            layout: Layout::Flat1d,
+        };
+        let mut c = cfg();
+        c.rows_per_slab = Some(3);
+        let clean = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
+
+        let persistent = Pipeline {
+            fault_plan: Some(
+                cuda_sim::FaultPlan::new(5)
+                    .flip_kernel_from(1)
+                    .flip_op_index(3),
+            ),
+            ..Pipeline::default()
+        };
+        c.integrity = laue_core::IntegrityMode::Scrub;
+        let r = persistent.run_scan_file(&path, &c, gpu).unwrap();
+        assert_eq!(r.n_slabs, 3, "8 rows in slabs of 3");
+        let retries = 3; // scrub's retry budget per slab
+        let slabs = r.n_slabs as u64;
+        assert_eq!(r.integrity.cpu_fallback_slabs, slabs, "{:?}", r.integrity);
+        assert_eq!(r.integrity.abft_mismatches, slabs, "{:?}", r.integrity);
+        assert_eq!(r.integrity.scrub_retries, slabs * retries);
+        assert_eq!(r.integrity.corruptions_corrected, slabs);
+        let injected = r.faults_injected.expect("fault plan installed");
+        assert_eq!(
+            injected.kernel_flipped,
+            slabs * (1 + retries),
+            "{injected:?}"
+        );
+        assert_eq!(r.image.data, clean.image.data, "repaired bit-identically");
+        assert_eq!(r.stats, clean.stats);
+        assert!(
+            r.summary().contains("INTEGRITY-DEGRADED"),
+            "{}",
+            r.summary()
+        );
+
+        c.integrity = laue_core::IntegrityMode::Verify;
+        let err = persistent.run_scan_file(&path, &c, gpu).unwrap_err();
+        assert!(err.to_string().contains("integrity"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn watchdog_condemns_a_stalled_launch_under_scrub() {
         let (path, _) = scan_file("watchdog");

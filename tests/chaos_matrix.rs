@@ -23,11 +23,17 @@ use std::path::PathBuf;
 
 /// Name → `--inject-gpu-fault` schedule. One entry per silent-corruption
 /// family the simulator can script (checked transfers catch the flips in
-/// flight; ABFT catches the kernel flip; the watchdog catches the stall).
+/// flight; ABFT catches the kernel flips; the watchdog catches the stall).
+/// The persistent kernel flip corrupts every launch, retries included, so
+/// scrub can only repair from the host reference.
 const SPECS: &[(&str, &str)] = &[
     ("flip-h2d", "seed=5,flip-h2d-nth=2"),
     ("flip-d2h", "seed=5,flip-d2h-nth=1,flip-byte=3"),
     ("flip-kernel", "seed=5,flip-kernel-nth=1,flip-op=3"),
+    (
+        "flip-kernel-persistent",
+        "seed=5,flip-kernel-from=1,flip-op=3",
+    ),
     ("stalled-kernel", "seed=5,stall-nth=1,stall-s=5.0"),
 ];
 
