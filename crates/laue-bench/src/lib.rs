@@ -1,18 +1,16 @@
 //! Shared harness for regenerating the paper's figures.
 //!
-//! Every figure binary builds workloads through this module so the
+//! Every bench binary builds workloads through this module so the
 //! experiment parameters are recorded in one place:
 //!
-//! | binary | paper figure | what it sweeps |
-//! |---|---|---|
-//! | `fig4_layout` | Fig 4 | 1-D flat vs 3-D pointer-table device layout |
-//! | `fig8_datasize` | Fig 8 + §IV headline | data-set size, CPU vs GPU |
-//! | `fig9_pixel_percentage` | Fig 9 | pixel percentage (intensity cutoff) |
-//! | `ablate_slab` | design (Fig 2) | rows per device slab |
-//! | `ablate_atomics` | design (§III-C) | atomic-add cost share |
-//! | `ablate_pipeline_depth` | related work | ring depth of the copy/compute pipeline |
-//! | `bench_report` | — | machine-readable pipeline benchmark (`BENCH_pipeline.json`) |
-//! | `bench_scaling` | — | cluster strong/weak scaling, overlap, topology, fabrics (`BENCH_scaling.json`) |
+//! | binary | what it writes |
+//! |---|---|
+//! | `bench_report` | every measured figure of the paper and its ablations, each a gated section (`BENCH_pipeline.json`) |
+//! | `bench_scaling` | cluster strong/weak scaling, overlap, topology, fabrics (`BENCH_scaling.json`) |
+//! | `bench_serve` | the multi-tenant service sweep (`BENCH_serve.json`) |
+//!
+//! [`experiments`] renders EXPERIMENTS.md's measured tables from those
+//! three files and checks the document against them.
 //!
 //! The paper's datasets are 2.1–5.2 **GB** beamline scans; this harness
 //! generates geometrically similar synthetic scans at 1/1000 scale
@@ -23,8 +21,16 @@
 
 pub mod budgets;
 pub mod devices;
+pub mod experiments;
+pub mod report;
 
-use laue_core::{ReconstructionConfig, SlabSource};
+// The workspace has no JSON crate: the report writer and the
+// EXPERIMENTS.md check share the disk-to-disk benchmark's parser.
+#[allow(dead_code)]
+#[path = "bin/benchmark/json.rs"]
+mod json;
+
+use laue_core::ReconstructionConfig;
 use laue_pipeline::{Engine, Pipeline, RunReport};
 use laue_wire::{builder::dims_for_bytes, SyntheticScan, SyntheticScanBuilder};
 
@@ -144,56 +150,6 @@ pub fn delta_percentile(w: &Workload, fraction: f64) -> f64 {
     deltas[((deltas.len() as f64 * fraction) as usize).min(deltas.len() - 1)]
 }
 
-/// Fixed-width table printing for the figure binaries.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: Vec<String>| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("{}", line(headers.iter().map(|s| s.to_string()).collect()));
-    println!(
-        "{}",
-        widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    );
-    for row in rows {
-        println!("{}", line(row.clone()));
-    }
-}
-
-/// Format seconds as milliseconds with 3 decimals.
-pub fn ms(t: f64) -> String {
-    format!("{:.3}", t * 1e3)
-}
-
-/// Verify two engines produced identical images (sanity check inside the
-/// figure binaries — a benchmark over diverging results is meaningless).
-pub fn assert_same_image(a: &RunReport, b: &RunReport) {
-    assert_eq!(
-        a.image.data, b.image.data,
-        "{} and {} disagree — benchmark invalid",
-        a.engine, b.engine
-    );
-}
-
-/// Streaming source wrapper used by slab ablations (forces re-reads).
-pub fn fresh_source(w: &Workload) -> Box<dyn SlabSource> {
-    Box::new(w.source())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,15 +190,5 @@ mod tests {
         let p50 = delta_percentile(&w, 0.50);
         let p75 = delta_percentile(&w, 0.75);
         assert!(p25 <= p50 && p50 <= p75);
-    }
-
-    #[test]
-    fn table_printer_aligns() {
-        // Just exercise the formatting paths.
-        print_table(
-            &["a", "bbbb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
-        assert_eq!(ms(0.001234), "1.234");
     }
 }

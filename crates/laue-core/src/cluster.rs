@@ -356,8 +356,6 @@ pub fn reconstruct_cluster_checkpointed(
     let n_rows = source.n_rows();
     let n_cols = source.n_cols();
     let n = nodes.len();
-    let segment_bytes =
-        |rows: usize| (rows * n_cols * cfg.n_depth_bins * 8) as u64 + SEGMENT_HEADER_BYTES;
 
     // This run: the first `max_rows` of the rows still owed.
     let mut budget = max_rows;
@@ -433,7 +431,7 @@ pub fn reconstruct_cluster_checkpointed(
                                 node_segments.push(Segment {
                                     row0,
                                     rows,
-                                    bytes: segment_bytes(rows),
+                                    bytes: reduction_segment_bytes(rows, n_cols, cfg.n_depth_bins),
                                     ready_s: at_s,
                                 })
                             },
@@ -506,7 +504,7 @@ pub fn reconstruct_cluster_checkpointed(
                 vec![Segment {
                     row0: segs.iter().map(|s| s.row0).min().unwrap(),
                     rows,
-                    bytes: segment_bytes(rows),
+                    bytes: reduction_segment_bytes(rows, n_cols, cfg.n_depth_bins),
                     ready_s: segs.iter().map(|s| s.ready_s).fold(0.0, f64::max),
                 }]
             })

@@ -478,6 +478,11 @@ pub fn reconstruct_threaded(
         stats.merge(&part_stats);
         cost.merge(&part_cost);
         slab_densities.extend(density);
+        if part.n_rows == view.n_rows {
+            // One thread's band is the whole image: keep it, don't copy it.
+            image = part;
+            continue;
+        }
         for bin in 0..cfg.n_depth_bins {
             for r in 0..part.n_rows {
                 for c in 0..part.n_cols {

@@ -129,7 +129,7 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
         let threads: usize = t
             .parse()
             .map_err(|_| format!("bad thread count in engine {s:?}"))?;
-        return Ok(Engine::CpuThreaded { threads });
+        return Ok(Engine::Cpu { threads });
     }
     if let Some(t) = s.strip_prefix("gpu-multi:") {
         let devices: usize = t
@@ -166,7 +166,7 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
         });
     }
     match s {
-        "cpu" | "cpu-seq" => Ok(Engine::CpuSeq),
+        "cpu" | "cpu-seq" => Ok(Engine::Cpu { threads: 1 }),
         "gpu" | "gpu-1d" => Ok(Engine::Gpu {
             layout: Layout::Flat1d,
         }),
@@ -948,17 +948,20 @@ mod tests {
 
     #[test]
     fn engine_names_parse() {
-        assert_eq!(parse_engine("cpu").unwrap(), Engine::CpuSeq);
+        assert_eq!(parse_engine("cpu").unwrap(), Engine::Cpu { threads: 1 });
+        assert_eq!(parse_engine("cpu-seq").unwrap(), Engine::Cpu { threads: 1 });
         assert_eq!(
             parse_engine("cpu-threaded:4").unwrap(),
-            Engine::CpuThreaded { threads: 4 }
+            Engine::Cpu { threads: 4 }
         );
         // 0 is "one thread per available core", resolved inside the
         // pipeline so the report and journal see the real count.
         assert_eq!(
             parse_engine("cpu-threaded:0").unwrap(),
-            Engine::CpuThreaded { threads: 0 }
+            Engine::Cpu { threads: 0 }
         );
+        // One thread is the sequential engine under either name.
+        assert_eq!(parse_engine("cpu-threaded:1"), parse_engine("cpu"));
         assert_eq!(
             parse_engine("gpu").unwrap(),
             Engine::Gpu {

@@ -7,10 +7,10 @@ use laue_core::ReconstructionConfig;
 /// Which implementation reconstructs the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The paper's baseline: the prior sequential CPU program.
-    CpuSeq,
-    /// Row-parallel CPU variant on `threads` OS threads.
-    CpuThreaded { threads: usize },
+    /// The host engine on `threads` OS threads, one row band each; one
+    /// thread is the paper's baseline, the prior sequential CPU program,
+    /// and 0 means one thread per available host core.
+    Cpu { threads: usize },
     /// The paper's CUDA design on the simulated device.
     Gpu { layout: Layout },
     /// GPU with host-precomputed depth tables (the paper's
@@ -39,8 +39,8 @@ impl Engine {
     /// Short label for reports and bench output.
     pub fn label(&self) -> String {
         match self {
-            Engine::CpuSeq => "cpu-seq".to_string(),
-            Engine::CpuThreaded { threads } => format!("cpu-threaded({threads})"),
+            Engine::Cpu { threads: 1 } => "cpu-seq".to_string(),
+            Engine::Cpu { threads } => format!("cpu-threaded({threads})"),
             Engine::Gpu {
                 layout: Layout::Flat1d,
             } => "gpu-1d".to_string(),
@@ -59,7 +59,7 @@ impl Engine {
 
     /// Does this engine run on the simulated device?
     pub fn is_gpu(&self) -> bool {
-        !matches!(self, Engine::CpuSeq | Engine::CpuThreaded { .. })
+        !matches!(self, Engine::Cpu { .. })
     }
 
     /// The fixed [`Plan`] this alias names; `None` for the CPU engines.
@@ -76,7 +76,7 @@ impl Engine {
             ..flat
         };
         let (nodes, devices, options, depth) = match *self {
-            Engine::CpuSeq | Engine::CpuThreaded { .. } => return None,
+            Engine::Cpu { .. } => return None,
             Engine::Gpu { layout } => (1, 1, GpuOptions { layout, ..flat }, PipelineDepth::SERIAL),
             Engine::GpuTables => (1, 1, tables, PipelineDepth::SERIAL),
             Engine::GpuPipelined => (1, 1, flat, PipelineDepth::DEFAULT),
@@ -97,8 +97,8 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let engines = [
-            Engine::CpuSeq,
-            Engine::CpuThreaded { threads: 4 },
+            Engine::Cpu { threads: 1 },
+            Engine::Cpu { threads: 4 },
             Engine::Gpu {
                 layout: Layout::Flat1d,
             },
@@ -119,7 +119,7 @@ mod tests {
                 assert_ne!(labels[i], labels[j]);
             }
         }
-        assert!(!Engine::CpuSeq.is_gpu());
+        assert!(!Engine::Cpu { threads: 1 }.is_gpu());
         assert!(Engine::GpuPipelined.is_gpu());
         assert!(Engine::GpuMulti { devices: 2 }.is_gpu());
         assert!(Engine::GpuCluster {
@@ -137,7 +137,7 @@ mod tests {
                 .map(|p| (p.nodes, p.devices, p.options.triangulation, p.depth.0))
         };
         let none = Pins::default();
-        assert_eq!(shape(Engine::CpuSeq, none), None);
+        assert_eq!(shape(Engine::Cpu { threads: 1 }, none), None);
         assert_eq!(
             shape(Engine::GpuTables, none),
             Some((1, 1, Triangulation::HostTables, 1))

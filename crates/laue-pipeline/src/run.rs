@@ -201,46 +201,41 @@ impl Pipeline {
                 CoreError::InvalidConfig("pipeline depth must be at least 1".into()).into(),
             );
         }
-        if engine.is_gpu() {
-            return self.run_gpu(source, geom, cfg, engine, fingerprint);
-        }
+        let threads = match engine {
+            Engine::Cpu { threads } => threads,
+            gpu => return self.run_gpu(source, geom, cfg, gpu, fingerprint),
+        };
         // `cpu-threaded:0` means "one thread per available core".
-        let engine = match engine {
-            Engine::CpuThreaded { threads: 0 } => Engine::CpuThreaded {
-                threads: std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1),
-            },
-            e => e,
+        let threads = match threads {
+            0 => std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1),
+            n => n,
         };
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         // read_slab returns slab[z][r][c] over all rows = the stack.
         let stack = source.read_slab(0, dims.1)?;
         let view = ScanView::new(&stack, dims.0, dims.1, dims.2)?;
-        let (out, t) = self.run_cpu(engine, &view, geom, cfg)?;
+        let (out, t) = self.run_cpu(threads, &view, geom, cfg)?;
+        let label = Engine::Cpu { threads }.label();
         Ok(RunReport {
             slab_densities: out.slab_densities,
-            ..RunReport::host(engine.label(), out.image, out.stats, t, dims)
+            ..RunReport::host(label, out.image, out.stats, t, dims)
         })
     }
 
-    /// Run a CPU engine over a materialised stack: the output plus its
-    /// modeled time on [`Pipeline::host`].
+    /// Run the host engine on `threads` threads over a materialised stack:
+    /// the output plus its modeled time on [`Pipeline::host`], one core
+    /// per thread.
     fn run_cpu(
         &self,
-        engine: Engine,
+        threads: usize,
         view: &ScanView<'_>,
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
     ) -> Result<(cpu::CpuReconstruction, f64)> {
-        let (out, cores) = match engine {
-            Engine::CpuThreaded { threads } => (
-                cpu::reconstruct_threaded(view, geom, cfg, threads)?,
-                threads as u32,
-            ),
-            _ => (cpu::reconstruct_seq(view, geom, cfg)?, 1),
-        };
-        let t = out.modeled_time_s(&self.host, cores);
+        let out = cpu::reconstruct_threaded(view, geom, cfg, threads)?;
+        let t = out.modeled_time_s(&self.host, threads as u32);
         Ok((out, t))
     }
 
@@ -535,7 +530,7 @@ impl Pipeline {
         // cpu-seq and the GPU engines share deposit order, and cropped-band
         // reconstruction is bit-exact against the full frame, so the
         // salvaged image is bit-identical to a clean GPU run.
-        let cpu = Engine::CpuSeq;
+        let cpu = Engine::Cpu { threads: 1 };
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         let salvaged = progress.committed_slabs();
         let mut recomputed = 0usize;
@@ -551,7 +546,7 @@ impl Pipeline {
             let slab = source.read_slab(band.start, rows)?;
             let view = ScanView::new(&slab, dims.0, rows, dims.2)?;
             let band_geom = geom.crop(band.start, 0, rows, dims.2)?;
-            let (out, t) = self.run_cpu(cpu, &view, &band_geom, cfg)?;
+            let (out, t) = self.run_cpu(1, &view, &band_geom, cfg)?;
             cpu_time += t;
             slab_densities.extend(out.slab_densities);
             // A band image is already in slab layout.
@@ -723,8 +718,8 @@ mod tests {
         let (path, _) = scan_file("agree");
         let p = Pipeline::default();
         let engines = [
-            Engine::CpuSeq,
-            Engine::CpuThreaded { threads: 3 },
+            Engine::Cpu { threads: 1 },
+            Engine::Cpu { threads: 3 },
             Engine::Gpu {
                 layout: Layout::Flat1d,
             },
@@ -788,7 +783,9 @@ mod tests {
             std::env::temp_dir().join(format!("pipeline_{}_speedup.mh5", std::process::id()));
         write_scan(&path, &scan.geometry, &scan.images, None, 8).unwrap();
         let p = Pipeline::default();
-        let cpu_r = p.run_scan_file(&path, &cfg(), Engine::CpuSeq).unwrap();
+        let cpu_r = p
+            .run_scan_file(&path, &cfg(), Engine::Cpu { threads: 1 })
+            .unwrap();
         let gpu_r = p
             .run_scan_file(
                 &path,
@@ -809,7 +806,9 @@ mod tests {
         // And the inverse crossover: on a tiny scan the fixed overheads make
         // the GPU slower — the scalability story of the paper's Fig 8.
         let (tiny_path, _) = scan_file("speedup_tiny");
-        let cpu_t = p.run_scan_file(&tiny_path, &cfg(), Engine::CpuSeq).unwrap();
+        let cpu_t = p
+            .run_scan_file(&tiny_path, &cfg(), Engine::Cpu { threads: 1 })
+            .unwrap();
         let gpu_t = p
             .run_scan_file(
                 &tiny_path,
@@ -831,7 +830,7 @@ mod tests {
     fn fallback_policy_degrades_to_cpu_on_dead_device() {
         let (path, _) = scan_file("fallback");
         let cpu = Pipeline::default()
-            .run_scan_file(&path, &cfg(), Engine::CpuSeq)
+            .run_scan_file(&path, &cfg(), Engine::Cpu { threads: 1 })
             .unwrap();
 
         // A device that dies almost immediately: abort surfaces the error…
@@ -1311,7 +1310,7 @@ mod tests {
         for (c, engine) in [
             (&auto, Engine::GpuPipelined),
             (&cfg(), Engine::GpuPipelined),
-            (&cfg(), Engine::CpuSeq),
+            (&cfg(), Engine::Cpu { threads: 1 }),
         ] {
             let err = zero
                 .run_source(&mut source(), &scan.geometry, c, engine)
@@ -1327,14 +1326,22 @@ mod tests {
     fn cpu_threaded_zero_resolves_to_available_parallelism() {
         let (path, _) = scan_file("autothreads");
         let p = Pipeline::default();
-        let seq = p.run_scan_file(&path, &cfg(), Engine::CpuSeq).unwrap();
+        let seq = p
+            .run_scan_file(&path, &cfg(), Engine::Cpu { threads: 1 })
+            .unwrap();
         let auto = p
-            .run_scan_file(&path, &cfg(), Engine::CpuThreaded { threads: 0 })
+            .run_scan_file(&path, &cfg(), Engine::Cpu { threads: 0 })
             .unwrap();
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        assert_eq!(auto.engine, format!("cpu-threaded({cores})"));
+        // One thread is the sequential engine, so on a one-core host
+        // `cpu-threaded:0` reports `cpu-seq`.
+        let label = match cores {
+            1 => "cpu-seq".to_string(),
+            n => format!("cpu-threaded({n})"),
+        };
+        assert_eq!(auto.engine, label);
         assert_eq!(auto.image.data, seq.image.data);
         assert_eq!(auto.stats, seq.stats);
         std::fs::remove_file(&path).ok();
@@ -1346,7 +1353,7 @@ mod tests {
         let mut c = cfg();
         c.rows_per_slab = Some(2);
         let cpu = Pipeline::default()
-            .run_scan_file(&path, &c, Engine::CpuSeq)
+            .run_scan_file(&path, &c, Engine::Cpu { threads: 1 })
             .unwrap();
         let p = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
@@ -1411,7 +1418,7 @@ mod tests {
     fn missing_file_is_a_clean_error() {
         let p = Pipeline::default();
         assert!(p
-            .run_scan_file("/nonexistent/scan.mh5", &cfg(), Engine::CpuSeq)
+            .run_scan_file("/nonexistent/scan.mh5", &cfg(), Engine::Cpu { threads: 1 })
             .is_err());
     }
 

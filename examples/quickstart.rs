@@ -25,7 +25,7 @@ fn main() {
     let pipeline = Pipeline::default();
 
     for engine in [
-        Engine::CpuSeq,
+        Engine::Cpu { threads: 1 },
         Engine::Gpu {
             layout: Layout::Flat1d,
         },

@@ -31,8 +31,8 @@ fn file_based_engines_all_agree_and_recover_truth() {
 
     let pipeline = Pipeline::default();
     let engines = [
-        Engine::CpuSeq,
-        Engine::CpuThreaded { threads: 2 },
+        Engine::Cpu { threads: 1 },
+        Engine::Cpu { threads: 2 },
         Engine::Gpu {
             layout: Layout::Flat1d,
         },
@@ -127,7 +127,7 @@ fn full_export_chain_round_trips() {
     let cfg = cfg();
     let pipeline = Pipeline::default();
     let report = pipeline
-        .run_scan_file(&in_path, &cfg, Engine::CpuSeq)
+        .run_scan_file(&in_path, &cfg, Engine::Cpu { threads: 1 })
         .unwrap();
     export::write_mh5(&out_path, &report, &cfg).unwrap();
 
@@ -168,7 +168,7 @@ fn corrupt_scan_file_fails_cleanly_through_the_pipeline() {
     std::fs::write(&path, &bytes).unwrap();
     let pipeline = Pipeline::default();
     let err = pipeline
-        .run_scan_file(&path, &cfg(), Engine::CpuSeq)
+        .run_scan_file(&path, &cfg(), Engine::Cpu { threads: 1 })
         .unwrap_err();
     let msg = err.to_string();
     assert!(
@@ -187,7 +187,7 @@ fn truncated_scan_file_fails_cleanly() {
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     let pipeline = Pipeline::default();
     assert!(pipeline
-        .run_scan_file(&path, &cfg(), Engine::CpuSeq)
+        .run_scan_file(&path, &cfg(), Engine::Cpu { threads: 1 })
         .is_err());
     std::fs::remove_file(&path).ok();
 }

@@ -85,7 +85,7 @@ fn dead_device_falls_back_to_cpu_within_tolerance() {
     let path = write_demo_scan("dead");
     let cfg = cfg();
     let cpu = Pipeline::default()
-        .run_scan_file(&path, &cfg, Engine::CpuSeq)
+        .run_scan_file(&path, &cfg, Engine::Cpu { threads: 1 })
         .unwrap();
 
     let p = Pipeline {

@@ -73,7 +73,7 @@ fn fig8_speedup_and_scalability_shape() {
     let mut gpu_times = Vec::new();
     for (i, &(r, c)) in sizes.iter().enumerate() {
         let s = scan(r, c, 24, 20 + i as u64);
-        let cpu = run(&s, &cfg(), Engine::CpuSeq);
+        let cpu = run(&s, &cfg(), Engine::Cpu { threads: 1 });
         let gpu = run(
             &s,
             &cfg(),
@@ -125,7 +125,7 @@ fn fig9_pixel_percentage_shape() {
     for &cut in &cutoffs {
         let mut c = cfg();
         c.intensity_cutoff = cut;
-        let cpu = run(&s, &c, Engine::CpuSeq);
+        let cpu = run(&s, &c, Engine::Cpu { threads: 1 });
         let gpu = run(
             &s,
             &c,

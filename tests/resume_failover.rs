@@ -249,7 +249,7 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
     // in-flight slab with the device).
     let cfg = cfg();
     let cpu = Pipeline::default()
-        .run_scan_file(&path, &cfg, Engine::CpuSeq)
+        .run_scan_file(&path, &cfg, Engine::Cpu { threads: 1 })
         .unwrap();
 
     let p = Pipeline {
