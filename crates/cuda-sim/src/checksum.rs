@@ -1,8 +1,8 @@
 //! CRC64 over device-word payloads, for checksummed transfers.
 //!
-//! The checked copy variants ([`crate::Device::memcpy_htod_checked_on`] and
-//! friends) compare a CRC of the payload before the wire against a CRC of
-//! what landed. CRC-64/XZ's generator polynomial detects every single-bit
+//! A checked copy ([`crate::Device::memcpy_htod`] or
+//! [`crate::Device::memcpy_dtoh`] with `checked` set) compares a CRC of the
+//! payload before the wire against a CRC of what landed. CRC-64/XZ's generator polynomial detects every single-bit
 //! error (the code is linear and no `x^j` is divisible by the degree-64
 //! polynomial), which is exactly the corruption class the fault injector
 //! models — so a scripted flip can never slip through a checked copy.
@@ -80,7 +80,7 @@ const LANES: usize = 4;
 
 /// CRC64 over the dense word streams `segments` hold one after another,
 /// each a length `n` and a reader of its words `0..n`, hashed in
-/// [`LANES`] lanes.
+/// `LANES` lanes.
 pub fn crc64<W: Fn(usize) -> u64>(segments: impl IntoIterator<Item = (usize, W)>) -> u64 {
     let (t, levels) = (tables(), zero_runs());
     !segments.into_iter().fold(!0u64, |crc, (n, word)| {

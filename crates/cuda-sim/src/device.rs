@@ -8,7 +8,6 @@ use parking_lot::Mutex;
 use crate::alloc::{Allocator, ALIGN};
 use crate::checksum;
 use crate::error::{SimError, TransferDir};
-use crate::event::Event;
 use crate::exec;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchEffects, TransferOutcome};
 use crate::host::Host;
@@ -248,7 +247,8 @@ impl Device {
     // Memory management
     // ------------------------------------------------------------------
 
-    /// Allocate an uninitialised (zero-filled) buffer of `len` elements.
+    /// Allocate a buffer of `len` elements. Fresh device memory is
+    /// zero-filled.
     pub fn alloc<T: DeviceScalar>(&self, len: usize) -> Result<DeviceBuffer<T>> {
         if len == 0 {
             return Err(SimError::InvalidRequest("zero-length buffer".into()));
@@ -264,22 +264,12 @@ impl Device {
         Ok(DeviceBuffer::new(len, allocation, self.id))
     }
 
-    /// Allocate a zero-filled buffer (alias of [`alloc`](Self::alloc); the
-    /// simulator zero-fills all fresh memory).
-    pub fn alloc_zeroed<T: DeviceScalar>(&self, len: usize) -> Result<DeviceBuffer<T>> {
-        self.alloc(len)
-    }
-
-    /// Allocate and upload in one step (charges the H2D transfer).
+    /// Allocate and upload in one step (charges the H2D transfer on the
+    /// default stream).
     pub fn alloc_from_slice<T: DeviceScalar>(&self, data: &[T]) -> Result<DeviceBuffer<T>> {
         let buf = self.alloc::<T>(data.len())?;
-        self.memcpy_htod(&buf, data)?;
+        self.memcpy_htod(StreamId::DEFAULT, &[(&buf, data)], false)?;
         Ok(buf)
-    }
-
-    /// Explicitly free a buffer (equivalent to dropping the last handle).
-    pub fn free<T: DeviceScalar>(&self, buf: DeviceBuffer<T>) {
-        drop(buf);
     }
 
     /// Bytes currently allocated on the device.
@@ -308,87 +298,38 @@ impl Device {
         Ok(())
     }
 
-    /// Copy host → device on the default stream.
-    pub fn memcpy_htod<T: DeviceScalar>(
-        &self,
-        buf: &DeviceBuffer<T>,
-        src: &[T],
-    ) -> Result<TimeSpan> {
-        self.memcpy_htod_on(StreamId::DEFAULT, buf, src)
-    }
+    /// Host FLOPs one CRC64 pass charges per payload byte (a table-driven
+    /// software CRC: one XOR plus one table fold per byte, amortized).
+    pub const CRC64_FLOPS_PER_BYTE: u64 = 4;
 
-    /// Copy host → device on a chosen stream.
-    pub fn memcpy_htod_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        src: &[T],
-    ) -> Result<TimeSpan> {
-        self.check_buffer(buf)?;
-        if src.len() != buf.len() {
-            return Err(SimError::CopyLengthMismatch {
-                device_len: buf.len(),
-                host_len: src.len(),
-            });
-        }
-        let outcome =
-            match self.fault_check_transfer(TransferDir::HostToDevice, stream, buf.modeled_bytes())
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    if e.is_transient() {
-                        // A failed DMA may have written any prefix of the buffer;
-                        // poison it all so a retry must fully rewrite the data.
-                        buf.poison();
-                    }
-                    return Err(e);
-                }
-            };
-        for (i, &v) in src.iter().enumerate() {
-            buf.store(i, v);
-        }
-        let flipped = apply_flip_device(outcome, buf);
-        let bytes = buf.modeled_bytes();
-        let dur = self.props.transfer_time(bytes);
-        let mut st = self.state.lock();
-        let (start_s, end_s) =
-            self.bus_transfer(&mut st, stream, TransferDir::HostToDevice, "h2d", dur);
-        st.meters.comm_time_s += dur;
-        st.meters.h2d_bytes += bytes;
-        st.meters.transfers += 1;
-        st.trace
-            .push_with("h2d", stream.index(), start_s, end_s, || {
-                format!("H2D {bytes} B")
-            });
-        if let Some(elem) = flipped {
-            st.trace
-                .push_with("flip", stream.index(), end_s, end_s, || {
-                    format!("H2D silent flip @ element {elem}")
-                });
-        }
-        Ok(TimeSpan { start_s, end_s })
-    }
-
-    /// Stage several host → device copies into **one** coalesced bus
-    /// transaction on `stream` (the pinned-staging / `cudaMemcpy2D`
-    /// analogue). The transaction pays the PCIe latency once and the
-    /// bandwidth term on the summed payload:
-    /// `max(latency) + Σ bytes / bw` — see
-    /// [`DeviceProps::transfer_time_batched`].
+    /// Copy host → device: every `(buffer, host slice)` pair in `copies`
+    /// lands in **one** bus transaction on `stream` (a single buffer is a
+    /// batch of one). The transaction pays the PCIe latency once and the
+    /// bandwidth term on the summed payload,
+    /// [`DeviceProps::transfer_time`]`(Σ bytes)`.
     ///
-    /// Fault semantics match the single-copy path, applied to the
-    /// transaction as a whole: a transient fault burns the full bus time,
-    /// poisons **every** destination buffer (a partial DMA may have touched
-    /// any of them), and counts as one failed H2D; the caller retries the
-    /// whole batch. Validation (foreign buffers, length mismatches) happens
-    /// before any data moves.
-    pub fn memcpy_htod_batched<T: DeviceScalar>(
+    /// Validation (foreign buffers, length mismatches, an empty batch)
+    /// happens before any data moves. One fault draw covers the whole
+    /// transaction: a transient fault burns the full bus time and poisons
+    /// **every** destination buffer (a partial DMA may have touched any of
+    /// them), so the caller retries the whole batch; a silent flip
+    /// addresses the concatenated payload and lands in device memory.
+    ///
+    /// With `checked`, a CRC64 of the host payload before the copy is
+    /// compared against one of the landed device words after it (a
+    /// device-side checksum pass: `2 × bytes ×`
+    /// [`CRC64_FLOPS_PER_BYTE`](Self::CRC64_FLOPS_PER_BYTE) host FLOPs on
+    /// the overlapped host-CPU resource, no extra bus traffic). A mismatch
+    /// reports [`SimError::CorruptTransfer`], which is retryable exactly
+    /// like a transient fault: a retry re-sends the payload.
+    pub fn memcpy_htod<T: DeviceScalar>(
         &self,
         stream: StreamId,
         copies: &[(&DeviceBuffer<T>, &[T])],
+        checked: bool,
     ) -> Result<TimeSpan> {
         if copies.is_empty() {
-            return Err(SimError::InvalidRequest("empty batched copy".into()));
+            return Err(SimError::InvalidRequest("empty host-to-device copy".into()));
         }
         let mut bytes = 0u64;
         for (buf, src) in copies {
@@ -401,6 +342,13 @@ impl Device {
             }
             bytes += buf.modeled_bytes();
         }
+        let expect = checked.then(|| {
+            checksum::crc64(
+                copies
+                    .iter()
+                    .map(|(_, src)| (src.len(), move |i: usize| src[i].to_word())),
+            )
+        });
         let outcome = match self.fault_check_transfer(TransferDir::HostToDevice, stream, bytes) {
             Ok(o) => o,
             Err(e) => {
@@ -419,88 +367,59 @@ impl Device {
         }
         // A silent flip addresses the transaction's concatenated payload;
         // walk the copies to find the owning buffer.
-        let mut flipped: Option<usize> = None;
+        let mut flipped = None;
         if let TransferOutcome::Corrupt { byte } = outcome {
             let mut off = byte % bytes;
             for (buf, _) in copies {
                 if off < buf.modeled_bytes() {
-                    flipped = apply_flip_device(TransferOutcome::Corrupt { byte: off }, buf);
+                    let (elem, mask) = flip_at::<T>(off);
+                    buf.word(elem).fetch_xor(mask, Ordering::Relaxed);
+                    flipped = Some(elem);
                     break;
                 }
                 off -= buf.modeled_bytes();
             }
         }
-        let dur = self.props.transfer_time_batched(bytes);
-        let n = copies.len() as u64;
-        let mut st = self.state.lock();
-        let (start_s, end_s) =
-            self.bus_transfer(&mut st, stream, TransferDir::HostToDevice, "h2d", dur);
-        st.meters.comm_time_s += dur;
-        st.meters.h2d_bytes += bytes;
-        st.meters.transfers += 1;
-        st.meters.coalesced_transactions += 1;
-        st.meters.coalesced_copies += n;
-        st.trace
-            .push_with("h2d", stream.index(), start_s, end_s, || {
-                format!("H2D coalesced {n}×, {bytes} B")
-            });
-        if let Some(elem) = flipped {
-            st.trace
-                .push_with("flip", stream.index(), end_s, end_s, || {
-                    format!("H2D silent flip @ element {elem} (coalesced)")
-                });
+        let n = copies.len();
+        let span = self.bus_copy(
+            stream,
+            TransferDir::HostToDevice,
+            bytes,
+            flipped,
+            || match n {
+                1 => format!("H2D {bytes} B"),
+                _ => format!("H2D coalesced {n}×, {bytes} B"),
+            },
+        );
+        if let Some(expect) = expect {
+            let landed = checksum::crc64(copies.iter().map(|(buf, _)| {
+                (buf.len(), move |i: usize| {
+                    buf.word(i).load(Ordering::Relaxed)
+                })
+            }));
+            self.check_crc(TransferDir::HostToDevice, bytes, expect, landed)?;
         }
-        Ok(TimeSpan { start_s, end_s })
+        Ok(span)
     }
 
-    /// Copy device → host on the default stream.
-    pub fn memcpy_dtoh<T: DeviceScalar>(
-        &self,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-    ) -> Result<TimeSpan> {
-        self.memcpy_dtoh_on(StreamId::DEFAULT, buf, dst)
-    }
-
-    /// Copy device → host on a chosen stream: the
-    /// [nonzero copy](Self::memcpy_dtoh_nonzero_on) scattered into `dst`.
-    /// A transient fault scribbles garbage over `dst` (a partial DMA may
-    /// have written any of it), so the caller cannot use it.
-    pub fn memcpy_dtoh_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-    ) -> Result<TimeSpan> {
-        self.dtoh_into(stream, buf, dst, false)
-    }
-
-    /// Copy device → host on a chosen stream, keeping only the buffer's
-    /// nonzero words ([`NonzeroWords`]). The bus model is the dense copy's:
-    /// the transfer moves, times and meters `buf.modeled_bytes()`, rolls
-    /// the same fault dice and leaves the same trace ops; only the host
-    /// side skips the zeros.
-    pub fn memcpy_dtoh_nonzero_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-    ) -> Result<(NonzeroWords, TimeSpan)> {
-        let (copy, span, _) = self.dtoh_nonzero(stream, buf, false)?;
-        Ok((copy, span))
-    }
-
-    /// The one device → host copy: the buffer's nonzero words as they
-    /// land on the host, with a scripted silent flip applied to the host
+    /// Copy device → host on `stream`, keeping only the buffer's nonzero
+    /// words ([`NonzeroWords`]). The bus model is the dense copy's: the
+    /// transfer moves, times and meters `buf.modeled_bytes()`; only the
+    /// host side skips the zeros. A scripted silent flip lands on the host
     /// copy only (device memory keeps the true data — that asymmetry is
-    /// what readback CRCs catch). With `checked`, it also reports whether
-    /// a CRC64 of the device words before the copy matches one of the
-    /// received copy, both taken over the dense stream.
-    fn dtoh_nonzero<T: DeviceScalar>(
+    /// what readback CRCs catch).
+    ///
+    /// With `checked`, a CRC64 of the device words before the copy is
+    /// compared against one of the received copy, both over the dense
+    /// stream with each zero run advanced in O(log run)
+    /// ([`checksum::crc64_nonzero`]), for the dense copy's host FLOPs. A
+    /// mismatch reports a retryable [`SimError::CorruptTransfer`].
+    pub fn memcpy_dtoh<T: DeviceScalar>(
         &self,
         stream: StreamId,
         buf: &DeviceBuffer<T>,
         checked: bool,
-    ) -> Result<(NonzeroWords, TimeSpan, bool)> {
+    ) -> Result<(NonzeroWords, TimeSpan)> {
         self.check_buffer(buf)?;
         // Read (and length-check) before the fault dice roll, like every
         // other validation; device memory is the same either side of it.
@@ -508,181 +427,69 @@ impl Device {
         let bytes = buf.modeled_bytes();
         let outcome = self.fault_check_transfer(TransferDir::DeviceToHost, stream, bytes)?;
         let expect = checked.then(|| checksum::crc64_nonzero(&copy));
-        let mut flipped: Option<usize> = None;
+        let mut flipped = None;
         if let TransferOutcome::Corrupt { byte } = outcome {
-            let off = byte % bytes;
-            let elem = (off / T::SIZE) as usize;
-            copy.flip(elem, 0x80u64 << (8 * (off % T::SIZE)));
+            let (elem, mask) = flip_at::<T>(byte % bytes);
+            copy.flip(elem, mask);
             flipped = Some(elem);
         }
-        let dur = self.props.transfer_time(bytes);
-        let span = {
-            let mut st = self.state.lock();
-            let (start_s, end_s) =
-                self.bus_transfer(&mut st, stream, TransferDir::DeviceToHost, "d2h", dur);
-            st.meters.comm_time_s += dur;
-            st.meters.d2h_bytes += bytes;
-            st.meters.transfers += 1;
-            st.trace
-                .push_with("d2h", stream.index(), start_s, end_s, || {
-                    format!("D2H {bytes} B")
-                });
-            if let Some(elem) = flipped {
-                st.trace
-                    .push_with("flip", stream.index(), end_s, end_s, || {
-                        format!("D2H silent flip @ element {elem}")
-                    });
-            }
-            TimeSpan { start_s, end_s }
-        };
-        let crc_ok = match expect {
-            Some(expect) => {
-                let landed = checksum::crc64_nonzero(&copy);
-                self.charge_host_flops(2 * bytes * Self::CRC64_FLOPS_PER_BYTE);
-                landed == expect
-            }
-            None => true,
-        };
-        Ok((copy, span, crc_ok))
+        let span = self.bus_copy(stream, TransferDir::DeviceToHost, bytes, flipped, || {
+            format!("D2H {bytes} B")
+        });
+        if let Some(expect) = expect {
+            let landed = checksum::crc64_nonzero(&copy);
+            self.check_crc(TransferDir::DeviceToHost, bytes, expect, landed)?;
+        }
+        Ok((copy, span))
     }
 
-    /// [`dtoh_nonzero`](Self::dtoh_nonzero) scattered into a dense host
-    /// slice, with the dense copy's error semantics: a transient fault
-    /// scribbles `dst`, and a failed CRC leaves the corrupted payload in
-    /// it.
-    fn dtoh_into<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-        checked: bool,
-    ) -> Result<TimeSpan> {
-        self.check_buffer(buf)?;
-        if dst.len() != buf.len() {
-            return Err(SimError::CopyLengthMismatch {
-                device_len: buf.len(),
-                host_len: dst.len(),
-            });
-        }
-        let (copy, span, crc_ok) = match self.dtoh_nonzero(stream, buf, checked) {
-            Ok(landed) => landed,
-            Err(e) => {
-                if e.is_transient() {
-                    dst.fill(T::from_word(0xDEAD_BEEF_DEAD_BEEF));
-                }
-                return Err(e);
-            }
-        };
-        copy.scatter_into(dst);
-        if !crc_ok {
-            return Err(self.corrupt_d2h());
-        }
-        Ok(span)
-    }
-
-    /// The detected-corruption error of a failed D2H CRC check.
-    fn corrupt_d2h(&self) -> SimError {
-        SimError::CorruptTransfer {
-            dir: TransferDir::DeviceToHost,
-            index: self.meters().transfers,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Checksummed transfers (end-to-end integrity)
-    // ------------------------------------------------------------------
-
-    /// Host FLOPs one CRC64 pass charges per payload byte (a table-driven
-    /// software CRC: one XOR plus one table fold per byte, amortized).
-    pub const CRC64_FLOPS_PER_BYTE: u64 = 4;
-
-    /// [`memcpy_htod_on`](Self::memcpy_htod_on) with end-to-end payload
-    /// verification: a CRC64 is computed over the host staging buffer
-    /// before the copy and recomputed over the landed device words after
-    /// it (modeling a device-side checksum pass; its cost is charged as
-    /// host FLOPs on the overlapped host-CPU resource — no extra bus
-    /// traffic). A mismatch reports [`SimError::CorruptTransfer`], which is
-    /// retryable exactly like a transient transfer fault: a retry re-sends
-    /// the payload.
-    pub fn memcpy_htod_checked_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        src: &[T],
-    ) -> Result<TimeSpan> {
-        let expect = checksum::crc64([(src.len(), |i: usize| src[i].to_word())]);
-        let span = self.memcpy_htod_on(stream, buf, src)?;
-        let landed = checksum::crc64([(buf.len(), |i: usize| buf.word(i).load(Ordering::Relaxed))]);
-        self.charge_host_flops(2 * buf.modeled_bytes() * Self::CRC64_FLOPS_PER_BYTE);
-        if landed != expect {
-            return Err(SimError::CorruptTransfer {
-                dir: TransferDir::HostToDevice,
-                index: self.meters().transfers,
-            });
-        }
-        Ok(span)
-    }
-
-    /// [`memcpy_htod_batched`](Self::memcpy_htod_batched) with the same
-    /// end-to-end verification as
-    /// [`memcpy_htod_checked_on`](Self::memcpy_htod_checked_on), applied to
-    /// the transaction's concatenated payload.
-    pub fn memcpy_htod_batched_checked<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        copies: &[(&DeviceBuffer<T>, &[T])],
-    ) -> Result<TimeSpan> {
-        let expect = checksum::crc64(
-            copies
-                .iter()
-                .map(|(_, src)| (src.len(), move |i: usize| src[i].to_word())),
-        );
-        let span = self.memcpy_htod_batched(stream, copies)?;
-        let landed = checksum::crc64(copies.iter().map(|(buf, _)| {
-            (buf.len(), move |i: usize| {
-                buf.word(i).load(Ordering::Relaxed)
-            })
-        }));
-        let bytes: u64 = copies.iter().map(|(buf, _)| buf.modeled_bytes()).sum();
+    /// Charge a checked copy's two CRC64 passes over `bytes` to the host
+    /// CPU, and report a retryable [`SimError::CorruptTransfer`] when the
+    /// CRC of what landed differs from the one taken before the wire.
+    fn check_crc(&self, dir: TransferDir, bytes: u64, expect: u64, landed: u64) -> Result<()> {
         self.charge_host_flops(2 * bytes * Self::CRC64_FLOPS_PER_BYTE);
         if landed != expect {
             return Err(SimError::CorruptTransfer {
-                dir: TransferDir::HostToDevice,
+                dir,
                 index: self.meters().transfers,
             });
         }
-        Ok(span)
+        Ok(())
     }
 
-    /// [`memcpy_dtoh_on`](Self::memcpy_dtoh_on) with end-to-end payload
-    /// verification: a CRC64 over the device words before the copy is
-    /// compared against a CRC64 over the received host data. A mismatch
-    /// reports [`SimError::CorruptTransfer`] (retryable); the destination
-    /// holds the corrupted payload in that case and must not be used.
-    pub fn memcpy_dtoh_checked_on<T: DeviceScalar>(
+    /// Put one landed copy of `bytes` on the host's bus, then meter and
+    /// trace it (`name` labels the op), with the element a silent flip
+    /// hit, if any.
+    fn bus_copy(
         &self,
         stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-    ) -> Result<TimeSpan> {
-        self.dtoh_into(stream, buf, dst, true)
-    }
-
-    /// [`memcpy_dtoh_nonzero_on`](Self::memcpy_dtoh_nonzero_on) with the
-    /// end-to-end verification of
-    /// [`memcpy_dtoh_checked_on`](Self::memcpy_dtoh_checked_on): both CRCs
-    /// run over the dense stream, each zero run advanced in O(log run)
-    /// ([`checksum::crc64_nonzero`]), and the host FLOPs charged are the
-    /// dense copy's.
-    pub fn memcpy_dtoh_nonzero_checked_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-    ) -> Result<(NonzeroWords, TimeSpan)> {
-        match self.dtoh_nonzero(stream, buf, true)? {
-            (copy, span, true) => Ok((copy, span)),
-            (_, _, false) => Err(self.corrupt_d2h()),
+        dir: TransferDir,
+        bytes: u64,
+        flipped: Option<usize>,
+        name: impl FnOnce() -> String,
+    ) -> TimeSpan {
+        let (kind, moved) = match dir {
+            TransferDir::HostToDevice => ("h2d", "H2D"),
+            TransferDir::DeviceToHost => ("d2h", "D2H"),
+        };
+        let dur = self.props.transfer_time(bytes);
+        let mut st = self.state.lock();
+        let (start_s, end_s) = self.bus_transfer(&mut st, stream, dir, kind, dur);
+        st.meters.comm_time_s += dur;
+        match dir {
+            TransferDir::HostToDevice => st.meters.h2d_bytes += bytes,
+            TransferDir::DeviceToHost => st.meters.d2h_bytes += bytes,
         }
+        st.meters.transfers += 1;
+        st.trace
+            .push_with(kind, stream.index(), start_s, end_s, name);
+        if let Some(elem) = flipped {
+            st.trace
+                .push_with("flip", stream.index(), end_s, end_s, || {
+                    format!("{moved} silent flip @ element {elem}")
+                });
+        }
+        TimeSpan { start_s, end_s }
     }
 
     // ------------------------------------------------------------------
@@ -832,13 +639,6 @@ impl Device {
         self.state.lock().timelines.count()
     }
 
-    /// Make `stream` wait for all work currently enqueued on `other`.
-    pub fn stream_wait(&self, stream: StreamId, other: StreamId) {
-        let mut st = self.state.lock();
-        let t = st.timelines.schedule(other, 0.0).0;
-        st.timelines.wait_until(stream, t);
-    }
-
     /// Make `stream` wait until virtual time `t` — the event-wait primitive
     /// double-buffered pipelines use (`t` usually comes from a prior op's
     /// [`TimeSpan::end_s`] or [`LaunchRecord::end_s`]).
@@ -879,18 +679,6 @@ impl Device {
     /// Copy of the per-launch records.
     pub fn records(&self) -> Vec<LaunchRecord> {
         self.state.lock().records.clone()
-    }
-
-    /// Record an event capturing all work enqueued on `stream` so far.
-    pub fn record_event(&self, stream: StreamId) -> Event {
-        let mut st = self.state.lock();
-        let (time_s, _) = st.timelines.schedule(stream, 0.0);
-        Event { time_s }
-    }
-
-    /// Make `stream` wait for a recorded event (`cudaStreamWaitEvent`).
-    pub fn stream_wait_event(&self, stream: StreamId, event: &Event) {
-        self.state.lock().timelines.wait_until(stream, event.time_s);
     }
 
     /// Export the virtual timeline in Chrome Trace Event Format (view in
@@ -954,21 +742,10 @@ impl Device {
     }
 }
 
-/// Apply an ordered silent payload flip to a landed device buffer: XOR the
-/// top bit of the addressed byte (wrapped to the payload length). Returns
-/// the flipped element's index so the caller can trace it.
-fn apply_flip_device<T: DeviceScalar>(
-    outcome: TransferOutcome,
-    buf: &DeviceBuffer<T>,
-) -> Option<usize> {
-    let TransferOutcome::Corrupt { byte } = outcome else {
-        return None;
-    };
-    let off = byte % buf.modeled_bytes();
-    let elem = (off / T::SIZE) as usize;
-    let mask = 0x80u64 << (8 * (off % T::SIZE));
-    buf.word(elem).fetch_xor(mask, Ordering::Relaxed);
-    Some(elem)
+/// The element and XOR mask of a silent flip at byte `off` of a payload:
+/// the top bit of that byte.
+fn flip_at<T: DeviceScalar>(off: u64) -> (usize, u64) {
+    ((off / T::SIZE) as usize, 0x80u64 << (8 * (off % T::SIZE)))
 }
 
 #[cfg(test)]
@@ -976,6 +753,80 @@ mod tests {
     use super::*;
     use crate::kernel::Dim3;
     use proptest::prelude::*;
+
+    /// The single-buffer host → device copy the one batched copy replaced,
+    /// with its CRC-checked twin, kept as the oracle a batch of one must
+    /// match.
+    fn single_htod_oracle<T: DeviceScalar>(
+        d: &Device,
+        stream: StreamId,
+        buf: &DeviceBuffer<T>,
+        src: &[T],
+        checked: bool,
+    ) -> Result<TimeSpan> {
+        let expect = checksum::crc64([(src.len(), |i: usize| src[i].to_word())]);
+        d.check_buffer(buf)?;
+        if src.len() != buf.len() {
+            return Err(SimError::CopyLengthMismatch {
+                device_len: buf.len(),
+                host_len: src.len(),
+            });
+        }
+        let outcome =
+            match d.fault_check_transfer(TransferDir::HostToDevice, stream, buf.modeled_bytes()) {
+                Ok(o) => o,
+                Err(e) => {
+                    if e.is_transient() {
+                        buf.poison();
+                    }
+                    return Err(e);
+                }
+            };
+        for (i, &v) in src.iter().enumerate() {
+            buf.store(i, v);
+        }
+        let mut flipped: Option<usize> = None;
+        if let TransferOutcome::Corrupt { byte } = outcome {
+            let off = byte % buf.modeled_bytes();
+            let elem = (off / T::SIZE) as usize;
+            let mask = 0x80u64 << (8 * (off % T::SIZE));
+            buf.word(elem).fetch_xor(mask, Ordering::Relaxed);
+            flipped = Some(elem);
+        }
+        let bytes = buf.modeled_bytes();
+        let dur = d.props.transfer_time(bytes);
+        let span = {
+            let mut st = d.state.lock();
+            let (start_s, end_s) =
+                d.bus_transfer(&mut st, stream, TransferDir::HostToDevice, "h2d", dur);
+            st.meters.comm_time_s += dur;
+            st.meters.h2d_bytes += bytes;
+            st.meters.transfers += 1;
+            st.trace
+                .push_with("h2d", stream.index(), start_s, end_s, || {
+                    format!("H2D {bytes} B")
+                });
+            if let Some(elem) = flipped {
+                st.trace
+                    .push_with("flip", stream.index(), end_s, end_s, || {
+                        format!("H2D silent flip @ element {elem}")
+                    });
+            }
+            TimeSpan { start_s, end_s }
+        };
+        if checked {
+            let landed =
+                checksum::crc64([(buf.len(), |i: usize| buf.word(i).load(Ordering::Relaxed))]);
+            d.charge_host_flops(2 * buf.modeled_bytes() * Device::CRC64_FLOPS_PER_BYTE);
+            if landed != expect {
+                return Err(SimError::CorruptTransfer {
+                    dir: TransferDir::HostToDevice,
+                    index: d.meters().transfers,
+                });
+            }
+        }
+        Ok(span)
+    }
 
     /// The dense device → host copy the nonzero copy replaced, kept as the
     /// oracle it must match: every word read into `dst`, the flip XORed
@@ -1043,7 +894,10 @@ mod tests {
             let landed = checksum::crc64([(dst.len(), |i: usize| dst[i].to_word())]);
             d.charge_host_flops(2 * bytes * Device::CRC64_FLOPS_PER_BYTE);
             if landed != expect {
-                return Err(d.corrupt_d2h());
+                return Err(SimError::CorruptTransfer {
+                    dir: TransferDir::DeviceToHost,
+                    index: d.meters().transfers,
+                });
             }
         }
         Ok(span)
@@ -1064,9 +918,65 @@ mod tests {
         ]
     }
 
-    /// Run one D2H through the dense oracle, the nonzero copy and the
-    /// dense wrapper, each on its own device under the same fault plan,
-    /// and compare everything they leave behind.
+    /// A fault plan for the first copy in one direction: `0` clean, `1` a
+    /// silent flip at `byte`, `2` a transient fault.
+    fn copy_fault(outcome: u8, byte: u64, dir: TransferDir) -> FaultPlan {
+        let plan = FaultPlan::new(7);
+        match (outcome, dir) {
+            (0, _) => plan,
+            (1, TransferDir::HostToDevice) => plan.flip_nth_h2d(1).flip_byte_offset(byte),
+            (1, TransferDir::DeviceToHost) => plan.flip_nth_d2h(1).flip_byte_offset(byte),
+            (_, TransferDir::HostToDevice) => plan.fail_nth_h2d(1),
+            (_, TransferDir::DeviceToHost) => plan.fail_nth_d2h(1),
+        }
+    }
+
+    /// Everything a copy leaves on its device besides the data.
+    fn assert_same_device_effects(
+        d: &Device,
+        oracle: &Device,
+    ) -> std::result::Result<(), TestCaseError> {
+        prop_assert_eq!(d.meters(), oracle.meters());
+        prop_assert_eq!(d.fault_stats(), oracle.fault_stats());
+        prop_assert_eq!(d.ops(), oracle.ops());
+        prop_assert_eq!(d.host_flops_time_s(), oracle.host_flops_time_s());
+        Ok(())
+    }
+
+    /// Run one H2D of `words` through the single-copy oracle and as a
+    /// batch of one, each on its own device under the same fault plan,
+    /// and compare everything they leave behind: device words, span or
+    /// error, meters, fault stats, trace and host-FLOP time.
+    fn check_htod_equivalence<T: DeviceScalar>(
+        words: &[u64],
+        plan: &FaultPlan,
+        checked: bool,
+    ) -> std::result::Result<(), TestCaseError> {
+        let values: Vec<T> = words.iter().map(|&w| T::from_word(w)).collect();
+        let setup = || {
+            let d = tiny_device();
+            let buf = d.alloc::<T>(values.len()).unwrap();
+            d.set_fault_plan(plan.clone());
+            (d, buf)
+        };
+        let s = StreamId::DEFAULT;
+        let (oracle, buf_o) = setup();
+        let want = single_htod_oracle(&oracle, s, &buf_o, &values, checked);
+        let (batch, buf_b) = setup();
+        let got = batch.memcpy_htod(s, &[(&buf_b, &values)], checked);
+        prop_assert_eq!(&got, &want);
+        let words_of = |buf: &DeviceBuffer<T>| {
+            (0..buf.len())
+                .map(|i| buf.word(i).load(Ordering::Relaxed))
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(words_of(&buf_b), words_of(&buf_o));
+        assert_same_device_effects(&batch, &oracle)
+    }
+
+    /// Run one D2H through the dense oracle and the nonzero copy, each on
+    /// its own device under the same fault plan, and compare everything
+    /// they leave behind.
     fn check_dtoh_equivalence<T: DeviceScalar>(
         words: &[u64],
         plan: &FaultPlan,
@@ -1080,28 +990,13 @@ mod tests {
             (d, buf)
         };
         let s = StreamId::DEFAULT;
-        let garbage = T::from_word(0x5A5A_5A5A_5A5A_5A5A);
         let (oracle, buf_o) = setup();
-        let mut want = vec![garbage; values.len()];
+        let mut want = vec![T::from_word(0x5A5A_5A5A_5A5A_5A5A); values.len()];
         let want_res = dense_dtoh_oracle(&oracle, s, &buf_o, &mut want, checked);
-
         let (nonzero, buf_n) = setup();
-        let got = if checked {
-            nonzero.memcpy_dtoh_nonzero_checked_on(s, &buf_n)
-        } else {
-            nonzero.memcpy_dtoh_nonzero_on(s, &buf_n)
-        };
-        let (wrapper, buf_w) = setup();
-        let mut scattered = vec![garbage; values.len()];
-        let wrapped_res = if checked {
-            wrapper.memcpy_dtoh_checked_on(s, &buf_w, &mut scattered)
-        } else {
-            wrapper.memcpy_dtoh_on(s, &buf_w, &mut scattered)
-        };
+        let got = nonzero.memcpy_dtoh(s, &buf_n, checked);
 
         let bits = |v: &[T]| v.iter().map(|x| x.to_word()).collect::<Vec<_>>();
-        prop_assert_eq!(&wrapped_res, &want_res);
-        prop_assert_eq!(bits(&scattered), bits(&want), "scribbled destination");
         match (&got, &want_res) {
             (Ok((copy, span)), Ok(want_span)) => {
                 prop_assert_eq!(span, want_span);
@@ -1113,17 +1008,23 @@ mod tests {
             (Err(e), Err(want_e)) => prop_assert_eq!(e, want_e),
             _ => prop_assert!(false, "outcomes differ: {:?} vs {:?}", got, want_res),
         }
-        for d in [&nonzero, &wrapper] {
-            prop_assert_eq!(d.meters(), oracle.meters());
-            prop_assert_eq!(d.fault_stats(), oracle.fault_stats());
-            prop_assert_eq!(d.ops(), oracle.ops());
-            prop_assert_eq!(d.host_flops_time_s(), oracle.host_flops_time_s());
-        }
-        Ok(())
+        assert_same_device_effects(&nonzero, &oracle)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_copy_batch_matches_the_single_copy_under_every_outcome(
+            words in proptest::collection::vec(payload_word(), 1..120),
+            outcome in 0u8..3,
+            byte in any::<u64>(),
+            checked in any::<bool>(),
+        ) {
+            let plan = copy_fault(outcome, byte, TransferDir::HostToDevice);
+            check_htod_equivalence::<f64>(&words, &plan, checked)?;
+            check_htod_equivalence::<u32>(&words, &plan, checked)?;
+        }
 
         #[test]
         fn nonzero_copy_matches_the_dense_copy_under_every_outcome(
@@ -1132,11 +1033,7 @@ mod tests {
             byte in any::<u64>(),
             checked in any::<bool>(),
         ) {
-            let plan = match outcome {
-                0 => FaultPlan::new(7),
-                1 => FaultPlan::new(7).flip_nth_d2h(1).flip_byte_offset(byte),
-                _ => FaultPlan::new(7).fail_nth_d2h(1),
-            };
+            let plan = copy_fault(outcome, byte, TransferDir::DeviceToHost);
             check_dtoh_equivalence::<f64>(&words, &plan, checked)?;
             check_dtoh_equivalence::<u32>(&words, &plan, checked)?;
         }
@@ -1144,6 +1041,15 @@ mod tests {
 
     fn tiny_device() -> Device {
         Device::new(DeviceProps::tiny(1 << 16))
+    }
+
+    /// The buffer's contents, read back with an unchecked D2H on the
+    /// default stream.
+    fn read<T: DeviceScalar>(d: &Device, buf: &DeviceBuffer<T>) -> Vec<T> {
+        let (copy, _) = d.memcpy_dtoh(StreamId::DEFAULT, buf, false).unwrap();
+        let mut host = vec![T::default(); buf.len()];
+        copy.scatter_into(&mut host);
+        host
     }
 
     #[test]
@@ -1155,7 +1061,7 @@ mod tests {
             d.alloc::<f64>(2048),
             Err(SimError::OutOfMemory { .. })
         ));
-        d.free(a);
+        drop(a);
         assert!(d.alloc::<f64>(2048).is_ok(), "freeing makes room");
         assert!(d.mem_peak() >= d.mem_used());
     }
@@ -1170,9 +1076,7 @@ mod tests {
     fn copies_move_real_data() {
         let d = tiny_device();
         let buf = d.alloc_from_slice(&[1.5f64, -2.0, 3.25]).unwrap();
-        let mut back = [0.0f64; 3];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
-        assert_eq!(back, [1.5, -2.0, 3.25]);
+        assert_eq!(read(&d, &buf), [1.5, -2.0, 3.25]);
         let m = d.meters();
         assert_eq!(m.transfers, 2);
         assert_eq!(m.h2d_bytes, 24);
@@ -1185,14 +1089,12 @@ mod tests {
         let d = tiny_device();
         let buf = d.alloc::<u32>(4).unwrap();
         assert!(matches!(
-            d.memcpy_htod(&buf, &[1u32, 2]),
+            d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &[1u32, 2])], false),
             Err(SimError::CopyLengthMismatch {
                 device_len: 4,
                 host_len: 2
             })
         ));
-        let mut small = [0u32; 3];
-        assert!(d.memcpy_dtoh(&buf, &mut small).is_err());
     }
 
     #[test]
@@ -1203,26 +1105,20 @@ mod tests {
         let ha: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let hb: Vec<f64> = (0..4).map(|i| 100.0 + i as f64).collect();
         let span = d
-            .memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
+            .memcpy_htod(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)], false)
             .unwrap();
         let m = d.meters();
         assert_eq!(m.transfers, 1, "one bus transaction");
-        assert_eq!(m.coalesced_transactions, 1);
-        assert_eq!(m.coalesced_copies, 2);
         assert_eq!(m.h2d_bytes, 96);
         // One latency + summed bandwidth term, strictly cheaper than two
         // separate copies.
         let serial = d.props().transfer_time(64) + d.props().transfer_time(32);
-        let expect = d.props().transfer_time_batched(96);
+        let expect = d.props().transfer_time(96);
         assert!((span.end_s - span.start_s - expect).abs() < 1e-15);
         assert!(m.comm_time_s < serial);
         // The payloads really arrived.
-        let mut back = vec![0.0f64; 8];
-        d.memcpy_dtoh(&a, &mut back).unwrap();
-        assert_eq!(back, ha);
-        let mut back = vec![0.0f64; 4];
-        d.memcpy_dtoh(&b, &mut back).unwrap();
-        assert_eq!(back, hb);
+        assert_eq!(read(&d, &a), ha);
+        assert_eq!(read(&d, &b), hb);
     }
 
     #[test]
@@ -1231,15 +1127,15 @@ mod tests {
         let a = d.alloc_from_slice(&[5.0f64, 6.0]).unwrap();
         let b = d.alloc::<f64>(4).unwrap();
         assert!(d
-            .memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &[1.0, 2.0]), (&b, &[0.0; 3])])
+            .memcpy_htod(
+                StreamId::DEFAULT,
+                &[(&a, &[1.0, 2.0]), (&b, &[0.0; 3])],
+                false
+            )
             .is_err());
         // The length mismatch on `b` must have left `a` untouched.
-        let mut back = [0.0f64; 2];
-        d.memcpy_dtoh(&a, &mut back).unwrap();
-        assert_eq!(back, [5.0, 6.0]);
-        assert!(d
-            .memcpy_htod_batched::<f64>(StreamId::DEFAULT, &[])
-            .is_err());
+        assert_eq!(read(&d, &a), [5.0, 6.0]);
+        assert!(d.memcpy_htod::<f64>(StreamId::DEFAULT, &[], false).is_err());
     }
 
     #[test]
@@ -1250,20 +1146,17 @@ mod tests {
         let b = d.alloc::<f64>(2).unwrap();
         let host = [1.0f64, 2.0];
         assert!(d
-            .memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &host), (&b, &host)])
+            .memcpy_htod(StreamId::DEFAULT, &[(&a, &host), (&b, &host)], false)
             .is_err());
         assert!(
             d.meters().comm_time_s > 0.0,
             "failed transaction still burnt bus time"
         );
         // Retry rewrites everything.
-        d.memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &host), (&b, &host)])
+        d.memcpy_htod(StreamId::DEFAULT, &[(&a, &host), (&b, &host)], false)
             .unwrap();
-        let mut back = [0.0f64; 2];
-        d.memcpy_dtoh(&a, &mut back).unwrap();
-        assert_eq!(back, host);
-        d.memcpy_dtoh(&b, &mut back).unwrap();
-        assert_eq!(back, host);
+        assert_eq!(read(&d, &a), host);
+        assert_eq!(read(&d, &b), host);
     }
 
     #[test]
@@ -1272,14 +1165,13 @@ mod tests {
         // and every block still runs exactly once.
         let d = tiny_device();
         d.force_workers(4);
-        let counts = d.alloc_zeroed::<u64>(6).unwrap();
+        let counts = d.alloc::<u64>(6).unwrap();
         let cfg = LaunchConfig::new(Dim3::new(6, 1, 1), Dim3::new(1, 1, 1));
         d.launch("tiny", cfg, |ctx| {
             ctx.atomic_add_u64(&counts, ctx.block_idx.x as usize, 1);
         })
         .unwrap();
-        let mut host = vec![0u64; 6];
-        d.memcpy_dtoh(&counts, &mut host).unwrap();
+        let host = read(&d, &counts);
         assert!(host.iter().all(|&c| c == 1), "{host:?}");
     }
 
@@ -1289,7 +1181,7 @@ mod tests {
         let d2 = tiny_device();
         let buf = d1.alloc::<f64>(4).unwrap();
         assert!(matches!(
-            d2.memcpy_htod(&buf, &[0.0; 4]),
+            d2.memcpy_htod(StreamId::DEFAULT, &[(&buf, &[0.0; 4])], false),
             Err(SimError::ForeignBuffer)
         ));
     }
@@ -1297,7 +1189,7 @@ mod tests {
     #[test]
     fn launch_runs_every_thread_once() {
         let d = tiny_device();
-        let counts = d.alloc_zeroed::<u64>(100).unwrap();
+        let counts = d.alloc::<u64>(100).unwrap();
         let cfg = LaunchConfig::linear(100, 16); // 112 threads; guard excess
         d.launch("count", cfg, |ctx| {
             let i = ctx.global_id().x as usize;
@@ -1306,8 +1198,7 @@ mod tests {
             }
         })
         .unwrap();
-        let mut host = vec![0u64; 100];
-        d.memcpy_dtoh(&counts, &mut host).unwrap();
+        let host = read(&d, &counts);
         assert!(
             host.iter().all(|&c| c == 1),
             "each element visited exactly once"
@@ -1316,9 +1207,7 @@ mod tests {
 
     /// Bits of an f64 buffer, for bitwise comparison.
     fn f64_bits(d: &Device, buf: &DeviceBuffer<f64>) -> Vec<u64> {
-        let mut host = vec![0.0f64; buf.len()];
-        d.memcpy_dtoh(buf, &mut host).unwrap();
-        host.iter().map(|v| v.to_bits()).collect()
+        read(d, buf).iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -1330,8 +1219,8 @@ mod tests {
             d.force_workers(workers);
             let xs: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
             let input = d.alloc_from_slice(&xs).unwrap();
-            let out = d.alloc_zeroed::<f64>(16).unwrap();
-            let hits = d.alloc_zeroed::<u64>(16).unwrap();
+            let out = d.alloc::<f64>(16).unwrap();
+            let hits = d.alloc::<u64>(16).unwrap();
             let record = d
                 .launch("hist", LaunchConfig::linear(256, 8), |ctx| {
                     let i = ctx.global_id().x as usize;
@@ -1342,8 +1231,7 @@ mod tests {
                     ctx.trace(i % 3);
                 })
                 .unwrap();
-            let mut counts = vec![0u64; 16];
-            d.memcpy_dtoh(&hits, &mut counts).unwrap();
+            let counts = read(&d, &hits);
             (f64_bits(&d, &out), counts, record)
         };
         let one = run(1);
@@ -1356,7 +1244,7 @@ mod tests {
     fn atomic_f64_is_exact_under_contention() {
         let d = tiny_device();
         d.force_workers(8);
-        let out = d.alloc_zeroed::<f64>(1).unwrap();
+        let out = d.alloc::<f64>(1).unwrap();
         let cfg = LaunchConfig::linear(1024, 64);
         // Summing 1024 copies of 1.0 is exact in f64 regardless of order.
         d.launch("sum", cfg, |ctx| {
@@ -1364,9 +1252,7 @@ mod tests {
             ctx.atomic_add_f64(&out, 0, 1.0);
         })
         .unwrap();
-        let mut host = [0.0f64];
-        d.memcpy_dtoh(&out, &mut host).unwrap();
-        assert_eq!(host[0], 1024.0);
+        assert_eq!(read(&d, &out), [1024.0]);
         let m = d.meters();
         assert_eq!(m.kernel_cost.atomic_ops, 1024);
         assert!(m.kernel_cost.atomic_max_chain >= 1024, "single hot address");
@@ -1375,7 +1261,7 @@ mod tests {
     #[test]
     fn shared_launch_gives_each_block_a_zeroed_tile() {
         let d = tiny_device();
-        let out = d.alloc_zeroed::<f64>(4).unwrap();
+        let out = d.alloc::<f64>(4).unwrap();
         let cfg = LaunchConfig::new(Dim3::new(4, 1, 1), Dim3::linear(8));
         // Each thread privately accumulates into the block tile; the
         // epilogue commits one global add per block. A stale (un-zeroed)
@@ -1394,9 +1280,11 @@ mod tests {
             },
         )
         .unwrap();
-        let mut host = [0.0f64; 4];
-        d.memcpy_dtoh(&out, &mut host).unwrap();
-        assert_eq!(host, [8.0; 4], "8 threads per block, once per block");
+        assert_eq!(
+            read(&d, &out),
+            [8.0; 4],
+            "8 threads per block, once per block"
+        );
         let m = d.meters();
         assert_eq!(m.kernel_cost.shared_bytes, 4 * 8 * 16);
         assert_eq!(m.kernel_cost.shared_request, 16);
@@ -1414,7 +1302,7 @@ mod tests {
             d.force_workers(workers);
             let xs: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin()).collect();
             let input = d.alloc_from_slice(&xs).unwrap();
-            let out = d.alloc_zeroed::<f64>(4 * 8).unwrap();
+            let out = d.alloc::<f64>(4 * 8).unwrap();
             let record = d
                 .launch_shared_on(
                     StreamId::DEFAULT,
@@ -1454,7 +1342,7 @@ mod tests {
                 d.force_workers(1);
             }
             let n = exec::PARALLEL_LAUNCH_THREADS;
-            let out = d.alloc_zeroed::<f64>(64).unwrap();
+            let out = d.alloc::<f64>(64).unwrap();
             let record = d
                 .launch("gate", LaunchConfig::linear(n, 256), |ctx| {
                     let i = ctx.global_id().x;
@@ -1474,7 +1362,7 @@ mod tests {
             if flip {
                 d.set_fault_plan(FaultPlan::new(0).flip_nth_kernel(1).flip_op_index(3001));
             }
-            let out = d.alloc_zeroed::<f64>(64).unwrap();
+            let out = d.alloc::<f64>(64).unwrap();
             d.launch("spread", LaunchConfig::linear(4096, 64), |ctx| {
                 let i = ctx.global_id().x;
                 ctx.atomic_add_f64(&out, (i % 64) as usize, 1.0 + i as f64 * 1e-3);
@@ -1574,7 +1462,8 @@ mod tests {
         let big = d.alloc::<f64>(4096).unwrap();
         let host = vec![0.0f64; 4096];
         // Serial: copy then kernel on the same stream.
-        d.memcpy_htod(&big, &host).unwrap();
+        d.memcpy_htod(StreamId::DEFAULT, &[(&big, &host)], false)
+            .unwrap();
         d.launch("work", LaunchConfig::linear(256, 64), |ctx| {
             ctx.charge_flops(1_000_000);
         })
@@ -1587,7 +1476,7 @@ mod tests {
         // every non-default stream, so the copy stream is created afresh.
         d.reset_meters();
         let copy_stream = d.create_stream();
-        d.memcpy_htod_on(copy_stream, &big, &host).unwrap();
+        d.memcpy_htod(copy_stream, &[(&big, &host)], false).unwrap();
         d.launch("work", LaunchConfig::linear(256, 64), |ctx| {
             ctx.charge_flops(1_000_000);
         })
@@ -1602,16 +1491,18 @@ mod tests {
     }
 
     #[test]
-    fn stream_wait_creates_dependency() {
+    fn wait_until_creates_dependency() {
         let d = tiny_device();
         let s = d.create_stream();
         let buf = d.alloc::<f64>(2048).unwrap();
-        d.memcpy_htod(&buf, &vec![0.0; 2048]).unwrap();
-        let copy_done = d.elapsed_s();
-        d.stream_wait(s, StreamId::DEFAULT);
-        d.launch_on(s, "dependent", LaunchConfig::linear(8, 8), |_| {})
+        let copy = d
+            .memcpy_htod(StreamId::DEFAULT, &[(&buf, &vec![0.0; 2048])], false)
             .unwrap();
-        assert!(d.elapsed_s() >= copy_done);
+        d.wait_until(s, copy.end_s);
+        let rec = d
+            .launch_on(s, "dependent", LaunchConfig::linear(8, 8), |_| {})
+            .unwrap();
+        assert_eq!(rec.start_s, copy.end_s, "the launch waits for the copy");
     }
 
     #[test]
@@ -1641,7 +1532,7 @@ mod tests {
         let buf = d.alloc::<f64>(4).unwrap();
         let data = [1.0f64, 2.0, 3.0, 4.0];
         let before = d.meters().comm_time_s;
-        match d.memcpy_htod(&buf, &data) {
+        match d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], false) {
             Err(SimError::TransferFault {
                 dir: TransferDir::HostToDevice,
                 index: 1,
@@ -1659,22 +1550,27 @@ mod tests {
         );
         assert!(d.ops().iter().any(|o| o.kind == "fault"));
         // Device memory is garbage now; the retry rewrites it fully.
-        d.memcpy_htod(&buf, &data).unwrap();
-        let mut back = [0.0f64; 4];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
-        assert_eq!(back, data);
+        assert!(read(&d, &buf)
+            .iter()
+            .all(|v| v.to_bits() == 0xDEAD_BEEF_DEAD_BEEF));
+        d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], false)
+            .unwrap();
+        assert_eq!(read(&d, &buf), data);
     }
 
     #[test]
-    fn transient_d2h_fault_scribbles_host_destination() {
+    fn transient_d2h_fault_fails_then_retry_succeeds() {
         let d = tiny_device();
         d.set_fault_plan(FaultPlan::new(0).fail_nth_d2h(1));
         let buf = d.alloc_from_slice(&[7.0f64, 8.0]).unwrap();
-        let mut out = [0.0f64; 2];
-        assert!(d.memcpy_dtoh(&buf, &mut out).is_err());
-        assert!(out.iter().all(|v| v.to_bits() == 0xDEAD_BEEF_DEAD_BEEF));
-        d.memcpy_dtoh(&buf, &mut out).unwrap();
-        assert_eq!(out, [7.0, 8.0]);
+        assert!(matches!(
+            d.memcpy_dtoh(StreamId::DEFAULT, &buf, false),
+            Err(SimError::TransferFault {
+                dir: TransferDir::DeviceToHost,
+                index: 1,
+            })
+        ));
+        assert_eq!(read(&d, &buf), [7.0, 8.0]);
     }
 
     #[test]
@@ -1689,9 +1585,8 @@ mod tests {
             Err(SimError::DeviceLost)
         ));
         assert!(matches!(d.alloc::<f64>(1), Err(SimError::DeviceLost)));
-        let mut out = [0.0f64; 4];
         assert!(matches!(
-            d.memcpy_dtoh(&buf, &mut out),
+            d.memcpy_dtoh(StreamId::DEFAULT, &buf, false),
             Err(SimError::DeviceLost)
         ));
         assert_eq!(d.fault_stats().unwrap().refused_after_loss, 3);
@@ -1731,9 +1626,9 @@ mod tests {
         d.set_fault_plan(FaultPlan::new(0).flip_nth_h2d(1).flip_byte_offset(17));
         let data = [1.0f64, 2.0, 3.0, 4.0];
         let buf = d.alloc::<f64>(4).unwrap();
-        d.memcpy_htod(&buf, &data).unwrap();
-        let mut back = [0.0f64; 4];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], false)
+            .unwrap();
+        let back = read(&d, &buf);
         // Byte 17 → element 2, byte 1 → mask 0x8000.
         let diffs: Vec<usize> = (0..4).filter(|&i| back[i] != data[i]).collect();
         assert_eq!(diffs, vec![2], "exactly one element corrupted");
@@ -1741,9 +1636,9 @@ mod tests {
         assert_eq!(d.fault_stats().unwrap().h2d_flipped, 1);
         assert!(d.ops().iter().any(|o| o.kind == "flip"));
         // One-shot: a fresh upload is clean again.
-        d.memcpy_htod(&buf, &data).unwrap();
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
-        assert_eq!(back, data);
+        d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], false)
+            .unwrap();
+        assert_eq!(read(&d, &buf), data);
     }
 
     #[test]
@@ -1752,14 +1647,12 @@ mod tests {
         let data = [5.0f64, 6.0];
         let buf = d.alloc_from_slice(&data).unwrap();
         d.set_fault_plan(FaultPlan::new(0).flip_nth_d2h(1));
-        let mut back = [0.0f64; 2];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        let back = read(&d, &buf);
         assert_eq!(back[0].to_bits(), data[0].to_bits() ^ 0x80);
         assert_eq!(back[1], data[1]);
         assert_eq!(d.fault_stats().unwrap().d2h_flipped, 1);
         // Device memory kept the truth; the next read is clean.
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
-        assert_eq!(back, data);
+        assert_eq!(read(&d, &buf), data);
     }
 
     #[test]
@@ -1771,13 +1664,10 @@ mod tests {
         let b = d.alloc::<f64>(4).unwrap();
         let ha = [1.0f64; 8];
         let hb = [2.0f64; 4];
-        d.memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
+        d.memcpy_htod(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)], false)
             .unwrap();
-        let mut back_a = [0.0f64; 8];
-        let mut back_b = [0.0f64; 4];
-        d.memcpy_dtoh(&a, &mut back_a).unwrap();
-        d.memcpy_dtoh(&b, &mut back_b).unwrap();
-        assert_eq!(back_a, ha, "first buffer untouched");
+        let back_b = read(&d, &b);
+        assert_eq!(read(&d, &a), ha, "first buffer untouched");
         assert_eq!(back_b[0].to_bits(), hb[0].to_bits() ^ (0x80u64 << 48));
         assert_eq!(&back_b[1..], &hb[1..]);
     }
@@ -1788,7 +1678,7 @@ mod tests {
         d.set_fault_plan(FaultPlan::new(0).flip_nth_h2d(1));
         let data = [1.0f64, 2.0, 3.0];
         let buf = d.alloc::<f64>(3).unwrap();
-        match d.memcpy_htod_checked_on(StreamId::DEFAULT, &buf, &data) {
+        match d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], true) {
             Err(SimError::CorruptTransfer {
                 dir: TransferDir::HostToDevice,
                 ..
@@ -1800,11 +1690,9 @@ mod tests {
             "CRC passes are charged as host FLOPs"
         );
         // The retry consumes a fresh ordinal, so the one-shot flip is gone.
-        d.memcpy_htod_checked_on(StreamId::DEFAULT, &buf, &data)
+        d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], true)
             .unwrap();
-        let mut back = [0.0f64; 3];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
-        assert_eq!(back, data);
+        assert_eq!(read(&d, &buf), data);
     }
 
     #[test]
@@ -1816,10 +1704,10 @@ mod tests {
         let ha = [1.0f64; 4];
         let hb = [2.0f64; 2];
         assert!(matches!(
-            d.memcpy_htod_batched_checked(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)]),
+            d.memcpy_htod(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)], true),
             Err(SimError::CorruptTransfer { .. })
         ));
-        d.memcpy_htod_batched_checked(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
+        d.memcpy_htod(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)], true)
             .unwrap();
     }
 
@@ -1836,7 +1724,7 @@ mod tests {
                 let buf = d.alloc::<f64>(len).unwrap();
                 assert!(
                     matches!(
-                        d.memcpy_htod_checked_on(StreamId::DEFAULT, &buf, &data),
+                        d.memcpy_htod(StreamId::DEFAULT, &[(&buf, &data)], true),
                         Err(SimError::CorruptTransfer { .. })
                     ),
                     "{len} words, byte {byte}"
@@ -1853,7 +1741,7 @@ mod tests {
                 };
                 assert!(
                     matches!(
-                        d.memcpy_htod_batched_checked(StreamId::DEFAULT, &copies),
+                        d.memcpy_htod(StreamId::DEFAULT, &copies, true),
                         Err(SimError::CorruptTransfer { .. })
                     ),
                     "batched {len} words, byte {byte}"
@@ -1868,17 +1756,15 @@ mod tests {
         let data = [7.0f64, 8.0, 9.0];
         let buf = d.alloc_from_slice(&data).unwrap();
         d.set_fault_plan(FaultPlan::new(0).flip_nth_d2h(1));
-        let mut back = [0.0f64; 3];
         assert!(matches!(
-            d.memcpy_dtoh_checked_on(StreamId::DEFAULT, &buf, &mut back),
+            d.memcpy_dtoh(StreamId::DEFAULT, &buf, true),
             Err(SimError::CorruptTransfer {
                 dir: TransferDir::DeviceToHost,
                 ..
             })
         ));
-        d.memcpy_dtoh_checked_on(StreamId::DEFAULT, &buf, &mut back)
-            .unwrap();
-        assert_eq!(back, data);
+        let (copy, _) = d.memcpy_dtoh(StreamId::DEFAULT, &buf, true).unwrap();
+        assert_eq!(copy, NonzeroWords::from_slice(&data).unwrap());
     }
 
     #[test]
@@ -1888,14 +1774,13 @@ mod tests {
             if let Some(p) = plan {
                 d.set_fault_plan(p);
             }
-            let out = d.alloc_zeroed::<f64>(4).unwrap();
+            let out = d.alloc::<f64>(4).unwrap();
             d.launch("sum", LaunchConfig::linear(16, 4), |ctx| {
                 let i = ctx.global_id().x as usize;
                 ctx.atomic_add_f64(&out, i % 4, 1.5);
             })
             .unwrap();
-            let mut host = vec![0.0f64; 4];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
+            let host = read(&d, &out);
             let flips = d.fault_stats().map_or(0, |s| s.kernel_flipped);
             (host, flips)
         };
@@ -1945,7 +1830,7 @@ mod tests {
     fn grid_3d_ids_cover_domain() {
         // The paper's Fig 6 mapping: (rows, cols, images) = (2, 9, 4).
         let d = tiny_device();
-        let seen = d.alloc_zeroed::<u64>(72).unwrap();
+        let seen = d.alloc::<u64>(72).unwrap();
         let cfg = LaunchConfig::cover(Dim3::new(2, 9, 4), Dim3::new(2, 3, 4));
         d.launch("map", cfg, |ctx| {
             let g = ctx.global_id();
@@ -1955,8 +1840,6 @@ mod tests {
             }
         })
         .unwrap();
-        let mut host = vec![0u64; 72];
-        d.memcpy_dtoh(&seen, &mut host).unwrap();
-        assert!(host.iter().all(|&c| c == 1));
+        assert!(read(&d, &seen).iter().all(|&c| c == 1));
     }
 }

@@ -8,10 +8,12 @@
 //! shipping — none of which require silicon to reproduce. This crate supplies
 //! that execution model in software:
 //!
-//! * **Separate device address space.** Data reaches the device only through
-//!   [`Device::memcpy_htod`] / [`Device::memcpy_dtoh`], which really copy
-//!   bytes and charge `bytes / pcie_bandwidth + latency` to the
-//!   communication meter.
+//! * **Separate device address space.** Data crosses the bus only through
+//!   one copy per direction: [`Device::memcpy_htod`] lands a batch of
+//!   buffers in one transaction, [`Device::memcpy_dtoh`] returns a buffer's
+//!   nonzero words ([`NonzeroWords`]). Both really copy data, charge
+//!   `latency + bytes / pcie_bandwidth` to the communication meter, and
+//!   take a `checked` flag for an end-to-end CRC64 ([`checksum`]).
 //! * **Capped device memory** with a first-fit/coalescing allocator —
 //!   allocations beyond the modeled capacity fail with
 //!   [`SimError::OutOfMemory`], exactly the constraint that forces the
@@ -39,11 +41,15 @@
 //! # Example
 //!
 //! ```
-//! use cuda_sim::{Device, DeviceProps, Dim3, LaunchConfig};
+//! use cuda_sim::{Device, DeviceProps, Dim3, LaunchConfig, StreamId};
 //!
 //! let device = Device::new(DeviceProps::tesla_m2070());
-//! let xs = device.alloc_from_slice::<f64>(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-//! let out = device.alloc_zeroed::<f64>(1).unwrap();
+//! let xs = device.alloc::<f64>(4).unwrap();
+//! let host = [1.0, 2.0, 3.0, 4.0];
+//! device
+//!     .memcpy_htod(StreamId::DEFAULT, &[(&xs, &host)], false)
+//!     .unwrap();
+//! let out = device.alloc::<f64>(1).unwrap();
 //! let cfg = LaunchConfig::new(Dim3::linear(2), Dim3::linear(2));
 //! device
 //!     .launch("sum", cfg, |ctx| {
@@ -52,9 +58,8 @@
 //!         ctx.atomic_add_f64(&out, 0, v);
 //!     })
 //!     .unwrap();
-//! let mut result = [0.0f64];
-//! device.memcpy_dtoh(&out, &mut result).unwrap();
-//! assert_eq!(result[0], 10.0);
+//! let (result, _) = device.memcpy_dtoh(StreamId::DEFAULT, &out, false).unwrap();
+//! assert_eq!(result.cells().collect::<Vec<_>>(), [(0, 10.0f64.to_bits())]);
 //! assert!(device.meters().compute_time_s > 0.0);
 //! ```
 
@@ -63,7 +68,6 @@ pub mod checksum;
 pub mod cluster;
 pub mod device;
 pub mod error;
-pub mod event;
 pub mod exec;
 pub mod fault;
 pub mod fleet;
@@ -79,7 +83,6 @@ pub mod trace;
 pub use cluster::{Delivery, Interconnect, InterconnectProps};
 pub use device::{Device, TimeSpan};
 pub use error::{SimError, TransferDir};
-pub use event::Event;
 pub use fault::{FaultPlan, FaultStats};
 pub use fleet::{FleetClock, FleetSpan};
 pub use host::{Duplex, Host, HostConfig};

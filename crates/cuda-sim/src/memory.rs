@@ -86,8 +86,7 @@ impl Drop for Allocation {
 /// A typed buffer in simulated device memory.
 ///
 /// Cloning a handle aliases the same device memory (like copying a CUDA
-/// device pointer); the allocation is released when the last handle drops
-/// or when [`crate::Device::free`] consumes it.
+/// device pointer); the allocation is released when the last handle drops.
 #[derive(Debug, Clone)]
 pub struct DeviceBuffer<T: DeviceScalar> {
     pub(crate) words: Arc<[AtomicU64]>,

@@ -86,11 +86,6 @@ pub struct Meters {
     pub d2h_bytes: u64,
     /// Number of host↔device transfers.
     pub transfers: u64,
-    /// Coalesced bus transactions among `transfers` (each stages several
-    /// logical copies but pays the PCIe latency once).
-    pub coalesced_transactions: u64,
-    /// Logical copies folded into those coalesced transactions.
-    pub coalesced_copies: u64,
     /// Number of kernel launches.
     pub launches: u64,
     /// Total metered kernel work.
@@ -113,8 +108,6 @@ impl Meters {
         self.h2d_bytes += other.h2d_bytes;
         self.d2h_bytes += other.d2h_bytes;
         self.transfers += other.transfers;
-        self.coalesced_transactions += other.coalesced_transactions;
-        self.coalesced_copies += other.coalesced_copies;
         self.launches += other.launches;
         self.kernel_cost.merge(&other.kernel_cost);
     }

@@ -186,17 +186,10 @@ impl DeviceProps {
             * self.dp_flops_per_lane_cycle
     }
 
-    /// Time for one host↔device transfer of `bytes`.
+    /// Time for one host↔device bus transaction of `bytes`: a coalesced
+    /// batch pays the latency once on its summed payload.
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         self.pcie_latency + bytes as f64 / self.pcie_bw
-    }
-
-    /// Modeled duration of a coalesced transaction staging several copies:
-    /// `max(latency over the copies) + Σ bytes / bw`. The link latency is
-    /// uniform per device, so the max term collapses to `pcie_latency` —
-    /// the batch pays it once instead of once per copy.
-    pub fn transfer_time_batched(&self, total_bytes: u64) -> f64 {
-        self.pcie_latency + total_bytes as f64 / self.pcie_bw
     }
 
     /// Occupancy factor for a kernel that reserves `shared_request` bytes

@@ -1,8 +1,17 @@
 //! Property tests for the device simulator: allocator soundness, bitwise
 //! equivalence across worker counts, and cost-model monotonicity.
 
-use cuda_sim::{Device, DeviceProps, Dim3, LaunchConfig, StreamId};
+use cuda_sim::{Device, DeviceBuffer, DeviceProps, DeviceScalar, Dim3, LaunchConfig, StreamId};
 use proptest::prelude::*;
+
+/// The buffer's contents, read back with an unchecked D2H on the default
+/// stream.
+fn read<T: DeviceScalar>(d: &Device, buf: &DeviceBuffer<T>) -> Vec<T> {
+    let (copy, _) = d.memcpy_dtoh(StreamId::DEFAULT, buf, false).unwrap();
+    let mut host = vec![T::default(); buf.len()];
+    copy.scatter_into(&mut host);
+    host
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -37,9 +46,7 @@ proptest! {
     fn htod_dtoh_round_trip(data in proptest::collection::vec(any::<f64>(), 1..512)) {
         let d = Device::new(DeviceProps::tiny(1 << 16));
         let buf = d.alloc_from_slice(&data).unwrap();
-        let mut back = vec![0.0f64; data.len()];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
-        for (a, b) in data.iter().zip(&back) {
+        for (a, b) in data.iter().zip(&read(&d, &buf)) {
             prop_assert!(a.to_bits() == b.to_bits(), "bit-exact round trip");
         }
     }
@@ -61,8 +68,8 @@ proptest! {
             d.force_workers(workers);
             let n = values.len();
             let input = d.alloc_from_slice(&values).unwrap();
-            let out = d.alloc_zeroed::<f64>(n_bins).unwrap();
-            let hits = d.alloc_zeroed::<u64>(n_bins).unwrap();
+            let out = d.alloc::<f64>(n_bins).unwrap();
+            let hits = d.alloc::<u64>(n_bins).unwrap();
             let cfg = LaunchConfig::linear(n as u64, block);
             let record = if tiled {
                 d.launch_shared_on(
@@ -101,11 +108,8 @@ proptest! {
                 })
             }
             .unwrap();
-            let mut sums = vec![0.0f64; n_bins];
-            d.memcpy_dtoh(&out, &mut sums).unwrap();
-            let mut counts = vec![0u64; n_bins];
-            d.memcpy_dtoh(&hits, &mut counts).unwrap();
-            let bits: Vec<u64> = sums.iter().map(|v| v.to_bits()).collect();
+            let counts = read(&d, &hits);
+            let bits: Vec<u64> = read(&d, &out).iter().map(|v| v.to_bits()).collect();
             (bits, counts, record.cost, record.traces)
         };
         prop_assert_eq!(run(1), run(workers));
@@ -153,15 +157,14 @@ proptest! {
         let streams = [StreamId::DEFAULT, s1, s2];
         let buf = d.alloc::<f64>(256).unwrap();
         let host = vec![0.0f64; 256];
-        let mut scratch = vec![0.0f64; 256];
         for &(which, size) in &ops {
             let stream = streams[which];
             match size % 3 {
                 0 => {
-                    d.memcpy_htod_on(stream, &buf, &host).unwrap();
+                    d.memcpy_htod(stream, &[(&buf, &host)], false).unwrap();
                 }
                 1 => {
-                    d.memcpy_dtoh_on(stream, &buf, &mut scratch).unwrap();
+                    d.memcpy_dtoh(stream, &buf, false).unwrap();
                 }
                 _ => {
                     d.launch_on(stream, "w", LaunchConfig::linear(size as u64, 32), |ctx| {
@@ -203,7 +206,7 @@ proptest! {
     ) {
         let d = Device::new(DeviceProps::tiny(1 << 16));
         let n = (dx * dy * dz) as usize;
-        let seen = d.alloc_zeroed::<u64>(n).unwrap();
+        let seen = d.alloc::<u64>(n).unwrap();
         let cfg = LaunchConfig::cover(Dim3::new(dx, dy, dz), Dim3::new(bx, by, bz));
         d.launch("cover", cfg, |ctx| {
             let g = ctx.global_id();
@@ -213,9 +216,7 @@ proptest! {
             }
         })
         .unwrap();
-        let mut host = vec![0u64; n];
-        d.memcpy_dtoh(&seen, &mut host).unwrap();
-        prop_assert!(host.iter().all(|&c| c == 1));
+        prop_assert!(read(&d, &seen).iter().all(|&c| c == 1));
     }
 }
 
@@ -230,7 +231,7 @@ fn cover_regression_z_only_domain_unit_blocks() {
     let (dx, dy, dz) = (1u64, 1u64, 3u64);
     let d = Device::new(DeviceProps::tiny(1 << 16));
     let n = (dx * dy * dz) as usize;
-    let seen = d.alloc_zeroed::<u64>(n).unwrap();
+    let seen = d.alloc::<u64>(n).unwrap();
     let cfg = LaunchConfig::cover(Dim3::new(dx, dy, dz), Dim3::new(1, 1, 1));
     d.launch("cover", cfg, |ctx| {
         let g = ctx.global_id();
@@ -240,7 +241,9 @@ fn cover_regression_z_only_domain_unit_blocks() {
         }
     })
     .unwrap();
-    let mut host = vec![0u64; n];
-    d.memcpy_dtoh(&seen, &mut host).unwrap();
-    assert_eq!(host, vec![1, 1, 1], "every z point visited exactly once");
+    assert_eq!(
+        read(&d, &seen),
+        vec![1, 1, 1],
+        "every z point visited exactly once"
+    );
 }

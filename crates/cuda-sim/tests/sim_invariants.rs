@@ -139,7 +139,6 @@ fn concurrent_transfers_outlast_either_alone() {
 
     let d = Device::new(props);
     let host_data = vec![1.0f64; bytes];
-    let mut back = vec![0.0f64; bytes];
     let buf_a = d.alloc_from_slice(&host_data).unwrap();
     let buf_b = d.alloc_from_slice(&host_data).unwrap();
     d.synchronize();
@@ -148,8 +147,8 @@ fn concurrent_transfers_outlast_either_alone() {
     let down = d.create_stream();
     // Both issued at t = 0 on independent streams: an upload and a
     // download race for the half-duplex link.
-    d.memcpy_htod_on(up, &buf_a, &host_data).unwrap();
-    d.memcpy_dtoh_on(down, &buf_b, &mut back).unwrap();
+    d.memcpy_htod(up, &[(&buf_a, &host_data)], false).unwrap();
+    d.memcpy_dtoh(down, &buf_b, false).unwrap();
     let elapsed = d.synchronize();
     assert!(
         elapsed > alone * 1.5,
@@ -187,8 +186,10 @@ fn two_devices_on_one_host_contend() {
         };
         let b1 = d1.alloc::<f64>(bytes).unwrap();
         let b2 = d2.alloc::<f64>(bytes).unwrap();
-        d1.memcpy_htod(&b1, &host_data).unwrap();
-        d2.memcpy_htod(&b2, &host_data).unwrap();
+        d1.memcpy_htod(StreamId::DEFAULT, &[(&b1, &host_data)], false)
+            .unwrap();
+        d2.memcpy_htod(StreamId::DEFAULT, &[(&b2, &host_data)], false)
+            .unwrap();
         d1.synchronize().max(d2.synchronize())
     };
     let private = run_pair(false);

@@ -218,6 +218,7 @@ fn main() {
             .sum()
     };
     let tree_byte_hops = byte_hops(&on, ReductionTopology::Tree);
+    let off_byte_hops = byte_hops(&off, ReductionTopology::Tree);
     let ring_byte_hops = byte_hops(&ring, ReductionTopology::Ring);
 
     // 5. Fabric sweep at the gate node count: the same reduction schedule
@@ -283,12 +284,19 @@ fn main() {
         off_c.reduction_exposed_s
     )
     .unwrap();
+    writeln!(json, "    \"off_byte_hops\": {off_byte_hops},").unwrap();
     writeln!(json, "    \"on_over_off\": {overlap_ratio:.6}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"topology\": {{").unwrap();
     writeln!(json, "    \"nodes\": {gate_nodes},").unwrap();
     writeln!(json, "    \"tree_total_s\": {:.9},", on.total_time_s).unwrap();
     writeln!(json, "    \"ring_total_s\": {:.9},", ring.total_time_s).unwrap();
+    writeln!(
+        json,
+        "    \"ring_exposed_s\": {:.9},",
+        ring_c.reduction_exposed_s
+    )
+    .unwrap();
     writeln!(json, "    \"tree_net_bytes\": {},", on_c.net_bytes).unwrap();
     writeln!(json, "    \"ring_net_bytes\": {},", ring_c.net_bytes).unwrap();
     writeln!(json, "    \"tree_byte_hops\": {tree_byte_hops},").unwrap();

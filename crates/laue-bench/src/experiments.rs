@@ -383,12 +383,12 @@ pub fn tables(
             "tree + barrier".into(),
             Ms("off_total_s").cell(o)?,
             Ms("off_exposed_s").cell(o)?,
-            "-".into(),
+            Fixed("off_byte_hops", 0).cell(o)?,
         ],
         [
             "ring + overlap".into(),
             Ms("ring_total_s").cell(t)?,
-            "-".into(),
+            Ms("ring_exposed_s").cell(t)?,
             Fixed("ring_byte_hops", 0).cell(t)?,
         ],
     ]

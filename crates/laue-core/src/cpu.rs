@@ -33,9 +33,9 @@ pub struct CpuReconstruction {
     pub stats: ReconStats,
     /// Logical work performed, for the virtual-time model.
     pub cost: Cost,
-    /// Measured active-pair density per processed unit (whole view for the
-    /// in-memory engines, one entry per chunk when streaming). Empty when
-    /// compaction is off.
+    /// Measured active-pair density per processed unit (the whole view for
+    /// the sequential engine, one entry per row band for the threaded one).
+    /// Empty when compaction is off.
     pub slab_densities: Vec<f64>,
 }
 
@@ -151,7 +151,7 @@ impl<'a> DenseWalk<'a> {
 /// Reconstruct a row range into a slab-local image (rows are relative to
 /// `rows.start`). `detector_row_offset` maps the view's row indices onto
 /// detector rows (non-zero when `view` is a streamed slab). Shared by the
-/// sequential, threaded and streaming engines, and by the integrity layer
+/// sequential and threaded engines, and by the integrity layer
 /// as the repair donor a persistently corrupting device's slab is replaced
 /// with.
 pub(crate) fn reconstruct_rows(
@@ -331,77 +331,6 @@ pub fn reconstruct_seq(
         stats,
         cost,
         slab_densities: Vec::new(),
-    })
-}
-
-/// Streaming variant of the sequential engine: pulls `rows_per_chunk`
-/// detector rows at a time from a [`SlabSource`], never materialising the
-/// full stack — the same memory profile as the GPU pipeline, bit-identical
-/// results.
-pub fn reconstruct_streaming(
-    source: &mut dyn crate::SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    rows_per_chunk: usize,
-) -> Result<CpuReconstruction> {
-    cfg.validate()?;
-    if rows_per_chunk == 0 {
-        return Err(CoreError::InvalidConfig(
-            "rows_per_chunk must be ≥ 1".into(),
-        ));
-    }
-    let (n_images, n_rows, n_cols) = (source.n_images(), source.n_rows(), source.n_cols());
-    if n_images != geom.wire.n_steps
-        || n_rows != geom.detector.n_rows
-        || n_cols != geom.detector.n_cols
-    {
-        return Err(CoreError::ShapeMismatch(format!(
-            "source {n_images}×{n_rows}×{n_cols} disagrees with geometry {}×{}×{}",
-            geom.wire.n_steps, geom.detector.n_rows, geom.detector.n_cols
-        )));
-    }
-    let mapper = geom.mapper()?;
-    let cull = cfg
-        .compaction
-        .enabled()
-        .then(|| ShadowCull::compute(geom, &mapper, cfg, 0..n_rows));
-    let mut image = DepthImage::zeroed(cfg.n_depth_bins, n_rows, n_cols);
-    let mut stats = ReconStats::default();
-    let mut cost = Cost::default();
-    let mut slab_densities = Vec::new();
-    if let Some(cull) = &cull {
-        cost.flops += cull.host_flops;
-    }
-    let mut row0 = 0usize;
-    while row0 < n_rows {
-        let rows = rows_per_chunk.min(n_rows - row0);
-        let slab = source.read_slab(row0, rows)?;
-        let view = ScanView::new(&slab, n_images, rows, n_cols)?;
-        let (part, part_stats, part_cost) = match &cull {
-            Some(cull) => {
-                let (part, s, c, density) =
-                    reconstruct_rows_sparse(&view, geom, &mapper, cfg, 0..rows, row0, cull);
-                slab_densities.push(density);
-                (part, s, c)
-            }
-            None => reconstruct_rows(&view, geom, &mapper, cfg, 0..rows, row0),
-        };
-        stats.merge(&part_stats);
-        cost.merge(&part_cost);
-        for bin in 0..cfg.n_depth_bins {
-            for r in 0..rows {
-                for c in 0..n_cols {
-                    *image.at_mut(bin, row0 + r, c) = part.at(bin, r, c);
-                }
-            }
-        }
-        row0 += rows;
-    }
-    Ok(CpuReconstruction {
-        image,
-        stats,
-        cost,
-        slab_densities,
     })
 }
 
@@ -738,26 +667,6 @@ pub(crate) mod tests {
         assert!(t1 > 0.0 && t4 > 0.0 && t4 <= t1);
     }
 
-    #[test]
-    fn streaming_matches_sequential_bitwise() {
-        let (geom, cfg) = demo();
-        let (p, m, n) = (10, 6, 6);
-        let data: Vec<f64> = (0..p * m * n)
-            .map(|i| 700.0 - 29.0 * (i / (m * n)) as f64 + (i % 11) as f64)
-            .collect();
-        let view = ScanView::new(&data, p, m, n).unwrap();
-        let seq = reconstruct_seq(&view, &geom, &cfg).unwrap();
-        for chunk in [1usize, 2, 3, 6, 100] {
-            let mut src = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-            let streamed = reconstruct_streaming(&mut src, &geom, &cfg, chunk).unwrap();
-            assert_eq!(seq.image.data, streamed.image.data, "chunk = {chunk}");
-            assert_eq!(seq.stats, streamed.stats);
-            assert_eq!(seq.cost.flops, streamed.cost.flops);
-        }
-        let mut src = InMemorySlabSource::new(data, p, m, n).unwrap();
-        assert!(reconstruct_streaming(&mut src, &geom, &cfg, 0).is_err());
-    }
-
     /// A stack with per-pixel ramps of varying size, so a mid percentile
     /// cutoff leaves a genuinely mixed active/inactive population.
     fn mixed_stack(p: usize, m: usize, n: usize) -> Vec<f64> {
@@ -800,14 +709,6 @@ pub(crate) mod tests {
                     "{mode:?} threads {threads}"
                 );
             }
-            for chunk in [1usize, 4, 100] {
-                let mut src = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-                let streamed = reconstruct_streaming(&mut src, &geom, &cfg, chunk).unwrap();
-                assert_eq!(
-                    dense.image.data, streamed.image.data,
-                    "{mode:?} chunk {chunk}"
-                );
-            }
         }
     }
 
@@ -828,11 +729,6 @@ pub(crate) mod tests {
             assert_eq!(seq.stats, par.stats);
             assert_eq!(seq.cost.flops, par.cost.flops);
         }
-        let mut src = InMemorySlabSource::new(data, p, m, n).unwrap();
-        let streamed = reconstruct_streaming(&mut src, &geom, &cfg, 2).unwrap();
-        assert_eq!(seq.image.data, streamed.image.data);
-        assert_eq!(seq.stats, streamed.stats);
-        assert_eq!(seq.cost.flops, streamed.cost.flops);
     }
 
     #[test]

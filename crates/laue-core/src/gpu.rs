@@ -35,8 +35,9 @@
 //!   the host across runs and, budget permitting, resident on the device,
 //!   so warm runs skip both the triangulation FLOPs and the table upload.
 //! * **Coalesced slab uploads**: each slab's host→device pieces (pixel
-//!   table, depth table, intensities) ship as one batched bus transaction
-//!   (`memcpy_htod_batched`), paying the PCIe latency once per slab.
+//!   table, depth table, intensities) ship as one bus transaction
+//!   ([`Device::memcpy_htod`] takes a batch), paying the PCIe latency once
+//!   per slab.
 
 pub mod batch;
 
@@ -211,28 +212,30 @@ pub struct RecoveryLog {
 /// exponentially growing backoff (idle time on `stream` in virtual time).
 /// Non-transient errors — OOM, lost device — propagate immediately.
 ///
-/// With `integrity` attached the copy is a CRC-checked one: the CRC's host
-/// FLOPs (charged inside the checked variants) are billed to
-/// `verify_host_cpu_s`, every [`cuda_sim::SimError::CorruptTransfer`]
-/// counts as a detected corruption — corrected when a retry eventually
-/// lands the payload cleanly — and the backoff idle time those CRC
-/// retries insert on the stream is billed to `exposed_overhead_s` (it
-/// extends the makespan; plain transient-fault backoffs do not count,
-/// they are recovery the run pays with or without integrity).
+/// With `integrity` attached every attempt is a CRC-checked copy (`copy`
+/// gets the `checked` flag): the CRC's host FLOPs, charged inside the
+/// copy, are billed to `verify_host_cpu_s`, every
+/// [`cuda_sim::SimError::CorruptTransfer`] counts as a detected corruption
+/// — corrected when a retry eventually lands the payload cleanly — and the
+/// backoff idle time those CRC retries insert on the stream is billed to
+/// `exposed_overhead_s` (it extends the makespan; plain transient-fault
+/// backoffs do not count, they are recovery the run pays with or without
+/// integrity).
 fn retry_transfer<T>(
     device: &Device,
     stream: StreamId,
     recovery: &mut RecoveryLog,
     integrity: Option<&mut IntegrityReport>,
-    mut copy: impl FnMut() -> cuda_sim::Result<T>,
+    mut copy: impl FnMut(bool) -> cuda_sim::Result<T>,
 ) -> Result<T> {
+    let checked = integrity.is_some();
     let mut backoff = BACKOFF_BASE_S;
     let mut attempts = 0u32;
     let mut crc_hits = 0u64;
     let mut crc_backoff_s = 0.0f64;
     let host_t0 = device.host_flops_time_s();
     let result = loop {
-        match copy() {
+        match copy(checked) {
             Ok(v) => break Ok(v),
             Err(e) if e.is_transient() && attempts < MAX_TRANSFER_RETRIES => {
                 if matches!(e, cuda_sim::SimError::CorruptTransfer { .. }) {
@@ -688,7 +691,6 @@ pub(crate) fn upload_slab(
     integrity: &mut IntegrityReport,
 ) -> Result<SlabUpload> {
     let layout = opts.layout;
-    let checked = cfg.integrity.enabled();
     let n_images = source.n_images();
     let n_cols = source.n_cols();
     let slab = source.read_slab(row0, rows)?;
@@ -811,80 +813,54 @@ pub(crate) fn upload_slab(
         None => None,
     };
 
-    let (buffers, ready_at) = match layout {
-        Layout::Flat1d => {
-            let intensity = device.alloc::<f64>(slab.len())?;
-            let output = device.alloc_zeroed::<f64>(cfg.n_depth_bins * rows * n_cols)?;
-            // One coalesced transaction for the whole slab.
-            let mut batch: Vec<(&DeviceBuffer<f64>, &[f64])> = vec![(&pixels, &pix)];
-            if let (Some(buf), Some(data)) = (&table_buf, &table_data) {
-                batch.push((buf, data));
-            }
-            batch.push((&intensity, &slab));
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_htod_batched_checked(stream, &batch)
-                } else {
-                    device.memcpy_htod_batched(stream, &batch)
-                }
-            })?;
-            (SlabBuffers::Flat { intensity, output }, span.end_s)
-        }
+    // Intensity and output: one buffer each, or under the pointer layout
+    // (the "3D array" design) one per image and one per depth bin.
+    let per_image = rows * n_cols;
+    let (n_image_bufs, image_len, n_bin_bufs, bin_len) = match layout {
+        Layout::Flat1d => (1, slab.len(), 1, cfg.n_depth_bins * per_image),
+        Layout::Pointer3d => (n_images, per_image, cfg.n_depth_bins, per_image),
+    };
+    let alloc_all = |n: usize, len: usize| -> Result<Vec<DeviceBuffer<f64>>> {
+        (0..n).map(|_| Ok(device.alloc(len)?)).collect()
+    };
+    let mut images = alloc_all(n_image_bufs, image_len)?;
+    let mut bins = alloc_all(n_bin_bufs, bin_len)?;
+    // Every f64 piece of the slab ships in one coalesced transaction.
+    let mut batch: Vec<(&DeviceBuffer<f64>, &[f64])> = vec![(&pixels, &pix)];
+    if let (Some(buf), Some(data)) = (&table_buf, &table_data) {
+        batch.push((buf, data));
+    }
+    batch.extend(images.iter().zip(slab.chunks_exact(image_len)));
+    let report = cfg.integrity.enabled().then_some(&mut *integrity);
+    let mut ready_at = retry_transfer(device, stream, recovery, report, |checked| {
+        device.memcpy_htod(stream, &batch, checked)
+    })?
+    .end_s;
+    let buffers = match layout {
+        Layout::Flat1d => SlabBuffers::Flat {
+            intensity: images.swap_remove(0),
+            output: bins.swap_remove(0),
+        },
         Layout::Pointer3d => {
-            // One allocation per image: the "3D array" design. The copies
-            // still coalesce into one f64 transaction, but the layout pays
-            // a second (u64) transaction for its pointer tables.
-            let per_image = rows * n_cols;
-            let mut images = Vec::with_capacity(n_images);
-            for _ in 0..n_images {
-                images.push(device.alloc::<f64>(per_image)?);
-            }
-            let mut bins = Vec::with_capacity(cfg.n_depth_bins);
-            for _ in 0..cfg.n_depth_bins {
-                bins.push(device.alloc_zeroed::<f64>(per_image)?);
-            }
-            let mut batch: Vec<(&DeviceBuffer<f64>, &[f64])> = vec![(&pixels, &pix)];
-            if let (Some(buf), Some(data)) = (&table_buf, &table_data) {
-                batch.push((buf, data));
-            }
-            for (z, buf) in images.iter().enumerate() {
-                batch.push((buf, &slab[z * per_image..(z + 1) * per_image]));
-            }
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_htod_batched_checked(stream, &batch)
-                } else {
-                    device.memcpy_htod_batched(stream, &batch)
-                }
-            })?;
-            let mut ready_at = span.end_s;
-            // The pointer tables themselves must also be shipped.
+            // The pointer tables themselves ship in a second (u64)
+            // transaction.
             let image_ptrs: Vec<u64> = images.iter().map(|b| b.device_addr()).collect();
             let bin_ptrs: Vec<u64> = bins.iter().map(|b| b.device_addr()).collect();
             let image_table = device.alloc::<u64>(image_ptrs.len())?;
             let bin_table = device.alloc::<u64>(bin_ptrs.len())?;
-            let ptr_batch: Vec<(&DeviceBuffer<u64>, &[u64])> =
-                vec![(&image_table, &image_ptrs), (&bin_table, &bin_ptrs)];
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_htod_batched_checked(stream, &ptr_batch)
-                } else {
-                    device.memcpy_htod_batched(stream, &ptr_batch)
-                }
+            let ptr_batch: [(&DeviceBuffer<u64>, &[u64]); 2] =
+                [(&image_table, &image_ptrs), (&bin_table, &bin_ptrs)];
+            let report = cfg.integrity.enabled().then_some(&mut *integrity);
+            let span = retry_transfer(device, stream, recovery, report, |checked| {
+                device.memcpy_htod(stream, &ptr_batch, checked)
             })?;
             ready_at = ready_at.max(span.end_s);
-            (
-                SlabBuffers::Pointer {
-                    images,
-                    bins,
-                    _image_table: image_table,
-                    _bin_table: bin_table,
-                },
-                ready_at,
-            )
+            SlabBuffers::Pointer {
+                images,
+                bins,
+                _image_table: image_table,
+                _bin_table: bin_table,
+            }
         }
     };
     let depth_table = match table_source {
@@ -1362,15 +1338,10 @@ fn download_slab(
     integrity: &mut IntegrityReport,
 ) -> Result<(NonzeroWords, f64)> {
     let (device, stream) = (ctx.device, ctx.download_stream);
-    let checked = ctx.cfg.integrity.enabled();
     let mut download = |buf: &DeviceBuffer<f64>| {
-        let report = if checked { Some(&mut *integrity) } else { None };
-        retry_transfer(device, stream, recovery, report, || {
-            if checked {
-                device.memcpy_dtoh_nonzero_checked_on(stream, buf)
-            } else {
-                device.memcpy_dtoh_nonzero_on(stream, buf)
-            }
+        let report = ctx.cfg.integrity.enabled().then_some(&mut *integrity);
+        retry_transfer(device, stream, recovery, report, |checked| {
+            device.memcpy_dtoh(stream, buf, checked)
         })
     };
     match &upload.buffers {
@@ -1831,15 +1802,9 @@ fn resolve_table_source(
             Err(e) => return Err(CoreError::Device(e)),
         };
         if let Some(buf) = alloc {
-            let checked = cfg.integrity.enabled();
-            let report = if checked { Some(&mut *integrity) } else { None };
-            retry_transfer(device, upload_stream, recovery, report, || {
-                let batch = [(&buf, &tables.depths[..])];
-                if checked {
-                    device.memcpy_htod_batched_checked(upload_stream, &batch)
-                } else {
-                    device.memcpy_htod_batched(upload_stream, &batch)
-                }
+            let report = cfg.integrity.enabled().then_some(&mut *integrity);
+            retry_transfer(device, upload_stream, recovery, report, |checked| {
+                device.memcpy_htod(upload_stream, &[(&buf, &tables.depths)], checked)
             })?;
             cache.insert_device(device.id(), key, buf.clone(), run);
             return Ok((TableSource::Resident { buf, n_rows }, host_flops));
@@ -1902,17 +1867,14 @@ pub(crate) fn run_ring(
         wire_flat.extend_from_slice(&[w.x, w.y, w.z]);
     }
     let wires = device.alloc::<f64>(wire_flat.len())?;
-    {
-        let checked = cfg.integrity.enabled();
-        let report = if checked { Some(&mut *integrity) } else { None };
-        retry_transfer(device, upload_stream, &mut run.recovery, report, || {
-            if checked {
-                device.memcpy_htod_checked_on(upload_stream, &wires, &wire_flat)
-            } else {
-                device.memcpy_htod_on(upload_stream, &wires, &wire_flat)
-            }
-        })?;
-    }
+    let report = cfg.integrity.enabled().then_some(&mut *integrity);
+    retry_transfer(
+        device,
+        upload_stream,
+        &mut run.recovery,
+        report,
+        |checked| device.memcpy_htod(upload_stream, &[(&wires, &wire_flat)], checked),
+    )?;
 
     let (table_source, mut host_table_flops) = resolve_table_source(
         device,

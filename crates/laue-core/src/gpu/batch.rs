@@ -24,7 +24,7 @@
 //! jobs here when they qualify:
 //!
 //! * whole scan resident as one slab (no chunking; these are small jobs),
-//! * [`Layout::Flat1d`] + [`Triangulation::InKernel`] (no shared table
+//! * [`super::Layout::Flat1d`] + [`super::Triangulation::InKernel`] (no shared table
 //!   state between tenants' uploads),
 //! * atomic accumulation, no compaction, no integrity checks.
 //!
@@ -213,9 +213,8 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
         pixel_bufs.push(device.alloc::<f64>(pix_host[j].len())?);
         wire_bufs.push(device.alloc::<f64>(wire_host[j].len())?);
         intensity_bufs.push(device.alloc::<f64>(slab_host[j].len())?);
-        output_bufs.push(
-            device.alloc_zeroed::<f64>(job.cfg.n_depth_bins * plans[j].rows * plans[j].n_cols)?,
-        );
+        output_bufs
+            .push(device.alloc::<f64>(job.cfg.n_depth_bins * plans[j].rows * plans[j].n_cols)?);
     }
     let mut copies: Vec<(&DeviceBuffer<f64>, &[f64])> = Vec::with_capacity(jobs.len() * 3);
     for j in 0..jobs.len() {
@@ -224,7 +223,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
         copies.push((&intensity_bufs[j], &slab_host[j]));
     }
     let upload_bytes = copies.iter().map(|(_, d)| d.len() as u64 * 8).sum();
-    let span = device.memcpy_htod_batched(stream, &copies)?;
+    let span = device.memcpy_htod(stream, &copies, false)?;
     let ready_at = span.end_s;
 
     // Rebuild each job's upload descriptor so the fused kernel can reuse
@@ -325,7 +324,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
     for (j, job) in jobs.iter().enumerate() {
         let plan = &plans[j];
         // A job's slab is its whole image, so slab layout is image layout.
-        let (cells, _) = device.memcpy_dtoh_nonzero_on(stream, &output_bufs[j])?;
+        let (cells, _) = device.memcpy_dtoh(stream, &output_bufs[j], false)?;
         let mut image = DepthImage::zeroed(job.cfg.n_depth_bins, plan.rows, plan.n_cols);
         for (i, w) in cells.cells() {
             image.data[i] = f64::from_bits(w);

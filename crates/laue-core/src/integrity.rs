@@ -8,16 +8,17 @@
 //! kernels); this module supplies the three defences the engines wire in
 //! when [`IntegrityMode`](crate::config::IntegrityMode) ≠ `Off`:
 //!
-//! 1. **Checksummed transfers** — every host↔device copy runs through the
-//!    CRC64-checked variants ([`cuda_sim::Device::memcpy_htod_checked_on`]
-//!    and friends), which detect every single-bit payload error. A CRC
+//! 1. **Checksummed transfers** — every host↔device copy runs with the
+//!    `checked` flag of [`cuda_sim::Device::memcpy_htod`] and
+//!    [`cuda_sim::Device::memcpy_dtoh`] set, whose CRC64 detects every
+//!    single-bit payload error. A CRC
 //!    mismatch is retryable: re-sending the payload re-rolls the fault
 //!    dice, so one-shot flips are *corrected* by the existing transfer
 //!    retry loop.
 //! 2. **ABFT depth-sum verification** — after each slab's download, the
 //!    host re-reads the slab from the source and redundantly recomputes its
 //!    per-depth-bin sums with the dense CPU pair loop, on every host core
-//!    and without building the slab's image ([`slab_reference`]). The
+//!    and without building the slab's image (`slab_reference`). The
 //!    device executor deposits in that loop's order at any worker count, so
 //!    the sums are compared bit for bit. The recompute FLOPs are charged to
 //!    the overlapped host-CPU resource, so the planner's virtual-time model
@@ -33,7 +34,7 @@
 //! condemned data); `scrub` quarantines the slab (a poison record in the
 //! run journal), re-executes it with bounded exponential backoff, and — if
 //! the device corrupts persistently — repairs the slab from the host
-//! reference's dense payload ([`slab_donor`], computed only then). A run
+//! reference's dense payload (`slab_donor`, computed only then). A run
 //! that detected *and corrected* corruption completes bit-identical to a
 //! fault-free run and is marked `INTEGRITY-DEGRADED` in its report.
 

@@ -11,7 +11,7 @@
 //!
 //! Two levels:
 //!
-//! * **Per slab** ([`plan_slab`]): given a slab's measured sparsity
+//! * **Per slab** (`plan_slab`): given a slab's measured sparsity
 //!   structure and a sampled probe of its intensity statistics, choose
 //!   compacted vs dense execution and atomic vs privatized accumulation by
 //!   comparing the modeled kernel times of each combination. This subsumes
@@ -699,7 +699,7 @@ fn triangulation_label(t: Triangulation) -> &'static str {
 /// Enumerate and score run-level execution plans for `source` on the
 /// device described by `props`, returning the predicted-cheapest feasible
 /// one. Per-slab knobs (compaction, accumulation) are resolved inside each
-/// candidate via [`plan_slab`] under the modes in `cfg`, exactly as the
+/// candidate via `plan_slab` under the modes in `cfg`, exactly as the
 /// executor resolves them; a pinned [`ReconstructionConfig::rows_per_slab`]
 /// is the only slab height priced. A source that disagrees with `geom` or
 /// an invalid `cfg` fails as the executor would, with a typed error. With
@@ -844,7 +844,7 @@ fn plan_run_cached(
                     // transaction.
                     let mut pre = props.transfer_time(wire_bytes);
                     if resident && !warmth.device_warm {
-                        pre += props.transfer_time_batched(table_bytes);
+                        pre += props.transfer_time(table_bytes);
                     }
                     let (mut sum_up, mut sum_down, mut sum_kernel) = (0.0f64, 0.0f64, 0.0f64);
                     let (mut first_up, mut last_down) = (0.0f64, 0.0f64);
@@ -895,9 +895,9 @@ fn plan_run_cached(
                             f64_bytes += (n_images * rows * n_cols * 8) as u64;
                         }
                         f64_bytes += (n_images * rows * n_cols * 8) as u64; // intensity
-                        let mut t_up = props.transfer_time_batched(f64_bytes);
+                        let mut t_up = props.transfer_time(f64_bytes);
                         if layout == Layout::Pointer3d {
-                            t_up += props.transfer_time_batched(((n_images + n_bins) * 8) as u64);
+                            t_up += props.transfer_time(((n_images + n_bins) * 8) as u64);
                         }
                         // Download: flat is one D2H; the pointer layout pays
                         // the transfer latency once per output bin.

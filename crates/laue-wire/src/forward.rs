@@ -3,7 +3,8 @@
 //! For every wire step, a scatterer contributes its intensity to its pixel
 //! unless the straight path from its depth point to the pixel passes
 //! through the wire — decided by the *same* tangent geometry
-//! ([`DepthMapper::occludes`]) the reconstruction uses, so synthetic data
+//! ([`DepthMapper::occludes`](laue_geometry::DepthMapper::occludes)) the
+//! reconstruction uses, so synthetic data
 //! and reconstruction share one geometric truth.
 
 use laue_core::ScanGeometry;

@@ -37,8 +37,8 @@ impl ExtendableState {
 }
 
 impl FileWriter {
-    /// Create a dataset whose axis 0 grows by [`append_slice`]
-    /// (`FileWriter::append_slice`). `slice_shape` / `slice_chunk` describe
+    /// Create a dataset whose axis 0 grows by
+    /// [`append_slice`](Self::append_slice). `slice_shape` / `slice_chunk` describe
     /// one axis-0 slice (so the final dataset has rank
     /// `slice_shape.len() + 1` and chunk shape `(1, slice_chunk…)`).
     pub fn create_extendable_dataset(

@@ -2,6 +2,7 @@
 //! must reproduce exactly the corresponding sub-block of the full
 //! reconstruction, on every engine.
 
+use laue::core::input::RoiSlabSource;
 use laue::prelude::*;
 use laue::sim::Device;
 
@@ -19,6 +20,26 @@ fn cfg() -> ReconstructionConfig {
     ReconstructionConfig::new(-2000.0, 2000.0, 120)
 }
 
+/// A region of interest: `(r0, c0, nr, nc)`, an `nr × nc` pixel window at
+/// `(r0, c0)`.
+type Roi = (usize, usize, usize, usize);
+
+/// The ROI source over the whole scan.
+fn roi_source(s: &SyntheticScan, (r0, c0, nr, nc): Roi) -> RoiSlabSource<InMemorySlabSource> {
+    let inner = InMemorySlabSource::new(s.images.clone(), 14, 10, 12).unwrap();
+    RoiSlabSource::new(inner, r0, c0, nr, nc).unwrap()
+}
+
+/// Read the ROI source whole and reconstruct it on the sequential CPU
+/// engine.
+fn roi_cpu(s: &SyntheticScan, cfg: &ReconstructionConfig, roi: Roi) -> cpu::CpuReconstruction {
+    let (r0, c0, nr, nc) = roi;
+    let roi_geom = s.geometry.crop(r0, c0, nr, nc).unwrap();
+    let images = roi_source(s, roi).read_slab(0, nr).unwrap();
+    let view = ScanView::new(&images, 14, nr, nc).unwrap();
+    cpu::reconstruct_seq(&view, &roi_geom, cfg).unwrap()
+}
+
 #[test]
 fn roi_reconstruction_is_a_subblock_of_the_full_one() {
     let s = scan();
@@ -30,12 +51,7 @@ fn roi_reconstruction_is_a_subblock_of_the_full_one() {
     let full = cpu::reconstruct_seq(&view, &s.geometry, &cfg).unwrap();
 
     // ROI reconstruction: cropped geometry + ROI source.
-    let roi_geom = s.geometry.crop(r0, c0, nr, nc).unwrap();
-    let inner = InMemorySlabSource::new(s.images.clone(), 14, 10, 12).unwrap();
-    let mut roi_src = laue::core::input::RoiSlabSource::new(inner, r0, c0, nr, nc).unwrap();
-
-    // CPU streaming over the ROI.
-    let roi_cpu = cpu::reconstruct_streaming(&mut roi_src, &roi_geom, &cfg, 2).unwrap();
+    let roi_cpu = roi_cpu(&s, &cfg, (r0, c0, nr, nc));
     for bin in 0..cfg.n_depth_bins {
         for r in 0..nr {
             for c in 0..nc {
@@ -48,11 +64,16 @@ fn roi_reconstruction_is_a_subblock_of_the_full_one() {
         }
     }
 
-    // GPU over the ROI.
-    let inner = InMemorySlabSource::new(s.images.clone(), 14, 10, 12).unwrap();
-    let mut roi_src = laue::core::input::RoiSlabSource::new(inner, r0, c0, nr, nc).unwrap();
+    // GPU over the ROI, two rows per slab: the source is read in row
+    // chunks at offsets.
+    let roi_geom = s.geometry.crop(r0, c0, nr, nc).unwrap();
+    let mut roi_src = roi_source(&s, (r0, c0, nr, nc));
     let device = Device::new(DeviceProps::tiny(8 * 1024 * 1024));
-    let roi_gpu = gpu::reconstruct(&device, &mut roi_src, &roi_geom, &cfg, Layout::Flat1d).unwrap();
+    let mut slab_cfg = cfg.clone();
+    slab_cfg.rows_per_slab = Some(2);
+    let roi_gpu =
+        gpu::reconstruct(&device, &mut roi_src, &roi_geom, &slab_cfg, Layout::Flat1d).unwrap();
+    assert_eq!(roi_gpu.rows_per_slab, 2);
     assert_eq!(
         roi_gpu.image.data, roi_cpu.image.data,
         "GPU ROI matches CPU ROI"
@@ -66,10 +87,7 @@ fn full_frame_roi_is_the_identity() {
     let view = ScanView::new(&s.images, 14, 10, 12).unwrap();
     let full = cpu::reconstruct_seq(&view, &s.geometry, &cfg).unwrap();
 
-    let roi_geom = s.geometry.crop(0, 0, 10, 12).unwrap();
-    let inner = InMemorySlabSource::new(s.images.clone(), 14, 10, 12).unwrap();
-    let mut roi_src = laue::core::input::RoiSlabSource::new(inner, 0, 0, 10, 12).unwrap();
-    let roi = cpu::reconstruct_streaming(&mut roi_src, &roi_geom, &cfg, 4).unwrap();
+    let roi = roi_cpu(&s, &cfg, (0, 0, 10, 12));
     assert_eq!(roi.image.data, full.image.data);
     assert_eq!(roi.stats, full.stats);
 }
@@ -82,10 +100,7 @@ fn roi_runs_cost_proportionally_less() {
     let view = ScanView::new(&s.images, 14, 10, 12).unwrap();
     let full = cpu::reconstruct_seq(&view, &s.geometry, &cfg).unwrap();
 
-    let roi_geom = s.geometry.crop(0, 0, 5, 6).unwrap();
-    let inner = InMemorySlabSource::new(s.images.clone(), 14, 10, 12).unwrap();
-    let mut roi_src = laue::core::input::RoiSlabSource::new(inner, 0, 0, 5, 6).unwrap();
-    let roi = cpu::reconstruct_streaming(&mut roi_src, &roi_geom, &cfg, 5).unwrap();
+    let roi = roi_cpu(&s, &cfg, (0, 0, 5, 6));
     assert_eq!(roi.stats.pairs_total * 4, full.stats.pairs_total);
     assert!(roi.cost.flops < full.cost.flops / 3);
 }
