@@ -14,17 +14,24 @@
 //!   configurable byte budget (a slice of `DeviceProps::total_mem`). A warm
 //!   run re-uses the resident buffer at virtual time 0 — the upload
 //!   disappears from the timeline entirely;
-//! * **wire-shadow culls** — per geometry, the full-detector
-//!   [`ShadowCull`] that compaction reads, in an LRU of its own with the
-//!   same entry bound ([`DepthTableCache::shadow_cull`]). It costs as many
-//!   triangulations to build as a full depth table, so the planner and
-//!   every ring of every run of one geometry share one build. It is a
-//!   wall-clock saving only: each ring still charges its band's
-//!   triangulation FLOPs ([`ShadowCull::build_flops`]) on a hit or a miss,
-//!   so every modeled time is unchanged, and the culls stay out of the
-//!   depth-table entries, [`DepthTableCache::peek_host`] and
-//!   [`TableCacheStats`] — planner warmth and hit rates read only depth
-//!   tables.
+//! * **edge tables** — per geometry and wire edge, the full-detector
+//!   [`EdgeTable`] that the in-kernel `set_two` and the wire-shadow cull
+//!   read, in an LRU of its own with the same entry bound
+//!   ([`DepthTableCache::edge_table`]). The first miss builds it on every
+//!   host core, and every later call of that geometry reads it instead of
+//!   triangulating;
+//! * **wire-shadow culls** — per geometry and depth window, the
+//!   full-detector [`ShadowCull`] that compaction reads, a per-(step, row)
+//!   min/max over the edge table, in an LRU of its own with the same entry
+//!   bound ([`DepthTableCache::shadow_cull`]), so the planner and every
+//!   ring of every run of one geometry share one build.
+//!
+//! Edge tables and culls are wall-clock savings only: the kernel charges
+//! the triangulations it skips, and each ring still charges its band's
+//! cull triangulations ([`ShadowCull::build_flops`]) on a hit or a miss,
+//! so every modeled time is unchanged. Both stay out of the depth-table
+//! entries, [`DepthTableCache::peek_host`] and [`TableCacheStats`] —
+//! planner warmth and hit rates read only depth tables.
 //!
 //! The key hashes the *bit patterns* of every f64 the table depends on
 //! (beam, detector, wire scan, depth binning, wire edge, triangulation
@@ -32,17 +39,19 @@
 //! geometry, and a cached table is bit-identical to a fresh computation.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
+use cuda_sim::exec::host_cores;
 use cuda_sim::DeviceBuffer;
-use laue_geometry::DepthMapper;
+use laue_geometry::{DepthMapper, Vec3, WireEdge};
 
 use crate::config::ReconstructionConfig;
 use crate::geometry::ScanGeometry;
 use crate::planning::ShadowCull;
 
-/// Host-side entries kept per cache, depth tables and culls each
-/// (distinct geometries per process are few; this only bounds
+/// Host-side entries kept per cache, depth tables, edge tables and culls
+/// each (distinct geometries per process are few; this only bounds
 /// pathological churn).
 const HOST_ENTRIES: usize = 8;
 
@@ -57,6 +66,27 @@ pub struct TableKey(Vec<u64>);
 impl TableKey {
     /// Key for the table implied by `geom` + `cfg` (HostTables mode).
     pub fn new(geom: &ScanGeometry, cfg: &ReconstructionConfig) -> TableKey {
+        let mut w = Self::geometry_words(geom);
+        // Depth binning + edge + mode tag (HostTables = 1).
+        w.push(cfg.depth_start.to_bits());
+        w.push(cfg.depth_end.to_bits());
+        w.push(cfg.n_depth_bins as u64);
+        w.push(edge_word(cfg.wire_edge));
+        w.push(1);
+        TableKey(w)
+    }
+
+    /// Key for the [`EdgeTable`] of `geom` under `edge`: the geometry and
+    /// the edge only, since edge depths do not depend on the binning.
+    pub fn edges(geom: &ScanGeometry, edge: WireEdge) -> TableKey {
+        let mut w = Self::geometry_words(geom);
+        w.push(edge_word(edge));
+        w.push(2);
+        TableKey(w)
+    }
+
+    /// The bit patterns of every geometry input (beam, detector, wire scan).
+    fn geometry_words(geom: &ScanGeometry) -> Vec<u64> {
         fn v3(v: laue_geometry::Vec3, w: &mut Vec<u64>) {
             w.push(v.x.to_bits());
             w.push(v.y.to_bits());
@@ -83,16 +113,14 @@ impl TableKey {
         v3(wire.origin, &mut w);
         v3(wire.step, &mut w);
         w.push(wire.n_steps as u64);
-        // Depth binning + edge + mode tag (HostTables = 1).
-        w.push(cfg.depth_start.to_bits());
-        w.push(cfg.depth_end.to_bits());
-        w.push(cfg.n_depth_bins as u64);
-        w.push(match cfg.wire_edge {
-            laue_geometry::WireEdge::Leading => 0,
-            laue_geometry::WireEdge::Trailing => 1,
-        });
-        w.push(1);
-        TableKey(w)
+        w
+    }
+}
+
+fn edge_word(edge: WireEdge) -> u64 {
+    match edge {
+        WireEdge::Leading => 0,
+        WireEdge::Trailing => 1,
     }
 }
 
@@ -163,6 +191,174 @@ impl DepthTables {
             }
         }
         out
+    }
+}
+
+/// Fewest depths worth building on every host core; a smaller table builds
+/// on the calling thread, since a spawn costs tens of microseconds.
+const PARALLEL_BUILD_DEPTHS: usize = 1 << 16;
+
+/// The triangulations the in-kernel GPU path and its wire-shadow cull
+/// share: one edge depth per `(scan step, detector row, col)` of the rows
+/// it covers, `NaN` where no tangent exists, with the bit patterns of the
+/// pixel positions and wire centres it was triangulated from.
+///
+/// Two readers share it. The in-kernel `set_two` takes a pair's two depths
+/// from it ([`EdgeTable::pair_depths`]) whenever the pixel and wire centres
+/// the thread read from device memory equal those inputs bit for bit, and
+/// triangulates what it read otherwise, so a corrupted upload changes a run
+/// exactly as it would without the table. The wire-shadow cull is its
+/// per-(step, row) min/max ([`ShadowCull::from_edges`]). Depths are stored
+/// pixel-major with the step fastest, the order a `set_two` thread walks
+/// them.
+#[derive(Debug)]
+pub struct EdgeTable {
+    pub(crate) n_steps: usize,
+    pub(crate) n_cols: usize,
+    /// First detector row of the span the table covers.
+    pub(crate) row0: usize,
+    /// Per span row: whether it was triangulated (a row between two bands
+    /// never is, and holds only `NaN`).
+    pub(crate) covered: Vec<bool>,
+    /// Bits of each span pixel's position, `(r · n_cols + c) · 3 + axis`.
+    pixels: Vec<u64>,
+    /// Bits of each wire centre, `z · 3 + axis`.
+    wires: Vec<u64>,
+    /// Depths, indexed `(r · n_cols + c) · n_steps + z`, `r` span-relative.
+    pub(crate) depths: Vec<f64>,
+}
+
+impl EdgeTable {
+    /// Triangulate the detector rows of `bands` (disjoint, ascending) at
+    /// every wire step, in row bands on every host core. The table spans
+    /// the first band's first row to the last band's last row. Each depth
+    /// is `mapper.depth` of the very pixel and wire centre the GPU path
+    /// uploads, so it is bit-identical to the kernel's own triangulation.
+    pub fn build(
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        edge: WireEdge,
+        bands: &[Range<usize>],
+    ) -> EdgeTable {
+        let span = bands.first().map_or(0, |b| b.start)..bands.last().map_or(0, |b| b.end);
+        let (n_steps, n_cols) = (geom.wire.n_steps, geom.detector.n_cols);
+        let mut covered = vec![false; span.len()];
+        for r in bands.iter().flat_map(|b| b.clone()) {
+            covered[r - span.start] = true;
+        }
+        let centres = geom.wire.centers();
+        let pixel = |r: usize, c: usize| geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let pixels = span
+            .clone()
+            .flat_map(|r| (0..n_cols).flat_map(move |c| bits(pixel(r, c))))
+            .collect();
+        let wires = centres.iter().flat_map(|&w| bits(w)).collect();
+
+        let row_len = n_cols * n_steps;
+        let mut depths = vec![f64::NAN; span.len() * row_len];
+        // Fill the span rows from `first` on that `rows` holds.
+        let fill = |rows: &mut [f64], first: usize| {
+            for (r, row) in (first..).zip(rows.chunks_exact_mut(row_len)) {
+                if !covered[r] {
+                    continue;
+                }
+                for (c, cell) in row.chunks_exact_mut(n_steps).enumerate() {
+                    let p = pixel(span.start + r, c);
+                    for (d, &w) in cell.iter_mut().zip(&centres) {
+                        *d = mapper.depth(p, w, edge).unwrap_or(f64::NAN);
+                    }
+                }
+            }
+        };
+        let workers = if depths.len() >= PARALLEL_BUILD_DEPTHS {
+            host_cores().clamp(1, span.len())
+        } else {
+            1
+        };
+        if workers <= 1 {
+            fill(&mut depths, 0);
+        } else {
+            let per = span.len().div_ceil(workers);
+            let fill = &fill;
+            std::thread::scope(|scope| {
+                let mut bands = depths.chunks_mut(per * row_len).enumerate();
+                let (_, first) = bands.next().expect("a nonempty table");
+                for (i, rows) in bands {
+                    scope.spawn(move || fill(rows, i * per));
+                }
+                fill(first, 0);
+            });
+        }
+        EdgeTable {
+            n_steps,
+            n_cols,
+            row0: span.start,
+            covered,
+            pixels,
+            wires,
+            depths,
+        }
+    }
+
+    /// The table a run of `cfg` reads, from its one build site, or `None`
+    /// when nothing would read it. With a `cache` it is the scan geometry's
+    /// full-detector table, built on the first miss and shared by every
+    /// later call of that geometry; the in-kernel `set_two` reads it when
+    /// `in_kernel`, and the wire-shadow cull when compaction is on. With
+    /// no cache only a compaction run gets one, over `bands`, the rows it
+    /// processes (the triangulations its cull costs). It never counts in
+    /// [`TableCacheStats`].
+    pub fn resolve(
+        cache: Option<&DepthTableCache>,
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        in_kernel: bool,
+        bands: &[Range<usize>],
+    ) -> Option<Arc<EdgeTable>> {
+        let compaction = cfg.compaction.enabled();
+        let edge = cfg.wire_edge;
+        match cache {
+            Some(cache) if in_kernel || compaction => {
+                let all = 0..geom.detector.n_rows;
+                Some(cache.edge_table(&TableKey::edges(geom, edge), || {
+                    EdgeTable::build(geom, mapper, edge, std::slice::from_ref(&all))
+                }))
+            }
+            None if compaction => Some(Arc::new(EdgeTable::build(geom, mapper, edge, bands))),
+            _ => None,
+        }
+    }
+
+    /// The edge depths of steps `z` and `z + 1` at pixel `(row, col)`,
+    /// when the table covers `row` and `pixel`, `w0` and `w1` are bit for
+    /// bit the pixel position and wire centres it was triangulated from;
+    /// `None` otherwise, and the caller triangulates what it holds.
+    #[inline]
+    pub fn pair_depths(
+        &self,
+        row: usize,
+        col: usize,
+        z: usize,
+        pixel: Vec3,
+        w0: Vec3,
+        w1: Vec3,
+    ) -> Option<(f64, f64)> {
+        let r = row.checked_sub(self.row0)?;
+        if !*self.covered.get(r)? {
+            return None;
+        }
+        let p = r * self.n_cols + col;
+        let same = |v: Vec3, b: &[u64]| {
+            v.x.to_bits() == b[0] && v.y.to_bits() == b[1] && v.z.to_bits() == b[2]
+        };
+        let w = &self.wires[z * 3..z * 3 + 6];
+        if !(same(pixel, &self.pixels[p * 3..p * 3 + 3]) && same(w0, w) && same(w1, &w[3..])) {
+            return None;
+        }
+        let i = p * self.n_steps + z;
+        Some((self.depths[i], self.depths[i + 1]))
     }
 }
 
@@ -242,6 +438,8 @@ struct Inner {
     host: Lru<DepthTables>,
     /// Full-detector wire-shadow culls, LRU order; never counted.
     culls: Lru<ShadowCull>,
+    /// Full-detector edge tables, LRU order; never counted.
+    edges: Lru<EdgeTable>,
     /// Device entries, LRU order (front = coldest), across all devices;
     /// the budget applies per device id.
     device: VecDeque<DeviceEntry>,
@@ -309,24 +507,48 @@ impl DepthTableCache {
 
     /// Get (or build with `compute` and insert) the full-detector
     /// wire-shadow cull for `key`. Neither counts in [`TableCacheStats`]
-    /// nor shows in [`DepthTableCache::peek_host`]. When two callers miss
-    /// the same key at once, both build and the first insert wins.
+    /// nor shows in [`DepthTableCache::peek_host`].
     pub fn shadow_cull(
         &self,
         key: &TableKey,
         compute: impl FnOnce() -> ShadowCull,
     ) -> Arc<ShadowCull> {
-        if let Some(cull) = touch(&mut self.inner.lock().unwrap().culls, key) {
-            return cull;
+        self.uncounted(|inner| &mut inner.culls, key, compute)
+    }
+
+    /// Get (or build with `compute` and insert) the full-detector
+    /// [`EdgeTable`] for `key` ([`TableKey::edges`]). Like a cull, it never
+    /// counts in [`TableCacheStats`] nor shows in
+    /// [`DepthTableCache::peek_host`].
+    pub fn edge_table(
+        &self,
+        key: &TableKey,
+        compute: impl FnOnce() -> EdgeTable,
+    ) -> Arc<EdgeTable> {
+        self.uncounted(|inner| &mut inner.edges, key, compute)
+    }
+
+    /// The entry for `key` in the uncounted LRU `lru` picks, built with
+    /// `compute` on a miss. When two callers miss the same key at once,
+    /// both build and the first insert wins.
+    fn uncounted<T>(
+        &self,
+        lru: impl Fn(&mut Inner) -> &mut Lru<T>,
+        key: &TableKey,
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        if let Some(hit) = touch(lru(&mut self.inner.lock().unwrap()), key) {
+            return hit;
         }
         // Build outside the lock (it is the expensive part).
-        let cull = Arc::new(compute());
+        let built = Arc::new(compute());
         let mut inner = self.inner.lock().unwrap();
-        if let Some(first) = touch(&mut inner.culls, key) {
+        let lru = lru(&mut inner);
+        if let Some(first) = touch(lru, key) {
             return first;
         }
-        insert(&mut inner.culls, key, &cull);
-        cull
+        insert(lru, key, &built);
+        built
     }
 
     /// Look up the resident buffer for `(device_id, key)`, refreshing its
@@ -499,9 +721,17 @@ mod tests {
         let first = cache.shadow_cull(&key(0), full);
         let again = cache.shadow_cull(&key(0), || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&first, &again));
-        // A cull is no depth table: no hit, no miss, no warmth.
+        let edges = TableKey::edges(&geom, cfg.wire_edge);
+        let rows = 0..geom.detector.n_rows;
+        let table = cache.edge_table(&edges, || {
+            EdgeTable::build(&geom, &mapper, cfg.wire_edge, std::slice::from_ref(&rows))
+        });
+        let kept = cache.edge_table(&edges, || panic!("must not rebuild"));
+        assert!(Arc::ptr_eq(&table, &kept));
+        // Neither a cull nor an edge table is a depth table: no hit, no
+        // miss, no warmth.
         assert_eq!(cache.totals(), TableCacheStats::default());
-        assert!(!cache.peek_host(&key(0)));
+        assert!(!cache.peek_host(&key(0)) && !cache.peek_host(&edges));
         // One geometry more than the LRU holds evicts the coldest cull.
         for i in 1..=HOST_ENTRIES {
             cache.shadow_cull(&key(i), full);
@@ -515,6 +745,50 @@ mod tests {
         assert!(rebuilt, "the oldest cull was evicted");
         assert!(!Arc::ptr_eq(&first, &back));
         assert_eq!(cache.totals(), TableCacheStats::default());
+    }
+
+    #[test]
+    fn edge_tables_hold_the_kernel_depths_for_their_exact_inputs() {
+        // Big enough to build on every host core.
+        let geom = ScanGeometry::demo(40, 36, 50, -60.0, 2.0).unwrap();
+        let cfg = ReconstructionConfig::new(-400.0, 400.0, 40);
+        let mapper = geom.mapper().unwrap();
+        let edge = cfg.wire_edge;
+        let all = 0..geom.detector.n_rows;
+        let table = EdgeTable::build(&geom, &mapper, edge, std::slice::from_ref(&all));
+        assert!(table.depths.len() >= PARALLEL_BUILD_DEPTHS);
+        let dense = DepthTables::compute(&geom, &mapper, &cfg);
+        let at = |z: usize, r: usize, c: usize| dense.depths[(z * 40 + r) * 36 + c].to_bits();
+        let pixel = |r: usize, c: usize| geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
+        let wire = |z: usize| geom.wire.center_unchecked(z as f64);
+        for (r, c, z) in [(0, 0, 0), (3, 4, 7), (17, 35, 48), (39, 20, 30)] {
+            let (d0, d1) = table
+                .pair_depths(r, c, z, pixel(r, c), wire(z), wire(z + 1))
+                .expect("the table's own inputs");
+            assert_eq!((d0.to_bits(), d1.to_bits()), (at(z, r, c), at(z + 1, r, c)));
+        }
+        // Any other bit pattern is triangulated by the caller.
+        let p = pixel(3, 4);
+        let nudged = Vec3::new(p.x, f64::from_bits(p.y.to_bits() ^ 1), p.z);
+        assert_eq!(table.pair_depths(3, 4, 7, nudged, wire(7), wire(8)), None);
+        assert_eq!(table.pair_depths(3, 4, 7, p, wire(8), wire(8)), None);
+        assert_eq!(
+            table.pair_depths(3, 4, 7, pixel(3, 5), wire(7), wire(8)),
+            None
+        );
+        // A banded table answers for its bands' rows only.
+        let banded = EdgeTable::build(&geom, &mapper, edge, &[2..5, 9..12]);
+        for r in [2, 4, 9, 11] {
+            assert!(banded
+                .pair_depths(r, 1, 0, pixel(r, 1), wire(0), wire(1))
+                .is_some());
+        }
+        for r in [0, 1, 5, 8, 12, 39] {
+            assert_eq!(
+                banded.pair_depths(r, 1, 0, pixel(r, 1), wire(0), wire(1)),
+                None
+            );
+        }
     }
 
     #[test]

@@ -56,11 +56,11 @@ use std::ops::Range;
 
 use cuda_sim::{Device, FaultStats, Interconnect};
 
-use crate::cache::DepthTableCache;
+use crate::cache::{DepthTableCache, EdgeTable};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{run_ring, validate_inputs, GpuReconstruction, SlabCommit};
+use crate::gpu::{run_ring, validate_inputs, GpuReconstruction, SlabCommit, Triangulation};
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
@@ -303,10 +303,12 @@ fn schedule_reduction(
 /// flow to the surviving nodes; zero surviving nodes surfaces the error
 /// for CPU salvage. Slab commits release reduction segments, and every
 /// ring adds its counters straight into the result, so a lost node keeps
-/// what it counted. With compaction on, the call resolves one wire-shadow
-/// cull ([`ShadowCull::resolve`]): `cache`'s full-detector table, or, with
-/// no cache, a table over the rows the call processes. Every ring reads
-/// it and charges its own band's triangulations.
+/// what it counted. The call resolves one edge table
+/// ([`EdgeTable::resolve`]): `cache`'s full-detector table, or, with no
+/// cache and compaction on, a table over the rows the call processes.
+/// Every ring's in-kernel `set_two` reads it, and with compaction on so
+/// does the one wire-shadow cull derived from it ([`ShadowCull::resolve`]);
+/// each ring charges its own band's cull triangulations.
 ///
 /// The run starts from `progress` (fresh, or replayed from a
 /// [`RunJournal`]) and every commit reaches `journal` (when given) before
@@ -325,8 +327,30 @@ pub fn reconstruct_cluster_checkpointed(
     plan: Plan,
     cache: Option<&DepthTableCache>,
     progress: &mut SlabProgress,
+    journal: Option<&mut RunJournal>,
+    max_rows: usize,
+) -> Result<GpuReconstruction> {
+    execute(
+        nodes, net, source, geom, cfg, plan, cache, progress, journal, max_rows, true,
+    )
+}
+
+/// [`reconstruct_cluster_checkpointed`], lending the rings' kernels the
+/// edge table only when `kernel_table`: the cull reads it either way, and
+/// a kernel without it triangulates every pair itself.
+#[allow(clippy::too_many_arguments)]
+fn execute(
+    nodes: &[Vec<&Device>],
+    net: &Interconnect,
+    source: &mut dyn SlabSource,
+    geom: &ScanGeometry,
+    cfg: &ReconstructionConfig,
+    plan: Plan,
+    cache: Option<&DepthTableCache>,
+    progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
     max_rows: usize,
+    kernel_table: bool,
 ) -> Result<GpuReconstruction> {
     if plan.nodes == 0
         || plan.devices == 0
@@ -368,10 +392,17 @@ pub fn reconstruct_cluster_checkpointed(
             (!band.is_empty()).then_some(band)
         })
         .collect();
-    // Level-1 sparsity: one wire-shadow cull for the call, lent to every
+    // One edge table and one wire-shadow cull for the call, lent to every
     // ring, scrub's re-executions and failover's re-banded rows included.
-    let cull = (cfg.compaction.enabled() && !scope.is_empty())
-        .then(|| ShadowCull::resolve(cache, geom, &mapper, cfg, &scope));
+    let in_kernel = plan.options.triangulation == Triangulation::InKernel;
+    let edges = (!scope.is_empty())
+        .then(|| EdgeTable::resolve(cache, geom, &mapper, cfg, in_kernel, &scope))
+        .flatten();
+    let cull = edges
+        .as_deref()
+        .filter(|_| cfg.compaction.enabled())
+        .map(|edges| ShadowCull::resolve(cache, geom, cfg, edges));
+    let kernel_edges = edges.as_deref().filter(|_| kernel_table);
 
     let mut run = GpuReconstruction {
         pipeline_depth: plan.depth.0,
@@ -420,6 +451,7 @@ pub fn reconstruct_cluster_checkpointed(
                         cfg,
                         &plan,
                         cache,
+                        kernel_edges,
                         cull.as_deref(),
                         band.clone(),
                         &mut run,
@@ -586,6 +618,7 @@ mod tests {
     use crate::gpu::{self, GpuOptions, Layout, PipelineDepth};
     use crate::input::InMemorySlabSource;
     use cuda_sim::{DeviceProps, Host, InterconnectProps};
+    use proptest::prelude::*;
 
     fn demo() -> (ScanGeometry, ReconstructionConfig, Vec<f64>) {
         let geom = ScanGeometry::demo(8, 6, 10, -60.0, 6.0).unwrap();
@@ -885,6 +918,145 @@ mod tests {
         // The cached runs read one full-detector table.
         let cull = cache.shadow_cull(&TableKey::new(&geom, &cfg), || panic!("cull not cached"));
         assert_eq!(cull.host_flops, ShadowCull::build_flops(&geom, 8));
+    }
+
+    /// A generated run for the edge-table property: a stack, a window and
+    /// every plan knob the kernel's launch shapes depend on.
+    #[derive(Debug, Clone)]
+    struct TableCase {
+        dims: (usize, usize, usize),
+        data: Vec<f64>,
+        window: (f64, f64, usize),
+        cutoff: f64,
+        trailing: bool,
+        layout: Layout,
+        compaction: crate::config::CompactionMode,
+        accumulation: crate::config::AccumulationMode,
+        depth: usize,
+        rows_per_slab: usize,
+        per_node: usize,
+        workers: (usize, usize),
+        cached: bool,
+    }
+
+    fn arb_table_case() -> impl Strategy<Value = TableCase> {
+        use crate::config::{AccumulationMode, CompactionMode};
+        let dims = (2usize..=5, 2usize..=5, 3usize..=8);
+        dims.prop_flat_map(|(rows, cols, steps)| {
+            let n = rows * cols * steps;
+            (
+                (
+                    Just((rows, cols, steps)),
+                    proptest::collection::vec(0.0..1000.0f64, n..=n),
+                    (-1500.0..300.0f64, 50.0..1500.0f64, 5usize..=60),
+                    0.0..80.0f64,
+                    any::<bool>(),
+                ),
+                (
+                    prop_oneof![Just(Layout::Flat1d), Just(Layout::Pointer3d)],
+                    prop_oneof![
+                        Just(CompactionMode::Off),
+                        Just(CompactionMode::Auto),
+                        Just(CompactionMode::On)
+                    ],
+                    prop_oneof![
+                        Just(AccumulationMode::Atomic),
+                        Just(AccumulationMode::Privatized)
+                    ],
+                    (1usize..=3, 1usize..=rows, 1usize..=2),
+                    (1usize..=4, 1usize..=4),
+                    any::<bool>(),
+                ),
+            )
+        })
+        .prop_map(|(image, knobs)| {
+            let (dims, data, (start, len, bins), cutoff, trailing) = image;
+            let (layout, compaction, accumulation, shape, workers, cached) = knobs;
+            let (depth, rows_per_slab, per_node) = shape;
+            TableCase {
+                dims,
+                data,
+                window: (start, start + len, bins),
+                cutoff,
+                trailing,
+                layout,
+                compaction,
+                accumulation,
+                depth,
+                rows_per_slab,
+                per_node,
+                workers,
+                cached,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A kernel reading the edge table runs exactly as the same plan
+        /// with every pair triangulated in kernel: image bits, stats, every
+        /// cost field, every launch record and every modeled time.
+        #[test]
+        fn a_table_reading_run_equals_the_same_plan_without_one(case in arb_table_case()) {
+            let (rows, cols, steps) = case.dims;
+            let geom = ScanGeometry::demo(rows, cols, steps, -40.0, 5.0).unwrap();
+            let (start, end, bins) = case.window;
+            let mut cfg = ReconstructionConfig::new(start, end, bins);
+            cfg.intensity_cutoff = case.cutoff;
+            if case.trailing {
+                cfg.wire_edge = laue_geometry::WireEdge::Trailing;
+            }
+            cfg.compaction = case.compaction;
+            cfg.accumulation = case.accumulation;
+            cfg.rows_per_slab = Some(case.rows_per_slab);
+            let run = |kernel_table: bool, workers: usize| {
+                let c = build(1, case.per_node, InterconnectProps::ib_qdr());
+                for d in c.devices.iter().flatten() {
+                    d.force_workers(workers);
+                }
+                let opts = GpuOptions { layout: case.layout, ..GpuOptions::default() };
+                let plan = Plan::fixed(
+                    1,
+                    case.per_node,
+                    opts,
+                    PipelineDepth(case.depth),
+                    &cfg,
+                    crate::planner::Pins::default(),
+                );
+                let cache = crate::cache::DepthTableCache::new(0);
+                let mut source = InMemorySlabSource::new(case.data.clone(), steps, rows, cols).unwrap();
+                let mut progress = SlabProgress::new(bins, rows, cols);
+                let out = execute(
+                    &refs(&c),
+                    &c.net,
+                    &mut source,
+                    &geom,
+                    &cfg,
+                    plan,
+                    case.cached.then_some(&cache),
+                    &mut progress,
+                    None,
+                    usize::MAX,
+                    kernel_table,
+                )
+                .unwrap();
+                let records: Vec<_> = c.devices.iter().flatten().map(|d| d.records()).collect();
+                (out, records)
+            };
+            let (with, with_records) = run(true, case.workers.0);
+            let (without, without_records) = run(false, case.workers.1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&with.image.data), bits(&without.image.data));
+            prop_assert_eq!(with.stats, without.stats);
+            prop_assert_eq!(with.meters.kernel_cost, without.meters.kernel_cost);
+            prop_assert_eq!(&with.per_device, &without.per_device);
+            prop_assert_eq!(&with_records, &without_records);
+            prop_assert_eq!(with.host_table_flops, without.host_table_flops);
+            prop_assert_eq!(with.elapsed_s.to_bits(), without.elapsed_s.to_bits());
+            prop_assert_eq!(&with.slab_densities, &without.slab_densities);
+            prop_assert_eq!(&with.slab_privatized, &without.slab_privatized);
+        }
     }
 
     #[test]

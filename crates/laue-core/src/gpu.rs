@@ -34,6 +34,11 @@
 //!   pure functions of the geometry; a [`DepthTableCache`] keeps them on
 //!   the host across runs and, budget permitting, resident on the device,
 //!   so warm runs skip both the triangulation FLOPs and the table upload.
+//!   In [`Triangulation::InKernel`] mode the same cache holds the
+//!   geometry's [`EdgeTable`]: `set_two` takes a pair's depths from it
+//!   whenever the pixel and wire centres the thread read are the table's
+//!   inputs bit for bit, with the in-kernel charges unchanged, so it saves
+//!   host wall time only.
 //! * **Coalesced slab uploads**: each slab's host→device pieces (pixel
 //!   table, depth table, intensities) ship as one bus transaction
 //!   ([`Device::memcpy_htod`] takes a batch), paying the PCIe latency once
@@ -50,7 +55,7 @@ use cuda_sim::{
 };
 use laue_geometry::{DepthMapper, Vec3};
 
-use crate::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
+use crate::cache::{DepthTableCache, DepthTables, EdgeTable, TableCacheStats, TableKey};
 use crate::cluster::NodeOutcome;
 use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
@@ -59,7 +64,9 @@ use crate::input::SlabSource;
 use crate::integrity::{self, IntegrityReport};
 use crate::journal::{RunJournal, SlabProgress};
 use crate::output::DepthImage;
-use crate::pair::{plan_pair, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR};
+use crate::pair::{
+    plan_pair, plan_with_edges, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR,
+};
 use crate::planner::{Pins, Plan};
 use crate::planning::ShadowCull;
 use crate::stats::ReconStats;
@@ -960,15 +967,89 @@ enum LaunchShape<'a> {
     Compact { list: &'a DeviceBuffer<u64> },
 }
 
+/// How the in-kernel `set_two` gets an above-cutoff pair's two edge
+/// depths. Each launch is compiled for one implementation, so a kernel
+/// without a table runs the code it ran before tables existed.
+pub(crate) trait EdgeDepths: Copy + Sync {
+    /// Plan the pair of steps `(z, z + 1)` at detector pixel `(row, col)`
+    /// (`at`) from the pixel and wire centres the thread read and its two
+    /// intensities, charging [`plan_pair`]'s FLOPs to `flops`.
+    #[allow(clippy::too_many_arguments)]
+    fn plan(
+        self,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        at: (usize, usize, usize),
+        pixel: Vec3,
+        w0: Vec3,
+        w1: Vec3,
+        i0: f64,
+        i1: f64,
+        flops: &mut u64,
+    ) -> PairPlan;
+}
+
+/// Triangulate both edges of every pair in kernel ([`plan_pair`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Triangulate;
+
+impl EdgeDepths for Triangulate {
+    #[inline]
+    fn plan(
+        self,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        _: (usize, usize, usize),
+        pixel: Vec3,
+        w0: Vec3,
+        w1: Vec3,
+        i0: f64,
+        i1: f64,
+        flops: &mut u64,
+    ) -> PairPlan {
+        plan_pair(mapper, cfg, pixel, w0, w1, i0, i1, flops)
+    }
+}
+
+/// Read both edges from the table when the pixel and wire centres are its
+/// inputs bit for bit ([`EdgeTable::pair_depths`]); triangulate what was
+/// read otherwise. The charges are [`plan_pair`]'s either way.
+impl EdgeDepths for &EdgeTable {
+    #[inline]
+    fn plan(
+        self,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        (row, col, z): (usize, usize, usize),
+        pixel: Vec3,
+        w0: Vec3,
+        w1: Vec3,
+        i0: f64,
+        i1: f64,
+        flops: &mut u64,
+    ) -> PairPlan {
+        plan_with_edges(cfg, i0, i1, flops, || {
+            match self.pair_depths(row, col, z, pixel, w0, w1) {
+                Some((d0, d1)) => (Some(d0), Some(d1)),
+                None => (
+                    mapper.depth(pixel, w0, cfg.wire_edge).ok(),
+                    mapper.depth(pixel, w1, cfg.wire_edge).ok(),
+                ),
+            }
+        })
+    }
+}
+
 /// Launch the `set_two` kernel for one uploaded slab. Returns `None` when
 /// the slab's launch domain is empty (every pair culled, or the compacted
 /// work-list has no entries).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn launch_set_two(
+pub(crate) fn launch_set_two<E: EdgeDepths>(
     device: &Device,
     stream: StreamId,
     upload: &SlabUpload,
     wires: &DeviceBuffer<f64>,
+    edges: E,
     mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
     n_images: usize,
@@ -1007,7 +1088,9 @@ pub(crate) fn launch_set_two(
     // strategies: charge the index arithmetic, fetch the inputs, and build
     // the pair's deposit plan.
     let eval_pair = |ctx: &mut cuda_sim::ThreadCtx<'_>, r: usize, c: usize, z: usize| -> PairPlan {
-        eval_pair_body(ctx, upload, wires, mapper, cfg, rows, n_cols, r, c, z)
+        eval_pair_body(
+            ctx, upload, wires, edges, mapper, cfg, rows, n_cols, r, c, z,
+        )
     };
     if let AccumPlan::Privatized { pixels_per_block } = accum {
         return launch_set_two_privatized(
@@ -1096,11 +1179,14 @@ pub(crate) fn launch_set_two(
 /// fetch the pixel/wire/intensity (or depth-table) inputs, and build the
 /// pair's deposit plan. Both accumulation strategies run exactly this —
 /// they differ only in where the deposits land.
+///
+/// In-kernel triangulation plans an above-cutoff pair through `edges`.
 #[allow(clippy::too_many_arguments)]
-fn eval_pair_body(
+fn eval_pair_body<E: EdgeDepths>(
     ctx: &mut cuda_sim::ThreadCtx<'_>,
     upload: &SlabUpload,
     wires: &DeviceBuffer<f64>,
+    edges: E,
     mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
     rows: usize,
@@ -1155,7 +1241,17 @@ fn eval_pair_body(
 
     let mut flops = 0u64;
     let plan = match &upload.depth_table {
-        DepthTableRef::None => plan_pair(mapper, cfg, pixel, w0, w1, i0, i1, &mut flops),
+        DepthTableRef::None => edges.plan(
+            mapper,
+            cfg,
+            (upload.row0 + r, c, z),
+            pixel,
+            w0,
+            w1,
+            i0,
+            i1,
+            &mut flops,
+        ),
         table_ref => {
             // Table mode: the differential/cutoff logic is identical,
             // but the depths come from the precomputed array.
@@ -1407,6 +1503,8 @@ pub(crate) struct RingCtx<'a> {
     mapper: &'a DepthMapper,
     cfg: &'a ReconstructionConfig,
     opts: GpuOptions,
+    /// The call's edge table, when the in-kernel `set_two` reads one.
+    edges: Option<&'a EdgeTable>,
     n_images: usize,
     n_cols: usize,
 }
@@ -1482,17 +1580,32 @@ fn execute_slab(
     )?;
     device.wait_until(ctx.compute_stream, upload.ready_at);
     let prescan = launch_prescan(device, ctx.compute_stream, &upload, ctx.n_cols)?;
-    let main = launch_set_two(
-        device,
-        ctx.compute_stream,
-        &upload,
-        wires,
-        ctx.mapper,
-        ctx.cfg,
-        ctx.n_images,
-        ctx.n_cols,
-        upload.accum,
-    )?;
+    let main = match ctx.edges {
+        Some(table) => launch_set_two(
+            device,
+            ctx.compute_stream,
+            &upload,
+            wires,
+            table,
+            ctx.mapper,
+            ctx.cfg,
+            ctx.n_images,
+            ctx.n_cols,
+            upload.accum,
+        ),
+        None => launch_set_two(
+            device,
+            ctx.compute_stream,
+            &upload,
+            wires,
+            Triangulate,
+            ctx.mapper,
+            ctx.cfg,
+            ctx.n_images,
+            ctx.n_cols,
+            upload.accum,
+        ),
+    }?;
     let pairs = (rows * ctx.n_cols * (ctx.n_images - 1)) as u64;
     let culled = upload.sparsity.as_ref().map_or(0, |sp| sp.culled_combos);
     let mut stats = slab_stats(prescan.as_ref(), main.as_ref(), pairs, culled, ctx.n_cols);
@@ -1818,9 +1931,10 @@ fn resolve_table_source(
 /// The k-deep ring: process the detector rows `band` on `device` under
 /// `plan`'s options, ring depth and slab rows, committing each verified
 /// slab through `out` as its download lands.
-/// `cull` is the executor's wire-shadow cull, covering `band`, present
-/// exactly when compaction is on; the ring builds none itself but charges
-/// its band's triangulations, as if it had.
+/// `edges` is the executor's edge table, which the in-kernel `set_two`
+/// reads (see [`EdgeTable::resolve`]). `cull` is the executor's wire-shadow
+/// cull, covering `band`, present exactly when compaction is on; the ring
+/// builds none itself but charges its band's triangulations, as if it had.
 ///
 /// Everything the ring learns besides the slabs goes straight into the
 /// run's result `run` — recovery actions, table-cache counters and per-slab
@@ -1849,6 +1963,7 @@ pub(crate) fn run_ring(
     cfg: &ReconstructionConfig,
     plan: &Plan,
     cache: Option<&DepthTableCache>,
+    edges: Option<&EdgeTable>,
     cull: Option<&ShadowCull>,
     band: Range<usize>,
     run: &mut GpuReconstruction,
@@ -1926,6 +2041,7 @@ pub(crate) fn run_ring(
         mapper,
         cfg,
         opts,
+        edges,
         n_images,
         n_cols,
     };
@@ -2530,6 +2646,57 @@ mod tests {
         let view = ScanView::new(&data, 10, 6, 6).unwrap();
         let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
         assert_eq!(out.image.data, cpu_out.image.data);
+    }
+
+    #[test]
+    fn a_flipped_pixel_upload_changes_a_warm_run_exactly_as_a_cold_one() {
+        // Integrity off, in-kernel triangulation. The run's second H2D copy
+        // is the first slab's batch, pixel table first; the flip moves one
+        // pixel of the slab's second row, whose band lies in the window. The warm
+        // run holds the geometry's edge table, the cacheless one none: the
+        // kernel must triangulate the pixel it read either way.
+        let (geom, mut cfg, data) = demo();
+        cfg.rows_per_slab = Some(2);
+        let run = |flip: bool, cache: Option<&DepthTableCache>| {
+            let device = big_device();
+            if flip {
+                // Pixel (1, 4)'s height: bit 47 moves it by 512 µm.
+                let byte = (3 * (6 + 4) + 1) * 8 + 5;
+                device.set_fault_plan(
+                    cuda_sim::FaultPlan::new(1)
+                        .flip_nth_h2d(2)
+                        .flip_byte_offset(byte),
+                );
+            }
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
+            let opts = GpuOptions::default();
+            let out = reconstruct_pipelined(
+                &device,
+                &mut source,
+                &geom,
+                &cfg,
+                opts,
+                PipelineDepth::DEFAULT,
+                cache,
+            )
+            .unwrap();
+            let flipped = device.fault_stats().map_or(0, |f| f.h2d_flipped);
+            assert_eq!(flipped, u64::from(flip));
+            out
+        };
+        let cache = DepthTableCache::new(0);
+        let clean = run(false, Some(&cache));
+        let key = TableKey::edges(&geom, cfg.wire_edge);
+        let table = cache.edge_table(&key, || panic!("the clean run built the table"));
+        let warm = run(true, Some(&cache));
+        let cold = run(true, None);
+        let still = cache.edge_table(&key, || panic!("the table stays cached"));
+        assert!(std::sync::Arc::ptr_eq(&table, &still));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&warm.image.data), bits(&cold.image.data));
+        assert_eq!(warm.stats, cold.stats);
+        assert_eq!(warm.meters.kernel_cost, cold.meters.kernel_cost);
+        assert_ne!(bits(&warm.image.data), bits(&clean.image.data));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cuda_sim::{Device, DeviceBuffer, LaunchConfig};
 
 use super::{
-    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, BLOCK_SIZE,
+    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, Triangulate, BLOCK_SIZE,
     TRACE_BELOW_CUTOFF, TRACE_DEPOSITED, TRACE_DEPOSITS, TRACE_INVALID, TRACE_OUT_OF_RANGE,
 };
 use crate::config::{CompactionMode, IntegrityMode, ReconstructionConfig};
@@ -284,6 +284,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
             ctx,
             &uploads[j],
             &wire_bufs[j],
+            Triangulate,
             &mappers[j],
             cfgs[j],
             plan.rows,

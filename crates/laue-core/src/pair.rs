@@ -183,10 +183,12 @@ pub fn plan_pair(
 /// [`plan_pair`] with the pair's two edge depths supplied by `edges`
 /// (`None` where the triangulation failed), which runs only for a pair
 /// above the cutoff. Both edges are charged whatever `edges` computes, so
-/// a caller that reuses a neighbouring pair's shared edge keeps the cost.
-/// The device kernel keeps calling [`plan_pair`] itself: routing it
-/// through this closure slowed the simulated `set_two` launch enough to
-/// cost `paper-dense` a fifth of its benchmark wall time.
+/// a caller that reuses a neighbouring pair's shared edge, or reads both
+/// from an [`EdgeTable`](crate::cache::EdgeTable), keeps the cost. The
+/// device kernel without a table calls [`plan_pair`] itself: routing its
+/// triangulations through this closure slowed the simulated `set_two`
+/// launch enough to cost `paper-dense` a fifth of its benchmark wall
+/// time.
 #[inline]
 pub fn plan_with_edges(
     cfg: &ReconstructionConfig,

@@ -50,7 +50,7 @@
 use cuda_sim::{ChainEstimator, Cost, DeviceProps, HostProps, InterconnectProps};
 use laue_geometry::DepthMapper;
 
-use crate::cache::DepthTableCache;
+use crate::cache::{DepthTableCache, EdgeTable};
 use crate::cluster::{
     node_bands, reduction_segment_bytes, route_hops, ClusterOptions, ReductionTopology,
 };
@@ -703,8 +703,8 @@ fn triangulation_label(t: Triangulation) -> &'static str {
 /// executor resolves them; a pinned [`ReconstructionConfig::rows_per_slab`]
 /// is the only slab height priced. A source that disagrees with `geom` or
 /// an invalid `cfg` fails as the executor would, with a typed error. With
-/// compaction on, the planner builds its own full-detector wire-shadow
-/// cull; [`plan_auto`] can read a cached one instead.
+/// compaction on, the planner builds its own full-detector edge table and
+/// wire-shadow cull; [`plan_auto`] can read cached ones instead.
 pub fn plan_run(
     props: &DeviceProps,
     host: &HostProps,
@@ -736,11 +736,17 @@ fn plan_run_cached(
     let n_bins = cfg.n_depth_bins;
     let n_steps = geom.wire.n_steps;
 
+    // The planner reads the edge table only through the cull.
     let all_rows = 0..n_rows;
-    let cull = cfg
-        .compaction
-        .enabled()
-        .then(|| ShadowCull::resolve(cache, geom, &mapper, cfg, std::slice::from_ref(&all_rows)));
+    let cull = EdgeTable::resolve(
+        cache,
+        geom,
+        &mapper,
+        cfg,
+        false,
+        std::slice::from_ref(&all_rows),
+    )
+    .map(|edges| ShadowCull::resolve(cache, geom, cfg, &edges));
 
     // Probe a few single-row bands spread across the detector; merged sums
     // stand in for the whole stack's intensity statistics.
@@ -1071,10 +1077,10 @@ fn reduction_estimate(
 /// each reduction estimated like the executor's head-link-bound schedule;
 /// the reduction is the argmin at the requested node count, and the sweep
 /// over power-of-two counts below it is reported in `candidates`, so
-/// scaling studies can read the priced curve. With a `cache`, the
-/// wire-shadow cull comes from it ([`ShadowCull::resolve`]), so the run
-/// that follows reads the same table instead of building a second one; the
-/// predictions are the same either way.
+/// scaling studies can read the priced curve. With a `cache`, the edge
+/// table and the wire-shadow cull come from it ([`ShadowCull::resolve`]),
+/// so the run that follows reads the same tables instead of building
+/// second ones; the predictions are the same either way.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_auto(
     props: &DeviceProps,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use laue_geometry::{DepthMapper, Vec3, WireEdge, WireGeometry};
 
-use crate::cache::{DepthTableCache, TableKey};
+use crate::cache::{DepthTableCache, EdgeTable, TableKey};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
@@ -32,10 +32,11 @@ use crate::Result;
 /// monotonicity assumption about the depth map is needed — so culling never
 /// removes a pair the dense path would have deposited.
 ///
-/// Building the table triangulates every `(step, row, col)` it covers: a
-/// full-detector cull costs as many triangulations as a full depth table
-/// ([`crate::cache::DepthTables`]). The GPU path therefore builds it once
-/// per scan geometry ([`ShadowCull::resolve`]).
+/// The bounds are a per-(step, row) min/max over an [`EdgeTable`], the
+/// triangulations the GPU kernel reads too ([`ShadowCull::from_edges`]);
+/// the GPU path builds that table once per scan geometry
+/// ([`EdgeTable::resolve`]) and the cull once per geometry and window
+/// ([`ShadowCull::resolve`]).
 #[derive(Debug, Clone)]
 pub struct ShadowCull {
     row0: usize,
@@ -59,49 +60,43 @@ impl ShadowCull {
         cfg: &ReconstructionConfig,
         rows: Range<usize>,
     ) -> ShadowCull {
-        Self::build(geom, mapper, cfg, std::slice::from_ref(&rows))
+        let edges = EdgeTable::build(geom, mapper, cfg.wire_edge, std::slice::from_ref(&rows));
+        Self::from_edges(&edges, cfg)
     }
 
-    /// Build the cull table for the detector rows of `bands` (disjoint,
-    /// ascending). The table spans the first band's first row to the last
-    /// band's last row; a row between two bands is never triangulated,
-    /// keeps no finite bound and so reads live for every pair.
-    fn build(
-        geom: &ScanGeometry,
-        mapper: &DepthMapper,
-        cfg: &ReconstructionConfig,
-        bands: &[Range<usize>],
-    ) -> ShadowCull {
-        let span = bands.first().map_or(0, |b| b.start)..bands.last().map_or(0, |b| b.end);
-        let n_steps = geom.wire.n_steps;
-        let n_rows = span.len();
-        let n_cols = geom.detector.n_cols;
+    /// The cull of `cfg`'s depth window over the rows `edges` covers: per
+    /// (step, row), the min/max of the row's finite edge depths, unsafe
+    /// where any is not finite. The table spans `edges`' span; a row it
+    /// never triangulated keeps no finite bound and so reads live for
+    /// every pair. `host_flops` counts the covered rows' triangulations.
+    pub fn from_edges(edges: &EdgeTable, cfg: &ReconstructionConfig) -> ShadowCull {
+        let (n_steps, n_cols, n_rows) = (edges.n_steps, edges.n_cols, edges.covered.len());
         let cells = n_steps * n_rows;
         let mut lo = vec![f64::INFINITY; cells];
         let mut hi = vec![f64::NEG_INFINITY; cells];
         let mut unsafe_row = vec![false; cells];
-        for z in 0..n_steps {
-            let wire = geom.wire.center_unchecked(z as f64);
-            for r in bands.iter().flat_map(|b| b.clone()) {
-                let cell = z * n_rows + (r - span.start);
-                for c in 0..n_cols {
-                    let pixel = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
-                    match mapper.depth(pixel, wire, cfg.wire_edge) {
-                        Ok(d) if d.is_finite() => {
-                            if d < lo[cell] {
-                                lo[cell] = d;
-                            }
-                            if d > hi[cell] {
-                                hi[cell] = d;
-                            }
+        let mut covered = 0;
+        for r in (0..n_rows).filter(|&r| edges.covered[r]) {
+            covered += 1;
+            let row = &edges.depths[r * n_cols * n_steps..(r + 1) * n_cols * n_steps];
+            for pixel in row.chunks_exact(n_steps) {
+                for (z, &d) in pixel.iter().enumerate() {
+                    let cell = z * n_rows + r;
+                    if d.is_finite() {
+                        if d < lo[cell] {
+                            lo[cell] = d;
                         }
-                        _ => unsafe_row[cell] = true,
+                        if d > hi[cell] {
+                            hi[cell] = d;
+                        }
+                    } else {
+                        unsafe_row[cell] = true;
                     }
                 }
             }
         }
         ShadowCull {
-            row0: span.start,
+            row0: edges.row0,
             n_rows,
             n_steps,
             lo,
@@ -109,7 +104,7 @@ impl ShadowCull {
             unsafe_row,
             depth_start: cfg.depth_start,
             depth_end: cfg.depth_end,
-            host_flops: Self::build_flops(geom, bands.iter().map(|b| b.len()).sum()),
+            host_flops: (n_steps * covered * n_cols) as u64 * FLOPS_PER_DEPTH,
         }
     }
 
@@ -120,27 +115,25 @@ impl ShadowCull {
         (geom.wire.n_steps * rows * geom.detector.n_cols) as u64 * FLOPS_PER_DEPTH
     }
 
-    /// The cull the GPU path reads, from its one build site. With a
-    /// `cache`, it is the scan geometry's full-detector table: the first
-    /// miss builds it, and the planner and every later ring of that
-    /// geometry share it. With none, it is a table over `bands` (disjoint,
-    /// ascending), the rows the caller processes. The table is never
+    /// The cull the GPU path reads, from `edges` ([`EdgeTable::resolve`]).
+    /// With a `cache`, `edges` is the scan geometry's full-detector table
+    /// and the cull of `cfg`'s window over it is cached too, so the planner
+    /// and every later ring of that geometry and window share one. With
+    /// none, it is the cull over the rows `edges` covers. The cull is never
     /// charged where it is built: each ring charges
     /// [`ShadowCull::build_flops`] of its own band, and the planner prices
     /// the full table's `host_flops`.
     pub fn resolve(
         cache: Option<&DepthTableCache>,
         geom: &ScanGeometry,
-        mapper: &DepthMapper,
         cfg: &ReconstructionConfig,
-        bands: &[Range<usize>],
+        edges: &EdgeTable,
     ) -> Arc<ShadowCull> {
-        let build = |bands: &[Range<usize>]| ShadowCull::build(geom, mapper, cfg, bands);
         match cache {
             Some(cache) => cache.shadow_cull(&TableKey::new(geom, cfg), || {
-                build(std::slice::from_ref(&(0..geom.detector.n_rows)))
+                ShadowCull::from_edges(edges, cfg)
             }),
-            None => Arc::new(build(bands)),
+            None => Arc::new(ShadowCull::from_edges(edges, cfg)),
         }
     }
 
@@ -513,7 +506,8 @@ mod tests {
         }
         // Two bands with a gap: their rows match the full table, the gap
         // rows are never triangulated (nor charged) and cull nothing.
-        let split = ShadowCull::resolve(None, &g, &mapper, &cfg, &[1..3, 5..7]);
+        let edges = EdgeTable::build(&g, &mapper, cfg.wire_edge, &[1..3, 5..7]);
+        let split = ShadowCull::from_edges(&edges, &cfg);
         assert_eq!(split.host_flops, ShadowCull::build_flops(&g, 4));
         assert!((0..g.wire.n_steps - 1).any(|z| !full.pair_row_live(z, 3)));
         for z in 0..g.wire.n_steps - 1 {

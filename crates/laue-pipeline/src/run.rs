@@ -1949,6 +1949,7 @@ mod tests {
         c.accumulation = AccumulationMode::Auto;
         c.integrity = IntegrityMode::Verify;
         let key = TableKey::new(&scan.geometry, &c);
+        let edges = TableKey::edges(&scan.geometry, c.wire_edge);
         let pipeline = || Pipeline {
             journal_dir: Some(jdir.clone()),
             ..Pipeline::default()
@@ -1973,18 +1974,19 @@ mod tests {
         ] {
             let warm = pipeline();
             let first = warm.run_scan_file(&path, &c, engine).unwrap();
-            let built = warm
-                .shared
-                .cache
-                .shadow_cull(&key, || panic!("cull not cached"));
+            let cached = || {
+                let cache = &warm.shared.cache;
+                (
+                    cache.shadow_cull(&key, || panic!("cull not cached")),
+                    cache.edge_table(&edges, || panic!("edge table not cached")),
+                )
+            };
+            let built = cached();
             let second = warm.run_scan_file(&path, &c, engine).unwrap();
-            let kept = warm
-                .shared
-                .cache
-                .shadow_cull(&key, || panic!("cull not cached"));
+            let kept = cached();
             assert!(
-                Arc::ptr_eq(&built, &kept),
-                "{engine:?}: the warm run built its cull again"
+                Arc::ptr_eq(&built.0, &kept.0) && Arc::ptr_eq(&built.1, &kept.1),
+                "{engine:?}: the warm run built its cull or edge table again"
             );
             let cold = pipeline().run_scan_file(&path, &c, engine).unwrap();
             assert!(first.stats.culled_rows > 0, "{engine:?} must cull");
@@ -2008,14 +2010,20 @@ mod tests {
         let mut c = cfg();
         c.compaction = CompactionMode::On;
         let key = TableKey::new(&scan.geometry, &c);
+        let edges = TableKey::edges(&scan.geometry, c.wire_edge);
         let p = Pipeline::default();
         for _ in 0..2 {
-            // gpu-pipe triangulates in kernel: no depth table anywhere.
+            // gpu-pipe triangulates in kernel: no depth table anywhere, but
+            // the cull and the edge table its kernel reads are cached.
             let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
             p.shared
                 .cache
                 .shadow_cull(&key, || panic!("cull not cached"));
+            p.shared
+                .cache
+                .edge_table(&edges, || panic!("edge table not cached"));
             assert!(!p.shared.cache.peek_host(&key));
+            assert!(!p.shared.cache.peek_host(&edges));
             assert_eq!(p.shared.cache.totals(), TableCacheStats::default());
             assert_eq!(r.table_cache, TableCacheStats::default());
         }

@@ -12,12 +12,14 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::attr::AttrValue;
-use crate::codec::decode_chunk;
+use crate::codec::{decode_chunk, Codec};
 use crate::crc::crc32;
-use crate::dtype::{decode_slice, Element};
+use crate::dtype::Element;
 use crate::error::Mh5Error;
-use crate::meta::{DatasetInfo, DatasetMeta, ObjectId, ObjectKind, ObjectTable, Payload};
-use crate::shape::copy_box;
+use crate::meta::{
+    ChunkEntry, DatasetInfo, DatasetMeta, ObjectId, ObjectKind, ObjectTable, Payload,
+};
+use crate::shape::decode_box;
 use crate::{Result, FORMAT_VERSION, HEADER_LEN, MAGIC};
 
 /// Read-only handle to an mh5 file.
@@ -190,18 +192,38 @@ impl FileReader {
         })
     }
 
-    /// Read and decode one chunk's raw bytes.
-    fn read_chunk_bytes(&self, meta: &DatasetMeta, chunk_index: usize) -> Result<Vec<u8>> {
+    /// The directory entry of chunk `chunk_index`, checked against the
+    /// chunk's geometric size: its raw length must equal the chunk's bytes,
+    /// and its stored bytes must be able to expand to that length (raw:
+    /// equal; RLE: at most 255 bytes per 2-byte pair).
+    fn chunk_entry(meta: &DatasetMeta, chunk_index: usize) -> Result<&ChunkEntry> {
         let entry = meta.chunks.get(chunk_index).ok_or_else(|| {
             Mh5Error::Corrupt(format!("chunk index {chunk_index} outside directory"))
         })?;
-        let expected_raw = meta.chunking.chunk_elements(chunk_index) * meta.dtype.size();
-        if entry.raw_len as usize != expected_raw {
+        let elements = meta.chunking.chunk_elements(chunk_index) as u64;
+        if elements.checked_mul(meta.dtype.size() as u64) != Some(entry.raw_len) {
             return Err(Mh5Error::Corrupt(format!(
-                "chunk {chunk_index} raw length {} != geometric size {expected_raw}",
-                entry.raw_len
+                "chunk {chunk_index} raw length {} != geometric size of {elements} {} elements",
+                entry.raw_len,
+                meta.dtype.name()
             )));
         }
+        let expands = match entry.codec {
+            Codec::Raw => entry.stored_len == entry.raw_len,
+            Codec::Rle => entry.raw_len <= (entry.stored_len / 2).saturating_mul(255),
+        };
+        if !expands {
+            return Err(Mh5Error::Corrupt(format!(
+                "chunk {chunk_index} stores {} {:?} bytes, which cannot expand to {}",
+                entry.stored_len, entry.codec, entry.raw_len
+            )));
+        }
+        Ok(entry)
+    }
+
+    /// Read and decode one chunk's raw bytes.
+    fn read_chunk_bytes(&self, meta: &DatasetMeta, chunk_index: usize) -> Result<Vec<u8>> {
+        let entry = Self::chunk_entry(meta, chunk_index)?;
         let mut payload = vec![0u8; entry.stored_len as usize];
         {
             let mut f = self.file.borrow_mut();
@@ -227,6 +249,14 @@ impl FileReader {
 
     /// Read a hyperslab: `count[i]` elements starting at `offset[i]` on each
     /// axis, returned row-major with shape `count`.
+    ///
+    /// Every selected chunk's directory entry is checked before the output
+    /// is allocated, so a file whose metadata claims more than its chunks
+    /// can hold fails with [`Mh5Error::Corrupt`] instead of allocating for
+    /// the claim. Each chunk's rows then decode straight into the
+    /// zero-filled output, which receives only the nonzero elements: the
+    /// pages of a mostly-zero dataset (an exported depth image) that hold
+    /// only zeros are never written.
     pub fn read_hyperslab<T: Element>(
         &self,
         ds: ObjectId,
@@ -240,6 +270,49 @@ impl FileReader {
                 actual: meta.dtype.name(),
             });
         }
+        let chunking = &meta.chunking;
+        let rank = chunking.shape.rank();
+        chunking.for_each_intersecting_chunk(offset, count, |ci, _, _, _| {
+            Self::chunk_entry(meta, ci).map(drop)
+        })?;
+        let mut out = vec![T::default(); count.iter().product()];
+        chunking.for_each_intersecting_chunk(offset, count, |ci, in_chunk, in_slab, ext| {
+            let chunk_bytes = self.read_chunk_bytes(meta, ci)?;
+            let chunk_ext = chunking.chunk_extent(&chunking.chunk_coords(ci)[..rank]);
+            decode_box(
+                &chunk_bytes,
+                &chunk_ext[..rank],
+                in_chunk,
+                &mut out,
+                count,
+                in_slab,
+                ext,
+            );
+            Ok(())
+        })?;
+        Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dtype::{decode_slice, Dtype};
+    use crate::shape::copy_box;
+    use crate::writer::FileWriter;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+
+    /// The byte path `read_hyperslab` replaced, kept as its oracle: every
+    /// selected chunk staged into one byte buffer of the output's size,
+    /// then decoded into a second, typed copy.
+    fn read_hyperslab_bytes<T: Element>(
+        r: &FileReader,
+        ds: ObjectId,
+        offset: &[usize],
+        count: &[usize],
+    ) -> Result<Vec<T>> {
+        let meta = r.dataset_meta(ds)?;
         let rank = meta.chunking.shape.rank();
         let elem = meta.dtype.size();
         let n_out: usize = count.iter().product();
@@ -248,7 +321,7 @@ impl FileReader {
             offset,
             count,
             |ci, in_chunk, in_slab, ext| {
-                let chunk_bytes = self.read_chunk_bytes(meta, ci)?;
+                let chunk_bytes = r.read_chunk_bytes(meta, ci)?;
                 let coords = meta.chunking.chunk_coords(ci);
                 let chunk_ext = meta.chunking.chunk_extent(&coords[..rank]);
                 copy_box(
@@ -266,14 +339,78 @@ impl FileReader {
         )?;
         decode_slice(&out_bytes)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dtype::Dtype;
-    use crate::writer::FileWriter;
-    use std::path::PathBuf;
+    /// A rank 1–4 shape, a chunk shape within it, a hyperslab of it, a
+    /// codec, and a seed for values that mix runs with noise.
+    #[allow(clippy::type_complexity)]
+    fn arb_read() -> impl Strategy<Value = (Vec<usize>, Vec<usize>, Vec<(usize, usize)>, Codec, u64)>
+    {
+        (1usize..=4)
+            .prop_flat_map(|rank| proptest::collection::vec(1usize..=6, rank))
+            .prop_flat_map(|shape| {
+                let chunk: Vec<_> = shape.iter().map(|&d| 1usize..=d).collect();
+                let slab: Vec<_> = shape
+                    .iter()
+                    .map(|&d| (0..d).prop_flat_map(move |o| (Just(o), 1..=d - o)))
+                    .collect();
+                (
+                    Just(shape),
+                    chunk,
+                    slab,
+                    prop_oneof![Just(Codec::Raw), Just(Codec::Rle)],
+                    any::<u64>(),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The typed path reads every hyperslab exactly as the byte path
+        /// did, for u16 and f64 datasets under either codec.
+        #[test]
+        fn typed_reads_match_the_byte_path(case in arb_read()) {
+            let (shape, chunk, slab, codec, seed) = case;
+            let p = tmp(&format!("typed_{seed}"));
+            let n: usize = shape.iter().product();
+            // Runs of one value every few elements, so RLE chunks occur:
+            // zeros (never written into the output), -0.0 (nonzero bytes)
+            // and noise.
+            let value = |i: usize| {
+                let run = (i / 3) as u64;
+                match run % 4 {
+                    0 => 0,
+                    1 => 1 << 63,
+                    _ => seed.wrapping_mul(run + 1).rotate_left((run % 64) as u32),
+                }
+            };
+            let counts: Vec<u16> = (0..n).map(|i| value(i) as u16).collect();
+            let reals: Vec<f64> = (0..n).map(|i| f64::from_bits(value(i))).collect();
+            let mut w = FileWriter::create(&p).unwrap();
+            let a = w
+                .create_dataset_with_codec(FileWriter::ROOT, "a", Dtype::U16, &shape, &chunk, codec)
+                .unwrap();
+            w.write_all(a, &counts).unwrap();
+            let b = w
+                .create_dataset_with_codec(FileWriter::ROOT, "b", Dtype::F64, &shape, &chunk, codec)
+                .unwrap();
+            w.write_all(b, &reals).unwrap();
+            w.finish().unwrap();
+            let r = FileReader::open(&p).unwrap();
+            let (offset, count): (Vec<usize>, Vec<usize>) = slab.into_iter().unzip();
+            let (a, b) = (r.resolve_path("/a").unwrap(), r.resolve_path("/b").unwrap());
+            let typed: Vec<u16> = r.read_hyperslab(a, &offset, &count).unwrap();
+            let oracle: Vec<u16> = read_hyperslab_bytes(&r, a, &offset, &count).unwrap();
+            prop_assert_eq!(typed, oracle);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let typed: Vec<f64> = r.read_hyperslab(b, &offset, &count).unwrap();
+            let oracle: Vec<f64> = read_hyperslab_bytes(&r, b, &offset, &count).unwrap();
+            prop_assert_eq!(bits(typed), bits(oracle));
+            let whole: Vec<u16> = r.read_all(a).unwrap();
+            prop_assert_eq!(whole, counts);
+            std::fs::remove_file(&p).ok();
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("mh5_reader_{}_{name}.mh5", std::process::id()));

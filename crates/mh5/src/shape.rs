@@ -5,6 +5,7 @@
 //! clipped* — a chunk stores exactly the elements inside the dataset, so no
 //! padding bytes ever hit the disk.
 
+use crate::dtype::Element;
 use crate::error::Mh5Error;
 use crate::{Result, MAX_RANK};
 
@@ -283,6 +284,59 @@ pub fn copy_box(
     extent: &[usize],
     elem_size: usize,
 ) {
+    let span = |at: usize, n: usize| at * elem_size..(at + n) * elem_size;
+    for_each_box_row(
+        src_shape,
+        src_origin,
+        dst_shape,
+        dst_origin,
+        extent,
+        |so, dof, n| dst[span(dof, n)].copy_from_slice(&src[span(so, n)]),
+    );
+}
+
+/// [`copy_box`] from little-endian element bytes into a typed buffer:
+/// each element of the box is decoded straight into `dst`, which must
+/// already hold zeros where the box lands. An element whose bytes are all
+/// zero is not written, so a zero-filled `dst` never touches the pages a
+/// sparse dataset leaves empty.
+pub(crate) fn decode_box<T: Element>(
+    src: &[u8],
+    src_shape: &[usize],
+    src_origin: &[usize],
+    dst: &mut [T],
+    dst_shape: &[usize],
+    dst_origin: &[usize],
+    extent: &[usize],
+) {
+    let size = T::DTYPE.size();
+    for_each_box_row(
+        src_shape,
+        src_origin,
+        dst_shape,
+        dst_origin,
+        extent,
+        |so, dof, n| {
+            let bytes = src[so * size..(so + n) * size].chunks_exact(size);
+            for (d, b) in dst[dof..dof + n].iter_mut().zip(bytes) {
+                if b.iter().any(|&x| x != 0) {
+                    *d = T::read_le(b);
+                }
+            }
+        },
+    );
+}
+
+/// Visit the innermost-axis rows of an n-D box as `(src, dst, len)`
+/// element offsets into two row-major buffers, in row-major order.
+fn for_each_box_row(
+    src_shape: &[usize],
+    src_origin: &[usize],
+    dst_shape: &[usize],
+    dst_origin: &[usize],
+    extent: &[usize],
+    mut row: impl FnMut(usize, usize, usize),
+) {
     let rank = extent.len();
     debug_assert_eq!(src_shape.len(), rank);
     debug_assert_eq!(dst_shape.len(), rank);
@@ -296,7 +350,6 @@ pub fn copy_box(
     };
     let ss = strides(src_shape);
     let ds = strides(dst_shape);
-    let row = extent[rank - 1] * elem_size;
     // Odometer over all axes but the last.
     let mut idx = [0usize; MAX_RANK];
     loop {
@@ -307,9 +360,7 @@ pub fn copy_box(
             so += (src_origin[i] + off) * ss[i];
             dof += (dst_origin[i] + off) * ds[i];
         }
-        let so = so * elem_size;
-        let dof = dof * elem_size;
-        dst[dof..dof + row].copy_from_slice(&src[so..so + row]);
+        row(so, dof, extent[rank - 1]);
         // Advance over axes 0..rank-1.
         let mut axis = rank - 1;
         loop {
