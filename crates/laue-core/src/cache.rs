@@ -1,25 +1,27 @@
 //! Persistent depth-table cache.
 //!
-//! The per-(scan-step, pixel) edge-depth tables shipped by
-//! [`Triangulation::HostTables`](crate::gpu::Triangulation) are pure
-//! functions of the scan geometry — they never change across slabs, engines,
-//! row bands, or repeated runs, yet the pre-cache engine recomputed and
-//! re-uploaded them from scratch every time. This module keeps them:
+//! The per-(scan-step, pixel) edge depths are pure functions of the scan
+//! geometry — they never change across slabs, engines, row bands, or
+//! repeated runs. This module keeps one host copy of them per geometry and
+//! accounts for the tables the
+//! [`Triangulation::HostTables`](crate::gpu::Triangulation) design ships:
 //!
-//! * **host side** — a content-addressed map from [`TableKey`] to
-//!   `Arc<DepthTables>`, so the triangulation FLOPs are paid once per
-//!   distinct geometry (a small LRU bounds the entry count);
+//! * **edge tables** — per geometry and wire edge, the full-detector
+//!   [`EdgeTable`], in an LRU of 8 entries
+//!   ([`DepthTableCache::edge_table`]). The first miss builds it on every
+//!   host core. Four readers share it: the in-kernel `set_two`, the
+//!   wire-shadow cull, a `HostTables` run's slab uploads (each ships its
+//!   rows, [`EdgeTable::rows`]) and its resident upload;
+//! * **host accounting** — the [`TableKey::new`] keys of the host tables a
+//!   `HostTables` run has paid for, LRU-bounded like the entries
+//!   ([`DepthTableCache::host_lookup`]): a miss charges the full detector's
+//!   triangulation FLOPs ([`EdgeTable::build_flops`]) once per distinct
+//!   geometry and binning, a hit charges nothing;
 //! * **device side** — per device, the full-detector table as a resident
 //!   [`DeviceBuffer`] that survives across slabs and runs, LRU-bounded by a
 //!   configurable byte budget (a slice of `DeviceProps::total_mem`). A warm
 //!   run re-uses the resident buffer at virtual time 0 — the upload
 //!   disappears from the timeline entirely;
-//! * **edge tables** — per geometry and wire edge, the full-detector
-//!   [`EdgeTable`] that the in-kernel `set_two` and the wire-shadow cull
-//!   read, in an LRU of its own with the same entry bound
-//!   ([`DepthTableCache::edge_table`]). The first miss builds it on every
-//!   host core, and every later call of that geometry reads it instead of
-//!   triangulating;
 //! * **wire-shadow culls** — per geometry and depth window, the
 //!   full-detector [`ShadowCull`] that compaction reads, a per-(step, row)
 //!   min/max over the edge table, in an LRU of its own with the same entry
@@ -27,16 +29,18 @@
 //!   ring of every run of one geometry share one build.
 //!
 //! Edge tables and culls are wall-clock savings only: the kernel charges
-//! the triangulations it skips, and each ring still charges its band's
-//! cull triangulations ([`ShadowCull::build_flops`]) on a hit or a miss,
-//! so every modeled time is unchanged. Both stay out of the depth-table
-//! entries, [`DepthTableCache::peek_host`] and [`TableCacheStats`] —
-//! planner warmth and hit rates read only depth tables.
+//! the triangulations it skips, each ring still charges its band's cull
+//! triangulations on a hit or a miss, and a `HostTables` run charges
+//! exactly what its host key's hit or miss says, so every modeled time is
+//! unchanged. Neither counts in [`TableCacheStats`] nor shows in
+//! [`DepthTableCache::peek_host`] — planner warmth and hit rates read only
+//! the host keys.
 //!
-//! The key hashes the *bit patterns* of every f64 the table depends on
-//! (beam, detector, wire scan, depth binning, wire edge, triangulation
-//! mode), so equality is exact: two keys collide only for byte-identical
-//! geometry, and a cached table is bit-identical to a fresh computation.
+//! A key holds the *bit patterns* of every f64 its entry depends on — the
+//! beam, detector and wire scan, the wire edge, and for a host key the
+//! depth binning too — so equality is exact: two keys collide only for
+//! byte-identical geometry, and a cached table is bit-identical to a fresh
+//! computation.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -48,9 +52,10 @@ use laue_geometry::{DepthMapper, Vec3, WireEdge};
 
 use crate::config::ReconstructionConfig;
 use crate::geometry::ScanGeometry;
+use crate::pair::FLOPS_PER_DEPTH;
 use crate::planning::ShadowCull;
 
-/// Host-side entries kept per cache, depth tables, edge tables and culls
+/// Host-side entries kept per cache, host keys, edge tables and culls
 /// each (distinct geometries per process are few; this only bounds
 /// pathological churn).
 const HOST_ENTRIES: usize = 8;
@@ -64,7 +69,8 @@ const HOST_ENTRIES: usize = 8;
 pub struct TableKey(Vec<u64>);
 
 impl TableKey {
-    /// Key for the table implied by `geom` + `cfg` (HostTables mode).
+    /// Key for the host table a `HostTables` run of `geom` under `cfg`
+    /// pays for.
     pub fn new(geom: &ScanGeometry, cfg: &ReconstructionConfig) -> TableKey {
         let mut w = Self::geometry_words(geom);
         // Depth binning + edge + mode tag (HostTables = 1).
@@ -124,93 +130,25 @@ fn edge_word(edge: WireEdge) -> u64 {
     }
 }
 
-/// The host-side depth table for a full detector: one precomputed edge
-/// depth per `(scan step, row, col)`, `NaN` where no tangent exists.
-#[derive(Debug, Clone)]
-pub struct DepthTables {
-    /// Scan steps (= images).
-    pub n_images: usize,
-    /// Detector rows covered (the full detector).
-    pub n_rows: usize,
-    /// Detector columns.
-    pub n_cols: usize,
-    /// Depths, indexed `(z · n_rows + r) · n_cols + c`.
-    pub depths: Vec<f64>,
-    /// Host FLOPs spent computing the table (charged once per miss).
-    pub host_flops: u64,
-}
-
-impl DepthTables {
-    /// Compute the full-detector table. Element order and per-element math
-    /// match the per-slab path exactly, so a cached table is bit-identical
-    /// to tables computed slab by slab.
-    pub fn compute(
-        geom: &ScanGeometry,
-        mapper: &DepthMapper,
-        cfg: &ReconstructionConfig,
-    ) -> DepthTables {
-        let (n_images, n_rows, n_cols) = (
-            geom.wire.n_steps,
-            geom.detector.n_rows,
-            geom.detector.n_cols,
-        );
-        let mut depths = Vec::with_capacity(n_images * n_rows * n_cols);
-        let mut host_flops = 0u64;
-        for z in 0..n_images {
-            let wire = geom.wire.center_unchecked(z as f64);
-            for r in 0..n_rows {
-                for c in 0..n_cols {
-                    let p = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
-                    host_flops += crate::pair::FLOPS_PER_DEPTH;
-                    depths.push(mapper.depth(p, wire, cfg.wire_edge).unwrap_or(f64::NAN));
-                }
-            }
-        }
-        DepthTables {
-            n_images,
-            n_rows,
-            n_cols,
-            depths,
-            host_flops,
-        }
-    }
-
-    /// Device bytes the table occupies when resident.
-    pub fn bytes(&self) -> u64 {
-        (self.depths.len() * 8) as u64
-    }
-
-    /// The rows `[row0, row0 + rows)` of every step, in per-slab layout
-    /// `(z · rows + r') · n_cols + c` — what a slab upload ships.
-    pub fn slice_rows(&self, row0: usize, rows: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_images * rows * self.n_cols);
-        for z in 0..self.n_images {
-            for r in row0..row0 + rows {
-                let base = (z * self.n_rows + r) * self.n_cols;
-                out.extend_from_slice(&self.depths[base..base + self.n_cols]);
-            }
-        }
-        out
-    }
-}
-
 /// Fewest depths worth building on every host core; a smaller table builds
 /// on the calling thread, since a spawn costs tens of microseconds.
 const PARALLEL_BUILD_DEPTHS: usize = 1 << 16;
 
-/// The triangulations the in-kernel GPU path and its wire-shadow cull
-/// share: one edge depth per `(scan step, detector row, col)` of the rows
-/// it covers, `NaN` where no tangent exists, with the bit patterns of the
-/// pixel positions and wire centres it was triangulated from.
+/// The host's one depth table: one edge depth per `(scan step, detector
+/// row, col)` of the rows it covers, `NaN` where no tangent exists, with
+/// the bit patterns of the pixel positions and wire centres it was
+/// triangulated from. Depths are stored pixel-major with the step fastest,
+/// the order a `set_two` thread walks them.
 ///
-/// Two readers share it. The in-kernel `set_two` takes a pair's two depths
+/// Four readers share it. The in-kernel `set_two` takes a pair's two depths
 /// from it ([`EdgeTable::pair_depths`]) whenever the pixel and wire centres
 /// the thread read from device memory equal those inputs bit for bit, and
 /// triangulates what it read otherwise, so a corrupted upload changes a run
 /// exactly as it would without the table. The wire-shadow cull is its
-/// per-(step, row) min/max ([`ShadowCull::from_edges`]). Depths are stored
-/// pixel-major with the step fastest, the order a `set_two` thread walks
-/// them.
+/// per-(step, row) min/max ([`ShadowCull::from_edges`]). A
+/// [`HostTables`](crate::gpu::Triangulation::HostTables) run ships each
+/// slab's rows as they lie ([`EdgeTable::rows`]), or the whole table once
+/// when it is made device-resident.
 #[derive(Debug)]
 pub struct EdgeTable {
     pub(crate) n_steps: usize,
@@ -301,33 +239,49 @@ impl EdgeTable {
         }
     }
 
+    /// Host FLOPs of triangulating `rows` detector rows of `geom` at every
+    /// wire step: what building their table costs, and what the model
+    /// charges wherever a run triangulates on the host, whichever table it
+    /// reads.
+    pub fn build_flops(geom: &ScanGeometry, rows: usize) -> u64 {
+        (geom.wire.n_steps * rows * geom.detector.n_cols) as u64 * FLOPS_PER_DEPTH
+    }
+
+    /// The depths of detector rows `[row0, row0 + rows)`, which the table
+    /// must span: `((r − row0) · n_cols + c) · n_steps + z`, the layout a
+    /// slab's table ships in.
+    pub fn rows(&self, row0: usize, rows: usize) -> &[f64] {
+        let row_len = self.n_cols * self.n_steps;
+        let first = row0 - self.row0;
+        &self.depths[first * row_len..(first + rows) * row_len]
+    }
+
     /// The table a run of `cfg` reads, from its one build site, or `None`
     /// when nothing would read it. With a `cache` it is the scan geometry's
     /// full-detector table, built on the first miss and shared by every
-    /// later call of that geometry; the in-kernel `set_two` reads it when
-    /// `in_kernel`, and the wire-shadow cull when compaction is on. With
-    /// no cache only a compaction run gets one, over `bands`, the rows it
-    /// processes (the triangulations its cull costs). It never counts in
-    /// [`TableCacheStats`].
+    /// later call of that geometry. With no cache only a run that ships
+    /// `host_tables` or culls gets one, over `bands`, the rows it processes.
+    /// It never counts in [`TableCacheStats`].
     pub fn resolve(
         cache: Option<&DepthTableCache>,
         geom: &ScanGeometry,
         mapper: &DepthMapper,
         cfg: &ReconstructionConfig,
-        in_kernel: bool,
+        host_tables: bool,
         bands: &[Range<usize>],
     ) -> Option<Arc<EdgeTable>> {
-        let compaction = cfg.compaction.enabled();
         let edge = cfg.wire_edge;
         match cache {
-            Some(cache) if in_kernel || compaction => {
+            Some(cache) => {
                 let all = 0..geom.detector.n_rows;
                 Some(cache.edge_table(&TableKey::edges(geom, edge), || {
                     EdgeTable::build(geom, mapper, edge, std::slice::from_ref(&all))
                 }))
             }
-            None if compaction => Some(Arc::new(EdgeTable::build(geom, mapper, edge, bands))),
-            _ => None,
+            None if host_tables || cfg.compaction.enabled() => {
+                Some(Arc::new(EdgeTable::build(geom, mapper, edge, bands)))
+            }
+            None => None,
         }
     }
 
@@ -366,9 +320,9 @@ impl EdgeTable {
 /// lifetime (see [`DepthTableCache::totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableCacheStats {
-    /// Host table found already computed.
+    /// Host table already paid for by an earlier run.
     pub host_hits: u64,
-    /// Host table computed from scratch.
+    /// Host table paid for by this run (its triangulation charged).
     pub host_misses: u64,
     /// Device-resident table re-used (no upload, ready at virtual time 0).
     pub device_hits: u64,
@@ -434,8 +388,9 @@ struct DeviceEntry {
 struct Inner {
     /// Device-resident byte budget per device; 0 disables residency.
     budget: u64,
-    /// Host entries, LRU order (front = coldest).
-    host: Lru<DepthTables>,
+    /// Host keys a `HostTables` run has paid for, LRU order (front =
+    /// coldest); the tables themselves are the edge tables.
+    host: Lru<()>,
     /// Full-detector wire-shadow culls, LRU order; never counted.
     culls: Lru<ShadowCull>,
     /// Full-detector edge tables, LRU order; never counted.
@@ -479,30 +434,23 @@ impl DepthTableCache {
         self.inner.lock().unwrap().totals
     }
 
-    /// Get (or compute and insert) the host-side table for `key`. The
-    /// `compute` closure runs only on a miss; `run` receives the per-run
-    /// hit/miss accounting.
-    pub fn host_tables(
-        &self,
-        key: &TableKey,
-        run: &mut TableCacheStats,
-        compute: impl FnOnce() -> DepthTables,
-    ) -> Arc<DepthTables> {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(tables) = touch(&mut inner.host, key) {
-                run.host_hits += 1;
-                inner.totals.host_hits += 1;
-                return tables;
-            }
-        }
-        // Compute outside the lock (it is the expensive part).
-        let tables = Arc::new(compute());
+    /// Look up the host table `key` names ([`TableKey::new`]), counting a
+    /// hit or a miss in `run` and the lifetime totals: `true` when an
+    /// earlier run already paid for its triangulation, `false` on a miss,
+    /// which the caller charges and which makes the key the most recently
+    /// used.
+    pub fn host_lookup(&self, key: &TableKey, run: &mut TableCacheStats) -> bool {
         let mut inner = self.inner.lock().unwrap();
-        run.host_misses += 1;
-        inner.totals.host_misses += 1;
-        insert(&mut inner.host, key, &tables);
-        tables
+        let hit = touch(&mut inner.host, key).is_some();
+        if hit {
+            run.host_hits += 1;
+            inner.totals.host_hits += 1;
+        } else {
+            run.host_misses += 1;
+            inner.totals.host_misses += 1;
+            insert(&mut inner.host, key, &Arc::new(()));
+        }
+        hit
     }
 
     /// Get (or build with `compute` and insert) the full-detector
@@ -573,7 +521,7 @@ impl DepthTableCache {
         Some(buf)
     }
 
-    /// Whether the host-side table for `key` is cached, without refreshing
+    /// Whether the host table `key` names is paid for, without refreshing
     /// its LRU position or counting a hit — the execution planner asks
     /// this to predict table costs without perturbing the cache it is
     /// predicting.
@@ -676,6 +624,28 @@ mod tests {
         )
     }
 
+    /// The oracle: the full detector triangulated one step at a time in a
+    /// plain serial loop, the depth of step `z` at pixel `(r, c)` at
+    /// `(z · n_rows + r) · n_cols + c`, `NaN` where no tangent exists.
+    fn step_major_oracle(geom: &ScanGeometry, mapper: &DepthMapper, edge: WireEdge) -> Vec<f64> {
+        let (n_images, n_rows, n_cols) = (
+            geom.wire.n_steps,
+            geom.detector.n_rows,
+            geom.detector.n_cols,
+        );
+        let mut depths = Vec::with_capacity(n_images * n_rows * n_cols);
+        for z in 0..n_images {
+            let wire = geom.wire.center_unchecked(z as f64);
+            for r in 0..n_rows {
+                for c in 0..n_cols {
+                    let p = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
+                    depths.push(mapper.depth(p, wire, edge).unwrap_or(f64::NAN));
+                }
+            }
+        }
+        depths
+    }
+
     #[test]
     fn key_is_stable_and_geometry_sensitive() {
         let (geom, cfg) = demo();
@@ -695,16 +665,34 @@ mod tests {
         let cache = DepthTableCache::new(0);
         let key = TableKey::new(&geom, &cfg);
         let mut run = TableCacheStats::default();
-        let first = cache.host_tables(&key, &mut run, || {
-            DepthTables::compute(&geom, &mapper, &cfg)
+        assert!(!cache.peek_host(&key));
+        assert!(!cache.host_lookup(&key, &mut run), "the first lookup pays");
+        assert!(cache.peek_host(&key));
+        assert!(cache.host_lookup(&key, &mut run), "the second is paid for");
+        assert_eq!((run.host_misses, run.host_hits), (1, 1));
+        assert_eq!(cache.totals(), run);
+        // Another binning is another host table, though it reads the same
+        // edge table.
+        let mut other = cfg.clone();
+        other.n_depth_bins += 1;
+        assert!(!cache.host_lookup(&TableKey::new(&geom, &other), &mut run));
+        assert_eq!(run.host_misses, 2);
+        // The table itself is built once per geometry and handed out as is.
+        let edges = TableKey::edges(&geom, cfg.wire_edge);
+        let rows = 0..geom.detector.n_rows;
+        let first = cache.edge_table(&edges, || {
+            EdgeTable::build(&geom, &mapper, cfg.wire_edge, std::slice::from_ref(&rows))
         });
-        let second = cache.host_tables(&key, &mut run, || panic!("must not recompute"));
+        let second = cache.edge_table(&edges, || panic!("must not recompute"));
         assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(run.host_hits, 1);
-        assert_eq!(run.host_misses, 1);
-        let fresh = DepthTables::compute(&geom, &mapper, &cfg);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&second.depths), bits(&fresh.depths));
+        assert_eq!(cache.totals(), run, "edge tables count nothing");
+        // One key more than the LRU holds evicts the coldest.
+        for i in 1..=HOST_ENTRIES {
+            let mut cfg = cfg.clone();
+            cfg.depth_end += i as f64;
+            cache.host_lookup(&TableKey::new(&geom, &cfg), &mut run);
+        }
+        assert!(!cache.peek_host(&key), "the oldest key was evicted");
     }
 
     #[test]
@@ -757,8 +745,8 @@ mod tests {
         let all = 0..geom.detector.n_rows;
         let table = EdgeTable::build(&geom, &mapper, edge, std::slice::from_ref(&all));
         assert!(table.depths.len() >= PARALLEL_BUILD_DEPTHS);
-        let dense = DepthTables::compute(&geom, &mapper, &cfg);
-        let at = |z: usize, r: usize, c: usize| dense.depths[(z * 40 + r) * 36 + c].to_bits();
+        let dense = step_major_oracle(&geom, &mapper, edge);
+        let at = |z: usize, r: usize, c: usize| dense[(z * 40 + r) * 36 + c].to_bits();
         let pixel = |r: usize, c: usize| geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
         let wire = |z: usize| geom.wire.center_unchecked(z as f64);
         for (r, c, z) in [(0, 0, 0), (3, 4, 7), (17, 35, 48), (39, 20, 30)] {
@@ -792,27 +780,37 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_matches_per_slab_layout() {
-        let (geom, cfg) = demo();
+    fn table_rows_hand_each_slab_the_oracle_depths() {
+        let geom = ScanGeometry::demo(9, 7, 12, -60.0, 6.0).unwrap();
         let mapper = geom.mapper().unwrap();
-        let full = DepthTables::compute(&geom, &mapper, &cfg);
-        // Recompute rows 2..5 the way the per-slab path does.
-        let (row0, rows) = (2usize, 3usize);
-        let mut slab = Vec::new();
-        for z in 0..full.n_images {
-            let wire = geom.wire.center_unchecked(z as f64);
-            for r in row0..row0 + rows {
-                for c in 0..full.n_cols {
-                    let p = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
-                    slab.push(mapper.depth(p, wire, cfg.wire_edge).unwrap_or(f64::NAN));
+        let (n_steps, n_rows, n_cols) = (12, 9, 7);
+        for edge in [WireEdge::Leading, WireEdge::Trailing] {
+            let oracle = step_major_oracle(&geom, &mapper, edge);
+            assert!(oracle.iter().any(|d| d.is_finite()));
+            let full = EdgeTable::build(&geom, &mapper, edge, std::slice::from_ref(&(0..n_rows)));
+            let banded = EdgeTable::build(&geom, &mapper, edge, &[1..4, 6..8]);
+            let cases: [(&EdgeTable, &[(usize, usize)]); 2] = [
+                (&full, &[(0, 9), (0, 1), (2, 3), (5, 4), (8, 1)]),
+                (&banded, &[(1, 3), (2, 2), (3, 1), (6, 2), (7, 1)]),
+            ];
+            for (table, slabs) in cases {
+                for &(row0, rows) in slabs {
+                    let slab = table.rows(row0, rows);
+                    assert_eq!(slab.len(), rows * n_cols * n_steps);
+                    for (r, c, z) in (0..rows).flat_map(|r| {
+                        (0..n_cols).flat_map(move |c| (0..n_steps).map(move |z| (r, c, z)))
+                    }) {
+                        let got = slab[(r * n_cols + c) * n_steps + z];
+                        let want = oracle[(z * n_rows + row0 + r) * n_cols + c];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{edge:?} rows {row0}+{rows}: ({r}, {c}, {z})"
+                        );
+                    }
                 }
             }
         }
-        let sliced = full.slice_rows(row0, rows);
-        assert_eq!(
-            sliced.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            slab.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

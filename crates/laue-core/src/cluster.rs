@@ -305,10 +305,11 @@ fn schedule_reduction(
 /// ring adds its counters straight into the result, so a lost node keeps
 /// what it counted. The call resolves one edge table
 /// ([`EdgeTable::resolve`]): `cache`'s full-detector table, or, with no
-/// cache and compaction on, a table over the rows the call processes.
-/// Every ring's in-kernel `set_two` reads it, and with compaction on so
-/// does the one wire-shadow cull derived from it ([`ShadowCull::resolve`]);
-/// each ring charges its own band's cull triangulations.
+/// cache, a table over the rows the call processes when it ships host
+/// tables or culls. Every ring's in-kernel `set_two` reads it, a
+/// host-table ring ships it, and with compaction on the one wire-shadow
+/// cull is derived from it ([`ShadowCull::resolve`]); each ring charges
+/// its own band's cull triangulations.
 ///
 /// The run starts from `progress` (fresh, or replayed from a
 /// [`RunJournal`]) and every commit reaches `journal` (when given) before
@@ -335,9 +336,9 @@ pub fn reconstruct_cluster_checkpointed(
     )
 }
 
-/// [`reconstruct_cluster_checkpointed`], lending the rings' kernels the
-/// edge table only when `kernel_table`: the cull reads it either way, and
-/// a kernel without it triangulates every pair itself.
+/// [`reconstruct_cluster_checkpointed`], lending the rings' in-kernel
+/// `set_two` the edge table only when `kernel_table`: the cull reads it
+/// either way, and a kernel without it triangulates every pair itself.
 #[allow(clippy::too_many_arguments)]
 fn execute(
     nodes: &[Vec<&Device>],
@@ -394,15 +395,16 @@ fn execute(
         .collect();
     // One edge table and one wire-shadow cull for the call, lent to every
     // ring, scrub's re-executions and failover's re-banded rows included.
-    let in_kernel = plan.options.triangulation == Triangulation::InKernel;
+    // A host-table ring ships the table whatever `kernel_table` says.
+    let host_tables = plan.options.triangulation == Triangulation::HostTables;
     let edges = (!scope.is_empty())
-        .then(|| EdgeTable::resolve(cache, geom, &mapper, cfg, in_kernel, &scope))
+        .then(|| EdgeTable::resolve(cache, geom, &mapper, cfg, host_tables, &scope))
         .flatten();
     let cull = edges
         .as_deref()
         .filter(|_| cfg.compaction.enabled())
         .map(|edges| ShadowCull::resolve(cache, geom, cfg, edges));
-    let kernel_edges = edges.as_deref().filter(|_| kernel_table);
+    let ring_edges = edges.as_deref().filter(|_| kernel_table || host_tables);
 
     let mut run = GpuReconstruction {
         pipeline_depth: plan.depth.0,
@@ -451,7 +453,7 @@ fn execute(
                         cfg,
                         &plan,
                         cache,
-                        kernel_edges,
+                        ring_edges,
                         cull.as_deref(),
                         band.clone(),
                         &mut run,
@@ -879,7 +881,7 @@ mod tests {
 
     #[test]
     fn every_band_reads_one_cull_and_is_charged_its_own_rows() {
-        use crate::cache::{DepthTableCache, TableKey};
+        use crate::cache::{DepthTableCache, EdgeTable, TableKey};
         use crate::config::CompactionMode;
         let (geom, mut cfg, data) = demo();
         cfg.compaction = CompactionMode::On;
@@ -894,7 +896,7 @@ mod tests {
                 let out =
                     reconstruct_cluster(&refs(&c), &c.net, &mut source(), &geom, &cfg, plan, cache)
                         .unwrap();
-                assert_eq!(out.host_table_flops, ShadowCull::build_flops(&geom, 8));
+                assert_eq!(out.host_table_flops, EdgeTable::build_flops(&geom, 8));
             }
             // A row budget processes, and is charged, three rows.
             let c = build(1, 1, InterconnectProps::ib_qdr());
@@ -913,11 +915,16 @@ mod tests {
                 3,
             )
             .unwrap();
-            assert_eq!(out.host_table_flops, ShadowCull::build_flops(&geom, 3));
+            assert_eq!(out.host_table_flops, EdgeTable::build_flops(&geom, 3));
         }
-        // The cached runs read one full-detector table.
+        // The cached runs read one full-detector cull.
         let cull = cache.shadow_cull(&TableKey::new(&geom, &cfg), || panic!("cull not cached"));
-        assert_eq!(cull.host_flops, ShadowCull::build_flops(&geom, 8));
+        let full = ShadowCull::compute(&geom, &geom.mapper().unwrap(), &cfg, 0..8);
+        for z in 0..9 {
+            for r in 0..8 {
+                assert_eq!(cull.pair_row_live(z, r), full.pair_row_live(z, r));
+            }
+        }
     }
 
     /// A generated run for the edge-table property: a stack, a window and

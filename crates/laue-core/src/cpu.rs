@@ -11,6 +11,7 @@
 use cuda_sim::{Cost, HostProps};
 use laue_geometry::{DepthMapper, Vec3};
 
+use crate::cache::EdgeTable;
 use crate::config::{CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
@@ -187,7 +188,8 @@ pub(crate) fn reconstruct_rows(
 ///
 /// Returns the measured active density (active / non-culled pairs) along
 /// with the usual triple. The cull's own build cost is *not* charged here —
-/// callers charge `cull.host_flops` exactly once per run.
+/// callers charge its triangulations ([`EdgeTable::build_flops`]) exactly
+/// once per run.
 fn reconstruct_rows_sparse(
     view: &ScanView<'_>,
     geom: &ScanGeometry,
@@ -304,41 +306,22 @@ fn reconstruct_rows_sparse(
     (image, stats, cost, density)
 }
 
-/// The paper's baseline: a single-threaded pass over the whole stack.
+/// The paper's baseline: a single-threaded pass over the whole stack, the
+/// one-band [`reconstruct_threaded`].
 pub fn reconstruct_seq(
     view: &ScanView<'_>,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
 ) -> Result<CpuReconstruction> {
-    cfg.validate()?;
-    check_shapes(view, geom)?;
-    let mapper = geom.mapper()?;
-    if cfg.compaction.enabled() {
-        let cull = ShadowCull::compute(geom, &mapper, cfg, 0..view.n_rows);
-        let (image, stats, mut cost, density) =
-            reconstruct_rows_sparse(view, geom, &mapper, cfg, 0..view.n_rows, 0, &cull);
-        cost.flops += cull.host_flops;
-        return Ok(CpuReconstruction {
-            image,
-            stats,
-            cost,
-            slab_densities: vec![density],
-        });
-    }
-    let (image, stats, cost) = reconstruct_rows(view, geom, &mapper, cfg, 0..view.n_rows, 0);
-    Ok(CpuReconstruction {
-        image,
-        stats,
-        cost,
-        slab_densities: Vec::new(),
-    })
+    reconstruct_threaded(view, geom, cfg, 1)
 }
 
 /// Row-parallel reconstruction across `n_threads` OS threads.
 ///
-/// Bitwise-identical to [`reconstruct_seq`]: each output element is the sum
-/// of the same contributions in the same (step-ascending) order, and rows
-/// never cross threads.
+/// Bitwise-identical at every thread count, one included
+/// ([`reconstruct_seq`]): each output element is the sum of the same
+/// contributions in the same (step-ascending) order, and rows never cross
+/// threads.
 pub fn reconstruct_threaded(
     view: &ScanView<'_>,
     geom: &ScanGeometry,
@@ -351,7 +334,7 @@ pub fn reconstruct_threaded(
         return Err(CoreError::InvalidConfig("n_threads must be ≥ 1".into()));
     }
     let mapper = geom.mapper()?;
-    let n_threads = n_threads.min(view.n_rows);
+    let n_threads = n_threads.min(view.n_rows).max(1);
     // Split rows as evenly as possible.
     let base = view.n_rows / n_threads;
     let extra = view.n_rows % n_threads;
@@ -400,8 +383,8 @@ pub fn reconstruct_threaded(
     let mut stats = ReconStats::default();
     let mut cost = Cost::default();
     let mut slab_densities = Vec::new();
-    if let Some(cull) = &cull {
-        cost.flops += cull.host_flops;
+    if cull.is_some() {
+        cost.flops += EdgeTable::build_flops(geom, view.n_rows);
     }
     for (part, part_stats, part_cost, row0, density) in parts {
         stats.merge(&part_stats);

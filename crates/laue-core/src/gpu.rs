@@ -29,16 +29,16 @@
 //!   related work discusses but its implementation does not do. `k = 1`
 //!   degenerates to the paper's serial copy-in → kernel → copy-out loop and
 //!   is what [`reconstruct_with_options`] runs.
-//! * **Depth-table caching** ([`crate::cache`]): in
-//!   [`Triangulation::HostTables`] mode the per-(step, pixel) tables are
-//!   pure functions of the geometry; a [`DepthTableCache`] keeps them on
-//!   the host across runs and, budget permitting, resident on the device,
-//!   so warm runs skip both the triangulation FLOPs and the table upload.
-//!   In [`Triangulation::InKernel`] mode the same cache holds the
-//!   geometry's [`EdgeTable`]: `set_two` takes a pair's depths from it
-//!   whenever the pixel and wire centres the thread read are the table's
-//!   inputs bit for bit, with the in-kernel charges unchanged, so it saves
-//!   host wall time only.
+//! * **One host depth table** ([`crate::cache`]): the per-(step, pixel)
+//!   edge depths are pure functions of the geometry, and every call reads
+//!   one [`EdgeTable`] of them, a [`DepthTableCache`]'s across runs. In
+//!   [`Triangulation::HostTables`] mode each slab ships its rows of it, or,
+//!   budget permitting, the whole table stays resident on the device, so
+//!   warm runs skip both the triangulation FLOPs and the table upload. In
+//!   [`Triangulation::InKernel`] mode `set_two` takes a pair's depths from
+//!   it whenever the pixel and wire centres the thread read are the
+//!   table's inputs bit for bit, with the in-kernel charges unchanged, so
+//!   it saves host wall time only.
 //! * **Coalesced slab uploads**: each slab's host→device pieces (pixel
 //!   table, depth table, intensities) ship as one bus transaction
 //!   ([`Device::memcpy_htod`] takes a batch), paying the PCIe latency once
@@ -55,7 +55,7 @@ use cuda_sim::{
 };
 use laue_geometry::{DepthMapper, Vec3};
 
-use crate::cache::{DepthTableCache, DepthTables, EdgeTable, TableCacheStats, TableKey};
+use crate::cache::{DepthTableCache, EdgeTable, TableCacheStats, TableKey};
 use crate::cluster::NodeOutcome;
 use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
@@ -92,9 +92,10 @@ pub enum Layout {
 pub enum Triangulation {
     /// Each kernel thread triangulates its own pair (compute on device).
     InKernel,
-    /// The host precomputes the per-(pixel, step) depth table and ships it
-    /// with each slab (transfer instead of device compute; host pays the
-    /// triangulation FLOPs once per slab).
+    /// The host precomputes the per-(pixel, step) depth table and ships
+    /// each slab's rows of it (transfer instead of device compute; the host
+    /// pays the triangulation FLOPs once per slab, or with a cache once per
+    /// geometry).
     HostTables,
 }
 
@@ -480,23 +481,20 @@ fn plan_slabs(
     Ok((rows_per_slab, slots))
 }
 
-/// Where the kernel's depth table comes from, resolved once per run.
-pub(crate) enum TableSource {
+/// Where the kernel's depth table comes from, resolved once per ring.
+pub(crate) enum TableSource<'a> {
     /// In-kernel triangulation — no table at all.
     None,
-    /// Host computes each slab's table slice and ships it with the slab
-    /// (the uncached [`Triangulation::HostTables`] path).
-    PerSlab,
-    /// Full-detector host table from the cache; each slab ships its row
-    /// slice (sliced, not recomputed — no triangulation FLOPs).
-    HostSlice(std::sync::Arc<DepthTables>),
-    /// Full-detector table already resident on the device; slabs upload
-    /// nothing and the kernel indexes by absolute detector row.
-    Resident {
-        buf: DeviceBuffer<f64>,
-        /// Detector rows the resident table covers (its row stride).
-        n_rows: usize,
+    /// The call's host table: each slab ships its rows
+    /// ([`EdgeTable::rows`]), charging their triangulation when `per_slab`
+    /// (no cache paid for it).
+    Host {
+        table: &'a EdgeTable,
+        per_slab: bool,
     },
+    /// The full-detector table, already resident on the device; slabs
+    /// upload nothing.
+    Resident(DepthTableRef),
 }
 
 /// Per-slab device-resident data, under either layout.
@@ -517,18 +515,15 @@ pub(crate) enum SlabBuffers {
     },
 }
 
-/// The kernel's view of the depth table for one uploaded slab.
-pub(crate) enum DepthTableRef {
-    /// In-kernel triangulation.
-    None,
-    /// Slab-local table, indexed `(z · rows + r) · n_cols + c`.
-    Slab(DeviceBuffer<f64>),
-    /// Full-detector resident table (aliases the cache's allocation),
-    /// indexed by absolute row: `(z · n_rows + row0 + r) · n_cols + c`.
-    Resident {
-        buf: DeviceBuffer<f64>,
-        n_rows: usize,
-    },
+/// The kernel's view of a depth table on the device: an [`EdgeTable`]'s
+/// rows from detector row `first_row` on, pixel-major with the step
+/// fastest. A slab's own table starts at its first row; a resident one
+/// (aliasing the cache's allocation) at the table's.
+#[derive(Clone)]
+pub(crate) struct DepthTableRef {
+    buf: DeviceBuffer<f64>,
+    first_row: usize,
+    n_steps: usize,
 }
 
 /// The two-level sparsity plan for one slab: which `(row, pair)` combos
@@ -658,8 +653,9 @@ pub(crate) struct SlabUpload {
     buffers: SlabBuffers,
     pixels: DeviceBuffer<f64>,
     /// Precomputed per-(step, pixel) edge depths (HostTables mode).
-    depth_table: DepthTableRef,
-    /// Host FLOPs spent building the depth table.
+    depth_table: Option<DepthTableRef>,
+    /// Host FLOPs of triangulating the slab's table rows, charged when no
+    /// cache paid for them.
     host_flops: u64,
     rows: usize,
     row0: usize,
@@ -676,28 +672,21 @@ pub(crate) struct SlabUpload {
     pub(crate) accum: AccumPlan,
 }
 
-/// Upload one slab's data under the chosen layout.
+/// Upload one slab's data under the ring's layout.
 ///
-/// All f64 pieces of the slab (pixel table, depth-table slice, intensity)
+/// All f64 pieces of the slab (pixel table, depth-table rows, intensity)
 /// ship as one coalesced bus transaction; the pointer layout needs a second
 /// transaction for its u64 pointer tables.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn upload_slab(
-    device: &Device,
-    stream: StreamId,
+fn upload_slab(
+    ctx: &RingCtx<'_>,
     source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    mapper: &DepthMapper,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    table_source: &TableSource,
     row0: usize,
     rows: usize,
     recovery: &mut RecoveryLog,
-    cull: Option<&ShadowCull>,
     integrity: &mut IntegrityReport,
 ) -> Result<SlabUpload> {
-    let layout = opts.layout;
+    let (device, stream, geom, cfg) = (ctx.device, ctx.upload_stream, ctx.geom, ctx.cfg);
+    let layout = ctx.opts.layout;
     let n_images = source.n_images();
     let n_cols = source.n_cols();
     let slab = source.read_slab(row0, rows)?;
@@ -705,8 +694,9 @@ pub(crate) fn upload_slab(
 
     // Sparsity planning happens against the host copy of the slab; the
     // device-side cost of the scan is charged by the prescan kernel.
-    let mut sparsity =
-        cull.map(|cull| plan_slab_sparsity(&slab, cull, cfg, n_images, row0, rows, n_cols));
+    let mut sparsity = ctx
+        .cull
+        .map(|cull| plan_slab_sparsity(&slab, cull, cfg, n_images, row0, rows, n_cols));
 
     // Per-slab planner decision: with either knob on Auto, the slab's
     // measured sparsity counts plus a sampled intensity probe feed the
@@ -718,7 +708,7 @@ pub(crate) fn upload_slab(
         let probe = crate::planner::SlabProbe::sample(
             &slab,
             geom,
-            mapper,
+            ctx.mapper,
             cfg,
             n_images,
             row0,
@@ -756,7 +746,7 @@ pub(crate) fn upload_slab(
             device.props(),
             &model,
             layout,
-            !matches!(table_source, TableSource::None),
+            !matches!(ctx.table_source, TableSource::None),
             cfg.compaction,
             cfg.accumulation,
         );
@@ -794,30 +784,20 @@ pub(crate) fn upload_slab(
     let pixels = device.alloc::<f64>(pix.len())?;
 
     // Precomputed depth tables (the paper's `edge`/`gpuPointArray` design):
-    // depths[(z · rows + r) · cols + c], NaN where no tangent exists. The
+    // the slab's rows of the host table, NaN where no tangent exists. The
     // per-slab allocation happens only when the table is not resident.
-    let mut host_flops = 0u64;
-    let table_data: Option<Vec<f64>> = match table_source {
-        TableSource::None | TableSource::Resident { .. } => None,
-        TableSource::PerSlab => {
-            let mut table = Vec::with_capacity(n_images * rows * n_cols);
-            for z in 0..n_images {
-                let wire = geom.wire.center_unchecked(z as f64);
-                for r in row0..row0 + rows {
-                    for c in 0..n_cols {
-                        let p = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
-                        host_flops += crate::pair::FLOPS_PER_DEPTH;
-                        table.push(mapper.depth(p, wire, cfg.wire_edge).unwrap_or(f64::NAN));
-                    }
-                }
-            }
-            Some(table)
+    let (slab_table, host_flops) = match ctx.table_source {
+        TableSource::Host { table, per_slab } => {
+            let depths = table.rows(row0, rows);
+            let buf = device.alloc::<f64>(depths.len())?;
+            let flops = if per_slab {
+                EdgeTable::build_flops(geom, rows)
+            } else {
+                0
+            };
+            (Some((buf, depths)), flops)
         }
-        TableSource::HostSlice(tables) => Some(tables.slice_rows(row0, rows)),
-    };
-    let table_buf = match &table_data {
-        Some(t) => Some(device.alloc::<f64>(t.len())?),
-        None => None,
+        TableSource::None | TableSource::Resident(_) => (None, 0),
     };
 
     // Intensity and output: one buffer each, or under the pointer layout
@@ -834,9 +814,7 @@ pub(crate) fn upload_slab(
     let mut bins = alloc_all(n_bin_bufs, bin_len)?;
     // Every f64 piece of the slab ships in one coalesced transaction.
     let mut batch: Vec<(&DeviceBuffer<f64>, &[f64])> = vec![(&pixels, &pix)];
-    if let (Some(buf), Some(data)) = (&table_buf, &table_data) {
-        batch.push((buf, data));
-    }
+    batch.extend(slab_table.iter().map(|(buf, depths)| (buf, *depths)));
     batch.extend(images.iter().zip(slab.chunks_exact(image_len)));
     let report = cfg.integrity.enabled().then_some(&mut *integrity);
     let mut ready_at = retry_transfer(device, stream, recovery, report, |checked| {
@@ -870,15 +848,14 @@ pub(crate) fn upload_slab(
             }
         }
     };
-    let depth_table = match table_source {
-        TableSource::None => DepthTableRef::None,
-        TableSource::Resident { buf, n_rows } => DepthTableRef::Resident {
-            buf: buf.clone(),
-            n_rows: *n_rows,
-        },
-        TableSource::PerSlab | TableSource::HostSlice(_) => {
-            DepthTableRef::Slab(table_buf.expect("table data implies a buffer"))
-        }
+    let depth_table = match (slab_table, &ctx.table_source) {
+        (Some((buf, _)), _) => Some(DepthTableRef {
+            buf,
+            first_row: row0,
+            n_steps: n_images,
+        }),
+        (None, TableSource::Resident(table)) => Some(table.clone()),
+        (None, _) => None,
     };
     Ok(SlabUpload {
         buffers,
@@ -1199,9 +1176,8 @@ fn eval_pair_body<E: EdgeDepths>(
     // shipping (§III-B).
     ctx.charge_flops(6);
 
-    let in_kernel = matches!(upload.depth_table, DepthTableRef::None);
     // In table mode the kernel never touches the pixel/wire arrays.
-    let (pixel, w0, w1) = if in_kernel {
+    let (pixel, w0, w1) = if upload.depth_table.is_none() {
         let pi = (r * n_cols + c) * 3;
         (
             Vec3::new(
@@ -1241,7 +1217,7 @@ fn eval_pair_body<E: EdgeDepths>(
 
     let mut flops = 0u64;
     let plan = match &upload.depth_table {
-        DepthTableRef::None => edges.plan(
+        None => edges.plan(
             mapper,
             cfg,
             (upload.row0 + r, c, z),
@@ -1252,30 +1228,17 @@ fn eval_pair_body<E: EdgeDepths>(
             i1,
             &mut flops,
         ),
-        table_ref => {
+        Some(table) => {
             // Table mode: the differential/cutoff logic is identical,
-            // but the depths come from the precomputed array.
+            // but the depths come from the precomputed array, where a
+            // pixel's steps lie side by side.
             let delta = crate::pair::differential(cfg, i0, i1);
             flops += crate::pair::FLOPS_PER_PAIR;
             if delta.abs() <= cfg.intensity_cutoff {
                 PairPlan::BelowCutoff
             } else {
-                let (d0, d1) = match table_ref {
-                    DepthTableRef::Slab(table) => (
-                        ctx.read(table, (z * rows + r) * n_cols + c),
-                        ctx.read(table, ((z + 1) * rows + r) * n_cols + c),
-                    ),
-                    DepthTableRef::Resident { buf, n_rows } => {
-                        // Resident tables cover the full detector;
-                        // index by absolute row.
-                        let abs_r = upload.row0 + r;
-                        (
-                            ctx.read(buf, (z * n_rows + abs_r) * n_cols + c),
-                            ctx.read(buf, ((z + 1) * n_rows + abs_r) * n_cols + c),
-                        )
-                    }
-                    DepthTableRef::None => unreachable!(),
-                };
+                let i = ((upload.row0 + r - table.first_row) * n_cols + c) * table.n_steps + z;
+                let (d0, d1) = (ctx.read(&table.buf, i), ctx.read(&table.buf, i + 1));
                 crate::pair::plan_from_band(cfg, delta, d0, d1, &mut flops)
             }
         }
@@ -1503,8 +1466,15 @@ pub(crate) struct RingCtx<'a> {
     mapper: &'a DepthMapper,
     cfg: &'a ReconstructionConfig,
     opts: GpuOptions,
-    /// The call's edge table, when the in-kernel `set_two` reads one.
+    /// The call's edge table, which the in-kernel `set_two` reads and a
+    /// host-table ring ships.
     edges: Option<&'a EdgeTable>,
+    /// Where the kernel's depth table comes from.
+    table_source: TableSource<'a>,
+    /// The wire centres, shipped once per ring.
+    wires: DeviceBuffer<f64>,
+    /// The call's wire-shadow cull, present exactly when compaction is on.
+    cull: Option<&'a ShadowCull>,
     n_images: usize,
     n_cols: usize,
 }
@@ -1550,34 +1520,16 @@ struct SlabExec {
 }
 
 /// Upload, launch, and stat one slab.
-#[allow(clippy::too_many_arguments)]
 fn execute_slab(
     ctx: &RingCtx<'_>,
     source: &mut dyn SlabSource,
-    table_source: &TableSource,
-    wires: &DeviceBuffer<f64>,
-    cull: Option<&ShadowCull>,
     row0: usize,
     rows: usize,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
 ) -> Result<SlabExec> {
-    let device = ctx.device;
-    let upload = upload_slab(
-        device,
-        ctx.upload_stream,
-        source,
-        ctx.geom,
-        ctx.mapper,
-        ctx.cfg,
-        ctx.opts,
-        table_source,
-        row0,
-        rows,
-        recovery,
-        cull,
-        integrity,
-    )?;
+    let (device, wires) = (ctx.device, &ctx.wires);
+    let upload = upload_slab(ctx, source, row0, rows, recovery, integrity)?;
     device.wait_until(ctx.compute_stream, upload.ready_at);
     let prescan = launch_prescan(device, ctx.compute_stream, &upload, ctx.n_cols)?;
     let main = match ctx.edges {
@@ -1664,10 +1616,11 @@ impl SlabCommit<'_> {
     }
 }
 
-/// Drain one ring slot: download the slab's nonzero cells, verify them
-/// when integrity is on, recover per the integrity mode when verification
-/// fails, then commit them. A condemned slab never reaches the image.
-/// Returns the slot-free edge from [`download_slab`].
+/// Drain one ring slot: once the slab's kernel retires, download its
+/// nonzero cells, verify them when integrity is on, recover per the
+/// integrity mode when verification fails, then commit them. A condemned
+/// slab never reaches the image. Returns the slot-free edge from
+/// [`download_slab`].
 ///
 /// Verification is the ABFT check: the host redundantly recomputes the
 /// slab's per-bin sums with the dense CPU pair loop, on every host core
@@ -1681,22 +1634,23 @@ impl SlabCommit<'_> {
 /// retry re-rolls the fault dice, so one-shot corruption heals — and, when
 /// the device corrupts persistently, repaired from the host reference,
 /// whose dense payload ([`integrity::slab_donor`]) is computed only then.
-#[allow(clippy::too_many_arguments)]
 fn commit_slab(
     ctx: &RingCtx<'_>,
-    upload: SlabUpload,
-    stats: ReconStats,
-    suspect: bool,
+    exec: SlabExec,
     source: &mut dyn SlabSource,
-    table_source: &TableSource,
-    wires: &DeviceBuffer<f64>,
-    cull: Option<&ShadowCull>,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
     out: &mut SlabCommit<'_>,
 ) -> Result<f64> {
-    let device = ctx.device;
-    let cfg = ctx.cfg;
+    let (device, cfg) = (ctx.device, ctx.cfg);
+    let SlabExec {
+        upload,
+        stats,
+        kernel_end,
+        suspect,
+        ..
+    } = exec;
+    device.wait_until(ctx.download_stream, kernel_end);
     let (row0, rows) = (upload.row0, upload.rows);
     let (slab, mut freed_at) = download_slab(ctx, &upload, recovery, integrity)?;
     if !cfg.integrity.enabled() {
@@ -1764,17 +1718,7 @@ fn commit_slab(
         integrity.scrub_retries += 1;
         device.delay(ctx.compute_stream, backoff);
         backoff *= 2.0;
-        let retry = execute_slab(
-            ctx,
-            source,
-            table_source,
-            wires,
-            cull,
-            row0,
-            rows,
-            recovery,
-            integrity,
-        )?;
+        let retry = execute_slab(ctx, source, row0, rows, recovery, integrity)?;
         device.charge_host_flops(retry.upload.host_flops);
         device.wait_until(ctx.download_stream, retry.kernel_end);
         let (slab, done_at) = download_slab(ctx, &retry.upload, recovery, integrity)?;
@@ -1865,76 +1809,83 @@ pub fn reconstruct_with_options(
     reconstruct_pipelined(device, source, geom, cfg, opts, PipelineDepth::SERIAL, None)
 }
 
-/// Resolve where the kernel's depth tables come from. With a cache
-/// attached in [`Triangulation::HostTables`] mode this is where warm runs
-/// win: the host table is fetched (or computed once) from the cache, and —
-/// budget permitting — installed as (or found already) device-resident.
-/// Returns the source plus the host FLOPs actually spent this run.
-#[allow(clippy::too_many_arguments)]
-fn resolve_table_source(
-    device: &Device,
-    upload_stream: StreamId,
-    geom: &ScanGeometry,
-    mapper: &DepthMapper,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
+/// Resolve where the ring's kernel reads its depth table from. A
+/// [`Triangulation::HostTables`] ring reads the call's edge table. With no
+/// cache each slab ships and charges its rows. With a cache the full
+/// detector's triangulation is charged on its key's miss only
+/// ([`DepthTableCache::host_lookup`]), and — budget permitting — the table
+/// is installed as (or found already) device-resident; this is where warm
+/// runs win. Returns the source plus the host FLOPs charged up front.
+fn resolve_table_source<'a>(
+    ctx: &RingCtx<'a>,
     cache: Option<&DepthTableCache>,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
     run: &mut TableCacheStats,
-) -> Result<(TableSource, u64)> {
-    if opts.triangulation != Triangulation::HostTables {
+) -> Result<(TableSource<'a>, u64)> {
+    let (device, upload_stream, geom, cfg) = (ctx.device, ctx.upload_stream, ctx.geom, ctx.cfg);
+    if ctx.opts.triangulation != Triangulation::HostTables {
         return Ok((TableSource::None, 0));
     }
+    let table = ctx.edges.expect("a host-table call resolves its table");
     let Some(cache) = cache else {
-        return Ok((TableSource::PerSlab, 0));
+        let per_slab = true;
+        return Ok((TableSource::Host { table, per_slab }, 0));
     };
     let key = TableKey::new(geom, cfg);
-    let misses_before = run.host_misses;
-    let tables = cache.host_tables(&key, run, || DepthTables::compute(geom, mapper, cfg));
-    let host_flops = if run.host_misses > misses_before {
-        tables.host_flops
-    } else {
+    let host_flops = if cache.host_lookup(&key, run) {
         0
+    } else {
+        EdgeTable::build_flops(geom, geom.detector.n_rows)
     };
-    let n_rows = tables.n_rows;
+    let resident = |buf| {
+        let (first_row, n_steps) = (table.row0, table.n_steps);
+        TableSource::Resident(DepthTableRef {
+            buf,
+            first_row,
+            n_steps,
+        })
+    };
     if let Some(buf) = cache.lookup_device(device.id(), &key, run) {
         // Warm path: the table survived from an earlier run (device memory
         // persists across `reset_meters`), ready at virtual time 0.
-        return Ok((TableSource::Resident { buf, n_rows }, host_flops));
+        return Ok((resident(buf), host_flops));
     }
-    if cache.evict_to_fit(device.id(), tables.bytes(), run) {
-        let alloc = match device.alloc::<f64>(tables.depths.len()) {
+    let depths = &table.depths;
+    if cache.evict_to_fit(device.id(), (depths.len() * 8) as u64, run) {
+        let alloc = match device.alloc::<f64>(depths.len()) {
             Ok(buf) => Some(buf),
             Err(cuda_sim::SimError::OutOfMemory { .. }) => {
                 // The card is fuller than the cache budget assumed; drop
                 // everything we hold there and retry once.
                 cache.evict_device(device.id(), run);
-                device.alloc::<f64>(tables.depths.len()).ok()
+                device.alloc::<f64>(depths.len()).ok()
             }
             Err(e) => return Err(CoreError::Device(e)),
         };
         if let Some(buf) = alloc {
             let report = cfg.integrity.enabled().then_some(&mut *integrity);
             retry_transfer(device, upload_stream, recovery, report, |checked| {
-                device.memcpy_htod(upload_stream, &[(&buf, &tables.depths)], checked)
+                device.memcpy_htod(upload_stream, &[(&buf, depths)], checked)
             })?;
             cache.insert_device(device.id(), key, buf.clone(), run);
-            return Ok((TableSource::Resident { buf, n_rows }, host_flops));
+            return Ok((resident(buf), host_flops));
         }
     }
     // No residency (budget 0, table bigger than the budget, or the device
-    // is simply full): host cache still saves the triangulation FLOPs.
-    Ok((TableSource::HostSlice(tables), host_flops))
+    // is simply full): the slabs ship their rows of the paid-for table.
+    let per_slab = false;
+    Ok((TableSource::Host { table, per_slab }, host_flops))
 }
 
 /// The k-deep ring: process the detector rows `band` on `device` under
 /// `plan`'s options, ring depth and slab rows, committing each verified
 /// slab through `out` as its download lands.
-/// `edges` is the executor's edge table, which the in-kernel `set_two`
-/// reads (see [`EdgeTable::resolve`]). `cull` is the executor's wire-shadow
-/// cull, covering `band`, present exactly when compaction is on; the ring
-/// builds none itself but charges its band's triangulations, as if it had.
+/// `edges` is the executor's edge table (see [`EdgeTable::resolve`]), which
+/// the in-kernel `set_two` reads and a host-table ring ships. `cull` is the
+/// executor's wire-shadow cull, covering `band`, present exactly when
+/// compaction is on; the ring builds none itself but charges its band's
+/// triangulations, as if it had.
 ///
 /// Everything the ring learns besides the slabs goes straight into the
 /// run's result `run` — recovery actions, table-cache counters and per-slab
@@ -1991,23 +1942,37 @@ pub(crate) fn run_ring(
         |checked| device.memcpy_htod(upload_stream, &[(&wires, &wire_flat)], checked),
     )?;
 
-    let (table_source, mut host_table_flops) = resolve_table_source(
+    // Shared environment for slab execution and commit/scrub recovery,
+    // once its table source is resolved.
+    let mut ctx = RingCtx {
         device,
         upload_stream,
+        compute_stream,
+        download_stream,
         geom,
         mapper,
         cfg,
         opts,
+        edges,
+        table_source: TableSource::None,
+        wires,
+        cull,
+        n_images,
+        n_cols,
+    };
+    let (table_source, mut host_table_flops) = resolve_table_source(
+        &ctx,
         cache,
         &mut run.recovery,
         integrity,
         &mut run.table_cache,
     )?;
+    ctx.table_source = table_source;
     // A resident table is not part of the per-slab working set: size slabs
     // as if triangulating in kernel (the budget below already excludes the
     // resident bytes via `mem_used`).
-    let sizing_opts = match &table_source {
-        TableSource::Resident { .. } => GpuOptions {
+    let sizing_opts = match &ctx.table_source {
+        TableSource::Resident(_) => GpuOptions {
             triangulation: Triangulation::InKernel,
             ..opts
         },
@@ -2017,7 +1982,7 @@ pub(crate) fn run_ring(
     // Level-1 sparsity: the band's share of the cull's triangulations is
     // charged like the host-table path's, whoever built the table.
     if cull.is_some() {
-        host_table_flops += ShadowCull::build_flops(geom, band.len());
+        host_table_flops += EdgeTable::build_flops(geom, band.len());
     }
 
     let (mut rows_per_slab, mut slots) = plan_slabs(
@@ -2031,21 +1996,6 @@ pub(crate) fn run_ring(
         out.journal.as_deref(),
     )?;
 
-    // Shared environment for slab execution and commit/scrub recovery.
-    let ctx = RingCtx {
-        device,
-        upload_stream,
-        compute_stream,
-        download_stream,
-        geom,
-        mapper,
-        cfg,
-        opts,
-        edges,
-        n_images,
-        n_cols,
-    };
-
     // The ring proper: executed slabs (upload + kernel-end edge + stats +
     // watchdog verdict), oldest first.
     let mut ring: VecDeque<SlabExec> = VecDeque::with_capacity(slots);
@@ -2058,33 +2008,11 @@ pub(crate) fn run_ring(
                 // the upcoming upload on the download so the reused memory
                 // is modeled as available only once the slot drains.
                 let oldest = ring.pop_front().expect("ring is full");
-                device.wait_until(download_stream, oldest.kernel_end);
-                let freed_at = commit_slab(
-                    &ctx,
-                    oldest.upload,
-                    oldest.stats,
-                    oldest.suspect,
-                    source,
-                    &table_source,
-                    &wires,
-                    cull,
-                    &mut run.recovery,
-                    integrity,
-                    &mut out,
-                )?;
+                let freed_at =
+                    commit_slab(&ctx, oldest, source, &mut run.recovery, integrity, &mut out)?;
                 device.wait_until(upload_stream, freed_at);
             }
-            let exec = execute_slab(
-                &ctx,
-                source,
-                &table_source,
-                &wires,
-                cull,
-                row0,
-                rows,
-                &mut run.recovery,
-                integrity,
-            )?;
+            let exec = execute_slab(&ctx, source, row0, rows, &mut run.recovery, integrity)?;
             host_table_flops += exec.upload.host_flops;
             run.slab_densities
                 .extend(exec.upload.sparsity.as_ref().map(|sp| sp.density));
@@ -2109,20 +2037,7 @@ pub(crate) fn run_ring(
                 // chunking-invariant: downloads assign exactly their slab's
                 // rows, so a smaller re-run overwrites cleanly.
                 while let Some(oldest) = ring.pop_front() {
-                    device.wait_until(download_stream, oldest.kernel_end);
-                    commit_slab(
-                        &ctx,
-                        oldest.upload,
-                        oldest.stats,
-                        oldest.suspect,
-                        source,
-                        &table_source,
-                        &wires,
-                        cull,
-                        &mut run.recovery,
-                        integrity,
-                        &mut out,
-                    )?;
+                    commit_slab(&ctx, oldest, source, &mut run.recovery, integrity, &mut out)?;
                 }
                 if rows_per_slab > 1 {
                     rows_per_slab /= 2;
@@ -2138,20 +2053,7 @@ pub(crate) fn run_ring(
     }
     // Drain the tail of the ring.
     while let Some(oldest) = ring.pop_front() {
-        device.wait_until(download_stream, oldest.kernel_end);
-        commit_slab(
-            &ctx,
-            oldest.upload,
-            oldest.stats,
-            oldest.suspect,
-            source,
-            &table_source,
-            &wires,
-            cull,
-            &mut run.recovery,
-            integrity,
-            &mut out,
-        )?;
+        commit_slab(&ctx, oldest, source, &mut run.recovery, integrity, &mut out)?;
     }
 
     if let Some(cache) = cache {
@@ -2174,8 +2076,10 @@ pub(crate) fn run_ring(
 /// [`Plan::fixed`] of `opts` and `depth`, as
 /// [`crate::multi::reconstruct_multi`] is a 1×M one.
 ///
-/// `depth` is the ring depth. The cache only participates in
-/// [`Triangulation::HostTables`] mode.
+/// `depth` is the ring depth. The cache holds the geometry's edge table
+/// that every mode reads, the wire-shadow cull when compaction is on, and
+/// in [`Triangulation::HostTables`] mode the host and device table
+/// accounting.
 pub fn reconstruct_pipelined(
     device: &Device,
     source: &mut dyn SlabSource,
@@ -2700,6 +2604,37 @@ mod tests {
     }
 
     #[test]
+    fn a_gpu_tables_run_and_an_in_kernel_run_share_one_host_table() {
+        let (geom, cfg, data) = demo();
+        let cache = DepthTableCache::new(16 * 1024 * 1024);
+        let run = |triangulation| {
+            let device = big_device();
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
+            let opts = GpuOptions {
+                layout: Layout::Flat1d,
+                triangulation,
+            };
+            let depth = PipelineDepth::DEFAULT;
+            reconstruct_pipelined(&device, &mut source, &geom, &cfg, opts, depth, Some(&cache))
+                .unwrap()
+        };
+        let tables = run(Triangulation::HostTables);
+        assert_eq!(tables.table_cache.host_misses, 1);
+        assert_eq!(tables.host_table_flops, EdgeTable::build_flops(&geom, 6));
+        let key = TableKey::edges(&geom, cfg.wire_edge);
+        let table = cache.edge_table(&key, || panic!("the gpu-tables run keeps the table"));
+        let in_kernel = run(Triangulation::InKernel);
+        let still = cache.edge_table(&key, || panic!("the table stays cached"));
+        assert!(
+            std::sync::Arc::ptr_eq(&table, &still),
+            "one table, read twice"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tables.image.data), bits(&in_kernel.image.data));
+        assert_eq!(tables.stats, in_kernel.stats);
+    }
+
+    #[test]
     fn cached_tables_are_bit_identical_and_save_work() {
         let (geom, cfg, data) = demo();
         let opts = GpuOptions {
@@ -2709,6 +2644,11 @@ mod tests {
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
         let fresh = reconstruct_with_options(&device, &mut source, &geom, &cfg, opts).unwrap();
+        let full = EdgeTable::build_flops(&geom, 6);
+        assert_eq!(
+            fresh.host_table_flops, full,
+            "uncached slabs pay their rows"
+        );
 
         let cache = crate::cache::DepthTableCache::new(16 * 1024 * 1024);
         let device = big_device();
@@ -2730,7 +2670,10 @@ mod tests {
         assert_eq!(cold.stats, fresh.stats);
         assert_eq!(cold.table_cache.host_misses, 1);
         assert_eq!(cold.table_cache.device_misses, 1);
-        assert!(cold.host_table_flops > 0, "cold run pays the triangulation");
+        assert_eq!(
+            cold.host_table_flops, full,
+            "cold run pays the triangulation"
+        );
 
         let warm = run(&device);
         assert_eq!(warm.image.data, fresh.image.data, "warm run bit-identical");
@@ -2777,6 +2720,7 @@ mod tests {
         let cold = run();
         let warm = run();
         assert_eq!(cold.image.data, warm.image.data);
+        assert_eq!(cold.host_table_flops, EdgeTable::build_flops(&geom, 6));
         assert_eq!(
             warm.table_cache.device_hits, 0,
             "budget 0 disables residency"
@@ -2811,7 +2755,7 @@ mod tests {
         assert_eq!(in_kernel.stats, tables.stats);
         // Tables trade device FLOPs for transfer + host FLOPs.
         assert_eq!(in_kernel.host_table_flops, 0);
-        assert!(tables.host_table_flops > 0);
+        assert_eq!(tables.host_table_flops, EdgeTable::build_flops(&geom, 6));
         assert!(tables.meters.h2d_bytes > in_kernel.meters.h2d_bytes);
         assert!(
             tables.meters.kernel_cost.flops < in_kernel.meters.kernel_cost.flops,
@@ -2839,6 +2783,8 @@ mod tests {
                 },
             )
             .unwrap();
+            // The slabs' charges sum to the whole detector's.
+            assert_eq!(out.host_table_flops, EdgeTable::build_flops(&geom, 6));
             match &reference {
                 None => reference = Some(out.image.data),
                 Some(r) => assert_eq!(r, &out.image.data, "rows_per_slab = {rows}"),

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cuda_sim::{Device, DeviceBuffer, LaunchConfig};
 
 use super::{
-    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, Triangulate, BLOCK_SIZE,
+    eval_pair_body, AccumPlan, SlabBuffers, SlabUpload, Triangulate, BLOCK_SIZE,
     TRACE_BELOW_CUTOFF, TRACE_DEPOSITED, TRACE_DEPOSITS, TRACE_INVALID, TRACE_OUT_OF_RANGE,
 };
 use crate::config::{CompactionMode, IntegrityMode, ReconstructionConfig};
@@ -235,7 +235,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
                 output: output_bufs[j].clone(),
             },
             pixels: pixel_bufs[j].clone(),
-            depth_table: DepthTableRef::None,
+            depth_table: None,
             host_flops: 0,
             rows: plans[j].rows,
             row0: 0,

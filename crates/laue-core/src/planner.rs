@@ -63,8 +63,8 @@ use crate::gpu::{
 };
 use crate::input::SlabSource;
 use crate::pair::{
-    differential, plan_from_band, plan_pair, PairPlan, COMPACT_ENTRY_BYTES, FLOPS_PER_DEPTH,
-    FLOPS_PER_PAIR, MEM_BYTES_PER_PAIR,
+    differential, plan_from_band, plan_pair, PairPlan, COMPACT_ENTRY_BYTES, FLOPS_PER_PAIR,
+    MEM_BYTES_PER_PAIR,
 };
 use crate::planning::ShadowCull;
 use crate::Result;
@@ -738,15 +738,13 @@ fn plan_run_cached(
 
     // The planner reads the edge table only through the cull.
     let all_rows = 0..n_rows;
-    let cull = EdgeTable::resolve(
-        cache,
-        geom,
-        &mapper,
-        cfg,
-        false,
-        std::slice::from_ref(&all_rows),
-    )
-    .map(|edges| ShadowCull::resolve(cache, geom, cfg, &edges));
+    let all_rows = std::slice::from_ref(&all_rows);
+    let cull = cfg
+        .compaction
+        .enabled()
+        .then(|| EdgeTable::resolve(cache, geom, &mapper, cfg, false, all_rows))
+        .flatten()
+        .map(|edges| ShadowCull::resolve(cache, geom, cfg, &edges));
 
     // Probe a few single-row bands spread across the detector; merged sums
     // stand in for the whole stack's intensity statistics.
@@ -777,8 +775,8 @@ fn plan_run_cached(
 
     let table_bytes = (n_images * n_rows * n_cols * 8) as u64;
     let wire_bytes = (n_steps * 3 * 8) as u64;
-    let table_mode_host_flops = (n_images * n_rows * n_cols) as u64 * FLOPS_PER_DEPTH;
-    let cull_host_flops = cull.as_ref().map_or(0, |c| c.host_flops);
+    let table_mode_host_flops = EdgeTable::build_flops(geom, n_rows);
+    let cull_host_flops = cull.as_ref().map_or(0, |_| table_mode_host_flops);
 
     let depths = depth_pin.map_or(vec![1, 2, 3], |d| vec![d.0]);
     let mut candidates = Vec::new();

@@ -15,7 +15,6 @@ use crate::cache::{DepthTableCache, EdgeTable, TableKey};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::pair::FLOPS_PER_DEPTH;
 use crate::Result;
 
 /// Level-1 sparsity: per-(wire step, detector row) bounds on the edge
@@ -47,9 +46,6 @@ pub struct ShadowCull {
     unsafe_row: Vec<bool>,
     depth_start: f64,
     depth_end: f64,
-    /// Host FLOPs spent building the table (one triangulation per
-    /// (step, row, col) of its bands, [`ShadowCull::build_flops`]).
-    pub host_flops: u64,
 }
 
 impl ShadowCull {
@@ -68,16 +64,14 @@ impl ShadowCull {
     /// (step, row), the min/max of the row's finite edge depths, unsafe
     /// where any is not finite. The table spans `edges`' span; a row it
     /// never triangulated keeps no finite bound and so reads live for
-    /// every pair. `host_flops` counts the covered rows' triangulations.
+    /// every pair.
     pub fn from_edges(edges: &EdgeTable, cfg: &ReconstructionConfig) -> ShadowCull {
         let (n_steps, n_cols, n_rows) = (edges.n_steps, edges.n_cols, edges.covered.len());
         let cells = n_steps * n_rows;
         let mut lo = vec![f64::INFINITY; cells];
         let mut hi = vec![f64::NEG_INFINITY; cells];
         let mut unsafe_row = vec![false; cells];
-        let mut covered = 0;
         for r in (0..n_rows).filter(|&r| edges.covered[r]) {
-            covered += 1;
             let row = &edges.depths[r * n_cols * n_steps..(r + 1) * n_cols * n_steps];
             for pixel in row.chunks_exact(n_steps) {
                 for (z, &d) in pixel.iter().enumerate() {
@@ -104,15 +98,7 @@ impl ShadowCull {
             unsafe_row,
             depth_start: cfg.depth_start,
             depth_end: cfg.depth_end,
-            host_flops: (n_steps * covered * n_cols) as u64 * FLOPS_PER_DEPTH,
         }
-    }
-
-    /// Host FLOPs of triangulating `rows` detector rows of `geom` at every
-    /// wire step: what building their table costs, and what each engine
-    /// charges for the rows it culls, whichever table it reads.
-    pub fn build_flops(geom: &ScanGeometry, rows: usize) -> u64 {
-        (geom.wire.n_steps * rows * geom.detector.n_cols) as u64 * FLOPS_PER_DEPTH
     }
 
     /// The cull the GPU path reads, from `edges` ([`EdgeTable::resolve`]).
@@ -121,8 +107,8 @@ impl ShadowCull {
     /// and every later ring of that geometry and window share one. With
     /// none, it is the cull over the rows `edges` covers. The cull is never
     /// charged where it is built: each ring charges
-    /// [`ShadowCull::build_flops`] of its own band, and the planner prices
-    /// the full table's `host_flops`.
+    /// [`EdgeTable::build_flops`] of its own band, and the planner prices
+    /// the full detector's.
     pub fn resolve(
         cache: Option<&DepthTableCache>,
         geom: &ScanGeometry,
@@ -452,10 +438,6 @@ mod tests {
         // (pair, row) strips must fall entirely outside it.
         let cfg = ReconstructionConfig::new(-60.0, 40.0, 25);
         let cull = ShadowCull::compute(&g, &mapper, &cfg, 0..n_rows);
-        assert_eq!(
-            cull.host_flops,
-            (n_steps * n_rows * n_cols) as u64 * FLOPS_PER_DEPTH
-        );
         let mut culled = 0usize;
         let mut flops = 0u64;
         for z in 0..n_steps - 1 {
@@ -505,10 +487,10 @@ mod tests {
             assert_eq!(band.live_pairs(4), full.live_pairs(4));
         }
         // Two bands with a gap: their rows match the full table, the gap
-        // rows are never triangulated (nor charged) and cull nothing.
+        // rows are never triangulated and cull nothing.
         let edges = EdgeTable::build(&g, &mapper, cfg.wire_edge, &[1..3, 5..7]);
         let split = ShadowCull::from_edges(&edges, &cfg);
-        assert_eq!(split.host_flops, ShadowCull::build_flops(&g, 4));
+        assert!(edges.rows(3, 2).iter().all(|d| d.is_nan()));
         assert!((0..g.wire.n_steps - 1).any(|z| !full.pair_row_live(z, 3)));
         for z in 0..g.wire.n_steps - 1 {
             for r in [1, 2, 5, 6] {

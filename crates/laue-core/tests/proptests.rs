@@ -2,13 +2,13 @@
 //! CPU ≡ GPU, chunking invariance, intensity conservation, cutoff monotonicity.
 
 use cuda_sim::{Device, DeviceProps, Host, Interconnect, InterconnectProps};
-use laue_core::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
+use laue_core::cache::{DepthTableCache, EdgeTable, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster;
 use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
 use laue_core::planner::{Pins, Plan};
 use laue_core::{
     cpu, gpu, AccumulationMode, CompactionMode, InMemorySlabSource, ReconstructionConfig,
-    ReductionTopology, ScanGeometry, ScanView,
+    ReductionTopology, ScanGeometry, ScanView, WireEdge,
 };
 use proptest::prelude::*;
 
@@ -163,24 +163,39 @@ proptest! {
     }
 
     /// Cached depth tables are bit-identical to freshly computed ones for
-    /// any geometry, and a cache hit never recomputes.
+    /// any geometry and wire edge, hold each pixel's triangulation at every
+    /// step, and a cache hit returns the same table without rebuilding it
+    /// or moving any counter.
     #[test]
-    fn cached_tables_bit_identical_to_fresh(s in arb_scenario()) {
+    fn cached_tables_bit_identical_to_fresh(s in arb_scenario(), trailing in any::<bool>()) {
         let geom = geometry(&s);
-        let cfg = config(&s);
         let mapper = geom.mapper().unwrap();
-        let fresh = DepthTables::compute(&geom, &mapper, &cfg);
-        let key = TableKey::new(&geom, &cfg);
+        let edge = if trailing { WireEdge::Trailing } else { WireEdge::Leading };
+        let all = 0..s.n_rows;
+        let all = std::slice::from_ref(&all);
+        let fresh = EdgeTable::build(&geom, &mapper, edge, all);
+        let key = TableKey::edges(&geom, edge);
         let cache = DepthTableCache::new(16 * 1024 * 1024);
-        let mut run = TableCacheStats::default();
-        let cached = cache.host_tables(&key, &mut run, || DepthTables::compute(&geom, &mapper, &cfg));
-        let hit = cache.host_tables(&key, &mut run, || panic!("a hit must not recompute"));
-        prop_assert_eq!(run.host_misses, 1);
-        prop_assert_eq!(run.host_hits, 1);
+        let cached = cache.edge_table(&key, || EdgeTable::build(&geom, &mapper, edge, all));
+        let hit = cache.edge_table(&key, || panic!("a hit must not recompute"));
+        prop_assert!(std::sync::Arc::ptr_eq(&cached, &hit));
+        prop_assert_eq!(cache.totals(), TableCacheStats::default());
         // Compare bit patterns: missed pixels are NaN, which `==` rejects.
-        let bits = |t: &DepthTables| t.depths.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
+        let bits = |t: &EdgeTable| {
+            t.rows(0, s.n_rows).iter().map(|d| d.to_bits()).collect::<Vec<u64>>()
+        };
         prop_assert_eq!(bits(&fresh), bits(&cached));
-        prop_assert_eq!(bits(&cached), bits(&hit));
+        let depths = cached.rows(0, s.n_rows);
+        for (i, d) in depths.iter().enumerate() {
+            let (pixel, z) = (i / s.n_steps, i % s.n_steps);
+            let p = geom.detector.pixel_to_xyz_unchecked(
+                (pixel / s.n_cols) as f64,
+                (pixel % s.n_cols) as f64,
+            );
+            let w = geom.wire.center_unchecked(z as f64);
+            let want = mapper.depth(p, w, edge).unwrap_or(f64::NAN);
+            prop_assert_eq!(d.to_bits(), want.to_bits());
+        }
     }
 
     /// A warm-cache reconstruction (host tables found, device-resident
@@ -206,6 +221,7 @@ proptest! {
         let cold = run();
         let warm = run();
         prop_assert_eq!(cold.table_cache.host_misses, 1);
+        prop_assert_eq!(cold.host_table_flops, EdgeTable::build_flops(&geom, s.n_rows));
         prop_assert_eq!(warm.table_cache.host_hits, 1);
         prop_assert_eq!(warm.table_cache.device_hits, 1);
         prop_assert_eq!(warm.host_table_flops, 0);

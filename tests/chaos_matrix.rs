@@ -1,7 +1,10 @@
 //! The CI chaos matrix: every scripted *silent-corruption* schedule runs
 //! end-to-end through the CLI, swept over the pipelined engines
-//! (`gpu-pipe`, `gpu-multi:2`) and both checking integrity modes. The
-//! invariant under test is the ISSUE's no-silent-mismatch guarantee:
+//! (`gpu-pipe`, `gpu-multi:2`), the host-table engine (`gpu-tables`, whose
+//! table the CLI's pipeline cache makes device-resident, so every spec
+//! rides over the checked resident-table upload) and both checking
+//! integrity modes. The invariant under test is the no-silent-mismatch
+//! guarantee:
 //!
 //! * `--integrity scrub`  — the run must complete, report itself
 //!   INTEGRITY-DEGRADED (the fault fired *and* was caught), and export an
@@ -37,7 +40,7 @@ const SPECS: &[(&str, &str)] = &[
     ("stalled-kernel", "seed=5,stall-nth=1,stall-s=5.0"),
 ];
 
-const ENGINES: &[&str] = &["gpu-pipe", "gpu-multi:2"];
+const ENGINES: &[&str] = &["gpu-pipe", "gpu-multi:2", "gpu-tables"];
 const MODES: &[&str] = &["verify", "scrub"];
 
 /// The distributed row of the matrix: not a silent-corruption schedule but
