@@ -16,7 +16,7 @@ use crate::memory::{Allocation, DeviceBuffer, DeviceScalar, NonzeroWords};
 use crate::meter::{LaunchRecord, Meters};
 use crate::props::DeviceProps;
 use crate::stream::{StreamId, Timelines};
-use crate::trace::{OpRecord, TraceBuf, TraceMode};
+use crate::trace::{OpRecord, TraceBuf, DEFAULT_TRACE_CAP};
 use crate::Result;
 
 static NEXT_DEVICE_ID: AtomicU64 = AtomicU64::new(1);
@@ -82,7 +82,7 @@ impl Device {
                 timelines: Timelines::new(Arc::clone(host.engine()), slot),
                 meters: Meters::default(),
                 records: Vec::new(),
-                trace: TraceBuf::new(TraceMode::default()),
+                trace: TraceBuf::new(DEFAULT_TRACE_CAP),
                 forced_workers: None,
             }),
             fault: Mutex::new(None),
@@ -688,19 +688,13 @@ impl Device {
         crate::trace::chrome_trace(&[(self.props.name.clone(), st.trace.ops())])
     }
 
-    /// Copy of the raw operation log behind the trace export (bounded by
-    /// the current [`TraceMode`]).
+    /// Copy of the raw operation log behind the trace export: the newest
+    /// [`DEFAULT_TRACE_CAP`] records.
     pub fn ops(&self) -> Vec<OpRecord> {
         self.state.lock().trace.ops()
     }
 
-    /// Choose how much of the op log to keep (default: a bounded ring,
-    /// see [`TraceMode`]). `TraceMode::Off` also skips name formatting.
-    pub fn set_trace_mode(&self, mode: TraceMode) {
-        self.state.lock().trace.set_mode(mode);
-    }
-
-    /// Op records not retained by the current trace mode.
+    /// Op records the trace ring shed.
     pub fn trace_dropped(&self) -> u64 {
         self.state.lock().trace.dropped()
     }

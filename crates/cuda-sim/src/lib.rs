@@ -92,7 +92,7 @@ pub use meter::{ChainEstimator, Cost, LaunchRecord, Meters, TRACE_SLOTS};
 pub use props::{DeviceProps, HostProps};
 pub use sim::{Clock, Engine, EventRecord, ResourceId, VirtualClock};
 pub use stream::StreamId;
-pub use trace::{OpRecord, TraceMode, DEFAULT_TRACE_CAP};
+pub use trace::{OpRecord, DEFAULT_TRACE_CAP};
 
 /// Result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

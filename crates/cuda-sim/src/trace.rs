@@ -22,53 +22,33 @@ pub struct OpRecord {
     pub end_s: f64,
 }
 
-/// Default capacity of the bounded op-trace ring.
+/// Capacity of a device's op-trace ring: more records than any single
+/// reconstruction issues, so traces of normal runs are complete, while a
+/// service-style run that never resets keeps bounded memory.
 pub const DEFAULT_TRACE_CAP: usize = 16_384;
 
-/// How much of the operation log a device keeps.
-///
-/// Every transfer and launch used to push an eagerly-`format!`-ed
-/// [`OpRecord`] into an unbounded `Vec` — a slow memory leak for
-/// service-style runs that never reset. The default is now a generous ring
-/// (more than any single reconstruction issues, so traces of normal runs
-/// are complete) and `Off` skips even the name formatting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Record nothing; op names are never formatted.
-    Off,
-    /// Keep the newest `n` records; older ones fall off the front.
-    Ring(usize),
-    /// Unbounded log (the old behavior) — for short diagnostic runs only.
-    Full,
-}
-
-impl Default for TraceMode {
-    fn default() -> Self {
-        TraceMode::Ring(DEFAULT_TRACE_CAP)
-    }
-}
-
 /// Bounded operation log behind [`crate::Device::ops`] and the Chrome
-/// trace export.
+/// trace export: a ring that keeps the newest records, older ones falling
+/// off the front.
 #[derive(Debug)]
 pub struct TraceBuf {
-    mode: TraceMode,
+    cap: usize,
     ops: VecDeque<OpRecord>,
     dropped: u64,
 }
 
 impl TraceBuf {
-    /// Empty buffer in the given mode.
-    pub fn new(mode: TraceMode) -> TraceBuf {
+    /// Empty ring of `cap` records (at least one).
+    pub fn new(cap: usize) -> TraceBuf {
+        assert!(cap > 0, "a trace ring holds at least one record");
         TraceBuf {
-            mode,
+            cap,
             ops: VecDeque::new(),
             dropped: 0,
         }
     }
 
-    /// Record one operation. `name` is only invoked when the record is
-    /// actually kept, so `TraceMode::Off` pays no formatting cost.
+    /// Record one operation, shedding the oldest when the ring is full.
     pub fn push_with(
         &mut self,
         kind: &'static str,
@@ -77,22 +57,9 @@ impl TraceBuf {
         end_s: f64,
         name: impl FnOnce() -> String,
     ) {
-        match self.mode {
-            TraceMode::Off => {
-                self.dropped += 1;
-                return;
-            }
-            TraceMode::Ring(cap) => {
-                if cap == 0 {
-                    self.dropped += 1;
-                    return;
-                }
-                while self.ops.len() >= cap {
-                    self.ops.pop_front();
-                    self.dropped += 1;
-                }
-            }
-            TraceMode::Full => {}
+        if self.ops.len() == self.cap {
+            self.ops.pop_front();
+            self.dropped += 1;
         }
         self.ops.push_back(OpRecord {
             kind,
@@ -103,23 +70,12 @@ impl TraceBuf {
         });
     }
 
-    /// Change the mode; an over-full ring sheds its oldest records.
-    pub fn set_mode(&mut self, mode: TraceMode) {
-        self.mode = mode;
-        if let TraceMode::Ring(cap) = mode {
-            while self.ops.len() > cap {
-                self.ops.pop_front();
-                self.dropped += 1;
-            }
-        }
-    }
-
     /// Records currently held, oldest first.
     pub fn ops(&self) -> Vec<OpRecord> {
         self.ops.iter().cloned().collect()
     }
 
-    /// Records not retained (ring overflow or `Off`).
+    /// Records the ring shed.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -184,7 +140,7 @@ mod tests {
 
     #[test]
     fn trace_buf_ring_bounds_memory_and_counts_drops() {
-        let mut t = TraceBuf::new(TraceMode::Ring(2));
+        let mut t = TraceBuf::new(2);
         for i in 0..5 {
             t.push_with("h2d", 0, i as f64, i as f64 + 1.0, || format!("op{i}"));
         }
@@ -194,25 +150,6 @@ mod tests {
         t.clear();
         assert_eq!(t.ops().len(), 0);
         assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn trace_buf_off_never_formats() {
-        let mut t = TraceBuf::new(TraceMode::Off);
-        t.push_with("h2d", 0, 0.0, 1.0, || panic!("name must not be built"));
-        assert!(t.ops().is_empty());
-        assert_eq!(t.dropped(), 1);
-    }
-
-    #[test]
-    fn trace_buf_mode_change_sheds_overflow() {
-        let mut t = TraceBuf::new(TraceMode::Full);
-        for i in 0..4 {
-            t.push_with("kernel", 0, i as f64, i as f64 + 1.0, || "k".to_string());
-        }
-        t.set_mode(TraceMode::Ring(1));
-        assert_eq!(t.ops().len(), 1);
-        assert_eq!(t.dropped(), 3);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! * **edge tables** — per geometry and wire edge, the full-detector
 //!   [`EdgeTable`], in an LRU of 8 entries
 //!   ([`DepthTableCache::edge_table`]). The first miss builds it on every
-//!   host core. Four readers share it: the in-kernel `set_two`, the
-//!   wire-shadow cull, a `HostTables` run's slab uploads (each ships its
-//!   rows, [`EdgeTable::rows`]) and its resident upload;
+//!   host core, and records its wire-shadow cull ([`EdgeTable::cull`]) in
+//!   the same pass. Four readers share it: the in-kernel `set_two`, the
+//!   cull, whose queries take each run's depth window, a `HostTables`
+//!   run's slab uploads (each ships its rows, [`EdgeTable::rows`]) and its
+//!   resident upload, so the planner and every ring of every run of one
+//!   geometry and edge share one build, whatever their window or binning;
 //! * **host accounting** — the [`TableKey::new`] keys of the host tables a
 //!   `HostTables` run has paid for, LRU-bounded like the entries
 //!   ([`DepthTableCache::host_lookup`]): a miss charges the full detector's
@@ -21,20 +24,15 @@
 //!   [`DeviceBuffer`] that survives across slabs and runs, LRU-bounded by a
 //!   configurable byte budget (a slice of `DeviceProps::total_mem`). A warm
 //!   run re-uses the resident buffer at virtual time 0 — the upload
-//!   disappears from the timeline entirely;
-//! * **wire-shadow culls** — per geometry and depth window, the
-//!   full-detector [`ShadowCull`] that compaction reads, a per-(step, row)
-//!   min/max over the edge table, in an LRU of its own with the same entry
-//!   bound ([`DepthTableCache::shadow_cull`]), so the planner and every
-//!   ring of every run of one geometry share one build.
+//!   disappears from the timeline entirely.
 //!
-//! Edge tables and culls are wall-clock savings only: the kernel charges
-//! the triangulations it skips, each ring still charges its band's cull
-//! triangulations on a hit or a miss, and a `HostTables` run charges
+//! Edge tables and their culls are wall-clock savings only: the kernel
+//! charges the triangulations it skips, each ring still charges its band's
+//! cull triangulations on a hit or a miss, and a `HostTables` run charges
 //! exactly what its host key's hit or miss says, so every modeled time is
-//! unchanged. Neither counts in [`TableCacheStats`] nor shows in
-//! [`DepthTableCache::peek_host`] — planner warmth and hit rates read only
-//! the host keys.
+//! unchanged. An edge table never counts in [`TableCacheStats`] nor shows
+//! in [`DepthTableCache::peek_host`] — planner warmth and hit rates read
+//! only the host keys.
 //!
 //! A key holds the *bit patterns* of every f64 its entry depends on — the
 //! beam, detector and wire scan, the wire edge, and for a host key the
@@ -53,11 +51,11 @@ use laue_geometry::{DepthMapper, Vec3, WireEdge};
 use crate::config::ReconstructionConfig;
 use crate::geometry::ScanGeometry;
 use crate::pair::FLOPS_PER_DEPTH;
-use crate::planning::ShadowCull;
+use crate::planning::{ShadowCull, StepBounds};
 
-/// Host-side entries kept per cache, host keys, edge tables and culls
-/// each (distinct geometries per process are few; this only bounds
-/// pathological churn).
+/// Host-side entries kept per cache, host keys and edge tables each
+/// (distinct geometries per process are few; this only bounds pathological
+/// churn).
 const HOST_ENTRIES: usize = 8;
 
 /// Content-addressed identity of one depth table.
@@ -145,7 +143,8 @@ const PARALLEL_BUILD_DEPTHS: usize = 1 << 16;
 /// the thread read from device memory equal those inputs bit for bit, and
 /// triangulates what it read otherwise, so a corrupted upload changes a run
 /// exactly as it would without the table. The wire-shadow cull is its
-/// per-(step, row) min/max ([`ShadowCull::from_edges`]). A
+/// per-(step, row) min/max, recorded as the depths are
+/// ([`EdgeTable::cull`]). A
 /// [`HostTables`](crate::gpu::Triangulation::HostTables) run ships each
 /// slab's rows as they lie ([`EdgeTable::rows`]), or the whole table once
 /// when it is made device-resident.
@@ -164,14 +163,20 @@ pub struct EdgeTable {
     wires: Vec<u64>,
     /// Depths, indexed `(r · n_cols + c) · n_steps + z`, `r` span-relative.
     pub(crate) depths: Vec<f64>,
+    /// The per-(step, row) bounds of `depths`, shared so that a reader of
+    /// the cull alone can drop the depths.
+    pub(crate) cull: Arc<ShadowCull>,
 }
 
 impl EdgeTable {
     /// Triangulate the detector rows of `bands` (disjoint, ascending) at
-    /// every wire step, in row bands on every host core. The table spans
-    /// the first band's first row to the last band's last row. Each depth
-    /// is `mapper.depth` of the very pixel and wire centre the GPU path
-    /// uploads, so it is bit-identical to the kernel's own triangulation.
+    /// every wire step, in row bands on every host core, recording each
+    /// (step, row)'s bounds for the cull as the depths land. The table
+    /// spans the first band's first row to the last band's last row; a row
+    /// between two bands is never triangulated and reads live for every
+    /// pair. Each depth is `mapper.depth` of the very pixel and wire centre
+    /// the GPU path uploads, so it is bit-identical to the kernel's own
+    /// triangulation.
     pub fn build(
         geom: &ScanGeometry,
         mapper: &DepthMapper,
@@ -195,16 +200,19 @@ impl EdgeTable {
 
         let row_len = n_cols * n_steps;
         let mut depths = vec![f64::NAN; span.len() * row_len];
-        // Fill the span rows from `first` on that `rows` holds.
-        let fill = |rows: &mut [f64], first: usize| {
-            for (r, row) in (first..).zip(rows.chunks_exact_mut(row_len)) {
+        let mut bounds = vec![StepBounds::EMPTY; span.len() * n_steps];
+        // Fill the span rows from `first` on that `rows` and `bounds` hold.
+        let fill = |rows: &mut [f64], bounds: &mut [StepBounds], first: usize| {
+            let rows = rows.chunks_exact_mut(row_len);
+            for ((r, row), steps) in (first..).zip(rows).zip(bounds.chunks_exact_mut(n_steps)) {
                 if !covered[r] {
                     continue;
                 }
                 for (c, cell) in row.chunks_exact_mut(n_steps).enumerate() {
                     let p = pixel(span.start + r, c);
-                    for (d, &w) in cell.iter_mut().zip(&centres) {
+                    for ((d, &w), step) in cell.iter_mut().zip(&centres).zip(steps.iter_mut()) {
                         *d = mapper.depth(p, w, edge).unwrap_or(f64::NAN);
+                        step.add(*d);
                     }
                 }
             }
@@ -215,17 +223,20 @@ impl EdgeTable {
             1
         };
         if workers <= 1 {
-            fill(&mut depths, 0);
+            fill(&mut depths, &mut bounds, 0);
         } else {
             let per = span.len().div_ceil(workers);
             let fill = &fill;
             std::thread::scope(|scope| {
-                let mut bands = depths.chunks_mut(per * row_len).enumerate();
-                let (_, first) = bands.next().expect("a nonempty table");
-                for (i, rows) in bands {
-                    scope.spawn(move || fill(rows, i * per));
+                let mut bands = depths
+                    .chunks_mut(per * row_len)
+                    .zip(bounds.chunks_mut(per * n_steps))
+                    .enumerate();
+                let (_, (first, first_bounds)) = bands.next().expect("a nonempty table");
+                for (i, (rows, bounds)) in bands {
+                    scope.spawn(move || fill(rows, bounds, i * per));
                 }
-                fill(first, 0);
+                fill(first, first_bounds, 0);
             });
         }
         EdgeTable {
@@ -236,6 +247,7 @@ impl EdgeTable {
             pixels,
             wires,
             depths,
+            cull: Arc::new(ShadowCull::new(span.start, n_steps, bounds)),
         }
     }
 
@@ -256,12 +268,20 @@ impl EdgeTable {
         &self.depths[first * row_len..(first + rows) * row_len]
     }
 
+    /// The wire-shadow cull of the rows the table covers, built with it.
+    /// It outlives the table: a reader of the cull alone keeps this `Arc`
+    /// and drops the depths.
+    pub fn cull(&self) -> &Arc<ShadowCull> {
+        &self.cull
+    }
+
     /// The table a run of `cfg` reads, from its one build site, or `None`
     /// when nothing would read it. With a `cache` it is the scan geometry's
     /// full-detector table, built on the first miss and shared by every
-    /// later call of that geometry. With no cache only a run that ships
-    /// `host_tables` or culls gets one, over `bands`, the rows it processes.
-    /// It never counts in [`TableCacheStats`].
+    /// later call of that geometry and edge, whatever its window or
+    /// binning. With no cache only a run that ships `host_tables` or culls
+    /// gets one, over `bands`, the rows it processes. It never counts in
+    /// [`TableCacheStats`].
     pub fn resolve(
         cache: Option<&DepthTableCache>,
         geom: &ScanGeometry,
@@ -391,9 +411,8 @@ struct Inner {
     /// Host keys a `HostTables` run has paid for, LRU order (front =
     /// coldest); the tables themselves are the edge tables.
     host: Lru<()>,
-    /// Full-detector wire-shadow culls, LRU order; never counted.
-    culls: Lru<ShadowCull>,
-    /// Full-detector edge tables, LRU order; never counted.
+    /// Full-detector edge tables with their culls, LRU order; never
+    /// counted.
     edges: Lru<EdgeTable>,
     /// Device entries, LRU order (front = coldest), across all devices;
     /// the budget applies per device id.
@@ -454,48 +473,25 @@ impl DepthTableCache {
     }
 
     /// Get (or build with `compute` and insert) the full-detector
-    /// wire-shadow cull for `key`. Neither counts in [`TableCacheStats`]
-    /// nor shows in [`DepthTableCache::peek_host`].
-    pub fn shadow_cull(
-        &self,
-        key: &TableKey,
-        compute: impl FnOnce() -> ShadowCull,
-    ) -> Arc<ShadowCull> {
-        self.uncounted(|inner| &mut inner.culls, key, compute)
-    }
-
-    /// Get (or build with `compute` and insert) the full-detector
-    /// [`EdgeTable`] for `key` ([`TableKey::edges`]). Like a cull, it never
-    /// counts in [`TableCacheStats`] nor shows in
-    /// [`DepthTableCache::peek_host`].
+    /// [`EdgeTable`] for `key` ([`TableKey::edges`]), its cull included. It
+    /// never counts in [`TableCacheStats`] nor shows in
+    /// [`DepthTableCache::peek_host`]. When two callers miss the same key
+    /// at once, both build and the first insert wins.
     pub fn edge_table(
         &self,
         key: &TableKey,
         compute: impl FnOnce() -> EdgeTable,
     ) -> Arc<EdgeTable> {
-        self.uncounted(|inner| &mut inner.edges, key, compute)
-    }
-
-    /// The entry for `key` in the uncounted LRU `lru` picks, built with
-    /// `compute` on a miss. When two callers miss the same key at once,
-    /// both build and the first insert wins.
-    fn uncounted<T>(
-        &self,
-        lru: impl Fn(&mut Inner) -> &mut Lru<T>,
-        key: &TableKey,
-        compute: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        if let Some(hit) = touch(lru(&mut self.inner.lock().unwrap()), key) {
+        if let Some(hit) = touch(&mut self.inner.lock().unwrap().edges, key) {
             return hit;
         }
         // Build outside the lock (it is the expensive part).
         let built = Arc::new(compute());
         let mut inner = self.inner.lock().unwrap();
-        let lru = lru(&mut inner);
-        if let Some(first) = touch(lru, key) {
+        if let Some(first) = touch(&mut inner.edges, key) {
             return first;
         }
-        insert(lru, key, &built);
+        insert(&mut inner.edges, key, &built);
         built
     }
 
@@ -700,45 +696,94 @@ mod tests {
         let (geom, cfg) = demo();
         let mapper = geom.mapper().unwrap();
         let cache = DepthTableCache::new(0);
-        let key = |i: usize| {
-            let mut cfg = cfg.clone();
-            cfg.depth_end += i as f64;
-            TableKey::new(&geom, &cfg)
+        let all = 0..geom.detector.n_rows;
+        let bands = std::slice::from_ref(&all);
+        // Two configs of one geometry: another binning and a window that
+        // culls.
+        let mut other = ReconstructionConfig::new(-350.0, 150.0, cfg.n_depth_bins + 7);
+        other.wire_edge = cfg.wire_edge;
+        let resolve = |cfg: &ReconstructionConfig| {
+            EdgeTable::resolve(Some(&cache), &geom, &mapper, cfg, false, bands)
+                .expect("a cache always resolves a table")
         };
-        let full = || ShadowCull::compute(&geom, &mapper, &cfg, 0..geom.detector.n_rows);
-        let first = cache.shadow_cull(&key(0), full);
-        let again = cache.shadow_cull(&key(0), || panic!("must not rebuild"));
-        assert!(Arc::ptr_eq(&first, &again));
-        let edges = TableKey::edges(&geom, cfg.wire_edge);
-        let rows = 0..geom.detector.n_rows;
-        let table = cache.edge_table(&edges, || {
-            EdgeTable::build(&geom, &mapper, cfg.wire_edge, std::slice::from_ref(&rows))
-        });
-        let kept = cache.edge_table(&edges, || panic!("must not rebuild"));
-        assert!(Arc::ptr_eq(&table, &kept));
-        // Neither a cull nor an edge table is a depth table: no hit, no
+        let first = resolve(&cfg);
+        let second = resolve(&other);
+        assert!(Arc::ptr_eq(&first, &second), "one table per geometry");
+        assert!(Arc::ptr_eq(first.cull(), second.cull()), "and one cull");
+        // Each window reads the live pairs a freshly built table gives it.
+        let fresh = EdgeTable::build(&geom, &mapper, cfg.wire_edge, bands);
+        for c in [&cfg, &other] {
+            for r in all.clone() {
+                assert_eq!(first.cull().live_pairs(c, r), fresh.cull().live_pairs(c, r));
+            }
+        }
+        let n_pairs = geom.wire.n_steps - 1;
+        assert!(all
+            .clone()
+            .any(|r| first.cull().live_pairs(&other, r).len() < n_pairs));
+        // Neither the table nor its cull is a depth table: no hit, no
         // miss, no warmth.
         assert_eq!(cache.totals(), TableCacheStats::default());
-        assert!(!cache.peek_host(&key(0)) && !cache.peek_host(&edges));
-        // One geometry more than the LRU holds evicts the coldest cull.
+        let edges = TableKey::edges(&geom, cfg.wire_edge);
+        assert!(!cache.peek_host(&TableKey::new(&geom, &cfg)) && !cache.peek_host(&edges));
+        // The other edge is another table with its own cull.
+        let mut trailing = cfg.clone();
+        trailing.wire_edge = match cfg.wire_edge {
+            WireEdge::Leading => WireEdge::Trailing,
+            WireEdge::Trailing => WireEdge::Leading,
+        };
+        assert!(!Arc::ptr_eq(first.cull(), resolve(&trailing).cull()));
+        // One table more than the LRU holds evicts the coldest, cull and
+        // all.
+        let build = || EdgeTable::build(&geom, &mapper, cfg.wire_edge, bands);
         for i in 1..=HOST_ENTRIES {
-            cache.shadow_cull(&key(i), full);
+            let mut cfg = cfg.clone();
+            cfg.n_depth_bins += i;
+            cache.edge_table(&TableKey::new(&geom, &cfg), build);
         }
-        cache.shadow_cull(&key(HOST_ENTRIES), || panic!("newest kept"));
         let mut rebuilt = false;
-        let back = cache.shadow_cull(&key(0), || {
+        let back = cache.edge_table(&edges, || {
             rebuilt = true;
-            full()
+            build()
         });
-        assert!(rebuilt, "the oldest cull was evicted");
-        assert!(!Arc::ptr_eq(&first, &back));
+        assert!(rebuilt, "the oldest table was evicted");
+        assert!(!Arc::ptr_eq(first.cull(), back.cull()));
         assert_eq!(cache.totals(), TableCacheStats::default());
+    }
+
+    /// The depth envelope of pair `(z, z + 1)` on `row` as a serial second
+    /// pass over `table`'s depths finds it: the min/max of the row's finite
+    /// depths at both steps, `None` (never culled) where any depth is not
+    /// finite or none is.
+    fn serial_envelope(table: &EdgeTable, z: usize, row: usize) -> Option<(f64, f64)> {
+        let (n_cols, n_steps) = (table.n_cols, table.n_steps);
+        let r = row - table.row0;
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (c, step) in (0..n_cols).flat_map(|c| [(c, z), (c, z + 1)]) {
+            let d = table.depths[(r * n_cols + c) * n_steps + step];
+            if !d.is_finite() {
+                return None;
+            }
+            lo = lo.min(d);
+            hi = hi.max(d);
+        }
+        (lo <= hi).then_some((lo, hi))
     }
 
     #[test]
     fn edge_tables_hold_the_kernel_depths_for_their_exact_inputs() {
-        // Big enough to build on every host core.
-        let geom = ScanGeometry::demo(40, 36, 50, -60.0, 2.0).unwrap();
+        // Big enough to build on every host core, with the wire tilted so
+        // that a row's depths differ from column to column.
+        let mut geom = ScanGeometry::demo(40, 36, 50, -60.0, 2.0).unwrap();
+        let w = &geom.wire;
+        geom.wire = laue_geometry::WireGeometry::new(
+            Vec3::new(1.0, 0.05, 0.02),
+            w.radius,
+            w.origin,
+            w.step,
+            w.n_steps,
+        )
+        .unwrap();
         let cfg = ReconstructionConfig::new(-400.0, 400.0, 40);
         let mapper = geom.mapper().unwrap();
         let edge = cfg.wire_edge;
@@ -764,6 +809,26 @@ mod tests {
             table.pair_depths(3, 4, 7, pixel(3, 5), wire(7), wire(8)),
             None
         );
+        // The cull recorded in the build's row bands holds the serial
+        // pass's envelope exactly: a window ending one ulp above its low
+        // end or starting one ulp below its high end keeps the strip, one
+        // ending at the low end or starting at the high end culls it.
+        let mut bounded = 0;
+        for (z, r) in (0..49).flat_map(|z| (0..40).map(move |r| (z, r))) {
+            let live = |start: f64, end: f64| {
+                let cfg = ReconstructionConfig::new(start, end, 40);
+                table.cull().pair_row_live(&cfg, z, r)
+            };
+            match serial_envelope(&table, z, r) {
+                None => assert!(live(1e9, 2e9), "pair {z}, row {r}"),
+                Some((lo, hi)) => {
+                    bounded += 1;
+                    assert!(live(-1e9, lo.next_up()) && !live(-1e9, lo), "{z}, {r}");
+                    assert!(live(hi.next_down(), 1e9) && !live(hi, 1e9), "{z}, {r}");
+                }
+            }
+        }
+        assert!(bounded > 0);
         // A banded table answers for its bands' rows only.
         let banded = EdgeTable::build(&geom, &mapper, edge, &[2..5, 9..12]);
         for r in [2, 4, 9, 11] {

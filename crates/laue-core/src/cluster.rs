@@ -66,7 +66,6 @@ use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
 use crate::multi::failover_rounds;
 use crate::planner::Plan;
-use crate::planning::ShadowCull;
 use crate::Result;
 
 /// Fixed per-segment envelope: slab header, CRC frame, RDMA descriptor.
@@ -307,8 +306,8 @@ fn schedule_reduction(
 /// ([`EdgeTable::resolve`]): `cache`'s full-detector table, or, with no
 /// cache, a table over the rows the call processes when it ships host
 /// tables or culls. Every ring's in-kernel `set_two` reads it, a
-/// host-table ring ships it, and with compaction on the one wire-shadow
-/// cull is derived from it ([`ShadowCull::resolve`]); each ring charges
+/// host-table ring ships it, and with compaction on every ring reads the
+/// wire-shadow cull built with it ([`EdgeTable::cull`]); each ring charges
 /// its own band's cull triangulations.
 ///
 /// The run starts from `progress` (fresh, or replayed from a
@@ -403,7 +402,7 @@ fn execute(
     let cull = edges
         .as_deref()
         .filter(|_| cfg.compaction.enabled())
-        .map(|edges| ShadowCull::resolve(cache, geom, cfg, edges));
+        .map(|edges| &*edges.cull);
     let ring_edges = edges.as_deref().filter(|_| kernel_table || host_tables);
 
     let mut run = GpuReconstruction {
@@ -454,7 +453,7 @@ fn execute(
                         &plan,
                         cache,
                         ring_edges,
-                        cull.as_deref(),
+                        cull,
                         band.clone(),
                         &mut run,
                         &mut out.integrity,
@@ -883,6 +882,7 @@ mod tests {
     fn every_band_reads_one_cull_and_is_charged_its_own_rows() {
         use crate::cache::{DepthTableCache, EdgeTable, TableKey};
         use crate::config::CompactionMode;
+        use std::sync::Arc;
         let (geom, mut cfg, data) = demo();
         cfg.compaction = CompactionMode::On;
         let cache = DepthTableCache::new(0);
@@ -917,12 +917,38 @@ mod tests {
             .unwrap();
             assert_eq!(out.host_table_flops, EdgeTable::build_flops(&geom, 3));
         }
-        // The cached runs read one full-detector cull.
-        let cull = cache.shadow_cull(&TableKey::new(&geom, &cfg), || panic!("cull not cached"));
-        let full = ShadowCull::compute(&geom, &geom.mapper().unwrap(), &cfg, 0..8);
-        for z in 0..9 {
+        // The cached runs read one full-detector cull, their edge table's,
+        // and a run of another binning and window reads it too.
+        let edges = TableKey::edges(&geom, cfg.wire_edge);
+        let table = cache.edge_table(&edges, || panic!("edge table not cached"));
+        let mut other = ReconstructionConfig::new(-300.0, 100.0, cfg.n_depth_bins + 5);
+        other.compaction = CompactionMode::On;
+        let c = build(3, 1, InterconnectProps::ib_qdr());
+        let plan = plan(&c, &other, ClusterOptions::default());
+        reconstruct_cluster(
+            &refs(&c),
+            &c.net,
+            &mut source(),
+            &geom,
+            &other,
+            plan,
+            Some(&cache),
+        )
+        .unwrap();
+        let kept = cache.edge_table(&edges, || panic!("edge table not cached"));
+        assert!(Arc::ptr_eq(table.cull(), kept.cull()));
+        let fresh = EdgeTable::build(
+            &geom,
+            &geom.mapper().unwrap(),
+            cfg.wire_edge,
+            std::slice::from_ref(&(0..8)),
+        );
+        for window in [&cfg, &other] {
             for r in 0..8 {
-                assert_eq!(cull.pair_row_live(z, r), full.pair_row_live(z, r));
+                assert_eq!(
+                    table.cull().live_pairs(window, r),
+                    fresh.cull().live_pairs(window, r)
+                );
             }
         }
     }

@@ -8,6 +8,8 @@
 //! thread, so no synchronisation is needed (unlike the GPU kernel, whose
 //! thread-per-pair mapping races on output bins and needs `atomicAdd`).
 
+use std::ops::Range;
+
 use cuda_sim::{Cost, HostProps};
 use laue_geometry::{DepthMapper, Vec3};
 
@@ -16,12 +18,14 @@ use crate::config::{CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::input::ScanView;
+use crate::multi::row_bands;
 use crate::output::DepthImage;
 use crate::pair::{
-    deposit_plan, differential, plan_with_edges, process_pair, COMPACT_ENTRY_BYTES,
-    MEM_BYTES_PER_DEPOSIT, MEM_BYTES_PER_PAIR, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR,
+    deposit_plan, plan_with_edges, COMPACT_ENTRY_BYTES, MEM_BYTES_PER_DEPOSIT, MEM_BYTES_PER_PAIR,
+    PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR,
 };
-use crate::planning::ShadowCull;
+use crate::planner::host_compaction_wins;
+use crate::planning::{plan_slab_sparsity, unpack_entry, ShadowCull};
 use crate::stats::{PairOutcome, ReconStats};
 use crate::Result;
 
@@ -65,13 +69,13 @@ pub(crate) fn check_shapes(view: &ScanView<'_>, geom: &ScanGeometry) -> Result<(
     Ok(())
 }
 
-/// The host's one dense pair loop, shared by [`reconstruct_rows`] and the
-/// integrity layer's ABFT reference. Each pixel walks its pairs in
-/// ascending `z`, planned exactly as [`plan_pair`](crate::pair::plan_pair)
-/// plans them. Pair `z`'s trailing edge is pair `z + 1`'s leading edge, so
-/// each edge depth is triangulated once and handed on; the cost still
-/// charges both edges of every above-cutoff pair, the work the modeled host
-/// does.
+/// The host's one pair loop, shared by [`reconstruct_rows`], the sparse
+/// CPU path and the integrity layer's ABFT reference. Each pixel walks the
+/// pairs it is given in ascending `z`, planned exactly as
+/// [`plan_pair`](crate::pair::plan_pair) plans them. Pair `z`'s trailing
+/// edge is pair `z + 1`'s leading edge, so each edge depth is triangulated
+/// once and handed on; the cost still charges both edges of every
+/// above-cutoff pair, the work the modeled host does.
 pub(crate) struct DenseWalk<'a> {
     view: ScanView<'a>,
     geom: &'a ScanGeometry,
@@ -106,12 +110,13 @@ impl<'a> DenseWalk<'a> {
         &self.view
     }
 
-    /// Walk every pair of view pixel `(r, c)`, depositing through
-    /// `deposit(bin, amount)` in pair order.
+    /// Walk the pairs `pairs` (ascending) of view pixel `(r, c)`,
+    /// depositing through `deposit(bin, amount)` in pair order.
     pub(crate) fn pixel(
         &self,
         r: usize,
         c: usize,
+        pairs: impl IntoIterator<Item = usize>,
         stats: &mut ReconStats,
         cost: &mut Cost,
         mut deposit: impl FnMut(usize, f64),
@@ -128,7 +133,7 @@ impl<'a> DenseWalk<'a> {
         };
         // The last triangulated trailing edge: (step, depth).
         let mut trailing: (usize, Option<f64>) = (usize::MAX, None);
-        for z in 0..view.n_images - 1 {
+        for z in pairs {
             cost.mem_bytes += MEM_BYTES_PER_PAIR;
             let (i0, i1) = (view.at(z, r, c), view.at(z + 1, r, c));
             let plan = plan_with_edges(cfg, i0, i1, &mut cost.flops, || {
@@ -149,161 +154,92 @@ impl<'a> DenseWalk<'a> {
     }
 }
 
-/// Reconstruct a row range into a slab-local image (rows are relative to
-/// `rows.start`). `detector_row_offset` maps the view's row indices onto
-/// detector rows (non-zero when `view` is a streamed slab). Shared by the
-/// sequential and threaded engines, and by the integrity layer
-/// as the repair donor a persistently corrupting device's slab is replaced
+/// Reconstruct the rows `rows` of `walk`'s view into an image local to
+/// them (rows relative to `rows.start`), every pair of every pixel. Shared
+/// by the sequential and threaded engines, and by the integrity layer as
+/// the repair donor a persistently corrupting device's slab is replaced
 /// with.
 pub(crate) fn reconstruct_rows(
-    view: &ScanView<'_>,
-    geom: &ScanGeometry,
-    mapper: &DepthMapper,
-    cfg: &ReconstructionConfig,
-    rows: std::ops::Range<usize>,
-    detector_row_offset: usize,
+    walk: &DenseWalk<'_>,
+    rows: Range<usize>,
 ) -> (DepthImage, ReconStats, Cost) {
-    let mut image = DepthImage::zeroed(cfg.n_depth_bins, rows.len(), view.n_cols);
+    let view = walk.view();
+    let mut image = DepthImage::zeroed(walk.cfg.n_depth_bins, rows.len(), view.n_cols);
     let mut stats = ReconStats::default();
     let mut cost = Cost::default();
-    let walk = DenseWalk::new(*view, geom, mapper, cfg, detector_row_offset);
-    let row0 = rows.start;
-    for r in rows {
+    let pairs = 0..view.n_images - 1;
+    for (i, r) in rows.enumerate() {
         for c in 0..view.n_cols {
-            walk.pixel(r, c, &mut stats, &mut cost, |bin, amount| {
-                *image.at_mut(bin, r - row0, c) += amount;
+            walk.pixel(r, c, pairs.clone(), &mut stats, &mut cost, |bin, amount| {
+                *image.at_mut(bin, i, c) += amount;
             });
         }
     }
     (image, stats, cost)
 }
 
-/// Sparsity-aware variant of [`reconstruct_rows`]: the host-side equivalent
-/// of the GPU prescan kernel. Pass 1 walks each pixel's step column once,
-/// testing every non-culled pair against the cutoff (charged at prescan
-/// rates); pass 2 then executes either the compacted work-list or — when
-/// [`CompactionMode::Auto`] measures a high density — the dense loop over
-/// the non-culled strips. Deposits happen per output cell in the same
-/// step-ascending order as the dense path, so the image is bit-identical.
+/// Sparsity-aware [`reconstruct_rows`]: the host prescan
+/// ([`plan_slab_sparsity`], charged at prescan rates) settles every culled
+/// strip and tests each live pair against the cutoff; the walk then visits
+/// each pixel's compacted work-list slice or — when
+/// [`CompactionMode::Auto`] finds the compacted walk no cheaper
+/// ([`host_compaction_wins`]) — all its live pairs. Deposits happen per
+/// output cell in the same step-ascending order as the dense path, so the
+/// image is bit-identical.
 ///
 /// Returns the measured active density (active / non-culled pairs) along
 /// with the usual triple. The cull's own build cost is *not* charged here —
 /// callers charge its triangulations ([`EdgeTable::build_flops`]) exactly
 /// once per run.
 fn reconstruct_rows_sparse(
-    view: &ScanView<'_>,
-    geom: &ScanGeometry,
-    mapper: &DepthMapper,
-    cfg: &ReconstructionConfig,
-    rows: std::ops::Range<usize>,
-    detector_row_offset: usize,
+    walk: &DenseWalk<'_>,
     cull: &ShadowCull,
+    rows: Range<usize>,
 ) -> (DepthImage, ReconStats, Cost, f64) {
-    let n_rows_out = rows.len();
+    let (view, cfg) = (walk.view(), walk.cfg);
     let n_cols = view.n_cols;
-    let mut image = DepthImage::zeroed(cfg.n_depth_bins, n_rows_out, n_cols);
+    let sp = plan_slab_sparsity(view, rows.clone(), walk.detector_row_offset, cull, cfg);
+    let mut image = DepthImage::zeroed(cfg.n_depth_bins, rows.len(), n_cols);
     let mut stats = ReconStats::default();
-    let mut cost = Cost::default();
-    let wire_centers = geom.wire.centers();
-    let n_pairs = view.n_images - 1;
-    let row0 = rows.start;
-
-    // Per row: the pairs that survive wire-shadow culling, plus how many
-    // distinct images a column scan over them touches (a run of k
-    // consecutive pairs shares loads and reads k + 1 images).
-    let live_per_row: Vec<Vec<usize>> = rows
-        .clone()
-        .map(|r| cull.live_pairs(detector_row_offset + r))
-        .collect();
-    for live in &live_per_row {
-        for z in 0..n_pairs {
-            if !live.contains(&z) {
-                stats.record_culled_row(n_cols as u64);
-            }
-        }
+    for _ in 0..sp.culled_combos {
+        stats.record_culled_row(n_cols as u64);
     }
-
-    // Pass 1 — prescan: mark pairs with |ΔI| above the cutoff.
-    let mut active = vec![false; n_rows_out * n_cols * n_pairs];
-    let mut live_total = 0u64;
-    let mut active_total = 0u64;
-    for (i, live) in live_per_row.iter().enumerate() {
-        if live.is_empty() {
-            continue;
-        }
-        let mut touched = live.len() as u64 + 1;
-        for w in live.windows(2) {
-            if w[1] != w[0] + 1 {
-                touched += 1;
-            }
-        }
-        let r = row0 + i;
-        for c in 0..n_cols {
-            cost.mem_bytes += PRESCAN_BYTES_PER_READ * touched;
-            cost.flops += PRESCAN_FLOPS_PER_PAIR * live.len() as u64;
-            live_total += live.len() as u64;
-            for &z in live {
-                let delta = differential(cfg, view.at(z, r, c), view.at(z + 1, r, c));
-                if delta.abs() > cfg.intensity_cutoff {
-                    active[(i * n_cols + c) * n_pairs + z] = true;
-                    active_total += 1;
-                }
-            }
-        }
-    }
-    let density = if live_total == 0 {
-        0.0
-    } else {
-        active_total as f64 / live_total as f64
-    };
+    let live = (sp.combos.len() * n_cols) as u64;
     let compact = match cfg.compaction {
         CompactionMode::On => true,
-        CompactionMode::Auto => crate::planner::host_compaction_wins(live_total, active_total),
+        CompactionMode::Auto => host_compaction_wins(live, sp.entries.len() as u64),
         CompactionMode::Off => unreachable!("sparse path requires compaction"),
     };
-
-    // Pass 2 — execute. Compact: only active pairs, each paying the
-    // work-list emit + read on top of the dense per-pair traffic;
-    // sub-cutoff pairs were already settled by the prescan. Dense
-    // fallback: every non-culled pair pays the full dense rate (the
-    // prescan was measurement overhead, charged above).
-    for (i, live) in live_per_row.iter().enumerate() {
-        if live.is_empty() {
-            continue;
-        }
-        let r = row0 + i;
+    // The prescan reads each touched image once per pixel and compares
+    // every live pair.
+    let mut cost = Cost {
+        mem_bytes: PRESCAN_BYTES_PER_READ * sp.touched_sum() * n_cols as u64,
+        flops: PRESCAN_FLOPS_PER_PAIR * live,
+        ..Cost::default()
+    };
+    // Compact: only active pairs, each paying the work-list emit + read on
+    // top of the dense per-pair traffic; sub-cutoff pairs were already
+    // settled by the prescan. Otherwise every live pair pays the full
+    // dense rate (the prescan was measurement overhead, charged above).
+    for (i, r) in rows.enumerate() {
         for c in 0..n_cols {
-            let pixel = geom
-                .detector
-                .pixel_to_xyz_unchecked((detector_row_offset + r) as f64, c as f64);
-            for &z in live {
-                if compact && !active[(i * n_cols + c) * n_pairs + z] {
+            let pix = i * n_cols + c;
+            let deposit = |bin: usize, amount: f64| *image.at_mut(bin, i, c) += amount;
+            if compact {
+                let list = sp.pixel_entries(pix);
+                let pairs = list.iter().map(|&e| unpack_entry(e).2);
+                walk.pixel(r, c, pairs, &mut stats, &mut cost, deposit);
+                cost.mem_bytes += 2 * COMPACT_ENTRY_BYTES * list.len() as u64;
+                for _ in 0..sp.below_per_pixel[pix] {
                     stats.record_compacted();
-                    continue;
                 }
-                cost.mem_bytes += MEM_BYTES_PER_PAIR;
-                if compact {
-                    cost.mem_bytes += 2 * COMPACT_ENTRY_BYTES;
-                }
-                let outcome = process_pair(
-                    mapper,
-                    cfg,
-                    pixel,
-                    wire_centers[z],
-                    wire_centers[z + 1],
-                    view.at(z, r, c),
-                    view.at(z + 1, r, c),
-                    |bin, amount| {
-                        cost.mem_bytes += MEM_BYTES_PER_DEPOSIT;
-                        *image.at_mut(bin, i, c) += amount;
-                    },
-                    &mut cost.flops,
-                );
-                stats.record(outcome);
+            } else {
+                let pairs = sp.live_pairs[i].iter().map(|&z| z as usize);
+                walk.pixel(r, c, pairs, &mut stats, &mut cost, deposit);
             }
         }
     }
-    (image, stats, cost, density)
+    (image, stats, cost, sp.density)
 }
 
 /// The paper's baseline: a single-threaded pass over the whole stack, the
@@ -334,40 +270,32 @@ pub fn reconstruct_threaded(
         return Err(CoreError::InvalidConfig("n_threads must be ≥ 1".into()));
     }
     let mapper = geom.mapper()?;
-    let n_threads = n_threads.min(view.n_rows).max(1);
-    // Split rows as evenly as possible.
-    let base = view.n_rows / n_threads;
-    let extra = view.n_rows % n_threads;
-    let mut ranges = Vec::with_capacity(n_threads);
-    let mut start = 0;
-    for t in 0..n_threads {
-        let len = base + usize::from(t < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    let cull = cfg
-        .compaction
-        .enabled()
-        .then(|| ShadowCull::compute(geom, &mapper, cfg, 0..view.n_rows));
+    // The cull alone: the depths it was recorded with drop right here.
+    let cull = cfg.compaction.enabled().then(|| {
+        let all = 0..view.n_rows;
+        EdgeTable::build(geom, &mapper, cfg.wire_edge, std::slice::from_ref(&all)).cull
+    });
     let parts: Vec<(DepthImage, ReconStats, Cost, usize, Option<f64>)> =
         std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
+            let handles: Vec<_> = row_bands(view.n_rows, n_threads)
                 .into_iter()
-                .map(|range| {
-                    let mapper = &mapper;
-                    let cull = cull.as_ref();
+                .map(|band| {
+                    let (mapper, cull) = (&mapper, cull.as_deref());
+                    // Each worker builds its own walk: one walk built before
+                    // the spawn and shared (1.5 KB of wire centres) moved
+                    // glibc's heap placement enough to raise the
+                    // production-sparse benchmark's peak RSS by 6 MiB.
                     scope.spawn(move || {
-                        let row0 = range.start;
+                        let walk = &DenseWalk::new(*view, geom, mapper, cfg, 0);
+                        let row0 = band.start;
                         match cull {
                             Some(cull) => {
-                                let (img, stats, cost, density) = reconstruct_rows_sparse(
-                                    view, geom, mapper, cfg, range, 0, cull,
-                                );
+                                let (img, stats, cost, density) =
+                                    reconstruct_rows_sparse(walk, cull, band);
                                 (img, stats, cost, row0, Some(density))
                             }
                             None => {
-                                let (img, stats, cost) =
-                                    reconstruct_rows(view, geom, mapper, cfg, range, 0);
+                                let (img, stats, cost) = reconstruct_rows(walk, band);
                                 (img, stats, cost, row0, None)
                             }
                         }
@@ -415,6 +343,7 @@ pub fn reconstruct_threaded(
 pub(crate) mod tests {
     use super::*;
     use crate::input::InMemorySlabSource;
+    use crate::pair::{differential, process_pair};
     use laue_geometry::WireEdge;
     use proptest::prelude::*;
 
@@ -460,6 +389,114 @@ pub(crate) mod tests {
             }
         }
         (image, stats, cost)
+    }
+
+    /// The two-pass sparse loop as it was before the engines shared the
+    /// GPU path's prescan and [`DenseWalk`], kept as the oracle the shared
+    /// path must match. Pass 1 walks each pixel's step column once, testing
+    /// every non-culled pair against the cutoff (charged at prescan rates);
+    /// pass 2 then executes either the active pairs or — when
+    /// [`CompactionMode::Auto`] measures a high density — every non-culled
+    /// pair, each through `process_pair`.
+    fn reconstruct_rows_sparse_oracle(
+        view: &ScanView<'_>,
+        geom: &ScanGeometry,
+        mapper: &DepthMapper,
+        cfg: &ReconstructionConfig,
+        rows: std::ops::Range<usize>,
+        cull: &ShadowCull,
+    ) -> (DepthImage, ReconStats, Cost, f64) {
+        let n_rows_out = rows.len();
+        let n_cols = view.n_cols;
+        let mut image = DepthImage::zeroed(cfg.n_depth_bins, n_rows_out, n_cols);
+        let mut stats = ReconStats::default();
+        let mut cost = Cost::default();
+        let wire_centers = geom.wire.centers();
+        let n_pairs = view.n_images - 1;
+        let row0 = rows.start;
+        let live_per_row: Vec<Vec<usize>> = rows
+            .clone()
+            .map(|r| {
+                let live = cull.live_pairs(cfg, r);
+                live.into_iter().map(|z| z as usize).collect()
+            })
+            .collect();
+        for live in &live_per_row {
+            for z in 0..n_pairs {
+                if !live.contains(&z) {
+                    stats.record_culled_row(n_cols as u64);
+                }
+            }
+        }
+        let mut active = vec![false; n_rows_out * n_cols * n_pairs];
+        let mut live_total = 0u64;
+        let mut active_total = 0u64;
+        for (i, live) in live_per_row.iter().enumerate() {
+            if live.is_empty() {
+                continue;
+            }
+            let mut touched = live.len() as u64 + 1;
+            for w in live.windows(2) {
+                if w[1] != w[0] + 1 {
+                    touched += 1;
+                }
+            }
+            let r = row0 + i;
+            for c in 0..n_cols {
+                cost.mem_bytes += PRESCAN_BYTES_PER_READ * touched;
+                cost.flops += PRESCAN_FLOPS_PER_PAIR * live.len() as u64;
+                live_total += live.len() as u64;
+                for &z in live {
+                    let delta = differential(cfg, view.at(z, r, c), view.at(z + 1, r, c));
+                    if delta.abs() > cfg.intensity_cutoff {
+                        active[(i * n_cols + c) * n_pairs + z] = true;
+                        active_total += 1;
+                    }
+                }
+            }
+        }
+        let density = if live_total == 0 {
+            0.0
+        } else {
+            active_total as f64 / live_total as f64
+        };
+        let compact = match cfg.compaction {
+            CompactionMode::On => true,
+            CompactionMode::Auto => host_compaction_wins(live_total, active_total),
+            CompactionMode::Off => unreachable!("sparse path requires compaction"),
+        };
+        for (i, live) in live_per_row.iter().enumerate() {
+            let r = row0 + i;
+            for c in 0..n_cols {
+                let pixel = geom.detector.pixel_to_xyz_unchecked(r as f64, c as f64);
+                for &z in live {
+                    if compact && !active[(i * n_cols + c) * n_pairs + z] {
+                        stats.record_compacted();
+                        continue;
+                    }
+                    cost.mem_bytes += MEM_BYTES_PER_PAIR;
+                    if compact {
+                        cost.mem_bytes += 2 * COMPACT_ENTRY_BYTES;
+                    }
+                    let outcome = process_pair(
+                        mapper,
+                        cfg,
+                        pixel,
+                        wire_centers[z],
+                        wire_centers[z + 1],
+                        view.at(z, r, c),
+                        view.at(z + 1, r, c),
+                        |bin, amount| {
+                            cost.mem_bytes += MEM_BYTES_PER_DEPOSIT;
+                            *image.at_mut(bin, i, c) += amount;
+                        },
+                        &mut cost.flops,
+                    );
+                    stats.record(outcome);
+                }
+            }
+        }
+        (image, stats, cost, density)
     }
 
     /// Intensities a random stack draws from: repeats (pairs at the
@@ -813,6 +850,65 @@ pub(crate) mod tests {
             prop_assert_eq!(&par.image.data, &image.data);
             prop_assert_eq!(par.stats, stats);
             prop_assert_eq!(par.cost, cost);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The threaded sparse engine merges to what the two-pass oracle
+        /// gives band by band: the image bits, the stats, the `Cost` (one
+        /// full-detector cull charged once) and one density per band.
+        #[test]
+        fn sparse_engines_match_the_two_pass_oracle(
+            stack in random_stack(10, 7, 6),
+            cutoff in prop_oneof![Just(0.0f64), 0.0f64..60.0],
+            edge in wire_edge(),
+            start in -700.0f64..0.0,
+            width in 100.0f64..700.0,
+            bins in 1usize..90,
+        ) {
+            let (p, m, n, data) = stack;
+            let geom = ScanGeometry::demo(m, n, p, -60.0, 6.0).unwrap();
+            let mapper = geom.mapper().unwrap();
+            let view = ScanView::new(&data, p, m, n).unwrap();
+            let all = 0..m;
+            let cull = EdgeTable::build(&geom, &mapper, edge, std::slice::from_ref(&all)).cull;
+            for mode in [CompactionMode::On, CompactionMode::Auto] {
+                let mut cfg = ReconstructionConfig::new(start, start + width, bins);
+                cfg.intensity_cutoff = cutoff;
+                cfg.wire_edge = edge;
+                cfg.compaction = mode;
+                for threads in [1, 3] {
+                    let mut image = DepthImage::zeroed(bins, m, n);
+                    let mut stats = ReconStats::default();
+                    let mut cost = Cost {
+                        flops: EdgeTable::build_flops(&geom, m),
+                        ..Cost::default()
+                    };
+                    let mut densities = Vec::new();
+                    for band in row_bands(m, threads) {
+                        let (part, part_stats, part_cost, density) =
+                            reconstruct_rows_sparse_oracle(
+                                &view, &geom, &mapper, &cfg, band.clone(), &cull,
+                            );
+                        stats.merge(&part_stats);
+                        cost.merge(&part_cost);
+                        densities.push(density);
+                        for (bin, r, c) in (0..bins).flat_map(|b| {
+                            (0..band.len()).flat_map(move |r| (0..n).map(move |c| (b, r, c)))
+                        }) {
+                            *image.at_mut(bin, band.start + r, c) = part.at(bin, r, c);
+                        }
+                    }
+                    let got = reconstruct_threaded(&view, &geom, &cfg, threads).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got.image.data), bits(&image.data));
+                    prop_assert_eq!(got.stats, stats);
+                    prop_assert_eq!(got.cost, cost);
+                    prop_assert_eq!(bits(&got.slab_densities), bits(&densities));
+                }
+            }
         }
     }
 

@@ -46,6 +46,7 @@
 
 pub mod batch;
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -60,7 +61,7 @@ use crate::cluster::NodeOutcome;
 use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::input::SlabSource;
+use crate::input::{ScanView, SlabSource};
 use crate::integrity::{self, IntegrityReport};
 use crate::journal::{RunJournal, SlabProgress};
 use crate::output::DepthImage;
@@ -68,7 +69,7 @@ use crate::pair::{
     plan_pair, plan_with_edges, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR,
 };
 use crate::planner::{Pins, Plan};
-use crate::planning::ShadowCull;
+use crate::planning::{plan_slab_sparsity, unpack_entry, ShadowCull, SlabSparsity};
 use crate::stats::ReconStats;
 use crate::Result;
 
@@ -526,129 +527,6 @@ pub(crate) struct DepthTableRef {
     n_steps: usize,
 }
 
-/// The two-level sparsity plan for one slab: which `(row, pair)` combos
-/// survive wire-shadow culling, and — from the prescan — which `(pixel,
-/// pair)` entries carry a differential above the cutoff.
-///
-/// Host-side this is the ground truth the metered `prescan` kernel writes
-/// into the device work-list; the main kernel then reads the list back
-/// through metered accesses, so the virtual-time model charges both sides
-/// of the compaction hand-off.
-pub(crate) struct SlabSparsity {
-    /// Slab-local rows with at least one live pair (prescan launch domain).
-    live_rows: Vec<u32>,
-    /// Per slab row: live pair indices, ascending (empty for culled rows).
-    live_pairs: Vec<Vec<u32>>,
-    /// Per slab row: distinct images one pixel's prescan column scan reads
-    /// (a run of `k` consecutive live pairs touches `k + 1` images).
-    touched: Vec<u32>,
-    /// Live `(slab_row, pair)` combos in `(r, z)` order — the banded launch
-    /// domain used when culling bites but compaction is off for this slab.
-    combos: Vec<(u32, u32)>,
-    /// CSR offsets over slab pixels (`r · n_cols + c`), length
-    /// `rows · n_cols + 1`, indexing into `entries`.
-    offsets: Vec<u32>,
-    /// Active entries packed `(r << 40) | (c << 20) | z`, `(r, c, z)` order
-    /// — the same per-output-cell deposit order as the dense launch.
-    entries: Vec<u64>,
-    /// Per slab pixel: live pairs whose differential fell below the cutoff
-    /// (traced by the prescan so the main kernel can skip them entirely).
-    below_per_pixel: Vec<u32>,
-    /// `(row, pair)` combos removed by wire-shadow culling.
-    culled_combos: u64,
-    /// Active fraction among live (un-culled) pairs; 0 when nothing is live.
-    density: f64,
-    /// Whether this slab launches over the compacted list.
-    compact: bool,
-}
-
-/// Build one slab's sparsity plan from its host-side intensities.
-fn plan_slab_sparsity(
-    slab: &[f64],
-    cull: &ShadowCull,
-    cfg: &ReconstructionConfig,
-    n_images: usize,
-    row0: usize,
-    rows: usize,
-    n_cols: usize,
-) -> SlabSparsity {
-    let n_pairs = n_images - 1;
-    let mut live_rows = Vec::new();
-    let mut live_pairs: Vec<Vec<u32>> = Vec::with_capacity(rows);
-    let mut touched = Vec::with_capacity(rows);
-    let mut combos = Vec::new();
-    let mut culled_combos = 0u64;
-    for r in 0..rows {
-        let live = cull.live_pairs(row0 + r);
-        culled_combos += (n_pairs - live.len()) as u64;
-        if !live.is_empty() {
-            live_rows.push(r as u32);
-            for &z in &live {
-                combos.push((r as u32, z as u32));
-            }
-        }
-        let mut t = 0u32;
-        let mut prev: Option<usize> = None;
-        for &z in &live {
-            t += if prev == Some(z.wrapping_sub(1)) {
-                1
-            } else {
-                2
-            };
-            prev = Some(z);
-        }
-        touched.push(t);
-        live_pairs.push(live.into_iter().map(|z| z as u32).collect());
-    }
-    let mut offsets = Vec::with_capacity(rows * n_cols + 1);
-    offsets.push(0u32);
-    let mut entries = Vec::new();
-    let mut below_per_pixel = vec![0u32; rows * n_cols];
-    let mut live_total = 0u64;
-    for r in 0..rows {
-        for c in 0..n_cols {
-            let pix = r * n_cols + c;
-            for &z in &live_pairs[r] {
-                let z = z as usize;
-                live_total += 1;
-                let i0 = slab[(z * rows + r) * n_cols + c];
-                let i1 = slab[((z + 1) * rows + r) * n_cols + c];
-                let delta = crate::pair::differential(cfg, i0, i1);
-                if delta.abs() > cfg.intensity_cutoff {
-                    entries.push(((r as u64) << 40) | ((c as u64) << 20) | z as u64);
-                } else {
-                    below_per_pixel[pix] += 1;
-                }
-            }
-            offsets.push(entries.len() as u32);
-        }
-    }
-    let density = if live_total == 0 {
-        0.0
-    } else {
-        entries.len() as f64 / live_total as f64
-    };
-    let compact = match cfg.compaction {
-        CompactionMode::Off => false,
-        CompactionMode::On => true,
-        // Placeholder: `upload_slab` overrides this with the planner's
-        // cost-model decision before any buffer is allocated.
-        CompactionMode::Auto => false,
-    };
-    SlabSparsity {
-        live_rows,
-        live_pairs,
-        touched,
-        combos,
-        offsets,
-        entries,
-        below_per_pixel,
-        culled_combos,
-        density,
-        compact,
-    }
-}
-
 pub(crate) struct SlabUpload {
     buffers: SlabBuffers,
     pixels: DeviceBuffer<f64>,
@@ -663,6 +541,9 @@ pub(crate) struct SlabUpload {
     ready_at: f64,
     /// Sparsity plan, present whenever compaction is enabled for the run.
     sparsity: Option<SlabSparsity>,
+    /// Whether this slab launches over the compacted list: always under
+    /// [`CompactionMode::On`], the planner's pick under `Auto`.
+    compact: bool,
     /// Device work-list the prescan emits (compact slabs only).
     list_buf: Option<DeviceBuffer<u64>>,
     /// Prescan's count cell (one u64; the count phase is always paid).
@@ -689,14 +570,16 @@ fn upload_slab(
     let layout = ctx.opts.layout;
     let n_images = source.n_images();
     let n_cols = source.n_cols();
-    let slab = source.read_slab(row0, rows)?;
-    debug_assert_eq!(slab.len(), n_images * rows * n_cols);
+    let mut slab = ctx.slab.borrow_mut();
+    source.read_slab_into(row0, rows, &mut slab)?;
+    let slab: &[f64] = &slab;
+    let view = ScanView::new(slab, n_images, rows, n_cols)?;
 
     // Sparsity planning happens against the host copy of the slab; the
     // device-side cost of the scan is charged by the prescan kernel.
-    let mut sparsity = ctx
+    let sparsity = ctx
         .cull
-        .map(|cull| plan_slab_sparsity(&slab, cull, cfg, n_images, row0, rows, n_cols));
+        .map(|cull| plan_slab_sparsity(&view, 0..rows, row0, cull, cfg));
 
     // Per-slab planner decision: with either knob on Auto, the slab's
     // measured sparsity counts plus a sampled intensity probe feed the
@@ -704,9 +587,10 @@ fn upload_slab(
     // accumulation strategy for this slab's kernels.
     let needs_planner = matches!(cfg.compaction, CompactionMode::Auto)
         || matches!(cfg.accumulation, AccumulationMode::Auto);
+    let mut compact = matches!(cfg.compaction, CompactionMode::On);
     let accum = if needs_planner {
         let probe = crate::planner::SlabProbe::sample(
-            &slab,
+            slab,
             geom,
             ctx.mapper,
             cfg,
@@ -727,11 +611,7 @@ fn upload_slab(
                 live_evals: (sp.combos.len() * n_cols) as u64,
                 entries: sp.entries.len() as u64,
                 culled_combos: sp.culled_combos,
-                touched_sum: sp
-                    .live_rows
-                    .iter()
-                    .map(|&r| sp.touched[r as usize] as u64)
-                    .sum(),
+                touched_sum: sp.touched_sum(),
                 rates,
             },
             None => crate::planner::SlabModel::dense(
@@ -751,9 +631,7 @@ fn upload_slab(
             cfg.accumulation,
         );
         if matches!(cfg.compaction, CompactionMode::Auto) {
-            if let Some(sp) = &mut sparsity {
-                sp.compact = decision.compact;
-            }
+            compact = decision.compact;
         }
         match cfg.accumulation {
             AccumulationMode::Auto => decision.accum,
@@ -767,7 +645,7 @@ fn upload_slab(
         None => None,
     };
     let list_buf = match &sparsity {
-        Some(sp) if sp.compact && !sp.entries.is_empty() => {
+        Some(sp) if compact && !sp.entries.is_empty() => {
             Some(device.alloc::<u64>(sp.entries.len())?)
         }
         _ => None,
@@ -866,6 +744,7 @@ fn upload_slab(
         row0,
         ready_at,
         sparsity,
+        compact,
         list_buf,
         counter_buf,
         accum,
@@ -901,7 +780,7 @@ pub(crate) fn launch_prescan(
         // a subtract-and-compare per live pair.
         ctx.charge_mem_bytes(PRESCAN_BYTES_PER_READ * sp.touched[r] as u64);
         ctx.charge_flops(PRESCAN_FLOPS_PER_PAIR * sp.live_pairs[r].len() as u64);
-        if sp.compact {
+        if upload.compact {
             let pix = r * n_cols + c;
             for _ in 0..sp.below_per_pixel[pix] {
                 ctx.trace(TRACE_BELOW_CUTOFF);
@@ -1037,7 +916,7 @@ pub(crate) fn launch_set_two<E: EdgeDepths>(
     let n_pairs = n_images - 1;
     let shape = match &upload.sparsity {
         None => LaunchShape::Dense,
-        Some(sp) if sp.compact => {
+        Some(sp) if upload.compact => {
             if sp.entries.is_empty() {
                 return Ok(None);
             }
@@ -1113,12 +992,7 @@ pub(crate) fn launch_set_two<E: EdgeDepths>(
                 }
                 // Entries were emitted in (r, c, z) order, so per-cell
                 // deposit order matches the dense pair-fastest mapping.
-                let e = ctx.read(list, id);
-                (
-                    ((e >> 40) & 0xFFFFF) as usize,
-                    ((e >> 20) & 0xFFFFF) as usize,
-                    (e & 0xFFFFF) as usize,
-                )
+                unpack_entry(ctx.read(list, id))
             }
         };
         match eval_pair(ctx, r, c, z) {
@@ -1337,7 +1211,7 @@ where
                     // Entries are (r, c, z)-ordered, so this pixel's slice
                     // is already ascending in z.
                     let e = ctx.read(list, k);
-                    deposit(ctx, tile_row, r, c, (e & 0xFFFFF) as usize);
+                    deposit(ctx, tile_row, r, c, unpack_entry(e).2);
                 }
             }
         }
@@ -1477,6 +1351,9 @@ pub(crate) struct RingCtx<'a> {
     cull: Option<&'a ShadowCull>,
     n_images: usize,
     n_cols: usize,
+    /// The host buffer each slab read of the ring lands in, so the ring
+    /// holds one host slab however many it uploads and re-reads.
+    slab: RefCell<Vec<f64>>,
 }
 
 /// Check the launches of one slab against their watchdog deadline: a
@@ -1660,7 +1537,15 @@ fn commit_slab(
 
     // ABFT: redundant host recompute, charged to the overlapped host-CPU
     // resource so the planner's virtual-time model prices it.
-    let reference = integrity::slab_reference(source, ctx.geom, ctx.mapper, cfg, row0, rows)?;
+    let reference = integrity::slab_reference(
+        source,
+        &mut ctx.slab.borrow_mut(),
+        ctx.geom,
+        ctx.mapper,
+        cfg,
+        row0,
+        rows,
+    )?;
     let host_t0 = device.host_flops_time_s();
     device.charge_host_flops(reference.host_flops);
     integrity.verify_host_cpu_s += device.host_flops_time_s() - host_t0;
@@ -1959,6 +1844,7 @@ pub(crate) fn run_ring(
         cull,
         n_images,
         n_cols,
+        slab: RefCell::new(Vec::new()),
     };
     let (table_source, mut host_table_flops) = resolve_table_source(
         &ctx,
@@ -2206,6 +2092,67 @@ mod tests {
             assert_eq!(on.integrity.abft_mismatches, 0, "{layout:?}");
             assert_eq!(on.integrity.corruptions_detected, 0, "{layout:?}");
             assert!(on.integrity.checks_run >= 3, "{:?}", on.integrity);
+        }
+    }
+
+    /// A source that records the buffer each read lands in: its capacity
+    /// before the read and its address after.
+    struct OneBuffer {
+        inner: InMemorySlabSource,
+        reads: Vec<(usize, usize)>,
+    }
+
+    impl SlabSource for OneBuffer {
+        fn n_images(&self) -> usize {
+            self.inner.n_images()
+        }
+
+        fn n_rows(&self) -> usize {
+            self.inner.n_rows()
+        }
+
+        fn n_cols(&self) -> usize {
+            self.inner.n_cols()
+        }
+
+        fn read_slab(&mut self, _: usize, _: usize) -> Result<Vec<f64>> {
+            panic!("a ring reads into its buffer")
+        }
+
+        fn read_slab_into(&mut self, row0: usize, rows: usize, slab: &mut Vec<f64>) -> Result<()> {
+            let capacity = slab.capacity();
+            let read = self.inner.read_slab(row0, rows)?;
+            slab.clear();
+            slab.extend_from_slice(&read);
+            self.reads.push((capacity, slab.as_ptr() as usize));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_ring_reads_its_slabs_and_their_references_into_one_buffer() {
+        // Three 2-row slabs under `verify`: each upload and each ABFT
+        // re-read lands in the buffer the first read grew.
+        let (geom, cfg, data) = demo();
+        let verify = ReconstructionConfig {
+            integrity: crate::config::IntegrityMode::Verify,
+            rows_per_slab: Some(2),
+            ..cfg
+        };
+        let mut source = OneBuffer {
+            inner: InMemorySlabSource::new(data, 10, 6, 6).unwrap(),
+            reads: Vec::new(),
+        };
+        let out = reconstruct(&big_device(), &mut source, &geom, &verify, Layout::Flat1d).unwrap();
+        assert_eq!(out.integrity.abft_mismatches, 0);
+        assert_eq!(source.reads.len(), 6, "three uploads, three re-reads");
+        let (_, first) = source.reads[0];
+        for &(capacity, addr) in &source.reads[1..] {
+            assert!(
+                capacity >= 10 * 2 * 6 && addr == first,
+                "{:?}",
+                source.reads
+            );
         }
     }
 

@@ -241,6 +241,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
             row0: 0,
             ready_at,
             sparsity: None,
+            compact: false,
             list_buf: None,
             counter_buf: None,
             accum: AccumPlan::Atomic { fallback: false },

@@ -94,6 +94,19 @@ pub trait SlabSource {
     fn n_cols(&self) -> usize;
     /// Read rows `row0 .. row0 + n_rows_slab` of every image.
     fn read_slab(&mut self, row0: usize, n_rows_slab: usize) -> Result<Vec<f64>>;
+
+    /// [`SlabSource::read_slab`] into `slab`, whose allocation a source
+    /// may reuse: a GPU ring reads each of its slabs, and re-reads them for
+    /// the ABFT reference, into one buffer.
+    fn read_slab_into(
+        &mut self,
+        row0: usize,
+        n_rows_slab: usize,
+        slab: &mut Vec<f64>,
+    ) -> Result<()> {
+        *slab = self.read_slab(row0, n_rows_slab)?;
+        Ok(())
+    }
 }
 
 /// [`SlabSource`] over an in-memory stack.

@@ -48,6 +48,7 @@ use crate::config::ReconstructionConfig;
 use crate::cpu;
 use crate::geometry::ScanGeometry;
 use crate::input::{ScanView, SlabSource};
+use crate::multi::row_bands;
 use crate::stats::ReconStats;
 use crate::Result;
 
@@ -145,27 +146,30 @@ pub(crate) struct SlabReference {
 /// Redundantly recompute one slab's per-bin sums on the host, without
 /// building its image.
 ///
-/// The slab's intensities are re-read from the source — verification must
-/// not trust the device-resident copy — and walked by the host's one dense
-/// pair loop ([`cpu::DenseWalk`]), which deposits every cell in the order
-/// the device executor does (every compaction/accumulation variant is
-/// bit-equal to it), so the sums are bit-identical to an uncorrupted
-/// slab's whichever plan the GPU ran. Row bands run on every host core.
+/// The slab's intensities are re-read from the source into `slab`, the
+/// ring's host buffer — verification must not trust the device-resident
+/// copy — and walked by the host's one dense pair loop
+/// ([`cpu::DenseWalk`]), which deposits every cell in the order the device
+/// executor does (every compaction/accumulation variant is bit-equal to
+/// it), so the sums are bit-identical to an uncorrupted slab's whichever
+/// plan the GPU ran. Row bands run on every host core.
 pub(crate) fn slab_reference(
     source: &mut dyn SlabSource,
+    slab: &mut Vec<f64>,
     geom: &ScanGeometry,
     mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
     row0: usize,
     rows: usize,
 ) -> Result<SlabReference> {
-    let slab = source.read_slab(row0, rows)?;
-    let view = ScanView::new(&slab, source.n_images(), rows, source.n_cols())?;
+    source.read_slab_into(row0, rows, slab)?;
+    let view = ScanView::new(slab, source.n_images(), rows, source.n_cols())?;
     let walk = cpu::DenseWalk::new(view, geom, mapper, cfg, row0);
     Ok(reference_sums(&walk, cfg.n_depth_bins, host_cores()))
 }
 
-/// [`slab_reference`]'s sums over `walk`, on `workers` row bands.
+/// [`slab_reference`]'s sums over `walk`, on `workers` row bands
+/// ([`row_bands`]).
 ///
 /// Each pixel deposits into an `n_bins` scratch row; its nonzero cells go
 /// to the band's list in pixel order. The bands' lists are then added to
@@ -174,10 +178,8 @@ pub(crate) fn slab_reference(
 /// values in the same order as [`bin_sums`] over the dense image.
 fn reference_sums(walk: &cpu::DenseWalk<'_>, n_bins: usize, workers: usize) -> SlabReference {
     let (rows, cols) = (walk.view().n_rows, walk.view().n_cols);
-    let workers = workers.clamp(1, rows);
-    let bands: Vec<Range<usize>> = (0..workers)
-        .map(|w| w * rows / workers..(w + 1) * rows / workers)
-        .collect();
+    let bands = row_bands(rows, workers);
+    let pairs = 0..walk.view().n_images - 1;
     let band = |rows: Range<usize>| {
         let mut scratch = vec![0.0f64; n_bins];
         let mut cells: Vec<(usize, f64)> = Vec::new();
@@ -185,7 +187,7 @@ fn reference_sums(walk: &cpu::DenseWalk<'_>, n_bins: usize, workers: usize) -> S
         for r in rows {
             for c in 0..cols {
                 let (mut lo, mut hi) = (n_bins, 0);
-                walk.pixel(r, c, &mut stats, &mut cost, |bin, amount| {
+                walk.pixel(r, c, pairs.clone(), &mut stats, &mut cost, |bin, amount| {
                     scratch[bin] += amount;
                     lo = lo.min(bin);
                     hi = hi.max(bin + 1);
@@ -244,7 +246,8 @@ pub(crate) fn slab_donor(
 ) -> Result<NonzeroWords> {
     let slab = source.read_slab(row0, rows)?;
     let view = ScanView::new(&slab, source.n_images(), rows, source.n_cols())?;
-    let (image, _stats, _cost) = cpu::reconstruct_rows(&view, geom, mapper, cfg, 0..rows, row0);
+    let walk = cpu::DenseWalk::new(view, geom, mapper, cfg, row0);
+    let (image, _stats, _cost) = cpu::reconstruct_rows(&walk, 0..rows);
     Ok(NonzeroWords::from_slice(&image.data)?)
 }
 
@@ -343,7 +346,16 @@ mod tests {
             .collect();
         let mut source = crate::input::InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
         let (row0, rows) = (2, 3);
-        let reference = slab_reference(&mut source, &geom, &mapper, &cfg, row0, rows).unwrap();
+        let reference = slab_reference(
+            &mut source,
+            &mut Vec::new(),
+            &geom,
+            &mapper,
+            &cfg,
+            row0,
+            rows,
+        )
+        .unwrap();
         let donor = slab_donor(&mut source, &geom, &mapper, &cfg, row0, rows).unwrap();
         let slab = source.read_slab(row0, rows).unwrap();
         let view = ScanView::new(&slab, p, rows, n).unwrap();

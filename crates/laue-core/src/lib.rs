@@ -34,9 +34,9 @@
 //! are skipped — sweeping that cutoff reproduces the paper's
 //! "pixel percentage" experiment (Fig 9).
 //!
-//! Both engines call the same per-pair routine ([`pair::process_pair`]), and
-//! the simulated device lands every cell's deposits in the sequential order
-//! on any number of host cores, so they agree bit-for-bit.
+//! Both engines plan each pair exactly as [`pair::plan_pair`] does, and the
+//! simulated device lands every cell's deposits in the sequential order on
+//! any number of host cores, so they agree bit-for-bit.
 
 pub mod cache;
 pub mod calibrate;

@@ -4,7 +4,8 @@
 //! kernel — funnels through [`plan_pair`], so their numerical behaviour
 //! differs only in accumulation order. The planner is split from the
 //! deposit loop so the GPU kernel can interleave its own metered atomics;
-//! [`process_pair`] is the convenience wrapper the CPU engines use.
+//! [`process_pair`] is the convenience wrapper the reference loops in the
+//! tests use.
 //!
 //! The module also defines the FLOP estimates that feed the virtual-time
 //! performance models, so CPU and GPU see identical logical work.
@@ -210,7 +211,7 @@ pub fn plan_with_edges(
 }
 
 /// Convenience wrapper: plan and immediately execute the deposits through a
-/// callback. Used by the CPU engines and the tests.
+/// callback. The tests' reference loops use it.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn process_pair<F: FnMut(usize, f64)>(

@@ -47,6 +47,8 @@
 //! virtual elapsed time excludes it too — predictions are compared against
 //! measurements like for like.
 
+use std::sync::Arc;
+
 use cuda_sim::{ChainEstimator, Cost, DeviceProps, HostProps, InterconnectProps};
 use laue_geometry::DepthMapper;
 
@@ -66,7 +68,6 @@ use crate::pair::{
     differential, plan_from_band, plan_pair, PairPlan, COMPACT_ENTRY_BYTES, FLOPS_PER_PAIR,
     MEM_BYTES_PER_PAIR,
 };
-use crate::planning::ShadowCull;
 use crate::Result;
 
 /// Pixels one probe samples per slab. 64 pixels × all pairs is enough to
@@ -703,8 +704,9 @@ fn triangulation_label(t: Triangulation) -> &'static str {
 /// executor resolves them; a pinned [`ReconstructionConfig::rows_per_slab`]
 /// is the only slab height priced. A source that disagrees with `geom` or
 /// an invalid `cfg` fails as the executor would, with a typed error. With
-/// compaction on, the planner builds its own full-detector edge table and
-/// wire-shadow cull; [`plan_auto`] can read cached ones instead.
+/// compaction on, the planner builds its own full-detector edge table for
+/// its wire-shadow cull and keeps only the cull; [`plan_auto`] can read a
+/// cached table instead.
 pub fn plan_run(
     props: &DeviceProps,
     host: &HostProps,
@@ -716,8 +718,8 @@ pub fn plan_run(
     plan_run_cached(props, host, source, geom, cfg, warmth, None, None)
 }
 
-/// [`plan_run`] at the pinned ring `depth` when given, reading the
-/// wire-shadow cull from `cache` when given.
+/// [`plan_run`] at the pinned ring `depth` when given, reading the edge
+/// table's wire-shadow cull from `cache` when given.
 #[allow(clippy::too_many_arguments)]
 fn plan_run_cached(
     props: &DeviceProps,
@@ -736,7 +738,8 @@ fn plan_run_cached(
     let n_bins = cfg.n_depth_bins;
     let n_steps = geom.wire.n_steps;
 
-    // The planner reads the edge table only through the cull.
+    // The planner reads the edge table only through the cull: without a
+    // cache the depths drop as soon as the cull is out.
     let all_rows = 0..n_rows;
     let all_rows = std::slice::from_ref(&all_rows);
     let cull = cfg
@@ -744,7 +747,7 @@ fn plan_run_cached(
         .enabled()
         .then(|| EdgeTable::resolve(cache, geom, &mapper, cfg, false, all_rows))
         .flatten()
-        .map(|edges| ShadowCull::resolve(cache, geom, cfg, &edges));
+        .map(|edges| Arc::clone(edges.cull()));
 
     // Probe a few single-row bands spread across the detector; merged sums
     // stand in for the whole stack's intensity statistics.
@@ -756,9 +759,7 @@ fn plan_run_cached(
     probe_rows.dedup();
     for &r in &probe_rows {
         let slab = source.read_slab(r, 1)?;
-        let live = cull
-            .as_ref()
-            .map(|cull| vec![cull.live_pairs(r).into_iter().map(|z| z as u32).collect()]);
+        let live = cull.as_ref().map(|cull| vec![cull.live_pairs(cfg, r)]);
         probe.merge(&SlabProbe::sample(
             &slab,
             geom,
@@ -866,7 +867,7 @@ fn plan_run_cached(
                         let rows = rows_per_slab.min(n_rows - row0);
                         let model = match &cull {
                             Some(cull) => {
-                                let bp = cull.band_profile(row0..row0 + rows);
+                                let bp = cull.band_profile(cfg, row0..row0 + rows);
                                 let live_evals = bp.live_combos * n_cols as u64;
                                 SlabModel {
                                     rows,
@@ -1076,9 +1077,10 @@ fn reduction_estimate(
 /// the reduction is the argmin at the requested node count, and the sweep
 /// over power-of-two counts below it is reported in `candidates`, so
 /// scaling studies can read the priced curve. With a `cache`, the edge
-/// table and the wire-shadow cull come from it ([`ShadowCull::resolve`]),
-/// so the run that follows reads the same tables instead of building
-/// second ones; the predictions are the same either way.
+/// table and the wire-shadow cull built with it come from it
+/// ([`EdgeTable::resolve`]), so the run that follows reads the same table
+/// instead of building a second one; the predictions are the same either
+/// way.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_auto(
     props: &DeviceProps,

@@ -5,16 +5,19 @@
 //!
 //! These quantities also drive the synthetic-workload builders and explain
 //! the reconstruction's accuracy limits, so they live next to the engines.
+//! The host's two sparsity levels live here too: the wire-shadow cull
+//! ([`ShadowCull`]) and the prescan every engine runs over it
+//! (`plan_slab_sparsity`).
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use laue_geometry::{DepthMapper, Vec3, WireEdge, WireGeometry};
 
-use crate::cache::{DepthTableCache, EdgeTable, TableKey};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
+use crate::input::ScanView;
+use crate::pair::differential;
 use crate::Result;
 
 /// Level-1 sparsity: per-(wire step, detector row) bounds on the edge
@@ -26,123 +29,87 @@ use crate::Result;
 /// depth over the row's columns (and an "unsafe" flag when any pixel's
 /// triangulation failed or returned a non-finite depth). A pair `(z, z+1)`
 /// on row `r` can only deposit inside `[min(lo_z, lo_z1), max(hi_z,
-/// hi_z1)]`; when that envelope misses `[depth_start, depth_end)` the whole
-/// strip is culled. The bound is conservative by construction — no
-/// monotonicity assumption about the depth map is needed — so culling never
-/// removes a pair the dense path would have deposited.
+/// hi_z1)]`; when that envelope misses `cfg`'s `[depth_start, depth_end)`
+/// the whole strip is culled. The bound is conservative by construction —
+/// no monotonicity assumption about the depth map is needed — so culling
+/// never removes a pair the dense path would have deposited.
 ///
-/// The bounds are a per-(step, row) min/max over an [`EdgeTable`], the
-/// triangulations the GPU kernel reads too ([`ShadowCull::from_edges`]);
-/// the GPU path builds that table once per scan geometry
-/// ([`EdgeTable::resolve`]) and the cull once per geometry and window
-/// ([`ShadowCull::resolve`]).
+/// The bounds depend on the geometry and the wire edge only, so every
+/// [`EdgeTable`](crate::cache::EdgeTable) records its own while it
+/// triangulates ([`EdgeTable::cull`](crate::cache::EdgeTable::cull)), and
+/// each query takes the depth window from its `cfg`.
 #[derive(Debug, Clone)]
 pub struct ShadowCull {
     row0: usize,
-    n_rows: usize,
     n_steps: usize,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    unsafe_row: Vec<bool>,
-    depth_start: f64,
-    depth_end: f64,
+    /// Per span row and step, `(r − row0) · n_steps + z`.
+    bounds: Vec<StepBounds>,
+}
+
+/// The edge depths one detector row reached at one wire step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepBounds {
+    lo: f64,
+    hi: f64,
+    /// Some depth of the row was not finite.
+    unsafe_row: bool,
+}
+
+impl StepBounds {
+    /// No depth recorded yet: a row never triangulated reads live.
+    pub(crate) const EMPTY: StepBounds = StepBounds {
+        lo: f64::INFINITY,
+        hi: f64::NEG_INFINITY,
+        unsafe_row: false,
+    };
+
+    /// Record one edge depth of the row at this step.
+    #[inline]
+    pub(crate) fn add(&mut self, d: f64) {
+        if d.is_finite() {
+            if d < self.lo {
+                self.lo = d;
+            }
+            if d > self.hi {
+                self.hi = d;
+            }
+        } else {
+            self.unsafe_row = true;
+        }
+    }
 }
 
 impl ShadowCull {
-    /// Build the cull table for detector rows `rows` of a scan.
-    pub fn compute(
-        geom: &ScanGeometry,
-        mapper: &DepthMapper,
-        cfg: &ReconstructionConfig,
-        rows: Range<usize>,
-    ) -> ShadowCull {
-        let edges = EdgeTable::build(geom, mapper, cfg.wire_edge, std::slice::from_ref(&rows));
-        Self::from_edges(&edges, cfg)
-    }
-
-    /// The cull of `cfg`'s depth window over the rows `edges` covers: per
-    /// (step, row), the min/max of the row's finite edge depths, unsafe
-    /// where any is not finite. The table spans `edges`' span; a row it
-    /// never triangulated keeps no finite bound and so reads live for
-    /// every pair.
-    pub fn from_edges(edges: &EdgeTable, cfg: &ReconstructionConfig) -> ShadowCull {
-        let (n_steps, n_cols, n_rows) = (edges.n_steps, edges.n_cols, edges.covered.len());
-        let cells = n_steps * n_rows;
-        let mut lo = vec![f64::INFINITY; cells];
-        let mut hi = vec![f64::NEG_INFINITY; cells];
-        let mut unsafe_row = vec![false; cells];
-        for r in (0..n_rows).filter(|&r| edges.covered[r]) {
-            let row = &edges.depths[r * n_cols * n_steps..(r + 1) * n_cols * n_steps];
-            for pixel in row.chunks_exact(n_steps) {
-                for (z, &d) in pixel.iter().enumerate() {
-                    let cell = z * n_rows + r;
-                    if d.is_finite() {
-                        if d < lo[cell] {
-                            lo[cell] = d;
-                        }
-                        if d > hi[cell] {
-                            hi[cell] = d;
-                        }
-                    } else {
-                        unsafe_row[cell] = true;
-                    }
-                }
-            }
-        }
+    /// The cull over the span of detector rows from `row0` on that
+    /// `bounds` holds, `n_steps` per row.
+    pub(crate) fn new(row0: usize, n_steps: usize, bounds: Vec<StepBounds>) -> ShadowCull {
         ShadowCull {
-            row0: edges.row0,
-            n_rows,
+            row0,
             n_steps,
-            lo,
-            hi,
-            unsafe_row,
-            depth_start: cfg.depth_start,
-            depth_end: cfg.depth_end,
+            bounds,
         }
     }
 
-    /// The cull the GPU path reads, from `edges` ([`EdgeTable::resolve`]).
-    /// With a `cache`, `edges` is the scan geometry's full-detector table
-    /// and the cull of `cfg`'s window over it is cached too, so the planner
-    /// and every later ring of that geometry and window share one. With
-    /// none, it is the cull over the rows `edges` covers. The cull is never
-    /// charged where it is built: each ring charges
-    /// [`EdgeTable::build_flops`] of its own band, and the planner prices
-    /// the full detector's.
-    pub fn resolve(
-        cache: Option<&DepthTableCache>,
-        geom: &ScanGeometry,
-        cfg: &ReconstructionConfig,
-        edges: &EdgeTable,
-    ) -> Arc<ShadowCull> {
-        match cache {
-            Some(cache) => cache.shadow_cull(&TableKey::new(geom, cfg), || {
-                ShadowCull::from_edges(edges, cfg)
-            }),
-            None => Arc::new(ShadowCull::from_edges(edges, cfg)),
-        }
+    /// The bounds of step `z` on `detector_row`, which the span must hold.
+    #[inline]
+    fn at(&self, z: usize, detector_row: usize) -> StepBounds {
+        self.bounds[(detector_row - self.row0) * self.n_steps + z]
     }
 
+    /// Whether pair `(z, z+1)` on `detector_row` must be processed under
+    /// `cfg`'s depth window. `false` means every pixel of the row is
+    /// provably OutOfRange for this pair.
     #[inline]
-    fn cell(&self, z: usize, detector_row: usize) -> usize {
-        debug_assert!(detector_row >= self.row0 && detector_row < self.row0 + self.n_rows);
-        z * self.n_rows + (detector_row - self.row0)
-    }
-
-    /// Whether pair `(z, z+1)` on `detector_row` must be processed. `false`
-    /// means every pixel of the row is provably OutOfRange for this pair.
-    #[inline]
-    pub fn pair_row_live(&self, z: usize, detector_row: usize) -> bool {
+    pub fn pair_row_live(&self, cfg: &ReconstructionConfig, z: usize, detector_row: usize) -> bool {
         debug_assert!(z + 1 < self.n_steps);
-        let a = self.cell(z, detector_row);
-        let b = self.cell(z + 1, detector_row);
-        if self.unsafe_row[a] || self.unsafe_row[b] {
+        let (a, b) = (self.at(z, detector_row), self.at(z + 1, detector_row));
+        if a.unsafe_row || b.unsafe_row {
             // A failed triangulation means InvalidGeometry in the dense
             // path, not OutOfRange — never cull it away.
             return true;
         }
-        let lo = self.lo[a].min(self.lo[b]);
-        let hi = self.hi[a].max(self.hi[b]);
+        let lo = a.lo.min(b.lo);
+        let hi = a.hi.max(b.hi);
         // An empty row (no finite depth at all) keeps lo = +inf > hi:
         // also invalid territory, keep it live.
         if lo
@@ -151,42 +118,48 @@ impl ShadowCull {
         {
             return true;
         }
-        !(hi <= self.depth_start || lo >= self.depth_end)
+        !(hi <= cfg.depth_start || lo >= cfg.depth_end)
     }
 
-    /// The live (non-culled) pairs of one detector row, ascending.
-    pub fn live_pairs(&self, detector_row: usize) -> Vec<usize> {
+    /// The live (non-culled) pairs of one detector row under `cfg`'s
+    /// depth window, ascending.
+    pub fn live_pairs(&self, cfg: &ReconstructionConfig, detector_row: usize) -> Vec<u32> {
         (0..self.n_steps - 1)
-            .filter(|&z| self.pair_row_live(z, detector_row))
+            .filter(|&z| self.pair_row_live(cfg, z, detector_row))
+            .map(|z| z as u32)
             .collect()
     }
 
-    /// Aggregate sparsity structure of a band of detector rows — the counts
-    /// the execution planner needs to cost a slab without re-deriving the
-    /// per-row live lists itself. `touched_sum` uses the same
-    /// consecutive-run accounting as the prescan (a run of `k` consecutive
-    /// live pairs reads `k + 1` images per pixel).
-    pub fn band_profile(&self, band: std::ops::Range<usize>) -> BandProfile {
+    /// Aggregate sparsity structure of a band of detector rows under
+    /// `cfg`'s depth window — the counts the execution planner needs to
+    /// cost a slab without re-deriving the per-row live lists itself.
+    /// `touched_sum` is the host prescan's own count: a run of `k`
+    /// consecutive live pairs reads `k + 1` images per pixel.
+    pub fn band_profile(&self, cfg: &ReconstructionConfig, band: Range<usize>) -> BandProfile {
         let n_pairs = self.n_steps - 1;
         let mut profile = BandProfile::default();
         for row in band {
-            let live = self.live_pairs(row);
+            let live = self.live_pairs(cfg, row);
             profile.culled_combos += (n_pairs - live.len()) as u64;
             if !live.is_empty() {
                 profile.live_rows += 1;
             }
             profile.live_combos += live.len() as u64;
-            let mut prev: Option<usize> = None;
-            for &z in &live {
-                profile.touched_sum += if prev == Some(z.wrapping_sub(1)) {
-                    1
-                } else {
-                    2
-                };
-                prev = Some(z);
-            }
+            profile.touched_sum += u64::from(touched_images(&live));
         }
         profile
+    }
+}
+
+/// Distinct images one pixel's prescan column scan reads over the live
+/// pairs `live` (ascending): a run of `k` consecutive pairs reads `k + 1`.
+fn touched_images(live: &[u32]) -> u32 {
+    match live {
+        [] => 0,
+        _ => {
+            let gaps = live.windows(2).filter(|w| w[1] != w[0] + 1).count();
+            (live.len() + 1 + gaps) as u32
+        }
     }
 }
 
@@ -201,6 +174,127 @@ pub struct BandProfile {
     pub culled_combos: u64,
     /// Σ over rows of the per-pixel prescan's touched-image count.
     pub touched_sum: u64,
+}
+
+/// Level-2 sparsity over a row range: which `(row, pair)` combos survive
+/// wire-shadow culling, and — from the prescan — which `(pixel, pair)`
+/// entries carry a differential above the cutoff. Whether to launch or
+/// walk over the compacted list is the caller's decision.
+///
+/// On the GPU this is the ground truth the metered `prescan` kernel writes
+/// into the device work-list; the main kernel then reads the list back
+/// through metered accesses, so the virtual-time model charges both sides
+/// of the compaction hand-off. The CPU engines walk it directly.
+pub(crate) struct SlabSparsity {
+    /// Range-local rows with at least one live pair (prescan launch domain).
+    pub(crate) live_rows: Vec<u32>,
+    /// Per range row: live pair indices, ascending (empty for culled rows).
+    pub(crate) live_pairs: Vec<Vec<u32>>,
+    /// Per range row: distinct images one pixel's prescan column scan reads
+    /// ([`touched_images`]).
+    pub(crate) touched: Vec<u32>,
+    /// Live `(row, pair)` combos in `(r, z)` order — the banded launch
+    /// domain used when culling bites but compaction is off for this slab.
+    pub(crate) combos: Vec<(u32, u32)>,
+    /// CSR offsets over range pixels (`r · n_cols + c`), length
+    /// `rows · n_cols + 1`, indexing into `entries`.
+    pub(crate) offsets: Vec<u32>,
+    /// Active entries packed `(r << 40) | (c << 20) | z`, `(r, c, z)` order
+    /// — the same per-output-cell deposit order as the dense walk
+    /// ([`unpack_entry`]).
+    pub(crate) entries: Vec<u64>,
+    /// Per range pixel: live pairs whose differential fell below the cutoff
+    /// (settled by the prescan, so the main pass can skip them entirely).
+    pub(crate) below_per_pixel: Vec<u32>,
+    /// `(row, pair)` combos removed by wire-shadow culling.
+    pub(crate) culled_combos: u64,
+    /// Active fraction among live (un-culled) pairs; 0 when nothing is live.
+    pub(crate) density: f64,
+}
+
+impl SlabSparsity {
+    /// Σ over rows of [`SlabSparsity::touched`].
+    pub(crate) fn touched_sum(&self) -> u64 {
+        self.touched.iter().map(|&t| u64::from(t)).sum()
+    }
+
+    /// The work-list slice of range pixel `pix`.
+    pub(crate) fn pixel_entries(&self, pix: usize) -> &[u64] {
+        &self.entries[self.offsets[pix] as usize..self.offsets[pix + 1] as usize]
+    }
+}
+
+/// The range-local `(r, c, z)` of a packed [`SlabSparsity::entries`]
+/// entry.
+#[inline]
+pub(crate) fn unpack_entry(entry: u64) -> (usize, usize, usize) {
+    let field = |shift: u32| ((entry >> shift) & 0xFFFFF) as usize;
+    (field(40), field(20), field(0))
+}
+
+/// The host's one prescan: the sparsity of `view`'s rows `rows`, whose
+/// row `r` is detector row `detector_row_offset + r`, under `cull` and
+/// `cfg`'s window and cutoff. Rows, pixels and entries are relative to
+/// `rows.start`.
+pub(crate) fn plan_slab_sparsity(
+    view: &ScanView<'_>,
+    rows: Range<usize>,
+    detector_row_offset: usize,
+    cull: &ShadowCull,
+    cfg: &ReconstructionConfig,
+) -> SlabSparsity {
+    let (n_pairs, n_cols) = (view.n_images - 1, view.n_cols);
+    let mut live_rows = Vec::new();
+    let mut live_pairs: Vec<Vec<u32>> = Vec::with_capacity(rows.len());
+    let mut touched = Vec::with_capacity(rows.len());
+    let mut combos = Vec::new();
+    let mut culled_combos = 0u64;
+    for (i, r) in rows.clone().enumerate() {
+        let live = cull.live_pairs(cfg, detector_row_offset + r);
+        culled_combos += (n_pairs - live.len()) as u64;
+        if !live.is_empty() {
+            live_rows.push(i as u32);
+            combos.extend(live.iter().map(|&z| (i as u32, z)));
+        }
+        touched.push(touched_images(&live));
+        live_pairs.push(live);
+    }
+    let mut offsets = Vec::with_capacity(rows.len() * n_cols + 1);
+    offsets.push(0u32);
+    let mut entries = Vec::new();
+    let mut below_per_pixel = vec![0u32; rows.len() * n_cols];
+    let mut live_total = 0u64;
+    for (i, r) in rows.enumerate() {
+        for c in 0..n_cols {
+            for &z in &live_pairs[i] {
+                let z = z as usize;
+                live_total += 1;
+                let delta = differential(cfg, view.at(z, r, c), view.at(z + 1, r, c));
+                if delta.abs() > cfg.intensity_cutoff {
+                    entries.push(((i as u64) << 40) | ((c as u64) << 20) | z as u64);
+                } else {
+                    below_per_pixel[i * n_cols + c] += 1;
+                }
+            }
+            offsets.push(entries.len() as u32);
+        }
+    }
+    let density = if live_total == 0 {
+        0.0
+    } else {
+        entries.len() as f64 / live_total as f64
+    };
+    SlabSparsity {
+        live_rows,
+        live_pairs,
+        touched,
+        combos,
+        offsets,
+        entries,
+        below_per_pixel,
+        culled_combos,
+        density,
+    }
 }
 
 /// Per-pixel scan characteristics.
@@ -358,6 +452,8 @@ pub fn plan_start_position(plan: &ScanPlan) -> Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::EdgeTable;
+    use std::sync::Arc;
 
     fn demo() -> ScanGeometry {
         ScanGeometry::demo(9, 9, 32, -60.0, 5.0).unwrap()
@@ -428,6 +524,12 @@ mod tests {
         assert!(fine.resolution < coarse.resolution);
     }
 
+    /// The cull `EdgeTable::build` records over the rows of `bands`.
+    fn cull_of(g: &ScanGeometry, edge: WireEdge, bands: &[Range<usize>]) -> Arc<ShadowCull> {
+        let mapper = g.mapper().unwrap();
+        Arc::clone(EdgeTable::build(g, &mapper, edge, bands).cull())
+    }
+
     #[test]
     fn shadow_cull_is_conservative_and_actually_culls() {
         use crate::pair::{plan_from_band, PairPlan};
@@ -437,14 +539,14 @@ mod tests {
         // A window that covers only part of the swept depth range, so some
         // (pair, row) strips must fall entirely outside it.
         let cfg = ReconstructionConfig::new(-60.0, 40.0, 25);
-        let cull = ShadowCull::compute(&g, &mapper, &cfg, 0..n_rows);
+        let cull = cull_of(&g, cfg.wire_edge, std::slice::from_ref(&(0..n_rows)));
         let mut culled = 0usize;
         let mut flops = 0u64;
         for z in 0..n_steps - 1 {
             let w0 = g.wire.center_unchecked(z as f64);
             let w1 = g.wire.center_unchecked((z + 1) as f64);
             for r in 0..n_rows {
-                if cull.pair_row_live(z, r) {
+                if cull.pair_row_live(&cfg, z, r) {
                     continue;
                 }
                 culled += 1;
@@ -463,12 +565,12 @@ mod tests {
             }
         }
         assert!(culled > 0, "narrow window should cull at least one strip");
-        // A window covering the whole sweep culls nothing.
+        // The same cull under a window covering the whole sweep culls
+        // nothing.
         let wide = ReconstructionConfig::new(-100_000.0, 100_000.0, 25);
-        let cull = ShadowCull::compute(&g, &mapper, &wide, 0..n_rows);
         for z in 0..n_steps - 1 {
             for r in 0..n_rows {
-                assert!(cull.pair_row_live(z, r));
+                assert!(cull.pair_row_live(&wide, z, r));
             }
         }
     }
@@ -476,28 +578,81 @@ mod tests {
     #[test]
     fn shadow_cull_band_subset_matches_full_table() {
         let g = demo();
-        let mapper = g.mapper().unwrap();
         let cfg = ReconstructionConfig::new(-60.0, 40.0, 25);
-        let full = ShadowCull::compute(&g, &mapper, &cfg, 0..g.detector.n_rows);
-        let band = ShadowCull::compute(&g, &mapper, &cfg, 3..7);
+        let full = cull_of(
+            &g,
+            cfg.wire_edge,
+            std::slice::from_ref(&(0..g.detector.n_rows)),
+        );
+        let band = cull_of(&g, cfg.wire_edge, std::slice::from_ref(&(3..7)));
         for z in 0..g.wire.n_steps - 1 {
             for r in 3..7 {
-                assert_eq!(band.pair_row_live(z, r), full.pair_row_live(z, r));
+                assert_eq!(
+                    band.pair_row_live(&cfg, z, r),
+                    full.pair_row_live(&cfg, z, r)
+                );
             }
-            assert_eq!(band.live_pairs(4), full.live_pairs(4));
         }
+        assert_eq!(band.live_pairs(&cfg, 4), full.live_pairs(&cfg, 4));
         // Two bands with a gap: their rows match the full table, the gap
         // rows are never triangulated and cull nothing.
+        let mapper = g.mapper().unwrap();
         let edges = EdgeTable::build(&g, &mapper, cfg.wire_edge, &[1..3, 5..7]);
-        let split = ShadowCull::from_edges(&edges, &cfg);
         assert!(edges.rows(3, 2).iter().all(|d| d.is_nan()));
-        assert!((0..g.wire.n_steps - 1).any(|z| !full.pair_row_live(z, 3)));
+        let split = edges.cull();
+        assert!((0..g.wire.n_steps - 1).any(|z| !full.pair_row_live(&cfg, z, 3)));
         for z in 0..g.wire.n_steps - 1 {
             for r in [1, 2, 5, 6] {
-                assert_eq!(split.pair_row_live(z, r), full.pair_row_live(z, r));
+                assert_eq!(
+                    split.pair_row_live(&cfg, z, r),
+                    full.pair_row_live(&cfg, z, r)
+                );
             }
-            assert!(split.pair_row_live(z, 3) && split.pair_row_live(z, 4));
+            assert!(split.pair_row_live(&cfg, z, 3) && split.pair_row_live(&cfg, z, 4));
         }
+        let all_pairs: Vec<u32> = (0..g.wire.n_steps as u32 - 1).collect();
+        assert_eq!(split.live_pairs(&cfg, 4), all_pairs);
+    }
+
+    #[test]
+    fn the_prescan_and_the_band_profile_count_alike() {
+        // Rows the narrow window culls in part, in whole and not at all.
+        let g = demo();
+        let (n_rows, n_cols, n_steps) = (g.detector.n_rows, g.detector.n_cols, g.wire.n_steps);
+        let mut cfg = ReconstructionConfig::new(-60.0, 40.0, 25);
+        cfg.intensity_cutoff = 5.0;
+        let cull = cull_of(&g, cfg.wire_edge, std::slice::from_ref(&(0..n_rows)));
+        let data: Vec<f64> = (0..n_steps * n_rows * n_cols)
+            .map(|i| ((i * 7919) % 23) as f64)
+            .collect();
+        let view = ScanView::new(&data, n_steps, n_rows, n_cols).unwrap();
+        for rows in [0..n_rows, 2..6, 7..9] {
+            let profile = cull.band_profile(&cfg, rows.clone());
+            let sp = plan_slab_sparsity(&view, rows.clone(), 0, &cull, &cfg);
+            assert_eq!(sp.live_rows.len(), profile.live_rows);
+            assert_eq!(sp.combos.len() as u64, profile.live_combos);
+            assert_eq!(sp.culled_combos, profile.culled_combos);
+            assert_eq!(sp.touched_sum(), profile.touched_sum);
+            // Every live pair of every pixel is either on the work-list or
+            // below the cutoff.
+            let live = profile.live_combos * n_cols as u64;
+            let below: u64 = sp.below_per_pixel.iter().map(|&b| u64::from(b)).sum();
+            assert_eq!(sp.entries.len() as u64 + below, live);
+            for (pix, &below) in sp.below_per_pixel.iter().enumerate() {
+                let (r, c) = (pix / n_cols, pix % n_cols);
+                let list = sp.pixel_entries(pix);
+                assert_eq!(list.len() + below as usize, sp.live_pairs[r].len());
+                for &e in list {
+                    let (er, ec, z) = unpack_entry(e);
+                    assert_eq!((er, ec), (r, c));
+                    assert!(sp.live_pairs[r].contains(&(z as u32)));
+                }
+            }
+        }
+        assert!(cull.band_profile(&cfg, 0..n_rows).culled_combos > 0);
+        assert_eq!(touched_images(&[]), 0);
+        assert_eq!(touched_images(&[4]), 2);
+        assert_eq!(touched_images(&[1, 2, 3, 7, 9, 10]), 9);
     }
 
     #[test]

@@ -1975,19 +1975,20 @@ mod tests {
             let warm = pipeline();
             let first = warm.run_scan_file(&path, &c, engine).unwrap();
             let cached = || {
-                let cache = &warm.shared.cache;
-                (
-                    cache.shadow_cull(&key, || panic!("cull not cached")),
-                    cache.edge_table(&edges, || panic!("edge table not cached")),
-                )
+                let table = warm
+                    .shared
+                    .cache
+                    .edge_table(&edges, || panic!("edge table not cached"));
+                (Arc::clone(table.cull()), table)
             };
             let built = cached();
             let second = warm.run_scan_file(&path, &c, engine).unwrap();
             let kept = cached();
             assert!(
                 Arc::ptr_eq(&built.0, &kept.0) && Arc::ptr_eq(&built.1, &kept.1),
-                "{engine:?}: the warm run built its cull or edge table again"
+                "{engine:?}: the warm run built its edge table or its cull again"
             );
+            assert!(!warm.shared.cache.peek_host(&key));
             let cold = pipeline().run_scan_file(&path, &c, engine).unwrap();
             assert!(first.stats.culled_rows > 0, "{engine:?} must cull");
             // Every band, the one table or its own: charged its own rows.
@@ -2012,21 +2013,22 @@ mod tests {
         let key = TableKey::new(&scan.geometry, &c);
         let edges = TableKey::edges(&scan.geometry, c.wire_edge);
         let p = Pipeline::default();
+        let mut culls = Vec::new();
         for _ in 0..2 {
             // gpu-pipe triangulates in kernel: no depth table anywhere, but
-            // the cull and the edge table its kernel reads are cached.
+            // the edge table its kernel reads is cached with its cull.
             let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
-            p.shared
-                .cache
-                .shadow_cull(&key, || panic!("cull not cached"));
-            p.shared
+            let table = p
+                .shared
                 .cache
                 .edge_table(&edges, || panic!("edge table not cached"));
+            culls.push(Arc::clone(table.cull()));
             assert!(!p.shared.cache.peek_host(&key));
             assert!(!p.shared.cache.peek_host(&edges));
             assert_eq!(p.shared.cache.totals(), TableCacheStats::default());
             assert_eq!(r.table_cache, TableCacheStats::default());
         }
+        assert!(Arc::ptr_eq(&culls[0], &culls[1]), "one cull for both runs");
         std::fs::remove_file(&path).ok();
     }
 

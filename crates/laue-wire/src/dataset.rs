@@ -214,15 +214,27 @@ impl SlabSource for ScanFile {
     }
 
     fn read_slab(&mut self, row0: usize, n_rows_slab: usize) -> laue_core::Result<Vec<f64>> {
-        let counts: Vec<u16> = self
-            .reader
-            .read_hyperslab(
+        let mut slab = Vec::new();
+        self.read_slab_into(row0, n_rows_slab, &mut slab)?;
+        Ok(slab)
+    }
+
+    /// The counts decode straight into `slab`: no u16 copy is made, and a
+    /// buffer that holds the slab is reused.
+    fn read_slab_into(
+        &mut self,
+        row0: usize,
+        n_rows_slab: usize,
+        slab: &mut Vec<f64>,
+    ) -> laue_core::Result<()> {
+        self.reader
+            .read_hyperslab_into::<u16, f64>(
                 self.images,
                 &[0, row0, 0],
                 &[self.n_images, n_rows_slab, self.n_cols],
+                slab,
             )
-            .map_err(|e| CoreError::Source(format!("mh5 hyperslab read failed: {e}")))?;
-        Ok(counts.into_iter().map(f64::from).collect())
+            .map_err(|e| CoreError::Source(format!("mh5 hyperslab read failed: {e}")))
     }
 }
 
@@ -370,6 +382,12 @@ mod tests {
                 }
             }
         }
+        // A buffer left dirty by a larger read is reused for the same rows.
+        let mut buf = vec![f64::NAN; full.len()];
+        let capacity = buf.capacity();
+        scan.read_slab_into(1, 3, &mut buf).unwrap();
+        assert_eq!(buf, slab);
+        assert_eq!(buf.capacity(), capacity);
         std::fs::remove_file(&path).ok();
     }
 

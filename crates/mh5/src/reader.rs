@@ -263,6 +263,23 @@ impl FileReader {
         offset: &[usize],
         count: &[usize],
     ) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        self.read_hyperslab_into::<T, T>(ds, offset, count, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`FileReader::read_hyperslab`] of a `T` dataset into `out` as `U`s:
+    /// each element is widened as it decodes, so a u16 count stack read as
+    /// f64 needs no u16 copy and no second pass. `out` keeps its
+    /// allocation when it can hold the hyperslab (it is re-zeroed first)
+    /// and is left as it was when the read fails before decoding.
+    pub fn read_hyperslab_into<T: Element, U: From<T> + Copy + Default>(
+        &self,
+        ds: ObjectId,
+        offset: &[usize],
+        count: &[usize],
+        out: &mut Vec<U>,
+    ) -> Result<()> {
         let meta = self.dataset_meta(ds)?;
         if T::DTYPE != meta.dtype {
             return Err(Mh5Error::TypeMismatch {
@@ -275,22 +292,27 @@ impl FileReader {
         chunking.for_each_intersecting_chunk(offset, count, |ci, _, _, _| {
             Self::chunk_entry(meta, ci).map(drop)
         })?;
-        let mut out = vec![T::default(); count.iter().product()];
+        let n = count.iter().product();
+        if out.capacity() >= n {
+            out.clear();
+            out.resize(n, U::default());
+        } else {
+            *out = vec![U::default(); n];
+        }
         chunking.for_each_intersecting_chunk(offset, count, |ci, in_chunk, in_slab, ext| {
             let chunk_bytes = self.read_chunk_bytes(meta, ci)?;
             let chunk_ext = chunking.chunk_extent(&chunking.chunk_coords(ci)[..rank]);
-            decode_box(
+            decode_box::<T, U>(
                 &chunk_bytes,
                 &chunk_ext[..rank],
                 in_chunk,
-                &mut out,
+                out,
                 count,
                 in_slab,
                 ext,
             );
             Ok(())
-        })?;
-        Ok(out)
+        })
     }
 }
 
@@ -367,7 +389,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The typed path reads every hyperslab exactly as the byte path
-        /// did, for u16 and f64 datasets under either codec.
+        /// did, for u16 and f64 datasets under either codec, and so does
+        /// the widening read of a u16 dataset as f64, into a fresh buffer
+        /// or a reused one.
         #[test]
         fn typed_reads_match_the_byte_path(case in arb_read()) {
             let (shape, chunk, slab, codec, seed) = case;
@@ -401,8 +425,18 @@ mod tests {
             let (a, b) = (r.resolve_path("/a").unwrap(), r.resolve_path("/b").unwrap());
             let typed: Vec<u16> = r.read_hyperslab(a, &offset, &count).unwrap();
             let oracle: Vec<u16> = read_hyperslab_bytes(&r, a, &offset, &count).unwrap();
-            prop_assert_eq!(typed, oracle);
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            // Widened as it decodes, into a fresh buffer and into a larger
+            // one left dirty by an earlier read: the counts the byte path
+            // reads, as f64.
+            let counts_f64: Vec<f64> = oracle.iter().copied().map(f64::from).collect();
+            let mut widened = Vec::new();
+            r.read_hyperslab_into::<u16, f64>(a, &offset, &count, &mut widened).unwrap();
+            prop_assert_eq!(bits(widened), bits(counts_f64.clone()));
+            let mut reused = vec![f64::NAN; n + 3];
+            r.read_hyperslab_into::<u16, f64>(a, &offset, &count, &mut reused).unwrap();
+            prop_assert_eq!(bits(reused), bits(counts_f64));
+            prop_assert_eq!(typed, oracle);
             let typed: Vec<f64> = r.read_hyperslab(b, &offset, &count).unwrap();
             let oracle: Vec<f64> = read_hyperslab_bytes(&r, b, &offset, &count).unwrap();
             prop_assert_eq!(bits(typed), bits(oracle));

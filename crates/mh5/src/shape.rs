@@ -295,16 +295,16 @@ pub fn copy_box(
     );
 }
 
-/// [`copy_box`] from little-endian element bytes into a typed buffer:
-/// each element of the box is decoded straight into `dst`, which must
-/// already hold zeros where the box lands. An element whose bytes are all
-/// zero is not written, so a zero-filled `dst` never touches the pages a
-/// sparse dataset leaves empty.
-pub(crate) fn decode_box<T: Element>(
+/// [`copy_box`] from little-endian `T` bytes into a buffer of `U`: each
+/// element of the box is decoded and converted straight into `dst`, which
+/// must already hold zeros where the box lands. An element whose bytes are
+/// all zero is not written, so a zero-filled `dst` never touches the pages
+/// a sparse dataset leaves empty.
+pub(crate) fn decode_box<T: Element, U: From<T>>(
     src: &[u8],
     src_shape: &[usize],
     src_origin: &[usize],
-    dst: &mut [T],
+    dst: &mut [U],
     dst_shape: &[usize],
     dst_origin: &[usize],
     extent: &[usize],
@@ -320,7 +320,7 @@ pub(crate) fn decode_box<T: Element>(
             let bytes = src[so * size..(so + n) * size].chunks_exact(size);
             for (d, b) in dst[dof..dof + n].iter_mut().zip(bytes) {
                 if b.iter().any(|&x| x != 0) {
-                    *d = T::read_le(b);
+                    *d = U::from(T::read_le(b));
                 }
             }
         },
