@@ -54,6 +54,7 @@ use laue_core::cache::TableCacheStats;
 use laue_core::cpu::{self, CpuReconstruction};
 use laue_core::gpu::{self, GpuOptions, GpuReconstruction, Layout, PipelineDepth, Triangulation};
 use laue_core::multi::reconstruct_multi;
+use laue_core::planner::{Pins, Plan};
 use laue_core::{
     AccumulationMode, CompactionMode, IntegrityMode, PlanMode, ReconstructionConfig, Result,
     ScanView,
@@ -100,31 +101,33 @@ fn stack(quick: bool, mb: f64, seed: u64) -> Workload {
     Workload::of_megabytes(if quick { 0.5 } else { mb }, seed)
 }
 
-/// `options` on a fresh `props` device over `w`, `depth` slots deep.
+/// `options` on a fresh `props` device over `w`, serial and fitted to
+/// device memory unless `pins` pins the ring depth or the slab rows.
 fn on_device(
     props: &DeviceProps,
     w: &Workload,
     cfg: &ReconstructionConfig,
     options: GpuOptions,
-    depth: PipelineDepth,
+    pins: Pins,
 ) -> Result<GpuReconstruction> {
     let device = Device::new(props.clone());
     let mut source = w.source();
-    gpu::reconstruct_pipelined(
-        &device,
-        &mut source,
-        &w.scan.geometry,
-        cfg,
-        options,
-        depth,
-        None,
-    )
+    let plan = Plan::fixed(1, 1, options, PipelineDepth::SERIAL, pins);
+    gpu::reconstruct_pipelined(&device, &mut source, &w.scan.geometry, cfg, plan, None)
 }
 
 /// One serial run on a fresh paper device with the default options.
 fn on_m2070(w: &Workload, cfg: &ReconstructionConfig) -> GpuReconstruction {
-    let (options, depth) = (GpuOptions::default(), PipelineDepth::SERIAL);
-    on_device(&DeviceProps::tesla_m2070(), w, cfg, options, depth).expect("gpu run")
+    let (options, pins) = (GpuOptions::default(), Pins::default());
+    on_device(&DeviceProps::tesla_m2070(), w, cfg, options, pins).expect("gpu run")
+}
+
+/// Pins of `rows` slab rows, nothing else.
+fn slab_rows(rows: Option<usize>) -> Pins {
+    Pins {
+        rows,
+        ..Pins::default()
+    }
 }
 
 /// The sequential CPU engine over `w`, with its modeled time on one
@@ -225,13 +228,16 @@ fn depth_ablation(w: &Workload, quick: bool, gates: &mut Gates) -> (Vec<Row>, f6
         total_mem: 32 * 1024 * 1024,
         ..DeviceProps::tesla_m2070()
     };
-    let mut cfg = standard_config();
-    cfg.rows_per_slab = Some(if quick { 4 } else { 8 });
+    let cfg = standard_config();
+    let slab = slab_rows(Some(if quick { 4 } else { 8 }));
     let mut serial: Option<(f64, Vec<f64>)> = None;
     let (mut rows, mut elapsed_at) = (Vec::new(), Vec::new());
     for k in 1..=4 {
-        let out = on_device(&props, w, &cfg, GpuOptions::default(), PipelineDepth(k))
-            .expect("reconstruction");
+        let pins = Pins {
+            depth: Some(PipelineDepth(k)),
+            ..slab
+        };
+        let out = on_device(&props, w, &cfg, GpuOptions::default(), pins).expect("reconstruction");
         let (elapsed, comm) = (out.elapsed_s, out.meters.comm_time_s);
         // No free bandwidth: one half-duplex link can never finish the
         // schedule faster than the total transfer time it carries.
@@ -307,18 +313,22 @@ fn table_cache(w: &Workload, quick: bool, gates: &mut Gates) -> Row {
 /// at.
 fn failover(w: &Workload, quick: bool, gates: &mut Gates) -> Row {
     let fleet = Engine::GpuMulti { devices: 4 };
-    let mut cfg = standard_config();
-    cfg.rows_per_slab = Some(if quick { 4 } else { 8 });
+    let cfg = standard_config();
+    let pins = slab_rows(Some(if quick { 4 } else { 8 }));
     let run = |pipeline: Pipeline| {
         let mut source = w.source();
         pipeline
             .run_source(&mut source, &w.scan.geometry, &cfg, fleet)
             .expect("gpu-multi run")
     };
-    let clean = run(Pipeline::default());
+    let clean = run(Pipeline {
+        pins,
+        ..Pipeline::default()
+    });
     let degraded = run(Pipeline {
         fault_plan: Some(FaultPlan::new(0).fail_after_launches(1)),
         fault_device: Some(1),
+        pins,
         ..Pipeline::default()
     });
     gates.check(
@@ -417,10 +427,13 @@ fn plan_cell(props: &DeviceProps, w: &Workload, gates: &mut Gates) -> (Row, f64)
     let mut base = standard_config();
     base.compaction = CompactionMode::Auto;
     base.accumulation = AccumulationMode::Auto;
-    let run = |cfg: &ReconstructionConfig, engine, pipeline_depth| {
+    let run = |cfg: &ReconstructionConfig, engine, depth: Option<usize>| {
         let pipeline = Pipeline {
             device: props.clone(),
-            pipeline_depth,
+            pins: Pins {
+                depth: depth.map(PipelineDepth),
+                ..Pins::default()
+            },
             ..Pipeline::default()
         };
         let mut source = w.source();
@@ -636,13 +649,11 @@ fn slab_size(quick: bool, gates: &mut Gates) -> Vec<Row> {
         total_mem: 64 * 1024 * 1024,
         ..DeviceProps::tesla_m2070()
     };
-    let (options, depth) = (GpuOptions::default(), PipelineDepth::SERIAL);
+    let (cfg, options) = (standard_config(), GpuOptions::default());
     let mut first: Option<Vec<f64>> = None;
     let mut rows = Vec::new();
     for pinned in [Some(1), Some(2), Some(4), Some(8), Some(16), Some(32), None] {
-        let mut cfg = standard_config();
-        cfg.rows_per_slab = pinned;
-        let out = match on_device(&props, &w, &cfg, options, depth) {
+        let out = match on_device(&props, &w, &cfg, options, slab_rows(pinned)) {
             Ok(out) => out,
             Err(e) => {
                 gates.check(false, format_args!("{pinned:?} rows per slab: {e}"));
@@ -728,7 +739,7 @@ fn depth_table(quick: bool, gates: &mut Gates) -> Vec<Row> {
                 triangulation,
             };
             let props = DeviceProps::tesla_m2070();
-            let out = on_device(&props, &w, &cfg, options, PipelineDepth::SERIAL).expect("run");
+            let out = on_device(&props, &w, &cfg, options, Pins::default()).expect("run");
             let first = first.get_or_insert_with(|| out.image.data.clone());
             gates.check(
                 *first == out.image.data,
@@ -761,8 +772,7 @@ fn hardware(quick: bool, gates: &mut Gates) -> (Vec<Row>, Vec<Row>) {
     let mut private_cfg = cfg.clone();
     private_cfg.accumulation = AccumulationMode::Privatized;
     let both = |props: &DeviceProps, w: &Workload, gates: &mut Gates| {
-        let run =
-            |c| on_device(props, w, c, GpuOptions::default(), PipelineDepth::SERIAL).expect("run");
+        let run = |c| on_device(props, w, c, GpuOptions::default(), Pins::default()).expect("run");
         let (atomic, private) = (run(&cfg), run(&private_cfg));
         gates.check(
             atomic.image.data == private.image.data,

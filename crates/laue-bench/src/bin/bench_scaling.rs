@@ -22,14 +22,17 @@ use std::time::Instant;
 use cuda_sim::InterconnectProps;
 use laue_bench::budgets::Budgets;
 use laue_bench::{devices, Workload, N_STEPS};
+use laue_core::planner::Pins;
 use laue_core::{ReconstructionConfig, ReductionTopology};
 use laue_pipeline::{Engine, Pipeline, RunReport};
 use laue_wire::builder::dims_for_bytes;
 
-/// One cluster run with an explicit fabric and reduction schedule.
+/// One cluster run under `slab`'s pins with an explicit fabric and
+/// reduction schedule.
 fn run_cluster(
     w: &Workload,
     cfg: &ReconstructionConfig,
+    slab: Pins,
     net: InterconnectProps,
     nodes: usize,
     topology: ReductionTopology,
@@ -37,8 +40,11 @@ fn run_cluster(
 ) -> RunReport {
     let p = Pipeline {
         interconnect: net,
-        reduction: Some(topology),
-        overlap: Some(overlap),
+        pins: Pins {
+            topology: Some(topology),
+            overlap: Some(overlap),
+            ..slab
+        },
         ..Pipeline::default()
     };
     let mut source = w.source();
@@ -98,8 +104,16 @@ fn main() {
     // fabric drain no real deployment sees. Narrowing the window to 50
     // bins scales the image with the data and restores the paper-scale
     // compute/communication balance; see EXPERIMENTS.md.
-    let mut cfg = ReconstructionConfig::new(-4000.0, 4000.0, 50);
-    cfg.rows_per_slab = Some(if quick { 4 } else { 8 });
+    let cfg = ReconstructionConfig::new(-4000.0, 4000.0, 50);
+    let slab = Pins {
+        rows: Some(if quick { 4 } else { 8 }),
+        ..Pins::default()
+    };
+    // A fresh single-GPU pipeline per reference, as every cluster run is.
+    let single_gpu = || Pipeline {
+        pins: slab,
+        ..Pipeline::default()
+    };
     let net = InterconnectProps::nvlink_class();
     let gate_nodes = 8usize;
     let strong_counts: &[usize] = if quick {
@@ -110,7 +124,7 @@ fn main() {
 
     // Single-GPU reference for bit-identity.
     let mut source = w.source();
-    let reference = Pipeline::default()
+    let reference = single_gpu()
         .run_source(&mut source, &w.scan.geometry, &cfg, Engine::GpuPipelined)
         .expect("reference run");
 
@@ -119,7 +133,15 @@ fn main() {
     let mut strong_rows = Vec::new();
     let mut strong = Vec::new();
     for &n in strong_counts {
-        let r = run_cluster(&w, &cfg, net.clone(), n, ReductionTopology::Tree, true);
+        let r = run_cluster(
+            &w,
+            &cfg,
+            slab,
+            net.clone(),
+            n,
+            ReductionTopology::Tree,
+            true,
+        );
         assert_eq!(
             r.image.data, reference.image.data,
             "{} node(s) diverge from the single-GPU reference",
@@ -156,10 +178,18 @@ fn main() {
     for &n in &[1usize, 2, 4, 8] {
         let wn = Workload::of_dims(base * n, base, 200);
         let mut source = wn.source();
-        let single = Pipeline::default()
+        let single = single_gpu()
             .run_source(&mut source, &wn.scan.geometry, &cfg, Engine::GpuPipelined)
             .expect("weak reference run");
-        let r = run_cluster(&wn, &cfg, net.clone(), n, ReductionTopology::Tree, true);
+        let r = run_cluster(
+            &wn,
+            &cfg,
+            slab,
+            net.clone(),
+            n,
+            ReductionTopology::Tree,
+            true,
+        );
         assert_eq!(
             r.image.data, single.image.data,
             "weak-scaling {n} node(s) diverge from the single-GPU reference"
@@ -179,6 +209,7 @@ fn main() {
     let on = run_cluster(
         &w,
         &cfg,
+        slab,
         net.clone(),
         gate_nodes,
         ReductionTopology::Tree,
@@ -187,6 +218,7 @@ fn main() {
     let off = run_cluster(
         &w,
         &cfg,
+        slab,
         net.clone(),
         gate_nodes,
         ReductionTopology::Tree,
@@ -200,6 +232,7 @@ fn main() {
     let ring = run_cluster(
         &w,
         &cfg,
+        slab,
         net.clone(),
         gate_nodes,
         ReductionTopology::Ring,
@@ -229,6 +262,7 @@ fn main() {
         let r = run_cluster(
             &w,
             &cfg,
+            slab,
             f.clone(),
             gate_nodes,
             ReductionTopology::Tree,

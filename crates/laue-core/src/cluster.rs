@@ -663,19 +663,21 @@ mod tests {
         c.devices.iter().map(|ds| ds.iter().collect()).collect()
     }
 
-    /// The serial plan of `c`'s shape, reducing under `copts`.
-    fn plan(c: &TestCluster, cfg: &ReconstructionConfig, copts: ClusterOptions) -> Plan {
+    /// The serial plan of `c`'s shape, reducing under `copts`, over slabs
+    /// of `rows` rows when given.
+    fn plan(c: &TestCluster, copts: ClusterOptions, rows: Option<usize>) -> Plan {
         let pins = crate::planner::Pins {
+            rows,
             depth: None,
             topology: Some(copts.topology),
             overlap: Some(copts.overlap),
         };
+        let (nodes, devices) = (c.devices.len(), c.devices[0].len());
         Plan::fixed(
-            c.devices.len(),
-            c.devices[0].len(),
+            nodes,
+            devices,
             GpuOptions::default(),
             PipelineDepth::SERIAL,
-            cfg,
             pins,
         )
     }
@@ -686,18 +688,11 @@ mod tests {
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
         copts: ClusterOptions,
+        rows: Option<usize>,
     ) -> GpuReconstruction {
         let mut source = InMemorySlabSource::new(data.to_vec(), 10, 8, 6).unwrap();
-        reconstruct_cluster(
-            &refs(c),
-            &c.net,
-            &mut source,
-            geom,
-            cfg,
-            plan(c, cfg, copts),
-            None,
-        )
-        .unwrap()
+        let plan = plan(c, copts, rows);
+        reconstruct_cluster(&refs(c), &c.net, &mut source, geom, cfg, plan, None).unwrap()
     }
 
     #[test]
@@ -711,7 +706,8 @@ mod tests {
             for topology in [ReductionTopology::Tree, ReductionTopology::Ring] {
                 for overlap in [false, true] {
                     let c = build(nodes, 1, InterconnectProps::ib_qdr());
-                    let out = run(&c, &data, &geom, &cfg, ClusterOptions { topology, overlap });
+                    let copts = ClusterOptions { topology, overlap };
+                    let out = run(&c, &data, &geom, &cfg, copts, None);
                     let tag = format!("{nodes} nodes, {topology:?}, overlap={overlap}");
                     assert_eq!(out.image.data, ref_out.image.data, "{tag}");
                     assert_eq!(out.stats, ref_out.stats, "{tag}");
@@ -727,7 +723,7 @@ mod tests {
     fn reduction_is_metered_and_head_node_sends_nothing() {
         let (geom, cfg, data) = demo();
         let c = build(4, 1, InterconnectProps::gige());
-        let out = run(&c, &data, &geom, &cfg, ClusterOptions::default());
+        let out = run(&c, &data, &geom, &cfg, ClusterOptions::default(), None);
         assert_eq!(out.nodes[0].net_bytes, 0, "head node is already home");
         assert!(out.nodes[1..].iter().all(|n| n.net_bytes > 0));
         // The fabric meters byte-hops: each node's origin bytes times its
@@ -747,16 +743,11 @@ mod tests {
         let (geom, cfg, data) = demo();
         let mk = |topology| {
             let c = build(4, 1, InterconnectProps::ib_qdr());
-            let out = run(
-                &c,
-                &data,
-                &geom,
-                &cfg,
-                ClusterOptions {
-                    topology,
-                    overlap: true,
-                },
-            );
+            let copts = ClusterOptions {
+                topology,
+                overlap: true,
+            };
+            let out = run(&c, &data, &geom, &cfg, copts, None);
             (c.net.sent_bytes(), out)
         };
         let (tree_bytes, tree) = mk(ReductionTopology::Tree);
@@ -771,10 +762,10 @@ mod tests {
 
     #[test]
     fn overlap_hides_reduction_behind_compute() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(1); // several segments per node
-                                     // Sized so reduction is a visible fraction of the ~21 µs compute:
-                                     // overlap then hides most of it, the barrier exposes all of it.
+        let (geom, cfg, data) = demo();
+        // One-row slabs: several segments per node. Sized so reduction is
+        // a visible fraction of the ~21 µs compute: overlap then hides most
+        // of it, the barrier exposes all of it.
         let slow = InterconnectProps {
             name: "slow".to_string(),
             bandwidth_bytes_per_s: 1.2e9,
@@ -791,6 +782,7 @@ mod tests {
                 topology: ReductionTopology::Tree,
                 overlap: false,
             },
+            Some(1),
         );
         let c_on = build(4, 1, slow);
         let on = run(
@@ -802,6 +794,7 @@ mod tests {
                 topology: ReductionTopology::Tree,
                 overlap: true,
             },
+            Some(1),
         );
         assert_eq!(on.image.data, off.image.data, "overlap moves time only");
         assert!(
@@ -815,16 +808,22 @@ mod tests {
 
     #[test]
     fn node_loss_rebands_onto_survivors_bitwise() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(1);
+        let (geom, cfg, data) = demo();
         let clean = build(3, 1, InterconnectProps::ib_qdr());
-        let ref_out = run(&clean, &data, &geom, &cfg, ClusterOptions::default());
+        let ref_out = run(
+            &clean,
+            &data,
+            &geom,
+            &cfg,
+            ClusterOptions::default(),
+            Some(1),
+        );
         assert_eq!(ref_out.nodes_lost, 0);
 
         for victim in 0..3usize {
             let c = build(3, 1, InterconnectProps::ib_qdr());
             c.devices[victim][0].set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(1));
-            let out = run(&c, &data, &geom, &cfg, ClusterOptions::default());
+            let out = run(&c, &data, &geom, &cfg, ClusterOptions::default(), Some(1));
             assert_eq!(out.nodes_lost, 1, "victim {victim}");
             assert_eq!(out.devices_lost, 1);
             assert!(out.nodes[victim].lost);
@@ -850,7 +849,7 @@ mod tests {
             &mut source,
             &geom,
             &cfg,
-            plan(&c, &cfg, ClusterOptions::default()),
+            plan(&c, ClusterOptions::default(), None),
             None,
         )
         .unwrap_err();
@@ -866,7 +865,7 @@ mod tests {
             let plan = Plan {
                 nodes,
                 devices,
-                ..plan(&c, &cfg, ClusterOptions::default())
+                ..plan(&c, ClusterOptions::default(), None)
             };
             let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
             let err = reconstruct_cluster(&refs(&c), &c.net, &mut source, &geom, &cfg, plan, None)
@@ -892,7 +891,7 @@ mod tests {
         for cache in [None, Some(&cache)] {
             for nodes in [1, 3] {
                 let c = build(nodes, 1, InterconnectProps::ib_qdr());
-                let plan = plan(&c, &cfg, ClusterOptions::default());
+                let plan = plan(&c, ClusterOptions::default(), None);
                 let out =
                     reconstruct_cluster(&refs(&c), &c.net, &mut source(), &geom, &cfg, plan, cache)
                         .unwrap();
@@ -901,7 +900,7 @@ mod tests {
             // A row budget processes, and is charged, three rows.
             let c = build(1, 1, InterconnectProps::ib_qdr());
             let mut progress = SlabProgress::new(cfg.n_depth_bins, 8, 6);
-            let plan = plan(&c, &cfg, ClusterOptions::default());
+            let plan = plan(&c, ClusterOptions::default(), None);
             let out = reconstruct_cluster_checkpointed(
                 &refs(&c),
                 &c.net,
@@ -924,7 +923,7 @@ mod tests {
         let mut other = ReconstructionConfig::new(-300.0, 100.0, cfg.n_depth_bins + 5);
         other.compaction = CompactionMode::On;
         let c = build(3, 1, InterconnectProps::ib_qdr());
-        let plan = plan(&c, &other, ClusterOptions::default());
+        let plan = plan(&c, ClusterOptions::default(), None);
         reconstruct_cluster(
             &refs(&c),
             &c.net,
@@ -1042,21 +1041,17 @@ mod tests {
             }
             cfg.compaction = case.compaction;
             cfg.accumulation = case.accumulation;
-            cfg.rows_per_slab = Some(case.rows_per_slab);
             let run = |kernel_table: bool, workers: usize| {
                 let c = build(1, case.per_node, InterconnectProps::ib_qdr());
                 for d in c.devices.iter().flatten() {
                     d.force_workers(workers);
                 }
                 let opts = GpuOptions { layout: case.layout, ..GpuOptions::default() };
-                let plan = Plan::fixed(
-                    1,
-                    case.per_node,
-                    opts,
-                    PipelineDepth(case.depth),
-                    &cfg,
-                    crate::planner::Pins::default(),
-                );
+                let pins = crate::planner::Pins {
+                    rows: Some(case.rows_per_slab),
+                    ..crate::planner::Pins::default()
+                };
+                let plan = Plan::fixed(1, case.per_node, opts, PipelineDepth(case.depth), pins);
                 let cache = crate::cache::DepthTableCache::new(0);
                 let mut source = InMemorySlabSource::new(case.data.clone(), steps, rows, cols).unwrap();
                 let mut progress = SlabProgress::new(bins, rows, cols);

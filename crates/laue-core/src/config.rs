@@ -236,11 +236,6 @@ pub struct ReconstructionConfig {
     pub intensity_cutoff: f64,
     /// Which wire edge the reconstruction follows.
     pub wire_edge: WireEdge,
-    /// Detector rows shipped to the device per slab (the paper's Fig 2
-    /// passes 2 of 6 rows at a time), pinned for both plan modes. `None`
-    /// fits each band to device memory, or under [`PlanMode::Auto`] lets
-    /// the planner choose.
-    pub rows_per_slab: Option<usize>,
     /// Sparsity strategy: wire-shadow row culling plus active-pair
     /// compaction. Defaults to [`CompactionMode::Off`] (dense traversal).
     pub compaction: CompactionMode,
@@ -267,7 +262,6 @@ impl ReconstructionConfig {
             n_depth_bins,
             intensity_cutoff: 0.0,
             wire_edge: WireEdge::Leading,
-            rows_per_slab: None,
             compaction: CompactionMode::default(),
             accumulation: AccumulationMode::default(),
             plan: PlanMode::default(),
@@ -298,9 +292,6 @@ impl ReconstructionConfig {
                 "intensity cutoff {} must be ≥ 0 and finite",
                 self.intensity_cutoff
             )));
-        }
-        if self.rows_per_slab == Some(0) {
-            return Err(CoreError::InvalidConfig("rows_per_slab must be ≥ 1".into()));
         }
         Ok(())
     }
@@ -352,11 +343,6 @@ mod tests {
         let mut c = base.clone();
         c.intensity_cutoff = -1.0;
         assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.rows_per_slab = Some(0);
-        assert!(c.validate().is_err());
-        c.rows_per_slab = Some(3);
-        assert!(c.validate().is_ok());
         assert!(base.validate().is_ok());
     }
 

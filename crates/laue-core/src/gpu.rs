@@ -439,9 +439,10 @@ pub fn fit_rows_per_slab(
 /// without one the slab is the largest whose `slots` copies fit `budget`.
 /// With a journal attached the slab is capped at what one journal record
 /// holds ([`RunJournal::max_slab_rows`]), so no slab is computed only to
-/// fail its commit.
+/// fail its commit. The planner prices each candidate through this fit
+/// too, without a journal.
 #[allow(clippy::too_many_arguments)]
-fn plan_slabs(
+pub(crate) fn plan_slabs(
     budget: u64,
     band_rows: usize,
     n_images: usize,
@@ -1682,8 +1683,8 @@ pub fn reconstruct(
 }
 
 /// As [`reconstruct`], with the full option set (layout × triangulation).
-/// Runs the ring at `k = 1` (serial pipeline), with no depth-table cache
-/// attached.
+/// Runs the ring at `k = 1` (serial pipeline) over memory-fitted slabs,
+/// with no depth-table cache attached.
 pub fn reconstruct_with_options(
     device: &Device,
     source: &mut dyn SlabSource,
@@ -1691,7 +1692,8 @@ pub fn reconstruct_with_options(
     cfg: &ReconstructionConfig,
     opts: GpuOptions,
 ) -> Result<GpuReconstruction> {
-    reconstruct_pipelined(device, source, geom, cfg, opts, PipelineDepth::SERIAL, None)
+    let plan = Plan::fixed(1, 1, opts, PipelineDepth::SERIAL, Pins::default());
+    reconstruct_pipelined(device, source, geom, cfg, plan, None)
 }
 
 /// Resolve where the ring's kernel reads its depth table from. A
@@ -1958,36 +1960,33 @@ pub(crate) fn run_ring(
 
 /// Reconstruct with the k-deep transfer/compute ring and, optionally, a
 /// persistent depth-table cache: the one executor, fresh, unjournalled and
-/// unbounded ([`crate::cluster::reconstruct_cluster`]), on the 1×1
-/// [`Plan::fixed`] of `opts` and `depth`, as
+/// unbounded ([`crate::cluster::reconstruct_cluster`]), on a 1×1 `plan`
+/// (its options, ring depth and slab rows), as
 /// [`crate::multi::reconstruct_multi`] is a 1×M one.
 ///
-/// `depth` is the ring depth. The cache holds the geometry's edge table
-/// that every mode reads, the wire-shadow cull when compaction is on, and
-/// in [`Triangulation::HostTables`] mode the host and device table
+/// The cache holds the geometry's edge table that every mode reads, the
+/// wire-shadow cull when compaction is on, and in
+/// [`Triangulation::HostTables`] mode the host and device table
 /// accounting.
 pub fn reconstruct_pipelined(
     device: &Device,
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
+    plan: Plan,
     cache: Option<&DepthTableCache>,
 ) -> Result<GpuReconstruction> {
     let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
-    let plan = Plan::fixed(1, 1, opts, depth, cfg, Pins::default());
     crate::cluster::reconstruct_cluster(&[vec![device]], &net, source, geom, cfg, plan, cache)
 }
 
 /// The single-GPU checkpointed step: checkpoint-aware and bounded — the
 /// preemption quantum the serve scheduler runs long jobs in. It is a
 /// one-node, one-device call of the one executor,
-/// [`crate::cluster::reconstruct_cluster_checkpointed`], on the 1×1
-/// [`Plan::fixed`] of `opts` and `depth`, with `max_rows` as its row
-/// budget: the run starts from `progress` (fresh, or replayed
-/// from a [`RunJournal`]) and processes at most `max_rows` of the rows not
-/// yet committed. Each slab commit is appended to `journal` (when given)
+/// [`crate::cluster::reconstruct_cluster_checkpointed`], on a 1×1 `plan`,
+/// with `max_rows` as its row budget: the run starts from `progress`
+/// (fresh, or replayed from a [`RunJournal`]) and processes at most
+/// `max_rows` of the rows not yet committed. Each slab commit is appended to `journal` (when given)
 /// *before* the ring moves on, so after any interruption the journal plus
 /// `progress` hold every completed slab; on error, `progress` retains all
 /// committed state.
@@ -2006,8 +2005,7 @@ pub fn reconstruct_checkpointed_bounded(
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
+    plan: Plan,
     cache: Option<&DepthTableCache>,
     progress: &mut SlabProgress,
     journal: Option<&mut RunJournal>,
@@ -2020,7 +2018,7 @@ pub fn reconstruct_checkpointed_bounded(
         source,
         geom,
         cfg,
-        Plan::fixed(1, 1, opts, depth, cfg, Pins::default()),
+        plan,
         cache,
         progress,
         journal,
@@ -2054,6 +2052,33 @@ mod tests {
         Device::new(DeviceProps::tiny(64 * 1024 * 1024))
     }
 
+    /// The 1×1 plan of `opts`, `depth` slots deep, with `rows` slab rows
+    /// pinned when given.
+    fn one_gpu(opts: GpuOptions, depth: PipelineDepth, rows: Option<usize>) -> Plan {
+        let pins = Pins {
+            rows,
+            ..Pins::default()
+        };
+        Plan::fixed(1, 1, opts, depth, pins)
+    }
+
+    /// `reconstruct` of `layout` over slabs of `rows` rows.
+    fn reconstruct_rows(
+        device: &Device,
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        layout: Layout,
+        rows: usize,
+    ) -> Result<GpuReconstruction> {
+        let opts = GpuOptions {
+            layout,
+            ..GpuOptions::default()
+        };
+        let plan = one_gpu(opts, PipelineDepth::SERIAL, Some(rows));
+        reconstruct_pipelined(device, source, geom, cfg, plan, None)
+    }
+
     #[test]
     fn gpu_matches_cpu_bitwise_when_sequential() {
         let (geom, cfg, data) = demo();
@@ -2078,7 +2103,6 @@ mod tests {
         let (geom, cfg, data) = demo();
         let verify = ReconstructionConfig {
             integrity: crate::config::IntegrityMode::Verify,
-            rows_per_slab: Some(2),
             ..cfg.clone()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -2087,7 +2111,7 @@ mod tests {
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
             let off = reconstruct(&device, &mut source, &geom, &cfg, layout).unwrap();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let on = reconstruct(&device, &mut source, &geom, &verify, layout).unwrap();
+            let on = reconstruct_rows(&device, &mut source, &geom, &verify, layout, 2).unwrap();
             assert_eq!(bits(&on.image.data), bits(&off.image.data), "{layout:?}");
             assert_eq!(on.integrity.abft_mismatches, 0, "{layout:?}");
             assert_eq!(on.integrity.corruptions_detected, 0, "{layout:?}");
@@ -2136,14 +2160,15 @@ mod tests {
         let (geom, cfg, data) = demo();
         let verify = ReconstructionConfig {
             integrity: crate::config::IntegrityMode::Verify,
-            rows_per_slab: Some(2),
             ..cfg
         };
         let mut source = OneBuffer {
             inner: InMemorySlabSource::new(data, 10, 6, 6).unwrap(),
             reads: Vec::new(),
         };
-        let out = reconstruct(&big_device(), &mut source, &geom, &verify, Layout::Flat1d).unwrap();
+        let device = big_device();
+        let out =
+            reconstruct_rows(&device, &mut source, &geom, &verify, Layout::Flat1d, 2).unwrap();
         assert_eq!(out.integrity.abft_mismatches, 0);
         assert_eq!(source.reads.len(), 6, "three uploads, three re-reads");
         let (_, first) = source.reads[0];
@@ -2190,10 +2215,9 @@ mod tests {
         let device = big_device();
         let mut reference = None;
         for rows in [1usize, 2, 3, 6] {
-            let mut cfg = cfg.clone();
-            cfg.rows_per_slab = Some(rows);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out =
+                reconstruct_rows(&device, &mut source, &geom, &cfg, Layout::Flat1d, rows).unwrap();
             assert_eq!(out.n_slabs, 6usize.div_ceil(rows));
             match &reference {
                 None => reference = Some(out.image.data),
@@ -2322,14 +2346,13 @@ mod tests {
     fn unrecoverable_oom_still_errors_at_one_row() {
         // When the plan is already a single row, a persistent OOM cannot be
         // re-planned away and must surface.
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(1);
+        let (geom, cfg, data) = demo();
         let device = big_device();
         device.set_fault_plan(
             cuda_sim::FaultPlan::new(0).report_mem_bytes(2048), // nothing fits
         );
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        match reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
+        match reconstruct_rows(&device, &mut source, &geom, &cfg, Layout::Flat1d, 1) {
             Err(CoreError::Device(cuda_sim::SimError::OutOfMemory { .. })) => {}
             other => panic!("expected OOM passthrough, got {other:?}"),
         }
@@ -2373,33 +2396,25 @@ mod tests {
         );
     }
 
-    /// Run `data` on `device` through a ring `depth` slots deep.
+    /// Run `data` on `device` through a ring `depth` slots deep, over
+    /// slabs of `rows` rows when given.
     fn ring(
         device: &Device,
         data: &[f64],
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
         depth: usize,
+        rows: Option<usize>,
     ) -> GpuReconstruction {
         let mut source = InMemorySlabSource::new(data.to_vec(), 10, 6, 6).unwrap();
-        let opts = GpuOptions::default();
-        reconstruct_pipelined(
-            device,
-            &mut source,
-            geom,
-            cfg,
-            opts,
-            PipelineDepth(depth),
-            None,
-        )
-        .unwrap()
+        let plan = one_gpu(GpuOptions::default(), PipelineDepth(depth), rows);
+        reconstruct_pipelined(device, &mut source, geom, cfg, plan, None).unwrap()
     }
 
     #[test]
     fn ring_pipeline_retries_transfers() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(2);
-        let clean = ring(&big_device(), &data, &geom, &cfg, 3);
+        let (geom, cfg, data) = demo();
+        let clean = ring(&big_device(), &data, &geom, &cfg, 3, Some(2));
         assert_eq!(clean.pipeline_depth, 3);
 
         let device = big_device();
@@ -2409,7 +2424,7 @@ mod tests {
                 .fail_nth_h2d(3)
                 .h2d_fault_rate(0.25),
         );
-        let out = ring(&device, &data, &geom, &cfg, 3);
+        let out = ring(&device, &data, &geom, &cfg, 3, Some(2));
         assert!(out.recovery.transfer_retries > 0);
         assert_eq!(out.image.data, clean.image.data);
     }
@@ -2436,10 +2451,10 @@ mod tests {
 
     #[test]
     fn deeper_rings_shorten_the_makespan() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(1); // many slabs → pipelining matters
+        let (geom, cfg, data) = demo();
         let device = big_device();
-        let run_depth = |k: usize| ring(&device, &data, &geom, &cfg, k);
+        // One-row slabs: many slabs, so pipelining matters.
+        let run_depth = |k: usize| ring(&device, &data, &geom, &cfg, k, Some(1));
         let serial = run_depth(1);
         let double = run_depth(2);
         let triple = run_depth(3);
@@ -2470,11 +2485,11 @@ mod tests {
         // OOM while slots are in flight: the ring must drain, halve the
         // plan, and still converge bit-identically.
         let (geom, cfg, data) = demo();
-        let clean = ring(&big_device(), &data, &geom, &cfg, 3);
+        let clean = ring(&big_device(), &data, &geom, &cfg, 3, None);
 
         let device = big_device();
         device.set_fault_plan(cuda_sim::FaultPlan::new(1).fail_nth_alloc(3));
-        let out = ring(&device, &data, &geom, &cfg, 3);
+        let out = ring(&device, &data, &geom, &cfg, 3, None);
         assert!(out.recovery.replans >= 1, "OOM must trigger a re-plan");
         assert_eq!(out.image.data, clean.image.data);
         assert_eq!(out.stats, clean.stats);
@@ -2488,7 +2503,7 @@ mod tests {
         let need_1 = slab_bytes(1, 10, 6, 40, GpuOptions::default(), 1, CompactionMode::Off);
         // Headroom: the planner reserves 10 % + the wire table.
         let device = Device::new(DeviceProps::tiny(2 * need_1));
-        let out = ring(&device, &data, &geom, &cfg, 4);
+        let out = ring(&device, &data, &geom, &cfg, 4, None);
         assert!(
             out.pipeline_depth < 4,
             "requested depth cannot fit: {}",
@@ -2506,8 +2521,7 @@ mod tests {
         // pixel of the slab's second row, whose band lies in the window. The warm
         // run holds the geometry's edge table, the cacheless one none: the
         // kernel must triangulate the pixel it read either way.
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(2);
+        let (geom, cfg, data) = demo();
         let run = |flip: bool, cache: Option<&DepthTableCache>| {
             let device = big_device();
             if flip {
@@ -2520,17 +2534,9 @@ mod tests {
                 );
             }
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let opts = GpuOptions::default();
-            let out = reconstruct_pipelined(
-                &device,
-                &mut source,
-                &geom,
-                &cfg,
-                opts,
-                PipelineDepth::DEFAULT,
-                cache,
-            )
-            .unwrap();
+            let plan = one_gpu(GpuOptions::default(), PipelineDepth::DEFAULT, Some(2));
+            let out =
+                reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, cache).unwrap();
             let flipped = device.fault_stats().map_or(0, |f| f.h2d_flipped);
             assert_eq!(flipped, u64::from(flip));
             out
@@ -2561,9 +2567,8 @@ mod tests {
                 layout: Layout::Flat1d,
                 triangulation,
             };
-            let depth = PipelineDepth::DEFAULT;
-            reconstruct_pipelined(&device, &mut source, &geom, &cfg, opts, depth, Some(&cache))
-                .unwrap()
+            let plan = one_gpu(opts, PipelineDepth::DEFAULT, None);
+            reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, Some(&cache)).unwrap()
         };
         let tables = run(Triangulation::HostTables);
         assert_eq!(tables.table_cache.host_misses, 1);
@@ -2601,16 +2606,8 @@ mod tests {
         let device = big_device();
         let run = |device: &Device| {
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            reconstruct_pipelined(
-                device,
-                &mut source,
-                &geom,
-                &cfg,
-                opts,
-                PipelineDepth::SERIAL,
-                Some(&cache),
-            )
-            .unwrap()
+            let plan = one_gpu(opts, PipelineDepth::SERIAL, None);
+            reconstruct_pipelined(device, &mut source, &geom, &cfg, plan, Some(&cache)).unwrap()
         };
         let cold = run(&device);
         assert_eq!(cold.image.data, fresh.image.data, "cache changes nothing");
@@ -2653,16 +2650,8 @@ mod tests {
         let device = big_device();
         let run = || {
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            reconstruct_pipelined(
-                &device,
-                &mut source,
-                &geom,
-                &cfg,
-                opts,
-                PipelineDepth::SERIAL,
-                Some(&cache),
-            )
-            .unwrap()
+            let plan = one_gpu(opts, PipelineDepth::SERIAL, None);
+            reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, Some(&cache)).unwrap()
         };
         let cold = run();
         let warm = run();
@@ -2716,20 +2705,13 @@ mod tests {
         let device = big_device();
         let mut reference = None;
         for rows in [1usize, 3, 6] {
-            let mut cfg = cfg.clone();
-            cfg.rows_per_slab = Some(rows);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct_with_options(
-                &device,
-                &mut source,
-                &geom,
-                &cfg,
-                GpuOptions {
-                    layout: Layout::Flat1d,
-                    triangulation: Triangulation::HostTables,
-                },
-            )
-            .unwrap();
+            let opts = GpuOptions {
+                layout: Layout::Flat1d,
+                triangulation: Triangulation::HostTables,
+            };
+            let plan = one_gpu(opts, PipelineDepth::SERIAL, Some(rows));
+            let out = reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, None).unwrap();
             // The slabs' charges sum to the whole detector's.
             assert_eq!(out.host_table_flops, EdgeTable::build_flops(&geom, 6));
             match &reference {
@@ -2836,20 +2818,12 @@ mod tests {
 
     #[test]
     fn checkpointed_fresh_run_matches_pipelined_bitwise() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(2);
+        let (geom, cfg, data) = demo();
+        let plan = one_gpu(GpuOptions::default(), PipelineDepth::SERIAL, Some(2));
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let baseline = reconstruct_pipelined(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-        )
-        .unwrap();
+        let baseline =
+            reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, None).unwrap();
 
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
@@ -2858,8 +2832,7 @@ mod tests {
             &mut source,
             &geom,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
+            plan,
             None,
             &mut progress,
             None,
@@ -2879,40 +2852,23 @@ mod tests {
         // 64 images of 2048 × 2048 into 200 bins on the 6 GB M2070 at ring
         // depth 1: the memory fit alone plans a slab past the journal's
         // 4 GiB record frame.
-        let mut cfg = ReconstructionConfig::new(-400.0, 400.0, 200);
+        let cfg = ReconstructionConfig::new(-400.0, 400.0, 200);
         let budget = DeviceProps::tesla_m2070().total_mem;
         let dir = std::env::temp_dir().join(format!("laue-plan-cap-{}", std::process::id()));
         let key = JournalKey::new("plan-cap".into());
         let (journal, _) = RunJournal::open(&dir, &key, (200, 2048, 2048), false).unwrap();
         let cap = journal.max_slab_rows().unwrap();
-        let plan = |cfg: &ReconstructionConfig, journal| {
-            let serial = Plan::fixed(
-                1,
-                1,
-                GpuOptions::default(),
-                PipelineDepth::SERIAL,
-                cfg,
-                Pins::default(),
-            );
-            plan_slabs(
-                budget,
-                2048,
-                64,
-                2048,
-                cfg,
-                GpuOptions::default(),
-                &serial,
-                journal,
-            )
-            .unwrap()
+        let plan = |rows, journal| {
+            let serial = one_gpu(GpuOptions::default(), PipelineDepth::SERIAL, rows);
+            let opts = GpuOptions::default();
+            plan_slabs(budget, 2048, 64, 2048, &cfg, opts, &serial, journal).unwrap()
         };
-        let (fit, slots) = plan(&cfg, None);
+        let (fit, slots) = plan(None, None);
         assert!(fit > cap, "the fit ({fit} rows) must pass the cap ({cap})");
-        assert_eq!(plan(&cfg, Some(&journal)), (cap, slots));
-        // A configured slab height is capped the same way.
-        cfg.rows_per_slab = Some(2048);
-        assert_eq!(plan(&cfg, None).0, 2048);
-        assert_eq!(plan(&cfg, Some(&journal)).0, cap);
+        assert_eq!(plan(None, Some(&journal)), (cap, slots));
+        // A pinned slab height is capped the same way.
+        assert_eq!(plan(Some(2048), None).0, 2048);
+        assert_eq!(plan(Some(2048), Some(&journal)).0, cap);
         journal.remove().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2921,21 +2877,14 @@ mod tests {
     fn device_loss_at_every_slab_boundary_resumes_bit_identically() {
         use crate::journal::{JournalKey, RunJournal};
 
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(2); // 6 rows → 3 slabs
+        let (geom, cfg, data) = demo();
+        // 6 rows → 3 slabs.
+        let plan = one_gpu(GpuOptions::default(), PipelineDepth::SERIAL, Some(2));
         let dims = (cfg.n_depth_bins, 6usize, 6usize);
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let baseline = reconstruct_pipelined(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-        )
-        .unwrap();
+        let baseline =
+            reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, None).unwrap();
 
         let dir = std::env::temp_dir().join(format!("laue-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2952,8 +2901,7 @@ mod tests {
                 &mut source,
                 &geom,
                 &cfg,
-                GpuOptions::default(),
-                PipelineDepth::SERIAL,
+                plan,
                 None,
                 &mut progress,
                 Some(&mut journal),
@@ -2975,8 +2923,7 @@ mod tests {
                 &mut source,
                 &geom,
                 &cfg,
-                GpuOptions::default(),
-                PipelineDepth::SERIAL,
+                plan,
                 None,
                 &mut progress,
                 Some(&mut journal),
@@ -3098,11 +3045,10 @@ mod tests {
         cfg.compaction = CompactionMode::On;
         let mut reference = None;
         for rows in [1usize, 2, 3, 6] {
-            let mut cfg = cfg.clone();
-            cfg.rows_per_slab = Some(rows);
             let device = big_device();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out =
+                reconstruct_rows(&device, &mut source, &geom, &cfg, Layout::Flat1d, rows).unwrap();
             assert_eq!(out.slab_densities.len(), out.n_slabs);
             match &reference {
                 None => reference = Some(out.image.data),
@@ -3239,10 +3185,10 @@ mod tests {
     #[test]
     fn checkpointed_compaction_matches_dense() {
         let (geom, mut cfg, data) = mixed_demo();
-        cfg.rows_per_slab = Some(2);
+        let plan = one_gpu(GpuOptions::default(), PipelineDepth::SERIAL, Some(2));
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let dense = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let dense = reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, None).unwrap();
         cfg.compaction = CompactionMode::On;
         let device = big_device();
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
@@ -3252,8 +3198,7 @@ mod tests {
             &mut source,
             &geom,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
+            plan,
             None,
             &mut progress,
             None,
@@ -3449,10 +3394,10 @@ mod tests {
     #[test]
     fn checkpointed_privatized_matches_and_records_slabs() {
         let (geom, mut cfg, data) = mixed_demo();
-        cfg.rows_per_slab = Some(2);
+        let plan = one_gpu(GpuOptions::default(), PipelineDepth::SERIAL, Some(2));
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let atomic = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let atomic = reconstruct_pipelined(&device, &mut source, &geom, &cfg, plan, None).unwrap();
 
         cfg.compaction = CompactionMode::On;
         cfg.accumulation = AccumulationMode::Auto;
@@ -3464,8 +3409,7 @@ mod tests {
             &mut source,
             &geom,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
+            plan,
             None,
             &mut progress,
             None,

@@ -70,7 +70,6 @@ pub fn reconstruct_multi(
         devices.len(),
         opts,
         PipelineDepth::SERIAL,
-        cfg,
         Pins::default(),
     );
     reconstruct_cluster(&[devices.to_vec()], &net, source, geom, cfg, plan, None)
@@ -181,6 +180,24 @@ mod tests {
         (geom, cfg, data)
     }
 
+    /// `reconstruct_multi` over slabs of `rows` rows when given.
+    fn multi_rows(
+        devices: &[&Device],
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        rows: Option<usize>,
+    ) -> Result<GpuReconstruction> {
+        let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
+        let pins = Pins {
+            rows,
+            ..Pins::default()
+        };
+        let opts = GpuOptions::default();
+        let plan = Plan::fixed(1, devices.len(), opts, PipelineDepth::SERIAL, pins);
+        reconstruct_cluster(&[devices.to_vec()], &net, source, geom, cfg, plan, None)
+    }
+
     #[test]
     fn row_bands_cover_exactly() {
         for (rows, n) in [(8usize, 2usize), (7, 3), (5, 8), (1, 1), (10, 4)] {
@@ -204,27 +221,24 @@ mod tests {
         // device whose shared memory cannot hold it: culled slabs never
         // launch, so they ran no accumulator and count as no fallback.
         let mut culled = ReconstructionConfig::new(-400.0, 400.0, 40);
-        culled.rows_per_slab = Some(1);
         culled.compaction = crate::CompactionMode::Auto;
         culled.accumulation = crate::AccumulationMode::Privatized;
         let mut cramped = DeviceProps::tiny(16 * 1024 * 1024);
         cramped.shared_mem_per_block = 64;
-        for (cfg, props) in [
-            (cfg, DeviceProps::tiny(16 * 1024 * 1024)),
-            (culled, cramped),
+        for (cfg, props, rows) in [
+            (cfg, DeviceProps::tiny(16 * 1024 * 1024), None),
+            (culled, cramped, Some(1)),
         ] {
             let single = Device::new(props.clone());
             let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            let ref_out =
-                gpu::reconstruct(&single, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let ref_out = multi_rows(&[&single], &mut source, &geom, &cfg, rows).unwrap();
             assert!(ref_out.stats.accum_fallback_pairs < ref_out.stats.pairs_total);
 
             for n_dev in [1usize, 2, 3, 4] {
                 let devices: Vec<Device> = (0..n_dev).map(|_| Device::new(props.clone())).collect();
                 let refs: Vec<&Device> = devices.iter().collect();
                 let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-                let out = reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default())
-                    .unwrap();
+                let out = multi_rows(&refs, &mut source, &geom, &cfg, rows).unwrap();
                 assert_eq!(out.image.data, ref_out.image.data, "{n_dev} devices");
                 assert_eq!(out.stats, ref_out.stats, "{n_dev} devices");
                 assert_eq!(out.per_device.len(), n_dev);
@@ -349,7 +363,7 @@ mod tests {
         let cache = DepthTableCache::new(8 * 1024 * 1024);
         let run = |source: &mut dyn crate::input::SlabSource| {
             let net = Interconnect::new("chassis", 1, InterconnectProps::ib_qdr());
-            let plan = Plan::fixed(1, refs.len(), opts, PipelineDepth(2), &cfg, Pins::default());
+            let plan = Plan::fixed(1, refs.len(), opts, PipelineDepth(2), Pins::default());
             reconstruct_cluster(
                 std::slice::from_ref(&refs),
                 &net,
@@ -398,15 +412,15 @@ mod tests {
 
     #[test]
     fn fleet_survives_losing_each_device_in_turn() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(1); // every band is several slabs
+        let (geom, cfg, data) = demo();
+        // One-row slabs: every band is several slabs.
+        let rows = Some(1);
         let clean: Vec<Device> = (0..4)
             .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
             .collect();
         let refs: Vec<&Device> = clean.iter().collect();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let ref_out = multi_rows(&refs, &mut source, &geom, &cfg, rows).unwrap();
         assert_eq!(ref_out.devices_lost, 0);
 
         for victim in 0..4usize {
@@ -417,8 +431,7 @@ mod tests {
             fleet[victim].set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(1));
             let refs: Vec<&Device> = fleet.iter().collect();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            let out =
-                reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+            let out = multi_rows(&refs, &mut source, &geom, &cfg, rows).unwrap();
             assert_eq!(out.devices_lost, 1, "victim {victim}");
             assert_eq!(
                 out.image.data, ref_out.image.data,

@@ -3,9 +3,8 @@
 //! Every engine — CPU sequential, CPU threaded, and the simulated-GPU
 //! kernel — funnels through [`plan_pair`], so their numerical behaviour
 //! differs only in accumulation order. The planner is split from the
-//! deposit loop so the GPU kernel can interleave its own metered atomics;
-//! [`process_pair`] is the convenience wrapper the reference loops in the
-//! tests use.
+//! deposit loop so the GPU kernel can interleave its own metered atomics,
+//! and [`deposit_plan`] executes a plan through a callback.
 //!
 //! The module also defines the FLOP estimates that feed the virtual-time
 //! performance models, so CPU and GPU see identical logical work.
@@ -210,34 +209,6 @@ pub fn plan_with_edges(
     }
 }
 
-/// Convenience wrapper: plan and immediately execute the deposits through a
-/// callback. The tests' reference loops use it.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn process_pair<F: FnMut(usize, f64)>(
-    mapper: &DepthMapper,
-    cfg: &ReconstructionConfig,
-    pixel: Vec3,
-    wire_center_z: Vec3,
-    wire_center_z1: Vec3,
-    intensity_z: f64,
-    intensity_z1: f64,
-    deposit: F,
-    flops: &mut u64,
-) -> PairOutcome {
-    let plan = plan_pair(
-        mapper,
-        cfg,
-        pixel,
-        wire_center_z,
-        wire_center_z1,
-        intensity_z,
-        intensity_z1,
-        flops,
-    );
-    deposit_plan(plan, cfg, deposit)
-}
-
 /// Execute a pair's plan through a callback: every bin of a deposit whose
 /// amount is nonzero, in ascending bin order.
 #[inline]
@@ -262,6 +233,34 @@ pub fn deposit_plan<F: FnMut(usize, f64)>(
             PairOutcome::Deposited { bins }
         }
     }
+}
+
+/// [`plan_pair`] then [`deposit_plan`] in one call: the reference loops
+/// of the tests use it.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn process_pair<F: FnMut(usize, f64)>(
+    mapper: &DepthMapper,
+    cfg: &ReconstructionConfig,
+    pixel: Vec3,
+    wire_center_z: Vec3,
+    wire_center_z1: Vec3,
+    intensity_z: f64,
+    intensity_z1: f64,
+    deposit: F,
+    flops: &mut u64,
+) -> PairOutcome {
+    let plan = plan_pair(
+        mapper,
+        cfg,
+        pixel,
+        wire_center_z,
+        wire_center_z1,
+        intensity_z,
+        intensity_z1,
+        flops,
+    );
+    deposit_plan(plan, cfg, deposit)
 }
 
 #[cfg(test)]

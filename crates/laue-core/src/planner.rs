@@ -32,7 +32,7 @@
 //!
 //! Every GPU run executes one [`Plan`]: an engine alias names a fixed one
 //! ([`Plan::fixed`]), `--plan auto` picks one. Both honour the caller's
-//! [`Pins`] and slab rows, and neither changes the configuration: the
+//! [`Pins`], and neither changes the configuration: the
 //! compaction and accumulation modes it holds are the ones priced and run.
 //!
 //! The probe ([`SlabProbe`]) samples up to [`PROBE_MAX_PIXELS`] pixels of a
@@ -60,8 +60,8 @@ use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{
-    fit_rows_per_slab, plan_accumulation, validate_inputs, AccumPlan, GpuOptions, Layout,
-    PipelineDepth, Triangulation, BLOCK_SIZE,
+    plan_accumulation, plan_slabs, validate_inputs, AccumPlan, GpuOptions, Layout, PipelineDepth,
+    Triangulation, BLOCK_SIZE,
 };
 use crate::input::SlabSource;
 use crate::pair::{
@@ -616,12 +616,15 @@ pub struct Plan {
     pub reduction: ClusterOptions,
 }
 
-/// The execution choices a caller pins, each `None` when left to the plan:
-/// [`Plan::fixed`] takes the engine's default for it, [`plan_auto`]
-/// searches it. Slab rows are pinned by
-/// [`ReconstructionConfig::rows_per_slab`].
+/// Every execution choice a caller can pin, each `None` when left to the
+/// plan: [`Plan::fixed`] takes the engine's default for it (slab rows
+/// fitted to device memory), [`plan_auto`] searches it. None of them
+/// changes the image.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Pins {
+    /// Detector rows per slab (the paper's Fig 2 ships 2 of 6 rows at a
+    /// time).
+    pub rows: Option<usize>,
     /// Ring depth of every device.
     pub depth: Option<PipelineDepth>,
     /// Inter-node reduction routing.
@@ -630,21 +633,33 @@ pub struct Pins {
     pub overlap: Option<bool>,
 }
 
+impl Pins {
+    /// Refuse a zero ring depth or zero slab rows, which no plan can run.
+    pub fn check(&self) -> Result<()> {
+        let zero = match (self.depth, self.rows) {
+            (Some(PipelineDepth(0)), _) => "ring depth",
+            (_, Some(0)) => "slab rows",
+            _ => return Ok(()),
+        };
+        Err(CoreError::InvalidConfig(format!(
+            "the pinned {zero} must be at least 1"
+        )))
+    }
+}
+
 impl Plan {
     /// The fixed plan of a `nodes × devices` run of `options`: a ring
-    /// `depth` slots deep unless `pins` pins another, slabs of
-    /// [`ReconstructionConfig::rows_per_slab`] rows, reducing over the
-    /// pinned topology and overlap where given (tree, overlapped
-    /// otherwise). One node sends nothing, so there a pinned reduction
-    /// stays out of the plan, as under [`plan_auto`]. Every engine alias
-    /// and every standalone single-GPU entry point resolves its fixed plan
-    /// here.
+    /// `depth` slots deep and slabs fitted to device memory unless `pins`
+    /// pins either, reducing over the pinned topology and overlap where
+    /// given (tree, overlapped otherwise). One node sends nothing, so
+    /// there a pinned reduction stays out of the plan, as under
+    /// [`plan_auto`]. Every engine alias and every standalone single-GPU
+    /// entry point resolves its fixed plan here.
     pub fn fixed(
         nodes: usize,
         devices: usize,
         options: GpuOptions,
         depth: PipelineDepth,
-        cfg: &ReconstructionConfig,
         pins: Pins,
     ) -> Plan {
         let default = ClusterOptions::default();
@@ -653,7 +668,7 @@ impl Plan {
             devices,
             options,
             depth: pins.depth.unwrap_or(depth),
-            rows_per_slab: cfg.rows_per_slab,
+            rows_per_slab: pins.rows,
             reduction: if nodes == 1 {
                 default
             } else {
@@ -699,14 +714,14 @@ fn triangulation_label(t: Triangulation) -> &'static str {
 
 /// Enumerate and score run-level execution plans for `source` on the
 /// device described by `props`, returning the predicted-cheapest feasible
-/// one. Per-slab knobs (compaction, accumulation) are resolved inside each
+/// one, with nothing pinned: every ring depth and slab height is priced.
+/// Per-slab knobs (compaction, accumulation) are resolved inside each
 /// candidate via `plan_slab` under the modes in `cfg`, exactly as the
-/// executor resolves them; a pinned [`ReconstructionConfig::rows_per_slab`]
-/// is the only slab height priced. A source that disagrees with `geom` or
-/// an invalid `cfg` fails as the executor would, with a typed error. With
+/// executor resolves them. A source that disagrees with `geom` or an
+/// invalid `cfg` fails as the executor would, with a typed error. With
 /// compaction on, the planner builds its own full-detector edge table for
 /// its wire-shadow cull and keeps only the cull; [`plan_auto`] can read a
-/// cached table instead.
+/// cached table instead, and prices what [`Pins`] pins.
 pub fn plan_run(
     props: &DeviceProps,
     host: &HostProps,
@@ -715,11 +730,12 @@ pub fn plan_run(
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
 ) -> Result<RunPlan> {
-    plan_run_cached(props, host, source, geom, cfg, warmth, None, None)
+    let pins = Pins::default();
+    plan_run_cached(props, host, source, geom, cfg, warmth, pins, None)
 }
 
-/// [`plan_run`] at the pinned ring `depth` when given, reading the edge
-/// table's wire-shadow cull from `cache` when given.
+/// [`plan_run`] pricing only the slab rows and ring depth `pins` pins,
+/// reading the edge table's wire-shadow cull from `cache` when given.
 #[allow(clippy::too_many_arguments)]
 fn plan_run_cached(
     props: &DeviceProps,
@@ -728,7 +744,7 @@ fn plan_run_cached(
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
     warmth: TableWarmth,
-    depth_pin: Option<PipelineDepth>,
+    pins: Pins,
     cache: Option<&DepthTableCache>,
 ) -> Result<RunPlan> {
     validate_inputs(source, geom, cfg)?;
@@ -779,7 +795,7 @@ fn plan_run_cached(
     let table_mode_host_flops = EdgeTable::build_flops(geom, n_rows);
     let cull_host_flops = cull.as_ref().map_or(0, |_| table_mode_host_flops);
 
-    let depths = depth_pin.map_or(vec![1, 2, 3], |d| vec![d.0]);
+    let depths = pins.depth.map_or(vec![1, 2, 3], |d| vec![d.0]);
     let mut candidates = Vec::new();
     let mut best: Option<RunPlan> = None;
     let mut last_fit_error = None;
@@ -809,37 +825,27 @@ fn plan_run_cached(
             }
             let budget = props.total_mem.saturating_sub(used);
             for &depth in &depths {
-                // Slots-halving fit loop, as the ring runs it.
-                let mut slots = depth;
-                let fit = match cfg.rows_per_slab {
-                    Some(r) => Some(r.min(n_rows)),
-                    None => loop {
-                        match fit_rows_per_slab(
-                            budget,
-                            n_rows,
-                            n_images,
-                            n_cols,
-                            n_bins,
-                            sizing_opts,
-                            slots,
-                            cfg.compaction,
-                        ) {
-                            Ok(r) => break Some(r),
-                            Err(e @ CoreError::DeviceCapacity { .. }) => {
-                                if slots > 1 {
-                                    slots = (slots / 2).max(1);
-                                } else {
-                                    last_fit_error = Some(e);
-                                    break None;
-                                }
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    },
+                // The ring's own opening fit of this candidate.
+                let candidate = Plan::fixed(1, 1, opts, PipelineDepth(depth), pins);
+                let (fit_rows, slots) = match plan_slabs(
+                    budget,
+                    n_rows,
+                    n_images,
+                    n_cols,
+                    cfg,
+                    sizing_opts,
+                    &candidate,
+                    None,
+                ) {
+                    Ok(fit) => fit,
+                    Err(e @ CoreError::DeviceCapacity { .. }) => {
+                        last_fit_error = Some(e);
+                        continue;
+                    }
+                    Err(e) => return Err(e),
                 };
-                let Some(fit_rows) = fit else { continue };
                 let mut row_variants = vec![fit_rows];
-                if cfg.rows_per_slab.is_none() && fit_rows > 1 {
+                if pins.rows.is_none() && fit_rows > 1 {
                     row_variants.push((fit_rows / 2).max(1));
                 }
                 row_variants.dedup();
@@ -981,12 +987,8 @@ fn plan_run_cached(
                     if best.as_ref().is_none_or(|b| predicted_s < b.predicted_s) {
                         best = Some(RunPlan {
                             plan: Plan {
-                                nodes: 1,
-                                devices: 1,
-                                options: opts,
-                                depth: PipelineDepth(depth),
                                 rows_per_slab: Some(rows_per_slab),
-                                reduction: ClusterOptions::default(),
+                                ..candidate
                             },
                             predicted_s,
                             host_s,
@@ -1067,7 +1069,8 @@ fn reduction_estimate(
 
 /// The one `--plan auto` entry: price a run on `nodes` chassis of
 /// `devices` GPUs each with the per-device enumeration of [`plan_run`]
-/// (at the pinned ring depth, when `pins` pins one), its makespan scaled
+/// (pricing only the slab rows and ring depth `pins` pins, after
+/// [`Pins::check`] refuses a zero one), its makespan scaled
 /// by the slowest node's row share (bands are row-uniform to first order)
 /// and by the shared-chassis margin of the extra devices per node
 /// (`INTRA_NODE_MARGINAL`). A one-node plan keeps the per-device label and
@@ -1100,12 +1103,8 @@ pub fn plan_auto(
             "a plan needs at least one node and one device per node".into(),
         ));
     }
-    if pins.depth == Some(PipelineDepth(0)) {
-        return Err(CoreError::InvalidConfig(
-            "pipeline depth must be at least 1".into(),
-        ));
-    }
-    let mut run = plan_run_cached(props, host, source, geom, cfg, warmth, pins.depth, cache)?;
+    pins.check()?;
+    let mut run = plan_run_cached(props, host, source, geom, cfg, warmth, pins, cache)?;
     run.plan.nodes = nodes;
     run.plan.devices = devices;
     let intra = 1.0 + INTRA_NODE_MARGINAL * (devices - 1) as f64;

@@ -7,8 +7,8 @@ use laue_core::cluster::reconstruct_cluster;
 use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
 use laue_core::planner::{Pins, Plan};
 use laue_core::{
-    cpu, gpu, AccumulationMode, CompactionMode, InMemorySlabSource, ReconstructionConfig,
-    ReductionTopology, ScanGeometry, ScanView, WireEdge,
+    cpu, gpu, AccumulationMode, CompactionMode, GpuReconstruction, InMemorySlabSource,
+    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, WireEdge,
 };
 use proptest::prelude::*;
 
@@ -49,8 +49,37 @@ fn geometry(s: &Scenario) -> ScanGeometry {
 fn config(s: &Scenario) -> ReconstructionConfig {
     let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 60);
     cfg.intensity_cutoff = s.cutoff;
-    cfg.rows_per_slab = Some(s.rows_per_slab);
     cfg
+}
+
+/// The scenario's slab rows, pinned.
+fn pins(s: &Scenario) -> Pins {
+    Pins {
+        rows: Some(s.rows_per_slab),
+        ..Pins::default()
+    }
+}
+
+/// `gpu::reconstruct` of `layout` over slabs of `rows` rows.
+fn reconstruct_rows(
+    device: &Device,
+    s: &Scenario,
+    geom: &ScanGeometry,
+    cfg: &ReconstructionConfig,
+    layout: Layout,
+    rows: usize,
+) -> GpuReconstruction {
+    let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
+    let opts = GpuOptions {
+        layout,
+        ..GpuOptions::default()
+    };
+    let pins = Pins {
+        rows: Some(rows),
+        ..Pins::default()
+    };
+    let plan = Plan::fixed(1, 1, opts, PipelineDepth::SERIAL, pins);
+    gpu::reconstruct_pipelined(device, &mut src, geom, cfg, plan, None).unwrap()
 }
 
 proptest! {
@@ -65,8 +94,7 @@ proptest! {
         let view = ScanView::new(&s.data, s.n_steps, s.n_rows, s.n_cols).unwrap();
         let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
         let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let gpu_out = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+        let gpu_out = reconstruct_rows(&device, &s, &geom, &cfg, Layout::Flat1d, s.rows_per_slab);
         prop_assert_eq!(&cpu_out.image.data, &gpu_out.image.data);
         prop_assert_eq!(cpu_out.stats, gpu_out.stats);
     }
@@ -78,10 +106,9 @@ proptest! {
         let geom = geometry(&s);
         let cfg = config(&s);
         let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let flat = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let ptr = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Pointer3d).unwrap();
+        let rows = s.rows_per_slab;
+        let flat = reconstruct_rows(&device, &s, &geom, &cfg, Layout::Flat1d, rows);
+        let ptr = reconstruct_rows(&device, &s, &geom, &cfg, Layout::Pointer3d, rows);
         prop_assert_eq!(&flat.image.data, &ptr.image.data);
         prop_assert!(ptr.meters.transfers >= flat.meters.transfers);
         prop_assert!(ptr.meters.comm_time_s >= flat.meters.comm_time_s);
@@ -93,12 +120,9 @@ proptest! {
         let geom = geometry(&s);
         let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
         let mut reference: Option<Vec<f64>> = None;
+        let cfg = config(&s);
         for rows in 1..=s.n_rows {
-            let mut cfg = config(&s);
-            cfg.rows_per_slab = Some(rows);
-            let mut src =
-                InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-            let out = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out = reconstruct_rows(&device, &s, &geom, &cfg, Layout::Flat1d, rows);
             match &reference {
                 None => reference = Some(out.image.data),
                 Some(r) => prop_assert_eq!(r, &out.image.data),
@@ -210,13 +234,11 @@ proptest! {
             triangulation: Triangulation::HostTables,
             ..GpuOptions::default()
         };
+        let plan = Plan::fixed(1, 1, opts, PipelineDepth(2), pins(&s));
         let run = || {
             let mut src =
                 InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-            gpu::reconstruct_pipelined(
-                &device, &mut src, &geom, &cfg, opts, PipelineDepth(2), Some(&cache),
-            )
-            .unwrap()
+            gpu::reconstruct_pipelined(&device, &mut src, &geom, &cfg, plan, Some(&cache)).unwrap()
         };
         let cold = run();
         let warm = run();
@@ -313,8 +335,7 @@ proptest! {
                 shape.per_node,
                 shape.options,
                 PipelineDepth(shape.depth),
-                &cfg,
-                Pins::default(),
+                pins(&s),
             );
             reconstruct_cluster(&refs, &net, &mut src, &geom, &cfg, plan, None).unwrap()
         };
@@ -391,10 +412,8 @@ proptest! {
         cfg.accumulation = shape.accumulation;
 
         let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut src =
-            InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
         let reference =
-            gpu::reconstruct(&single, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+            reconstruct_rows(&single, &s, &geom, &cfg, Layout::Flat1d, s.rows_per_slab);
 
         let hosts: Vec<_> = (0..shape.nodes).map(|_| Host::new_default()).collect();
         let devices: Vec<Vec<Device>> = hosts
@@ -415,11 +434,10 @@ proptest! {
             shape.per_node,
             GpuOptions::default(),
             PipelineDepth::SERIAL,
-            &cfg,
             Pins {
-                depth: None,
                 topology: Some(shape.topology),
                 overlap: Some(shape.overlap),
+                ..pins(&s)
             },
         );
         let out = reconstruct_cluster(&refs, &net, &mut src, &geom, &cfg, plan, None).unwrap();

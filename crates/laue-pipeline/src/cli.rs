@@ -12,7 +12,8 @@
 use std::collections::BTreeMap;
 
 use cuda_sim::{FaultPlan, InterconnectProps};
-use laue_core::gpu::Layout;
+use laue_core::gpu::{Layout, PipelineDepth};
+use laue_core::planner::Pins;
 use laue_core::{
     AccumulationMode, CompactionMode, IntegrityMode, PlanMode, ReconstructionConfig,
     ReductionTopology,
@@ -84,13 +85,15 @@ pub struct ReconstructArgs {
     /// End-to-end data-integrity policy
     /// (`--integrity off|verify|scrub`; default `off`).
     pub integrity: IntegrityMode,
-    /// Detector rows per slab (`--rows-per-slab`; `None` fits the slab to
-    /// device memory, or lets `--plan auto` pick).
-    pub rows_per_slab: Option<usize>,
-    /// Ring depth of the GPU transfer/compute pipeline (`--pipeline-depth`;
-    /// `None`: 1 on gpu-1d, gpu-3d and gpu-tables, 3 on gpu-pipe, gpu-multi
-    /// and gpu-cluster, or the planner's pick under `--plan auto`).
-    pub pipeline_depth: Option<usize>,
+    /// What the flags pin, each `None` when unpinned, where `--plan auto`
+    /// searches it: slab rows (`--rows-per-slab`; unpinned fits the slab
+    /// to device memory), ring depth (`--pipeline-depth`; unpinned is 1 on
+    /// gpu-1d, gpu-3d and gpu-tables, 3 on gpu-pipe, gpu-multi and
+    /// gpu-cluster), reduction routing (`--reduction tree|ring|auto`;
+    /// auto is tree) and overlap (`--overlap on|off|auto`; auto is on).
+    /// The reduction moves time only on more than one node, so a one-node
+    /// plan keeps tree.
+    pub pins: Pins,
     /// Device-resident depth-table cache budget, MiB (`--table-cache-mb`;
     /// 0 disables residency).
     pub table_cache_mb: Option<u64>,
@@ -109,15 +112,6 @@ pub struct ReconstructArgs {
     /// (`--fault-device`, testing only; node-major flattened index for
     /// `gpu-cluster` engines).
     pub fault_device: Option<usize>,
-    /// Inter-node reduction routing (`--reduction tree|ring|auto`;
-    /// `None` = auto: tree under `--plan fixed`, the planner's pick under
-    /// `--plan auto`). It moves time only on more than one node, so a
-    /// one-node plan keeps tree.
-    pub reduction: Option<ReductionTopology>,
-    /// Overlap the inter-node reduction with the compute tail
-    /// (`--overlap on|off|auto`; `None` = auto: on under `--plan fixed`,
-    /// the planner's pick under `--plan auto`, as for `reduction`).
-    pub overlap: Option<bool>,
     /// Inter-node fabric preset (`--interconnect ib-qdr|ib-fdr|nvlink|
     /// gige`; default ib-qdr). Cluster engines only.
     pub interconnect: InterconnectProps,
@@ -479,8 +473,18 @@ fn parse_run(cmd: &str, rest: &[String]) -> std::result::Result<Command, String>
             "off, verify, scrub",
         )?
         .unwrap_or_default(),
-        rows_per_slab: get_count(&flags, "rows-per-slab")?,
-        pipeline_depth: get_count(&flags, "pipeline-depth")?,
+        pins: Pins {
+            rows: get_count(&flags, "rows-per-slab")?,
+            depth: get_count(&flags, "pipeline-depth")?.map(PipelineDepth),
+            topology: match flags.get("reduction") {
+                None => None,
+                Some(s) => parse_reduction(s)?,
+            },
+            overlap: match flags.get("overlap") {
+                None => None,
+                Some(s) => parse_overlap(s)?,
+            },
+        },
         table_cache_mb: get_count(&flags, "table-cache-mb")?,
         roi,
         on_gpu_failure: match flags.get("on-gpu-failure") {
@@ -494,14 +498,6 @@ fn parse_run(cmd: &str, rest: &[String]) -> std::result::Result<Command, String>
         journal_dir: flags.get("journal-dir").cloned(),
         resume: flags.contains_key("resume"),
         fault_device: get_count(&flags, "fault-device")?,
-        reduction: match flags.get("reduction") {
-            None => None,
-            Some(s) => parse_reduction(s)?,
-        },
-        overlap: match flags.get("overlap") {
-            None => None,
-            Some(s) => parse_overlap(s)?,
-        },
         interconnect: match flags.get("interconnect") {
             None => InterconnectProps::ib_qdr(),
             Some(s) => parse_interconnect(s)?,
@@ -652,6 +648,10 @@ CHECKPOINT / RESUME:
                        run; needs --journal-dir)
 
 GPU PIPELINE:
+  --rows-per-slab R    detector rows shipped per slab (the paper's Fig 2
+                       ships 2 of 6); unpinned, each slab is the largest
+                       that fits device memory, and --plan auto picks one
+                       unless pinned; the image never depends on it
   --pipeline-depth K   ring depth: slab slots in flight (1 = serial;
                        gpu-1d, gpu-3d and gpu-tables default to 1,
                        gpu-pipe, gpu-multi and gpu-cluster to 3, and
@@ -716,7 +716,6 @@ fn recon_config(args: &ReconstructArgs) -> ReconstructionConfig {
     cfg.accumulation = args.accumulation;
     cfg.plan = args.plan;
     cfg.integrity = args.integrity;
-    cfg.rows_per_slab = args.rows_per_slab;
     cfg
 }
 
@@ -728,9 +727,7 @@ fn recon_pipeline(args: &ReconstructArgs) -> Pipeline {
         journal_dir: args.journal_dir.clone().map(std::path::PathBuf::from),
         resume: args.resume,
         fault_device: args.fault_device,
-        pipeline_depth: args.pipeline_depth,
-        reduction: args.reduction,
-        overlap: args.overlap,
+        pins: args.pins,
         interconnect: args.interconnect.clone(),
         ..Pipeline::default()
     }
@@ -1032,8 +1029,8 @@ mod tests {
                 devices_per_node: 2
             }
         );
-        assert_eq!(a.reduction, Some(ReductionTopology::Ring));
-        assert_eq!(a.overlap, Some(false));
+        assert_eq!(a.pins.topology, Some(ReductionTopology::Ring));
+        assert_eq!(a.pins.overlap, Some(false));
         assert_eq!(a.interconnect.name, "nvlink");
 
         // Absent flags: auto topology/overlap over the default fabric.
@@ -1041,8 +1038,8 @@ mod tests {
         let Command::Reconstruct(a) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(a.reduction, None);
-        assert_eq!(a.overlap, None);
+        assert_eq!(a.pins.topology, None);
+        assert_eq!(a.pins.overlap, None);
         assert_eq!(a.interconnect, InterconnectProps::ib_qdr());
 
         // "auto" is the explicit spelling of the default.
@@ -1059,8 +1056,8 @@ mod tests {
         let Command::Reconstruct(a) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(a.reduction, None);
-        assert_eq!(a.overlap, None);
+        assert_eq!(a.pins.topology, None);
+        assert_eq!(a.pins.overlap, None);
 
         // Bad values are parse errors that name the flag.
         assert!(
@@ -1102,17 +1099,17 @@ mod tests {
             panic!("wrong command")
         };
         assert_eq!(a.engine, Engine::GpuPipelined);
-        assert_eq!(a.pipeline_depth, Some(4));
+        assert_eq!(a.pins.depth, Some(PipelineDepth(4)));
         assert_eq!(a.table_cache_mb, Some(64));
         // The ring depth pins the pipeline's plans, not the config.
-        assert_eq!(recon_pipeline(&a).pipeline_depth, Some(4));
+        assert_eq!(recon_pipeline(&a).pins.depth, Some(PipelineDepth(4)));
 
         // Absent flags keep the deterministic defaults.
         let cmd = parse(&sv(&["reconstruct", "--input", "scan.mh5"])).unwrap();
         let Command::Reconstruct(a) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(a.pipeline_depth, None);
+        assert_eq!(a.pins.depth, None);
         assert_eq!(a.table_cache_mb, None);
         assert!(parse(&sv(&[
             "reconstruct",
@@ -1331,7 +1328,9 @@ mod tests {
             }
         );
         assert_eq!(a.bins, 128);
-        assert_eq!(a.rows_per_slab, Some(2));
+        assert_eq!(a.pins.rows, Some(2));
+        // So do the slab rows.
+        assert_eq!(recon_pipeline(&a).pins.rows, Some(2));
         assert_eq!(a.cutoff, 0.0);
     }
 

@@ -2,7 +2,6 @@
 
 use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
 use laue_core::planner::{Pins, Plan};
-use laue_core::ReconstructionConfig;
 
 /// Which implementation reconstructs the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,8 +16,8 @@ pub enum Engine {
     /// `edge`/`gpuPointArray` design point).
     GpuTables,
     /// k-deep ring-buffered three-stream GPU pipeline (the transfer/compute
-    /// overlap ablation; ring depth 3 unless `Pipeline::pipeline_depth`
-    /// pins another).
+    /// overlap ablation; ring depth 3 unless `Pipeline::pins` pins
+    /// another).
     GpuPipelined,
     /// A fleet of `devices` simulated GPUs, one row band each, every device
     /// running the k-deep ring pipeline. A device that dies mid-run has its
@@ -68,8 +67,8 @@ impl Engine {
     /// one-slot pipeline (so `elapsed == comm + compute` holds exactly);
     /// `gpu-pipe`, `gpu-multi` and `gpu-cluster` ring
     /// [`PipelineDepth::DEFAULT`] slots deep. [`Plan::fixed`] applies
-    /// `pins` and `cfg.rows_per_slab`.
-    pub fn plan(&self, cfg: &ReconstructionConfig, pins: Pins) -> Option<Plan> {
+    /// `pins`.
+    pub fn plan(&self, pins: Pins) -> Option<Plan> {
         let flat = GpuOptions::default();
         let tables = GpuOptions {
             triangulation: Triangulation::HostTables,
@@ -86,7 +85,7 @@ impl Engine {
                 devices_per_node,
             } => (nodes, devices_per_node, flat, PipelineDepth::DEFAULT),
         };
-        Some(Plan::fixed(nodes, devices, options, depth, cfg, pins))
+        Some(Plan::fixed(nodes, devices, options, depth, pins))
     }
 }
 
@@ -131,9 +130,8 @@ mod tests {
 
     #[test]
     fn every_gpu_alias_names_a_plan() {
-        let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 60);
         let shape = |e: Engine, pins: Pins| {
-            e.plan(&cfg, pins)
+            e.plan(pins)
                 .map(|p| (p.nodes, p.devices, p.options.triangulation, p.depth.0))
         };
         let none = Pins::default();
@@ -168,24 +166,27 @@ mod tests {
             Some((1, 1, Triangulation::HostTables, 2))
         );
         assert_eq!(shape(cluster, k2), Some((8, 2, Triangulation::InKernel, 2)));
-        // …so do a pinned reduction routing and overlap, and the
-        // configured slab rows.
+        // …so do pinned slab rows, reduction routing and overlap.
         let ring = Pins {
+            rows: Some(5),
             topology: Some(laue_core::ReductionTopology::Ring),
             overlap: Some(false),
             ..none
         };
-        cfg.rows_per_slab = Some(5);
-        let pinned = cluster.plan(&cfg, ring).unwrap();
+        let pinned = cluster.plan(ring).unwrap();
         assert_eq!(pinned.reduction.label(), "ring+barrier");
         assert_eq!(pinned.rows_per_slab, Some(5));
         // Aliases of one shape name one plan, and one node keeps tree.
-        let one = Engine::GpuPipelined.plan(&cfg, none);
-        assert_eq!(Engine::GpuMulti { devices: 1 }.plan(&cfg, none), one);
+        let rows5 = Pins {
+            rows: Some(5),
+            ..none
+        };
+        let one = Engine::GpuPipelined.plan(rows5);
+        assert_eq!(Engine::GpuMulti { devices: 1 }.plan(rows5), one);
         let c11 = Engine::GpuCluster {
             nodes: 1,
             devices_per_node: 1,
         };
-        assert_eq!(c11.plan(&cfg, ring), one);
+        assert_eq!(c11.plan(ring), one);
     }
 }

@@ -10,12 +10,11 @@ use cuda_sim::{
 };
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::reconstruct_cluster_checkpointed;
-use laue_core::gpu::PipelineDepth;
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
 use laue_core::planner::{plan_auto, Pins, Plan, RunPlan, TableWarmth};
 use laue_core::{
-    cpu, CoreError, GpuReconstruction, PlanMode, ReconstructionConfig, ReductionTopology,
-    ScanGeometry, ScanView, SlabSource,
+    cpu, CoreError, GpuReconstruction, PlanMode, ReconstructionConfig, ScanGeometry, ScanView,
+    SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -119,18 +118,14 @@ pub struct Pipeline {
     /// Inter-node fabric model for `gpu-cluster` engines (paper-era
     /// default: InfiniBand QDR).
     pub interconnect: InterconnectProps,
-    /// Ring depth of every GPU plan (`None`: the engine's default under
-    /// `--plan fixed`, the planner's pick under `--plan auto`). 0 is an
-    /// error on every engine.
-    pub pipeline_depth: Option<usize>,
-    /// Inter-node reduction routing of every GPU plan (`None`: tree under
-    /// `--plan fixed`, the planner's pick under `--plan auto`). It moves
-    /// time only on more than one node, so a one-node plan keeps tree.
-    pub reduction: Option<ReductionTopology>,
-    /// Overlap the reduction with the compute tail in every GPU plan
-    /// (`None`: on under `--plan fixed`, the planner's pick under
-    /// `--plan auto`), as for [`Pipeline::reduction`].
-    pub overlap: Option<bool>,
+    /// What every GPU plan pins among slab rows, ring depth, reduction
+    /// routing and overlap. Each `None` is the engine's default under
+    /// `--plan fixed` (slabs fitted to device memory, the alias's ring
+    /// depth, tree, overlapped) and the planner's pick under
+    /// `--plan auto`. A zero depth or zero rows is an error on every
+    /// engine. The reduction moves time only on more than one node, so a
+    /// one-node plan keeps tree.
+    pub pins: Pins,
     /// Cross-run persistent state (devices + depth-table cache).
     pub shared: Arc<PipelineShared>,
 }
@@ -148,9 +143,7 @@ impl Default for Pipeline {
             resume: false,
             fault_device: None,
             interconnect: InterconnectProps::ib_qdr(),
-            pipeline_depth: None,
-            reduction: None,
-            overlap: None,
+            pins: Pins::default(),
             shared: Arc::new(PipelineShared::default()),
         }
     }
@@ -196,11 +189,7 @@ impl Pipeline {
         engine: Engine,
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
-        if self.pipeline_depth == Some(0) {
-            return Err(
-                CoreError::InvalidConfig("pipeline depth must be at least 1".into()).into(),
-            );
-        }
+        self.pins.check()?;
         let threads = match engine {
             Engine::Cpu { threads } => threads,
             gpu => return self.run_gpu(source, geom, cfg, gpu, fingerprint),
@@ -346,15 +335,6 @@ impl Pipeline {
         Ok(report)
     }
 
-    /// The ring depth, reduction routing and overlap this pipeline pins.
-    fn pins(&self) -> Pins {
-        Pins {
-            depth: self.pipeline_depth.map(PipelineDepth),
-            topology: self.reduction,
-            overlap: self.overlap,
-        }
-    }
-
     /// The one [`Plan`] a GPU run executes and, under `--plan auto`, the
     /// explain block before measurement. Under `--plan fixed` it is the
     /// alias's plan ([`Engine::plan`] under [`Pipeline::pins`]). Under
@@ -370,8 +350,7 @@ impl Pipeline {
         cfg: &ReconstructionConfig,
         engine: Engine,
     ) -> Result<(Plan, Option<PlanExplain>)> {
-        let pins = self.pins();
-        let fixed = engine.plan(cfg, pins).expect("GPU engine");
+        let fixed = engine.plan(self.pins).expect("GPU engine");
         if cfg.plan == PlanMode::Fixed {
             return Ok((fixed, None));
         }
@@ -404,7 +383,7 @@ impl Pipeline {
             &self.interconnect,
             fixed.nodes,
             fixed.devices,
-            pins,
+            self.pins,
             source,
             geom,
             cfg,
@@ -668,8 +647,8 @@ fn journal_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laue_core::gpu::Layout;
-    use laue_core::{AccumulationMode, CompactionMode};
+    use laue_core::gpu::{Layout, PipelineDepth};
+    use laue_core::{AccumulationMode, CompactionMode, ReductionTopology};
     use laue_wire::{write_scan, SyntheticScanBuilder};
     use std::path::PathBuf;
 
@@ -686,6 +665,14 @@ mod tests {
 
     fn cfg() -> ReconstructionConfig {
         ReconstructionConfig::new(-1500.0, 1500.0, 100)
+    }
+
+    /// Pins of `rows` slab rows, nothing else.
+    fn rows(rows: usize) -> Pins {
+        Pins {
+            rows: Some(rows),
+            ..Pins::default()
+        }
     }
 
     #[test]
@@ -888,9 +875,12 @@ mod tests {
     #[test]
     fn pipelined_engine_overlaps_and_matches_serial() {
         let (path, _) = scan_file("pipe");
-        let p = Pipeline::default();
-        let mut c = cfg();
-        c.rows_per_slab = Some(2); // several slabs so the ring can overlap
+        // Several slabs, so the ring can overlap.
+        let p = Pipeline {
+            pins: rows(2),
+            ..Pipeline::default()
+        };
+        let c = cfg();
         let serial = p
             .run_scan_file(
                 &path,
@@ -915,7 +905,10 @@ mod tests {
         );
         // A pinned ring depth overrides the engine default.
         let two = Pipeline {
-            pipeline_depth: Some(2),
+            pins: Pins {
+                depth: Some(PipelineDepth(2)),
+                ..p.pins
+            },
             ..Pipeline::default()
         }
         .run_scan_file(&path, &c, Engine::GpuPipelined)
@@ -966,9 +959,11 @@ mod tests {
     #[test]
     fn gpu_multi_engine_matches_single_gpu() {
         let (path, _) = scan_file("multi");
-        let p = Pipeline::default();
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
+        let p = Pipeline {
+            pins: rows(2),
+            ..Pipeline::default()
+        };
+        let c = cfg();
         let single = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
         let multi = p
             .run_scan_file(&path, &c, Engine::GpuMulti { devices: 3 })
@@ -1000,9 +995,12 @@ mod tests {
         let (path, _) = scan_file("resume");
         let jdir = std::env::temp_dir().join(format!("pipeline_{}_resume_jrn", std::process::id()));
         let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
-        let baseline = Pipeline::default()
+        let c = cfg();
+        let two_rows = Pipeline {
+            pins: rows(2),
+            ..Pipeline::default()
+        };
+        let baseline = two_rows
             .run_scan_file(
                 &path,
                 &c,
@@ -1017,6 +1015,7 @@ mod tests {
         let dying = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
             journal_dir: Some(jdir.clone()),
+            pins: rows(2),
             ..Pipeline::default()
         };
         assert!(dying
@@ -1035,6 +1034,7 @@ mod tests {
         let resumed_pipeline = Pipeline {
             journal_dir: Some(jdir.clone()),
             resume: true,
+            pins: rows(2),
             ..Pipeline::default()
         };
         let r = resumed_pipeline
@@ -1065,12 +1065,15 @@ mod tests {
     #[test]
     fn flipping_a_run_mode_forces_a_clean_restart() {
         let (path, _) = scan_file("modeflip");
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
+        let c = cfg();
+        let two_rows = Pipeline {
+            pins: rows(2),
+            ..Pipeline::default()
+        };
         let gpu = Engine::Gpu {
             layout: Layout::Flat1d,
         };
-        let baseline = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
+        let baseline = two_rows.run_scan_file(&path, &c, gpu).unwrap();
         assert!(
             baseline.slab_privatized.is_empty(),
             "atomic run records no accumulation attribution"
@@ -1123,6 +1126,7 @@ mod tests {
             let dying = Pipeline {
                 fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
                 journal_dir: Some(jdir.clone()),
+                pins: rows(2),
                 ..Pipeline::default()
             };
             assert!(dying.run_scan_file(&path, &c, gpu).is_err());
@@ -1137,6 +1141,7 @@ mod tests {
             let resumed = Pipeline {
                 journal_dir: Some(jdir.clone()),
                 resume: true,
+                pins: rows(2),
                 ..Pipeline::default()
             };
             let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
@@ -1228,15 +1233,19 @@ mod tests {
             nodes: 4,
             devices_per_node: 1,
         };
-        let pinned_depth = Pipeline {
-            pipeline_depth: Some(2),
+        let pinned = |pins| Pipeline {
+            pins,
             ..Pipeline::default()
         };
-        let pinned_reduction = Pipeline {
-            reduction: Some(ReductionTopology::Ring),
+        let pinned_depth = pinned(Pins {
+            depth: Some(PipelineDepth(2)),
+            ..Pins::default()
+        });
+        let pinned_reduction = pinned(Pins {
+            topology: Some(ReductionTopology::Ring),
             overlap: Some(false),
-            ..Pipeline::default()
-        };
+            ..Pins::default()
+        });
         let off = ReconstructionConfig {
             compaction: CompactionMode::Off,
             ..auto.clone()
@@ -1259,7 +1268,7 @@ mod tests {
                 .unwrap();
             // The explain block prices the run that executed: the cold
             // prediction for this very config and these pins.
-            let fixed = engine.plan(c, p.pins()).unwrap();
+            let fixed = engine.plan(p.pins).unwrap();
             let warmth = TableWarmth {
                 resident_budget: p.table_cache_budget(),
                 ..TableWarmth::default()
@@ -1270,7 +1279,7 @@ mod tests {
                 &p.interconnect,
                 fixed.nodes,
                 fixed.devices,
-                p.pins(),
+                p.pins,
                 &mut source(),
                 &scan.geometry,
                 c,
@@ -1301,24 +1310,28 @@ mod tests {
             assert_eq!(r.image.data, both.image.data);
         }
 
-        // A zero ring depth is refused under either plan and on every
-        // engine, before any work.
-        let zero = Pipeline {
-            pipeline_depth: Some(0),
-            ..Pipeline::default()
+        // A zero ring depth or zero slab rows is refused under either
+        // plan and on every engine, before any work.
+        let zero_depth = Pins {
+            depth: Some(PipelineDepth(0)),
+            ..Pins::default()
         };
-        for (c, engine) in [
-            (&auto, Engine::GpuPipelined),
-            (&cfg(), Engine::GpuPipelined),
-            (&cfg(), Engine::Cpu { threads: 1 }),
-        ] {
-            let err = zero
-                .run_source(&mut source(), &scan.geometry, c, engine)
-                .unwrap_err();
-            assert!(
-                matches!(err, crate::PipelineError::Core(CoreError::InvalidConfig(_))),
-                "{err}"
-            );
+        for zero in [pinned(zero_depth), pinned(rows(0))] {
+            for (c, engine) in [
+                (&auto, Engine::GpuPipelined),
+                (&cfg(), Engine::GpuPipelined),
+                (&cfg(), Engine::Cpu { threads: 1 }),
+            ] {
+                let err = zero
+                    .run_source(&mut source(), &scan.geometry, c, engine)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, crate::PipelineError::Core(CoreError::InvalidConfig(_))),
+                    "{:?}: {err}",
+                    zero.pins
+                );
+            }
+            assert!(zero.shared.devices.lock().unwrap().is_empty(), "no work");
         }
     }
 
@@ -1350,14 +1363,14 @@ mod tests {
     #[test]
     fn fallback_salvages_gpu_committed_slabs() {
         let (path, _) = scan_file("salvage");
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
+        let c = cfg();
         let cpu = Pipeline::default()
             .run_scan_file(&path, &c, Engine::Cpu { threads: 1 })
             .unwrap();
         let p = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
             on_gpu_failure: GpuFailurePolicy::FallbackCpu,
+            pins: rows(2),
             ..Pipeline::default()
         };
         let r = p
@@ -1387,15 +1400,16 @@ mod tests {
     #[test]
     fn fallback_counts_the_devices_that_actually_died() {
         let (path, _) = scan_file("lost_count");
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
         // The only device of a single-GPU engine dies: one device lost.
         let p = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(1)),
             on_gpu_failure: GpuFailurePolicy::FallbackCpu,
+            pins: rows(2),
             ..Pipeline::default()
         };
-        let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
+        let r = p
+            .run_scan_file(&path, &cfg(), Engine::GpuPipelined)
+            .unwrap();
         assert!(r.fallback.is_some());
         assert_eq!(r.recovery.devices_lost, 1);
 
@@ -1546,8 +1560,11 @@ mod tests {
             layout: Layout::Flat1d,
         };
         let mut c = cfg();
-        c.rows_per_slab = Some(3);
-        let clean = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
+        let three_rows = Pipeline {
+            pins: rows(3),
+            ..Pipeline::default()
+        };
+        let clean = three_rows.run_scan_file(&path, &c, gpu).unwrap();
 
         let persistent = Pipeline {
             fault_plan: Some(
@@ -1555,6 +1572,7 @@ mod tests {
                     .flip_kernel_from(1)
                     .flip_op_index(3),
             ),
+            pins: rows(3),
             ..Pipeline::default()
         };
         c.integrity = laue_core::IntegrityMode::Scrub;
@@ -1636,7 +1654,10 @@ mod tests {
             c.integrity = laue_core::IntegrityMode::Scrub;
             let p = Pipeline {
                 fault_plan: Some(spec.clone()),
-                pipeline_depth: Some(depth),
+                pins: Pins {
+                    depth: Some(PipelineDepth(depth)),
+                    ..Pins::default()
+                },
                 ..Pipeline::default()
             };
             p.run_scan_file(&path, &c, gpu).unwrap()
@@ -1670,7 +1691,7 @@ mod tests {
             nodes: 2,
             devices_per_node: 1,
         }
-        .plan(&cfg(), Pins::default())
+        .plan(Pins::default())
         .unwrap();
         let dims = (12, 8, 8);
         let base = journal_key(&plan, &cfg(), dims, Some(1)).hash;
@@ -1683,20 +1704,18 @@ mod tests {
             n_depth_bins: _,
             intensity_cutoff: _,
             wire_edge: _,
-            rows_per_slab: _,
             compaction: _,
             accumulation: _,
             plan: _,
             integrity: _,
         } = cfg();
         type Flip = fn(&mut ReconstructionConfig);
-        let cfg_flips: [(&str, Flip); 10] = [
+        let cfg_flips: [(&str, Flip); 9] = [
             ("depth_start", |c| c.depth_start -= 0.5),
             ("depth_end", |c| c.depth_end += 0.5),
             ("n_depth_bins", |c| c.n_depth_bins += 1),
             ("intensity_cutoff", |c| c.intensity_cutoff += 0.25),
             ("wire_edge", |c| c.wire_edge = c.wire_edge.opposite()),
-            ("rows_per_slab", |c| c.rows_per_slab = Some(3)),
             ("compaction", |c| c.compaction = CompactionMode::On),
             ("accumulation", |c| c.accumulation = AccumulationMode::Auto),
             ("plan", |c| c.plan = PlanMode::Auto),
@@ -1797,10 +1816,13 @@ mod tests {
         // pinned ring depth, a one-node reduction) is part of the key:
         // aliases of one plan share their journals.
         let scan = SyntheticScanBuilder::new(8, 8, 12).build().unwrap();
-        let alias_key = |engine: Engine, pipeline_depth, reduction| {
+        let alias_key = |engine: Engine, depth: Option<usize>, topology| {
             let p = Pipeline {
-                pipeline_depth,
-                reduction,
+                pins: Pins {
+                    depth: depth.map(PipelineDepth),
+                    topology,
+                    ..Pins::default()
+                },
                 ..Pipeline::default()
             };
             let mut source =
@@ -2040,10 +2062,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&jdir);
         // Serial two-row slabs: every launched slab commits before the
         // next launch.
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
+        let c = cfg();
         let serial = Pipeline {
-            pipeline_depth: Some(1),
+            pins: Pins {
+                depth: Some(PipelineDepth::SERIAL),
+                ..rows(2)
+            },
             ..Pipeline::default()
         };
         let baseline = serial
@@ -2117,8 +2141,11 @@ mod tests {
             for topology in [ReductionTopology::Tree, ReductionTopology::Ring] {
                 for overlap in [true, false] {
                     let p = Pipeline {
-                        reduction: Some(topology),
-                        overlap: Some(overlap),
+                        pins: Pins {
+                            topology: Some(topology),
+                            overlap: Some(overlap),
+                            ..Pins::default()
+                        },
                         ..Pipeline::default()
                     };
                     let engine = Engine::GpuCluster {
@@ -2201,11 +2228,13 @@ mod tests {
         };
         // One row per slab so the victim has launches left when it dies.
         let mut c = cfg();
-        c.rows_per_slab = Some(1);
         c.integrity = laue_core::IntegrityMode::Verify;
-        let clean = Pipeline::default()
-            .run_scan_file(&path, &c, engine)
-            .unwrap();
+        let clean = Pipeline {
+            pins: rows(1),
+            ..Pipeline::default()
+        }
+        .run_scan_file(&path, &c, engine)
+        .unwrap();
 
         // Flake one of node 0's uploads, then kill its device after its
         // first launch; the survivors must absorb its remaining rows and
@@ -2217,6 +2246,7 @@ mod tests {
                     .fail_after_launches(1),
             ),
             fault_device: Some(0),
+            pins: rows(1),
             ..Pipeline::default()
         };
         let r = p.run_scan_file(&path, &c, engine).unwrap();
@@ -2246,32 +2276,34 @@ mod tests {
         let jdir =
             std::env::temp_dir().join(format!("pipeline_{}_clusterflip_jrn", std::process::id()));
         let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
+        let c = cfg();
         // Serial single-row slabs: each node commits its first slab to the
         // journal before the scripted fault kills its second launch.
-        c.rows_per_slab = Some(1);
-        let serial = Pipeline {
-            pipeline_depth: Some(1),
+        let serial = Pins {
+            depth: Some(PipelineDepth::SERIAL),
+            ..rows(1)
+        };
+        let reducing = |topology| Pipeline {
+            pins: Pins {
+                topology: Some(topology),
+                ..serial
+            },
             ..Pipeline::default()
         };
         let engine = Engine::GpuCluster {
             nodes: 2,
             devices_per_node: 1,
         };
-        let baseline = Pipeline {
-            reduction: Some(ReductionTopology::Tree),
-            ..serial.clone()
-        }
-        .run_scan_file(&path, &c, engine)
-        .unwrap();
+        let baseline = reducing(ReductionTopology::Tree)
+            .run_scan_file(&path, &c, engine)
+            .unwrap();
 
         // Interrupt a tree-reduction run: the schedule dies on every node
         // (no survivor to fail over to), leaving the journal behind.
         let dying = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(1)),
-            reduction: Some(ReductionTopology::Tree),
             journal_dir: Some(jdir.clone()),
-            ..serial.clone()
+            ..reducing(ReductionTopology::Tree)
         };
         assert!(dying.run_scan_file(&path, &c, engine).is_err());
         assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
@@ -2279,10 +2311,9 @@ mod tests {
         // Resuming under ring reduction must NOT replay those slabs: the
         // topology is part of the journal key, so the run restarts clean.
         let ring = Pipeline {
-            reduction: Some(ReductionTopology::Ring),
             journal_dir: Some(jdir.clone()),
             resume: true,
-            ..serial.clone()
+            ..reducing(ReductionTopology::Ring)
         };
         let r = ring.run_scan_file(&path, &c, engine).unwrap();
         assert!(
@@ -2293,10 +2324,9 @@ mod tests {
 
         // Same topology, same key: the stale journal is still replayable.
         let tree = Pipeline {
-            reduction: Some(ReductionTopology::Tree),
             journal_dir: Some(jdir.clone()),
             resume: true,
-            ..serial
+            ..reducing(ReductionTopology::Tree)
         };
         let r = tree.run_scan_file(&path, &c, engine).unwrap();
         let resume = r.recovery.resume.as_ref().expect("same-topology resume");

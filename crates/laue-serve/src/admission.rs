@@ -10,10 +10,12 @@
 //!   the service).
 //! * **Predicted backlog seconds** — the sum over queued jobs of the
 //!   cost-model-predicted service time, from the same
-//!   [`laue_core::planner::plan_run`] enumeration the `--plan auto`
-//!   pipeline uses. Predictions are memoized per [`JobShape`] (the
-//!   planner's answer depends only on shape under a fixed device), so
-//!   admission costs one planner call per *distinct* shape, not per job.
+//!   [`laue_core::planner::plan_auto`] enumeration the `--plan auto`
+//!   pipeline uses, at one device and under the slab rows the job's
+//!   quantum pins ([`JobShape::pins`]). Predictions are memoized per
+//!   [`JobShape`] (the planner's answer depends only on shape under a
+//!   fixed device), so admission costs one planner call per *distinct*
+//!   shape, not per job.
 //!
 //! A rejected job is turned away at arrival — the open-loop client is
 //! told "try later" rather than being silently queued into a latency it
@@ -21,9 +23,8 @@
 
 use std::collections::HashMap;
 
-use cuda_sim::{DeviceProps, HostProps};
-use laue_core::planner::{plan_run, TableWarmth};
-use laue_core::InMemorySlabSource;
+use cuda_sim::{DeviceProps, HostProps, InterconnectProps};
+use laue_core::planner::{plan_auto, TableWarmth};
 
 use crate::job::{JobShape, JobSpec, RejectReason};
 
@@ -93,10 +94,11 @@ impl AdmissionStats {
 
 /// Memoized cost-model service-time predictor.
 ///
-/// One planner enumeration per distinct job shape; every later job of the
-/// same shape is answered from the memo. Predictions use a cold-cache
-/// [`TableWarmth`] — pessimistic for warm tenants, which is the right
-/// bias for an admission bound.
+/// One planner enumeration per distinct job shape, priced under the pins
+/// the shape's quantum runs with; every later job of the same shape is
+/// answered from the memo. Predictions use a cold-cache [`TableWarmth`] —
+/// pessimistic for warm tenants, which is the right bias for an admission
+/// bound.
 pub struct ServicePredictor {
     props: DeviceProps,
     host: HostProps,
@@ -120,25 +122,24 @@ impl ServicePredictor {
         }
         // The planner's prediction depends on shape, not data: any scan
         // of the right dimensions prices the same. Use a canonical one.
-        let probe = JobSpec {
+        let (mut source, geom) = JobSpec {
             seed: 0,
             ..spec.clone()
-        };
-        let scan = probe.materialize();
-        let mut source = InMemorySlabSource::new(
-            scan.images,
-            spec.shape.n_steps,
-            spec.shape.n_rows,
-            spec.shape.n_cols,
-        )
-        .expect("spec dimensions are consistent by construction");
-        let predicted = plan_run(
+        }
+        .source();
+        // One node sends nothing, so the fabric prices nothing here.
+        let predicted = plan_auto(
             &self.props,
             &self.host,
+            &InterconnectProps::ib_qdr(),
+            1,
+            1,
+            spec.shape.pins(),
             &mut source,
-            &scan.geometry,
-            &probe.config(),
+            &geom,
+            &spec.config(),
             TableWarmth::default(),
+            None,
         )
         .map(|plan| plan.predicted_s)
         .unwrap_or(0.0);
@@ -156,6 +157,7 @@ impl ServicePredictor {
 mod tests {
     use super::*;
     use crate::job::{JobClass, JobShape};
+    use laue_core::planner::plan_run;
 
     fn spec(shape: JobShape) -> JobSpec {
         JobSpec {
@@ -200,5 +202,39 @@ mod tests {
             large > small,
             "large job must predict slower: {large:.2e} vs {small:.2e}"
         );
+
+        // The large shape is priced at the 4 slab rows its quantum pins,
+        // not at the memory fit an unpinned plan would choose.
+        let spec = spec(JobShape::large());
+        assert_eq!(spec.shape.pins().rows, Some(4));
+        let canonical = JobSpec { seed: 0, ..spec };
+        let (props, host) = (DeviceProps::tesla_m2070(), HostProps::xeon_e5630());
+        let (cfg, cold, net) = (
+            spec.config(),
+            TableWarmth::default(),
+            InterconnectProps::ib_qdr(),
+        );
+        let (mut source, geom) = canonical.source();
+        let pins = spec.shape.pins();
+        let pinned = plan_auto(
+            &props,
+            &host,
+            &net,
+            1,
+            1,
+            pins,
+            &mut source,
+            &geom,
+            &cfg,
+            cold,
+            None,
+        );
+        let pinned = pinned.unwrap();
+        assert!(pinned.label.ends_with("/r4"), "{}", pinned.label);
+        assert_eq!(large.to_bits(), pinned.predicted_s.to_bits());
+        let (mut source, geom) = canonical.source();
+        let unpinned = plan_run(&props, &host, &mut source, &geom, &cfg, cold).unwrap();
+        assert_ne!(unpinned.plan.rows_per_slab, Some(4));
+        assert_ne!(large.to_bits(), unpinned.predicted_s.to_bits());
     }
 }

@@ -13,8 +13,8 @@
 //! service, the bench harness, and the bit-identity tests can all
 //! materialize exactly the same scan from the same spec.
 
-use laue_core::config::{CompactionMode, IntegrityMode};
-use laue_core::{DepthImage, ReconStats, ReconstructionConfig};
+use laue_core::planner::Pins;
+use laue_core::{DepthImage, InMemorySlabSource, ReconStats, ReconstructionConfig, ScanGeometry};
 use laue_wire::{SyntheticScan, SyntheticScanBuilder};
 
 /// Scheduling class of a job.
@@ -38,8 +38,9 @@ pub struct JobShape {
     pub n_steps: usize,
     /// Depth bins of the output grid.
     pub n_bins: usize,
-    /// Forced slab rows for the checkpointed path (`None` = planner's
-    /// choice). Small values give a long job many preemption points.
+    /// Slab rows the checkpointed path pins ([`JobShape::pins`]; `None`
+    /// fits the slab to device memory). Small values give a long job many
+    /// preemption points. The image does not depend on it.
     pub rows_per_slab: Option<usize>,
 }
 
@@ -71,6 +72,16 @@ impl JobShape {
         (self.n_rows * self.n_cols * (self.n_steps - 1)) as u64
     }
 
+    /// What a non-fused run of this shape pins: its slab rows. The
+    /// scheduler's quantum runs under these pins and admission prices
+    /// them.
+    pub fn pins(&self) -> Pins {
+        Pins {
+            rows: self.rows_per_slab,
+            ..Pins::default()
+        }
+    }
+
     /// Device bytes the fused path would hold resident for this shape.
     pub fn fused_bytes(&self) -> u64 {
         laue_core::gpu::batch::fused_job_bytes(self.n_steps, self.n_rows, self.n_cols, self.n_bins)
@@ -96,15 +107,12 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The job's reconstruction config. Fused-compatible by construction
-    /// (no compaction, no integrity) so the batcher only has to check
-    /// size, and bit-identity to standalone runs holds for every path.
+    /// The job's reconstruction config: the default one over its bins,
+    /// so fused-compatible by construction (no compaction, no integrity)
+    /// — the batcher only has to check size, and bit-identity to
+    /// standalone runs holds for every path.
     pub fn config(&self) -> ReconstructionConfig {
-        let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, self.shape.n_bins);
-        cfg.rows_per_slab = self.shape.rows_per_slab;
-        cfg.compaction = CompactionMode::Off;
-        cfg.integrity = IntegrityMode::Off;
-        cfg
+        ReconstructionConfig::new(-1500.0, 1500.0, self.shape.n_bins)
     }
 
     /// Materialize the job's scan. Deterministic in the spec alone.
@@ -116,6 +124,14 @@ impl JobSpec {
             .seed(self.seed)
             .build()
             .expect("job shapes are valid by construction")
+    }
+
+    /// The job's scan as a slab source, with its geometry.
+    pub fn source(&self) -> (InMemorySlabSource, ScanGeometry) {
+        let (scan, s) = (self.materialize(), &self.shape);
+        let source = InMemorySlabSource::new(scan.images, s.n_steps, s.n_rows, s.n_cols)
+            .expect("a materialized scan has its shape's dimensions");
+        (source, scan.geometry)
     }
 }
 

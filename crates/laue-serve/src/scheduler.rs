@@ -28,7 +28,8 @@ use laue_core::cache::TableCacheStats;
 use laue_core::gpu::batch::{reconstruct_batch_fused, BatchJob};
 use laue_core::gpu::{reconstruct_checkpointed_bounded, GpuOptions, PipelineDepth, Triangulation};
 use laue_core::journal::SlabProgress;
-use laue_core::{InMemorySlabSource, Result};
+use laue_core::planner::Plan;
+use laue_core::Result;
 
 use crate::admission::{AdmissionPolicy, AdmissionStats, ServicePredictor};
 use crate::batcher::{BatchPolicy, BatchStats};
@@ -269,29 +270,14 @@ impl ServeState<'_> {
             members.extend(extra);
         }
 
-        let scans: Vec<_> = members.iter().map(|m| m.spec.materialize()).collect();
+        let (mut sources, geoms): (Vec<_>, Vec<_>) =
+            members.iter().map(|m| m.spec.source()).unzip();
         let job_cfgs: Vec<_> = members.iter().map(|m| m.spec.config()).collect();
-        let mut sources: Vec<InMemorySlabSource> = members
-            .iter()
-            .zip(&scans)
-            .map(|(m, scan)| {
-                InMemorySlabSource::new(
-                    scan.images.clone(),
-                    m.spec.shape.n_steps,
-                    m.spec.shape.n_rows,
-                    m.spec.shape.n_cols,
-                )
-            })
-            .collect::<Result<_>>()?;
         let mut jobs: Vec<BatchJob<'_>> = sources
             .iter_mut()
-            .zip(&scans)
+            .zip(&geoms)
             .zip(&job_cfgs)
-            .map(|((source, scan), cfg)| BatchJob {
-                source,
-                geom: &scan.geometry,
-                cfg,
-            })
+            .map(|((source, geom), cfg)| BatchJob { source, geom, cfg })
             .collect();
         let batch = reconstruct_batch_fused(self.fleet.device(dev), &mut jobs)?;
         drop(jobs);
@@ -334,14 +320,8 @@ impl ServeState<'_> {
         now: f64,
     ) -> Result<Vec<f64>> {
         let spec = job.spec.clone();
-        let scan = spec.materialize();
+        let (mut source, geom) = spec.source();
         let job_cfg = spec.config();
-        let mut source = InMemorySlabSource::new(
-            scan.images,
-            spec.shape.n_steps,
-            spec.shape.n_rows,
-            spec.shape.n_cols,
-        )?;
         let mut progress = job.progress.take().unwrap_or_else(|| {
             SlabProgress::new(job_cfg.n_depth_bins, spec.shape.n_rows, spec.shape.n_cols)
         });
@@ -354,13 +334,13 @@ impl ServeState<'_> {
             GpuOptions::default()
         };
         let cache = cfg.host_tables.then(|| self.fleet.cache());
+        let plan = Plan::fixed(1, 1, opts, PipelineDepth::default(), spec.shape.pins());
         let (out, complete) = reconstruct_checkpointed_bounded(
             self.fleet.device(dev),
             &mut source,
-            &scan.geometry,
+            &geom,
             &job_cfg,
-            opts,
-            PipelineDepth::default(),
+            plan,
             cache,
             &mut progress,
             None,

@@ -445,7 +445,11 @@ proptest! {
         let rows: usize = parts[3][1..].parse().unwrap();
         let mut fixed = cfg.clone();
         fixed.plan = PlanMode::Fixed;
-        fixed.rows_per_slab = Some(rows);
+        let pins = Pins {
+            rows: Some(rows),
+            depth: Some(PipelineDepth(depth)),
+            ..Pins::default()
+        };
         let engine = match (parts[0], parts[1]) {
             ("flat1d", "inkernel") => Some(Engine::Gpu { layout: Layout::Flat1d }),
             ("ptr3d", "inkernel") => Some(Engine::Gpu { layout: Layout::Pointer3d }),
@@ -455,7 +459,7 @@ proptest! {
         let mut source = InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
         let fixed_image = match engine {
             Some(e) => {
-                Pipeline { pipeline_depth: Some(depth), ..Pipeline::default() }
+                Pipeline { pins, ..Pipeline::default() }
                     .run_source(&mut source, &scan.geometry, &fixed, e)
                     .unwrap()
                     .image
@@ -470,11 +474,16 @@ proptest! {
                     &mut source,
                     &scan.geometry,
                     &fixed,
-                    GpuOptions {
-                        layout: Layout::Pointer3d,
-                        triangulation: Triangulation::HostTables,
-                    },
-                    PipelineDepth(depth),
+                    Plan::fixed(
+                        1,
+                        1,
+                        GpuOptions {
+                            layout: Layout::Pointer3d,
+                            triangulation: Triangulation::HostTables,
+                        },
+                        PipelineDepth(depth),
+                        pins,
+                    ),
                     None,
                 )
                 .unwrap()
@@ -577,7 +586,7 @@ proptest! {
         let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 50);
         // Several slabs per run, so the scheduled ordinals have launches
         // and transfers to land on.
-        cfg.rows_per_slab = Some(2);
+        let pins = Pins { rows: Some(2), ..Pins::default() };
         cfg.compaction = c.compaction;
         cfg.accumulation = c.accumulation;
         let engine = if c.fleet {
@@ -588,13 +597,14 @@ proptest! {
 
         let mut source =
             InMemorySlabSource::new(scan.images.clone(), s.steps, s.rows, s.cols).unwrap();
-        let reference = Pipeline::default()
+        let reference = Pipeline { pins, ..Pipeline::default() }
             .run_source(&mut source, &scan.geometry, &cfg, engine)
             .unwrap();
 
         cfg.integrity = if c.scrub { IntegrityMode::Scrub } else { IntegrityMode::Verify };
         let p = Pipeline {
             fault_plan: Some(c.fault_plan()),
+            pins,
             ..Pipeline::default()
         };
         let mut source =

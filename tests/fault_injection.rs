@@ -165,13 +165,22 @@ fn fallback_runs_cpu_seq_bit_for_bit() {
         .unwrap();
     let path = tmp("salvage_seq");
     write_scan(&path, &scan.geometry, &scan.images, Some(&scan.truth), 3).unwrap();
-    let mut cfg = cfg();
-    cfg.rows_per_slab = Some(5);
+    let cfg = cfg();
+    let five_rows = Pins {
+        rows: Some(5),
+        ..Pins::default()
+    };
     const { assert!(5 * 64 * 63 >= laue::sim::exec::PARALLEL_LAUNCH_THREADS) };
-    let clean = Pipeline::default().run_scan_file(&path, &cfg, GPU).unwrap();
+    let clean = Pipeline {
+        pins: five_rows,
+        ..Pipeline::default()
+    }
+    .run_scan_file(&path, &cfg, GPU)
+    .unwrap();
     let p = Pipeline {
         fault_plan: Some(FaultPlan::new(1).fail_after_launches(2)),
         on_gpu_failure: GpuFailurePolicy::FallbackCpu,
+        pins: five_rows,
         ..Pipeline::default()
     };
     let r = p.run_scan_file(&path, &cfg, GPU).unwrap();

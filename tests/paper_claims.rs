@@ -15,6 +15,15 @@ fn scan(rows: usize, cols: usize, steps: usize, seed: u64) -> SyntheticScan {
 }
 
 fn run(scan: &SyntheticScan, cfg: &ReconstructionConfig, engine: Engine) -> RunReport {
+    run_on(&Pipeline::default(), scan, cfg, engine)
+}
+
+fn run_on(
+    p: &Pipeline,
+    scan: &SyntheticScan,
+    cfg: &ReconstructionConfig,
+    engine: Engine,
+) -> RunReport {
     let mut source = InMemorySlabSource::new(
         scan.images.clone(),
         scan.geometry.wire.n_steps,
@@ -22,8 +31,7 @@ fn run(scan: &SyntheticScan, cfg: &ReconstructionConfig, engine: Engine) -> RunR
         scan.geometry.detector.n_cols,
     )
     .unwrap();
-    Pipeline::default()
-        .run_source(&mut source, &scan.geometry, cfg, engine)
+    p.run_source(&mut source, &scan.geometry, cfg, engine)
         .unwrap()
 }
 
@@ -245,16 +253,24 @@ fn fig9_compaction_scales_linearly_with_active_fraction() {
 #[test]
 fn overlap_ablation_shortens_makespan() {
     let s = scan(32, 32, 16, 41);
-    let mut c = cfg();
-    c.rows_per_slab = Some(4); // 8 slabs
-    let serial = run(
+    let c = cfg();
+    // 4-row slabs: 8 of them.
+    let p = Pipeline {
+        pins: Pins {
+            rows: Some(4),
+            ..Pins::default()
+        },
+        ..Pipeline::default()
+    };
+    let serial = run_on(
+        &p,
         &s,
         &c,
         Engine::Gpu {
             layout: Layout::Flat1d,
         },
     );
-    let overlapped = run(&s, &c, Engine::GpuPipelined);
+    let overlapped = run_on(&p, &s, &c, Engine::GpuPipelined);
     assert_eq!(overlapped.pipeline_depth, 3);
     assert_eq!(serial.image.data, overlapped.image.data);
     assert!(

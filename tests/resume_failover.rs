@@ -24,11 +24,32 @@ fn write_demo_scan(name: &str) -> PathBuf {
     path
 }
 
-/// 12 rows in 2-row slabs: six slab boundaries to kill at.
 fn cfg() -> ReconstructionConfig {
-    let mut cfg = ReconstructionConfig::new(-1600.0, 1600.0, 200);
-    cfg.rows_per_slab = Some(2);
-    cfg
+    ReconstructionConfig::new(-1600.0, 1600.0, 200)
+}
+
+/// 12 rows in 2-row slabs: six slab boundaries to kill at.
+fn pins() -> Pins {
+    Pins {
+        rows: Some(2),
+        ..Pins::default()
+    }
+}
+
+/// [`pins`] on a serial ring.
+fn serial() -> Pins {
+    Pins {
+        depth: Some(PipelineDepth::SERIAL),
+        ..pins()
+    }
+}
+
+/// A fresh pipeline under [`pins`].
+fn pipeline() -> Pipeline {
+    Pipeline {
+        pins: pins(),
+        ..Pipeline::default()
+    }
 }
 
 /// The serial engine commits each slab before launching the next, so
@@ -41,7 +62,7 @@ const GPU: Engine = Engine::Gpu {
 fn resume_is_bit_identical_at_every_slab_boundary() {
     let path = write_demo_scan("boundary");
     let cfg = cfg();
-    let baseline = Pipeline::default().run_scan_file(&path, &cfg, GPU).unwrap();
+    let baseline = pipeline().run_scan_file(&path, &cfg, GPU).unwrap();
     assert_eq!(baseline.n_slabs, 6);
 
     let jdir = tmp("boundary_jrn");
@@ -53,7 +74,7 @@ fn resume_is_bit_identical_at_every_slab_boundary() {
         let dying = Pipeline {
             fault_plan: Some(FaultPlan::new(0).fail_after_launches(boundary as u64)),
             journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
+            ..pipeline()
         };
         let err = dying.run_scan_file(&path, &cfg, GPU).unwrap_err();
         assert!(err.to_string().contains("device lost"), "{err}");
@@ -64,7 +85,7 @@ fn resume_is_bit_identical_at_every_slab_boundary() {
         let resumed = Pipeline {
             journal_dir: Some(jdir.clone()),
             resume: true,
-            ..Pipeline::default()
+            ..pipeline()
         };
         let r = resumed.run_scan_file(&path, &cfg, GPU).unwrap();
         assert_eq!(r.image.data, baseline.image.data, "boundary {boundary}");
@@ -98,14 +119,23 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
     let cfg = cfg();
     let source = || InMemorySlabSource::new(scan.images.clone(), 14, 12, 10).unwrap();
 
-    let baseline = gpu::reconstruct_with_options(
+    let one_slot = Plan::fixed(1, 1, GpuOptions::default(), PipelineDepth::SERIAL, pins());
+    let baseline = gpu::reconstruct_pipelined(
         &Device::new(DeviceProps::tesla_m2070()),
         &mut source(),
         &scan.geometry,
         &cfg,
-        GpuOptions::default(),
+        one_slot,
+        None,
     )
     .unwrap();
+    let ring = Plan::fixed(
+        1,
+        1,
+        GpuOptions::default(),
+        PipelineDepth::default(),
+        pins(),
+    );
     // A paused checkpoint holds exactly the baseline's first `rows` rows,
     // bit for bit, and zeros below them.
     let holds_rows = |image: &DepthImage, rows: usize| {
@@ -134,8 +164,7 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
             &mut source(),
             &scan.geometry,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::default(),
+            ring,
             None,
             &mut progress,
             None,
@@ -159,8 +188,7 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
             &mut source(),
             &scan.geometry,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::default(),
+            ring,
             None,
             &mut progress,
             None,
@@ -189,8 +217,7 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
             &mut source(),
             &scan.geometry,
             &cfg,
-            GpuOptions::default(),
-            PipelineDepth::default(),
+            ring,
             None,
             &mut progress,
             None,
@@ -214,9 +241,7 @@ fn fleet_losing_any_one_device_completes_on_survivors() {
     let path = write_demo_scan("failover");
     let cfg = cfg();
     let fleet = Engine::GpuMulti { devices: 4 };
-    let clean = Pipeline::default()
-        .run_scan_file(&path, &cfg, fleet)
-        .unwrap();
+    let clean = pipeline().run_scan_file(&path, &cfg, fleet).unwrap();
     assert_eq!(clean.engine, "gpu-multi(4)");
     assert_eq!(clean.recovery.devices_lost, 0);
 
@@ -224,7 +249,7 @@ fn fleet_losing_any_one_device_completes_on_survivors() {
         let p = Pipeline {
             fault_plan: Some(FaultPlan::new(0).fail_after_launches(1)),
             fault_device: Some(victim),
-            ..Pipeline::default()
+            ..pipeline()
         };
         let r = p.run_scan_file(&path, &cfg, fleet).unwrap();
         assert_eq!(r.recovery.devices_lost, 1, "victim {victim}");
@@ -248,14 +273,14 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
     // the fatal second launch (the default 3-deep ring would lose the
     // in-flight slab with the device).
     let cfg = cfg();
-    let cpu = Pipeline::default()
+    let cpu = pipeline()
         .run_scan_file(&path, &cfg, Engine::Cpu { threads: 1 })
         .unwrap();
 
     let p = Pipeline {
         fault_plan: Some(FaultPlan::new(0).fail_after_launches(1)),
         on_gpu_failure: GpuFailurePolicy::FallbackCpu,
-        pipeline_depth: Some(1),
+        pins: serial(),
         ..Pipeline::default()
     };
     let r = p
@@ -282,7 +307,7 @@ fn interrupted_fleet_run_resumes_on_a_healthy_fleet() {
     let path = write_demo_scan("fleet_resume");
     let cfg = cfg();
     let serial = Pipeline {
-        pipeline_depth: Some(1),
+        pins: serial(),
         ..Pipeline::default()
     };
     let fleet = Engine::GpuMulti { devices: 4 };
@@ -324,7 +349,7 @@ fn journal_of_a_different_run_is_ignored() {
     let dying = Pipeline {
         fault_plan: Some(FaultPlan::new(0).fail_after_launches(3)),
         journal_dir: Some(jdir.clone()),
-        ..Pipeline::default()
+        ..pipeline()
     };
     assert!(dying
         .run_scan_file(&path, &cfg, GPU)
@@ -336,13 +361,11 @@ fn journal_of_a_different_run_is_ignored() {
     // is replayed and the run is a correct fresh start.
     let mut other = cfg.clone();
     other.n_depth_bins = 150;
-    let fresh = Pipeline::default()
-        .run_scan_file(&path, &other, GPU)
-        .unwrap();
+    let fresh = pipeline().run_scan_file(&path, &other, GPU).unwrap();
     let resumed = Pipeline {
         journal_dir: Some(jdir.clone()),
         resume: true,
-        ..Pipeline::default()
+        ..pipeline()
     };
     let r = resumed.run_scan_file(&path, &other, GPU).unwrap();
     assert!(

@@ -14,9 +14,7 @@ fn make_scan() -> SyntheticScan {
 }
 
 fn cfg() -> ReconstructionConfig {
-    let mut c = ReconstructionConfig::new(-1600.0, 1600.0, 200);
-    c.rows_per_slab = Some(2); // 8 slabs: plenty of in-flight overlap
-    c
+    ReconstructionConfig::new(-1600.0, 1600.0, 200)
 }
 
 fn cpu_baseline(scan: &SyntheticScan, c: &ReconstructionConfig) -> DepthImage {
@@ -37,16 +35,13 @@ fn ring_run(
         device.set_fault_plan(plan);
     }
     let mut source = InMemorySlabSource::new(scan.images.clone(), 12, 16, 16).unwrap();
-    gpu::reconstruct_pipelined(
-        &device,
-        &mut source,
-        &scan.geometry,
-        c,
-        GpuOptions::default(),
-        PipelineDepth(depth),
-        None,
-    )
-    .unwrap()
+    // 2-row slabs, 8 of them: plenty of in-flight overlap.
+    let pins = Pins {
+        rows: Some(2),
+        ..Pins::default()
+    };
+    let ring = Plan::fixed(1, 1, GpuOptions::default(), PipelineDepth(depth), pins);
+    gpu::reconstruct_pipelined(&device, &mut source, &scan.geometry, c, ring, None).unwrap()
 }
 
 #[test]

@@ -69,10 +69,13 @@ fn roi_reconstruction_is_a_subblock_of_the_full_one() {
     let roi_geom = s.geometry.crop(r0, c0, nr, nc).unwrap();
     let mut roi_src = roi_source(&s, (r0, c0, nr, nc));
     let device = Device::new(DeviceProps::tiny(8 * 1024 * 1024));
-    let mut slab_cfg = cfg.clone();
-    slab_cfg.rows_per_slab = Some(2);
+    let pins = Pins {
+        rows: Some(2),
+        ..Pins::default()
+    };
+    let plan = Plan::fixed(1, 1, GpuOptions::default(), PipelineDepth::SERIAL, pins);
     let roi_gpu =
-        gpu::reconstruct(&device, &mut roi_src, &roi_geom, &slab_cfg, Layout::Flat1d).unwrap();
+        gpu::reconstruct_pipelined(&device, &mut roi_src, &roi_geom, &cfg, plan, None).unwrap();
     assert_eq!(roi_gpu.rows_per_slab, 2);
     assert_eq!(
         roi_gpu.image.data, roi_cpu.image.data,

@@ -14,11 +14,23 @@ fn make_scan() -> SyntheticScan {
         .unwrap()
 }
 
-fn run(scan: &SyntheticScan, cfg: &ReconstructionConfig, engine: Engine) -> RunReport {
+fn run(
+    scan: &SyntheticScan,
+    cfg: &ReconstructionConfig,
+    rows: Option<usize>,
+    engine: Engine,
+) -> RunReport {
     let mut source = InMemorySlabSource::new(scan.images.clone(), 10, 12, 10).unwrap();
-    Pipeline::default()
-        .run_source(&mut source, &scan.geometry, cfg, engine)
-        .unwrap()
+    let pins = Pins {
+        rows,
+        ..Pins::default()
+    };
+    Pipeline {
+        pins,
+        ..Pipeline::default()
+    }
+    .run_source(&mut source, &scan.geometry, cfg, engine)
+    .unwrap()
 }
 
 fn assert_bitwise_equal(a: &RunReport, b: &RunReport, tag: &str) {
@@ -56,11 +68,12 @@ fn aliases_of_one_topology_agree_bit_for_bit() {
         for integrity in [IntegrityMode::Off, IntegrityMode::Verify] {
             let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 80);
             cfg.plan = PlanMode::Fixed;
-            cfg.rows_per_slab = rows_per_slab;
             cfg.integrity = integrity;
             for aliases in [&one_by_one[..], &one_by_four[..]] {
-                let reports: Vec<RunReport> =
-                    aliases.iter().map(|&e| run(&scan, &cfg, e)).collect();
+                let reports: Vec<RunReport> = aliases
+                    .iter()
+                    .map(|&e| run(&scan, &cfg, rows_per_slab, e))
+                    .collect();
                 for r in &reports[1..] {
                     let tag = format!(
                         "{} vs {} (rows/slab {rows_per_slab:?}, integrity {})",
@@ -105,9 +118,11 @@ fn aliases_of_one_topology_plan_alike_under_plan_auto() {
     for rows_per_slab in [None, Some(2)] {
         let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 80);
         cfg.plan = PlanMode::Auto;
-        cfg.rows_per_slab = rows_per_slab;
         for aliases in [&one_by_one[..], &one_by_four[..]] {
-            let reports: Vec<RunReport> = aliases.iter().map(|&e| run(&scan, &cfg, e)).collect();
+            let reports: Vec<RunReport> = aliases
+                .iter()
+                .map(|&e| run(&scan, &cfg, rows_per_slab, e))
+                .collect();
             let chosen = |r: &RunReport| {
                 let plan = r
                     .plan
